@@ -9,6 +9,11 @@
 //! doubles for the DOUBLE baseline), and aggregation runs per group —
 //! through the §III-E2 multi-pass reducer on the UltraPrecise path.
 //!
+//! On that path a decimal column is one [`DecimalType`] plus compact
+//! bytes from storage through kernel I/O to the aggregate fold; a cell
+//! becomes a [`Value`] only on its way into [`QueryResult::rows`]
+//! (DESIGN.md §16).
+//!
 //! Every query returns both the real wall time and a [`ModeledTime`]
 //! breakdown (scan, PCIe, compile, kernel, CPU) assembled exactly the way
 //! §IV measures each system.
@@ -17,7 +22,9 @@ use crate::plan::{BoundOperand, BoundPred, ComboExpr, CpuExpr, HavingPred, Outpu
 use crate::profiles::Profile;
 use crate::sql::{AggFunc, BinOp, CmpOp};
 use crate::storage::{Catalog, ColumnData, Table, Value};
-use std::collections::HashMap;
+use core::cmp::Ordering;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use up_baselines::limited::{CapError, LimitedDecimal, LimitedEngine};
 use up_baselines::soft_decimal::SoftDecimal;
@@ -28,7 +35,7 @@ use up_gpusim::pipeline::{plan_timeline, run_dag, DagNodeCost, PipelineMode, Pip
 use up_gpusim::{DeviceConfig, GlobalMem};
 use up_jit::cache::{CompileHandle, CompileInfo, Compiled, JitEngine};
 use up_jit::Expr;
-use up_num::{DecimalType, NumError, UpDecimal};
+use up_num::{cmp_compact, decode_compact, BigInt, DecimalType, NumError, SumAcc, UpDecimal};
 
 /// Execution failures.
 #[derive(Debug)]
@@ -79,7 +86,7 @@ fn price_aggregation(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
     scalar: &Scalar,
-    vals: &[Value],
+    col: &Column<'_>,
     n: usize,
 ) -> ModeledTime {
     let mut m = ModeledTime::default();
@@ -92,9 +99,12 @@ fn price_aggregation(
         m.cpu_s += n as f64 * (n as f64).log2().max(1.0) * 2.0e-9 / cost.parallelism;
         return m;
     }
-    let dec_ty = match vals.first() {
-        Some(Value::Decimal(d)) => Some(d.dtype()),
-        _ => crate::plan::scalar_decimal_type(scalar),
+    let dec_ty = match col {
+        Column::Decimal { ty, .. } => Some(*ty),
+        Column::Values(vals) => match vals.first() {
+            Some(Value::Decimal(d)) => Some(d.dtype()),
+            _ => crate::plan::scalar_decimal_type(scalar),
+        },
     };
     match (ctx.profile, dec_ty) {
         (Profile::UltraPrecise, Some(ty)) => {
@@ -298,11 +308,11 @@ pub struct ArenaCtx<'a> {
 pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, QueryError> {
     let t0 = Instant::now();
     // The catalog is lock-striped per table: read-lock every scanned
-    // table in sorted lowercase-name order (the global lock order shared
-    // with `plan::plan`), then reference the guards in plan order.
-    let mut lock_names: Vec<String> =
-        plan.tables.iter().map(|n| n.to_lowercase()).collect();
-    lock_names.sort();
+    // table once, in sorted name order (the global lock order shared with
+    // `plan::plan`; the plan's names are already lowercase), then
+    // reference the guards in plan order.
+    let mut lock_names: Vec<&str> = plan.tables.iter().map(String::as_str).collect();
+    lock_names.sort_unstable();
     lock_names.dedup();
     let guards: Vec<_> = lock_names
         .iter()
@@ -315,12 +325,7 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
     let tables: Vec<&Table> = plan
         .tables
         .iter()
-        .map(|n| {
-            let i = lock_names
-                .binary_search(&n.to_lowercase())
-                .expect("locked above");
-            &*guards[i]
-        })
+        .map(|n| &*guards[lock_names.binary_search(&n.as_str()).expect("locked above")])
         .collect();
 
     let mut modeled = ModeledTime::default();
@@ -343,45 +348,39 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         cost.per_tuple_ns
     };
 
-    // 1. Join chain → a selection vector per table.
-    let mut sel: Vec<Vec<u32>> = vec![(0..tables[0].rows as u32).collect()];
+    // 1. Join chain → the row each tuple reads, per table.
+    let mut sel = Sel::All(tables[0].rows);
     for (k, edges) in plan.joins.iter().enumerate() {
-        let build_t = k + 1;
-        let build = tables[build_t];
+        let build = tables[k + 1];
         // Build side: key → rows.
         let mut index: HashMap<Vec<String>, Vec<u32>> = HashMap::new();
-        for row in 0..build.rows as u32 {
-            let key: Vec<String> = edges
-                .iter()
-                .map(|e| column_value(build, e.right_column, row).render())
-                .collect();
-            index.entry(key).or_default().push(row);
+        for row in 0..build.rows {
+            let key = edges.iter().map(|e| cell_key(build, e.right_column, row)).collect();
+            index.entry(key).or_default().push(row as u32);
         }
         // Probe side: every current tuple.
-        let n = sel[0].len();
-        let mut new_sel: Vec<Vec<u32>> = vec![Vec::new(); sel.len() + 1];
+        let n = sel.len();
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); k + 2];
         for i in 0..n {
             let key: Vec<String> = edges
                 .iter()
-                .map(|e| tuple_value(&tables, &sel, i, e.left).render())
+                .map(|e| cell_key(tables[e.left.table], e.left.column, sel.row(e.left.table, i)))
                 .collect();
-            if let Some(matches) = index.get(&key) {
-                for &m in matches {
-                    for (t, s) in sel.iter().enumerate() {
-                        new_sel[t].push(s[i]);
-                    }
-                    new_sel[sel.len()].push(m);
+            for &m in index.get(&key).into_iter().flatten() {
+                for (t, probe) in rows[..=k].iter_mut().enumerate() {
+                    probe.push(sel.row(t, i) as u32);
                 }
+                rows[k + 1].push(m);
             }
         }
         modeled.cpu_s +=
             (n as u64 + build.rows as u64) as f64 * tuple_ns * 1e-9 / cost.parallelism;
-        sel = new_sel;
+        sel = Sel::Rows(rows);
     }
 
     // 2. Filter.
     if let Some(pred) = &plan.filter {
-        let n = sel[0].len();
+        let n = sel.len();
         let mut keep = Vec::with_capacity(n);
         for i in 0..n {
             if eval_pred(pred, &tables, &sel, i)? {
@@ -389,12 +388,38 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
             }
         }
         modeled.cpu_s += n as f64 * tuple_ns * 1e-9 / cost.parallelism;
-        sel = sel
-            .iter()
-            .map(|s| keep.iter().map(|&i| s[i]).collect())
-            .collect();
+        sel = Sel::Rows(
+            (0..tables.len())
+                .map(|t| keep.iter().map(|&i| sel.row(t, i) as u32).collect())
+                .collect(),
+        );
     }
-    let n = sel[0].len();
+    let n = sel.len();
+
+    // 3a. Group: every tuple, or one member list per key in key order.
+    let groups: Vec<Members> = if !plan.has_aggregates {
+        Vec::new()
+    } else if plan.group_by.is_empty() {
+        vec![Members::All(n)]
+    } else {
+        let mut keyed: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+        let mut map: HashMap<Vec<String>, usize> = HashMap::new();
+        for i in 0..n {
+            let key: Vec<String> = plan
+                .group_by
+                .iter()
+                .map(|w| cell_key(tables[w.table], w.column, sel.row(w.table, i)))
+                .collect();
+            let gid = *map.entry(key.clone()).or_insert_with(|| {
+                keyed.push((key, Vec::new()));
+                keyed.len() - 1
+            });
+            keyed[gid].1.push(i);
+        }
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        modeled.cpu_s += n as f64 * tuple_ns * 1e-9 / cost.parallelism;
+        keyed.into_iter().map(|(_, members)| Members::List(members)).collect()
+    };
 
     let mut kernels = 0usize;
     let mut tiers = up_gpusim::TierCounters::default();
@@ -410,7 +435,7 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
     // rows and the modeled breakdown stay bit-identical to Off.
     let slots = plan.eval_slots();
     let mut pipeline_report: Option<PipelineReport> = None;
-    let mut pipelined: Option<std::vec::IntoIter<SlotNodeOut>> =
+    let mut pipelined: Option<std::vec::IntoIter<SlotNodeOut<'_>>> =
         if ctx.pipeline.enabled() && slots.len() >= 2 {
             let (outs, report) = eval_slots_pipelined(ctx, &slots, &tables, &sel, n)?;
             pipeline_report = Some(report);
@@ -418,127 +443,63 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         } else {
             None
         };
+    // The next slot's column, in plan order: its DAG node's output, or
+    // evaluated here; either way folded into the query accumulators in
+    // the serial order (compile part, evaluation, kernel count, then the
+    // reduction price).
+    let mut next_column = |scalar: &Scalar, agg: Option<AggFunc>| {
+        let o = match pipelined.as_mut() {
+            Some(it) => it.next().expect("one DAG node per slot"),
+            None => eval_slot(ctx, scalar, agg, &tables, &sel, n, None)?,
+        };
+        compile_parts.extend(o.compile_part);
+        modeled.add(&o.m);
+        kernels += o.kernels;
+        tiers += o.tiers;
+        modeled.add(&o.price);
+        Ok::<_, QueryError>(o.col)
+    };
     let mut out_rows: Vec<Vec<Value>>;
-    let mut columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
-    let _ = &mut columns;
+    let columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
 
     if plan.has_aggregates {
-        // 3a. Group.
-        let mut groups: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
-        if plan.group_by.is_empty() {
-            groups.push((Vec::new(), (0..n).collect()));
-        } else {
-            let mut map: HashMap<Vec<String>, usize> = HashMap::new();
-            for i in 0..n {
-                let key: Vec<String> = plan
-                    .group_by
-                    .iter()
-                    .map(|w| tuple_value(&tables, &sel, i, *w).render())
-                    .collect();
-                let gid = *map.entry(key.clone()).or_insert_with(|| {
-                    groups.push((key, Vec::new()));
-                    groups.len() - 1
-                });
-                groups[gid].1.push(i);
-            }
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-            modeled.cpu_s += n as f64 * tuple_ns * 1e-9 / cost.parallelism;
-        }
-
         // 3b. Evaluate aggregate inputs once over all tuples, and price
         // each item's reduction ONCE over the whole selection — the
         // device reduces every group in the same multi-pass launch
         // (§III-E2); only the functional fold below is per group.
         // One entry per item; per aggregate slot: the evaluated input
         // column (None = COUNT(*), needs no input).
-        let mut agg_inputs: Vec<Vec<Option<Vec<Value>>>> = Vec::new();
+        let mut agg_inputs: Vec<Vec<Option<Column<'_>>>> = Vec::new();
         for item in &plan.items {
-            match &item.kind {
-                OutputKind::Agg(f, scalar) => {
-                    let vals = match pipelined.as_mut() {
-                        Some(it) => merge_slot_out(
-                            it.next().expect("one DAG node per aggregate input"),
-                            &mut modeled,
-                            &mut kernels,
-                            &mut tiers,
-                            &mut compile_parts,
-                        ),
-                        None => {
-                            let (vals, mut m, k, t) =
-                                eval_scalar_column(ctx, scalar, &tables, &sel, n)?;
-                            if m.compile_s > 0.0 {
-                                compile_parts.push(m.compile_s);
-                                m.compile_s = 0.0;
-                            }
-                            modeled.add(&m);
-                            kernels += k;
-                            tiers += t;
-                            modeled.add(&price_aggregation(ctx, *f, scalar, &vals, n));
-                            vals
-                        }
-                    };
-                    agg_inputs.push(vec![Some(vals)]);
-                }
-                OutputKind::AggCombo { aggs, .. } => {
-                    let mut agg_slots = Vec::with_capacity(aggs.len());
-                    for (f, scalar) in aggs {
-                        match scalar {
-                            Some(sc) => {
-                                let vals = match pipelined.as_mut() {
-                                    Some(it) => merge_slot_out(
-                                        it.next().expect("one DAG node per aggregate input"),
-                                        &mut modeled,
-                                        &mut kernels,
-                                        &mut tiers,
-                                        &mut compile_parts,
-                                    ),
-                                    None => {
-                                        let (vals, mut m, k, t) =
-                                            eval_scalar_column(ctx, sc, &tables, &sel, n)?;
-                                        if m.compile_s > 0.0 {
-                                            compile_parts.push(m.compile_s);
-                                            m.compile_s = 0.0;
-                                        }
-                                        modeled.add(&m);
-                                        kernels += k;
-                                        tiers += t;
-                                        modeled.add(&price_aggregation(ctx, *f, sc, &vals, n));
-                                        vals
-                                    }
-                                };
-                                agg_slots.push(Some(vals));
-                            }
-                            None => agg_slots.push(None),
-                        }
-                    }
-                    agg_inputs.push(agg_slots);
-                }
-                _ => agg_inputs.push(Vec::new()),
-            }
+            agg_inputs.push(match &item.kind {
+                OutputKind::Agg(f, scalar) => vec![Some(next_column(scalar, Some(*f))?)],
+                OutputKind::AggCombo { aggs, .. } => aggs
+                    .iter()
+                    .map(|(f, scalar)| scalar.as_ref().map(|sc| next_column(sc, Some(*f))).transpose())
+                    .collect::<Result<_, _>>()?,
+                _ => Vec::new(),
+            });
         }
 
         // 3c. Reduce per group.
         out_rows = Vec::with_capacity(groups.len());
-        for (_, members) in &groups {
+        for members in &groups {
             let mut row = Vec::with_capacity(plan.items.len());
             for (idx, item) in plan.items.iter().enumerate() {
                 let v = match &item.kind {
-                    OutputKind::Key(w) => {
-                        tuple_value(&tables, &sel, members[0], *w)
-                    }
+                    OutputKind::Key(w) => tuple_value(&tables, &sel, members.get(0), *w),
                     OutputKind::CountStar => Value::Int64(members.len() as i64),
                     OutputKind::Agg(f, _) => {
-                        let vals = agg_inputs[idx][0].as_ref().expect("inputs computed");
-                        aggregate_group_fleet(ctx, *f, vals, members)?
+                        let col = agg_inputs[idx][0].as_ref().expect("inputs computed");
+                        aggregate_group(ctx, *f, col, members)?
                     }
                     OutputKind::AggCombo { aggs, combo } => {
                         let mut agg_vals = Vec::with_capacity(aggs.len());
                         for (slot, (f, _)) in aggs.iter().enumerate() {
-                            let v = match &agg_inputs[idx][slot] {
-                                Some(vals) => aggregate_group_fleet(ctx, *f, vals, members)?,
+                            agg_vals.push(match &agg_inputs[idx][slot] {
+                                Some(col) => aggregate_group(ctx, *f, col, members)?,
                                 None => Value::Int64(members.len() as i64),
-                            };
-                            agg_vals.push(v);
+                            });
                         }
                         eval_combo(combo, &agg_vals)?
                     }
@@ -549,41 +510,19 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
             out_rows.push(row);
         }
     } else {
-        // 3. Plain projection.
-        let mut cols: Vec<Vec<Value>> = Vec::with_capacity(plan.items.len());
+        // 3. Plain projection: evaluate column-wise, then move the cells
+        // into rows.
+        let mut cols: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            match &item.kind {
-                OutputKind::Scalar(s) => {
-                    let vals = match pipelined.as_mut() {
-                        Some(it) => merge_slot_out(
-                            it.next().expect("one DAG node per projection"),
-                            &mut modeled,
-                            &mut kernels,
-                            &mut tiers,
-                            &mut compile_parts,
-                        ),
-                        None => {
-                            let (vals, mut m, k, t) = eval_scalar_column(ctx, s, &tables, &sel, n)?;
-                            if m.compile_s > 0.0 {
-                                compile_parts.push(m.compile_s);
-                                m.compile_s = 0.0;
-                            }
-                            modeled.add(&m);
-                            kernels += k;
-                            tiers += t;
-                            vals
-                        }
-                    };
-                    cols.push(vals);
-                }
-                OutputKind::Key(w) => {
-                    cols.push((0..n).map(|i| tuple_value(&tables, &sel, i, *w)).collect());
-                }
+            let vals: Vec<Value> = match &item.kind {
+                OutputKind::Scalar(s) => next_column(s, None)?.into_values(),
+                OutputKind::Key(w) => (0..n).map(|i| tuple_value(&tables, &sel, i, *w)).collect(),
                 _ => unreachable!("aggregates handled above"),
-            }
+            };
+            cols.push(vals.into_iter());
         }
         out_rows = (0..n)
-            .map(|i| cols.iter().map(|c| c[i].clone()).collect())
+            .map(|_| cols.iter_mut().map(|c| c.next().expect("n cells per column")).collect())
             .collect();
     }
 
@@ -727,25 +666,137 @@ fn fleet_report(
     }
 }
 
-/// Reads a table cell.
-fn column_value(table: &Table, col: usize, row: u32) -> Value {
+/// The join/filter result: for every output tuple, the row it reads in
+/// each table. An unfiltered single-table scan stays the identity range —
+/// no index vector to build, and kernel inputs borrow the stored column.
+enum Sel {
+    /// Tuple `i` is row `i` of the only table.
+    All(usize),
+    /// One row-index vector per table, all of one length.
+    Rows(Vec<Vec<u32>>),
+}
+
+impl Sel {
+    fn len(&self) -> usize {
+        match self {
+            Sel::All(n) => *n,
+            Sel::Rows(rows) => rows[0].len(),
+        }
+    }
+
+    fn row(&self, table: usize, i: usize) -> usize {
+        match self {
+            Sel::All(_) => i,
+            Sel::Rows(rows) => rows[table][i] as usize,
+        }
+    }
+}
+
+/// One group's tuples: every tuple (no GROUP BY) or an explicit list.
+enum Members {
+    All(usize),
+    List(Vec<usize>),
+}
+
+impl Members {
+    fn len(&self) -> usize {
+        match self {
+            Members::All(n) => *n,
+            Members::List(v) => v.len(),
+        }
+    }
+
+    /// The `k`-th member's tuple index.
+    fn get(&self, k: usize) -> usize {
+        match self {
+            Members::All(_) => k,
+            Members::List(v) => v[k],
+        }
+    }
+}
+
+/// An evaluated scalar column over the selection. On the UltraPrecise path
+/// a decimal column stays what storage and the kernels hold — one
+/// [`DecimalType`] and `Lb` compact bytes per cell (§III-B): the kernel's
+/// output buffer, or a passthrough column's stored (borrowed) or gathered
+/// bytes. The aggregate folds read those bytes; a cell becomes a
+/// [`Value`] only on its way into the result rows. Everything else (CPU
+/// scalars, comparator profiles, CASE, CAST) is per-cell values.
+enum Column<'a> {
+    Decimal { ty: DecimalType, bytes: Cow<'a, [u8]> },
+    Values(Vec<Value>),
+}
+
+/// Cell `i` of a compact column of type `ty`.
+fn compact_cell(bytes: &[u8], ty: DecimalType, i: usize) -> &[u8] {
+    let lb = ty.lb();
+    &bytes[i * lb..][..lb]
+}
+
+impl Column<'_> {
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Column::Decimal { ty, bytes } => {
+                Value::Decimal(decode_compact(compact_cell(bytes, *ty, i), *ty))
+            }
+            Column::Values(vals) => vals[i].clone(),
+        }
+    }
+
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            Column::Decimal { ty, bytes } => bytes
+                .chunks_exact(ty.lb())
+                .map(|cell| Value::Decimal(decode_compact(cell, ty)))
+                .collect(),
+            Column::Values(vals) => vals,
+        }
+    }
+
+    /// Cell `i`'s canonical text (the DISTINCT key).
+    fn key(&self, i: usize) -> String {
+        match self {
+            Column::Decimal { ty, bytes } => compact_text(compact_cell(bytes, *ty, i), *ty),
+            Column::Values(vals) => vals[i].render(),
+        }
+    }
+}
+
+/// What `decode_compact(cell, ty).to_string()` renders, without the value.
+fn compact_text(cell: &[u8], ty: DecimalType) -> String {
+    let mut s = String::new();
+    up_num::write_compact(&mut s, cell, ty.scale).expect("writing to a String cannot fail");
+    s
+}
+
+/// A stored cell's canonical text — the join and GROUP BY key.
+fn cell_key(table: &Table, col: usize, row: usize) -> String {
     match &table.columns[col] {
-        c @ ColumnData::Decimal { .. } => Value::Decimal(c.get_decimal(row as usize)),
-        ColumnData::Int64(v) => Value::Int64(v[row as usize]),
-        ColumnData::Float64(v) => Value::Float64(v[row as usize]),
-        ColumnData::Str(v) => Value::Str(v[row as usize].clone()),
+        ColumnData::Decimal { ty, bytes } => compact_text(compact_cell(bytes, *ty, row), *ty),
+        ColumnData::Str(v) => v[row].clone(),
+        _ => column_value(table, col, row).render(),
+    }
+}
+
+/// Reads a table cell.
+fn column_value(table: &Table, col: usize, row: usize) -> Value {
+    match &table.columns[col] {
+        c @ ColumnData::Decimal { .. } => Value::Decimal(c.get_decimal(row)),
+        ColumnData::Int64(v) => Value::Int64(v[row]),
+        ColumnData::Float64(v) => Value::Float64(v[row]),
+        ColumnData::Str(v) => Value::Str(v[row].clone()),
     }
 }
 
 /// Reads a wide-row cell for tuple `i`.
-fn tuple_value(tables: &[&Table], sel: &[Vec<u32>], i: usize, w: WideCol) -> Value {
-    column_value(tables[w.table], w.column, sel[w.table][i])
+fn tuple_value(tables: &[&Table], sel: &Sel, i: usize, w: WideCol) -> Value {
+    column_value(tables[w.table], w.column, sel.row(w.table, i))
 }
 
 fn operand_value(
     op: &BoundOperand,
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     i: usize,
 ) -> Value {
     match op {
@@ -789,7 +840,7 @@ fn cmp_values(a: &Value, b: &Value) -> core::cmp::Ordering {
 fn eval_pred(
     p: &BoundPred,
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     i: usize,
 ) -> Result<bool, QueryError> {
     Ok(match p {
@@ -889,7 +940,7 @@ fn like_match(s: &str, pat: &str) -> bool {
 // Scalar column evaluation per profile
 // ---------------------------------------------------------------------
 
-type ScalarOut = (Vec<Value>, ModeledTime, usize, up_gpusim::TierCounters);
+type ScalarOut<'a> = (Column<'a>, ModeledTime, usize, up_gpusim::TierCounters);
 
 /// CPU arithmetic cost grows with the digit count, but sublinearly in
 /// measured systems (dispatch and allocation amortize the digit loops —
@@ -899,13 +950,13 @@ fn width_factor(p: u32) -> f64 {
     (p as f64 / 18.0).sqrt().max(1.0)
 }
 
-fn eval_scalar_column(
+fn eval_scalar_column<'a>(
     ctx: &ExecCtx<'_>,
     scalar: &Scalar,
-    tables: &[&Table],
-    sel: &[Vec<u32>],
+    tables: &[&'a Table],
+    sel: &Sel,
     n: usize,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'a>, QueryError> {
     match scalar {
         Scalar::Cpu(e) => {
             let cost = ctx.profile.system_cost();
@@ -918,7 +969,7 @@ fn eval_scalar_column(
                 cpu_s: n as f64 * (tuple_ns + cost.per_op_ns) * 1e-9 / cost.parallelism,
                 ..Default::default()
             };
-            Ok((vals, m, 0, Default::default()))
+            Ok((Column::Values(vals), m, 0, Default::default()))
         }
         Scalar::Decimal { expr, inputs } => match ctx.profile {
             Profile::UltraPrecise if ctx.expr_tpi > 1 => {
@@ -942,55 +993,46 @@ fn eval_scalar_column(
             let mut modeled = ModeledTime::default();
             let mut kernels = 0usize;
             let mut tiers = up_gpusim::TierCounters::default();
-            let mut branch_cols: Vec<(Vec<bool>, Vec<Value>)> = Vec::new();
+            let mut eval = |scalar: &Scalar| {
+                let (col, m, k, t) = eval_scalar_column(ctx, scalar, tables, sel, n)?;
+                modeled.add(&m);
+                kernels += k;
+                tiers += t;
+                Ok::<_, QueryError>(col)
+            };
+            let mut branch_cols: Vec<(Vec<bool>, Column<'_>)> = Vec::new();
             for (pred, scalar) in branches {
                 let mut mask = Vec::with_capacity(n);
                 for i in 0..n {
                     mask.push(eval_pred(pred, tables, sel, i)?);
                 }
-                let (vals, m, k, t) = eval_scalar_column(ctx, scalar, tables, sel, n)?;
-                modeled.add(&m);
-                kernels += k;
-                tiers += t;
-                branch_cols.push((mask, vals));
+                branch_cols.push((mask, eval(scalar)?));
             }
-            let else_vals = match else_ {
-                Some(s) => {
-                    let (vals, m, k, t) = eval_scalar_column(ctx, s, tables, sel, n)?;
-                    modeled.add(&m);
-                    kernels += k;
-                    tiers += t;
-                    Some(vals)
-                }
-                None => None,
-            };
+            let else_col = else_.as_deref().map(&mut eval).transpose()?;
             let zero = match unified {
                 Some(ty) => Value::Decimal(UpDecimal::zero(*ty)),
                 None => Value::Int64(0),
             };
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
-                let mut v = None;
-                for (mask, vals) in &branch_cols {
-                    if mask[i] {
-                        v = Some(vals[i].clone());
-                        break;
-                    }
-                }
-                let v = v.unwrap_or_else(|| {
-                    else_vals.as_ref().map(|vs| vs[i].clone()).unwrap_or_else(|| zero.clone())
-                });
+                let v = branch_cols
+                    .iter()
+                    .find(|(mask, _)| mask[i])
+                    .map(|(_, col)| col)
+                    .or(else_col.as_ref())
+                    .map_or_else(|| zero.clone(), |col| col.value(i));
                 out.push(coerce_unified(v, *unified)?);
             }
-            Ok((out, modeled, kernels, tiers))
+            Ok((Column::Values(out), modeled, kernels, tiers))
         }
         Scalar::Cast { inner, ty } => {
-            let (vals, modeled, kernels, tiers) = eval_scalar_column(ctx, inner, tables, sel, n)?;
-            let out = vals
+            let (col, modeled, kernels, tiers) = eval_scalar_column(ctx, inner, tables, sel, n)?;
+            let out = col
+                .into_values()
                 .into_iter()
                 .map(|v| cast_value(v, *ty))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok((out, modeled, kernels, tiers))
+            Ok((Column::Values(out), modeled, kernels, tiers))
         }
     }
 }
@@ -1109,7 +1151,7 @@ fn value_arith(op: BinOp, a: Value, b: Value) -> Result<Value, QueryError> {
 fn eval_cpu(
     e: &CpuExpr,
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     i: usize,
 ) -> Result<Value, QueryError> {
     Ok(match e {
@@ -1166,12 +1208,6 @@ fn eval_cpu(
     })
 }
 
-/// Whether a table's selection is the full identity scan (kernel inputs
-/// can then reuse the stored column buffer directly).
-fn is_identity(sel: &[u32], table_rows: usize) -> bool {
-    sel.len() == table_rows && sel.iter().enumerate().all(|(i, &r)| r as usize == i)
-}
-
 // ---------------------------------------------------------------------
 // Plan-level launch pipelining
 // ---------------------------------------------------------------------
@@ -1197,8 +1233,8 @@ fn collect_decimal_exprs<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
 
 /// One DAG node's evaluated output, with the modeled time split the way
 /// the serial merge needs it back.
-struct SlotNodeOut {
-    vals: Vec<Value>,
+struct SlotNodeOut<'a> {
+    col: Column<'a>,
     /// Evaluation time with `compile_s` already moved to `compile_part`.
     m: ModeledTime,
     /// This node's contribution to the query's single-TU compile fold.
@@ -1221,13 +1257,13 @@ struct SlotNodeOut {
 ///
 /// Returns the per-slot outputs in plan order (the caller replays the
 /// serial merge over them) plus the modeled overlap timeline.
-fn eval_slots_pipelined(
+fn eval_slots_pipelined<'a>(
     ctx: &ExecCtx<'_>,
     slots: &[crate::plan::EvalSlot<'_>],
-    tables: &[&Table],
-    sel: &[Vec<u32>],
+    tables: &[&'a Table],
+    sel: &Sel,
     n: usize,
-) -> Result<(Vec<SlotNodeOut>, PipelineReport), QueryError> {
+) -> Result<(Vec<SlotNodeOut<'a>>, PipelineReport), QueryError> {
     let jit_route = ctx.profile == Profile::UltraPrecise && ctx.expr_tpi == 1;
 
     let mut deps: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
@@ -1269,22 +1305,9 @@ fn eval_slots_pipelined(
         handles.push(std::sync::Mutex::new(handle));
     }
 
-    let job = |i: usize| -> Result<SlotNodeOut, QueryError> {
-        let slot = &slots[i];
+    let job = |i: usize| {
         let pre = handles[i].lock().expect("handle lock").take().map(|h| h.wait());
-        let (vals, mut m, kernels, tiers) = match (pre, slot.scalar) {
-            (Some(p), Scalar::Decimal { expr, inputs }) => {
-                eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n, Some(p))?
-            }
-            _ => eval_scalar_column(ctx, slot.scalar, tables, sel, n)?,
-        };
-        let price = match slot.agg {
-            Some(f) => price_aggregation(ctx, f, slot.scalar, &vals, n),
-            None => ModeledTime::default(),
-        };
-        let compile_part = (m.compile_s > 0.0).then_some(m.compile_s);
-        m.compile_s = 0.0;
-        Ok(SlotNodeOut { vals, m, compile_part, kernels, tiers, price })
+        eval_slot(ctx, slots[i].scalar, slots[i].agg, tables, sel, n, pre)
     };
 
     let results = run_dag(&deps, ctx.pipeline, job);
@@ -1353,35 +1376,71 @@ pub(crate) fn plan_kernel_refs(
     refs
 }
 
-/// Folds one pipelined slot's output back into the query accumulators in
-/// the exact serial order (compile part, evaluation, kernel count, then
-/// the reduction price), returning the evaluated column.
-fn merge_slot_out(
-    o: SlotNodeOut,
-    modeled: &mut ModeledTime,
-    kernels: &mut usize,
-    tiers: &mut up_gpusim::TierCounters,
-    compile_parts: &mut Vec<f64>,
-) -> Vec<Value> {
-    if let Some(c) = o.compile_part {
-        compile_parts.push(c);
-    }
-    modeled.add(&o.m);
-    *kernels += o.kernels;
-    *tiers += o.tiers;
-    modeled.add(&o.price);
-    o.vals
+/// Evaluates one scalar slot and prices its aggregate's reduction — one
+/// DAG node's work, or one step of serial evaluation. `pre` carries a
+/// pipelined `compile_async` result for a top-level decimal kernel.
+fn eval_slot<'a>(
+    ctx: &ExecCtx<'_>,
+    scalar: &Scalar,
+    agg: Option<AggFunc>,
+    tables: &[&'a Table],
+    sel: &Sel,
+    n: usize,
+    pre: Option<(Compiled, CompileInfo)>,
+) -> Result<SlotNodeOut<'a>, QueryError> {
+    let (col, mut m, kernels, tiers) = match (pre, scalar) {
+        (Some(p), Scalar::Decimal { expr, inputs }) => {
+            eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n, Some(p))?
+        }
+        _ => eval_scalar_column(ctx, scalar, tables, sel, n)?,
+    };
+    let price = match agg {
+        Some(f) => price_aggregation(ctx, f, scalar, &col, n),
+        None => ModeledTime::default(),
+    };
+    let compile_part = (m.compile_s > 0.0).then_some(m.compile_s);
+    m.compile_s = 0.0;
+    Ok(SlotNodeOut { col, m, compile_part, kernels, tiers, price })
 }
 
-fn eval_decimal_gpu_jit(
+/// A decimal input column over the selection, as compact bytes: the
+/// stored buffer itself for an identity scan, gathered otherwise.
+fn decimal_input<'a>(
+    tables: &[&'a Table],
+    sel: &Sel,
+    w: WideCol,
+) -> Result<(DecimalType, Cow<'a, [u8]>), QueryError> {
+    let ColumnData::Decimal { ty, bytes } = &tables[w.table].columns[w.column] else {
+        return Err(QueryError::Unsupported(format!(
+            "decimal input, got column {} of {}",
+            w.column, tables[w.table].name
+        )));
+    };
+    Ok((
+        *ty,
+        match sel {
+            Sel::All(_) => Cow::Borrowed(bytes),
+            Sel::Rows(rows) => {
+                let lb = ty.lb();
+                let mut g = Vec::with_capacity(rows[w.table].len() * lb);
+                for &r in &rows[w.table] {
+                    g.extend_from_slice(&bytes[r as usize * lb..(r as usize + 1) * lb]);
+                }
+                Cow::Owned(g)
+            }
+        },
+    ))
+}
+
+fn eval_decimal_gpu_jit<'a>(
     ctx: &ExecCtx<'_>,
     expr: &Expr,
     inputs: &[WideCol],
-    tables: &[&Table],
-    sel: &[Vec<u32>],
+    tables: &[&'a Table],
+    sel: &Sel,
     n: usize,
     pre: Option<(Compiled, CompileInfo)>,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'a>, QueryError> {
     let mut modeled = ModeledTime::default();
     // `pre` carries the result of a pipelined `compile_async` started at
     // DAG-build time; it is exactly what `compile` would return here.
@@ -1404,12 +1463,11 @@ fn eval_decimal_gpu_jit(
 
     match compiled {
         Compiled::Passthrough(Expr::Const(c)) => {
-            Ok((vec![Value::Decimal(c); n], modeled, 0, Default::default()))
+            Ok((Column::Values(vec![Value::Decimal(c); n]), modeled, 0, Default::default()))
         }
         Compiled::Passthrough(Expr::Col { index, .. }) => {
-            let w = inputs[index];
-            let vals = (0..n).map(|i| tuple_value(tables, sel, i, w)).collect();
-            Ok((vals, modeled, 0, Default::default()))
+            let (ty, bytes) = decimal_input(tables, sel, inputs[index])?;
+            Ok((Column::Decimal { ty, bytes }, modeled, 0, Default::default()))
         }
         Compiled::Passthrough(other) => Err(QueryError::Unsupported(format!(
             "unexpected passthrough {other:?}"
@@ -1419,18 +1477,7 @@ fn eval_decimal_gpu_jit(
             let mut mem = GlobalMem::new();
             let mut pcie_bytes: u64 = 0;
             for w in inputs {
-                let table = tables[w.table];
-                let (bytes, ty) = table.columns[w.column].decimal_bytes();
-                let buf = if is_identity(&sel[w.table], table.rows) {
-                    bytes.to_vec()
-                } else {
-                    let lb = ty.lb();
-                    let mut g = Vec::with_capacity(sel[w.table].len() * lb);
-                    for &r in &sel[w.table] {
-                        g.extend_from_slice(&bytes[r as usize * lb..(r as usize + 1) * lb]);
-                    }
-                    g
-                };
+                let buf = decimal_input(tables, sel, *w)?.1.into_owned();
                 pcie_bytes += buf.len() as u64;
                 mem.add_buffer(buf);
             }
@@ -1468,16 +1515,11 @@ fn eval_decimal_gpu_jit(
             modeled.kernel_s += kt.total_s;
             modeled.pcie_s += ctx.device.pcie_time(pcie_bytes);
 
-            let out = mem.buffer(out_buf);
-            let vals = (0..n)
-                .map(|i| {
-                    Value::Decimal(up_num::decode_compact(
-                        &out[i * out_lb..(i + 1) * out_lb],
-                        k.out_ty,
-                    ))
-                })
-                .collect();
-            Ok((vals, modeled, 1, tiers))
+            // The output buffer *is* the result column.
+            let mut bytes = std::mem::take(mem.buffer_mut(out_buf));
+            bytes.truncate(n * out_lb);
+            let col = Column::Decimal { ty: k.out_ty, bytes: Cow::Owned(bytes) };
+            Ok((col, modeled, 1, tiers))
         }
     }
 }
@@ -1487,27 +1529,23 @@ fn eval_decimal_gpu_jit(
 /// is computed by a group of `expr_tpi` threads through the extended-CGBN
 /// routines. Functionally bit-exact with the single-thread kernels; the
 /// cost model reflects the group work partitioning.
-fn eval_decimal_gpu_mt(
+fn eval_decimal_gpu_mt<'a>(
     ctx: &ExecCtx<'_>,
     expr: &Expr,
     inputs: &[WideCol],
-    tables: &[&Table],
-    sel: &[Vec<u32>],
+    tables: &[&'a Table],
+    sel: &Sel,
     n: usize,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'a>, QueryError> {
     let tpi = Tpi::new(ctx.expr_tpi).map_err(QueryError::Unsupported)?;
     let optimized = ctx.jit.optimize(expr);
     let kernel = up_jit::codegen_mt::compile_expr_mt(&optimized, tpi);
 
+    let cols: Vec<_> =
+        inputs.iter().map(|w| decimal_input(tables, sel, *w)).collect::<Result<_, _>>()?;
     let rows: Vec<Vec<UpDecimal>> = (0..n)
         .map(|i| {
-            inputs
-                .iter()
-                .map(|w| match tuple_value(tables, sel, i, *w) {
-                    Value::Decimal(d) => d,
-                    other => panic!("decimal input, got {other:?}"),
-                })
-                .collect()
+            cols.iter().map(|(ty, b)| decode_compact(compact_cell(b, *ty, i), *ty)).collect()
         })
         .collect();
     let (vals, total_cost) = kernel
@@ -1540,7 +1578,7 @@ fn eval_decimal_gpu_mt(
     }
     // TPI kernels run through the analytic CGBN model, not the
     // instruction simulator — no tier to attribute.
-    Ok((vals.into_iter().map(Value::Decimal).collect(), modeled, 1, Default::default()))
+    Ok((Column::Values(vals.into_iter().map(Value::Decimal).collect()), modeled, 1, Default::default()))
 }
 
 /// Bytes per value in a GPU baseline's representation.
@@ -1598,9 +1636,9 @@ fn eval_decimal_limited(
     expr: &Expr,
     inputs: &[WideCol],
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     n: usize,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'static>, QueryError> {
     let kind = ctx.profile.limited_kind().expect("limited profile");
     let engine = LimitedEngine::new(kind);
     let mut vals = Vec::with_capacity(n);
@@ -1629,7 +1667,7 @@ fn eval_decimal_limited(
         * (tuple_ns + expr.op_count() as f64 * cost.per_op_ns * wf)
         * 1e-9
         / cost.parallelism;
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((Column::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_limited_expr(
@@ -1671,9 +1709,9 @@ fn eval_decimal_soft(
     expr: &Expr,
     inputs: &[WideCol],
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     n: usize,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'static>, QueryError> {
     let div_profile = ctx.profile.div_profile().expect("soft profile");
     let mut vals = Vec::with_capacity(n);
     for i in 0..n {
@@ -1700,7 +1738,7 @@ fn eval_decimal_soft(
             / cost.parallelism,
         ..Default::default()
     };
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((Column::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_soft_expr(
@@ -1752,9 +1790,9 @@ fn eval_decimal_as_double(
     expr: &Expr,
     inputs: &[WideCol],
     tables: &[&Table],
-    sel: &[Vec<u32>],
+    sel: &Sel,
     n: usize,
-) -> Result<ScalarOut, QueryError> {
+) -> Result<ScalarOut<'static>, QueryError> {
     let mut vals = Vec::with_capacity(n);
     for i in 0..n {
         let row: Vec<f64> = inputs
@@ -1774,7 +1812,7 @@ fn eval_decimal_as_double(
             / cost.parallelism,
         ..Default::default()
     };
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((Column::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
@@ -1796,246 +1834,169 @@ fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
 // Aggregation
 // ---------------------------------------------------------------------
 
-/// Data-parallel aggregation over the fleet: the group's members split
-/// into contiguous shards at the fleet's throughput-weighted range
-/// bounds (the scatter), each device folds its shard exactly as the
-/// serial path would (local exec), and the partial accumulators merge
-/// in fixed device order (the exchange+merge). Exact arithmetic makes
-/// the split associative — BigInt decimal sums, i64 sums, and
-/// comparisons are order-robust under contiguous regrouping — so the
-/// result is bit-identical to [`aggregate_group`]. Non-associative
-/// folds (Float64, COUNT DISTINCT) and tiny groups stay serial.
-fn aggregate_group_fleet(
-    ctx: &ExecCtx<'_>,
-    f: AggFunc,
-    vals: &[Value],
-    members: &[usize],
-) -> Result<Value, QueryError> {
-    let Some(fleet) = ctx.fleet else {
-        return aggregate_group(ctx, f, vals, members);
-    };
-    if fleet.len() < 2 || members.len() < fleet.len() {
-        return aggregate_group(ctx, f, vals, members);
-    }
-    let bounds = fleet.shard_bounds(members.len());
-    match (&vals[members[0]], f) {
-        (Value::Decimal(first), AggFunc::Sum | AggFunc::Avg) => {
-            let ty = first.dtype();
-            let n = members.len() as u64;
-            let out_ty = ty.sum_result(n);
-            if let Some(kind) = ctx.profile.limited_kind() {
-                // The capability check walks the running prefix in
-                // serial member order — it guards the *serial* engine's
-                // accumulator, so it must not be sharded.
-                let group: Vec<UpDecimal> = members
-                    .iter()
-                    .map(|&i| match &vals[i] {
-                        Value::Decimal(d) => d.clone(),
-                        other => panic!("mixed aggregate input {other:?}"),
-                    })
-                    .collect();
-                checked_limited_sum(kind, &group, out_ty)?;
-            }
-            let mut acc = up_num::BigInt::zero();
-            for w in bounds.windows(2) {
-                let mut part = up_num::BigInt::zero();
-                for &i in &members[w[0]..w[1]] {
-                    let Value::Decimal(d) = &vals[i] else {
-                        panic!("mixed aggregate input {:?}", vals[i])
-                    };
-                    part = part.add(&d.align_up(out_ty.scale));
-                }
-                acc = acc.add(&part);
-            }
-            let mut r = UpDecimal::from_parts_unchecked(acc, out_ty);
-            if f == AggFunc::Avg {
-                let divisor = UpDecimal::from_parts_unchecked(
-                    up_num::BigInt::from(n),
-                    DecimalType::avg_divisor(n),
-                );
-                r = r.div(&divisor)?;
-            }
-            Ok(Value::Decimal(r))
-        }
-        (Value::Decimal(_), AggFunc::Min | AggFunc::Max) => {
-            // Per-shard extremum, then the same fold over the partials
-            // in device order. `min_by`/`max_by` keep the *last* tied
-            // element, which the two-level fold preserves.
-            let mut partials: Vec<UpDecimal> = Vec::with_capacity(fleet.len());
-            for w in bounds.windows(2) {
-                let shard = members[w[0]..w[1]].iter().map(|&i| match &vals[i] {
-                    Value::Decimal(d) => d,
-                    other => panic!("mixed aggregate input {other:?}"),
-                });
-                let ext = if f == AggFunc::Min {
-                    shard.min_by(|a, b| a.cmp_value(b))
-                } else {
-                    shard.max_by(|a, b| a.cmp_value(b))
-                };
-                partials.push(ext.expect("non-empty shard").clone());
-            }
-            let v = if f == AggFunc::Min {
-                partials.iter().min_by(|a, b| a.cmp_value(b))
-            } else {
-                partials.iter().max_by(|a, b| a.cmp_value(b))
-            };
-            Ok(Value::Decimal(v.expect("non-empty").clone()))
-        }
-        (Value::Int64(_), AggFunc::Sum) => {
-            let mut total = 0i64;
-            for w in bounds.windows(2) {
-                let part: i64 = members[w[0]..w[1]]
-                    .iter()
-                    .map(|&i| match vals[i] {
-                        Value::Int64(v) => v,
-                        _ => panic!("mixed aggregate input"),
-                    })
-                    .sum();
-                total += part;
-            }
-            Ok(Value::Int64(total))
-        }
-        (Value::Int64(_), AggFunc::Min | AggFunc::Max) => {
-            let mut partials: Vec<i64> = Vec::with_capacity(fleet.len());
-            for w in bounds.windows(2) {
-                let shard = members[w[0]..w[1]].iter().map(|&i| match vals[i] {
-                    Value::Int64(v) => v,
-                    _ => panic!("mixed aggregate input"),
-                });
-                partials.push(if f == AggFunc::Min {
-                    shard.min().expect("non-empty shard")
-                } else {
-                    shard.max().expect("non-empty shard")
-                });
-            }
-            Ok(Value::Int64(if f == AggFunc::Min {
-                *partials.iter().min().expect("non-empty")
-            } else {
-                *partials.iter().max().expect("non-empty")
-            }))
-        }
-        // f64 folds are not associative and COUNT (DISTINCT) needs the
-        // whole group anyway — serial path, still bit-identical.
-        _ => aggregate_group(ctx, f, vals, members),
-    }
-}
-
+/// Folds one group of an aggregate's input column.
+///
+/// With a fleet the group's members split into contiguous shards at the
+/// throughput-weighted range bounds (the scatter), each device folds its
+/// shard (local exec), and the partials merge in fixed device order (the
+/// exchange+merge); without one there is a single shard. Exact arithmetic
+/// makes the split invisible — decimal sums accumulate as fixed-width
+/// word arrays ([`SumAcc`]), i64 sums and comparisons are order-robust
+/// under contiguous regrouping — so rows are bit-identical at any fleet
+/// size. Float folds are not associative and stay serial.
 fn aggregate_group(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
-    vals: &[Value],
-    members: &[usize],
+    col: &Column<'_>,
+    members: &Members,
 ) -> Result<Value, QueryError> {
-    if members.is_empty() {
-        return Ok(match f {
-            AggFunc::Count | AggFunc::CountDistinct => Value::Int64(0),
-            _ => Value::Null,
-        });
-    }
-    if f == AggFunc::Count {
-        return Ok(Value::Int64(members.len() as i64));
-    }
-    if f == AggFunc::CountDistinct {
-        let mut seen = std::collections::HashSet::new();
-        for &i in members {
-            seen.insert(vals[i].render());
+    let n = members.len();
+    match f {
+        AggFunc::Count => return Ok(Value::Int64(n as i64)),
+        AggFunc::CountDistinct => {
+            let seen: HashSet<String> = (0..n).map(|k| col.key(members.get(k))).collect();
+            return Ok(Value::Int64(seen.len() as i64));
         }
-        return Ok(Value::Int64(seen.len() as i64));
+        _ if n == 0 => return Ok(Value::Null),
+        _ => {}
     }
-    // Homogeneous value kinds per column.
-    match &vals[members[0]] {
-        Value::Decimal(first) => {
-            let ty = first.dtype();
-            let group: Vec<UpDecimal> = members
-                .iter()
-                .map(|&i| match &vals[i] {
-                    Value::Decimal(d) => d.clone(),
-                    other => panic!("mixed aggregate input {other:?}"),
-                })
-                .collect();
-            let n = group.len() as u64;
-            let v = match f {
-                AggFunc::Sum | AggFunc::Avg => {
-                    let out_ty = ty.sum_result(n);
+    let sum = matches!(f, AggFunc::Sum | AggFunc::Avg);
+    let bounds = match ctx.fleet {
+        Some(fleet) if fleet.len() >= 2 && n >= fleet.len() => fleet.shard_bounds(n),
+        _ => vec![0, n],
+    };
+    match col {
+        Column::Decimal { ty, bytes } => {
+            let lb = ty.lb();
+            let cell = |k: usize| &bytes[members.get(k) * lb..][..lb];
+            if sum {
+                // `sum_result` keeps the scale, so the column's unscaled
+                // integers add as they are: no per-row alignment.
+                let out_ty = ty.sum_result(n as u64);
+                let total = sharded_sum(&bounds, out_ty, |acc, k| acc.add_compact(cell(k)));
+                sum_value(f, total, out_ty, n as u64)
+            } else {
+                let k = sharded_extremum(f, &bounds, |a, b| cmp_compact(cell(a), cell(b)));
+                Ok(Value::Decimal(decode_compact(cell(k), *ty)))
+            }
+        }
+        Column::Values(vals) => match &vals[members.get(0)] {
+            Value::Decimal(first) => {
+                let group = gather(vals, members, |v| match v {
+                    Value::Decimal(d) => Some(d),
+                    _ => None,
+                })?;
+                if sum {
+                    let out_ty = first.dtype().sum_result(n as u64);
                     if let Some(kind) = ctx.profile.limited_kind() {
                         // Value-based capability: the running accumulator
                         // must fit the engine's word width (the *type* may
                         // exceed the declared cap — real sums often fit).
+                        // Walks the serial member order, never sharded.
                         checked_limited_sum(kind, &group, out_ty)?;
                     }
-                    let mut acc = up_num::BigInt::zero();
-                    for v in &group {
-                        acc = acc.add(&v.align_up(out_ty.scale));
-                    }
-                    let mut r = UpDecimal::from_parts_unchecked(acc, out_ty);
-                    if f == AggFunc::Avg {
-                        let divisor = UpDecimal::from_parts_unchecked(
-                            up_num::BigInt::from(n),
-                            DecimalType::avg_divisor(n),
-                        );
-                        r = r.div(&divisor)?;
-                    }
-                    r
+                    let total = sharded_sum(&bounds, out_ty, |acc, k| {
+                        acc.add_decimal(group[k], out_ty.scale)
+                    });
+                    sum_value(f, total, out_ty, n as u64)
+                } else {
+                    let k = sharded_extremum(f, &bounds, |a, b| group[a].cmp_value(group[b]));
+                    Ok(Value::Decimal(group[k].clone()))
                 }
-                AggFunc::Min => group
-                    .iter()
-                    .min_by(|a, b| a.cmp_value(b))
-                    .expect("non-empty")
-                    .clone(),
-                AggFunc::Max => group
-                    .iter()
-                    .max_by(|a, b| a.cmp_value(b))
-                    .expect("non-empty")
-                    .clone(),
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            };
-            Ok(Value::Decimal(v))
-        }
-        Value::Int64(_) => {
-            let nums: Vec<i64> = members
-                .iter()
-                .map(|&i| match vals[i] {
-                    Value::Int64(v) => v,
-                    _ => panic!("mixed aggregate input"),
+            }
+            Value::Int64(_) => {
+                let nums = gather(vals, members, |v| match v {
+                    Value::Int64(i) => Some(*i),
+                    _ => None,
+                })?;
+                let total =
+                    || bounds.windows(2).map(|w| nums[w[0]..w[1]].iter().sum::<i64>()).sum::<i64>();
+                Ok(match f {
+                    AggFunc::Sum => Value::Int64(total()),
+                    AggFunc::Avg => Value::Float64(total() as f64 / n as f64),
+                    _ => Value::Int64(nums[sharded_extremum(f, &bounds, |a, b| nums[a].cmp(&nums[b]))]),
                 })
-                .collect();
-            Ok(match f {
-                AggFunc::Sum => Value::Int64(nums.iter().sum()),
-                AggFunc::Avg => Value::Float64(nums.iter().sum::<i64>() as f64 / nums.len() as f64),
-                AggFunc::Min => Value::Int64(*nums.iter().min().expect("non-empty")),
-                AggFunc::Max => Value::Int64(*nums.iter().max().expect("non-empty")),
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            })
-        }
-        Value::Float64(_) => {
-            let nums: Vec<f64> = members
-                .iter()
-                .map(|&i| match vals[i] {
-                    Value::Float64(v) => v,
-                    _ => panic!("mixed aggregate input"),
-                })
-                .collect();
-            Ok(match f {
-                AggFunc::Sum => Value::Float64(nums.iter().sum()),
-                AggFunc::Avg => Value::Float64(nums.iter().sum::<f64>() / nums.len() as f64),
-                AggFunc::Min => {
-                    Value::Float64(nums.iter().copied().fold(f64::INFINITY, f64::min))
-                }
-                AggFunc::Max => {
-                    Value::Float64(nums.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-                }
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            })
-        }
-        other => Err(QueryError::Unsupported(format!("aggregate over {other:?}"))),
+            }
+            Value::Float64(_) => {
+                let nums = gather(vals, members, |v| match v {
+                    Value::Float64(x) => Some(*x),
+                    _ => None,
+                })?;
+                Ok(Value::Float64(match f {
+                    AggFunc::Sum => nums.iter().sum(),
+                    AggFunc::Avg => nums.iter().sum::<f64>() / n as f64,
+                    AggFunc::Min => nums.iter().copied().fold(f64::INFINITY, f64::min),
+                    _ => nums.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                }))
+            }
+            other => Err(QueryError::Unsupported(format!("aggregate over {other:?}"))),
+        },
     }
+}
+
+/// One group's cells of a per-value column, all of the kind `pick`
+/// accepts (a column holds one kind; CAST and CASE can smuggle in a NULL).
+fn gather<'v, T>(
+    vals: &'v [Value],
+    members: &Members,
+    pick: impl Fn(&'v Value) -> Option<T>,
+) -> Result<Vec<T>, QueryError> {
+    (0..members.len())
+        .map(|k| {
+            let v = &vals[members.get(k)];
+            pick(v).ok_or_else(|| QueryError::Unsupported(format!("mixed aggregate input {v:?}")))
+        })
+        .collect()
+}
+
+/// SUM over members `0..n` split at `bounds`: one partial accumulator per
+/// shard, merged in device order.
+fn sharded_sum(
+    bounds: &[usize],
+    out_ty: DecimalType,
+    mut add: impl FnMut(&mut SumAcc, usize),
+) -> BigInt {
+    let mut acc = SumAcc::new(out_ty.lw());
+    for w in bounds.windows(2) {
+        let mut part = SumAcc::new(out_ty.lw());
+        (w[0]..w[1]).for_each(|k| add(&mut part, k));
+        acc.merge(&part);
+    }
+    acc.finish()
+}
+
+/// The member holding MIN or MAX: per-shard extremum, then the same fold
+/// over the partials in device order. `min_by` keeps the first of equal
+/// elements and `max_by` the last; the two-level fold preserves both.
+fn sharded_extremum(f: AggFunc, bounds: &[usize], cmp: impl Fn(usize, usize) -> Ordering) -> usize {
+    let best = |ks: &mut dyn Iterator<Item = usize>| {
+        if f == AggFunc::Min {
+            ks.min_by(|&a, &b| cmp(a, b))
+        } else {
+            ks.max_by(|&a, &b| cmp(a, b))
+        }
+    };
+    let partials: Vec<usize> = bounds.windows(2).filter_map(|w| best(&mut (w[0]..w[1]))).collect();
+    best(&mut partials.into_iter()).expect("non-empty group")
+}
+
+/// SUM's total as a value of the §III-B3 result type; AVG divides it by
+/// the count.
+fn sum_value(f: AggFunc, total: BigInt, out_ty: DecimalType, n: u64) -> Result<Value, QueryError> {
+    let mut r = UpDecimal::from_parts_unchecked(total, out_ty);
+    if f == AggFunc::Avg {
+        let divisor =
+            UpDecimal::from_parts_unchecked(BigInt::from(n), DecimalType::avg_divisor(n));
+        r = r.div(&divisor)?;
+    }
+    Ok(Value::Decimal(r))
 }
 
 /// Verifies a limited engine can hold the running sum: every aligned
 /// addend and the accumulator must fit the engine's magnitude limit.
 fn checked_limited_sum(
     kind: up_baselines::LimitedKind,
-    group: &[UpDecimal],
+    group: &[&UpDecimal],
     out_ty: DecimalType,
 ) -> Result<(), QueryError> {
     let engine = LimitedEngine::new(kind);
@@ -2071,6 +2032,24 @@ mod tests {
         assert!(!like_match("abcxyzde", "abc%def"));
         assert!(like_match("xx-mid-yy", "%mid%"));
         assert!(like_match("a", "%"));
+    }
+
+    #[test]
+    fn mixed_aggregate_input_is_an_error_and_ties_follow_min_by_max_by() {
+        let vals = [Value::Int64(3), Value::Null, Value::Int64(3)];
+        let ints = |v: &Value| match v {
+            Value::Int64(i) => Some(*i),
+            _ => None,
+        };
+        let err = gather(&vals, &Members::All(3), ints).unwrap_err();
+        assert!(matches!(err, QueryError::Unsupported(m) if m.contains("mixed aggregate input")));
+        assert_eq!(gather(&vals, &Members::List(vec![2, 0]), ints).unwrap(), vec![3, 3]);
+        // Equal everywhere: MIN keeps the first member, MAX the last, at
+        // any sharding (an empty shard is skipped).
+        for bounds in [vec![0, 6], vec![0, 2, 4, 6], vec![0, 0, 5, 6]] {
+            assert_eq!(sharded_extremum(AggFunc::Min, &bounds, |_, _| Ordering::Equal), 0);
+            assert_eq!(sharded_extremum(AggFunc::Max, &bounds, |_, _| Ordering::Equal), 5);
+        }
     }
 
     #[test]

@@ -189,7 +189,7 @@ pub struct BoundJoin {
 /// The fully-bound plan.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
-    /// Tables in join order (base first).
+    /// Tables in join order (base first), by lowercase catalog name.
     pub tables: Vec<String>,
     /// Join edges: `joins[i]` connects table `i+1` into the chain.
     pub joins: Vec<Vec<BoundJoin>>,
@@ -551,12 +551,12 @@ pub fn plan(select: &Select, catalog: &Catalog) -> Result<QueryPlan, PlanError> 
     let mut binder = Binder {
         tables: vec![(select.from_alias.clone(), select.from.clone(), base)],
     };
-    let mut tables = vec![select.from.clone()];
+    let mut tables = vec![select.from.to_lowercase()];
     let mut joins = Vec::new();
     for Join { table, alias, on } in &select.joins {
         let t = table_ref(table);
         binder.tables.push((alias.clone(), table.clone(), t));
-        tables.push(table.clone());
+        tables.push(table.to_lowercase());
         let this_ti = binder.tables.len() - 1;
         let mut edges = Vec::new();
         for (l, r) in on {

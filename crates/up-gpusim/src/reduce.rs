@@ -20,7 +20,7 @@ use crate::device::DeviceConfig;
 use crate::exec::ExecStats;
 use crate::ptx::KernelBuilder;
 use up_num::dtype::DecimalType;
-use up_num::UpDecimal;
+use up_num::{SumAcc, UpDecimal};
 
 /// Aggregation operators with DECIMAL inputs (§III-B3 lists their result
 /// types; AVG is SUM followed by a division at the engine level).
@@ -134,63 +134,42 @@ pub fn aggregate(
     tpi: Tpi,
     device: &DeviceConfig,
 ) -> AggRun {
-    let lw = out_ty.lw();
-    let plan = plan_aggregation(values.len() as u64, lw, tpi, device);
+    let (plan, pass_times, total_s) = priced(values.len() as u64, out_ty.lw(), tpi, device);
 
-    // Functional reduction, pass by pass, mirroring the block structure so
-    // MIN/MAX tie-breaking and SUM grouping match the device order.
-    let mut current: Vec<UpDecimal> = values.to_vec();
-    for pass in &plan.passes {
-        let mut next = Vec::with_capacity(pass.blocks as usize);
-        for chunk in current.chunks(pass.n_per_block.max(1) as usize) {
-            next.push(reduce_chunk(op, chunk, out_ty));
-        }
-        current = next;
+    // Functional reduction, pass by pass: each block's slice reduces to
+    // one value, so MIN/MAX tie-breaking follows the device's block
+    // order. Within a block SUM is not a running signed sum: positive and
+    // negative addends accumulate apart as fixed-width word arrays and
+    // subtract once (exact either way).
+    let mut current: Vec<UpDecimal> = Vec::new();
+    for (i, pass) in plan.passes.iter().enumerate() {
+        let src = if i == 0 { values } else { &current };
+        current = src
+            .chunks(pass.n_per_block.max(1) as usize)
+            .map(|chunk| reduce_chunk(op, chunk, out_ty))
+            .collect();
     }
     debug_assert_eq!(current.len(), 1);
     let result = current.pop().expect("aggregation of non-empty plan");
-
-    // Price each pass.
-    let mut pass_times = Vec::with_capacity(plan.passes.len());
-    let mut total_s = 0.0;
-    for pass in &plan.passes {
-        let stats = pass_stats(pass, lw, tpi, device);
-        let hw_regs = crate::cgbn::group_hw_regs(lw, tpi);
-        let mut kb = KernelBuilder::new();
-        let smem = (pass.ng * pass.nt * (4 * lw as u64 + 1)) as u32;
-        kb.smem(smem.min(device.shared_mem_per_block));
-        let k = kb.finish(format!("agg_pass_n{}", pass.n_in), hw_regs);
-        let t = kernel_time(&k, &stats, device);
-        total_s += t.total_s;
-        pass_times.push(t);
-    }
     AggRun { result, plan, pass_times, total_s }
 }
 
 fn reduce_chunk(op: AggOp, chunk: &[UpDecimal], out_ty: DecimalType) -> UpDecimal {
-    let mut it = chunk.iter();
-    let first = it.next().expect("non-empty chunk");
-    match op {
+    let extremum = match op {
         AggOp::Sum => {
-            let mut acc = first.align_up(out_ty.scale);
-            for v in it {
-                acc = acc.add(&v.align_up(out_ty.scale));
+            let mut acc = SumAcc::new(out_ty.lw());
+            for v in chunk {
+                acc.add_decimal(v, out_ty.scale);
             }
-            UpDecimal::from_parts_unchecked(acc, out_ty)
+            return UpDecimal::from_parts_unchecked(acc.finish(), out_ty);
         }
-        AggOp::Min => it
-            .fold(first.clone(), |m, v| {
-                if v.cmp_value(&m) == core::cmp::Ordering::Less { v.clone() } else { m }
-            })
-            .cast(out_ty)
-            .unwrap_or_else(|_| first.clone()),
-        AggOp::Max => it
-            .fold(first.clone(), |m, v| {
-                if v.cmp_value(&m) == core::cmp::Ordering::Greater { v.clone() } else { m }
-            })
-            .cast(out_ty)
-            .unwrap_or_else(|_| first.clone()),
+        // The first of equal values wins, as on the device.
+        AggOp::Min => chunk.iter().min_by(|a, b| a.cmp_value(b)),
+        AggOp::Max => chunk.iter().rev().max_by(|a, b| a.cmp_value(b)),
     }
+    .expect("non-empty chunk");
+    // A value that does not fit `out_ty` is still the extremum.
+    extremum.cast(out_ty).unwrap_or_else(|_| extremum.clone())
 }
 
 /// Launch statistics of one pass: every value is read once into shared
@@ -277,6 +256,37 @@ mod tests {
         let max = aggregate(AggOp::Max, &values, t, Tpi(4), &d).result;
         assert_eq!(min.to_string(), "-99.99");
         assert_eq!(max.to_string(), "99.98");
+    }
+
+    #[test]
+    fn min_max_keep_the_extremum_when_it_does_not_fit_the_result_type() {
+        // Regression: a failed cast used to return the chunk's *first*
+        // value. 999.99 does not fit DECIMAL(3,2); neither does -999.99.
+        let d = DeviceConfig::tiny();
+        let t = ty(5, 2);
+        let values: Vec<_> = [100i64, 99_999, 500, -99_999, 7]
+            .iter()
+            .map(|&i| UpDecimal::from_scaled_i64(i, t).unwrap())
+            .collect();
+        let max = aggregate(AggOp::Max, &values, ty(3, 2), Tpi(4), &d).result;
+        let min = aggregate(AggOp::Min, &values, ty(3, 2), Tpi(4), &d).result;
+        assert_eq!(max.to_string(), "999.99");
+        assert_eq!(min.to_string(), "-999.99");
+    }
+
+    #[test]
+    fn sum_of_mixed_signs_cancels_exactly() {
+        let d = DeviceConfig::tiny();
+        let t = ty(18, 4);
+        let values: Vec<_> = (1..=3000i64)
+            .flat_map(|i| [i * 1_000_003, -i * 1_000_003])
+            .map(|i| UpDecimal::from_scaled_i64(i, t).unwrap())
+            .collect();
+        let out_ty = t.sum_result(values.len() as u64);
+        let run = aggregate(AggOp::Sum, &values, out_ty, Tpi(8), &d);
+        assert!(run.plan.passes.len() >= 2, "several blocks, then a merge pass");
+        assert!(run.result.is_zero());
+        assert_eq!(run.result.dtype(), out_ty);
     }
 
     #[test]

@@ -342,21 +342,9 @@ impl BigInt {
 
     /// Formats the magnitude as decimal digits (no sign).
     pub fn mag_to_dec_string(&self) -> String {
-        if self.is_zero() {
-            return "0".to_string();
-        }
-        let mut chunks: Vec<u32> = Vec::new();
-        let mut work = self.mag.clone();
-        while !limbs::is_zero(&work) {
-            let r = limbs::div_limb_in_place(&mut work, 1_000_000_000);
-            limbs::trim(&mut work);
-            chunks.push(r);
-        }
-        let mut s = String::with_capacity(chunks.len() * 9);
-        s.push_str(&chunks.pop().expect("nonzero has a chunk").to_string());
-        while let Some(c) = chunks.pop() {
-            s.push_str(&format!("{c:09}"));
-        }
+        let mut s = String::new();
+        crate::column::write_decimal(&mut s, false, &self.mag, 0)
+            .expect("writing to a String cannot fail");
         s
     }
 }

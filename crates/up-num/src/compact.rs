@@ -8,6 +8,7 @@
 //! evaluate → write back compact.
 
 use crate::bigint::{BigInt, Sign};
+use crate::column::{compact_limb, compact_sign_bit};
 use crate::decimal::UpDecimal;
 use crate::dtype::DecimalType;
 use crate::limbs;
@@ -94,17 +95,10 @@ pub fn encode_compact(v: &UpDecimal, ty: DecimalType) -> Result<Vec<u8>, NumErro
 pub fn decode_compact(bytes: &[u8], ty: DecimalType) -> UpDecimal {
     let lb = ty.lb();
     debug_assert_eq!(bytes.len(), lb);
-    let neg = bytes[lb - 1] & 0x80 != 0;
-    let mut words = vec![0u32; ty.lw()];
-    for (i, &b) in bytes.iter().enumerate() {
-        let b = if i == lb - 1 { b & 0x7f } else { b };
-        if b != 0 {
-            words[i / 4] |= (b as u32) << (8 * (i % 4));
-        }
-    }
+    let words: Vec<u32> = (0..ty.lw()).map(|k| compact_limb(bytes, k)).collect();
     let sign = if limbs::is_zero(&words) {
         Sign::Zero
-    } else if neg {
+    } else if compact_sign_bit(bytes) {
         Sign::Minus
     } else {
         Sign::Plus

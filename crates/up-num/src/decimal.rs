@@ -283,23 +283,7 @@ fn rescale_int(int: &BigInt, from_scale: u32, to_scale: u32) -> BigInt {
 
 impl fmt::Display for UpDecimal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let digits = self.int.mag_to_dec_string();
-        let s = self.ty.scale as usize;
-        let neg = self.int.is_negative();
-        let padded = if digits.len() <= s {
-            format!("{}{}", "0".repeat(s + 1 - digits.len()), digits)
-        } else {
-            digits
-        };
-        let (int_part, frac_part) = padded.split_at(padded.len() - s);
-        if neg {
-            write!(f, "-")?;
-        }
-        if s == 0 {
-            write!(f, "{int_part}")
-        } else {
-            write!(f, "{int_part}.{frac_part}")
-        }
+        crate::column::write_decimal(f, self.int.is_negative(), self.int.mag(), self.ty.scale)
     }
 }
 

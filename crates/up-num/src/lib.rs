@@ -7,8 +7,9 @@
 //! five division algorithms (Knuth D, single-word fast path, binary-search
 //! quotient, Newton–Raphson, Goldschmidt), a signed [`BigInt`], the
 //! [`DecimalType`] metadata with the paper's §III-B3 intermediate-precision
-//! rules, the fixed-point value type [`UpDecimal`], and the compact ↔
-//! word-aligned representation pair of Fig. 4.
+//! rules, the fixed-point value type [`UpDecimal`], the compact ↔
+//! word-aligned representation pair of Fig. 4, and allocation-free fold /
+//! compare / render primitives over compact columns ([`column`]).
 //!
 //! ```
 //! use up_num::{DecimalType, UpDecimal};
@@ -20,6 +21,7 @@
 //! ```
 
 pub mod bigint;
+pub mod column;
 pub mod compact;
 pub mod decimal;
 pub mod div;
@@ -29,6 +31,7 @@ pub mod mul;
 pub mod pow10;
 
 pub use bigint::{BigInt, Sign};
+pub use column::{cmp_compact, write_compact, write_decimal, SumAcc};
 pub use compact::{decode_compact, encode_compact, encode_compact_into, expand_compact, WordRepr};
 pub use decimal::UpDecimal;
 pub use dtype::{lb_for_precision, lw_for_precision, max_precision_for_lw, DecimalType, DIV_EXTRA_SCALE};

@@ -1,10 +1,12 @@
 //! Property-based tests for the numeric core: all division algorithms
 //! agree, ring axioms hold for `BigInt`, fixed-point arithmetic matches an
-//! independent i128 model at small precision, and representations
-//! round-trip.
+//! independent i128 model at small precision, representations
+//! round-trip, and the compact-column primitives (fold, compare, render)
+//! agree with the per-value `BigInt` / `UpDecimal` reference.
 
 use proptest::prelude::*;
-use up_num::bigint::BigInt;
+use up_num::bigint::{BigInt, Sign};
+use up_num::column::{cmp_compact, write_compact, SumAcc};
 use up_num::compact;
 use up_num::decimal::UpDecimal;
 use up_num::div;
@@ -14,6 +16,41 @@ use up_num::mul;
 
 fn limb_vec(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(any::<u32>(), 0..=max_len)
+}
+
+/// `UpDecimal`'s `Display` as it was before the single-buffer writer: a
+/// cloned magnitude, one `format!` per 9-digit chunk, then padding by
+/// `repeat` + `split_at`. Kept as the reference the writer must equal.
+fn old_to_string(int: &BigInt, scale: u32) -> String {
+    let mut chunks: Vec<u32> = Vec::new();
+    let mut work = int.mag().to_vec();
+    while !limbs::is_zero(&work) {
+        chunks.push(limbs::div_limb_in_place(&mut work, 1_000_000_000));
+    }
+    let mut digits = chunks.pop().map_or("0".to_string(), |c| c.to_string());
+    while let Some(c) = chunks.pop() {
+        digits.push_str(&format!("{c:09}"));
+    }
+    let s = scale as usize;
+    let padded = if digits.len() <= s {
+        format!("{}{}", "0".repeat(s + 1 - digits.len()), digits)
+    } else {
+        digits
+    };
+    let (int_part, frac_part) = padded.split_at(padded.len() - s);
+    let sign = if int.is_negative() { "-" } else { "" };
+    if s == 0 {
+        format!("{sign}{int_part}")
+    } else {
+        format!("{sign}{int_part}.{frac_part}")
+    }
+}
+
+/// A signed value and the smallest type of the given scale that holds it.
+fn typed(mag: Vec<u32>, neg: bool, scale: u32) -> (UpDecimal, DecimalType) {
+    let int = BigInt::from_sign_mag(if neg { Sign::Minus } else { Sign::Plus }, mag);
+    let ty = DecimalType::new_unchecked(int.dec_digits().max(scale).max(1), scale);
+    (UpDecimal::from_parts(int, ty).unwrap(), ty)
 }
 
 proptest! {
@@ -191,5 +228,66 @@ proptest! {
         let fb = ub as f64 / 10f64.powi(s2 as i32);
         // f64 holds these exactly (≤ 2^53), so orderings must agree.
         prop_assert_eq!(a.cmp_value(&b), fa.partial_cmp(&fb).unwrap());
+    }
+
+    #[test]
+    fn text_writers_equal_the_old_to_string(
+        // Up to LEN 32 plus SUM growth, past the writer's stack buffers.
+        mag in limb_vec(44),
+        neg in any::<bool>(),
+        // Scales on both sides of the digit count.
+        scale in 0u32..=450,
+    ) {
+        let (v, ty) = typed(mag, neg, scale);
+        let want = old_to_string(v.unscaled(), scale);
+        prop_assert_eq!(&v.to_string(), &want);
+        prop_assert_eq!(v.unscaled().mag_to_dec_string(), old_to_string(&v.unscaled().abs(), 0));
+        let mut text = String::new();
+        write_compact(&mut text, &compact::encode_compact(&v, ty).unwrap(), scale).unwrap();
+        prop_assert_eq!(text, want);
+    }
+
+    #[test]
+    fn sum_acc_equals_the_bigint_fold(
+        raw in prop::collection::vec((limb_vec(3), any::<bool>()), 0..200),
+        split in 0usize..200,
+    ) {
+        let ty = DecimalType::new_unchecked(29, 5);
+        let vals: Vec<UpDecimal> = raw.into_iter().map(|(m, neg)| {
+            let int = BigInt::from_sign_mag(if neg { Sign::Minus } else { Sign::Plus }, m);
+            UpDecimal::from_parts_unchecked(int, ty)
+        }).collect();
+        let want = vals.iter().fold(BigInt::zero(), |a, v| a.add(v.unscaled()));
+        let out_lw = ty.sum_result(vals.len() as u64).lw();
+        // One accumulator over compact bytes; two shard partials over
+        // borrowed limbs, merged.
+        let mut whole = SumAcc::new(out_lw);
+        let (mut left, mut right) = (SumAcc::new(out_lw), SumAcc::new(out_lw));
+        for (i, v) in vals.iter().enumerate() {
+            whole.add_compact(&compact::encode_compact(v, ty).unwrap());
+            if i < split { left.add_decimal(v, 5) } else { right.add_decimal(v, 5) }
+        }
+        left.merge(&right);
+        prop_assert_eq!(whole.finish(), want.clone());
+        prop_assert_eq!(left.finish(), want);
+    }
+
+    #[test]
+    fn cmp_compact_equals_cmp_value(
+        a in limb_vec(3),
+        b in limb_vec(3),
+        na in any::<bool>(),
+        nb in any::<bool>(),
+        same in any::<bool>(),
+    ) {
+        let ty = DecimalType::new_unchecked(29, 5);
+        let b = if same { a.clone() } else { b };
+        let enc = |m: Vec<u32>, neg: bool| {
+            let int = BigInt::from_sign_mag(if neg { Sign::Minus } else { Sign::Plus }, m);
+            let v = UpDecimal::from_parts_unchecked(int, ty);
+            (compact::encode_compact(&v, ty).unwrap(), v)
+        };
+        let ((ba, va), (bb, vb)) = (enc(a, na), enc(b, nb));
+        prop_assert_eq!(cmp_compact(&ba, &bb), va.cmp_value(&vb));
     }
 }

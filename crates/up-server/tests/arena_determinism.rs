@@ -17,7 +17,7 @@
 //! execute serially.
 //!
 //! With emulation on, the first compile of each signature holds its
-//! arena entry open for ≥ 0.25 s while all ~48 submissions land in
+//! arena entry open for ≥ 0.25 s while all ~72 submissions land in
 //! microseconds, so at least one cross-query dedup is guaranteed — the
 //! acceptance criterion the test pins down explicitly.
 
@@ -36,6 +36,7 @@ fn schema() -> Schema {
         ("x", ColumnType::Decimal(ty(30, 6))),
         ("y", ColumnType::Decimal(ty(30, 6))),
         ("z", ColumnType::Decimal(ty(20, 4))),
+        ("g", ColumnType::Int64),
     ])
 }
 
@@ -46,21 +47,27 @@ fn rows(n: usize) -> Vec<Vec<Value>> {
             let x = UpDecimal::from_scaled_i64((i * 7919 - 500_000) % 99_999_999, tx).unwrap();
             let y = UpDecimal::from_scaled_i64((i * 104_729 + 77) % 9_999_999, tyy).unwrap();
             let z = UpDecimal::from_scaled_i64((i * 31 + 5) % 999_999, tz).unwrap();
-            vec![Value::Decimal(x), Value::Decimal(y), Value::Decimal(z)]
+            // `g` cycles, so a group's members are never contiguous.
+            vec![Value::Decimal(x), Value::Decimal(y), Value::Decimal(z), Value::Int64(i % 3)]
         })
         .collect()
 }
 
 /// The per-session query mix: expression evaluation and aggregation over
-/// decimals (the paper's fig. 8/9 workload shape). Several sessions
-/// share signatures, so cross-query dedups must occur.
-const QUERIES: [&str; 6] = [
+/// decimals (the paper's fig. 8/9 workload shape), including every shape
+/// of the columnar fold — kernel output, bare stored column, filtered
+/// (gathered) column, and GROUP BY over scattered members. Several
+/// sessions share signatures, so cross-query dedups must occur.
+const QUERIES: [&str; 9] = [
     "SELECT x * y FROM ledger",
     "SELECT x + y FROM ledger",
     "SELECT (x * y) + z FROM ledger",
     "SELECT SUM(x * x), SUM(y + y) FROM ledger",
     "SELECT x - z FROM ledger",
     "SELECT COUNT(*) FROM ledger",
+    "SELECT SUM(x), AVG(z), MIN(y), MAX(x) FROM ledger",
+    "SELECT SUM(x), MIN(x * y), MAX(z), AVG(y) FROM ledger WHERE z > 50",
+    "SELECT g, SUM(x), AVG(x * y), MIN(z), MAX(y), COUNT(*) FROM ledger GROUP BY g ORDER BY g",
 ];
 
 /// Deterministic shuffle (LCG) so each session submits the mix in a

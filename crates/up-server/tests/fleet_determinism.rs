@@ -2,11 +2,11 @@
 //! never change what a query computes or what the canonical cost model
 //! reports.
 //!
-//! Eight sessions fire a shuffled fig08/fig09-style query mix at a
-//! 4-device arena server (fleet sharding + round-robin launch routing +
-//! per-device stream pools, NVCC latency emulation on), and every
-//! canonical observable must match a single-device serial replay bit for
-//! bit:
+//! Eight sessions fire a shuffled fig08/fig09-style query mix at a 2-,
+//! 4- and 8-device arena server (fleet sharding + round-robin launch
+//! routing + per-device stream pools, pipeline depth 2/4/8, NVCC latency
+//! emulation on), and every canonical observable must match one
+//! single-device, pipeline-off serial replay bit for bit:
 //!
 //! - result rows,
 //! - per-query modeled scan/PCIe/compile/kernel/CPU seconds (`queue_s`
@@ -27,7 +27,6 @@ use up_jit::cache::JitEngine;
 use up_num::{DecimalType, UpDecimal};
 use up_server::{ServerConfig, UpServer};
 
-const DEVICES: usize = 4;
 const ROWS: usize = 200;
 
 fn ty(p: u32, s: u32) -> DecimalType {
@@ -39,6 +38,7 @@ fn schema() -> Schema {
         ("x", ColumnType::Decimal(ty(30, 6))),
         ("y", ColumnType::Decimal(ty(30, 6))),
         ("z", ColumnType::Decimal(ty(20, 4))),
+        ("g", ColumnType::Int64),
     ])
 }
 
@@ -49,21 +49,26 @@ fn rows(n: usize) -> Vec<Vec<Value>> {
             let x = UpDecimal::from_scaled_i64((i * 7919 - 500_000) % 99_999_999, tx).unwrap();
             let y = UpDecimal::from_scaled_i64((i * 104_729 + 77) % 9_999_999, tyy).unwrap();
             let z = UpDecimal::from_scaled_i64((i * 31 + 5) % 999_999, tz).unwrap();
-            vec![Value::Decimal(x), Value::Decimal(y), Value::Decimal(z)]
+            // `g` cycles, so a group's members are never contiguous.
+            vec![Value::Decimal(x), Value::Decimal(y), Value::Decimal(z), Value::Int64(i % 3)]
         })
         .collect()
 }
 
 /// Expression evaluation plus the aggregation shapes the fleet actually
 /// shards (SUM/AVG/MIN/MAX over decimals, COUNT), so the sharded
-/// partial-merge path is exercised, not just the fall-through.
-const QUERIES: [&str; 6] = [
+/// partial-merge path is exercised, not just the fall-through — over a
+/// bare stored column, a kernel's output, a filtered (gathered) column,
+/// and GROUP BY members scattered across the table.
+const QUERIES: [&str; 8] = [
     "SELECT x * y FROM ledger",
     "SELECT SUM(x), AVG(y) FROM ledger",
     "SELECT (x * y) + z FROM ledger",
     "SELECT SUM(x * x), SUM(y + y) FROM ledger",
     "SELECT MIN(x), MAX(z) FROM ledger",
     "SELECT COUNT(*) FROM ledger",
+    "SELECT SUM(x), MIN(x * y), MAX(z), AVG(y) FROM ledger WHERE z > 50",
+    "SELECT g, SUM(x), AVG(x * y), MIN(z), MAX(y), COUNT(*) FROM ledger GROUP BY g ORDER BY g",
 ];
 
 /// Deterministic shuffle (LCG) so each session submits the mix in a
@@ -111,26 +116,10 @@ fn assert_identical(label: &str, serial: &QueryResult, fleet: &QueryResult) {
     }
 }
 
-#[test]
-fn fleet_stress_is_bit_identical_to_single_device_replay() {
-    let n_sessions = 8u64;
-
-    // --- Concurrent fleet run: 4 devices, arena pools, submit up front.
-    let server = UpServer::with_database(
-        ServerConfig {
-            workers: 4,
-            queue_capacity: 256,
-            devices: DEVICES,
-            arena: true,
-            compile_lanes: 8,
-            pipeline: PipelineMode::On(4),
-            ..ServerConfig::default()
-        },
-        fresh_db(),
-    );
+fn connect_all(server: &UpServer, n_sessions: u64) -> Vec<up_server::SessionId> {
     // One comparator-backend session in the mix: no kernels, no fleet
     // perturbation of the shared accounting.
-    let sessions: Vec<_> = (0..n_sessions)
+    (0..n_sessions)
         .map(|i| {
             server.connect(if i == n_sessions - 1 {
                 Profile::PostgresLike
@@ -138,35 +127,16 @@ fn fleet_stress_is_bit_identical_to_single_device_replay() {
                 Profile::UltraPrecise
             })
         })
-        .collect();
+        .collect()
+}
 
-    let mut plan: Vec<(usize, &'static str)> = Vec::new();
-    let mut tickets = Vec::new();
-    for (i, &session) in sessions.iter().enumerate() {
-        for sql in shuffled(i as u64 + 1) {
-            let t = server.submit(session, sql).expect("admitted");
-            plan.push((i, sql));
-            tickets.push(t);
-        }
-    }
-    let fleet_results: Vec<QueryResult> =
-        tickets.into_iter().map(|t| t.wait().expect("query ok")).collect();
-    let m = server.metrics();
-    let fleet_cache = m.cache;
-    assert_eq!(m.failed, 0);
-    assert_eq!(m.completed, plan.len() as u64);
-    assert_eq!(m.fleet_devices, DEVICES);
-    assert_eq!(
-        m.fleet_routed.iter().sum::<u64>(),
-        plan.len() as u64,
-        "every executed query routed to exactly one device: {:?}",
-        m.fleet_routed
-    );
-    assert!(
-        m.fleet_routed.iter().all(|&n| n > 0),
-        "round-robin spreads load over all devices: {:?}",
-        m.fleet_routed
-    );
+#[test]
+fn fleet_stress_is_bit_identical_to_single_device_replay() {
+    let n_sessions = 8u64;
+    // Submission order (one thread) = admission order = replay order.
+    let plan: Vec<(usize, &'static str)> = (0..n_sessions as usize)
+        .flat_map(|i| shuffled(i as u64 + 1).into_iter().map(move |sql| (i, sql)))
+        .collect();
 
     // --- Single-device serial replay: same mix, admission order. ---
     let reference = UpServer::with_database(
@@ -180,43 +150,73 @@ fn fleet_stress_is_bit_identical_to_single_device_replay() {
         },
         fresh_db(),
     );
-    let ref_sessions: Vec<_> = (0..n_sessions)
-        .map(|i| {
-            reference.connect(if i == n_sessions - 1 {
-                Profile::PostgresLike
-            } else {
-                Profile::UltraPrecise
-            })
-        })
-        .collect();
+    let ref_sessions = connect_all(&reference, n_sessions);
     let serial_results: Vec<QueryResult> = plan
         .iter()
         .map(|&(i, sql)| reference.query(ref_sessions[i], sql).expect("query ok"))
         .collect();
     let serial_cache = reference.metrics().cache;
 
-    // --- Bit-exactness of everything canonical. ---
-    for (k, (serial, fleet)) in serial_results.iter().zip(&fleet_results).enumerate() {
-        let (i, sql) = plan[k];
-        assert_identical(&format!("seq {} session {i} {sql:?}", k + 1), serial, fleet);
-        assert!(serial.fleet.is_none(), "single-device replay carries no fleet report");
-        let f = fleet.fleet.as_ref().expect("fleet report rides every fleet-mode result");
-        assert_eq!(f.devices, DEVICES, "seq {}: fleet size", k + 1);
+    for (devices, depth) in [(2usize, 2u32), (4, 4), (8, 8)] {
+        // --- Concurrent fleet run: arena pools, submit up front. ---
+        let server = UpServer::with_database(
+            ServerConfig {
+                workers: 4,
+                queue_capacity: 256,
+                devices,
+                arena: true,
+                compile_lanes: 8,
+                pipeline: PipelineMode::On(depth),
+                ..ServerConfig::default()
+            },
+            fresh_db(),
+        );
+        let sessions = connect_all(&server, n_sessions);
+        let tickets: Vec<_> = plan
+            .iter()
+            .map(|&(i, sql)| server.submit(sessions[i], sql).expect("admitted"))
+            .collect();
+        let fleet_results: Vec<QueryResult> =
+            tickets.into_iter().map(|t| t.wait().expect("query ok")).collect();
+        let m = server.metrics();
+        let fleet_cache = m.cache;
+        assert_eq!(m.failed, 0);
+        assert_eq!(m.completed, plan.len() as u64);
+        assert_eq!(m.fleet_devices, devices);
         assert_eq!(
-            f.partition_rows.iter().sum::<u64>(),
-            ROWS as u64,
-            "seq {}: shards cover the table exactly once",
-            k + 1
+            m.fleet_routed.iter().sum::<u64>(),
+            plan.len() as u64,
+            "every executed query routed to exactly one device: {:?}",
+            m.fleet_routed
         );
         assert!(
-            f.makespan_s <= f.single_device_s,
-            "seq {}: sharded makespan must not exceed the single-device leg: {f:?}",
-            k + 1
+            m.fleet_routed.iter().all(|&n| n > 0),
+            "round-robin spreads load over all devices: {:?}",
+            m.fleet_routed
+        );
+
+        // --- Bit-exactness of everything canonical. ---
+        for (k, (serial, fleet)) in serial_results.iter().zip(&fleet_results).enumerate() {
+            let (i, sql) = plan[k];
+            let label = format!("{devices} devices, seq {} session {i} {sql:?}", k + 1);
+            assert_identical(&label, serial, fleet);
+            assert!(serial.fleet.is_none(), "single-device replay carries no fleet report");
+            let f = fleet.fleet.as_ref().expect("fleet report rides every fleet-mode result");
+            assert_eq!(f.devices, devices, "{label}: fleet size");
+            assert_eq!(
+                f.partition_rows.iter().sum::<u64>(),
+                ROWS as u64,
+                "{label}: shards cover the table exactly once"
+            );
+            assert!(
+                f.makespan_s <= f.single_device_s,
+                "{label}: sharded makespan must not exceed the single-device leg: {f:?}"
+            );
+        }
+        assert_eq!(
+            (fleet_cache.misses, fleet_cache.hits),
+            (serial_cache.misses, serial_cache.hits),
+            "{devices} devices: cache accounting diverged: fleet {fleet_cache:?} vs serial {serial_cache:?}"
         );
     }
-    assert_eq!(
-        (fleet_cache.misses, fleet_cache.hits),
-        (serial_cache.misses, serial_cache.hits),
-        "aggregate cache accounting diverged: fleet {fleet_cache:?} vs serial {serial_cache:?}"
-    );
 }
