@@ -30,9 +30,11 @@
 //! `threads(N)` is a demand, not a hint), but no speedup is expected;
 //! the speedup targets apply to multi-core machines.
 //! `--assert-tiering` exits non-zero unless the compiled tier beats the
-//! decoded interpreter on the hot serial cells — the carry-chain (fig13
-//! mul) and byte-codec (`codec_align_*`) workloads — the CI guard for
-//! tier-promotion and mem-lowering regressions.
+//! decoded interpreter on the hot serial cells — by any margin on the
+//! carry-chain (fig13 mul) workloads, by ≥ 2× on the byte-codec
+//! (`codec_align_*`) ones, where codec-run fusion and affine coalescing
+//! remove most of the work — the CI guard for tier-promotion and
+//! mem-lowering regressions.
 //!
 //! The `auto` rows exercise count-based promotion live: each workload
 //! reuses one kernel, so the first `UP_SIM_TIER_THRESHOLD` auto launches
@@ -337,18 +339,20 @@ fn main() {
 
     // The tier-promotion payoff summary (and CI guard): the closure tier
     // must not lose to the interpreter it was promoted from on the hot
-    // carry-chain and byte-codec kernels.
+    // carry-chain kernels, and must at least double it on the byte-codec
+    // kernels, whose byte runs it fuses.
     let mut tier_ok = true;
     for (name, decoded, compiled) in &tier_cells {
         let ratio = compiled / decoded;
+        let floor = if name.starts_with("codec_align") { 2.0 } else { 1.0 };
         println!(
-            "tiering {name}: compiled/serial {ratio:.2}x decoded/serial{}",
-            if ratio < 1.0 { "  << REGRESSION" } else { "" }
+            "tiering {name}: compiled/serial {ratio:.2}x decoded/serial (floor {floor:.1}x){}",
+            if ratio < floor { "  << REGRESSION" } else { "" }
         );
-        tier_ok &= ratio >= 1.0;
+        tier_ok &= ratio >= floor;
     }
     if assert_tiering {
-        assert!(tier_ok, "compiled tier lost to decoded on a hot carry-chain or codec cell");
+        assert!(tier_ok, "compiled tier under its floor on a hot carry-chain or codec cell");
         println!("tiering assertion passed");
     }
 }

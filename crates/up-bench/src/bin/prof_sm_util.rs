@@ -46,6 +46,8 @@ fn main() {
                 fallback_superblocks: 0,
                 lowered_mem_thunks: 0,
                 fallback_interp_insts: 0,
+                fused_codec_runs: 0,
+                fused_codec_insts: 0,
             };
             print_row(
                 &[

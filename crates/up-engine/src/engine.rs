@@ -785,7 +785,13 @@ mod tests {
             // Tier attribution matches the backend that actually ran.
             match backend {
                 ExecBackend::Decoded => assert_eq!(r.tiers.decoded, 1, "{backend}/{par}"),
-                ExecBackend::Compiled => assert_eq!(r.tiers.compiled, 1, "{backend}/{par}"),
+                ExecBackend::Compiled => {
+                    assert_eq!(r.tiers.compiled, 1, "{backend}/{par}");
+                    // Three loads of x and the result's store: the
+                    // launch's lowering shape reaches the query result.
+                    assert_eq!(r.tiers.fused_codec_runs, 4, "{backend}/{par}");
+                    assert!(r.tiers.fused_codec_insts > 4 * wide.lb() as u64, "{backend}/{par}");
+                }
                 _ => assert_eq!(r.tiers.total(), 1, "{backend}/{par}"),
             }
         }

@@ -30,13 +30,24 @@
 //!   the thunk does one warp-wide bounds check plus one `SectorSeen`
 //!   coalescing pass and moves all 32 lanes with bulk strided copies
 //!   (`load_*_affine`/`store_*_affine`) instead of per-lane per-byte
-//!   calls. Stats, coalescing state, and the f64 `warp_issue_cycles`
+//!   calls, and the coalescing pass counts sectors from `(base, stride,
+//!   n, width)` ([`note_transactions_affine`]) instead of from 32
+//!   addresses. Stats, coalescing state, and the f64 `warp_issue_cycles`
 //!   stream are replayed in program order, so the fast path is
 //!   bit-identical to the interpreter; non-affine or out-of-bounds
 //!   warps fall back to the interpreter's exact per-lane loop.
-//! * Ops that touch shared memory or params, or add data-dependent
-//!   cycles (`DivBig`), stay interpreter steps (`Step::Interp`) executed
-//!   by the *same* `exec_dop` the decoded tier uses, frame-for-frame.
+//! * Compact-codec byte runs — the `ld.global.u8`/`add addr,1`/`shl`/`or`
+//!   expansion of one DECIMAL column and its mirror-image store — fuse
+//!   into one `Step::Fused` each: a symbolic evaluation of the run (see
+//!   [`scan_codec_run`]) reduces every written row to
+//!   `konst | OR of ((leaf >> shr) & mask) << shl` over loaded bytes and
+//!   run-entry rows, so at run time the step verifies the address row
+//!   once, coalesces once, moves byte planes in bulk and writes each row
+//!   once. A warp that fails the step's two preconditions runs the same
+//!   instructions lowered the ordinary way.
+//! * Shared-memory ops, `ld.param`, and `DivBig` (data-dependent cycles)
+//!   stay interpreter steps (`Step::Interp`) executed by the *same*
+//!   `exec_dop` the decoded tier uses, frame-for-frame.
 //!
 //! Divergent regions and control flow never reach this module: the
 //! decoded interpreter's `run_warp` only enters a compiled superblock
@@ -55,7 +66,9 @@
 //! compile serves every session that hits the same cached kernel.
 
 use crate::decoded::{DCtx, DOp, DecodedProgram, MemOpKind, Op};
-use crate::exec::{full_mask, note_transactions, Geometry, MemAccess, SimError};
+use crate::exec::{
+    full_mask, note_transactions, note_transactions_affine, Geometry, MemAccess, SimError,
+};
 use crate::env::knob as env_parse;
 use crate::ptx::{AddrForm, Kernel};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,6 +92,11 @@ enum Step {
     /// contributes data-dependent cycles — executed by the decoded tier's
     /// `exec_dop` with exactly the interpreter's per-instruction stats.
     Interp { dop: DOp, cycles: f64 },
+    /// A fused compact-codec byte run (see [`scan_codec_run`]): `cycles`
+    /// holds one entry per covered instruction, `fallback` the same
+    /// instructions lowered the ordinary way, run when [`exec_fused`]
+    /// reports a failed precondition.
+    Fused { run: FusedRun, cycles: Box<[f64]>, fallback: Box<[Step]> },
 }
 
 /// One lowered global-memory instruction: operand rows pre-resolved to
@@ -120,6 +138,9 @@ pub struct CompiledProgram {
     mem_insts: usize,
     affine_mem_insts: usize,
     lowered_superblocks: usize,
+    fused_codec_runs: usize,
+    fused_codec_insts: usize,
+    fused_codec_mem_insts: usize,
 }
 
 impl CompiledProgram {
@@ -176,20 +197,39 @@ impl CompiledProgram {
     pub fn fallback_superblock_count(&self) -> usize {
         self.superblocks - self.lowered_superblocks
     }
+
+    /// Compact-codec byte runs fused into single symbolic steps.
+    pub fn fused_codec_run_count(&self) -> usize {
+        self.fused_codec_runs
+    }
+
+    /// Instructions covered by fused codec runs (also counted in
+    /// [`Self::alu_inst_count`]/[`Self::mem_inst_count`] through each
+    /// run's unfused fallback).
+    pub fn fused_codec_inst_count(&self) -> usize {
+        self.fused_codec_insts
+    }
+
+    /// Byte memory instructions covered by fused codec runs.
+    pub fn fused_codec_mem_inst_count(&self) -> usize {
+        self.fused_codec_mem_insts
+    }
 }
 
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "CompiledProgram({} superblocks ({} lowered), {} alu + {} mem ({} affine) + {} interp insts, {} fused chains)",
+            "CompiledProgram({} superblocks ({} lowered), {} alu + {} mem ({} affine) + {} interp insts, {} fused chains, {} codec runs over {} insts)",
             self.superblocks,
             self.lowered_superblocks,
             self.alu_insts,
             self.mem_insts,
             self.affine_mem_insts,
             self.interp_insts,
-            self.fused_chains
+            self.fused_chains,
+            self.fused_codec_runs,
+            self.fused_codec_insts
         )
     }
 }
@@ -320,6 +360,11 @@ pub struct TierCounters {
     /// Instructions still executed as interpreter fallback frames inside
     /// compiled launches, summed per launch (static counts).
     pub fallback_insts: u64,
+    /// Compact-codec byte runs fused into single steps in compiled
+    /// launches, summed per launch (static counts).
+    pub fused_codec_runs: u64,
+    /// Instructions those fused runs cover, summed per launch.
+    pub fused_codec_insts: u64,
 }
 
 impl TierCounters {
@@ -339,6 +384,8 @@ impl std::ops::AddAssign for TierCounters {
         self.fallback_superblocks += rhs.fallback_superblocks;
         self.lowered_mem_thunks += rhs.lowered_mem_thunks;
         self.fallback_insts += rhs.fallback_insts;
+        self.fused_codec_runs += rhs.fused_codec_runs;
+        self.fused_codec_insts += rhs.fused_codec_insts;
     }
 }
 
@@ -350,6 +397,8 @@ static LOWERED_SUPERBLOCKS: AtomicU64 = AtomicU64::new(0);
 static FALLBACK_SUPERBLOCKS: AtomicU64 = AtomicU64::new(0);
 static LOWERED_MEM_THUNKS: AtomicU64 = AtomicU64::new(0);
 static FALLBACK_INSTS: AtomicU64 = AtomicU64::new(0);
+static FUSED_CODEC_RUNS: AtomicU64 = AtomicU64::new(0);
+static FUSED_CODEC_INSTS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide per-tier launch counts and promotion events (e.g. for the
 /// server metrics report).
@@ -363,6 +412,8 @@ pub fn tier_counters() -> TierCounters {
         fallback_superblocks: FALLBACK_SUPERBLOCKS.load(Ordering::Relaxed),
         lowered_mem_thunks: LOWERED_MEM_THUNKS.load(Ordering::Relaxed),
         fallback_insts: FALLBACK_INSTS.load(Ordering::Relaxed),
+        fused_codec_runs: FUSED_CODEC_RUNS.load(Ordering::Relaxed),
+        fused_codec_insts: FUSED_CODEC_INSTS.load(Ordering::Relaxed),
     }
 }
 
@@ -390,6 +441,8 @@ pub(crate) fn note_launch(tier: ExecTier, promoted: bool, program: Option<&Compi
         t.fallback_superblocks = p.fallback_superblock_count() as u64;
         t.lowered_mem_thunks = p.mem_inst_count() as u64;
         t.fallback_insts = p.interp_inst_count() as u64;
+        t.fused_codec_runs = p.fused_codec_run_count() as u64;
+        t.fused_codec_insts = p.fused_codec_inst_count() as u64;
     }
     TREE_LAUNCHES.fetch_add(t.tree, Ordering::Relaxed);
     DECODED_LAUNCHES.fetch_add(t.decoded, Ordering::Relaxed);
@@ -399,6 +452,8 @@ pub(crate) fn note_launch(tier: ExecTier, promoted: bool, program: Option<&Compi
     FALLBACK_SUPERBLOCKS.fetch_add(t.fallback_superblocks, Ordering::Relaxed);
     LOWERED_MEM_THUNKS.fetch_add(t.lowered_mem_thunks, Ordering::Relaxed);
     FALLBACK_INSTS.fetch_add(t.fallback_insts, Ordering::Relaxed);
+    FUSED_CODEC_RUNS.fetch_add(t.fused_codec_runs, Ordering::Relaxed);
+    FUSED_CODEC_INSTS.fetch_add(t.fused_codec_insts, Ordering::Relaxed);
     LAST_LAUNCH.with(|c| c.set(Some(t)));
 }
 
@@ -431,7 +486,17 @@ pub(crate) fn run_superblock<M: MemAccess>(
     lanes_n: usize,
     full: u32,
 ) -> Result<(), SimError> {
-    for step in sb.steps.iter() {
+    run_steps(&sb.steps, c, geom, lanes_n, full)
+}
+
+fn run_steps<M: MemAccess>(
+    steps: &[Step],
+    c: &mut DCtx<'_, M>,
+    geom: &Geometry,
+    lanes_n: usize,
+    full: u32,
+) -> Result<(), SimError> {
+    for step in steps {
         match step {
             Step::Alu { thunks, cycles } => {
                 let insts = cycles.len() as u64;
@@ -456,6 +521,11 @@ pub(crate) fn run_superblock<M: MemAccess>(
                 c.stats.thread_insts += lanes_n as u64;
                 crate::decoded::exec_dop::<true, M>(c, dop, geom, full, lanes_n)?;
             }
+            Step::Fused { run, cycles, fallback } => {
+                if !exec_fused(run, cycles, c, lanes_n)? {
+                    run_steps(fallback, c, geom, lanes_n, full)?;
+                }
+            }
         }
     }
     Ok(())
@@ -464,18 +534,19 @@ pub(crate) fn run_superblock<M: MemAccess>(
 /// Executes one lowered memory thunk over a fully-converged warp,
 /// monomorphized over the launch's `MemAccess` backend.
 ///
-/// The coalescing pass runs first with exactly the address slice the
-/// interpreter would pass, so `SectorSeen` mutations and the transaction
-/// stats are identical by construction — including the epoch window,
-/// which is the warp's own `c.seen` and therefore carries dedup state
-/// across consecutive lowered thunks just like consecutive interpreter
-/// steps. If the static lane-affine hint re-verifies against the live
-/// address row *and* the whole warp's span bounds-checks once in u64
-/// (which rules out u32 wraparound anywhere in the span), the bulk
-/// `load_*_affine`/`store_*_affine` entry points move all lanes at once;
-/// otherwise the interpreter's exact per-lane loop runs — ascending
-/// lanes, error surfaced at the first failing lane, with the same
-/// partial effects before it.
+/// The coalescing pass runs first, over exactly the addresses the
+/// interpreter would pass — as `(base, stride, n, width)` when the static
+/// lane-affine hint re-verifies against the live address row, as the
+/// address slice otherwise — so `SectorSeen` mutations and the
+/// transaction stats are identical by construction, including the epoch
+/// window, which is the warp's own `c.seen` and therefore carries dedup
+/// state across consecutive lowered thunks just like consecutive
+/// interpreter steps. If the hint holds *and* the whole warp's span
+/// bounds-checks once in u64 (which rules out u32 wraparound anywhere in
+/// the span), the bulk `load_*_affine`/`store_*_affine` entry points move
+/// all lanes at once; otherwise the interpreter's exact per-lane loop
+/// runs — ascending lanes, error surfaced at the first failing lane, with
+/// the same partial effects before it.
 fn exec_mem<M: MemAccess>(
     m: &MemStep,
     c: &mut DCtx<'_, M>,
@@ -485,15 +556,15 @@ fn exec_mem<M: MemAccess>(
     let d = m.data as usize;
     let n = lanes_n;
     let width = m.kind.width();
-    note_transactions(&mut c.stats, &mut c.seen, m.buf, &c.regs[a..a + n], width);
-    if let Some(stride) = m.affine {
-        let base = c.regs[a];
-        let affine_ok = c.regs[a..a + n]
-            .iter()
-            .enumerate()
-            .all(|(l, &v)| v == base.wrapping_add(stride.wrapping_mul(l as u32)));
+    let base = c.regs[a];
+    let stride = m.affine.filter(|&s| is_lane_affine(&c.regs[a..a + n], base, s));
+    match stride {
+        Some(s) => note_transactions_affine(&mut c.stats, &mut c.seen, m.buf, base, s, n, width),
+        None => note_transactions(&mut c.stats, &mut c.seen, m.buf, &c.regs[a..a + n], width),
+    }
+    if let Some(stride) = stride {
         let end = base as u64 + stride as u64 * (n as u64 - 1) + width as u64;
-        if affine_ok && end <= c.mem.buf_len(m.buf) as u64 {
+        if end <= c.mem.buf_len(m.buf) as u64 {
             return match m.kind {
                 MemOpKind::LdWord => {
                     c.mem.load_words_affine(m.buf, base, stride, &mut c.regs[d..d + n])
@@ -535,6 +606,121 @@ fn exec_mem<M: MemAccess>(
     Ok(())
 }
 
+/// Whether lane `l` of an address row holds `base + l·stride` (wrapping)
+/// — the run-time re-verification of a static [`AddrForm::LaneAffine`]
+/// hint.
+#[inline]
+fn is_lane_affine(addrs: &[u32], base: u32, stride: u32) -> bool {
+    addrs.iter().enumerate().all(|(l, &v)| v == base.wrapping_add(stride.wrapping_mul(l as u32)))
+}
+
+/// Writes lanes `< n` of a row; a full warp's is one fixed-size copy.
+#[inline(always)]
+fn commit(regs: &mut [u32], r: usize, v: &[u32; 32], n: usize) {
+    if n == 32 {
+        *row_mut(regs, r) = *v;
+    } else {
+        regs[r..r + n].copy_from_slice(&v[..n]);
+    }
+}
+
+thread_local! {
+    /// Byte planes and staged rows of [`exec_fused`]: one buffer per
+    /// simulator thread, grown to the largest run it has met and reused
+    /// by every later launch.
+    static FUSED_SCRATCH: std::cell::RefCell<Vec<[u32; 32]>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Executes a fused codec run over a fully-converged warp. `Ok(false)`
+/// means a precondition failed and nothing was touched — the caller runs
+/// the unfused fallback, so error surfaces and partial effects are the
+/// interpreter's.
+///
+/// Preconditions: the entry address row is lane-affine with the static
+/// stride, and the warp's whole span `[base, base + (n−1)·stride + span)`
+/// lies inside the buffer (checked once in u64, which also rules out u32
+/// wraparound of any address the run forms).
+///
+/// Everything the interpreter would do is then replayed in bulk:
+/// * stats — integer counts batched, the f64 cycles element by element in
+///   program order (nothing else in the run adds to that sum);
+/// * coalescing — the same `(buf, sector)` set, lowest sector first: one
+///   call over `span`-byte lane windows when the run's offsets tile
+///   `0..span`, else one call per memory op in program order;
+/// * memory — one `load_bytes_affine`/`store_bytes_affine` per byte plane
+///   (the static scan rejected store runs whose lanes or offsets overlap,
+///   so plane order cannot matter);
+/// * registers — every row the run writes gets its final value, dead
+///   temporaries included: a later instruction may read any of them and
+///   the tier has no liveness information. Values are functions of the
+///   run-entry state only, so rows some other row still reads are staged
+///   and committed last. Lanes ≥ `n` are never written.
+fn exec_fused<M: MemAccess>(
+    f: &FusedRun,
+    cycles: &[f64],
+    c: &mut DCtx<'_, M>,
+    n: usize,
+) -> Result<bool, SimError> {
+    let a = f.addr as usize;
+    let base = c.regs[a];
+    let end = base as u64 + f.stride as u64 * (n as u64 - 1) + f.span as u64;
+    if end > (c.mem.buf_len(f.buf) as u64).min(1 << 32)
+        || !is_lane_affine(&c.regs[a..a + n], base, f.stride)
+    {
+        return Ok(false);
+    }
+    debug_assert!(
+        f.assumed.iter().all(|&(r, k)| c.regs[r as usize..r as usize + n].iter().all(|&v| v == k)),
+        "codec-run fusion relied on a constant the analysis got wrong"
+    );
+    let insts = cycles.len() as u64;
+    c.stats.warp_issues += insts;
+    c.stats.thread_insts += insts * n as u64;
+    for cy in cycles {
+        c.stats.warp_issue_cycles += *cy;
+    }
+    if f.tiled {
+        note_transactions_affine(&mut c.stats, &mut c.seen, f.buf, base, f.stride, n, f.span);
+    } else {
+        for &off in f.mem_offs.iter() {
+            note_transactions_affine(&mut c.stats, &mut c.seen, f.buf, base + off, f.stride, n, 1);
+        }
+    }
+    FUSED_SCRATCH.with_borrow_mut(|scratch| -> Result<(), SimError> {
+        // Room for every plane and, at most, every row staged.
+        if scratch.len() < f.planes.len() + f.outs.len() {
+            scratch.resize(f.planes.len() + f.outs.len(), [0; 32]);
+        }
+        let (planes, staged) = scratch.split_at_mut(f.planes.len());
+        for (plane, &off) in planes.iter_mut().zip(f.planes.iter()) {
+            c.mem.load_bytes_affine(f.buf, base + off, f.stride, &mut plane[..n])?;
+        }
+        for (st, &off) in f.stores.iter().zip(f.mem_offs.iter()) {
+            let v = f.eval(st, planes, &c.regs);
+            c.mem.store_bytes_affine(f.buf, base + off, f.stride, &v[..n])?;
+        }
+        let mut si = 0;
+        for o in f.outs.iter() {
+            let v = f.eval(&o.sym, planes, &c.regs);
+            if o.staged {
+                staged[si] = v;
+                si += 1;
+            } else {
+                commit(&mut c.regs, o.row as usize, &v, n);
+            }
+        }
+        for (o, v) in f.outs.iter().filter(|o| o.staged).zip(staged.iter()) {
+            commit(&mut c.regs, o.row as usize, v, n);
+        }
+        Ok(())
+    })?;
+    for r in &mut c.regs[a..a + n] {
+        *r = r.wrapping_add(f.delta);
+    }
+    Ok(true)
+}
+
 // ---------------------------------------------------------------------------
 // Affine-address analysis.
 // ---------------------------------------------------------------------------
@@ -567,7 +753,15 @@ impl AbsVal {
 
     fn join(self, other: AbsVal) -> AbsVal {
         match (self, other) {
-            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => v,
+            // Lanes that skipped the assignment still hold the zeroed
+            // file's 0: the stride stays a (run-time verified) hint, but
+            // `konst` is relied on unverified by the codec-run fusion.
+            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => match v {
+                AbsVal::Affine { stride, konst } => {
+                    AbsVal::Affine { stride, konst: konst.filter(|&k| k == 0) }
+                }
+                v => v,
+            },
             (AbsVal::Affine { stride: s1, konst: k1 }, AbsVal::Affine { stride: s2, konst: k2 })
                 if s1 == s2 =>
             {
@@ -761,24 +955,47 @@ fn abs_transfer(dop: &DOp, st: &mut AbsState, changed: &mut bool) {
     }
 }
 
+/// What the analysis records per pc for [`lower_steps`].
+struct Facts {
+    /// Address-row shape of each global-memory pc (joined over visits).
+    forms: Vec<Option<AddrForm>>,
+    /// Compile-time values of the two source rows of each `mov`/`add`/
+    /// `shl`/`shr`/`and`/`or`/`st.global.u8` pc, where every visit of the
+    /// pc saw the same constant. Unlike `forms` these are **not**
+    /// re-verified at run time, so they rest on the analysis being sound
+    /// for `konst`: joins keep a constant only when both sides agree
+    /// (an unassigned row agreeing only with 0), and loops iterate to a
+    /// true fixpoint of the head state.
+    consts: Vec<Option<[Option<u32>; 2]>>,
+}
+
+/// The two source rows whose constants [`Facts::consts`] records.
+fn const_operands(dop: &DOp) -> Option<(u32, u32)> {
+    match *dop {
+        DOp::Mov { a, .. } => Some((a, a)),
+        DOp::StGlobalU8 { src, .. } => Some((src, src)),
+        DOp::Add { a, b, .. }
+        | DOp::Shl { a, b, .. }
+        | DOp::Shr { a, b, .. }
+        | DOp::And { a, b, .. }
+        | DOp::Or { a, b, .. } => Some((a, b)),
+        _ => None,
+    }
+}
+
 /// Flow-sensitive forward analysis over the structured flat program:
 /// branch arms analyze from a snapshot and join at the reconvergence
-/// point; loops iterate the condition+body to a fixpoint on the
-/// back-edge join (the lattice has height 3 per row, so this converges
-/// in a couple of rounds — a safety cap widens leftovers to `Top`).
+/// point; loops iterate condition+body to a fixpoint of the loop-head
+/// state (the lattice has height 4 per row, so this converges in a few
+/// rounds — a safety cap widens leftovers to `Top`) and leave with the
+/// state after the condition block.
 ///
 /// Each visit of a memory instruction joins the address row's current
 /// shape into `forms[pc]`, so a pc reached with incompatible shapes
-/// degrades to `Unknown`. The result is a *hint*: [`exec_mem`]
+/// degrades to `Unknown`. That result is a *hint*: [`exec_mem`]
 /// re-verifies every stride against the live registers, so imprecision
-/// here costs only the bulk fast path, never correctness.
-fn abs_exec_range(
-    ops: &[Op],
-    forms: &mut [Option<AddrForm>],
-    st: &mut AbsState,
-    start: usize,
-    end: usize,
-) {
+/// there costs only the bulk fast path, never correctness.
+fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize, end: usize) {
     let mut pc = start;
     while pc < end {
         match &ops[pc] {
@@ -788,10 +1005,21 @@ fn abs_exec_range(
                         AbsVal::Affine { stride, .. } => AddrForm::LaneAffine { stride },
                         _ => AddrForm::Unknown,
                     };
-                    forms[pc] = Some(match forms[pc] {
+                    facts.forms[pc] = Some(match facts.forms[pc] {
                         None => form,
                         Some(prev) if prev == form => form,
                         Some(_) => AddrForm::Unknown,
+                    });
+                }
+                if let Some((a, b)) = const_operands(dop) {
+                    let konst = |r| match st.get(r) {
+                        AbsVal::Affine { konst, .. } => konst,
+                        _ => None,
+                    };
+                    let now = [konst(a), konst(b)];
+                    facts.consts[pc] = Some(match facts.consts[pc] {
+                        None => now,
+                        Some(prev) => [0, 1].map(|i| prev[i].filter(|k| Some(*k) == now[i])),
                     });
                 }
                 let mut changed = false;
@@ -805,8 +1033,8 @@ fn abs_exec_range(
                 };
                 let endif_pc = end_pc as usize;
                 let mut then_st = st.clone_state();
-                abs_exec_range(ops, forms, &mut then_st, pc + 1, else_pc);
-                abs_exec_range(ops, forms, st, else_pc + 1, endif_pc);
+                abs_exec_range(ops, facts, &mut then_st, pc + 1, else_pc);
+                abs_exec_range(ops, facts, st, else_pc + 1, endif_pc);
                 st.join_from(&then_st);
                 pc = endif_pc + 1;
             }
@@ -833,28 +1061,27 @@ fn abs_exec_range(
                     }
                 }
                 let test_pc = test_pc.expect("loop has a WhileTest");
+                // `st` is the loop-head state: the entry state joined with
+                // every body-end state. Each round runs the condition
+                // block (executed on every trip, the exiting one
+                // included) and the body from it; lanes leave the loop
+                // after a condition block, so that state continues.
                 for round in 0.. {
-                    // Condition block runs on every round (including the
-                    // final, exiting one).
-                    abs_exec_range(ops, forms, st, pc + 1, test_pc);
-                    let mut body_st = st.clone_state();
-                    abs_exec_range(ops, forms, &mut body_st, test_pc + 1, end_pc);
-                    if !st.join_from(&body_st) {
-                        break;
-                    }
-                    if round >= 8 {
+                    if round == 8 {
                         // Shouldn't happen (finite lattice), but cap
-                        // defensively: widen everything the body touched.
-                        st.join_from(&body_st);
+                        // defensively: widen everything assigned so far.
                         for r in st.rows.iter_mut() {
                             if *r != AbsVal::Bottom {
                                 *r = AbsVal::Top;
                             }
                         }
-                        abs_exec_range(ops, forms, st, pc + 1, test_pc);
-                        let mut body_st = st.clone_state();
-                        abs_exec_range(ops, forms, &mut body_st, test_pc + 1, end_pc);
-                        st.join_from(&body_st);
+                    }
+                    let mut cond_st = st.clone_state();
+                    abs_exec_range(ops, facts, &mut cond_st, pc + 1, test_pc);
+                    let mut body_st = cond_st.clone_state();
+                    abs_exec_range(ops, facts, &mut body_st, test_pc + 1, end_pc);
+                    if !st.join_from(&body_st) {
+                        *st = cond_st;
                         break;
                     }
                 }
@@ -866,21 +1093,39 @@ fn abs_exec_range(
     }
 }
 
-/// Per-pc address forms for a kernel's flat decoded program: for every
-/// global-memory instruction, whether the static analysis proves its
-/// address row lane-affine (and with which stride). Non-memory pcs are
-/// [`AddrForm::Unknown`].
-pub(crate) fn analyze_addr_forms(ops: &[Op], num_regs: usize) -> Vec<AddrForm> {
+/// Runs the analysis over a kernel's flat decoded program.
+fn analyze(ops: &[Op], num_regs: usize) -> Facts {
     let mut st = AbsState { rows: vec![AbsVal::Bottom; num_regs] };
-    let mut forms: Vec<Option<AddrForm>> = vec![None; ops.len()];
-    abs_exec_range(ops, &mut forms, &mut st, 0, ops.len());
-    forms.into_iter().map(|f| f.unwrap_or(AddrForm::Unknown)).collect()
+    let mut facts = Facts { forms: vec![None; ops.len()], consts: vec![None; ops.len()] };
+    abs_exec_range(ops, &mut facts, &mut st, 0, ops.len());
+    facts
 }
 
-/// [`analyze_addr_forms`] over a kernel (used by the disassembler's
-/// annotated listing).
-pub(crate) fn addr_forms(kernel: &Kernel) -> Vec<AddrForm> {
-    analyze_addr_forms(kernel.decoded_program().ops(), kernel.num_regs as usize)
+/// What the annotated disassembly shows of a kernel's lowering, computed
+/// without building (or touching) its compiled artifact: per pc, whether
+/// the analysis proves a global-memory instruction's address row
+/// lane-affine and with which stride (non-memory pcs are
+/// [`AddrForm::Unknown`]), and the pc ranges [`compile`] fuses into codec
+/// runs.
+pub(crate) fn listing_facts(kernel: &Kernel) -> (Vec<AddrForm>, Vec<std::ops::Range<usize>>) {
+    let ops = kernel.decoded_program().ops();
+    let facts = analyze(ops, kernel.num_regs as usize);
+    let mut scan = CodecScan::new(kernel.num_regs as usize);
+    let mut runs = Vec::new();
+    let mut pc = 0;
+    while pc < ops.len() {
+        // Like `lower_steps`: every pc outside a fused run may head one.
+        let fused = match &ops[pc] {
+            Op::I { run_end, .. } => scan_codec_run(ops, &facts, pc..*run_end as usize, &mut scan),
+            _ => None,
+        };
+        let next = fused.map_or(pc + 1, |(_, end)| end);
+        if next > pc + 1 {
+            runs.push(pc..next);
+        }
+        pc = next;
+    }
+    (facts.forms.into_iter().map(|f| f.unwrap_or(AddrForm::Unknown)).collect(), runs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1362,12 +1607,394 @@ fn lower_thunk(dop: &DOp) -> Option<AluThunk> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Codec-run fusion.
+// ---------------------------------------------------------------------------
+
+/// Most OR-terms one symbolic row value may hold (a `Lw` word assembles
+/// from four bytes; a sign/magnitude tail adds one or two).
+const MAX_TERMS: usize = 8;
+/// Largest address advance (and so byte span) of one fused run.
+const MAX_SPAN: u32 = 1 << 16;
+
+/// What a [`Term`] reads: a byte plane the run loads, or a register row
+/// as it stood when the run was entered.
+#[derive(Clone, Copy)]
+enum Leaf {
+    /// Index into [`FusedRun::planes`].
+    Byte(u16),
+    /// SoA row offset.
+    Row(u32),
+}
+
+/// One OR-term of a symbolic value: `((leaf >> shr) & mask) << shl`.
+/// Invariant: `mask != 0` and `mask << shl` loses no bits, so shifting
+/// and masking a term again stays a term.
+#[derive(Clone, Copy)]
+struct Term {
+    leaf: Leaf,
+    shr: u8,
+    shl: u8,
+    mask: u32,
+}
+
+/// A row's value as a function of the run-entry state:
+/// `konst | terms[t0] | … | terms[t0 + len - 1]`, the terms living in
+/// [`CodecScan::terms`] while a run is scanned and in
+/// [`FusedRun::terms`] once it is built. The algebra is closed under
+/// `mov`, `or`, and `shl`/`shr`/`and` by a constant — exactly what the
+/// compact codec does between its byte accesses — and exact in wrapping
+/// u32 arithmetic.
+#[derive(Clone, Copy)]
+struct Sym {
+    konst: u32,
+    t0: u32,
+    len: u32,
+}
+
+impl Sym {
+    fn konst(konst: u32) -> Sym {
+        Sym { konst, t0: 0, len: 0 }
+    }
+
+    fn range(&self) -> std::ops::Range<usize> {
+        self.t0 as usize..(self.t0 + self.len) as usize
+    }
+}
+
+/// A register row a fused run writes, with its final value.
+struct FusedOut {
+    row: u32,
+    /// A later-evaluated row reads this row's entry value, so the write
+    /// is held back until every value is computed.
+    staged: bool,
+    sym: Sym,
+}
+
+/// One fused compact-codec byte run — see [`scan_codec_run`] for what
+/// qualifies and [`exec_fused`] for how it executes.
+struct FusedRun {
+    buf: u8,
+    /// The address row every memory op of the run goes through.
+    addr: u32,
+    /// Its static lane stride (re-verified on entry).
+    stride: u32,
+    /// Byte offset from the entry address of each memory op, in program
+    /// order (non-decreasing; unique for a store run).
+    mem_offs: Box<[u32]>,
+    /// Bytes each lane covers: last offset + 1.
+    span: u32,
+    /// The offsets tile `0..span`, so the warp touches one `span`-byte
+    /// window per lane.
+    tiled: bool,
+    /// What the run adds to the address row in total.
+    delta: u32,
+    /// Distinct offsets a load run fetches (empty for a store run).
+    planes: Box<[u32]>,
+    /// The byte each store op writes, parallel to `mem_offs` (empty for
+    /// a load run).
+    stores: Box<[Sym]>,
+    outs: Box<[FusedOut]>,
+    terms: Box<[Term]>,
+    /// `(row, k)`: rows the scan took as the constant `k` on the word of
+    /// the static analysis alone. Collected in debug builds only, where
+    /// [`exec_fused`] asserts them.
+    assumed: Box<[(u32, u32)]>,
+}
+
+impl FusedRun {
+    /// Evaluates a value for all 32 lanes (lanes past the warp's `n` read
+    /// stale planes and dead rows; callers commit lanes `< n` only).
+    #[inline(always)]
+    fn eval(&self, sym: &Sym, planes: &[[u32; 32]], regs: &[u32]) -> [u32; 32] {
+        let mut acc = [sym.konst; 32];
+        for t in &self.terms[sym.range()] {
+            let src = match t.leaf {
+                Leaf::Byte(p) => &planes[p as usize],
+                Leaf::Row(r) => row(regs, r as usize),
+            };
+            let (shr, shl, mask) = (t.shr as u32, t.shl as u32, t.mask);
+            for l in 0..32 {
+                acc[l] |= ((src[l] >> shr) & mask) << shl;
+            }
+        }
+        acc
+    }
+}
+
+/// Scratch of [`scan_codec_run`], allocated once per [`compile`]: the
+/// rows the current run has written and their symbolic values.
+struct CodecScan {
+    /// `slot[row / 32]`: index into `vals`, or `u32::MAX` for a row the
+    /// run has not written.
+    slot: Vec<u32>,
+    /// `(row, value)` in first-write order.
+    vals: Vec<(u32, Sym)>,
+    /// Term arena of the current run's values (append-only; superseded
+    /// values leave garbage that [`scan_codec_run`] does not copy out).
+    terms: Vec<Term>,
+    assumed: Vec<(u32, u32)>,
+}
+
+impl CodecScan {
+    fn new(num_regs: usize) -> CodecScan {
+        CodecScan {
+            slot: vec![u32::MAX; num_regs],
+            vals: Vec::new(),
+            terms: Vec::new(),
+            assumed: Vec::new(),
+        }
+    }
+
+    fn reset(&mut self) {
+        for (r, _) in self.vals.drain(..) {
+            self.slot[r as usize / 32] = u32::MAX;
+        }
+        self.terms.clear();
+        self.assumed.clear();
+    }
+
+    /// The value of operand row `r`: what the run last wrote there, else
+    /// its analysed constant `k`, else its run-entry contents.
+    fn val(&mut self, r: u32, k: Option<u32>) -> Sym {
+        match (self.slot[r as usize / 32], k) {
+            (u32::MAX, Some(k)) => {
+                if cfg!(debug_assertions) {
+                    self.assumed.push((r, k));
+                }
+                Sym::konst(k)
+            }
+            (u32::MAX, None) => self.leaf(Leaf::Row(r), u32::MAX),
+            (i, _) => self.vals[i as usize].1,
+        }
+    }
+
+    fn set(&mut self, r: u32, v: Sym) {
+        match self.slot[r as usize / 32] {
+            u32::MAX => {
+                self.slot[r as usize / 32] = self.vals.len() as u32;
+                self.vals.push((r, v));
+            }
+            i => self.vals[i as usize].1 = v,
+        }
+    }
+
+    fn leaf(&mut self, leaf: Leaf, mask: u32) -> Sym {
+        self.terms.push(Term { leaf, shr: 0, shl: 0, mask });
+        Sym { konst: 0, t0: self.terms.len() as u32 - 1, len: 1 }
+    }
+
+    /// `v` with every term passed through `f` (`None`, or an empty mask,
+    /// drops a term that became zero).
+    fn map(&mut self, v: Sym, konst: u32, f: impl Fn(Term) -> Option<Term>) -> Sym {
+        let t0 = self.terms.len();
+        for i in v.range() {
+            if let Some(t) = f(self.terms[i]).filter(|t| t.mask != 0) {
+                self.terms.push(t);
+            }
+        }
+        Sym { konst, t0: t0 as u32, len: (self.terms.len() - t0) as u32 }
+    }
+
+    fn shl(&mut self, v: Sym, k: u32) -> Sym {
+        let k = k & 31;
+        self.map(v, v.konst << k, |t| {
+            let shl = t.shl as u32 + k;
+            (shl < 32).then(|| Term { shl: shl as u8, mask: t.mask & (u32::MAX >> shl), ..t })
+        })
+    }
+
+    fn shr(&mut self, v: Sym, k: u32) -> Sym {
+        let k = k & 31;
+        self.map(v, v.konst >> k, |t| {
+            if k <= t.shl as u32 {
+                return Some(Term { shl: t.shl - k as u8, ..t });
+            }
+            // Shifted past the term's own left shift: the rest moves
+            // into the leaf's right shift.
+            let j = k - t.shl as u32;
+            let shr = t.shr as u32 + j;
+            (shr < 32).then(|| Term { shr: shr as u8, shl: 0, mask: t.mask >> j, ..t })
+        })
+    }
+
+    fn and(&mut self, v: Sym, k: u32) -> Sym {
+        self.map(v, v.konst & k, |t| Some(Term { mask: t.mask & (k >> t.shl), ..t }))
+    }
+
+    fn or(&mut self, a: Sym, b: Sym) -> Option<Sym> {
+        let konst = a.konst | b.konst;
+        if a.len == 0 || b.len == 0 {
+            let terms = if a.len == 0 { b } else { a };
+            return Some(Sym { konst, ..terms });
+        }
+        if (a.len + b.len) as usize > MAX_TERMS {
+            return None;
+        }
+        let t0 = self.terms.len() as u32;
+        self.terms.extend_from_within(a.range());
+        self.terms.extend_from_within(b.range());
+        Some(Sym { konst, t0, len: a.len + b.len })
+    }
+}
+
+/// Symbolic fusion of a compact-codec byte run. `pcs.start` is a
+/// `ld.global.u8`/`st.global.u8` whose address row the analysis found
+/// lane-affine; the scan walks forward while every instruction keeps each
+/// written row inside the [`Sym`] algebra:
+///
+/// * `mov` (immediate or row), `or`, and `shl`/`shr`/`and` where one
+///   side is a known constant;
+/// * byte loads **or** byte stores (whichever the head is — a run never
+///   mixes them, so no access inside it can alias another) through the
+///   head's `(buf, address row)`;
+/// * `add addr, addr, k` with `k` a known constant, which moves the
+///   run's byte offset.
+///
+/// It stops before the first instruction outside these rules: anything
+/// else, any other use of the address row, a ninth OR-term, and for a
+/// store run an offset already written or ≥ the lane stride (lanes would
+/// overlap, making store order observable). The accepted prefix fuses if
+/// it holds at least two memory ops. Which instruction computes what is
+/// immaterial — only the rows' final values and the stored bytes are
+/// kept — so the result does not depend on the order `up-jit` happens to
+/// emit independent instructions in.
+fn scan_codec_run(
+    ops: &[Op],
+    facts: &Facts,
+    pcs: std::ops::Range<usize>,
+    sc: &mut CodecScan,
+) -> Option<(FusedRun, usize)> {
+    let Op::I { dop: head, .. } = &ops[pcs.start] else { return None };
+    let head = head.mem_ref()?;
+    let is_store = match head.kind {
+        MemOpKind::LdByte => false,
+        MemOpKind::StByte => true,
+        MemOpKind::LdWord | MemOpKind::StWord => return None,
+    };
+    let Some(AddrForm::LaneAffine { stride }) = facts.forms[pcs.start] else { return None };
+    sc.reset();
+    let mut delta = 0u32;
+    let mut mem_offs: Vec<u32> = Vec::new();
+    let mut planes: Vec<u32> = Vec::new();
+    let mut stores: Vec<Sym> = Vec::new();
+    let mut end = pcs.start;
+    for pc in pcs {
+        let Op::I { dop, .. } = &ops[pc] else { unreachable!("superblock runs are all I") };
+        let [ka, kb] = facts.consts[pc].unwrap_or([None, None]);
+        // Only the run's own memory ops and bumps may touch the address row.
+        let is_addr = |r: u32| r == head.addr;
+        let written = match *dop {
+            DOp::Add { d, a, b } if is_addr(d) && a == d && b != d => {
+                let k = sc.val(b, kb);
+                match delta.checked_add(k.konst).filter(|&m| k.len == 0 && m < MAX_SPAN) {
+                    Some(moved) => delta = moved,
+                    None => break,
+                }
+                end = pc + 1;
+                continue;
+            }
+            DOp::StGlobalU8 { buf, addr, src }
+                if is_store && buf == head.buf && is_addr(addr) && !is_addr(src) =>
+            {
+                if delta >= stride || mem_offs.last() == Some(&delta) {
+                    break;
+                }
+                stores.push(sc.val(src, ka));
+                mem_offs.push(delta);
+                end = pc + 1;
+                continue;
+            }
+            DOp::LdGlobalU8 { d, buf, addr }
+                if !is_store && buf == head.buf && is_addr(addr) && !is_addr(d) =>
+            {
+                // Offsets only grow, so a repeat is a repeat of the last.
+                if planes.last() != Some(&delta) {
+                    planes.push(delta);
+                }
+                mem_offs.push(delta);
+                Some((d, sc.leaf(Leaf::Byte(planes.len() as u16 - 1), 0xff)))
+            }
+            DOp::MovImm { d, imm } => Some((d, Sym::konst(imm))),
+            DOp::Mov { d, a } if !is_addr(a) => Some((d, sc.val(a, ka))),
+            DOp::Shl { d, a, b } | DOp::Shr { d, a, b } if !is_addr(a) && !is_addr(b) => {
+                let (va, k) = (sc.val(a, ka), sc.val(b, kb));
+                let left = matches!(dop, DOp::Shl { .. });
+                (k.len == 0).then(|| (d, if left { sc.shl(va, k.konst) } else { sc.shr(va, k.konst) }))
+            }
+            DOp::And { d, a, b } if !is_addr(a) && !is_addr(b) => {
+                let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
+                match (va.len, vb.len) {
+                    (_, 0) => Some((d, sc.and(va, vb.konst))),
+                    (0, _) => Some((d, sc.and(vb, va.konst))),
+                    _ => None,
+                }
+            }
+            DOp::Or { d, a, b } if !is_addr(a) && !is_addr(b) => {
+                let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
+                sc.or(va, vb).map(|v| (d, v))
+            }
+            _ => None,
+        };
+        match written {
+            Some((d, v)) if !is_addr(d) => sc.set(d, v),
+            _ => break,
+        }
+        end = pc + 1;
+    }
+    if mem_offs.len() < 2 {
+        return None;
+    }
+    let span = mem_offs[mem_offs.len() - 1] + 1;
+    let tiled = if is_store { mem_offs.len() } else { planes.len() } as u32 == span;
+    let mut terms: Vec<Term> = Vec::new();
+    let mut flatten = |v: &Sym| {
+        let t0 = terms.len() as u32;
+        terms.extend_from_slice(&sc.terms[v.range()]);
+        Sym { t0, ..*v }
+    };
+    let stores = stores.iter().map(&mut flatten).collect();
+    // Rows are evaluated in first-write order; walking them last to
+    // first, a row some later one reads must be staged.
+    let mut read_later = vec![false; sc.vals.len()];
+    let mut outs = Vec::with_capacity(sc.vals.len());
+    for (i, (row, v)) in sc.vals.iter().enumerate().rev() {
+        outs.push(FusedOut { row: *row, staged: read_later[i], sym: flatten(v) });
+        for t in &sc.terms[v.range()] {
+            if let Leaf::Row(r) = t.leaf {
+                if let Some(later) = read_later.get_mut(sc.slot[r as usize / 32] as usize) {
+                    *later = true;
+                }
+            }
+        }
+    }
+    outs.reverse();
+    sc.assumed.sort_unstable();
+    sc.assumed.dedup();
+    let run = FusedRun {
+        buf: head.buf,
+        addr: head.addr,
+        stride,
+        mem_offs: mem_offs.into_boxed_slice(),
+        span,
+        tiled,
+        delta,
+        planes: planes.into_boxed_slice(),
+        stores,
+        outs: outs.into_boxed_slice(),
+        terms: terms.into_boxed_slice(),
+        assumed: sc.assumed.as_slice().into(),
+    };
+    Some((run, end))
+}
+
 /// Compiles a kernel's decoded program into closure chains, one
 /// [`SuperBlock`] per maximal straight-line run.
 pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
     let prog: &Arc<DecodedProgram> = kernel.decoded_program();
     let ops = prog.ops();
-    let forms = analyze_addr_forms(ops, kernel.num_regs as usize);
+    let facts = analyze(ops, kernel.num_regs as usize);
+    let mut scan = CodecScan::new(kernel.num_regs as usize);
     let mut out = CompiledProgram {
         blocks: (0..ops.len()).map(|_| None).collect(),
         superblocks: 0,
@@ -1378,6 +2005,9 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
         mem_insts: 0,
         affine_mem_insts: 0,
         lowered_superblocks: 0,
+        fused_codec_runs: 0,
+        fused_codec_insts: 0,
+        fused_codec_mem_insts: 0,
     };
     let mut i = 0usize;
     while i < ops.len() {
@@ -1387,8 +2017,8 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
         };
         let end = *run_end as usize;
         let interp_before = out.interp_insts;
-        let sb = lower_superblock(&ops[i..end], &forms[i..end], end as u32, &mut out);
-        out.blocks[i] = Some(sb);
+        let steps = lower_steps(ops, &facts, i..end, Some(&mut scan), &mut out);
+        out.blocks[i] = Some(SuperBlock { steps, end: end as u32 });
         out.superblocks += 1;
         if out.interp_insts == interp_before {
             out.lowered_superblocks += 1;
@@ -1422,12 +2052,17 @@ fn fuse_mul_pair(first: &DOp, next: Option<&Op>) -> Option<AluThunk> {
     }
 }
 
-fn lower_superblock(
-    run: &[Op],
-    forms: &[AddrForm],
-    end: u32,
+/// Lowers the straight-line instructions `ops[range]` to steps. With a
+/// `scan`, byte memory ops first try to head a fused codec run; without
+/// one (a fused run's fallback) every instruction lowers on its own.
+fn lower_steps(
+    ops: &[Op],
+    facts: &Facts,
+    range: std::ops::Range<usize>,
+    mut scan: Option<&mut CodecScan>,
     tally: &mut CompiledProgram,
-) -> SuperBlock {
+) -> Box<[Step]> {
+    let run = &ops[range.clone()];
     let mut steps: Vec<Step> = Vec::new();
     let mut thunks: Vec<AluThunk> = Vec::new();
     let mut cycles: Vec<f64> = Vec::new();
@@ -1489,9 +2124,31 @@ fn lower_superblock(
                     cycles: std::mem::take(&mut cycles).into_boxed_slice(),
                 });
             }
-            let affine = match forms[i] {
-                AddrForm::LaneAffine { stride } => Some(stride),
-                AddrForm::Unknown => None,
+            let pc = range.start + i;
+            let fused = scan
+                .as_deref_mut()
+                .and_then(|sc| scan_codec_run(ops, facts, pc..range.end, sc));
+            if let Some((fused, end)) = fused {
+                tally.fused_codec_runs += 1;
+                tally.fused_codec_insts += end - pc;
+                tally.fused_codec_mem_insts += fused.mem_offs.len();
+                steps.push(Step::Fused {
+                    run: fused,
+                    cycles: ops[pc..end]
+                        .iter()
+                        .map(|op| match op {
+                            Op::I { cycles, .. } => *cycles,
+                            _ => unreachable!("superblock runs are all I"),
+                        })
+                        .collect(),
+                    fallback: lower_steps(ops, facts, pc..end, None, tally),
+                });
+                i = end - range.start;
+                continue;
+            }
+            let affine = match facts.forms[pc] {
+                Some(AddrForm::LaneAffine { stride }) => Some(stride),
+                _ => None,
             };
             steps.push(Step::Mem(MemStep {
                 kind: mr.kind,
@@ -1527,7 +2184,7 @@ fn lower_superblock(
             cycles: cycles.into_boxed_slice(),
         });
     }
-    SuperBlock { steps: steps.into_boxed_slice(), end }
+    steps.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -1608,7 +2265,7 @@ mod tests {
         });
         kb.while_(p, cond, body, 64);
         let kernel = kb.finish("codec_shape", 16);
-        let forms = addr_forms(&kernel);
+        let forms = listing_facts(&kernel).0;
         let ops = kernel.decoded_program().ops();
         let mem_forms: Vec<AddrForm> = ops
             .iter()
@@ -1641,7 +2298,7 @@ mod tests {
         kb.push(I::LdGlobal { d: addr, buf: 0, addr: t });
         kb.push(I::LdGlobalU8 { d: v, buf: 1, addr });
         let kernel = kb.finish("data_dep_addr", 8);
-        let forms = addr_forms(&kernel);
+        let forms = listing_facts(&kernel).0;
         let ops = kernel.decoded_program().ops();
         let mem_forms: Vec<AddrForm> = ops
             .iter()
@@ -1690,6 +2347,8 @@ mod tests {
             fallback_superblocks: 2,
             lowered_mem_thunks: 7,
             fallback_insts: 4,
+            fused_codec_runs: 2,
+            fused_codec_insts: 40,
         };
         t += TierCounters { compiled: 1, lowered_mem_thunks: 3, ..Default::default() };
         assert_eq!(t.total(), 7);
@@ -1699,5 +2358,6 @@ mod tests {
         assert_eq!(t.fallback_superblocks, 2);
         assert_eq!(t.lowered_mem_thunks, 10);
         assert_eq!(t.fallback_insts, 4);
+        assert_eq!((t.fused_codec_runs, t.fused_codec_insts), (2, 40));
     }
 }

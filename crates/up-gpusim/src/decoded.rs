@@ -474,6 +474,18 @@ pub(crate) struct DCtx<'a, M: MemAccess> {
     /// mem thunks alike — so sector dedup spans the whole warp.
     pub(crate) seen: SectorSeen,
     pub(crate) kernel_name: &'a str,
+    /// `DivBig` operand, result and working buffers, reused lane after
+    /// lane.
+    pub(crate) div: DivBufs,
+}
+
+/// See [`DCtx::div`].
+#[derive(Default)]
+pub(crate) struct DivBufs {
+    a: Vec<u32>,
+    b: Vec<u32>,
+    out: Vec<u32>,
+    work: Vec<u32>,
 }
 
 /// Runs the active lanes in ascending order: a plain prefix loop when the
@@ -521,6 +533,7 @@ pub(crate) fn run_block_decoded<M: MemAccess>(
         stats: ExecStats { sample_scale: 1.0, ..Default::default() },
         seen: SectorSeen::new(),
         kernel_name: &kernel.name,
+        div: DivBufs::default(),
     };
     let threads = cfg.block_threads as usize;
     let mut frames: Vec<Frame> = Vec::with_capacity(8);
@@ -675,7 +688,7 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
     mask: u32,
     n: usize,
 ) -> Result<(), SimError> {
-    let DCtx { regs, preds, carry, smem, mem, params, stats, seen, kernel_name } = c;
+    let DCtx { regs, preds, carry, smem, mem, params, stats, seen, kernel_name, div } = c;
     let regs = &mut regs[..];
     match dop {
         DOp::MovImm { d, imm } => {
@@ -873,24 +886,33 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
             let (dn, an, bn) = (*dn as usize, *an as usize, *bn as usize);
             let mut max_probe_cycles = 0.0f64;
+            let DivBufs { a: av, b: bv, out, work } = div;
+            av.resize(an, 0);
+            bv.resize(bn, 0);
+            out.resize(dn, 0);
             let mut m = mask;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let av: Vec<u32> = (0..an).map(|i| regs[a + i * LANES + l]).collect();
-                let bv: Vec<u32> = (0..bn).map(|i| regs[b + i * LANES + l]).collect();
-                if up_num::limbs::is_zero(&bv) {
+                for (i, w) in av.iter_mut().enumerate() {
+                    *w = regs[a + i * LANES + l];
+                }
+                for (i, w) in bv.iter_mut().enumerate() {
+                    *w = regs[b + i * LANES + l];
+                }
+                if up_num::limbs::is_zero(bv) {
                     return Err(SimError::DivisionByZero { kernel: kernel_name.to_string() });
                 }
-                let la = up_num::limbs::bit_len(&av);
-                let lb = up_num::limbs::bit_len(&bv);
+                let la = up_num::limbs::bit_len(av);
+                let lb = up_num::limbs::bit_len(bv);
                 let probes = la.saturating_sub(lb) as f64 + 2.0;
                 let mul_cost = 2.0 * (an as f64) * (bn as f64) + 4.0 * an as f64;
                 max_probe_cycles = max_probe_cycles.max(probes * mul_cost);
-                let (q, r) = up_num::div::div_rem(&av, &bv);
-                let out = if *rem { r } else { q };
-                for i in 0..dn {
-                    regs[d + i * LANES + l] = out.get(i).copied().unwrap_or(0);
+                let (q, r): (&mut [u32], &mut [u32]) =
+                    if *rem { (&mut [], out) } else { (out, &mut []) };
+                up_num::div::div_rem_into(av, bv, q, r, work);
+                for (i, w) in out.iter().enumerate() {
+                    regs[d + i * LANES + l] = *w;
                 }
             }
             stats.warp_issue_cycles += max_probe_cycles;
@@ -1334,14 +1356,7 @@ mod tests {
         backend: ExecBackend,
         par: SimParallelism,
     ) -> (Result<ExecStats, SimError>, GlobalMem) {
-        let device = DeviceConfig::tiny();
-        let mut mem = base.clone();
-        let res = launch_opts(kernel, GRID, &device, &mut mem, &[N_THREADS as u32], LaunchOpts {
-            par,
-            backend,
-            auto_serial_below: None,
-        });
-        (res, mem)
+        run_cfg(kernel, base, backend, par, GRID)
     }
 
     /// The tentpole differential guarantee: for random kernels covering
@@ -1480,14 +1495,7 @@ mod tests {
         par: SimParallelism,
         cfg: LaunchConfig,
     ) -> (Result<ExecStats, SimError>, GlobalMem) {
-        let device = DeviceConfig::tiny();
-        let mut mem = base.clone();
-        let res = launch_opts(kernel, cfg, &device, &mut mem, &[N_THREADS as u32], LaunchOpts {
-            par,
-            backend,
-            auto_serial_below: None,
-        });
-        (res, mem)
+        run_tuples(kernel, base, backend, par, cfg, N_THREADS as u32)
     }
 
     /// Satellite of the mem-thunk lowering: the byte-store-dense class
@@ -1530,6 +1538,460 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Tuples a codec-shaped kernel covers (its buffers are sized for it).
+    const CODEC_TUPLES: u32 = 200;
+
+    /// A random kernel in the shape of the §III-B2 compact codec, the
+    /// input of the compiled tier's codec-run fusion: a grid-stride loop
+    /// whose body expands 1–3 compact columns (`Lb` 1..=128 byte loads
+    /// through a bumped lane-affine address, shifted and OR-ed into
+    /// words, sign bit split off the top byte), mixes the words, and
+    /// writes a compact result back byte by byte (`mov`/`shr`, sign tail,
+    /// `st.global.u8`). Salted with what the fusion must get right or
+    /// refuse: shifts ≥ 24 that push bits out of the word, random
+    /// `shl`/`shr`/`and` chains on a byte, words that are *not* zeroed
+    /// first (run-entry rows) and are copied after being OR-ed into, a
+    /// loaded byte kept across the next load into the same row, repeated
+    /// offsets, bumps of 64+ bytes (offsets that no longer tile the
+    /// span, reading into the 256 bytes of slack each buffer carries),
+    /// the bump placed before or after the combine, non-codec
+    /// instructions in mid-run, and in-place runs (load, then store, on
+    /// the output buffer). Every
+    /// temporary is folded into a word store per tuple, so a dead row
+    /// with a wrong final value shows. Returns the kernel and its four
+    /// buffer lengths.
+    fn codec_kernel(rng: &mut Rng, idx: usize) -> (Kernel, [usize; 4]) {
+        let pick_lb = |rng: &mut Rng| {
+            if rng.chance(3) { 1 + rng.below(128) } else { 1 + rng.below(12) }
+        };
+        let lbs = [pick_lb(rng), pick_lb(rng), pick_lb(rng)];
+        let mut kb = KernelBuilder::new();
+        let (tid, ctaid, ntid, nctaid) = (kb.reg(), kb.reg(), kb.reg(), kb.reg());
+        kb.push(I::MovSpecial { d: tid, s: Special::TidX });
+        kb.push(I::MovSpecial { d: ctaid, s: Special::CtaIdX });
+        kb.push(I::MovSpecial { d: ntid, s: Special::NTidX });
+        kb.push(I::MovSpecial { d: nctaid, s: Special::NCtaIdX });
+        let (i, step, n) = (kb.reg(), kb.reg(), kb.reg());
+        kb.push(I::MulLo { d: i, a: ctaid, b: ntid });
+        kb.push(I::Add { d: i, a: i, b: tid });
+        kb.push(I::MulLo { d: step, a: ntid, b: nctaid });
+        kb.push(I::LdParam { d: n, idx: 0 });
+        let one = kb.imm(1);
+        let p = kb.pred();
+        let cond = kb.block(|b| b.push(I::SetP { p, op: CmpOp::Lt, a: i, b: n }));
+        let body = kb.block(|b| {
+            let seven = b.imm(7);
+            let mask7f = b.imm(0x7f);
+            let (sign, tmp, keep, save, acc) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+            let lw_out = (lbs[2] as usize).div_ceil(4);
+            let out_words = b.regs(lw_out);
+            for &w in &out_words {
+                b.push(I::Mov { d: w, a: i });
+            }
+            // Load runs.
+            for _ in 0..1 + rng.below(3) {
+                let buf = rng.below(3) as u8;
+                let lb = lbs[buf as usize];
+                let words = b.regs((lb as usize).div_ceil(4));
+                if !rng.chance(4) {
+                    for &w in &words {
+                        b.push(I::MovImm { d: w, imm: 0 });
+                    }
+                }
+                let addr = b.reg();
+                let lbr = b.imm(lb);
+                b.push(I::MulLo { d: addr, a: i, b: lbr });
+                let shared_byte = b.reg();
+                let mut kept = false;
+                // Jumps read other tuples' bytes: inputs only, or blocks
+                // would race on the output buffer.
+                let mut jumps = if buf == 2 { 0 } else { 2 };
+                for bi in 0..lb {
+                    let byte = if rng.chance(4) { b.reg() } else { shared_byte };
+                    b.push(I::LdGlobalU8 { d: byte, buf, addr });
+                    let bump_first = rng.chance(2);
+                    // One time in ten the bump is skipped: the next load
+                    // repeats this offset.
+                    let bump = bi + 1 < lb && !rng.chance(10);
+                    let by = if jumps > 0 && rng.chance(16) {
+                        jumps -= 1;
+                        b.imm(64 + rng.below(27))
+                    } else {
+                        one
+                    };
+                    if bump && bump_first {
+                        b.push(I::Add { d: addr, a: addr, b: by });
+                    }
+                    let mut src = byte;
+                    if bi == lb - 1 {
+                        b.push(I::Shr { d: sign, a: byte, b: seven });
+                        b.push(I::And { d: tmp, a: byte, b: mask7f });
+                        src = tmp;
+                    }
+                    let w = words[bi as usize / 4];
+                    if kept {
+                        // The byte kept from the previous load, whose row
+                        // has been loaded over since.
+                        b.push(I::Or { d: w, a: w, b: keep });
+                        kept = false;
+                    }
+                    if rng.chance(8) {
+                        // A random walk through the term algebra.
+                        for _ in 0..1 + rng.below(3) {
+                            let (k, t) = (b.imm(rng.next() >> rng.below(28)), b.reg());
+                            b.push(match rng.below(3) {
+                                0 => I::Shl { d: t, a: src, b: k },
+                                1 => I::Shr { d: t, a: src, b: k },
+                                _ => I::And { d: t, a: k, b: src },
+                            });
+                            src = t;
+                        }
+                    }
+                    let shift = if rng.chance(8) { 24 + rng.below(8) } else { bi % 4 * 8 };
+                    if shift == 0 {
+                        b.push(I::Or { d: w, a: w, b: src });
+                    } else {
+                        let sh = b.imm(shift);
+                        let shifted = b.reg();
+                        b.push(I::Shl { d: shifted, a: src, b: sh });
+                        b.push(I::Or { d: w, a: w, b: shifted });
+                    }
+                    if rng.chance(6) {
+                        b.push(I::Mov { d: keep, a: byte });
+                        kept = true;
+                    }
+                    if rng.chance(12) {
+                        b.push(I::Mov { d: save, a: w });
+                    }
+                    if rng.chance(24) {
+                        // Outside the fusable algebra: splits the run.
+                        b.push(I::Xor { d: acc, a: acc, b: byte });
+                    }
+                    if bump && !bump_first {
+                        b.push(I::Add { d: addr, a: addr, b: by });
+                    }
+                }
+                b.push(I::Xor { d: acc, a: acc, b: shared_byte });
+                for (k, &w) in words.iter().enumerate() {
+                    let o = out_words[k % lw_out];
+                    b.push(I::Add { d: o, a: o, b: w });
+                }
+            }
+            // Store run.
+            let lb = lbs[2];
+            let addr = b.reg();
+            let lbr = b.imm(lb);
+            b.push(I::MulLo { d: addr, a: i, b: lbr });
+            let byte = b.reg();
+            let sbit = b.reg();
+            for bi in 0..lb {
+                let w = out_words[bi as usize / 4];
+                let shift = bi % 4 * 8;
+                if shift == 0 {
+                    b.push(I::Mov { d: byte, a: w });
+                } else {
+                    let sh = b.imm(shift);
+                    b.push(I::Shr { d: byte, a: w, b: sh });
+                }
+                if bi == lb - 1 {
+                    b.push(I::And { d: byte, a: byte, b: mask7f });
+                    b.push(I::Shl { d: sbit, a: sign, b: seven });
+                    b.push(I::Or { d: byte, a: byte, b: sbit });
+                }
+                b.push(I::StGlobalU8 { buf: 2, addr, src: byte });
+                if rng.chance(30) {
+                    b.push(I::Xor { d: acc, a: acc, b: byte });
+                }
+                if bi + 1 < lb {
+                    b.push(I::Add { d: addr, a: addr, b: one });
+                }
+            }
+            // Fold the temporaries into one word per tuple.
+            for r in [sign, tmp, keep, save, byte, sbit] {
+                b.push(I::Add { d: acc, a: acc, b: r });
+            }
+            let (four, addr4) = (b.imm(4), b.reg());
+            b.push(I::MulLo { d: addr4, a: i, b: four });
+            b.push(I::StGlobal { buf: 3, addr: addr4, src: acc });
+            b.push(I::Add { d: i, a: i, b: step });
+        });
+        kb.while_(p, cond, body, 64);
+        let t = CODEC_TUPLES as usize;
+        let lens = [0, 1, 2].map(|k| t * lbs[k] as usize + 256);
+        let lens = [lens[0], lens[1], lens[2], t * 4];
+        (kb.finish(format!("codec_{idx}"), 24), lens)
+    }
+
+    fn random_mem(rng: &mut Rng, lens: &[usize]) -> GlobalMem {
+        let mut mem = GlobalMem::new();
+        for &len in lens {
+            mem.add_buffer((0..len).map(|_| rng.next() as u8).collect());
+        }
+        mem
+    }
+
+    fn run_tuples(
+        kernel: &Kernel,
+        base: &GlobalMem,
+        backend: ExecBackend,
+        par: SimParallelism,
+        cfg: LaunchConfig,
+        tuples: u32,
+    ) -> (Result<ExecStats, SimError>, GlobalMem) {
+        let mut mem = base.clone();
+        let res = launch_opts(kernel, cfg, &DeviceConfig::tiny(), &mut mem, &[tuples], LaunchOpts {
+            par,
+            backend,
+            auto_serial_below: None,
+        });
+        (res, mem)
+    }
+
+    /// Asserts every tier × parallelism agrees with the serial tree
+    /// walker on the result (full `ExecStats` incl. the f64 cycle sum, or
+    /// the exact error) and, on success, on every buffer.
+    fn assert_tiers_agree(
+        kernel: &Kernel,
+        (base, n_bufs): (&GlobalMem, u8),
+        cfg: LaunchConfig,
+        tuples: u32,
+        what: &str,
+    ) {
+        let (oracle_res, oracle_mem) =
+            run_tuples(kernel, base, ExecBackend::Tree, SimParallelism::Serial, cfg, tuples);
+        for (backend, par) in [
+            (ExecBackend::Decoded, SimParallelism::Serial),
+            (ExecBackend::Decoded, SimParallelism::Threads(4)),
+            (ExecBackend::Compiled, SimParallelism::Serial),
+            (ExecBackend::Compiled, SimParallelism::Threads(4)),
+        ] {
+            let (res, mem) = run_tuples(kernel, base, backend, par, cfg, tuples);
+            let at = format!("{what}: {backend}/{par}, {} threads/block", cfg.block_threads);
+            assert_eq!(
+                res.as_ref().map(|s| s.warp_issue_cycles.to_bits()),
+                oracle_res.as_ref().map(|s| s.warp_issue_cycles.to_bits()),
+                "{at}"
+            );
+            assert_eq!(res, oracle_res, "{at}");
+            if oracle_res.is_ok() {
+                for b in 0..n_bufs {
+                    assert_eq!(mem.buffer(b), oracle_mem.buffer(b), "{at}: buffer {b}");
+                }
+            }
+        }
+    }
+
+    /// The codec-run fusion's differential class: codec-shaped kernels ×
+    /// full and tail warps × one-trip and grid-stride launches × serial
+    /// and threaded × all three tiers.
+    #[test]
+    fn fuzz_codec_runs_match_tree_bit_exact() {
+        let mut rng = Rng(0xc0de_c0de_5eed_0016);
+        let (mut fused_runs, mut mem_insts, mut fused_mem_insts) = (0, 0, 0);
+        for idx in 0..40 {
+            let (kernel, lens) = codec_kernel(&mut rng, idx);
+            let base = random_mem(&mut rng, &lens);
+            for cfg in [
+                LaunchConfig { grid_blocks: 4, block_threads: 64 },
+                LaunchConfig { grid_blocks: 2, block_threads: 48 },
+            ] {
+                assert_tiers_agree(&kernel, (&base, 4), cfg, CODEC_TUPLES, &format!("kernel {idx}"));
+            }
+            let cp = kernel.compiled_program();
+            fused_runs += cp.fused_codec_run_count();
+            mem_insts += cp.mem_inst_count();
+            fused_mem_insts += cp.fused_codec_mem_inst_count();
+        }
+        assert!(fused_runs >= 80, "only {fused_runs} fused runs: the class misses the fusion");
+        assert!(
+            fused_mem_insts * 10 >= mem_insts * 8,
+            "{fused_mem_insts} of {mem_insts} memory instructions fused"
+        );
+    }
+
+    /// A one-trip kernel around `body(builder, gid, one)` for the fused
+    /// run's refusal cases below; 256 threads as [`GRID`].
+    fn gid_kernel(name: &str, body: impl FnOnce(&mut KernelBuilder, Reg, Reg)) -> Kernel {
+        let mut kb = KernelBuilder::new();
+        let (tid, ctaid, ntid, gid) = (kb.reg(), kb.reg(), kb.reg(), kb.reg());
+        kb.push(I::MovSpecial { d: tid, s: Special::TidX });
+        kb.push(I::MovSpecial { d: ctaid, s: Special::CtaIdX });
+        kb.push(I::MovSpecial { d: ntid, s: Special::NTidX });
+        kb.push(I::MulLo { d: gid, a: ctaid, b: ntid });
+        kb.push(I::Add { d: gid, a: gid, b: tid });
+        let one = kb.imm(1);
+        body(&mut kb, gid, one);
+        kb.finish(name, 16)
+    }
+
+    /// `lb` byte loads from buffer 0 through `addr` (bumped by one),
+    /// assembled little-endian into a word stored to buffer 1 at `gid·4`.
+    fn load_run_to_word(kb: &mut KernelBuilder, addr: Reg, lb: u32, gid: Reg, one: Reg) {
+        let (word, byte, shifted) = (kb.imm(0), kb.reg(), kb.reg());
+        for bi in 0..lb {
+            kb.push(I::LdGlobalU8 { d: byte, buf: 0, addr });
+            kb.push(I::Add { d: addr, a: addr, b: one });
+            let sh = kb.imm(bi * 8);
+            kb.push(I::Shl { d: shifted, a: byte, b: sh });
+            kb.push(I::Or { d: word, a: word, b: shifted });
+        }
+        let (four, addr4) = (kb.imm(4), kb.reg());
+        kb.push(I::MulLo { d: addr4, a: gid, b: four });
+        kb.push(I::StGlobal { buf: 1, addr: addr4, src: word });
+    }
+
+    /// A fused run whose span leaves the buffer at one lane's third byte
+    /// must fail its bounds precondition as a whole and re-run unfused,
+    /// surfacing the tree walker's error: same buffer, same address.
+    #[test]
+    fn fused_run_out_of_bounds_at_one_lane_takes_the_fallback() {
+        let kernel = gid_kernel("codec_oob", |kb, gid, one| {
+            let (four, addr) = (kb.imm(4), kb.reg());
+            kb.push(I::MulLo { d: addr, a: gid, b: four });
+            load_run_to_word(kb, addr, 4, gid, one);
+        });
+        assert_eq!(kernel.compiled_program().fused_codec_run_count(), 1);
+        let mut rng = Rng(0x00b0_00b0_00b0_00b0);
+        // Thread 255 reads 1020..1024: its third byte is the first miss.
+        let base = random_mem(&mut rng, &[4 * N_THREADS - 2, 4 * N_THREADS]);
+        let (res, _) = run_mode(&kernel, &base, ExecBackend::Tree, SimParallelism::Serial);
+        assert_eq!(res, Err(SimError::OutOfBounds { buf: 0, addr: 1022, len: 1022 }));
+        assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "span out of bounds");
+    }
+
+    /// The analysis joins two same-stride assignments of the address row
+    /// into one lane-affine hint; when the branch diverges inside a warp
+    /// the live row is not affine, the fused run's first precondition
+    /// fails, and the per-lane fallback must reproduce the tree walker.
+    #[test]
+    fn fused_run_with_a_non_affine_address_row_takes_the_fallback() {
+        let kernel = gid_kernel("codec_non_affine", |kb, gid, one| {
+            let (three, far, odd, addr) = (kb.imm(3), kb.imm(2048), kb.reg(), kb.reg());
+            kb.push(I::And { d: odd, a: gid, b: one });
+            let p = kb.pred();
+            kb.push(I::SetPImm { p, op: CmpOp::Eq, a: odd, imm: 0 });
+            let even_ = kb.block(|b| b.push(I::MulLo { d: addr, a: gid, b: three }));
+            let odd_ = kb.block(|b| {
+                b.push(I::MulLo { d: addr, a: gid, b: three });
+                b.push(I::Add { d: addr, a: addr, b: far });
+            });
+            kb.if_(p, even_, odd_);
+            load_run_to_word(kb, addr, 3, gid, one);
+        });
+        let cp = kernel.compiled_program();
+        assert_eq!(cp.fused_codec_run_count(), 1, "the hint is lane-affine, so the run fuses");
+        let mut rng = Rng(0x0dd0_0dd0_0dd0_0dd0);
+        let base = random_mem(&mut rng, &[3 * N_THREADS + 2048, 4 * N_THREADS]);
+        assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "non-affine address row");
+    }
+
+    /// Store runs the fusion must split: a repeated offset (the later
+    /// store wins) and a lane stride below the bytes stored per lane
+    /// (neighbouring lanes overlap, so byte-plane order is observable).
+    /// Each legal piece still fuses.
+    #[test]
+    fn store_runs_with_repeated_or_overlapping_offsets_are_split() {
+        // (name, lane stride, whether store k is followed by a bump,
+        // expected fused runs, expected fused stores)
+        for (name, stride, bumps, runs, fused_stores) in [
+            ("dup_offset", 4, [false, true, true], 1, 3),
+            ("lanes_overlap", 2, [true, true, true], 2, 4),
+        ] {
+            let kernel = gid_kernel(name, |kb, gid, one| {
+                let (k, addr, byte) = (kb.imm(stride), kb.reg(), kb.reg());
+                kb.push(I::MulLo { d: addr, a: gid, b: k });
+                for bi in 0..4u32 {
+                    let (sh, salt) = (kb.imm(bi * 2), kb.imm(0x11 * (bi + 1)));
+                    kb.push(I::Shr { d: byte, a: gid, b: sh });
+                    kb.push(I::Or { d: byte, a: byte, b: salt });
+                    kb.push(I::StGlobalU8 { buf: 0, addr, src: byte });
+                    if bumps.get(bi as usize) == Some(&true) {
+                        kb.push(I::Add { d: addr, a: addr, b: one });
+                    }
+                }
+            });
+            let cp = kernel.compiled_program();
+            assert_eq!(cp.mem_inst_count(), 4, "{name}");
+            assert_eq!(
+                (cp.fused_codec_run_count(), cp.fused_codec_mem_inst_count()),
+                (runs, fused_stores),
+                "{name}"
+            );
+            let base = random_mem(&mut Rng(0x0057_07e5), &[4 * N_THREADS + 8]);
+            assert_tiers_agree(&kernel, (&base, 1), GRID, 0, name);
+        }
+    }
+
+    /// The fusion takes operand constants from the static analysis
+    /// without re-checking them, so the analysis must not claim one where
+    /// lanes or loop trips differ: a shift amount assigned on one side of
+    /// a divergent branch only (the other lanes keep the zeroed file's
+    /// 0), and one a loop's *condition* block increments every trip.
+    #[test]
+    fn fusion_does_not_trust_constants_that_vary_by_lane_or_by_trip() {
+        let by_lane = gid_kernel("const_by_lane", |kb, gid, one| {
+            let (three, odd, addr, sh) = (kb.imm(3), kb.reg(), kb.reg(), kb.reg());
+            kb.push(I::And { d: odd, a: gid, b: one });
+            let p = kb.pred();
+            kb.push(I::SetPImm { p, op: CmpOp::Eq, a: odd, imm: 1 });
+            let then_ = kb.block(|b| b.push(I::MovImm { d: sh, imm: 8 }));
+            kb.if_(p, then_, vec![]);
+            kb.push(I::MulLo { d: addr, a: gid, b: three });
+            let (word, byte) = (kb.imm(0), kb.reg());
+            for _ in 0..3 {
+                kb.push(I::LdGlobalU8 { d: byte, buf: 0, addr });
+                kb.push(I::Add { d: addr, a: addr, b: one });
+                kb.push(I::Shl { d: word, a: word, b: sh });
+                kb.push(I::Or { d: word, a: word, b: byte });
+            }
+            let (four, addr4) = (kb.imm(4), kb.reg());
+            kb.push(I::MulLo { d: addr4, a: gid, b: four });
+            kb.push(I::StGlobal { buf: 1, addr: addr4, src: word });
+        });
+        let by_trip = gid_kernel("const_by_trip", |kb, gid, one| {
+            let (three, k, trips, addr) = (kb.imm(3), kb.reg(), kb.reg(), kb.reg());
+            let (word, byte) = (kb.imm(0), kb.reg());
+            let (four, addr4) = (kb.imm(4), kb.reg());
+            kb.push(I::MulLo { d: addr4, a: gid, b: four });
+            let p = kb.pred();
+            let cond = kb.block(|b| {
+                b.push(I::Add { d: k, a: k, b: one });
+                b.push(I::SetPImm { p, op: CmpOp::Lt, a: trips, imm: 3 });
+            });
+            let body = kb.block(|b| {
+                b.push(I::MulLo { d: addr, a: gid, b: three });
+                for _ in 0..3 {
+                    b.push(I::LdGlobalU8 { d: byte, buf: 0, addr });
+                    b.push(I::Add { d: addr, a: addr, b: one });
+                    b.push(I::Shl { d: word, a: word, b: k });
+                    b.push(I::Or { d: word, a: word, b: byte });
+                }
+                b.push(I::StGlobal { buf: 1, addr: addr4, src: word });
+                b.push(I::Add { d: trips, a: trips, b: one });
+            });
+            kb.while_(p, cond, body, 8);
+        });
+        let base = random_mem(&mut Rng(0xc0_75), &[3 * N_THREADS, 4 * N_THREADS]);
+        for kernel in [by_lane, by_trip] {
+            assert_tiers_agree(&kernel, (&base, 2), GRID, 0, &kernel.name);
+        }
+    }
+
+    /// Regression: a wild word load at `u32::MAX - 1` reaches the typed
+    /// bounds error on every tier — the coalescing pass that runs ahead
+    /// of the bounds check used to overflow `addr + width - 1` in u32.
+    #[test]
+    fn wild_address_is_out_of_bounds_not_an_overflow_on_every_tier() {
+        let kernel = gid_kernel("wild_load", |kb, _, _| {
+            let (addr, v) = (kb.imm(u32::MAX - 1), kb.reg());
+            kb.push(I::LdGlobal { d: v, buf: 0, addr });
+        });
+        let base = random_mem(&mut Rng(1), &[64]);
+        let (res, _) = run_mode(&kernel, &base, ExecBackend::Tree, SimParallelism::Serial);
+        assert_eq!(res, Err(SimError::OutOfBounds { buf: 0, addr: u32::MAX - 1, len: 64 }));
+        assert_tiers_agree(&kernel, (&base, 1), GRID, 0, "wild address");
     }
 
     /// Regression for the `SectorSeen` epoch window: consecutive lowered

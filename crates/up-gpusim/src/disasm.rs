@@ -6,7 +6,7 @@
 //! syntax so generated kernels can be inspected, diffed, and golden-
 //! tested the way a real code generator's output would be.
 
-use crate::ptx::{AddrForm, CmpOp, Inst, Kernel, Special, Stmt};
+use crate::ptx::{CmpOp, Inst, Kernel, Special, Stmt};
 use core::fmt::Write as _;
 
 /// Renders a kernel as PTX-flavoured text.
@@ -14,41 +14,38 @@ pub fn disassemble(kernel: &Kernel) -> String {
     render_kernel(kernel, &mut |_| None)
 }
 
-/// Renders a kernel like [`disassemble`], annotating every global-memory
-/// access with the compiled tier's affine-address analysis result —
-/// `; addr base+gid*3` when the address row is proven lane-affine, `;
-/// addr unknown` otherwise. This is the metadata the mem-thunk lowering
-/// uses to pick the warp-wide bulk fast path, surfaced for inspection
-/// and golden tests.
+/// Renders a kernel like [`disassemble`], annotated with what the
+/// compiled tier makes of it: every global-memory access carries the
+/// affine-address analysis result — `; addr base+gid*3` when the address
+/// row is proven lane-affine, `; addr unknown` otherwise (the metadata
+/// that picks the warp-wide bulk fast path) — and every compact-codec
+/// byte run that promotion fuses into one step is bracketed
+/// `; ┌ fused codec run (N insts)` … `; └`.
 pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
-    let forms = crate::compiled::addr_forms(kernel);
+    let (forms, runs) = crate::compiled::listing_facts(kernel);
     // The decoded program flattens the tree in statement order (If arms
-    // then-before-else, While condition-before-body), so the filtered
-    // per-mem-op form sequence lines up with the tree walk below.
-    let prog = kernel.decoded_program();
-    let mut mem_forms = prog
-        .ops()
-        .iter()
-        .zip(forms)
-        .filter_map(|(op, f)| match op {
-            crate::decoded::Op::I { dop, .. } if dop.mem_ref().is_some() => Some(f),
-            _ => None,
-        })
-        .collect::<Vec<_>>()
-        .into_iter();
-    render_kernel(kernel, &mut |i| {
-        is_global_mem(i).then(|| {
-            let form = mem_forms.next().unwrap_or(AddrForm::Unknown);
-            format!("  ; addr {form}")
-        })
-    })
-}
-
-fn is_global_mem(i: &Inst) -> bool {
-    matches!(
-        i,
-        Inst::LdGlobal { .. } | Inst::LdGlobalU8 { .. } | Inst::StGlobal { .. } | Inst::StGlobalU8 { .. }
-    )
+    // then-before-else, While condition-before-body), so its `I` ops line
+    // up one to one with the instructions of the tree walk below.
+    let mut notes = Vec::new();
+    for (pc, op) in kernel.decoded_program().ops().iter().enumerate() {
+        let crate::decoded::Op::I { dop, .. } = op else { continue };
+        let mut note = String::new();
+        if dop.mem_ref().is_some() {
+            let _ = write!(note, "  ; addr {}", forms[pc]);
+        }
+        if let Some(run) = runs.iter().find(|r| r.contains(&pc)) {
+            if pc == run.start {
+                let _ = write!(note, "  ; ┌ fused codec run ({} insts)", run.len());
+            } else if pc + 1 == run.end {
+                note.push_str("  ; └");
+            } else {
+                note.push_str("  ; │");
+            }
+        }
+        notes.push(note);
+    }
+    let mut notes = notes.into_iter();
+    render_kernel(kernel, &mut |_| notes.next().filter(|n| !n.is_empty()))
 }
 
 fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) -> String {
@@ -348,6 +345,32 @@ mod tests {
         assert!(text.contains("; addr unknown"), "{text}");
         // The plain listing stays annotation-free.
         assert!(!disassemble(&k).contains("; addr"), "plain listing must not change");
+        assert!(!text.contains("fused"), "a load then a store is no codec run: {text}");
+        assert!(!k.compiled_tier_built(), "a listing never builds the compiled artifact");
+    }
+
+    #[test]
+    fn annotated_listing_brackets_fused_codec_runs() {
+        let mut kb = KernelBuilder::new();
+        let (t, lb, one, addr, v, w) = (kb.reg(), kb.imm(2), kb.imm(1), kb.reg(), kb.reg(), kb.imm(0));
+        kb.push(I::MovSpecial { d: t, s: Special::TidX });
+        kb.push(I::MulLo { d: addr, a: t, b: lb });
+        kb.push(I::LdGlobalU8 { d: v, buf: 0, addr });
+        kb.push(I::Add { d: addr, a: addr, b: one });
+        kb.push(I::Or { d: w, a: w, b: v });
+        kb.push(I::LdGlobalU8 { d: v, buf: 0, addr });
+        kb.push(I::Xor { d: w, a: w, b: v });
+        let k = kb.finish("bracketed", 8);
+        let lines: Vec<String> =
+            disassemble_with_addr_forms(&k).lines().map(|l| l.trim().to_string()).collect();
+        let at = |needle: &str| lines.iter().position(|l| l.contains(needle)).expect(needle);
+        let (head, tail) = (at("┌ fused codec run (4 insts)"), at("└"));
+        assert!(lines[head].starts_with("ld.global.u8") && lines[head].contains("; addr base+gid*2"));
+        assert_eq!(tail, head + 3, "{lines:?}");
+        assert!(lines[tail].starts_with("ld.global.u8"));
+        assert!(lines[head + 1].ends_with("│") && lines[head + 2].ends_with("│"));
+        assert!(!lines[tail + 1].contains('│') && lines[tail + 1].starts_with("xor"));
+        assert_eq!(k.compiled_program().fused_codec_run_count(), 1, "listing and compile agree");
     }
 
     #[test]

@@ -41,6 +41,10 @@ pub struct KernelProfile {
     pub lowered_mem_thunks: usize,
     /// Instructions kept as interpreter fallback frames.
     pub fallback_interp_insts: usize,
+    /// Compact-codec byte runs fused into single steps.
+    pub fused_codec_runs: usize,
+    /// Instructions those fused runs cover.
+    pub fused_codec_insts: usize,
 }
 
 impl KernelProfile {
@@ -48,17 +52,20 @@ impl KernelProfile {
     /// The lowered/fallback shape is read from the kernel's compiled
     /// artifact when one exists; profiling never forces a compile.
     pub fn collect(kernel: &Kernel, stats: &ExecStats, time: &KernelTime) -> KernelProfile {
-        let (lowered_sb, fallback_sb, mem_thunks, interp) = if kernel.compiled_tier_built() {
-            let cp = kernel.compiled_program();
-            (
-                cp.lowered_superblock_count(),
-                cp.fallback_superblock_count(),
-                cp.mem_inst_count(),
-                cp.interp_inst_count(),
-            )
-        } else {
-            (0, 0, 0, 0)
-        };
+        let [lowered_sb, fallback_sb, mem_thunks, interp, codec_runs, codec_insts] =
+            if kernel.compiled_tier_built() {
+                let cp = kernel.compiled_program();
+                [
+                    cp.lowered_superblock_count(),
+                    cp.fallback_superblock_count(),
+                    cp.mem_inst_count(),
+                    cp.interp_inst_count(),
+                    cp.fused_codec_run_count(),
+                    cp.fused_codec_inst_count(),
+                ]
+            } else {
+                [0; 6]
+            };
         KernelProfile {
             name: kernel.name.clone(),
             occupancy: time.occupancy,
@@ -72,6 +79,8 @@ impl KernelProfile {
             fallback_superblocks: fallback_sb,
             lowered_mem_thunks: mem_thunks,
             fallback_interp_insts: interp,
+            fused_codec_runs: codec_runs,
+            fused_codec_insts: codec_insts,
         }
     }
 
@@ -88,11 +97,13 @@ impl KernelProfile {
         );
         if self.lowered_superblocks + self.fallback_superblocks > 0 {
             line.push_str(&format!(
-                ", {}/{} superblocks lowered ({} mem thunks, {} fallback insts)",
+                ", {}/{} superblocks lowered ({} mem thunks, {} fallback insts, {} codec runs over {} insts)",
                 self.lowered_superblocks,
                 self.lowered_superblocks + self.fallback_superblocks,
                 self.lowered_mem_thunks,
                 self.fallback_interp_insts,
+                self.fused_codec_runs,
+                self.fused_codec_insts,
             ));
         }
         line
@@ -150,6 +161,9 @@ mod tests {
         assert_eq!(p.fallback_superblocks, 0);
         assert_eq!(p.lowered_mem_thunks, 2);
         assert_eq!(p.fallback_interp_insts, 0);
-        assert!(p.summary().contains("1/1 superblocks lowered (2 mem thunks, 0 fallback insts)"));
+        assert_eq!((p.fused_codec_runs, p.fused_codec_insts), (0, 0), "one load, one store");
+        assert!(p.summary().contains(
+            "1/1 superblocks lowered (2 mem thunks, 0 fallback insts, 0 codec runs over 0 insts)"
+        ));
     }
 }

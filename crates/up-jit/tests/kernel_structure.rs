@@ -3,7 +3,7 @@
 //! compact byte I/O (Listing 1's three steps), alignment multiplies
 //! appearing exactly when scales differ, and `div_big` only for ÷/%.
 
-use up_gpusim::disasm;
+use up_gpusim::{disasm, Inst, KernelBuilder, Stmt};
 use up_jit::cache::{Compiled, JitEngine, JitOptions};
 use up_jit::Expr;
 use up_num::DecimalType;
@@ -111,5 +111,101 @@ fn optimized_kernels_never_grow() {
         let raw = kernel_of(&e, JitOptions::none()).kernel.static_inst_count();
         let opt = kernel_of(&e, JitOptions::default()).kernel.static_inst_count();
         assert!(opt <= raw, "{opt} > {raw} for {e:?}");
+    }
+}
+
+fn byte_mem_insts(stmts: &[Stmt]) -> usize {
+    stmts
+        .iter()
+        .map(|s| match s {
+            Stmt::I(Inst::LdGlobalU8 { .. } | Inst::StGlobalU8 { .. }) => 1,
+            Stmt::I(_) => 0,
+            Stmt::If { then_, else_, .. } => byte_mem_insts(then_) + byte_mem_insts(else_),
+            Stmt::While { cond, body, .. } => byte_mem_insts(cond) + byte_mem_insts(body),
+        })
+        .sum()
+}
+
+/// Swaps every codec address bump (`add addr, addr, one` right after a
+/// byte access through `addr`) with the instruction that follows it when
+/// that is a codec ALU instruction not mentioning `addr`, and returns the
+/// number of swaps.
+fn swap_bumps(stmts: &mut [Stmt]) -> usize {
+    let free_of = |i: &Inst, addr: u16| match *i {
+        Inst::MovImm { d, .. } => d != addr,
+        Inst::Mov { d, a } => d != addr && a != addr,
+        Inst::Or { d, a, b } | Inst::Shl { d, a, b } | Inst::Shr { d, a, b } | Inst::And { d, a, b } => {
+            ![d, a, b].contains(&addr)
+        }
+        _ => false,
+    };
+    let mut swaps = 0;
+    let mut j = 1;
+    while j + 1 < stmts.len() {
+        if let (
+            Stmt::I(Inst::LdGlobalU8 { addr, .. } | Inst::StGlobalU8 { addr, .. }),
+            Stmt::I(Inst::Add { d, a, .. }),
+            Stmt::I(next),
+        ) = (&stmts[j - 1], &stmts[j], &stmts[j + 1])
+        {
+            if d == addr && a == addr && free_of(next, *addr) {
+                stmts.swap(j, j + 1);
+                swaps += 1;
+                j += 1;
+            }
+        }
+        j += 1;
+    }
+    swaps
+}
+
+/// The two warm benchmark kernel shapes (`wire_scan`'s three-column add
+/// at LEN 8, `wire_ingest`'s product): promotion must fuse every
+/// column's byte-load run and the result's byte-store run — at least one
+/// fused run per column plus one for the store, and no byte memory
+/// instruction left to a one-at-a-time thunk. The fusion reads what the
+/// instructions compute, not the order `gen_load_compact`/
+/// `gen_store_compact` emit them in: the same kernel with every address
+/// bump moved behind the independent instruction that follows it must
+/// fuse identically.
+#[test]
+fn promotion_fuses_every_column_load_and_the_result_store() {
+    let c = |i: usize, p: u32, s: u32| Expr::col(i, ty(p, s), "c");
+    for (e, columns) in [
+        (c(0, 74, 2).add(c(1, 74, 2)).add(c(2, 74, 2)), 3),
+        (c(0, 16, 2).mul(c(1, 8, 4)), 2),
+    ] {
+        let k = kernel_of(&e, JitOptions::default()).kernel;
+        let mut kb = KernelBuilder::new();
+        for _ in 0..k.num_regs {
+            kb.reg();
+        }
+        for _ in 0..k.num_preds {
+            kb.pred();
+        }
+        kb.smem(k.smem_bytes);
+        let mut swaps = 0;
+        for s in &k.body {
+            match s.clone() {
+                Stmt::I(i) => kb.push(i),
+                Stmt::If { p, then_, else_ } => kb.if_(p, then_, else_),
+                Stmt::While { p, cond, mut body, max_iter } => {
+                    swaps += swap_bumps(&mut body);
+                    kb.while_(p, cond, body, max_iter);
+                }
+            }
+        }
+        let swapped = kb.finish("swapped", k.hw_regs_per_thread);
+        let bytes = byte_mem_insts(&k.body);
+        assert!(swaps * 2 > bytes, "only {swaps} bumps swapped for {bytes} byte accesses");
+        assert_eq!(byte_mem_insts(&swapped.body), bytes);
+        let shape = |k: &up_gpusim::Kernel| {
+            let cp = k.compiled_program();
+            (cp.fused_codec_run_count(), cp.fused_codec_mem_inst_count())
+        };
+        let (runs, fused_bytes) = shape(&k);
+        assert!(runs > columns, "{runs} fused runs for {columns} columns and a store");
+        assert_eq!(fused_bytes, bytes, "every byte access belongs to a fused run");
+        assert_eq!(shape(&swapped), (runs, fused_bytes), "fusion depends on instruction order");
     }
 }

@@ -27,49 +27,80 @@ use core::cmp::Ordering;
 /// # Panics
 /// Panics if `b` is zero.
 pub fn div_rem(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
-    let nb = limbs::sig_limbs(b);
-    assert!(nb > 0, "division by zero");
-    let na = limbs::sig_limbs(a);
-    if na == 0 || limbs::cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a[..na].to_vec());
-    }
-    // Fast path 1: both operands fit in 64 bits → hardware `div`.
-    if let (Some(x), Some(y)) = (limbs::to_u64(a), limbs::to_u64(b)) {
-        return (limbs::from_u64(x / y), limbs::from_u64(x % y));
-    }
-    // Fast path 2: single-word divisor → most-significant-first word division.
-    if nb == 1 {
-        let mut q = a[..na].to_vec();
-        let r = limbs::div_limb_in_place(&mut q, b[0]);
-        limbs::trim(&mut q);
-        return (q, if r == 0 { Vec::new() } else { vec![r] });
-    }
-    div_rem_knuth(a, b)
+    let n = limbs::sig_limbs(b);
+    let m = limbs::sig_limbs(a);
+    let mut q = vec![0 as Limb; (m + 1).saturating_sub(n)];
+    let mut r = vec![0 as Limb; n];
+    div_rem_into(a, b, &mut q, &mut r, &mut Vec::new());
+    limbs::trim(&mut q);
+    limbs::trim(&mut r);
+    (q, r)
 }
 
-/// Knuth Algorithm D (TAOCP vol. 2, 4.3.1) on 32-bit limbs.
-pub fn div_rem_knuth(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
+/// [`div_rem`] into caller slices: the low `q.len()` limbs of the quotient
+/// and the low `r.len()` limbs of the remainder, zero-extended, with all
+/// working storage in `scratch` — a caller that keeps the three buffers
+/// (the simulator's `DivBig`, once per lane) divides without allocating.
+/// Same fast paths, same results.
+///
+/// # Panics
+/// Panics if `b` is zero.
+pub fn div_rem_into(
+    a: &[Limb],
+    b: &[Limb],
+    q: &mut [Limb],
+    r: &mut [Limb],
+    scratch: &mut Vec<Limb>,
+) {
     let n = limbs::sig_limbs(b);
     assert!(n > 0, "division by zero");
     let m = limbs::sig_limbs(a);
+    let (a, b) = (&a[..m], &b[..n]);
+    q.fill(0);
+    r.fill(0);
+    fn put(dst: &mut [Limb], src: &[Limb]) {
+        let k = dst.len().min(src.len());
+        dst[..k].copy_from_slice(&src[..k]);
+    }
     if m == 0 || limbs::cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a[..m].to_vec());
+        return put(r, a);
     }
+    // Fast path 1: both operands fit in 64 bits → hardware `div`.
+    if let (Some(x), Some(y)) = (limbs::to_u64(a), limbs::to_u64(b)) {
+        put(q, &[(x / y) as Limb, ((x / y) >> 32) as Limb]);
+        return put(r, &[(x % y) as Limb, ((x % y) >> 32) as Limb]);
+    }
+    // Fast path 2: single-word divisor → most-significant-first word division.
     if n == 1 {
-        let mut q = a[..m].to_vec();
-        let r = limbs::div_limb_in_place(&mut q, b[0]);
-        limbs::trim(&mut q);
-        return (q, if r == 0 { Vec::new() } else { vec![r] });
+        scratch.clear();
+        scratch.extend_from_slice(a);
+        let rem = limbs::div_limb_in_place(scratch, b[0]);
+        put(q, scratch);
+        return put(r, &[rem]);
     }
+    knuth_into(a, b, q, r, scratch);
+}
 
-    // D1: normalize so the divisor's top limb has its high bit set.
-    let shift = b[n - 1].leading_zeros() as u64;
-    let bn = limbs::shl_bits(&b[..n], shift);
-    debug_assert_eq!(bn.len(), n);
-    let mut an = limbs::shl_bits(&a[..m], shift);
-    an.resize(m + 1, 0);
-
-    let mut q = vec![0 as Limb; m - n + 1];
+/// Knuth Algorithm D (TAOCP vol. 2, 4.3.1) on 32-bit limbs, for trimmed
+/// operands with `a ≥ b` and a divisor of two or more limbs; output
+/// convention of [`div_rem_into`] (`q` and `r` arrive zeroed).
+fn knuth_into(a: &[Limb], b: &[Limb], q: &mut [Limb], r: &mut [Limb], scratch: &mut Vec<Limb>) {
+    let (m, n) = (a.len(), b.len());
+    // D1: normalize so the divisor's top limb has its high bit set; the
+    // dividend gains one limb.
+    let shift = b[n - 1].leading_zeros();
+    let shl_into = |dst: &mut [Limb], src: &[Limb]| {
+        let mut carry = 0;
+        for (d, &w) in dst.iter_mut().zip(src.iter().chain(core::iter::once(&0))) {
+            *d = if shift == 0 { w } else { (w << shift) | carry };
+            carry = if shift == 0 { 0 } else { w >> (32 - shift) };
+        }
+    };
+    scratch.clear();
+    scratch.resize(m + 1 + n, 0);
+    let (an, bn) = scratch.split_at_mut(m + 1);
+    shl_into(an, a);
+    shl_into(bn, b);
     // D2..D7: main loop, one quotient limb per iteration.
     for j in (0..=m - n).rev() {
         // D3: estimate qhat from the top two dividend limbs over the top
@@ -90,21 +121,50 @@ pub fn div_rem_knuth(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
             break;
         }
         // D4: multiply-and-subtract qhat * bn from the dividend window.
-        let mut p = vec![0 as Limb; n + 1];
-        limbs::mul_limb_add(&mut p, &bn, qhat as Limb, 0);
         let window = &mut an[j..=j + n];
-        if limbs::sub_assign(window, &p) {
+        let mut carry = 0u64;
+        let mut borrow = false;
+        for (w, &bi) in window.iter_mut().zip(bn.iter().chain(core::iter::once(&0))) {
+            let p = qhat * bi as u64 + carry;
+            carry = p >> 32;
+            *w = limbs::sub_borrow(*w, p as Limb, &mut borrow);
+        }
+        if borrow {
             // D6: the estimate was one too large — add the divisor back.
             qhat -= 1;
-            let carry = limbs::add_assign(window, &bn);
+            let carry = limbs::add_assign(window, bn);
             debug_assert!(carry, "add-back must cancel the borrow");
         }
-        q[j] = qhat as Limb;
+        if let Some(qj) = q.get_mut(j) {
+            *qj = qhat as Limb;
+        }
     }
+    // D8: denormalize the remainder (`an[n]` is zero by now).
+    for (i, ri) in r.iter_mut().enumerate().take(n) {
+        let hi = if shift == 0 { 0 } else { an[i + 1] << (32 - shift) };
+        *ri = (an[i] >> shift) | hi;
+    }
+}
 
-    // D8: denormalize the remainder.
-    an.truncate(n);
-    let mut r = limbs::shr_bits(&an, shift);
+/// Knuth Algorithm D as fresh vectors, taken for every operand size (no
+/// 64-bit fast path), so the cross-checks against the other algorithms
+/// exercise it on small values too.
+pub fn div_rem_knuth(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
+    let n = limbs::sig_limbs(b);
+    assert!(n > 0, "division by zero");
+    let m = limbs::sig_limbs(a);
+    if m == 0 || limbs::cmp(a, b) == Ordering::Less {
+        return (Vec::new(), a[..m].to_vec());
+    }
+    if n == 1 {
+        let mut q = a[..m].to_vec();
+        let r = limbs::div_limb_in_place(&mut q, b[0]);
+        limbs::trim(&mut q);
+        return (q, if r == 0 { Vec::new() } else { vec![r] });
+    }
+    let mut q = vec![0 as Limb; m - n + 1];
+    let mut r = vec![0 as Limb; n];
+    knuth_into(&a[..m], &b[..n], &mut q, &mut r, &mut Vec::new());
     limbs::trim(&mut q);
     limbs::trim(&mut r);
     (q, r)
@@ -378,6 +438,41 @@ mod tests {
             assert!(!limbs::add_assign(&mut recon, &r));
             assert_eq!(limbs::cmp(&recon, &a), Ordering::Equal);
             assert_eq!(limbs::cmp(&r, &b), Ordering::Less);
+        }
+    }
+
+    /// `div_rem_into` is `div_rem` zero-extended or truncated to the
+    /// caller's slices, on every dispatch path (a < b, 64-bit, one-limb
+    /// divisor, Knuth incl. the add-back case), with a dirty reused
+    /// scratch and dirty outputs.
+    #[test]
+    fn div_rem_into_matches_div_rem_in_any_output_width() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 32) as u32
+        };
+        let mut cases: Vec<(Vec<u32>, Vec<u32>)> =
+            vec![(vec![0, 0, 0x8000_0000], vec![1, 0x8000_0000]), (vec![], vec![5]), (vec![0, 0], vec![7, 0])];
+        for (an, bn) in [(1, 1), (2, 1), (2, 2), (1, 3), (5, 1), (6, 2), (9, 9), (20, 7), (12, 11)] {
+            for _ in 0..8 {
+                let a: Vec<u32> = (0..an).map(|_| next() >> (next() % 32)).collect();
+                let b: Vec<u32> = (0..bn).map(|i| if i + 1 == bn { next() | 1 } else { next() }).collect();
+                cases.push((a, b));
+            }
+        }
+        let mut scratch = vec![0xdead_beef; 3];
+        for (a, b) in cases {
+            let (q, r) = div_rem(&a, &b);
+            for (qn, rn) in [(a.len() + 2, b.len() + 2), (1, 1), (0, 2), (a.len(), 0)] {
+                let (mut qo, mut ro) = (vec![0xffff_ffff; qn], vec![0xffff_ffff; rn]);
+                div_rem_into(&a, &b, &mut qo, &mut ro, &mut scratch);
+                let want = |v: &[u32], n: usize| -> Vec<u32> {
+                    (0..n).map(|i| v.get(i).copied().unwrap_or(0)).collect()
+                };
+                assert_eq!(qo, want(&q, qn), "q of {a:x?} / {b:x?}");
+                assert_eq!(ro, want(&r, rn), "r of {a:x?} / {b:x?}");
+            }
         }
     }
 

@@ -430,8 +430,13 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             o,
-            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts",
-            t.lowered_superblocks, t.fallback_superblocks, t.lowered_mem_thunks, t.fallback_insts
+            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts · {} fused codec runs over {} insts",
+            t.lowered_superblocks,
+            t.fallback_superblocks,
+            t.lowered_mem_thunks,
+            t.fallback_insts,
+            t.fused_codec_runs,
+            t.fused_codec_insts
         );
         let _ = writeln!(
             o,
