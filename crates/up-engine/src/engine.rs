@@ -901,6 +901,16 @@ mod tests {
         assert_eq!(r2.rows[0][0].render(), "a");
         // Unknown HAVING column is a plan error.
         assert!(db.query("SELECT g FROM r GROUP BY g HAVING zzz > 1").is_err());
+        // So is a string against a number, either way round.
+        for having in ["g > 1", "total > 'abc'", "NOT (total > 1 OR g < 2.5)"] {
+            let sql = format!("SELECT g, SUM(c1) AS total FROM r GROUP BY g HAVING {having}");
+            assert!(matches!(db.query(&sql), Err(QueryError::Plan(_))), "{sql}");
+        }
+        assert!(db.query("SELECT g, MIN(c1) AS m FROM r GROUP BY g HAVING g >= 'b' AND m < 1.5").is_ok());
+        // Where the planner does not type the comparison, the executor
+        // answers with an error instead of panicking.
+        let err = db.query("SELECT c1 FROM r WHERE g > 1").unwrap_err();
+        assert!(matches!(err, QueryError::Unsupported(_)), "{err}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! through the §III-E2 multi-pass reducer on the UltraPrecise path.
 //!
 //! On that path a decimal column is one [`DecimalType`] plus compact
-//! bytes from storage through kernel I/O to the aggregate fold; a cell
-//! becomes a [`Value`] only on its way into [`QueryResult::rows`]
-//! (DESIGN.md §16).
+//! bytes from storage through kernel I/O to the aggregate fold and on
+//! into [`QueryResult::rows`]; HAVING, ORDER BY and LIMIT only narrow and
+//! permute that result's row order (DESIGN.md §16).
 //!
 //! Every query returns both the real wall time and a [`ModeledTime`]
 //! breakdown (scan, PCIe, compile, kernel, CPU) assembled exactly the way
@@ -20,6 +20,7 @@
 
 use crate::plan::{BoundOperand, BoundPred, ComboExpr, CpuExpr, HavingPred, OutputKind, QueryPlan, Scalar, WideCol};
 use crate::profiles::Profile;
+use crate::rows::{compact_cell, Column, Rows};
 use crate::sql::{AggFunc, BinOp, CmpOp};
 use crate::storage::{Catalog, ColumnData, Table, Value};
 use core::cmp::Ordering;
@@ -179,8 +180,8 @@ impl ModeledTime {
 pub struct QueryResult {
     /// Output column names.
     pub columns: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Value>>,
+    /// Result rows: columns plus a row order, `[Vec<Value>]` on `Deref`.
+    pub rows: Rows,
     /// Real wall time of this process.
     pub wall_s: f64,
     /// Modeled time breakdown.
@@ -459,10 +460,9 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         modeled.add(&o.price);
         Ok::<_, QueryError>(o.col)
     };
-    let mut out_rows: Vec<Vec<Value>>;
     let columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
-
-    if plan.has_aggregates {
+    // The result, column-wise: `rows_n` cells per column.
+    let (cols, rows_n): (Vec<Column<'static>>, usize) = if plan.has_aggregates {
         // 3b. Evaluate aggregate inputs once over all tuples, and price
         // each item's reduction ONCE over the whole selection — the
         // device reduces every group in the same multi-pass launch
@@ -481,22 +481,22 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
             });
         }
 
-        // 3c. Reduce per group.
-        out_rows = Vec::with_capacity(groups.len());
-        for members in &groups {
-            let mut row = Vec::with_capacity(plan.items.len());
-            for (idx, item) in plan.items.iter().enumerate() {
-                let v = match &item.kind {
+        // 3c. Reduce per group: one cell per group in every item's column.
+        let mut cols = Vec::with_capacity(plan.items.len());
+        for (item, inputs) in plan.items.iter().zip(&agg_inputs) {
+            let mut cells = Vec::with_capacity(groups.len());
+            for members in &groups {
+                cells.push(match &item.kind {
                     OutputKind::Key(w) => tuple_value(&tables, &sel, members.get(0), *w),
                     OutputKind::CountStar => Value::Int64(members.len() as i64),
                     OutputKind::Agg(f, _) => {
-                        let col = agg_inputs[idx][0].as_ref().expect("inputs computed");
+                        let col = inputs[0].as_ref().expect("inputs computed");
                         aggregate_group(ctx, *f, col, members)?
                     }
                     OutputKind::AggCombo { aggs, combo } => {
                         let mut agg_vals = Vec::with_capacity(aggs.len());
-                        for (slot, (f, _)) in aggs.iter().enumerate() {
-                            agg_vals.push(match &agg_inputs[idx][slot] {
+                        for ((f, _), input) in aggs.iter().zip(inputs) {
+                            agg_vals.push(match input {
                                 Some(col) => aggregate_group(ctx, *f, col, members)?,
                                 None => Value::Int64(members.len() as i64),
                             });
@@ -504,38 +504,26 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
                         eval_combo(combo, &agg_vals)?
                     }
                     OutputKind::Scalar(_) => unreachable!("validated at plan time"),
-                };
-                row.push(v);
+                });
             }
-            out_rows.push(row);
+            cols.push(Column::Values(cells));
         }
+        (cols, groups.len())
     } else {
-        // 3. Plain projection: evaluate column-wise, then move the cells
-        // into rows.
-        let mut cols: Vec<std::vec::IntoIter<Value>> = Vec::with_capacity(plan.items.len());
+        // 3. Plain projection: the evaluated columns are the result — a
+        // kernel's output buffer moves into it as it is.
+        let mut cols = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            let vals: Vec<Value> = match &item.kind {
-                OutputKind::Scalar(s) => next_column(s, None)?.into_values(),
-                OutputKind::Key(w) => (0..n).map(|i| tuple_value(&tables, &sel, i, *w)).collect(),
+            cols.push(match &item.kind {
+                OutputKind::Scalar(s) => next_column(s, None)?.into_owned(),
+                OutputKind::Key(w) => {
+                    Column::Values((0..n).map(|i| tuple_value(&tables, &sel, i, *w)).collect())
+                }
                 _ => unreachable!("aggregates handled above"),
-            };
-            cols.push(vals.into_iter());
+            });
         }
-        out_rows = (0..n)
-            .map(|_| cols.iter_mut().map(|c| c.next().expect("n cells per column")).collect())
-            .collect();
-    }
-
-    // HAVING: filter the (grouped) output rows.
-    if let Some(h) = &plan.having {
-        let mut kept = Vec::with_capacity(out_rows.len());
-        for row in out_rows {
-            if eval_having(h, &row)? {
-                kept.push(row);
-            }
-        }
-        out_rows = kept;
-    }
+        (cols, n)
+    };
 
     // Fold the per-kernel compile estimates into one NVCC invocation:
     // the fixed front end is paid once, the back ends add up.
@@ -546,34 +534,57 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         modeled.compile_s += (front + back_sum).max(max);
     }
 
-    // 4. ORDER BY + LIMIT.
+    // 4. HAVING, ORDER BY and LIMIT choose and order cell indexes; no cell
+    // moves or decodes.
+    let mut order: Option<Vec<u32>> = None;
+    if let Some(h) = &plan.having {
+        let mut kept = Vec::new();
+        for i in 0..rows_n {
+            if eval_having(h, &cols, i)? {
+                kept.push(i as u32);
+            }
+        }
+        order = Some(kept);
+    }
     if !plan.order_by.is_empty() {
-        out_rows.sort_by(|a, b| {
+        let ids = order.get_or_insert_with(|| (0..rows_n as u32).collect());
+        // The sort is stable, so ties keep the order above; a comparison
+        // that fails reads as a tie and fails the query afterwards.
+        let mut failed = None;
+        ids.sort_by(|&a, &b| {
             for &(idx, desc) in &plan.order_by {
-                let o = cmp_values(&a[idx], &b[idx]);
-                let o = if desc { o.reverse() } else { o };
-                if o != core::cmp::Ordering::Equal {
-                    return o;
+                let o = cmp_cells(&cols[idx], a as usize, b as usize).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Ordering::Equal
+                });
+                if o != Ordering::Equal {
+                    return if desc { o.reverse() } else { o };
                 }
             }
-            core::cmp::Ordering::Equal
+            Ordering::Equal
         });
+        if let Some(e) = failed {
+            return Err(e);
+        }
     }
-    if let Some(l) = plan.limit {
-        out_rows.truncate(l as usize);
+    match (plan.limit.map(|l| l as usize), &mut order) {
+        (Some(l), Some(ids)) => ids.truncate(l),
+        (Some(l), None) if l < rows_n => order = Some((0..l as u32).collect()),
+        _ => {}
     }
+    let rows = Rows::new(cols, rows_n, order);
 
     // Side-band fleet model: shard the row-proportional legs across the
     // devices and price the partial-result exchange. Computed *from*
     // `modeled` after the fact, so the canonical breakdown above stays
     // bit-identical to single-device execution by construction.
     let fleet_rep = ctx.fleet.map(|fleet| {
-        fleet_report(fleet, &modeled, tables[0].rows, &out_rows, plan.has_aggregates)
+        fleet_report(fleet, &modeled, tables[0].rows, rows.byte_estimate(), plan.has_aggregates)
     });
 
     Ok(QueryResult {
         columns,
-        rows: out_rows,
+        rows,
         wall_s: t0.elapsed().as_secs_f64(),
         modeled,
         kernels,
@@ -581,20 +592,6 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         pipeline: pipeline_report,
         fleet: fleet_rep,
     })
-}
-
-/// Approximate wire size of a result-row set — what a device ships to
-/// the root during the exchange.
-fn rows_byte_estimate(rows: &[Vec<Value>]) -> u64 {
-    rows.iter()
-        .flat_map(|r| r.iter())
-        .map(|v| match v {
-            Value::Decimal(d) => d.dtype().lb() as u64,
-            Value::Int64(_) | Value::Float64(_) => 8,
-            Value::Str(s) => s.len() as u64 + 4,
-            Value::Null => 1,
-        })
-        .sum()
 }
 
 /// Builds the [`FleetReport`] for one executed query. Row-proportional
@@ -608,7 +605,7 @@ fn fleet_report(
     fleet: &up_gpusim::Fleet,
     modeled: &ModeledTime,
     base_rows: usize,
-    out_rows: &[Vec<Value>],
+    result_bytes: u64,
     aggregated: bool,
 ) -> FleetReport {
     let devices = fleet.len();
@@ -628,7 +625,6 @@ fn fleet_report(
             rows as f64 * per_row_root * (w0 / fleet.device(d).throughput_weight())
         })
         .collect();
-    let result_bytes = rows_byte_estimate(out_rows);
     let mut exchange_bytes = 0u64;
     let mut exchange_s = 0.0;
     for (d, &shard_rows) in partition_rows.iter().enumerate().skip(1) {
@@ -715,64 +711,15 @@ impl Members {
     }
 }
 
-/// An evaluated scalar column over the selection. On the UltraPrecise path
-/// a decimal column stays what storage and the kernels hold — one
-/// [`DecimalType`] and `Lb` compact bytes per cell (§III-B): the kernel's
-/// output buffer, or a passthrough column's stored (borrowed) or gathered
-/// bytes. The aggregate folds read those bytes; a cell becomes a
-/// [`Value`] only on its way into the result rows. Everything else (CPU
-/// scalars, comparator profiles, CASE, CAST) is per-cell values.
-enum Column<'a> {
-    Decimal { ty: DecimalType, bytes: Cow<'a, [u8]> },
-    Values(Vec<Value>),
-}
-
-/// Cell `i` of a compact column of type `ty`.
-fn compact_cell(bytes: &[u8], ty: DecimalType, i: usize) -> &[u8] {
-    let lb = ty.lb();
-    &bytes[i * lb..][..lb]
-}
-
-impl Column<'_> {
-    fn value(&self, i: usize) -> Value {
-        match self {
-            Column::Decimal { ty, bytes } => {
-                Value::Decimal(decode_compact(compact_cell(bytes, *ty, i), *ty))
-            }
-            Column::Values(vals) => vals[i].clone(),
-        }
-    }
-
-    fn into_values(self) -> Vec<Value> {
-        match self {
-            Column::Decimal { ty, bytes } => bytes
-                .chunks_exact(ty.lb())
-                .map(|cell| Value::Decimal(decode_compact(cell, ty)))
-                .collect(),
-            Column::Values(vals) => vals,
-        }
-    }
-
-    /// Cell `i`'s canonical text (the DISTINCT key).
-    fn key(&self, i: usize) -> String {
-        match self {
-            Column::Decimal { ty, bytes } => compact_text(compact_cell(bytes, *ty, i), *ty),
-            Column::Values(vals) => vals[i].render(),
-        }
-    }
-}
-
-/// What `decode_compact(cell, ty).to_string()` renders, without the value.
-fn compact_text(cell: &[u8], ty: DecimalType) -> String {
-    let mut s = String::new();
-    up_num::write_compact(&mut s, cell, ty.scale).expect("writing to a String cannot fail");
-    s
-}
-
 /// A stored cell's canonical text — the join and GROUP BY key.
 fn cell_key(table: &Table, col: usize, row: usize) -> String {
     match &table.columns[col] {
-        ColumnData::Decimal { ty, bytes } => compact_text(compact_cell(bytes, *ty, row), *ty),
+        ColumnData::Decimal { ty, bytes } => {
+            let mut s = String::new();
+            up_num::write_compact(&mut s, compact_cell(bytes, *ty, row), ty.scale)
+                .expect("writing to a String cannot fail");
+            s
+        }
         ColumnData::Str(v) => v[row].clone(),
         _ => column_value(table, col, row).render(),
     }
@@ -808,32 +755,49 @@ fn operand_value(
     }
 }
 
-/// Total order across comparable values (coercing numerics).
-fn cmp_values(a: &Value, b: &Value) -> core::cmp::Ordering {
-    use core::cmp::Ordering;
-    match (a, b) {
+/// Total order across comparable values (coercing numerics). The planner
+/// rejects the mismatches it can type; what is only known per row (a CASE
+/// mixing kinds) fails the query here.
+pub(crate) fn cmp_values(a: &Value, b: &Value) -> Result<Ordering, QueryError> {
+    let floats = |x: f64, y: f64| x.partial_cmp(&y).unwrap_or(Ordering::Equal);
+    Ok(match (a, b) {
         (Value::Decimal(x), Value::Decimal(y)) => x.cmp_value(y),
         (Value::Decimal(x), Value::Int64(y)) => x.cmp_value(&UpDecimal::from_i64(*y)),
         (Value::Int64(x), Value::Decimal(y)) => UpDecimal::from_i64(*x).cmp_value(y),
         (Value::Int64(x), Value::Int64(y)) => x.cmp(y),
-        (Value::Float64(x), Value::Float64(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-        (Value::Float64(x), Value::Int64(y)) => {
-            x.partial_cmp(&(*y as f64)).unwrap_or(Ordering::Equal)
-        }
-        (Value::Int64(x), Value::Float64(y)) => {
-            (*x as f64).partial_cmp(y).unwrap_or(Ordering::Equal)
-        }
-        (Value::Decimal(x), Value::Float64(y)) => {
-            x.to_f64().partial_cmp(y).unwrap_or(Ordering::Equal)
-        }
-        (Value::Float64(x), Value::Decimal(y)) => {
-            x.partial_cmp(&y.to_f64()).unwrap_or(Ordering::Equal)
-        }
+        (Value::Float64(x), Value::Float64(y)) => floats(*x, *y),
+        (Value::Float64(x), Value::Int64(y)) => floats(*x, *y as f64),
+        (Value::Int64(x), Value::Float64(y)) => floats(*x as f64, *y),
+        (Value::Decimal(x), Value::Float64(y)) => floats(x.to_f64(), *y),
+        (Value::Float64(x), Value::Decimal(y)) => floats(*x, y.to_f64()),
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
         (Value::Null, Value::Null) => Ordering::Equal,
         (Value::Null, _) => Ordering::Less,
         (_, Value::Null) => Ordering::Greater,
-        (x, y) => panic!("incomparable values {x:?} vs {y:?}"),
+        (x, y) => return Err(QueryError::Unsupported(format!("comparison of {x:?} with {y:?}"))),
+    })
+}
+
+/// Orders cells `a` and `b` of one result column: compact cells by their
+/// bytes, no value in between.
+fn cmp_cells(col: &Column<'_>, a: usize, b: usize) -> Result<Ordering, QueryError> {
+    match col {
+        Column::Decimal { ty, bytes } => {
+            Ok(cmp_compact(compact_cell(bytes, *ty, a), compact_cell(bytes, *ty, b)))
+        }
+        Column::Values(vals) => cmp_values(&vals[a], &vals[b]),
+    }
+}
+
+/// Whether `o` satisfies comparison `op`.
+fn cmp_holds(op: CmpOp, o: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => o == Ordering::Equal,
+        CmpOp::Ne => o != Ordering::Equal,
+        CmpOp::Lt => o == Ordering::Less,
+        CmpOp::Le => o != Ordering::Greater,
+        CmpOp::Gt => o == Ordering::Greater,
+        CmpOp::Ge => o != Ordering::Less,
     }
 }
 
@@ -846,15 +810,7 @@ fn eval_pred(
     Ok(match p {
         BoundPred::Cmp(op, a, b) => {
             let (va, vb) = (operand_value(a, tables, sel, i), operand_value(b, tables, sel, i));
-            let o = cmp_values(&va, &vb);
-            match op {
-                CmpOp::Eq => o == core::cmp::Ordering::Equal,
-                CmpOp::Ne => o != core::cmp::Ordering::Equal,
-                CmpOp::Lt => o == core::cmp::Ordering::Less,
-                CmpOp::Le => o != core::cmp::Ordering::Greater,
-                CmpOp::Gt => o == core::cmp::Ordering::Greater,
-                CmpOp::Ge => o != core::cmp::Ordering::Less,
-            }
+            cmp_holds(*op, cmp_values(&va, &vb)?)
         }
         BoundPred::And(a, b) => eval_pred(a, tables, sel, i)? && eval_pred(b, tables, sel, i)?,
         BoundPred::Or(a, b) => eval_pred(a, tables, sel, i)? || eval_pred(b, tables, sel, i)?,
@@ -863,8 +819,7 @@ fn eval_pred(
             let v = operand_value(x, tables, sel, i);
             let l = operand_value(lo, tables, sel, i);
             let h = operand_value(hi, tables, sel, i);
-            cmp_values(&v, &l) != core::cmp::Ordering::Less
-                && cmp_values(&v, &h) != core::cmp::Ordering::Greater
+            cmp_values(&v, &l)? != Ordering::Less && cmp_values(&v, &h)? != Ordering::Greater
         }
         BoundPred::Like(x, pat) => {
             let Value::Str(s) = operand_value(x, tables, sel, i) else {
@@ -875,34 +830,15 @@ fn eval_pred(
     })
 }
 
-/// Evaluates a HAVING predicate against one output row.
-fn eval_having(h: &HavingPred, row: &[Value]) -> Result<bool, QueryError> {
+/// Evaluates a HAVING predicate against row `i` of the result columns.
+fn eval_having(h: &HavingPred, cols: &[Column<'_>], i: usize) -> Result<bool, QueryError> {
     Ok(match h {
         HavingPred::Cmp(op, item, lit) => {
-            let rhs = match lit {
-                BoundOperand::Dec(d) => Value::Decimal(d.clone()),
-                BoundOperand::I64(v) => Value::Int64(*v),
-                BoundOperand::F64(v) => Value::Float64(*v),
-                BoundOperand::Str(s) => Value::Str(s.clone()),
-                BoundOperand::Col(_) => {
-                    return Err(QueryError::Unsupported(
-                        "HAVING compares outputs to literals".into(),
-                    ))
-                }
-            };
-            let o = cmp_values(&row[*item], &rhs);
-            match op {
-                CmpOp::Eq => o == core::cmp::Ordering::Equal,
-                CmpOp::Ne => o != core::cmp::Ordering::Equal,
-                CmpOp::Lt => o == core::cmp::Ordering::Less,
-                CmpOp::Le => o != core::cmp::Ordering::Greater,
-                CmpOp::Gt => o == core::cmp::Ordering::Greater,
-                CmpOp::Ge => o != core::cmp::Ordering::Less,
-            }
+            cmp_holds(*op, cmp_values(&cols[*item].value(i), lit)?)
         }
-        HavingPred::And(a, b) => eval_having(a, row)? && eval_having(b, row)?,
-        HavingPred::Or(a, b) => eval_having(a, row)? || eval_having(b, row)?,
-        HavingPred::Not(a) => !eval_having(a, row)?,
+        HavingPred::And(a, b) => eval_having(a, cols, i)? && eval_having(b, cols, i)?,
+        HavingPred::Or(a, b) => eval_having(a, cols, i)? || eval_having(b, cols, i)?,
+        HavingPred::Not(a) => !eval_having(a, cols, i)?,
     })
 }
 
@@ -1854,7 +1790,13 @@ fn aggregate_group(
     match f {
         AggFunc::Count => return Ok(Value::Int64(n as i64)),
         AggFunc::CountDistinct => {
-            let seen: HashSet<String> = (0..n).map(|k| col.key(members.get(k))).collect();
+            // Keyed by each cell's canonical text.
+            let mut seen: HashSet<Vec<u8>> = HashSet::new();
+            for k in 0..n {
+                let mut key = Vec::new();
+                col.append_cell(members.get(k), &mut key);
+                seen.insert(key);
+            }
             return Ok(Value::Int64(seen.len() as i64));
         }
         _ if n == 0 => return Ok(Value::Null),
@@ -2058,15 +2000,15 @@ mod tests {
         let d = |s: &str| {
             Value::Decimal(UpDecimal::parse(s, DecimalType::new_unchecked(10, 2)).unwrap())
         };
-        assert_eq!(cmp_values(&d("1.50"), &Value::Int64(2)), Less);
-        assert_eq!(cmp_values(&Value::Int64(2), &d("1.50")), Greater);
-        assert_eq!(cmp_values(&d("2.00"), &Value::Int64(2)), Equal);
-        assert_eq!(cmp_values(&Value::Float64(1.5), &Value::Int64(1)), Greater);
-        assert_eq!(cmp_values(&d("0.25"), &Value::Float64(0.25)), Equal);
-        assert_eq!(cmp_values(&Value::Str("1994-01-01".into()), &Value::Str("1995-01-01".into())), Less);
+        assert_eq!(cmp_values(&d("1.50"), &Value::Int64(2)).unwrap(), Less);
+        assert_eq!(cmp_values(&Value::Int64(2), &d("1.50")).unwrap(), Greater);
+        assert_eq!(cmp_values(&d("2.00"), &Value::Int64(2)).unwrap(), Equal);
+        assert_eq!(cmp_values(&Value::Float64(1.5), &Value::Int64(1)).unwrap(), Greater);
+        assert_eq!(cmp_values(&d("0.25"), &Value::Float64(0.25)).unwrap(), Equal);
+        assert_eq!(cmp_values(&Value::Str("1994-01-01".into()), &Value::Str("1995-01-01".into())).unwrap(), Less);
         // NULL sorts first and equals itself.
-        assert_eq!(cmp_values(&Value::Null, &Value::Null), Equal);
-        assert_eq!(cmp_values(&Value::Null, &d("0.00")), Less);
+        assert_eq!(cmp_values(&Value::Null, &Value::Null).unwrap(), Equal);
+        assert_eq!(cmp_values(&Value::Null, &d("0.00")).unwrap(), Less);
     }
 
     #[test]

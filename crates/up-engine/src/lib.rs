@@ -14,10 +14,12 @@ pub mod exec;
 pub mod persist;
 pub mod plan;
 pub mod profiles;
+pub mod rows;
 pub mod sql;
 pub mod storage;
 
 pub use engine::Database;
 pub use exec::{ArenaCtx, FleetReport, ModeledTime, QueryError, QueryResult};
 pub use profiles::Profile;
+pub use rows::{Column, Rows};
 pub use storage::{Catalog, ColumnData, ColumnType, PartitionSpec, Schema, Table, Value};

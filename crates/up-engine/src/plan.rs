@@ -8,7 +8,7 @@
 //! arithmetic binds to a small CPU-interpreted form.
 
 use crate::sql::{AggFunc, BinOp, CmpOp, Join, Pred, Select, SqlExpr};
-use crate::storage::{Catalog, ColumnType, Table};
+use crate::storage::{Catalog, ColumnType, Table, Value};
 use up_jit::Expr;
 use up_num::{DecimalType, UpDecimal};
 
@@ -168,7 +168,7 @@ pub enum ComboExpr {
 #[derive(Clone, Debug)]
 pub enum HavingPred {
     /// Compare output item `item` against a literal.
-    Cmp(CmpOp, usize, BoundOperand),
+    Cmp(CmpOp, usize, Value),
     /// Conjunction.
     And(Box<HavingPred>, Box<HavingPred>),
     /// Disjunction.
@@ -702,7 +702,27 @@ fn bind_having(
             .ok_or_else(|| PlanError(format!("HAVING column {name} is not an output")))
     };
     Ok(match p {
-        Pred::Cmp(op, l, r) => HavingPred::Cmp(*op, item_index(l)?, binder.bind_operand(r)?),
+        Pred::Cmp(op, l, r) => {
+            let item = item_index(l)?;
+            let lit = match binder.bind_operand(r)? {
+                BoundOperand::Dec(d) => Value::Decimal(d),
+                BoundOperand::I64(v) => Value::Int64(v),
+                BoundOperand::F64(v) => Value::Float64(v),
+                BoundOperand::Str(s) => Value::Str(s),
+                BoundOperand::Col(_) => {
+                    return Err(PlanError("HAVING compares outputs to literals".into()))
+                }
+            };
+            // A string never compares with a number: say so here, not
+            // per row in the executor.
+            if item_is_str(&items[item].kind).is_some_and(|s| s != matches!(lit, Value::Str(_))) {
+                return Err(PlanError(format!(
+                    "HAVING compares {} with a literal of another kind: {r:?}",
+                    items[item].name
+                )));
+            }
+            HavingPred::Cmp(*op, item, lit)
+        }
         Pred::And(a, b) => HavingPred::And(
             Box::new(bind_having(a, items, binder)?),
             Box::new(bind_having(b, items, binder)?),
@@ -714,6 +734,18 @@ fn bind_having(
         Pred::Not(a) => HavingPred::Not(Box::new(bind_having(a, items, binder)?)),
         other => return Err(PlanError(format!("unsupported HAVING form {other:?}"))),
     })
+}
+
+/// Whether an output item is string-valued (`Some(false)`: numeric);
+/// `None` when the planner does not type it (CPU scalars, a mixed CASE).
+fn item_is_str(kind: &OutputKind) -> Option<bool> {
+    match kind {
+        OutputKind::Key(w) => Some(w.ty == ColumnType::Str),
+        OutputKind::Scalar(s) | OutputKind::Agg(AggFunc::Min | AggFunc::Max, s) => {
+            scalar_decimal_type(s).map(|_| false)
+        }
+        _ => Some(false),
+    }
 }
 
 fn render_name(e: &SqlExpr, i: usize) -> String {
@@ -740,7 +772,7 @@ pub fn scalar_decimal_type(s: &Scalar) -> Option<DecimalType> {
 mod tests {
     use super::*;
     use crate::sql::parse_select;
-    use crate::storage::{Schema, Table, Value};
+    use crate::storage::Schema;
 
     fn dt(p: u32, s: u32) -> DecimalType {
         DecimalType::new_unchecked(p, s)

@@ -278,12 +278,20 @@ pub enum Value {
 impl Value {
     /// Renders for result display.
     pub fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// The result-display text: what [`Value::render`] returns and what a
+/// `Rows` frame carries per cell.
+impl core::fmt::Display for Value {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Value::Decimal(d) => d.to_string(),
-            Value::Int64(i) => i.to_string(),
-            Value::Float64(f) => format!("{f}"),
-            Value::Str(s) => s.clone(),
-            Value::Null => "NULL".to_string(),
+            Value::Decimal(d) => d.fmt(f),
+            Value::Int64(i) => i.fmt(f),
+            Value::Float64(x) => x.fmt(f),
+            Value::Str(s) => f.write_str(s),
+            Value::Null => f.write_str("NULL"),
         }
     }
 }

@@ -128,7 +128,7 @@ fn check_all(db: &Database, a: &[UpDecimal], b: &[UpDecimal], label: &str) -> Ve
             let got = db
                 .query(sql)
                 .unwrap_or_else(|e| panic!("{label}: {sql}: {e}"));
-            assert_eq!(got.rows, want, "{label}: {sql}");
+            assert_eq!(*got.rows, want, "{label}: {sql}");
             got
         })
         .collect()
@@ -166,7 +166,7 @@ fn table_ii_maximum_precision_and_scale() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 2);
     let a: Vec<_> = (0..5).map(|_| random_decimal(&mut rng, t, None)).collect();
     let db = database(&a, &a);
-    assert_eq!(db.query(BARE).unwrap().rows, vec![reference(&a)]);
+    assert_eq!(*db.query(BARE).unwrap().rows, vec![reference(&a)]);
 }
 
 #[test]
@@ -252,7 +252,7 @@ fn empty_selection_is_null_and_one_row_is_itself() {
         .unwrap();
     let mut want = vec![Value::Null; 4];
     want.extend([Value::Int64(0), Value::Int64(0)]);
-    assert_eq!(r.rows, vec![want]);
+    assert_eq!(*r.rows, vec![want]);
     let r = db
         .query("SELECT g, SUM(a) FROM t WHERE g > 5 GROUP BY g")
         .unwrap();

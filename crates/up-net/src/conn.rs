@@ -28,7 +28,7 @@
 //! releases its DRR lane and errors anything still queued.
 
 use crate::config::{NetConfig, ReactorMode};
-use crate::frame::{write_frame, ErrorCode, Frame, FrameAssembler};
+use crate::frame::{encode_rows, write_frame, ErrorCode, Frame, FrameAssembler};
 use crate::tenant::TenantRegistry;
 use crate::writeq::WriteQueue;
 use std::collections::HashMap;
@@ -361,6 +361,23 @@ pub(crate) fn admit_query(
     Ok(())
 }
 
+/// The reply to query `id`, built on the thread that finished it (a
+/// worker or a waiter, never an event loop): the encoded `Rows` frame and
+/// the tenant's result bytes, or the `Error` frame to answer with — a
+/// failed query, or a result whose frame the peer's decoder would refuse.
+pub(crate) fn encode_reply(
+    id: u64,
+    result: Result<up_engine::QueryResult, up_server::ServerError>,
+    max_frame: u32,
+) -> Result<(Vec<u8>, u64), Frame> {
+    let fail = |code: ErrorCode, message| Frame::Error { id, code: code.as_u16(), message };
+    let r = result.map_err(|e| fail(ErrorCode::from_server_error(&e), e.to_string()))?;
+    encode_rows(id, &r.columns, &r.rows, max_frame).map_err(|size| {
+        let rows = r.rows.len();
+        fail(ErrorCode::FrameTooLarge, format!("{rows} rows need a frame over {size} bytes (limit {max_frame})"))
+    })
+}
+
 pub(crate) fn frame_name(f: &Frame) -> &'static str {
     match f {
         Frame::Hello { .. } => "Hello",
@@ -399,7 +416,7 @@ impl Conn {
     /// Bounded push for result-bearing frames (`Rows`, `Metrics`);
     /// overflow flags the peer as a slow consumer.
     fn send_data(&self, frame: &Frame) {
-        if self.wq.push(frame).is_err() {
+        if self.wq.push_bytes(frame.to_bytes()).is_err() {
             self.slow.store(true, Ordering::Relaxed);
         }
     }
@@ -622,6 +639,7 @@ fn submit_query(inner: &Arc<NetInner>, conn: &mut Conn, id: u64, sql: String) {
     let tenants = Arc::clone(&inner.tenants);
     let inflight = Arc::clone(&conn.inflight);
     let inflight_count = Arc::clone(&conn.inflight_count);
+    let max_frame = inner.config.max_frame;
     let waiter = std::thread::Builder::new()
         .name("up-net-wait".into())
         .stack_size(CONN_STACK)
@@ -630,27 +648,16 @@ fn submit_query(inner: &Arc<NetInner>, conn: &mut Conn, id: u64, sql: String) {
             inflight.lock().expect("inflight poisoned").remove(&id);
             inflight_count.fetch_sub(1, Ordering::Relaxed);
             let latency_s = t0.elapsed().as_secs_f64();
-            match result {
-                Ok(r) => {
-                    let rows: Vec<Vec<String>> = r
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(|v| v.render()).collect())
-                        .collect();
-                    let bytes: u64 =
-                        rows.iter().flatten().map(|cell| cell.len() as u64).sum();
+            match encode_reply(id, result, max_frame) {
+                Ok((frame, bytes)) => {
                     tenants.on_done(&tenant, true, bytes, latency_s);
-                    if wq.push(&Frame::Rows { id, columns: r.columns, rows }).is_err() {
+                    if wq.push_bytes(frame).is_err() {
                         slow.store(true, Ordering::Relaxed);
                     }
                 }
-                Err(e) => {
+                Err(frame) => {
                     tenants.on_done(&tenant, false, 0, latency_s);
-                    wq.push_control(&Frame::Error {
-                        id,
-                        code: ErrorCode::from_server_error(&e).as_u16(),
-                        message: e.to_string(),
-                    });
+                    wq.push_control(&frame);
                 }
             }
         })

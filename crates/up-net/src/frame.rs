@@ -16,6 +16,7 @@
 //! front, a malformed body can only ever poison its own frame.
 
 use std::io::{Read, Write};
+use up_engine::{Column, Rows};
 use up_server::ServerError;
 
 /// Protocol version carried in every frame.
@@ -171,7 +172,9 @@ pub enum Frame {
     },
     /// A successful result (server → client): column names plus rows of
     /// cells rendered exactly as `Value::render` — bit-identical to an
-    /// in-process query's rendering.
+    /// in-process query's rendering. This is the *decoded* form a client
+    /// holds; a server writes the same bytes with [`encode_rows`], from
+    /// the result's columns, without building one.
     Rows {
         /// Correlation id of the query this answers.
         id: u64,
@@ -303,6 +306,68 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A `Rows` body up to its cells: kind, id, column names, row count.
+fn put_rows_head(out: &mut Vec<u8>, id: u64, columns: &[String], nrows: usize) {
+    out.push(KIND_ROWS);
+    put_u64(out, id);
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_str(out, c);
+    }
+    put_u32(out, nrows as u32);
+}
+
+/// Encodes the `Rows` reply to query `id` from a columnar result: byte for
+/// byte `Frame::Rows { id, columns, rows }.to_bytes()` with every cell
+/// rendered, but each cell's text is written once, into its place in one
+/// buffer sized for the reply — a length slot, the digits appended from
+/// the compact bytes, the slot back-patched.
+///
+/// Returns the frame and the summed cell text length (the tenant's result
+/// bytes); or, once the payload passes `max_frame`, the size reached — the
+/// peer's decoder would refuse that frame.
+pub fn encode_rows(
+    id: u64,
+    columns: &[String],
+    rows: &Rows,
+    max_frame: u32,
+) -> Result<(Vec<u8>, u64), usize> {
+    let cols = rows.columns();
+    let limit = max_frame as usize + 4;
+    // A decimal cell is at most its precision plus sign, point and a
+    // leading zero, and usually close to it.
+    let cell = |c: &Column<'_>| match c {
+        Column::Decimal { ty, .. } => 7 + ty.precision as usize,
+        Column::Values(_) => 16,
+    };
+    let per_row: usize = cols.iter().map(cell).sum();
+    let head = 22 + columns.iter().map(|c| 4 + c.len()).sum::<usize>();
+    let mut out = Vec::with_capacity((head + rows.len() * per_row).min(limit));
+    put_u32(&mut out, 0); // patched below
+    out.push(WIRE_VERSION);
+    put_rows_head(&mut out, id, columns, rows.len());
+    let mut text = 0u64;
+    for i in rows.row_ids() {
+        if out.len() > limit {
+            break; // refused below; render no further
+        }
+        for col in cols {
+            let slot = out.len();
+            put_u32(&mut out, 0);
+            col.append_cell(i, &mut out);
+            let len = out.len() - slot - 4;
+            out[slot..slot + 4].copy_from_slice(&(len as u32).to_be_bytes());
+            text += len as u64;
+        }
+    }
+    if out.len() > limit {
+        return Err(out.len() - 4);
+    }
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    Ok((out, text))
+}
+
 /// Bounds-checked cursor over one frame's payload.
 struct Cur<'a> {
     b: &'a [u8],
@@ -396,13 +461,7 @@ impl Frame {
                 put_u64(out, *id);
             }
             Frame::Rows { id, columns, rows } => {
-                out.push(KIND_ROWS);
-                put_u64(out, *id);
-                put_u32(out, columns.len() as u32);
-                for c in columns {
-                    put_str(out, c);
-                }
-                put_u32(out, rows.len() as u32);
+                put_rows_head(out, *id, columns, rows.len());
                 for row in rows {
                     for cell in row {
                         put_str(out, cell);

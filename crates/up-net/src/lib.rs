@@ -65,8 +65,8 @@ pub use client::{Client, Reply, RowSet};
 pub use config::{NetConfig, ReactorMode};
 pub use conn::{WireServer, WireStats};
 pub use frame::{
-    parse_frame, read_frame, write_frame, DecodeError, ErrorCode, Frame, FrameAssembler,
-    WireError, DEFAULT_MAX_FRAME, WIRE_VERSION,
+    encode_rows, parse_frame, read_frame, write_frame, DecodeError, ErrorCode, Frame,
+    FrameAssembler, WireError, DEFAULT_MAX_FRAME, WIRE_VERSION,
 };
 pub use tenant::{TenantQuota, TenantRegistry, TenantStats};
 pub use writeq::Overflow;

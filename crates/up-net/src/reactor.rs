@@ -37,7 +37,8 @@
 //! `QueryTicket::wait` would produce.
 
 use crate::conn::{
-    admit_query, classify, do_auth, refuse, render_report, ConnState, Intent, NetInner, POLL_TICK,
+    admit_query, classify, do_auth, encode_reply, refuse, render_report, ConnState, Intent,
+    NetInner, POLL_TICK,
 };
 use crate::frame::{DecodeError, ErrorCode, Frame, FrameAssembler};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
@@ -64,15 +65,14 @@ fn token(slot: usize, gen: u32) -> u64 {
     ((gen as u64) << 32) | slot as u64
 }
 
-/// A finished query coming back from the worker pool: the reply frame
-/// was rendered on the worker's thread; the loop only queues bytes.
+/// A finished query coming back from the worker pool: the reply was
+/// encoded on the worker's thread ([`encode_reply`]); the loop only
+/// queues bytes.
 struct CompletionMsg {
     slot: usize,
     gen: u32,
     id: u64,
-    frame: Frame,
-    ok: bool,
-    bytes: u64,
+    reply: Result<(Vec<u8>, u64), Frame>,
 }
 
 #[derive(Default)]
@@ -325,8 +325,14 @@ impl EvLoop {
                 return;
             };
             let tenant = conn.tenant.clone().unwrap_or_default();
-            inner.tenants.on_done(&tenant, m.ok, m.bytes, inf.t0.elapsed().as_secs_f64());
-            !conn.dead && conn.out.push(&m.frame).is_err()
+            let (ok, bytes) = m.reply.as_ref().map_or((false, 0), |(_, bytes)| (true, *bytes));
+            inner.tenants.on_done(&tenant, ok, bytes, inf.t0.elapsed().as_secs_f64());
+            !conn.dead
+                && match m.reply {
+                    Ok((frame, _)) => conn.out.push_bytes(frame),
+                    Err(frame) => conn.out.push(&frame),
+                }
+                .is_err()
         };
         if overflow {
             self.slow_consumer(m.slot);
@@ -535,34 +541,16 @@ impl EvLoop {
         }
         let t0 = Instant::now();
         let shared = Arc::clone(&self.shared);
+        let max_frame = self.inner.config.max_frame;
         let on_done: up_server::Completion = Box::new(move |result| {
-            // Worker thread: render the reply here, off the event loop.
-            let (frame, ok, bytes) = match result {
-                Ok(r) => {
-                    let rows: Vec<Vec<String>> = r
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(|v| v.render()).collect())
-                        .collect();
-                    let bytes: u64 = rows.iter().flatten().map(|cell| cell.len() as u64).sum();
-                    (Frame::Rows { id, columns: r.columns, rows }, true, bytes)
-                }
-                Err(e) => (
-                    Frame::Error {
-                        id,
-                        code: ErrorCode::from_server_error(&e).as_u16(),
-                        message: e.to_string(),
-                    },
-                    false,
-                    0,
-                ),
-            };
+            // Worker thread: encode the reply here, off the event loop.
+            let reply = encode_reply(id, result, max_frame);
             shared
                 .inbox
                 .lock()
                 .expect("inbox poisoned")
                 .done
-                .push(CompletionMsg { slot, gen, id, frame, ok, bytes });
+                .push(CompletionMsg { slot, gen, id, reply });
             shared.wake.wake();
         });
         match self.inner.up.submit_with(session, &sql, on_done) {

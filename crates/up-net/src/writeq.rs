@@ -8,9 +8,10 @@
 //! a stable [`SlowConsumer`](crate::ErrorCode::SlowConsumer) error, and
 //! the server drops it. The bound is a threshold, not a ceiling: a push
 //! is accepted whenever the queue is currently *below* the bound, so a
-//! single frame larger than the bound still goes out (frames are
-//! already capped at `max_frame`), and control frames (errors,
-//! `Goodbye`) bypass the check — they are what a teardown needs to say.
+//! single frame larger than the bound still goes out (the reply encoder
+//! refuses a `Rows` frame over `max_frame` before it gets here), and
+//! control frames (errors, `Goodbye`) bypass the check — they are what a
+//! teardown needs to say.
 //!
 //! [`WriteQueue`] is the threads-mode shape: producers (the reader
 //! thread, waiter threads) push encoded frames, one writer thread pops
@@ -60,38 +61,33 @@ impl WriteQueue {
         }
     }
 
-    /// Queues a data frame; refused once the queue sits at/over the
-    /// byte bound (the connection owner then runs the slow-consumer
+    /// Queues an encoded data frame; refused once the queue sits at/over
+    /// the byte bound (the connection owner then runs the slow-consumer
     /// teardown). Pushes to a closed queue are silently dropped — the
     /// writer is already gone, there is nobody left to tell.
-    pub fn push(&self, frame: &Frame) -> Result<(), Overflow> {
-        let mut g = self.state.lock().expect("write queue poisoned");
-        if g.closed {
-            return Ok(());
-        }
-        if g.bytes >= self.bound {
-            return Err(Overflow { queued: g.bytes });
-        }
-        let bytes = frame.to_bytes();
-        g.bytes += bytes.len();
-        g.q.push_back(Out { bytes, goodbye: matches!(frame, Frame::Goodbye) });
-        drop(g);
-        self.ready.notify_one();
-        Ok(())
+    pub fn push_bytes(&self, bytes: Vec<u8>) -> Result<(), Overflow> {
+        self.enqueue(bytes, false, self.bound)
     }
 
     /// Queues a control frame (error notices, `Goodbye`) regardless of
     /// the bound — teardown must always be able to say why.
     pub fn push_control(&self, frame: &Frame) {
+        let _ = self.enqueue(frame.to_bytes(), matches!(frame, Frame::Goodbye), usize::MAX);
+    }
+
+    fn enqueue(&self, bytes: Vec<u8>, goodbye: bool, bound: usize) -> Result<(), Overflow> {
         let mut g = self.state.lock().expect("write queue poisoned");
         if g.closed {
-            return;
+            return Ok(());
         }
-        let bytes = frame.to_bytes();
+        if g.bytes >= bound {
+            return Err(Overflow { queued: g.bytes });
+        }
         g.bytes += bytes.len();
-        g.q.push_back(Out { bytes, goodbye: matches!(frame, Frame::Goodbye) });
+        g.q.push_back(Out { bytes, goodbye });
         drop(g);
         self.ready.notify_one();
+        Ok(())
     }
 
     /// Blocks for the next frame; `None` once closed and drained.
@@ -134,10 +130,16 @@ impl OutBuf {
 
     /// Queues a data frame under the byte bound.
     pub fn push(&mut self, frame: &Frame) -> Result<(), Overflow> {
+        self.push_bytes(frame.to_bytes())
+    }
+
+    /// [`push`](OutBuf::push) for a reply that is already encoded.
+    pub fn push_bytes(&mut self, bytes: Vec<u8>) -> Result<(), Overflow> {
         if self.bytes >= self.bound {
             return Err(Overflow { queued: self.bytes });
         }
-        self.push_control(frame);
+        self.bytes += bytes.len();
+        self.q.push_back(bytes);
         Ok(())
     }
 
@@ -204,9 +206,9 @@ mod tests {
     #[test]
     fn write_queue_bounds_data_but_not_control() {
         let q = WriteQueue::new(32);
-        q.push(&rows_frame(1)).unwrap();
+        q.push_bytes(rows_frame(1).to_bytes()).unwrap();
         // Queue now sits over the 32-byte bound: the next push bounces.
-        let err = q.push(&rows_frame(1)).unwrap_err();
+        let err = q.push_bytes(rows_frame(1).to_bytes()).unwrap_err();
         assert!(err.queued >= 32);
         // ...but the teardown notice always fits.
         q.push_control(&Frame::Error {
@@ -223,7 +225,7 @@ mod tests {
         assert_eq!(kinds, vec![false, false, true], "rows, error, goodbye");
         // Draining returned the queue to empty; pushes after close are
         // swallowed, not deadlocks.
-        q.push(&rows_frame(1)).unwrap();
+        q.push_bytes(rows_frame(1).to_bytes()).unwrap();
         assert!(q.pop_blocking().is_none());
     }
 

@@ -77,6 +77,8 @@ both_modes!(
     connection_cap_refuses_and_idle_timeout_reaps,
     weighted_tenants_get_a_skewed_completion_share_under_saturation,
     shutdown_drains_inflight_queries_before_goodbye,
+    incomparable_predicates_are_error_replies_not_dead_workers,
+    a_reply_over_max_frame_is_refused_and_the_connection_lives,
 );
 
 fn remote_code(err: WireError) -> ErrorCode {
@@ -122,6 +124,73 @@ fn wire_rows_are_bit_identical_to_in_process_queries(mode: ReactorMode) {
     let err = client.query("SELECT definitely not sql").unwrap_err();
     assert_eq!(remote_code(err), ErrorCode::QueryFailed);
     server.shutdown();
+}
+
+fn incomparable_predicates_are_error_replies_not_dead_workers(mode: ReactorMode) {
+    // One worker: if a statement killed it, the statement after would
+    // sit in the queue until the deadline.
+    let up = Arc::new(UpServer::new(ServerConfig { workers: 1, ..ServerConfig::default() }));
+    up.create_table(
+        "g",
+        Schema::new(vec![("k", ColumnType::Str), ("v", ColumnType::Decimal(ty()))]),
+    );
+    let rows = ["a", "b", "a"].into_iter().map(|k| vec![Value::Str(k.into()), dec("1.50")]);
+    up.insert_many("g", rows).unwrap();
+    let tenants = open_registry(&["acme"]);
+    let mut server =
+        WireServer::start(Arc::clone(&up), Arc::clone(&tenants), net_config(mode)).unwrap();
+    let mut c = Client::connect(server.addr(), "acme", "token").unwrap();
+    for (sql, why) in [
+        // Typed at plan time: a string key against a number, a sum
+        // against a string.
+        ("SELECT k, SUM(v) AS s FROM g GROUP BY k HAVING k > 1", "planning error"),
+        ("SELECT k, SUM(v) AS s FROM g GROUP BY k HAVING s > 'abc'", "planning error"),
+        // Not typed by the planner: the executor's fallback.
+        ("SELECT v FROM g WHERE k > 1", "unsupported"),
+    ] {
+        match c.query(sql).unwrap_err() {
+            WireError::Remote { code, message, .. } => {
+                assert_eq!(ErrorCode::from_u16(code), Some(ErrorCode::QueryFailed), "{sql}");
+                assert!(message.contains(why), "{sql}: {message}");
+            }
+            other => panic!("{sql}: {other}"),
+        }
+        // The same connection, and the only worker, answer the next one.
+        let ok = c.query("SELECT k, SUM(v) AS s FROM g GROUP BY k HAVING s > 2 ORDER BY k").unwrap();
+        assert_eq!(ok.rows, vec![vec!["a".to_string(), "3.00".to_string()]]);
+    }
+    let stats = tenants.stats("acme").unwrap();
+    assert_eq!((stats.completed, stats.errors, stats.inflight), (6, 3, 0));
+    server.shutdown();
+}
+
+fn a_reply_over_max_frame_is_refused_and_the_connection_lives(mode: ReactorMode) {
+    let up = seeded_up(ServerConfig::default(), 1000);
+    let tenants = open_registry(&["acme"]);
+    let config = NetConfig { max_frame: 4096, ..net_config(mode) };
+    let mut server = WireServer::start(Arc::clone(&up), Arc::clone(&tenants), config).unwrap();
+    let mut c = Client::connect(server.addr(), "acme", "token").unwrap();
+    // ~10 bytes a row: 1000 rows cannot fit 4096, 100 can.
+    let small = c.query("SELECT x + x FROM t LIMIT 100").unwrap();
+    assert_eq!(small.rows.len(), 100);
+    let small_bytes: u64 = small.rows.iter().flatten().map(|cell| cell.len() as u64).sum();
+    match c.query("SELECT x + x FROM t").unwrap_err() {
+        WireError::Remote { id, code, message } => {
+            assert_ne!(id, 0, "answers the query, not the connection");
+            assert_eq!(ErrorCode::from_u16(code), Some(ErrorCode::FrameTooLarge));
+            assert!(message.contains("1000 rows") && message.contains("limit 4096"), "{message}");
+        }
+        other => panic!("expected FrameTooLarge, got {other}"),
+    }
+    // Same connection, next query; the refused one is a failed query
+    // that shipped no result bytes.
+    assert_eq!(c.query("SELECT COUNT(*) FROM t").unwrap().rows, vec![vec!["1000".to_string()]]);
+    let stats = tenants.stats("acme").unwrap();
+    assert_eq!((stats.completed, stats.errors, stats.inflight), (3, 1, 0));
+    assert_eq!(stats.bytes_out, small_bytes + 4);
+    c.goodbye().unwrap();
+    server.shutdown();
+    assert_eq!(server.stats().slow_closed + server.stats().protocol_errors, 0);
 }
 
 fn server_errors_arrive_with_their_stable_codes(mode: ReactorMode) {

@@ -6,8 +6,9 @@
 //! bytes (or on borrowed limbs) directly, so the host code between a
 //! kernel's output buffer and a result row needs no per-value [`BigInt`]:
 //! [`SumAcc`] folds SUM the way §III-E2 reduces fixed-width word arrays,
-//! [`cmp_compact`] orders two cells for MIN/MAX, and [`write_compact`] /
-//! [`write_decimal`] render a cell as decimal text into one buffer.
+//! [`cmp_compact`] orders two cells for MIN/MAX and ORDER BY, and
+//! [`write_compact`] / [`append_compact`] / [`write_decimal`] render a cell
+//! as decimal text into one buffer.
 //!
 //! A sign bit over a zero magnitude can be stored; it *is* zero: it folds
 //! as 0, compares equal to 0 and renders without a `-`.
@@ -166,8 +167,8 @@ pub fn cmp_compact(a: &[u8], b: &[u8]) -> Ordering {
 
 /// Limbs kept on the stack while rendering: LEN 32 plus SUM growth.
 const STACK_LIMBS: usize = 40;
-/// Text bytes kept on the stack: ten per stack limb.
-const STACK_TEXT: usize = 10 * STACK_LIMBS;
+/// Text bytes kept on the stack: what [`render_limbs`] needs for that many.
+const STACK_TEXT: usize = 10 * STACK_LIMBS + 12;
 
 /// Runs `f` over `n` zeroed scratch limbs — on the stack up to
 /// [`STACK_LIMBS`], one heap buffer beyond.
@@ -179,39 +180,39 @@ fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [Limb]) -> R) -> R {
     }
 }
 
-/// A text buffer filled from its end: digits arrive least significant
-/// first, so nothing is reversed or shifted afterwards.
-struct Tail<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-    digits: usize,
-    scale: usize,
-}
+/// `"00".."99"`: two digits per lookup.
+const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819202122232425262728293031323334353637383940414243444546474849\
+5051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
 
-impl Tail<'_> {
-    fn push(&mut self, b: u8) {
-        self.pos -= 1;
-        self.buf[self.pos] = b;
-    }
-
-    fn digit(&mut self, d: u8) {
-        self.push(b'0' + d);
-        self.digits += 1;
-        if self.digits == self.scale {
-            self.push(b'.');
-        }
+/// Nine digits of `chunk < 10⁹`, leading zeros kept. `chunk · ⌈2⁵⁷/10⁸⌉`
+/// is `chunk / 10⁸` in 7.57 fixed point, high by less than one unit of the
+/// last digit: the top seven bits are the first digit and each `· 100` of
+/// the fraction shifts the next pair up — one multiply per two digits.
+/// (Checked over all 10⁹ chunks; the tests keep a strided sample.)
+#[inline]
+fn nine_digits(chunk: u32, out: &mut [u8]) {
+    let out: &mut [u8; 9] = out.try_into().expect("nine bytes per chunk");
+    let mut t = chunk as u64 * 1_441_151_881;
+    out[0] = b'0' + (t >> 57) as u8;
+    for pair in out[1..].chunks_exact_mut(2) {
+        t = (t & ((1 << 57) - 1)) * 100;
+        pair.copy_from_slice(&PAIRS[2 * (t >> 57) as usize..][..2]);
     }
 }
 
-/// Renders `±work · 10^(−scale)`, destroying `work`: repeated division by
-/// 10⁹ (a constant divisor, so multiplies) peels nine digits at a time into
-/// the tail of one buffer.
-fn write_limbs(out: &mut impl fmt::Write, neg: bool, work: &mut [Limb], scale: u32) -> fmt::Result {
+/// Renders `±work · 10^(−scale)`, destroying `work`, and hands the ASCII
+/// text to `sink`. Repeated division by 10⁹ (a constant divisor, so
+/// multiplies) peels nine digits at a time into the tail of one flat digit
+/// buffer; the sign, the zero padding out to the scale and the `.` are
+/// placed once, afterwards.
+fn render_limbs<R>(neg: bool, work: &mut [Limb], scale: u32, sink: impl FnOnce(&[u8]) -> R) -> R {
+    const CHUNK: u64 = 1_000_000_000;
+    let scale = scale as usize;
     let mut n = limbs::sig_limbs(work);
-    let nonzero = n > 0;
-    // ≤ 9.64 digits per limb, or zero padding out to the scale; plus the
-    // integer "0", '.', and '-'.
-    let need = (10 * n).max(scale as usize) + 3;
+    let neg = neg && n > 0;
+    // Nine digits per pass and ≤ 9.64 per limb, or zero padding out to the
+    // scale; plus the integer "0", '-', and the slot the '.' opens up.
+    let need = (10 * n + 9).max(scale) + 3;
     let mut stack = [0u8; STACK_TEXT];
     let mut heap = Vec::new();
     let buf: &mut [u8] = if need <= STACK_TEXT {
@@ -220,39 +221,43 @@ fn write_limbs(out: &mut impl fmt::Write, neg: bool, work: &mut [Limb], scale: u
         heap.resize(need, 0);
         &mut heap
     };
-    let mut t = Tail {
-        pos: buf.len(),
-        buf,
-        digits: 0,
-        scale: scale as usize,
-    };
+    // Digits fill `buf[pos..end]`; `buf[end]` stays free for the '.'.
+    let mut end = buf.len() - 1;
+    let mut pos = end;
     while n > 0 {
         let mut rem = 0u64;
         for w in work[..n].iter_mut().rev() {
             let cur = (rem << 32) | *w as u64;
-            *w = (cur / 1_000_000_000) as Limb;
-            rem = cur % 1_000_000_000;
+            rem = cur % CHUNK;
+            *w = (cur / CHUNK) as Limb;
         }
         n = limbs::sig_limbs(&work[..n]);
-        // Every chunk but the most significant keeps its leading zeros.
-        for _ in 0..9 {
-            if n == 0 && rem == 0 {
-                break;
-            }
-            t.digit((rem % 10) as u8);
-            rem /= 10;
-        }
+        nine_digits(rem as u32, &mut buf[pos - 9..pos]);
+        pos -= 9;
     }
-    while t.digits < t.scale {
-        t.digit(0);
+    // The most significant chunk's leading zeros go; the scale's stay.
+    while pos < end && buf[pos] == b'0' {
+        pos += 1;
     }
-    if t.digits == t.scale {
-        t.push(b'0');
+    if end - pos <= scale {
+        let first = end - scale - 1;
+        buf[first..pos].fill(b'0');
+        pos = first;
     }
-    if neg && nonzero {
-        t.push(b'-');
+    if scale > 0 {
+        buf.copy_within(end - scale..end, end - scale + 1);
+        buf[end - scale] = b'.';
+        end += 1;
     }
-    out.write_str(core::str::from_utf8(&t.buf[t.pos..]).expect("ASCII digits"))
+    if neg {
+        pos -= 1;
+        buf[pos] = b'-';
+    }
+    sink(&buf[pos..end])
+}
+
+fn write_ascii(out: &mut impl fmt::Write, text: &[u8]) -> fmt::Result {
+    out.write_str(core::str::from_utf8(text).expect("ASCII digits"))
 }
 
 /// Writes `±mag · 10^(−scale)` as decimal text: optional `-`, at least one
@@ -265,19 +270,30 @@ pub fn write_decimal(
 ) -> fmt::Result {
     with_scratch(mag.len(), |work| {
         work.copy_from_slice(mag);
-        write_limbs(out, neg, work, scale)
+        render_limbs(neg, work, scale, |text| write_ascii(out, text))
+    })
+}
+
+/// Renders a compact value of the given scale and hands the text to `sink`.
+fn render_compact<R>(bytes: &[u8], scale: u32, sink: impl FnOnce(&[u8]) -> R) -> R {
+    with_scratch(bytes.len().div_ceil(4), |work| {
+        for (k, w) in work.iter_mut().enumerate() {
+            *w = compact_limb(bytes, k);
+        }
+        render_limbs(compact_sign_bit(bytes), work, scale, sink)
     })
 }
 
 /// Writes a compact value of the given scale as decimal text — the same
 /// text as `decode_compact(bytes, ty).to_string()`, without the value.
 pub fn write_compact(out: &mut impl fmt::Write, bytes: &[u8], scale: u32) -> fmt::Result {
-    with_scratch(bytes.len().div_ceil(4), |work| {
-        for (k, w) in work.iter_mut().enumerate() {
-            *w = compact_limb(bytes, k);
-        }
-        write_limbs(out, compact_sign_bit(bytes), work, scale)
-    })
+    render_compact(bytes, scale, |text| write_ascii(out, text))
+}
+
+/// [`write_compact`] appending to a byte buffer (a wire frame under
+/// construction): the same text, with no `str` in between.
+pub fn append_compact(out: &mut Vec<u8>, bytes: &[u8], scale: u32) {
+    render_compact(bytes, scale, |text| out.extend_from_slice(text))
 }
 
 #[cfg(test)]
@@ -359,6 +375,65 @@ mod tests {
         acc.add_decimal(&UpDecimal::parse("1.50", ty(5, 2)).unwrap(), 2);
         acc.add_decimal(&UpDecimal::parse("-0.5", ty(5, 1)).unwrap(), 2);
         assert_eq!(acc.finish(), BigInt::from(100i64));
+    }
+
+    /// Digit by digit through `BigInt::div_rem` by ten: shares nothing
+    /// with the writer's 10⁹ chunks, pair table or `.` placement.
+    fn reference(int: &BigInt, scale: u32) -> String {
+        let ten = BigInt::from(10u64);
+        let (mut v, mut text) = (int.abs(), Vec::new());
+        while !v.is_zero() || text.len() <= scale as usize {
+            let (q, r) = v.div_rem(&ten);
+            text.push(b'0' + r.mag().first().map_or(0, |&d| d as u8));
+            v = q;
+        }
+        if scale > 0 {
+            text.insert(scale as usize, b'.');
+        }
+        if int.is_negative() {
+            text.push(b'-');
+        }
+        text.reverse();
+        String::from_utf8(text).unwrap()
+    }
+
+    #[test]
+    fn nine_digits_equals_zero_padded_formatting() {
+        let edges = [0, 1, 9, 10, 99, 100, 99_999_999, 100_000_000, 999_999_999];
+        for chunk in (0..1_000_000_000).step_by(7919).chain(edges) {
+            let mut got = [0u8; 9];
+            nine_digits(chunk, &mut got);
+            assert_eq!(got, format!("{chunk:09}").as_bytes(), "{chunk}");
+        }
+    }
+
+    #[test]
+    fn radix_writer_equals_digit_by_digit_division() {
+        let mut mags: Vec<Vec<Limb>> = vec![vec![], vec![0, 0, 0]];
+        // Chunk boundaries, up to 432 digits: 45 limbs, past STACK_LIMBS
+        // and (with the scales below) past STACK_TEXT, so the heap paths.
+        for k in 1..=48 {
+            let p = BigInt::from(10u64).pow(9 * k);
+            for v in [p.sub(&BigInt::one()), p.clone(), p.add(&BigInt::one())] {
+                mags.push(v.mag().to_vec());
+            }
+        }
+        mags.extend((1..=44).map(|n| vec![Limb::MAX; n]));
+        mags.extend([1, 9, 10, 99, 100, 999_999_999, 1_000_000_000, Limb::MAX].map(|w| vec![w]));
+        for mag in &mags {
+            let digits = BigInt::from_sign_mag(Sign::Plus, mag.clone()).dec_digits();
+            for scale in [0, 2, 38, digits.saturating_sub(1), digits, digits + 1] {
+                for neg in [false, true] {
+                    let int = BigInt::from_sign_mag(if neg { Sign::Minus } else { Sign::Plus }, mag.clone());
+                    let mut got = String::new();
+                    write_decimal(&mut got, neg, mag, scale).unwrap();
+                    assert_eq!(got, reference(&int, scale), "{mag:?} scale {scale} neg {neg}");
+                }
+            }
+        }
+        assert_eq!(reference(&BigInt::zero(), 0), "0");
+        assert_eq!(reference(&BigInt::zero(), 2), "0.00");
+        assert_eq!(reference(&BigInt::from(-5i64), 38), format!("-0.{}5", "0".repeat(37)));
     }
 
     #[test]

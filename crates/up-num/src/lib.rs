@@ -31,7 +31,7 @@ pub mod mul;
 pub mod pow10;
 
 pub use bigint::{BigInt, Sign};
-pub use column::{cmp_compact, write_compact, write_decimal, SumAcc};
+pub use column::{append_compact, cmp_compact, write_compact, write_decimal, SumAcc};
 pub use compact::{decode_compact, encode_compact, encode_compact_into, expand_compact, WordRepr};
 pub use decimal::UpDecimal;
 pub use dtype::{lb_for_precision, lw_for_precision, max_precision_for_lw, DecimalType, DIV_EXTRA_SCALE};

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use up_num::bigint::{BigInt, Sign};
-use up_num::column::{cmp_compact, write_compact, SumAcc};
+use up_num::column::{append_compact, cmp_compact, write_compact, SumAcc};
 use up_num::compact;
 use up_num::decimal::UpDecimal;
 use up_num::div;
@@ -237,14 +237,25 @@ proptest! {
         neg in any::<bool>(),
         // Scales on both sides of the digit count.
         scale in 0u32..=450,
+        // SUM over this many rows widens the cell (§III-B3).
+        rows in 1u64..1 << 40,
     ) {
         let (v, ty) = typed(mag, neg, scale);
         let want = old_to_string(v.unscaled(), scale);
         prop_assert_eq!(&v.to_string(), &want);
         prop_assert_eq!(v.unscaled().mag_to_dec_string(), old_to_string(&v.unscaled().abs(), 0));
-        let mut text = String::new();
-        write_compact(&mut text, &compact::encode_compact(&v, ty).unwrap(), scale).unwrap();
-        prop_assert_eq!(text, want);
+        // The value's own width, and the wider cell a SUM result has:
+        // leading zero bytes, the sign bit further out, any `Lb mod 4`.
+        for cell_ty in [ty, ty.sum_result(rows)] {
+            let cell = compact::encode_compact(&v, cell_ty).unwrap();
+            prop_assert_eq!(&compact::decode_compact(&cell, cell_ty).to_string(), &want);
+            let mut text = String::new();
+            write_compact(&mut text, &cell, scale).unwrap();
+            prop_assert_eq!(&text, &want);
+            let mut raw = b"frame".to_vec();
+            append_compact(&mut raw, &cell, scale);
+            prop_assert_eq!(&raw[5..], want.as_bytes());
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn parallel_results_are_bit_identical_to_serial() {
     let mut reference = Database::new(Profile::UltraPrecise);
     reference.create_table("t", schema());
     reference.insert_many("t", rows(n_rows)).unwrap();
-    let expected: Vec<Vec<Vec<Value>>> = QUERIES
+    let expected: Vec<_> = QUERIES
         .iter()
         .map(|q| reference.query(q).unwrap().rows)
         .collect();
