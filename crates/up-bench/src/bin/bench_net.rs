@@ -2,11 +2,10 @@
 //! matrix of simulated clients over loopback TCP against one
 //! `WireServer` per cell.
 //!
-//! Each cell is `mode × connections` (mode ∈ {threads, epoll};
-//! connections ∈ 256/1k/4k by default) with an idle+active mix: 1/4 of
-//! the connections run queries, the rest hold authenticated sockets
-//! open — the shape that separates per-connection fixed cost (threads,
-//! stacks) from per-query work. Per cell the harness reports
+//! Each cell is a connection count (256/1k/4k by default) with an
+//! idle+active mix: 1/4 of the connections run queries, the rest hold
+//! authenticated sockets open — the shape that separates per-connection
+//! fixed cost from per-query work. Per cell the harness reports
 //! throughput, per-tenant latency percentiles, OS threads (total
 //! process peak plus the server's own `up-net-*`/`up-worker-*` threads
 //! counted by name from `/proc/self/task`), and peak RSS.
@@ -24,27 +23,20 @@
 //! Results land in `results/BENCH_net.json` (schema
 //! `net-conn-scaling-v2`, see `results/README.md`). The harness asserts
 //! that nobody starved (no refusals, no protocol errors, every query
-//! resolved), that epoll cells run with no per-connection threads
-//! (`up-net-*` count ≤ event_threads + acceptor), and — under
-//! `--reactor` — that the reactor's throughput at the comparison size
-//! is at least the threads-mode baseline.
+//! resolved) and that no cell runs per-connection threads (`up-net-*`
+//! count ≤ event_threads + acceptor).
 //!
-//! Usage: `bench_net [--quick] [--reactor] [--clients N] [--tuples N]
-//! [--out PATH]`.
-//! * default: full matrix (threads@{256,1024}, epoll@{256,1024,4096})
-//! * `--quick`: one CI-sized epoll cell (64 connections)
-//! * `--reactor`: threads-vs-epoll comparison at 256 connections (or
-//!   `--clients N`) with the throughput assertion; combine with
-//!   `--quick` for the CI artifact
-//! * `--clients N`: override the cell size (single-cell / comparison
-//!   runs)
+//! Usage: `bench_net [--quick] [--clients N] [--tuples N] [--out PATH]`.
+//! * default: full matrix (256, 1024 and 4096 connections)
+//! * `--quick`: one CI-sized cell (64 connections)
+//! * `--clients N`: one cell of that size
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use up_bench::HarnessOpts;
 use up_engine::{ColumnType, Schema, Value};
-use up_net::{Client, NetConfig, ReactorMode, TenantQuota, TenantRegistry, WireServer};
+use up_net::{Client, NetConfig, TenantQuota, TenantRegistry, WireServer};
 use up_num::{DecimalType, UpDecimal};
 use up_server::{ServerConfig, UpServer};
 
@@ -53,8 +45,8 @@ const TENANTS: [(&str, f64, usize); 4] =
 
 const WORKERS: usize = 4;
 
-/// Small per-client stack: active clients are threads, and threads-mode
-/// cells add two server threads per connection on top.
+/// Small per-client stack: active clients are threads, up to 1024 of
+/// them in the largest cell.
 const CLIENT_STACK: usize = 256 * 1024;
 
 fn seeded_server(rows: usize) -> Arc<UpServer> {
@@ -204,7 +196,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1]
 }
 
-fn run_cell(mode: ReactorMode, conns: usize, reps: usize, tuples: usize) -> CellResult {
+fn run_cell(conns: usize, reps: usize, tuples: usize) -> CellResult {
     let active = (conns / 4).max(1);
     let idle = conns - active;
     let hwm_reset = reset_peak_rss();
@@ -220,7 +212,6 @@ fn run_cell(mode: ReactorMode, conns: usize, reps: usize, tuples: usize) -> Cell
         Arc::clone(&tenants),
         NetConfig {
             addr: "127.0.0.1:0".into(),
-            reactor: mode,
             max_conns: conns + 64,
             // Idle connections must survive the whole cell untouched.
             idle_timeout: Duration::from_secs(600),
@@ -229,7 +220,7 @@ fn run_cell(mode: ReactorMode, conns: usize, reps: usize, tuples: usize) -> Cell
     )
     .expect("bind loopback");
     let addr = server.addr();
-    let mode_name = server.mode().name();
+    let mode_name = NetConfig::default().reactor.name();
     println!(
         "cell {mode_name}@{conns}: {active} active x {reps} queries + {idle} idle, \
          {tuples} tuples, {WORKERS} workers"
@@ -337,15 +328,12 @@ fn run_cell(mode: ReactorMode, conns: usize, reps: usize, tuples: usize) -> Cell
         assert_eq!(s.errors, 0, "{name}: no errors");
     }
     // The reactor's contract: event threads + acceptor, regardless of
-    // connection count. (Counted by thread name, so only meaningful
-    // where /proc exists and epoll is actually in effect.)
-    if mode_name == "epoll" && wire_threads > 0 {
-        let budget = NetConfig::default().event_threads + 1;
-        assert!(
-            wire_threads <= budget,
-            "epoll@{conns}: {wire_threads} up-net threads exceed event_threads+acceptor={budget}"
-        );
-    }
+    // connection count. (Counted by thread name; 0 where /proc is absent.)
+    let budget = NetConfig::default().event_threads + 1;
+    assert!(
+        wire_threads <= budget,
+        "{mode_name}@{conns}: {wire_threads} up-net threads exceed event_threads+acceptor={budget}"
+    );
 
     let mut server = server;
     server.shutdown();
@@ -376,27 +364,14 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned());
-    let reactor_compare = args.iter().any(|a| a == "--reactor");
     let out_path = flag("--out").unwrap_or_else(|| "results/BENCH_net.json".to_string());
     let clients_override: Option<usize> = flag("--clients").and_then(|v| v.parse().ok());
     let reps = if opts.quick { 2 } else { 3 };
 
-    // The cell list: mode × connection count.
-    let cells: Vec<(ReactorMode, usize)> = if reactor_compare {
-        let n = clients_override.unwrap_or(256);
-        vec![(ReactorMode::Threads, n), (ReactorMode::Epoll, n)]
-    } else if let Some(n) = clients_override {
-        vec![(ReactorMode::Epoll, n)]
-    } else if opts.quick {
-        vec![(ReactorMode::Epoll, 64)]
-    } else {
-        vec![
-            (ReactorMode::Threads, 256),
-            (ReactorMode::Threads, 1024),
-            (ReactorMode::Epoll, 256),
-            (ReactorMode::Epoll, 1024),
-            (ReactorMode::Epoll, 4096),
-        ]
+    let cells: Vec<usize> = match clients_override {
+        Some(n) => vec![n],
+        None if opts.quick => vec![64],
+        None => vec![256, 1024, 4096],
     };
     println!(
         "bench_net: {} cells, {} tuples, {WORKERS} workers, DRR weights {:?}\n",
@@ -406,7 +381,7 @@ fn main() {
     );
 
     let results: Vec<CellResult> =
-        cells.iter().map(|&(mode, conns)| run_cell(mode, conns, reps, opts.sim_tuples)).collect();
+        cells.iter().map(|&conns| run_cell(conns, reps, opts.sim_tuples)).collect();
 
     println!(
         "\n{:<14} {:>7} {:>8} {:>10} {:>9} {:>9} {:>9} {:>12}",
@@ -424,33 +399,6 @@ fn main() {
             r.peak_threads,
             r.peak_rss_kb
         );
-    }
-
-    // Cross-cell comparison: at equal connection count, the reactor
-    // must not cost throughput relative to thread-per-connection.
-    let baseline_vs_epoll = |n: usize| {
-        let t = results.iter().find(|r| r.mode == "threads" && r.conns == n)?;
-        let e = results.iter().find(|r| r.mode == "epoll" && r.conns == n)?;
-        Some((t.qps, e.qps))
-    };
-    let mut compare_json = String::new();
-    for n in [256, 1024, 4096] {
-        if let Some((threads_qps, epoll_qps)) = baseline_vs_epoll(n) {
-            println!(
-                "\nreactor comparison @{n}: epoll {epoll_qps:.2} qps vs threads \
-                 {threads_qps:.2} qps ({:+.1}%)",
-                (epoll_qps / threads_qps - 1.0) * 100.0
-            );
-            assert!(
-                epoll_qps >= threads_qps,
-                "epoll throughput ({epoll_qps:.2} qps) fell below the threads-mode \
-                 baseline ({threads_qps:.2} qps) at {n} clients"
-            );
-            compare_json = format!(
-                ",\"reactor_compare\":{{\"conns\":{n},\"threads_qps\":{threads_qps:.3},\
-                 \"epoll_qps\":{epoll_qps:.3}}}"
-            );
-        }
     }
 
     let cell_json: Vec<String> = results
@@ -500,7 +448,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"net\",\"schema\":\"net-conn-scaling-v2\",\"quick\":{},\
          \"tuples\":{},\"workers\":{WORKERS},\"queries_per_client\":{reps},\
-         \"cells\":[{}]{compare_json}}}\n",
+         \"cells\":[{}]}}\n",
         opts.quick,
         opts.sim_tuples,
         cell_json.join(",")

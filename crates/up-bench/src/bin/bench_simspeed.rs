@@ -37,7 +37,7 @@
 //! mem-lowering regressions.
 //!
 //! The `auto` rows exercise count-based promotion live: each workload
-//! reuses one kernel, so the first `UP_SIM_TIER_THRESHOLD` auto launches
+//! reuses one kernel, so the first `TIER_THRESHOLD` (2) auto launches
 //! run decoded and the rest run compiled — the determinism check
 //! covering the promotion boundary is exactly the point.
 
@@ -328,7 +328,7 @@ fn main() {
         opts.quick,
         n,
         reps,
-        up_gpusim::tier_threshold(),
+        up_gpusim::TIER_THRESHOLD,
         json_entries.join(",")
     );
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

@@ -59,9 +59,8 @@
 //! **Promotion.** Compiling costs one pass over the decoded program plus
 //! a closure allocation per instruction, so cold kernels should not pay
 //! it. Under [`crate::ExecBackend::Auto`] each kernel counts its launches
-//! ([`TierCache`]); once the count exceeds [`tier_threshold`] (default 2,
-//! env `UP_SIM_TIER_THRESHOLD`) the kernel is promoted and the compiled
-//! artifact is cached in an `OnceLock<Arc<_>>` on the kernel — shared by
+//! ([`TierCache`]); once the count exceeds [`TIER_THRESHOLD`] the kernel
+//! is promoted and the compiled artifact is cached in an `OnceLock<Arc<_>>` on the kernel — shared by
 //! clones, the `up-jit` kernel cache, and the cross-query arena, so one
 //! compile serves every session that hits the same cached kernel.
 
@@ -69,7 +68,6 @@ use crate::decoded::{DCtx, DOp, DecodedProgram, MemOpKind, Op};
 use crate::exec::{
     full_mask, note_transactions, note_transactions_affine, Geometry, MemAccess, SimError,
 };
-use crate::env::knob as env_parse;
 use crate::ptx::{AddrForm, Kernel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -238,17 +236,12 @@ impl std::fmt::Debug for CompiledProgram {
 // Tier promotion: per-kernel launch counters + process-wide tier counters.
 // ---------------------------------------------------------------------------
 
-/// Launches a kernel from decoded to compiled once its launch count
-/// *exceeds* this bound (default 2: launches 1–2 interpret, 3+ run
-/// compiled). Env `UP_SIM_TIER_THRESHOLD`, read once; an invalid value
-/// warns on stderr like the other knobs and falls back to the default.
-pub fn tier_threshold() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        env_parse("UP_SIM_TIER_THRESHOLD", "a launch count", |v| v.parse::<u64>().ok())
-            .unwrap_or(2)
-    })
-}
+/// A kernel is promoted from decoded to compiled once its launch count
+/// *exceeds* this bound: launches 1–2 interpret, 3+ run compiled. The
+/// threshold exists for kernels that launch once (every statement of a
+/// cold workload) and must not pay closure compile; nothing needs it
+/// tuned.
+pub const TIER_THRESHOLD: u64 = 2;
 
 static COMPILE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static COMPILE_HITS: AtomicU64 = AtomicU64::new(0);

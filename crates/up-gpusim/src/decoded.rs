@@ -48,7 +48,7 @@ pub enum ExecBackend {
     Compiled,
     /// Tiered promotion: launches start on the decoded interpreter and
     /// promote to the compiled tier once the kernel's launch count
-    /// exceeds [`crate::compiled::tier_threshold`] (so cold kernels never
+    /// exceeds [`crate::compiled::TIER_THRESHOLD`] (so cold kernels never
     /// pay closure-compile cost). Combined with `SimParallelism::Auto`,
     /// small launches also stay serial (see `exec::AUTO_MIN_THREADS`),
     /// so they stop paying thread-spawn overhead.

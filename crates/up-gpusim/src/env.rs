@@ -1,9 +1,8 @@
 //! Warn-once environment-knob parsing, shared by every crate in the
 //! workspace.
 //!
-//! One contract for `UP_SIM_THREADS`, `UP_SIM_EXEC`,
-//! `UP_SIM_TIER_THRESHOLD`, `UP_PIPELINE`, `UP_ARENA`, `UP_DEVICES`, and
-//! the `UP_NET_*` family: the variable is read once per process (call
+//! One contract for `UP_SIM_THREADS`, `UP_SIM_EXEC`, `UP_PIPELINE`,
+//! `UP_ARENA`, `UP_DEVICES`, and the `UP_NET_*` family: the variable is read once per process (call
 //! sites cache in a `OnceLock`), a valid value overrides the default,
 //! and a *set but unparsable* value warns once on stderr and behaves
 //! like unset — never a panic, never silently meaning something else.
@@ -96,19 +95,6 @@ mod tests {
                 Some("turbo"),
                 ExecBackend::parse
             ),
-            None
-        );
-    }
-
-    #[test]
-    fn up_sim_tier_threshold_knob() {
-        let parse = |v: &str| v.parse::<u64>().ok();
-        assert_eq!(
-            parse_value("UP_SIM_TIER_THRESHOLD", "a launch count", Some("5"), parse),
-            Some(5)
-        );
-        assert_eq!(
-            parse_value("UP_SIM_TIER_THRESHOLD", "a launch count", Some("soon"), parse),
             None
         );
     }

@@ -27,8 +27,8 @@ pub mod reduce;
 pub mod stream;
 
 pub use compiled::{
-    compile_counters, last_launch_tiers, tier_counters, tier_threshold, CompiledProgram, ExecTier,
-    TierCounters,
+    compile_counters, last_launch_tiers, tier_counters, CompiledProgram, ExecTier, TierCounters,
+    TIER_THRESHOLD,
 };
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
 pub use device::{CpuDevice, Device, DeviceConfig, Fleet, GpuDevice};

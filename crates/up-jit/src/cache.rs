@@ -335,7 +335,7 @@ impl JitEngine {
                     // The closure-compiled tier is deliberately *not*
                     // built here: cold kernels stay on the decoded
                     // interpreter, and tier promotion (launch-count
-                    // crossing `up_gpusim::tier_threshold`) builds the
+                    // crossing `up_gpusim::TIER_THRESHOLD`) builds the
                     // artifact into the same cached kernel's
                     // `OnceLock<Arc>`, so one promotion serves every
                     // session that hits this cache entry — including

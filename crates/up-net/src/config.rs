@@ -9,43 +9,19 @@ use crate::frame::DEFAULT_MAX_FRAME;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// How the wire server multiplexes connections onto OS threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReactorMode {
-    /// Legacy shape: two blocking threads (reader + writer) per
-    /// connection, plus a waiter thread per in-flight query. Simple and
-    /// portable; costs O(connections) threads.
-    Threads,
-    /// Readiness-driven reactor (Linux): N event threads own slabs of
-    /// nonblocking connections over `epoll`, query completions come
-    /// back via an eventfd wakeup, and the only threads are the
-    /// acceptor, the event loops, and the server's worker pool —
-    /// O(cores), independent of connection count. On non-Linux builds
-    /// this falls back to [`Threads`](ReactorMode::Threads).
-    Epoll,
-}
+/// The readiness poller under the wire server's event loops: `epoll` on
+/// Linux, `poll(2)` on every other unix. The build target decides, so the
+/// type has one value and there is nothing to set.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReactorMode;
 
 impl ReactorMode {
-    /// True when this build can actually run the epoll reactor.
-    pub fn epoll_supported() -> bool {
-        cfg!(target_os = "linux")
-    }
-
-    /// The mode that will really run: `Epoll` degrades to `Threads` on
-    /// platforms without the poller.
-    pub fn effective(self) -> ReactorMode {
-        match self {
-            ReactorMode::Epoll if Self::epoll_supported() => ReactorMode::Epoll,
-            ReactorMode::Epoll => ReactorMode::Threads,
-            ReactorMode::Threads => ReactorMode::Threads,
-        }
-    }
-
-    /// Lower-case name, as accepted by `UP_NET_REACTOR`.
+    /// Lower-case name of this build's poller, as printed in reports.
     pub fn name(self) -> &'static str {
-        match self {
-            ReactorMode::Threads => "threads",
-            ReactorMode::Epoll => "epoll",
+        if cfg!(target_os = "linux") {
+            "epoll"
+        } else {
+            "poll"
         }
     }
 }
@@ -70,24 +46,20 @@ pub struct NetConfig {
     pub max_frame: u32,
     /// Most in-flight queries per connection.
     pub max_inflight: u32,
-    /// Connection multiplexing strategy. Defaults from
-    /// `UP_NET_REACTOR` (`threads | epoll`), otherwise
-    /// [`Epoll`](ReactorMode::Epoll) on Linux and
-    /// [`Threads`](ReactorMode::Threads) elsewhere. Both modes speak
-    /// the identical protocol (same stable codes, quotas, idle/drain
-    /// behavior) and are differential-tested against each other.
+    /// Which poller this build's event loops run on — reported, never
+    /// chosen.
     pub reactor: ReactorMode,
-    /// Event threads of the epoll reactor (ignored in threads mode).
-    /// Defaults from `UP_NET_EVENT_THREADS` (`1..=64`), otherwise
+    /// Event threads of the reactor. Defaults from
+    /// `UP_NET_EVENT_THREADS` (`1..=64`), otherwise
     /// `min(4, available cores)`.
     pub event_threads: usize,
     /// Per-connection outbound-queue bound in bytes. Once a
     /// connection's un-flushed replies exceed this, the peer is deemed
     /// a slow consumer: the server answers
     /// [`SlowConsumer`](crate::ErrorCode::SlowConsumer) and drops the
-    /// connection instead of buffering without bound. Applies to both
-    /// reactor modes. The bound is a threshold, not a hard ceiling — a
-    /// single frame is always accepted when the queue is below it.
+    /// connection instead of buffering without bound. The bound is a
+    /// threshold, not a hard ceiling — a single frame is always accepted
+    /// when the queue is below it.
     pub max_write_buf: usize,
 }
 
@@ -99,7 +71,7 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs_f64(idle_s_from_env().unwrap_or(30.0)),
             max_frame: DEFAULT_MAX_FRAME,
             max_inflight: 8,
-            reactor: reactor_from_env().unwrap_or(ReactorMode::Epoll).effective(),
+            reactor: ReactorMode,
             event_threads: event_threads_from_env().unwrap_or_else(default_event_threads),
             max_write_buf: 4 << 20,
         }
@@ -137,28 +109,8 @@ pub(crate) fn parse_idle_s(v: &str) -> Option<f64> {
     v.parse::<f64>().ok().filter(|s| s.is_finite() && *s > 0.0)
 }
 
-pub(crate) fn parse_reactor(v: &str) -> Option<ReactorMode> {
-    match v.to_ascii_lowercase().as_str() {
-        "threads" | "thread" => Some(ReactorMode::Threads),
-        "epoll" => Some(ReactorMode::Epoll),
-        _ => None,
-    }
-}
-
 pub(crate) fn parse_event_threads(v: &str) -> Option<usize> {
     v.parse::<usize>().ok().filter(|&n| (1..=64).contains(&n))
-}
-
-fn reactor_from_env() -> Option<ReactorMode> {
-    static CACHE: OnceLock<Option<ReactorMode>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        parse_env_value(
-            "UP_NET_REACTOR",
-            "threads | epoll",
-            std::env::var("UP_NET_REACTOR").ok().as_deref(),
-            parse_reactor,
-        )
-    })
 }
 
 fn event_threads_from_env() -> Option<usize> {
@@ -268,16 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_knob_parses_modes_and_ignores_nonsense() {
-        let p = |raw| parse_env_value("UP_NET_REACTOR", "threads | epoll", raw, parse_reactor);
-        assert_eq!(p(Some("epoll")), Some(ReactorMode::Epoll));
-        assert_eq!(p(Some("Threads")), Some(ReactorMode::Threads), "case-insensitive");
-        assert_eq!(p(Some(" epoll ")), Some(ReactorMode::Epoll), "trimmed");
-        assert_eq!(p(Some("tokio")), None, "no async runtimes here");
-        assert_eq!(p(None), None);
-    }
-
-    #[test]
     fn event_threads_knob_bounds_to_1_through_64() {
         let p = |raw| {
             parse_env_value("UP_NET_EVENT_THREADS", "1..=64", raw, parse_event_threads)
@@ -291,18 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_mode_effective_degrades_off_linux_only() {
-        assert_eq!(ReactorMode::Threads.effective(), ReactorMode::Threads);
-        if ReactorMode::epoll_supported() {
-            assert_eq!(ReactorMode::Epoll.effective(), ReactorMode::Epoll);
-        } else {
-            assert_eq!(ReactorMode::Epoll.effective(), ReactorMode::Threads);
-        }
-        assert_eq!(ReactorMode::Epoll.name(), "epoll");
-        assert_eq!(ReactorMode::Threads.name(), "threads");
-    }
-
-    #[test]
     fn defaults_are_sane_without_env() {
         let c = NetConfig::default();
         assert!(c.addr.contains(':'));
@@ -310,7 +240,7 @@ mod tests {
         assert!(c.idle_timeout > Duration::ZERO);
         assert!(c.max_frame >= 1024);
         assert!(c.max_inflight >= 1);
-        assert_eq!(c.reactor, c.reactor.effective(), "default is always runnable");
+        assert_eq!(c.reactor.name(), if cfg!(target_os = "linux") { "epoll" } else { "poll" });
         assert!((1..=64).contains(&c.event_threads));
         assert!(c.max_write_buf >= c.max_frame as usize, "one max frame must fit");
     }

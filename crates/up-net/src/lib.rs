@@ -6,23 +6,22 @@
 //!
 //! - [`frame`] — the codec: length-prefixed, versioned binary frames
 //!   with strict limits and stable numeric [`ErrorCode`]s;
-//! - [`conn`] — the [`WireServer`]: one acceptor plus either the
-//!   legacy per-connection reader/writer threads or (default on
-//!   Linux) the epoll [`reactor`] with `O(cores)` event threads; both
-//!   modes share the connection cap, idle timeouts, bounded
-//!   per-connection write queues, and graceful shutdown that drains
-//!   in-flight tickets;
-//! - [`reactor`] — the readiness-driven event loops: nonblocking
-//!   sockets in a slab, per-connection read/write state machines over
-//!   the same codec, and an eventfd wakeup path that hands query
-//!   completions back to the owning event thread
-//!   (`UP_NET_REACTOR=threads|epoll` selects the mode);
+//! - [`conn`] — the [`WireServer`] handle (bind, counters, graceful
+//!   shutdown that drains in-flight queries) and the protocol brain:
+//!   handshake order, admission, stable error codes;
+//! - [`reactor`] — the one connection driver: an acceptor plus
+//!   `O(cores)` readiness event loops over nonblocking sockets in a
+//!   slab, per-connection read/write state machines over the codec, a
+//!   bounded per-connection write buffer, idle timeouts, and a wakeup
+//!   path that hands query completions back to the owning event thread
+//!   (`epoll` on Linux, `poll(2)` on other unix — the build decides);
 //! - [`tenant`] — the [`TenantRegistry`]: token-bucket rate limits,
 //!   concurrency caps, result-byte budgets, and DRR admission weights;
 //! - [`client`] — a blocking [`Client`] shared by the tests, the
 //!   `bench_net` load harness, and `examples/wire_service.rs`;
 //! - [`config`] — [`NetConfig`] with `UP_NET_ADDR` /
-//!   `UP_NET_MAX_CONNS` / `UP_NET_IDLE_S` environment defaults.
+//!   `UP_NET_MAX_CONNS` / `UP_NET_IDLE_S` / `UP_NET_EVENT_THREADS`
+//!   environment defaults.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,9 +53,9 @@ pub mod client;
 pub mod config;
 pub mod conn;
 pub mod frame;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub mod reactor;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod sys;
 pub mod tenant;
 mod writeq;

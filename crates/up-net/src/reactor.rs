@@ -1,47 +1,47 @@
-//! The epoll readiness reactor: `O(cores)` threads for any number of
-//! connections.
+//! The readiness reactor, the wire server's one connection driver:
+//! `O(cores)` threads for any number of connections.
 //!
-//! Thread shape: one **acceptor** (cap enforcement and refusal exactly
-//! as in threads mode) round-robins accepted sockets across
+//! Thread shape: one **acceptor** (cap enforcement and refusal) parked
+//! on the listener, round-robining accepted sockets across
 //! [`NetConfig::event_threads`](crate::NetConfig::event_threads)
 //! **event loops**. Each loop owns a slab of nonblocking connections
-//! and multiplexes them with level-triggered `epoll` (raw syscalls via
-//! [`crate::sys`] — no async runtime, no new dependencies). Query
-//! execution stays on the `UpServer` worker pool: a submit hands the
-//! worker a completion callback that renders the reply frame off the
-//! event thread, posts it to the owning loop's inbox, and kicks its
-//! eventfd, so results re-enter the loop as ordinary wakeups.
+//! and multiplexes them with a level-triggered `Poller` (`epoll` or
+//! `poll(2)`, raw syscalls via [`crate::sys`] — no async runtime, no new
+//! dependencies). Query execution stays on the `UpServer` worker pool: a
+//! submit hands the worker a completion callback that renders the reply
+//! frame off the event thread, posts it to the owning loop's inbox, and
+//! kicks its `Waker`, so results re-enter the loop as ordinary wakeups.
 //!
 //! Per connection, two small state machines:
 //!
-//! - **read**: bytes → shared [`FrameAssembler`] → frames → the shared
-//!   [`classify`] protocol brain. Reads per readiness event are bounded
-//!   (`READ_ROUNDS` chunks), so one firehose — or one slow-loris
-//!   dribbling a byte at a time — cannot starve the other connections
-//!   on the loop; level-triggered epoll re-arms whatever was left.
+//! - **read**: bytes → [`FrameAssembler`] → frames → `on_frame`, which
+//!   checks each against the protocol state. Reads per readiness event
+//!   are bounded (`READ_ROUNDS` chunks), so one firehose — or one
+//!   slow-loris dribbling a byte at a time — cannot starve the other
+//!   connections on the loop; level-triggered polling re-arms whatever
+//!   was left.
 //!   `last_activity` advances only when a *complete* frame parses,
 //!   so trickled partial frames still hit the idle timeout.
-//! - **write**: a bounded [`OutBuf`] flushed until `WouldBlock`;
-//!   `EPOLLOUT` interest is registered only while un-flushed bytes
-//!   remain. Overflow is the same slow-consumer teardown as threads
-//!   mode ([`ErrorCode::SlowConsumer`]).
+//! - **write**: a bounded [`OutBuf`] flushed until `WouldBlock`; write
+//!   interest is registered only while un-flushed bytes remain. Overflow
+//!   is the slow-consumer teardown ([`ErrorCode::SlowConsumer`]).
 //!
-//! Teardown parity: every close path — client `Goodbye`, protocol
-//! error, idle timeout, slow consumer, server shutdown — stops reading,
-//! **waits for in-flight queries to resolve** (their completions still
-//! account `on_done`), then queues `Goodbye`, closes the server
-//! session, and frees the slot. Client-side wait deadlines are enforced
-//! by the loop itself: each in-flight query carries
-//! `UpServer::default_timeout`, and expiry cancels the job and answers
-//! with the same `Timeout` code and message a threads-mode
+//! Every close path — client `Goodbye`, protocol error, idle timeout,
+//! slow consumer, server shutdown — stops reading, **waits for
+//! in-flight queries to resolve** (their completions still account
+//! `on_done`), then queues `Goodbye`, closes the server session (which
+//! releases its DRR lane), and frees the slot. Client-side wait
+//! deadlines are enforced by the loop itself: each in-flight query
+//! carries `UpServer::default_timeout`, and expiry cancels the job and
+//! answers with the `Timeout` code and message a blocking
 //! `QueryTicket::wait` would produce.
 
 use crate::conn::{
-    admit_query, classify, do_auth, encode_reply, refuse, render_report, ConnState, Intent,
-    NetInner, POLL_TICK,
+    admit_query, do_auth, encode_reply, frame_name, refuse, render_report, ConnState, NetInner,
+    POLL_TICK,
 };
 use crate::frame::{DecodeError, ErrorCode, Frame, FrameAssembler};
-use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::sys::{Event, Poller, Waker, ERR, HUP, IN, OUT};
 use crate::writeq::OutBuf;
 use std::collections::HashMap;
 use std::io::Read;
@@ -58,8 +58,10 @@ use up_server::{CancelHandle, ServerError, SessionId};
 const READ_ROUNDS: usize = 4;
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Slab token for the loop's own eventfd.
+/// Token of a thread's own [`Waker`] (no slab slot reaches `u32::MAX`).
 const WAKE_TOKEN: u64 = u64::MAX;
+/// Token of the listener in the acceptor's poller.
+const LISTEN_TOKEN: u64 = 0;
 
 fn token(slot: usize, gen: u32) -> u64 {
     ((gen as u64) << 32) | slot as u64
@@ -81,93 +83,118 @@ struct Inbox {
     done: Vec<CompletionMsg>,
 }
 
-/// The cross-thread half of one event loop: its inbox plus the eventfd
-/// that kicks it out of `epoll_wait`.
+/// The cross-thread half of one event loop: its inbox plus the waker
+/// that kicks it out of [`Poller::wait`].
 struct LoopShared {
     inbox: Mutex<Inbox>,
-    wake: EventFd,
+    wake: Waker,
 }
 
 /// Handle owned by [`WireServer`](crate::WireServer): joins the
 /// acceptor and every event loop at shutdown.
 pub(crate) struct Reactor {
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: (Arc<Waker>, JoinHandle<()>),
     loops: Vec<(Arc<LoopShared>, JoinHandle<()>)>,
 }
 
 impl Reactor {
     pub(crate) fn start(inner: Arc<NetInner>, listener: TcpListener) -> std::io::Result<Reactor> {
+        let wake = Arc::new(Waker::new()?);
+        let mut accept_poller = Poller::new()?;
+        accept_poller.add(listener.as_raw_fd(), IN, LISTEN_TOKEN)?;
+        accept_poller.add(wake.raw_fd(), IN, WAKE_TOKEN)?;
         let n = inner.config.event_threads.max(1);
         let mut loops = Vec::with_capacity(n);
-        let mut shareds = Vec::with_capacity(n);
         for i in 0..n {
             let shared =
-                Arc::new(LoopShared { inbox: Mutex::new(Inbox::default()), wake: EventFd::new()? });
-            let ep = Epoll::new()?;
-            ep.add(shared.wake.raw_fd(), EPOLLIN, WAKE_TOKEN)?;
+                Arc::new(LoopShared { inbox: Mutex::new(Inbox::default()), wake: Waker::new()? });
+            let mut poller = Poller::new()?;
+            poller.add(shared.wake.raw_fd(), IN, WAKE_TOKEN)?;
             let handle = {
                 let inner = Arc::clone(&inner);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("up-net-ev{i}"))
-                    .spawn(move || event_loop(inner, shared, ep))
+                    .spawn(move || event_loop(inner, shared, poller))
                     .expect("spawn event thread")
             };
-            shareds.push(Arc::clone(&shared));
             loops.push((shared, handle));
         }
         let acceptor = {
-            let inner = Arc::clone(&inner);
+            let wake = Arc::clone(&wake);
+            let shareds = loops.iter().map(|(shared, _)| Arc::clone(shared)).collect();
             std::thread::Builder::new()
                 .name("up-net-accept".into())
-                .spawn(move || accept_loop(inner, listener, shareds))
+                .spawn(move || accept_loop(inner, listener, accept_poller, &wake, shareds))
                 .expect("spawn acceptor")
         };
-        Ok(Reactor { acceptor: Some(acceptor), loops })
+        Ok(Reactor { acceptor: (wake, acceptor), loops })
     }
 
-    /// Joins everything. The caller has already set `inner.stop`; the
-    /// loops notice via their wakeups (or at the next tick) and drain.
-    pub(crate) fn shutdown(mut self) {
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+    /// Joins everything. The caller has already set `inner.stop`. The
+    /// acceptor goes first, so no socket is handed to a loop that has
+    /// already drained and left.
+    pub(crate) fn shutdown(self) {
+        let (wake, acceptor) = self.acceptor;
+        wake.wake();
+        let _ = acceptor.join();
         for (shared, _) in &self.loops {
             shared.wake.wake();
         }
-        for (_, h) in self.loops.drain(..) {
+        for (_, h) in self.loops {
             let _ = h.join();
         }
     }
 }
 
-fn accept_loop(inner: Arc<NetInner>, listener: TcpListener, loops: Vec<Arc<LoopShared>>) {
+/// Parks on the listener (and the stop wake-up); each readiness report
+/// drains the accept backlog.
+fn accept_loop(
+    inner: Arc<NetInner>,
+    listener: TcpListener,
+    mut poller: Poller,
+    wake: &Waker,
+    loops: Vec<Arc<LoopShared>>,
+) {
+    let mut events = [Event { events: 0, data: 0 }; 2];
     let mut next = 0usize;
-    while !inner.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                inner.accepted.fetch_add(1, Ordering::Relaxed);
-                if inner.active.load(Ordering::Relaxed) >= inner.config.max_conns {
-                    inner.refused.fetch_add(1, Ordering::Relaxed);
-                    // Refusal writes are blocking-with-timeout.
-                    let _ = stream.set_nonblocking(false);
-                    refuse(stream);
-                    continue;
+    loop {
+        let _ = poller.wait(&mut events, -1);
+        wake.drain();
+        if inner.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    inner.accepted.fetch_add(1, Ordering::Relaxed);
+                    if inner.active.load(Ordering::Relaxed) >= inner.config.max_conns {
+                        inner.refused.fetch_add(1, Ordering::Relaxed);
+                        refuse(stream);
+                        continue;
+                    }
+                    // Reserve the slot *before* handing off, so the cap
+                    // is enforced here and nowhere else.
+                    inner.active.fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_nonblocking(true);
+                    let target = &loops[next % loops.len()];
+                    next = next.wrapping_add(1);
+                    target.inbox.lock().expect("inbox poisoned").conns.push(stream);
+                    target.wake.wake();
                 }
-                // Reserve the slot *before* handing off, so the cap is
-                // enforced here exactly as in threads mode.
-                inner.active.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                let target = &loops[next % loops.len()];
-                next = next.wrapping_add(1);
-                target.inbox.lock().expect("inbox poisoned").conns.push(stream);
-                target.wake.wake();
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    // Out of descriptors, most likely: the backlog stays
+                    // readable, so look away from it for a moment (the
+                    // stop wake-up still gets through) and try again.
+                    let fd = listener.as_raw_fd();
+                    let _ = poller.modify(fd, 0, LISTEN_TOKEN);
+                    let _ = poller.wait(&mut events, 5);
+                    let _ = poller.modify(fd, IN, LISTEN_TOKEN);
+                    break;
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -177,7 +204,7 @@ struct Inflight {
     cancel: CancelHandle,
     t0: Instant,
     /// Client-side wait deadline (`UpServer::default_timeout` past
-    /// submit) — the reactor's equivalent of `QueryTicket::wait`.
+    /// submit) — the loop's equivalent of `QueryTicket::wait`.
     deadline: Instant,
 }
 
@@ -190,7 +217,7 @@ enum Phase {
     Draining,
 }
 
-struct EpConn {
+struct Conn {
     stream: TcpStream,
     gen: u32,
     state: ConnState,
@@ -208,34 +235,36 @@ struct EpConn {
     goodbye_queued: bool,
     /// When the final flush began; force-close if it stalls.
     drain_since: Option<Instant>,
-    /// Interest set currently registered with epoll.
+    /// Interest set currently registered with the poller.
     interest: u32,
 }
 
 struct EvLoop {
     inner: Arc<NetInner>,
     shared: Arc<LoopShared>,
-    ep: Epoll,
-    slab: Vec<Option<EpConn>>,
+    poller: Poller,
+    slab: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
     gen_counter: u32,
 }
 
-fn event_loop(inner: Arc<NetInner>, shared: Arc<LoopShared>, ep: Epoll) {
+fn event_loop(inner: Arc<NetInner>, shared: Arc<LoopShared>, poller: Poller) {
     let mut lp = EvLoop {
         inner,
         shared,
-        ep,
+        poller,
         slab: Vec::new(),
         free: Vec::new(),
         live: 0,
         gen_counter: 0,
     };
-    let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
+    let mut events = vec![Event { events: 0, data: 0 }; 256];
     let mut chunk = vec![0u8; READ_CHUNK];
+    let mut next_sweep = Instant::now() + POLL_TICK;
     loop {
-        let n = lp.ep.wait(&mut events, POLL_TICK.as_millis() as i32).unwrap_or(0);
+        let until_sweep = next_sweep.saturating_duration_since(Instant::now());
+        let n = lp.poller.wait(&mut events, until_sweep.as_millis() as i32 + 1).unwrap_or(0);
         for ev in events.iter().take(n) {
             let ev = *ev;
             let tok = { ev.data };
@@ -247,8 +276,12 @@ fn event_loop(inner: Arc<NetInner>, shared: Arc<LoopShared>, ep: Epoll) {
             lp.handle_io((tok & 0xffff_ffff) as usize, (tok >> 32) as u32, bits, &mut chunk);
         }
         lp.drain_inbox();
-        lp.tick();
-        if lp.inner.stop.load(Ordering::Relaxed) && lp.live == 0 {
+        let (stop, now) = (lp.inner.stop.load(Ordering::Relaxed), Instant::now());
+        if stop || now >= next_sweep {
+            lp.sweep(stop);
+            next_sweep = now + POLL_TICK;
+        }
+        if stop && lp.live == 0 {
             let g = lp.shared.inbox.lock().expect("inbox poisoned");
             if g.conns.is_empty() {
                 // Leftover `done` entries can only be late completions
@@ -260,7 +293,7 @@ fn event_loop(inner: Arc<NetInner>, shared: Arc<LoopShared>, ep: Epoll) {
 }
 
 impl EvLoop {
-    fn conn(&mut self, slot: usize) -> Option<&mut EpConn> {
+    fn conn(&mut self, slot: usize) -> Option<&mut Conn> {
         self.slab.get_mut(slot).and_then(|c| c.as_mut())
     }
 
@@ -286,14 +319,14 @@ impl EvLoop {
         });
         self.gen_counter = self.gen_counter.wrapping_add(1);
         let gen = self.gen_counter;
-        if self.ep.add(stream.as_raw_fd(), EPOLLIN, token(slot, gen)).is_err() {
+        if self.poller.add(stream.as_raw_fd(), IN, token(slot, gen)).is_err() {
             // Could not watch the socket: undo the acceptor's
             // reservation and drop the connection.
             self.inner.active.fetch_sub(1, Ordering::Relaxed);
             self.free.push(slot);
             return;
         }
-        self.slab[slot] = Some(EpConn {
+        self.slab[slot] = Some(Conn {
             stream,
             gen,
             state: ConnState::ExpectHello,
@@ -307,7 +340,7 @@ impl EvLoop {
             dead: false,
             goodbye_queued: false,
             drain_since: None,
-            interest: EPOLLIN,
+            interest: IN,
         });
         self.live += 1;
     }
@@ -349,10 +382,10 @@ impl EvLoop {
                 return;
             }
         }
-        if bits & EPOLLIN != 0 {
+        if bits & IN != 0 {
             self.do_read(slot, chunk);
         }
-        if bits & EPOLLERR != 0 || (bits & EPOLLHUP != 0 && bits & EPOLLIN == 0) {
+        if bits & ERR != 0 || (bits & HUP != 0 && bits & IN == 0) {
             self.socket_dead(slot);
         }
         self.pump(slot);
@@ -409,7 +442,7 @@ impl EvLoop {
             match step {
                 Step::Frames(frames, decode_err) => {
                     // Frames decoded before a poisoned tail still
-                    // execute, as in threads mode.
+                    // execute.
                     for frame in frames {
                         if !self.on_frame(slot, frame) {
                             return;
@@ -442,81 +475,80 @@ impl EvLoop {
         }
     }
 
-    /// Runs one decoded frame through the shared protocol brain.
-    /// Returns false once the connection is closing.
+    /// Interprets one decoded frame against the connection's protocol
+    /// state — the one place `(state, frame)` is decided. Returns false
+    /// once the connection is closing.
     fn on_frame(&mut self, slot: usize, frame: Frame) -> bool {
         let inner = Arc::clone(&self.inner);
-        let intent = {
-            let Some(conn) = self.conn(slot) else { return false };
-            if conn.phase != Phase::Open || conn.dead {
-                return false;
-            }
-            classify(&conn.state, frame)
-        };
-        match intent {
-            Intent::SendHello => {
-                let hello = Frame::Hello {
+        let Some(conn) = self.conn(slot) else { return false };
+        if conn.phase != Phase::Open || conn.dead {
+            return false;
+        }
+        match (conn.state, frame) {
+            (ConnState::ExpectHello, Frame::Hello { .. }) => {
+                conn.out.push_control(&Frame::Hello {
                     max_frame: inner.config.max_frame,
                     max_inflight: inner.config.max_inflight,
-                };
-                let conn = self.conn(slot).expect("checked above");
-                conn.out.push_control(&hello);
+                });
                 conn.state = ConnState::ExpectAuth;
                 true
             }
-            Intent::Auth { tenant, token } => match do_auth(&inner, &tenant, &token) {
-                Ok(session) => {
-                    let conn = self.conn(slot).expect("checked above");
-                    conn.session = Some(session);
-                    conn.tenant = Some(tenant);
-                    conn.state = ConnState::Ready;
-                    conn.out.push_control(&Frame::AuthOk { session: session.0 });
-                    true
+            (ConnState::ExpectAuth, Frame::Auth { tenant, token }) => {
+                match do_auth(&inner, &tenant, &token) {
+                    Ok(session) => {
+                        conn.session = Some(session);
+                        conn.tenant = Some(tenant);
+                        conn.state = ConnState::Ready;
+                        conn.out.push_control(&Frame::AuthOk { session: session.0 });
+                        true
+                    }
+                    Err(code) => {
+                        self.begin_close(
+                            slot,
+                            Some(Frame::Error {
+                                id: 0,
+                                code: code.as_u16(),
+                                message: "unknown tenant or bad token".into(),
+                            }),
+                        );
+                        false
+                    }
                 }
-                Err(code) => {
-                    self.begin_close(
-                        slot,
-                        Some(Frame::Error {
-                            id: 0,
-                            code: code.as_u16(),
-                            message: "unknown tenant or bad token".into(),
-                        }),
-                    );
-                    false
-                }
-            },
-            Intent::Submit { id, sql } => {
+            }
+            (ConnState::Ready, Frame::Query { id, sql }) => {
                 self.submit(slot, id, sql);
                 true
             }
-            Intent::Cancel { id } => {
-                let conn = self.conn(slot).expect("checked above");
+            // Best-effort cancel by correlation id.
+            (ConnState::Ready, Frame::Cancel { id }) => {
                 if let Some(inf) = conn.inflight.get(&id) {
                     inf.cancel.cancel();
                 }
                 true
             }
-            Intent::Metrics => {
-                let report = render_report(&inner);
-                let conn = self.conn(slot).expect("checked above");
-                if conn.out.push(&Frame::Metrics { report }).is_err() {
+            (ConnState::Ready, Frame::Metrics { .. }) => {
+                if conn.out.push(&Frame::Metrics { report: render_report(&inner) }).is_err() {
                     self.slow_consumer(slot);
                     return false;
                 }
                 true
             }
-            Intent::Goodbye => {
+            // Orderly close from the peer, legal in every state.
+            (_, Frame::Goodbye) => {
                 self.begin_close(slot, None);
                 false
             }
-            Intent::BadState { name } => {
+            (_, other) => {
                 inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 self.begin_close(
                     slot,
                     Some(Frame::Error {
                         id: 0,
                         code: ErrorCode::BadState.as_u16(),
-                        message: format!("frame {name} is not legal in this state"),
+                        message: format!(
+                            "frame {} is not legal in this state",
+                            frame_name(&other)
+                        ),
                     }),
                 );
                 false
@@ -574,15 +606,19 @@ impl EvLoop {
 
     // ---- timers / shutdown ----------------------------------------
 
-    fn tick(&mut self) {
-        let stop = self.inner.stop.load(Ordering::Relaxed);
+    /// Visits every connection: expires query deadlines, evicts the idle
+    /// (or, when stopping, everyone), force-closes a stalled final flush.
+    /// O(connections), and every event already pumps its own connection,
+    /// so the loop runs this once per tick — or per pass while stopping,
+    /// to finish the drain promptly — never once per event.
+    fn sweep(&mut self, stop: bool) {
         let idle_timeout = self.inner.config.idle_timeout;
         let default_timeout = self.inner.up.default_timeout();
         for slot in 0..self.slab.len() {
             if self.slab[slot].is_none() {
                 continue;
             }
-            // Client-side wait deadlines (`QueryTicket::wait` parity).
+            // Client-side wait deadlines.
             let now = Instant::now();
             let expired: Vec<u64> = {
                 let conn = self.conn(slot).expect("checked above");
@@ -607,8 +643,7 @@ impl EvLoop {
                         .to_string(),
                 });
             }
-            // Shutdown notice, then idle eviction — same priority as the
-            // threads-mode reader.
+            // Shutdown notice first, then idle eviction.
             let inner = Arc::clone(&self.inner);
             let teardown = {
                 let conn = self.conn(slot).expect("checked above");
@@ -690,14 +725,14 @@ impl EvLoop {
             conn.phase = Phase::Draining;
             conn.stream.as_raw_fd()
         };
-        let _ = self.ep.delete(fd);
+        let _ = self.poller.delete(fd);
         if let Some(conn) = self.conn(slot) {
             conn.interest = 0;
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 
-    /// Flush, maybe finish the drain, refresh epoll interest.
+    /// Flush, maybe finish the drain, refresh poller interest.
     fn pump(&mut self, slot: usize) {
         // Flush whatever the socket will take.
         let flush_err = {
@@ -724,9 +759,8 @@ impl EvLoop {
                 return;
             }
             if !conn.goodbye_queued {
-                // All in-flight work resolved: say Goodbye and release
-                // the session (and its DRR lane) — the same order the
-                // threads-mode teardown uses.
+                // All in-flight work resolved: say Goodbye, then release
+                // the session (and its DRR lane).
                 if !conn.dead {
                     conn.out.push_control(&Frame::Goodbye);
                 }
@@ -749,7 +783,7 @@ impl EvLoop {
     fn close_slot(&mut self, slot: usize) {
         let Some(mut conn) = self.slab.get_mut(slot).and_then(|c| c.take()) else { return };
         if !conn.dead {
-            let _ = self.ep.delete(conn.stream.as_raw_fd());
+            let _ = self.poller.delete(conn.stream.as_raw_fd());
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         // Defensive: every path that queues Goodbye already closed the
@@ -770,14 +804,14 @@ impl EvLoop {
             }
             let mut want = 0;
             if conn.phase == Phase::Open {
-                want |= EPOLLIN;
+                want |= IN;
             }
             if !conn.out.is_empty() {
-                want |= EPOLLOUT;
+                want |= OUT;
             }
             (conn.stream.as_raw_fd(), token(slot, conn.gen), want, conn.interest)
         };
-        if want != current && self.ep.modify(fd, want, tok).is_ok() {
+        if want != current && self.poller.modify(fd, want, tok).is_ok() {
             if let Some(conn) = self.conn(slot) {
                 conn.interest = want;
             }

@@ -1,28 +1,24 @@
-//! Bounded per-connection outbound queues.
+//! The bounded per-connection outbound buffer.
 //!
-//! Both wire modes enforce the same backpressure contract: a
-//! connection's un-flushed reply bytes are bounded by
+//! A connection's un-flushed reply bytes are bounded by
 //! [`NetConfig::max_write_buf`](crate::NetConfig::max_write_buf). A
-//! peer that submits queries but stops reading replies used to grow the
-//! writer queue without bound; now the push fails, the connection gets
-//! a stable [`SlowConsumer`](crate::ErrorCode::SlowConsumer) error, and
-//! the server drops it. The bound is a threshold, not a ceiling: a push
-//! is accepted whenever the queue is currently *below* the bound, so a
-//! single frame larger than the bound still goes out (the reply encoder
+//! peer that submits queries but stops reading replies would otherwise
+//! grow the buffer without bound; instead the push fails, the connection
+//! gets a stable [`SlowConsumer`](crate::ErrorCode::SlowConsumer) error,
+//! and the server drops it. The bound is a threshold, not a ceiling: a
+//! push is accepted whenever the buffer is currently *below* the bound, so
+//! a single frame larger than the bound still goes out (the reply encoder
 //! refuses a `Rows` frame over `max_frame` before it gets here), and
 //! control frames (errors, `Goodbye`) bypass the check — they are what a
 //! teardown needs to say.
 //!
-//! [`WriteQueue`] is the threads-mode shape: producers (the reader
-//! thread, waiter threads) push encoded frames, one writer thread pops
-//! blocking. [`OutBuf`] is the reactor shape: single-owner (the event
-//! thread), flushed opportunistically against a nonblocking socket, no
+//! [`OutBuf`] has a single owner (the connection's event thread) and is
+//! flushed opportunistically against a nonblocking socket, so it needs no
 //! lock at all.
 
 use crate::frame::Frame;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Condvar, Mutex};
 
 /// A producer-side push bounced off the byte bound: the peer is a slow
 /// consumer and the connection should be torn down.
@@ -32,89 +28,9 @@ pub struct Overflow {
     pub queued: usize,
 }
 
-/// One encoded outbound frame.
-pub(crate) struct Out {
-    pub bytes: Vec<u8>,
-    /// `Goodbye` is the writer's stop marker in threads mode.
-    pub goodbye: bool,
-}
-
-struct WqState {
-    q: VecDeque<Out>,
-    bytes: usize,
-    closed: bool,
-}
-
-/// Multi-producer / single-consumer bounded frame queue (threads mode).
-pub(crate) struct WriteQueue {
-    state: Mutex<WqState>,
-    ready: Condvar,
-    bound: usize,
-}
-
-impl WriteQueue {
-    pub fn new(bound: usize) -> WriteQueue {
-        WriteQueue {
-            state: Mutex::new(WqState { q: VecDeque::new(), bytes: 0, closed: false }),
-            ready: Condvar::new(),
-            bound,
-        }
-    }
-
-    /// Queues an encoded data frame; refused once the queue sits at/over
-    /// the byte bound (the connection owner then runs the slow-consumer
-    /// teardown). Pushes to a closed queue are silently dropped — the
-    /// writer is already gone, there is nobody left to tell.
-    pub fn push_bytes(&self, bytes: Vec<u8>) -> Result<(), Overflow> {
-        self.enqueue(bytes, false, self.bound)
-    }
-
-    /// Queues a control frame (error notices, `Goodbye`) regardless of
-    /// the bound — teardown must always be able to say why.
-    pub fn push_control(&self, frame: &Frame) {
-        let _ = self.enqueue(frame.to_bytes(), matches!(frame, Frame::Goodbye), usize::MAX);
-    }
-
-    fn enqueue(&self, bytes: Vec<u8>, goodbye: bool, bound: usize) -> Result<(), Overflow> {
-        let mut g = self.state.lock().expect("write queue poisoned");
-        if g.closed {
-            return Ok(());
-        }
-        if g.bytes >= bound {
-            return Err(Overflow { queued: g.bytes });
-        }
-        g.bytes += bytes.len();
-        g.q.push_back(Out { bytes, goodbye });
-        drop(g);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next frame; `None` once closed and drained.
-    pub fn pop_blocking(&self) -> Option<Out> {
-        let mut g = self.state.lock().expect("write queue poisoned");
-        loop {
-            if let Some(out) = g.q.pop_front() {
-                g.bytes -= out.bytes.len();
-                return Some(out);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.ready.wait(g).expect("write queue poisoned");
-        }
-    }
-
-    /// Closes the queue: the writer drains what is queued and exits.
-    pub fn close(&self) {
-        self.state.lock().expect("write queue poisoned").closed = true;
-        self.ready.notify_all();
-    }
-}
-
-/// Single-owner bounded outbound buffer (reactor mode): a FIFO of
-/// encoded frames plus a cursor into the front one, flushed against a
-/// nonblocking socket until `WouldBlock`.
+/// Single-owner bounded outbound buffer: a FIFO of encoded frames plus a
+/// cursor into the front one, flushed against a nonblocking socket until
+/// `WouldBlock`.
 pub(crate) struct OutBuf {
     q: VecDeque<Vec<u8>>,
     /// Bytes of the front frame already written.
@@ -152,7 +68,7 @@ impl OutBuf {
 
     /// Writes as much as the socket accepts. `Ok(true)` = fully
     /// drained, `Ok(false)` = the socket would block (caller keeps
-    /// `EPOLLOUT` interest); an error means the connection is dead.
+    /// write interest); an error means the connection is dead.
     pub fn flush(&mut self, w: &mut impl Write) -> std::io::Result<bool> {
         while let Some(front) = self.q.front() {
             match w.write(&front[self.front_pos..]) {
@@ -193,7 +109,6 @@ impl OutBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ErrorCode;
 
     fn rows_frame(cells: usize) -> Frame {
         Frame::Rows {
@@ -201,32 +116,6 @@ mod tests {
             columns: vec!["x".into()],
             rows: (0..cells).map(|i| vec![format!("{i:032}")]).collect(),
         }
-    }
-
-    #[test]
-    fn write_queue_bounds_data_but_not_control() {
-        let q = WriteQueue::new(32);
-        q.push_bytes(rows_frame(1).to_bytes()).unwrap();
-        // Queue now sits over the 32-byte bound: the next push bounces.
-        let err = q.push_bytes(rows_frame(1).to_bytes()).unwrap_err();
-        assert!(err.queued >= 32);
-        // ...but the teardown notice always fits.
-        q.push_control(&Frame::Error {
-            id: 0,
-            code: ErrorCode::SlowConsumer.as_u16(),
-            message: "too slow".into(),
-        });
-        q.push_control(&Frame::Goodbye);
-        q.close();
-        let mut kinds = Vec::new();
-        while let Some(out) = q.pop_blocking() {
-            kinds.push(out.goodbye);
-        }
-        assert_eq!(kinds, vec![false, false, true], "rows, error, goodbye");
-        // Draining returned the queue to empty; pushes after close are
-        // swallowed, not deadlocks.
-        q.push_bytes(rows_frame(1).to_bytes()).unwrap();
-        assert!(q.pop_blocking().is_none());
     }
 
     #[test]
@@ -272,8 +161,12 @@ mod tests {
         // Below the bound: even a frame far larger than it is accepted.
         out.push(&rows_frame(64)).unwrap();
         assert!(out.queued() > 16);
-        // At/over the bound: refused until flushed.
-        assert!(out.push(&Frame::Goodbye).is_err());
+        // At/over the bound: data is refused until flushed, but the
+        // teardown notice always fits.
+        let queued = out.queued();
+        assert_eq!(out.push(&Frame::Goodbye), Err(Overflow { queued }));
+        out.push_control(&Frame::Goodbye);
+        assert!(out.queued() > queued);
         let mut sink = Vec::new();
         assert!(out.flush(&mut sink).unwrap());
         out.push(&Frame::Goodbye).unwrap();

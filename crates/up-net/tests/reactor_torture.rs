@@ -1,4 +1,4 @@
-//! Adversarial wire-layer tests, run against both backends:
+//! Adversarial wire-layer tests:
 //!
 //! * **Slow loris** — dozens of connections dribbling one byte of a
 //!   frame at a time must not starve the event loop (a legit client on
@@ -19,8 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use up_engine::{ColumnType, Schema, Value};
 use up_net::{
-    read_frame, Client, ErrorCode, Frame, FrameAssembler, NetConfig, ReactorMode, Reply,
-    TenantQuota, TenantRegistry, WireServer, DEFAULT_MAX_FRAME,
+    read_frame, Client, ErrorCode, Frame, FrameAssembler, NetConfig, Reply, TenantQuota,
+    TenantRegistry, WireServer, DEFAULT_MAX_FRAME,
 };
 use up_num::{DecimalType, UpDecimal};
 use up_server::{ServerConfig, UpServer};
@@ -46,30 +46,8 @@ fn registry() -> Arc<TenantRegistry> {
     tenants
 }
 
-/// Instantiates each test body under both wire backends.
-macro_rules! both_modes {
-    ($($name:ident),+ $(,)?) => {
-        mod threads {
-            $(#[test]
-            fn $name() {
-                super::$name(up_net::ReactorMode::Threads);
-            })+
-        }
-        mod epoll {
-            $(#[test]
-            fn $name() {
-                super::$name(up_net::ReactorMode::Epoll);
-            })+
-        }
-    };
-}
-
-both_modes!(
-    slow_loris_is_reaped_without_starving_the_event_loop,
-    slow_consumer_overflow_gets_code_27_and_the_boot,
-);
-
-fn slow_loris_is_reaped_without_starving_the_event_loop(mode: ReactorMode) {
+#[test]
+fn slow_loris_is_reaped_without_starving_the_event_loop() {
     const LORIS: usize = 24;
     let idle = Duration::from_millis(400);
     let up = seeded_up(64);
@@ -78,7 +56,6 @@ fn slow_loris_is_reaped_without_starving_the_event_loop(mode: ReactorMode) {
         registry(),
         NetConfig {
             addr: "127.0.0.1:0".into(),
-            reactor: mode,
             // One event thread: if trickled bytes could monopolise the
             // loop, the legit client below would stall visibly.
             event_threads: 1,
@@ -140,7 +117,8 @@ fn slow_loris_is_reaped_without_starving_the_event_loop(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn slow_consumer_overflow_gets_code_27_and_the_boot(mode: ReactorMode) {
+#[test]
+fn slow_consumer_overflow_gets_code_27_and_the_boot() {
     // 30k rows render to ~400 KiB per reply; 24 pipelined replies are
     // ~10 MiB — far past what loopback socket buffers absorb (~4 MiB
     // measured) — so the 4 KiB outbound bound must overflow while the
@@ -151,7 +129,6 @@ fn slow_consumer_overflow_gets_code_27_and_the_boot(mode: ReactorMode) {
         registry(),
         NetConfig {
             addr: "127.0.0.1:0".into(),
-            reactor: mode,
             max_inflight: 32,
             max_write_buf: 4096,
             ..NetConfig::default()

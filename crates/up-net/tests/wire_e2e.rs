@@ -1,21 +1,14 @@
 //! End-to-end wire tests: real loopback TCP connections against a real
 //! `UpServer`, checking result fidelity, stable error codes, tenant
 //! quotas, fairness skew, and lifecycle edges.
-//!
-//! Every test body takes the [`ReactorMode`] to run under and is
-//! instantiated twice (`threads::*`, `epoll::*`), so the legacy
-//! thread-per-connection backend and the epoll reactor must behave
-//! identically on every path — results, codes, quotas, idle eviction,
-//! and shutdown drain. (Off Linux the `epoll` leg degrades to threads
-//! via [`ReactorMode::effective`] and becomes a second threads run.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use up_engine::{ColumnType, Profile, Schema, Value};
 use up_net::{
-    read_frame, write_frame, Client, ErrorCode, Frame, NetConfig, ReactorMode, Reply,
-    TenantQuota, TenantRegistry, WireError, WireServer, DEFAULT_MAX_FRAME,
+    read_frame, write_frame, Client, ErrorCode, Frame, NetConfig, Reply, TenantQuota,
+    TenantRegistry, WireError, WireServer, DEFAULT_MAX_FRAME,
 };
 use up_num::{DecimalType, UpDecimal};
 use up_server::{ServerConfig, UpServer};
@@ -46,40 +39,9 @@ fn open_registry(names: &[&str]) -> Arc<TenantRegistry> {
     tenants
 }
 
-fn net_config(mode: ReactorMode) -> NetConfig {
-    NetConfig { addr: "127.0.0.1:0".into(), reactor: mode, ..NetConfig::default() }
+fn net_config() -> NetConfig {
+    NetConfig { addr: "127.0.0.1:0".into(), ..NetConfig::default() }
 }
-
-/// Instantiates each test body under both wire backends.
-macro_rules! both_modes {
-    ($($name:ident),+ $(,)?) => {
-        mod threads {
-            $(#[test]
-            fn $name() {
-                super::$name(up_net::ReactorMode::Threads);
-            })+
-        }
-        mod epoll {
-            $(#[test]
-            fn $name() {
-                super::$name(up_net::ReactorMode::Epoll);
-            })+
-        }
-    };
-}
-
-both_modes!(
-    wire_rows_are_bit_identical_to_in_process_queries,
-    server_errors_arrive_with_their_stable_codes,
-    tenant_quotas_enforce_rate_concurrency_and_byte_budget,
-    byte_budget_and_inflight_cap_cut_off_over_the_wire,
-    handshake_violations_and_garbage_get_protocol_codes,
-    connection_cap_refuses_and_idle_timeout_reaps,
-    weighted_tenants_get_a_skewed_completion_share_under_saturation,
-    shutdown_drains_inflight_queries_before_goodbye,
-    incomparable_predicates_are_error_replies_not_dead_workers,
-    a_reply_over_max_frame_is_refused_and_the_connection_lives,
-);
 
 fn remote_code(err: WireError) -> ErrorCode {
     match err {
@@ -90,10 +52,11 @@ fn remote_code(err: WireError) -> ErrorCode {
     }
 }
 
-fn wire_rows_are_bit_identical_to_in_process_queries(mode: ReactorMode) {
+#[test]
+fn wire_rows_are_bit_identical_to_in_process_queries() {
     let up = seeded_up(ServerConfig::default(), 64);
     let tenants = open_registry(&["alpha", "beta", "gamma"]);
-    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config(mode)).unwrap();
+    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config()).unwrap();
 
     let queries = [
         "SELECT x + x FROM t",
@@ -126,7 +89,8 @@ fn wire_rows_are_bit_identical_to_in_process_queries(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn incomparable_predicates_are_error_replies_not_dead_workers(mode: ReactorMode) {
+#[test]
+fn incomparable_predicates_are_error_replies_not_dead_workers() {
     // One worker: if a statement killed it, the statement after would
     // sit in the queue until the deadline.
     let up = Arc::new(UpServer::new(ServerConfig { workers: 1, ..ServerConfig::default() }));
@@ -138,7 +102,7 @@ fn incomparable_predicates_are_error_replies_not_dead_workers(mode: ReactorMode)
     up.insert_many("g", rows).unwrap();
     let tenants = open_registry(&["acme"]);
     let mut server =
-        WireServer::start(Arc::clone(&up), Arc::clone(&tenants), net_config(mode)).unwrap();
+        WireServer::start(Arc::clone(&up), Arc::clone(&tenants), net_config()).unwrap();
     let mut c = Client::connect(server.addr(), "acme", "token").unwrap();
     for (sql, why) in [
         // Typed at plan time: a string key against a number, a sum
@@ -164,10 +128,11 @@ fn incomparable_predicates_are_error_replies_not_dead_workers(mode: ReactorMode)
     server.shutdown();
 }
 
-fn a_reply_over_max_frame_is_refused_and_the_connection_lives(mode: ReactorMode) {
+#[test]
+fn a_reply_over_max_frame_is_refused_and_the_connection_lives() {
     let up = seeded_up(ServerConfig::default(), 1000);
     let tenants = open_registry(&["acme"]);
-    let config = NetConfig { max_frame: 4096, ..net_config(mode) };
+    let config = NetConfig { max_frame: 4096, ..net_config() };
     let mut server = WireServer::start(Arc::clone(&up), Arc::clone(&tenants), config).unwrap();
     let mut c = Client::connect(server.addr(), "acme", "token").unwrap();
     // ~10 bytes a row: 1000 rows cannot fit 4096, 100 can.
@@ -193,7 +158,8 @@ fn a_reply_over_max_frame_is_refused_and_the_connection_lives(mode: ReactorMode)
     assert_eq!(server.stats().slow_closed + server.stats().protocol_errors, 0);
 }
 
-fn server_errors_arrive_with_their_stable_codes(mode: ReactorMode) {
+#[test]
+fn server_errors_arrive_with_their_stable_codes() {
     // workers:0 parks everything in the queue forever, making each
     // error path deterministic: queue_capacity 2 makes the third
     // pipelined query a Rejected, closing the session turns the two
@@ -209,7 +175,7 @@ fn server_errors_arrive_with_their_stable_codes(mode: ReactorMode) {
         8,
     );
     let tenants = open_registry(&["acme"]);
-    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config(mode)).unwrap();
+    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config()).unwrap();
     let mut client = Client::connect(server.addr(), "acme", "token").unwrap();
 
     let q1 = client.send_query("SELECT x FROM t").unwrap();
@@ -246,7 +212,8 @@ fn server_errors_arrive_with_their_stable_codes(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn tenant_quotas_enforce_rate_concurrency_and_byte_budget(mode: ReactorMode) {
+#[test]
+fn tenant_quotas_enforce_rate_concurrency_and_byte_budget() {
     let up = seeded_up(
         ServerConfig { workers: 0, default_timeout: Duration::from_millis(200), ..Default::default() },
         8,
@@ -263,7 +230,7 @@ fn tenant_quotas_enforce_rate_concurrency_and_byte_budget(mode: ReactorMode) {
         "token",
         TenantQuota { max_concurrent: 1, ..TenantQuota::default() },
     );
-    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config(mode)).unwrap();
+    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config()).unwrap();
 
     let mut c = Client::connect(server.addr(), "bursty", "token").unwrap();
     c.send_query("SELECT x FROM t").unwrap();
@@ -291,7 +258,8 @@ fn tenant_quotas_enforce_rate_concurrency_and_byte_budget(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn byte_budget_and_inflight_cap_cut_off_over_the_wire(mode: ReactorMode) {
+#[test]
+fn byte_budget_and_inflight_cap_cut_off_over_the_wire() {
     // Budget of 1 byte: the first query lands (the budget is checked
     // before its bytes arrive), the second is refused.
     let up = seeded_up(ServerConfig::default(), 8);
@@ -301,7 +269,7 @@ fn byte_budget_and_inflight_cap_cut_off_over_the_wire(mode: ReactorMode) {
         "token",
         TenantQuota { result_byte_budget: 1, ..TenantQuota::default() },
     );
-    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config(mode)).unwrap();
+    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config()).unwrap();
     let mut c = Client::connect(server.addr(), "tiny", "token").unwrap();
     c.query("SELECT SUM(x) FROM t").unwrap();
     let err = c.query("SELECT SUM(x) FROM t").unwrap_err();
@@ -319,7 +287,7 @@ fn byte_budget_and_inflight_cap_cut_off_over_the_wire(mode: ReactorMode) {
     let mut server = WireServer::start(
         Arc::clone(&up),
         tenants,
-        NetConfig { max_inflight: 1, ..net_config(mode) },
+        NetConfig { max_inflight: 1, ..net_config() },
     )
     .unwrap();
     let mut c = Client::connect(server.addr(), "acme", "token").unwrap();
@@ -335,10 +303,11 @@ fn byte_budget_and_inflight_cap_cut_off_over_the_wire(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn handshake_violations_and_garbage_get_protocol_codes(mode: ReactorMode) {
+#[test]
+fn handshake_violations_and_garbage_get_protocol_codes() {
     let up = seeded_up(ServerConfig::default(), 4);
     let tenants = open_registry(&["acme"]);
-    let mut server = WireServer::start(up, tenants, net_config(mode)).unwrap();
+    let mut server = WireServer::start(up, tenants, net_config()).unwrap();
 
     // Wrong token.
     let err = Client::connect(server.addr(), "acme", "wrong").unwrap_err();
@@ -373,7 +342,8 @@ fn handshake_violations_and_garbage_get_protocol_codes(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn connection_cap_refuses_and_idle_timeout_reaps(mode: ReactorMode) {
+#[test]
+fn connection_cap_refuses_and_idle_timeout_reaps() {
     let up = seeded_up(ServerConfig::default(), 4);
     let tenants = open_registry(&["acme"]);
     let mut server = WireServer::start(
@@ -382,7 +352,7 @@ fn connection_cap_refuses_and_idle_timeout_reaps(mode: ReactorMode) {
         NetConfig {
             max_conns: 1,
             idle_timeout: Duration::from_millis(300),
-            ..net_config(mode)
+            ..net_config()
         },
     )
     .unwrap();
@@ -415,7 +385,8 @@ fn connection_cap_refuses_and_idle_timeout_reaps(mode: ReactorMode) {
     server.shutdown();
 }
 
-fn weighted_tenants_get_a_skewed_completion_share_under_saturation(mode: ReactorMode) {
+#[test]
+fn weighted_tenants_get_a_skewed_completion_share_under_saturation() {
     // One worker, DRR dequeue (arena on), both tenants keep 32 queries
     // queued: the 2.0-weight tenant should complete ~2× the queries of
     // the 1.0-weight tenant at any cut point.
@@ -435,7 +406,7 @@ fn weighted_tenants_get_a_skewed_completion_share_under_saturation(mode: Reactor
     let mut server = WireServer::start(
         Arc::clone(&up),
         tenants,
-        NetConfig { max_inflight: 64, ..net_config(mode) },
+        NetConfig { max_inflight: 64, ..net_config() },
     )
     .unwrap();
 
@@ -486,7 +457,8 @@ fn weighted_tenants_get_a_skewed_completion_share_under_saturation(mode: Reactor
     server.shutdown();
 }
 
-fn shutdown_drains_inflight_queries_before_goodbye(mode: ReactorMode) {
+#[test]
+fn shutdown_drains_inflight_queries_before_goodbye() {
     let up = seeded_up(
         ServerConfig { workers: 1, default_timeout: Duration::from_secs(60), ..Default::default() },
         2000,
@@ -495,7 +467,7 @@ fn shutdown_drains_inflight_queries_before_goodbye(mode: ReactorMode) {
     let mut server = WireServer::start(
         Arc::clone(&up),
         tenants,
-        NetConfig { max_inflight: 16, ..net_config(mode) },
+        NetConfig { max_inflight: 16, ..net_config() },
     )
     .unwrap();
 

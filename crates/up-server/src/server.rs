@@ -84,7 +84,7 @@ pub struct ServerConfig {
     /// Functional-interpreter backend for kernels launched by queries:
     /// tree walker, pre-decoded flat programs, closure-compiled
     /// superblocks, or `auto` = count-based promotion from decoded to
-    /// compiled once a kernel crosses `UP_SIM_TIER_THRESHOLD` launches
+    /// compiled once a kernel crosses `up_gpusim::TIER_THRESHOLD` launches
     /// (results bit-identical in every mode). Defaults from
     /// `UP_SIM_EXEC`, otherwise auto.
     pub exec_backend: up_gpusim::ExecBackend,
@@ -392,13 +392,6 @@ impl QueryTicket {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// A detachable cancel handle, for callers (e.g. a wire front end)
-    /// that move the ticket into a waiter thread but still need to
-    /// honor an out-of-band cancel request.
-    pub fn cancel_handle(&self) -> CancelHandle {
-        CancelHandle(Arc::clone(&self.cancel))
-    }
-
     /// The query's arena admission sequence — the order it registered
     /// its kernels, which is also serial-replay order for determinism
     /// checks. Always 0 when the arena is off.
@@ -407,7 +400,7 @@ impl QueryTicket {
     }
 }
 
-/// Cancels a pending query from outside the ticket (clone-free handle
+/// Cancels a query submitted with [`UpServer::submit_with`] (a handle
 /// over the job's shared cancel flag).
 #[derive(Clone, Debug)]
 pub struct CancelHandle(Arc<AtomicBool>);
@@ -1041,16 +1034,6 @@ mod tests {
         assert_eq!(reaped, vec![b], "only the idle session is evicted");
         assert!(server.session_stats(a).is_some());
         assert!(server.session_stats(b).is_none());
-    }
-
-    #[test]
-    fn cancel_handle_cancels_from_outside_the_ticket() {
-        let server = seeded_server(ServerConfig { workers: 0, ..ServerConfig::default() });
-        let s = server.connect(Profile::UltraPrecise);
-        let ticket = server.submit(s, "SELECT x FROM t").unwrap();
-        let handle = ticket.cancel_handle();
-        handle.cancel();
-        assert!(ticket.cancel.load(Ordering::Relaxed));
     }
 
     #[test]

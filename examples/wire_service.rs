@@ -43,7 +43,7 @@ fn main() {
     // The wire front end (UP_NET_* env knobs override the defaults).
     let mut server = WireServer::start(Arc::clone(&up), tenants, NetConfig::default())
         .expect("bind wire server");
-    println!("wire server listening on {} ({} backend)\n", server.addr(), server.mode().name());
+    println!("wire server listening on {}\n", server.addr());
 
     // A tenant connection is a plain blocking client.
     let mut analytics =
