@@ -791,6 +791,13 @@ mod tests {
                     // launch's lowering shape reaches the query result.
                     assert_eq!(r.tiers.fused_codec_runs, 4, "{backend}/{par}");
                     assert!(r.tiers.fused_codec_insts > 4 * wide.lb() as u64, "{backend}/{par}");
+                    // … and so does what liveness pruned: each load keeps
+                    // about Lw words and a sign of the ~Lb rows it writes,
+                    // and moves words, not bytes.
+                    let t = r.tiers;
+                    assert!(t.fused_live_rows >= 3 * wide.lw() as u64, "{backend}/{par}: {t:?}");
+                    assert!(t.fused_pruned_rows > t.fused_live_rows, "{backend}/{par}: {t:?}");
+                    assert!(t.fused_word_planes >= 4 * (wide.lw() as u64 - 1), "{backend}/{par}: {t:?}");
                 }
                 _ => assert_eq!(r.tiers.total(), 1, "{backend}/{par}"),
             }

@@ -18,9 +18,10 @@
 //!   that keeps the 32 carry flags in one local `u32` across the whole
 //!   chain and writes the architectural carry register once at the end.
 //! * Per-instruction stats collapse to one batched update per straight-
-//!   line segment; the f64 `warp_issue_cycles` additions are replayed
-//!   element-by-element in original program order, so the non-associative
-//!   f64 sum stays bit-identical to the interpreter's.
+//!   line segment, the f64 `warp_issue_cycles` included: every issue cost
+//!   is a non-negative integer and the running sum stays far below 2⁵³,
+//!   so the additions are exact, hence associative, and a segment adds
+//!   its pre-summed cost in one step with the interpreter's bits.
 //! * Global-memory ops (`ld`/`st`, word and byte) lower to first-class
 //!   `Step::Mem` thunks monomorphized over [`MemAccess`] — one
 //!   instantiation per backend (`GlobalMem` under serial execution,
@@ -32,18 +33,20 @@
 //!   (`load_*_affine`/`store_*_affine`) instead of per-lane per-byte
 //!   calls, and the coalescing pass counts sectors from `(base, stride,
 //!   n, width)` ([`note_transactions_affine`]) instead of from 32
-//!   addresses. Stats, coalescing state, and the f64 `warp_issue_cycles`
-//!   stream are replayed in program order, so the fast path is
-//!   bit-identical to the interpreter; non-affine or out-of-bounds
-//!   warps fall back to the interpreter's exact per-lane loop.
+//!   addresses. Stats and coalescing state are replayed in program
+//!   order, so the fast path is bit-identical to the interpreter;
+//!   non-affine or out-of-bounds warps fall back to the interpreter's
+//!   exact per-lane loop.
 //! * Compact-codec byte runs — the `ld.global.u8`/`add addr,1`/`shl`/`or`
 //!   expansion of one DECIMAL column and its mirror-image store — fuse
 //!   into one `Step::Fused` each: a symbolic evaluation of the run (see
 //!   [`scan_codec_run`]) reduces every written row to
 //!   `konst | OR of ((leaf >> shr) & mask) << shl` over loaded bytes and
-//!   run-entry rows, so at run time the step verifies the address row
-//!   once, coalesces once, moves byte planes in bulk and writes each row
-//!   once. A warp that fails the step's two preconditions runs the same
+//!   run-entry rows, keeps the rows [`crate::analysis`] finds live at the
+//!   run's end, and regroups the bytes into little-endian words, so at
+//!   run time the step verifies the address row once, coalesces once,
+//!   gathers or scatters ~`Lw` word planes and writes each live row once.
+//!   A warp that fails the step's two preconditions runs the same
 //!   instructions lowered the ordinary way.
 //! * Shared-memory ops, `ld.param`, and `DivBig` (data-dependent cycles)
 //!   stay interpreter steps (`Step::Interp`) executed by the *same*
@@ -64,6 +67,9 @@
 //! clones, the `up-jit` kernel cache, and the cross-query arena, so one
 //! compile serves every session that hits the same cached kernel.
 
+#[cfg(test)]
+use crate::analysis::seeded_bug;
+use crate::analysis::{analyze, Facts};
 use crate::decoded::{DCtx, DOp, DecodedProgram, MemOpKind, Op};
 use crate::exec::{
     full_mask, note_transactions, note_transactions_affine, Geometry, MemAccess, SimError,
@@ -79,10 +85,10 @@ type AluThunk = Box<dyn Fn(&mut [u32], &mut [u32], &mut u32, &Geometry, usize) +
 
 /// One step of a compiled superblock.
 enum Step {
-    /// A run of register-only instructions: stats are applied in one
-    /// batch (`cycles` replayed in order), then the closures run. A
-    /// fused carry chain is one thunk covering several `cycles` entries.
-    Alu { thunks: Box<[AluThunk]>, cycles: Box<[f64]> },
+    /// A run of `insts` register-only instructions costing `cycles` in
+    /// total: stats are applied in one batch, then the closures run (a
+    /// fused carry chain is one thunk covering several instructions).
+    Alu { thunks: Box<[AluThunk]>, insts: u64, cycles: f64 },
     /// A first-class lowered global-memory instruction, executed by
     /// [`exec_mem`] monomorphized over the launch's `MemAccess` backend.
     Mem(MemStep),
@@ -90,11 +96,10 @@ enum Step {
     /// contributes data-dependent cycles — executed by the decoded tier's
     /// `exec_dop` with exactly the interpreter's per-instruction stats.
     Interp { dop: DOp, cycles: f64 },
-    /// A fused compact-codec byte run (see [`scan_codec_run`]): `cycles`
-    /// holds one entry per covered instruction, `fallback` the same
-    /// instructions lowered the ordinary way, run when [`exec_fused`]
-    /// reports a failed precondition.
-    Fused { run: FusedRun, cycles: Box<[f64]>, fallback: Box<[Step]> },
+    /// A fused compact-codec byte run (see [`scan_codec_run`]);
+    /// `fallback` is the same instructions lowered the ordinary way, run
+    /// when [`exec_fused`] reports a failed precondition.
+    Fused { run: FusedRun, fallback: Box<[Step]> },
 }
 
 /// One lowered global-memory instruction: operand rows pre-resolved to
@@ -136,9 +141,34 @@ pub struct CompiledProgram {
     mem_insts: usize,
     affine_mem_insts: usize,
     lowered_superblocks: usize,
-    fused_codec_runs: usize,
-    fused_codec_insts: usize,
     fused_codec_mem_insts: usize,
+    fused_runs: Vec<FusedRunInfo>,
+    /// SoA offsets of the rows a warp must find zeroed (see
+    /// [`Facts::entry_live_rows`]); every other row is written before it
+    /// is read.
+    entry_live: Box<[u32]>,
+}
+
+/// What promotion made of one compact-codec byte run: the static shape of
+/// a fused step, for listings, counters and tests.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FusedRunInfo {
+    /// The flat-program pcs the run covers.
+    pub pcs: std::ops::Range<usize>,
+    /// A byte-store run (else a byte-load run).
+    pub is_store: bool,
+    /// Register rows the run's instructions write.
+    pub rows_written: usize,
+    /// Of those, rows live at the run's end — the only ones the fused
+    /// step computes and writes.
+    pub rows_live: usize,
+    /// Of the live rows, compile-time constants (plain fills).
+    pub rows_const: usize,
+    /// Four-byte gathers (load run) or scatters (store run) the step
+    /// performs per warp …
+    pub word_planes: usize,
+    /// … and single-byte ones.
+    pub byte_planes: usize,
 }
 
 impl CompiledProgram {
@@ -196,16 +226,27 @@ impl CompiledProgram {
         self.superblocks - self.lowered_superblocks
     }
 
+    /// The shape of every fused codec run, in program order.
+    pub fn fused_runs(&self) -> &[FusedRunInfo] {
+        &self.fused_runs
+    }
+
     /// Compact-codec byte runs fused into single symbolic steps.
     pub fn fused_codec_run_count(&self) -> usize {
-        self.fused_codec_runs
+        self.fused_runs.len()
     }
 
     /// Instructions covered by fused codec runs (also counted in
     /// [`Self::alu_inst_count`]/[`Self::mem_inst_count`] through each
     /// run's unfused fallback).
     pub fn fused_codec_inst_count(&self) -> usize {
-        self.fused_codec_insts
+        self.fused_runs.iter().map(|r| r.pcs.len()).sum()
+    }
+
+    /// The rows a warp's register file must have zeroed before it runs
+    /// this program; the rest may keep the previous warp's values.
+    pub(crate) fn entry_live_rows(&self) -> &[u32] {
+        &self.entry_live
     }
 
     /// Byte memory instructions covered by fused codec runs.
@@ -226,8 +267,8 @@ impl std::fmt::Debug for CompiledProgram {
             self.affine_mem_insts,
             self.interp_insts,
             self.fused_chains,
-            self.fused_codec_runs,
-            self.fused_codec_insts
+            self.fused_codec_run_count(),
+            self.fused_codec_inst_count()
         )
     }
 }
@@ -358,6 +399,15 @@ pub struct TierCounters {
     pub fused_codec_runs: u64,
     /// Instructions those fused runs cover, summed per launch.
     pub fused_codec_insts: u64,
+    /// Register rows those fused runs compute and write (live at the
+    /// run's end), summed per launch.
+    pub fused_live_rows: u64,
+    /// Rows the runs' instructions write that the fused steps skip as
+    /// dead, summed per launch.
+    pub fused_pruned_rows: u64,
+    /// Four-byte gathers/scatters the fused steps perform in place of
+    /// byte planes, summed per launch.
+    pub fused_word_planes: u64,
 }
 
 impl TierCounters {
@@ -379,6 +429,9 @@ impl std::ops::AddAssign for TierCounters {
         self.fallback_insts += rhs.fallback_insts;
         self.fused_codec_runs += rhs.fused_codec_runs;
         self.fused_codec_insts += rhs.fused_codec_insts;
+        self.fused_live_rows += rhs.fused_live_rows;
+        self.fused_pruned_rows += rhs.fused_pruned_rows;
+        self.fused_word_planes += rhs.fused_word_planes;
     }
 }
 
@@ -392,6 +445,9 @@ static LOWERED_MEM_THUNKS: AtomicU64 = AtomicU64::new(0);
 static FALLBACK_INSTS: AtomicU64 = AtomicU64::new(0);
 static FUSED_CODEC_RUNS: AtomicU64 = AtomicU64::new(0);
 static FUSED_CODEC_INSTS: AtomicU64 = AtomicU64::new(0);
+static FUSED_LIVE_ROWS: AtomicU64 = AtomicU64::new(0);
+static FUSED_PRUNED_ROWS: AtomicU64 = AtomicU64::new(0);
+static FUSED_WORD_PLANES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide per-tier launch counts and promotion events (e.g. for the
 /// server metrics report).
@@ -407,6 +463,9 @@ pub fn tier_counters() -> TierCounters {
         fallback_insts: FALLBACK_INSTS.load(Ordering::Relaxed),
         fused_codec_runs: FUSED_CODEC_RUNS.load(Ordering::Relaxed),
         fused_codec_insts: FUSED_CODEC_INSTS.load(Ordering::Relaxed),
+        fused_live_rows: FUSED_LIVE_ROWS.load(Ordering::Relaxed),
+        fused_pruned_rows: FUSED_PRUNED_ROWS.load(Ordering::Relaxed),
+        fused_word_planes: FUSED_WORD_PLANES.load(Ordering::Relaxed),
     }
 }
 
@@ -436,6 +495,11 @@ pub(crate) fn note_launch(tier: ExecTier, promoted: bool, program: Option<&Compi
         t.fallback_insts = p.interp_inst_count() as u64;
         t.fused_codec_runs = p.fused_codec_run_count() as u64;
         t.fused_codec_insts = p.fused_codec_inst_count() as u64;
+        for r in p.fused_runs() {
+            t.fused_live_rows += r.rows_live as u64;
+            t.fused_pruned_rows += (r.rows_written - r.rows_live) as u64;
+            t.fused_word_planes += r.word_planes as u64;
+        }
     }
     TREE_LAUNCHES.fetch_add(t.tree, Ordering::Relaxed);
     DECODED_LAUNCHES.fetch_add(t.decoded, Ordering::Relaxed);
@@ -447,6 +511,9 @@ pub(crate) fn note_launch(tier: ExecTier, promoted: bool, program: Option<&Compi
     FALLBACK_INSTS.fetch_add(t.fallback_insts, Ordering::Relaxed);
     FUSED_CODEC_RUNS.fetch_add(t.fused_codec_runs, Ordering::Relaxed);
     FUSED_CODEC_INSTS.fetch_add(t.fused_codec_insts, Ordering::Relaxed);
+    FUSED_LIVE_ROWS.fetch_add(t.fused_live_rows, Ordering::Relaxed);
+    FUSED_PRUNED_ROWS.fetch_add(t.fused_pruned_rows, Ordering::Relaxed);
+    FUSED_WORD_PLANES.fetch_add(t.fused_word_planes, Ordering::Relaxed);
     LAST_LAUNCH.with(|c| c.set(Some(t)));
 }
 
@@ -466,12 +533,12 @@ pub fn last_launch_tiers() -> TierCounters {
 // ---------------------------------------------------------------------------
 
 /// Runs one compiled superblock over a fully-converged warp. Stats
-/// batching is exact: integer stats are associative, and the f64
-/// `warp_issue_cycles` additions replay element-by-element in the same
-/// program order the interpreter uses (ALU thunks never touch stats, so
-/// hoisting a segment's cycle additions ahead of its thunks preserves
-/// the f64 addition sequence; `DivBig`'s data-dependent cycles stay an
-/// `Interp` step in sequence).
+/// batching is exact: the integer stats are associative, and so is the
+/// f64 `warp_issue_cycles` sum, because every addend is a non-negative
+/// integer (`issue_cycles`, the branch cost, `DivBig`'s probes × an
+/// integer cost) and totals stay far below 2⁵³ — no addition ever rounds,
+/// so a segment's pre-summed cost lands on the interpreter's bits
+/// ([`lower_steps`] asserts the integrality it rests on).
 pub(crate) fn run_superblock<M: MemAccess>(
     sb: &SuperBlock,
     c: &mut DCtx<'_, M>,
@@ -491,13 +558,10 @@ fn run_steps<M: MemAccess>(
 ) -> Result<(), SimError> {
     for step in steps {
         match step {
-            Step::Alu { thunks, cycles } => {
-                let insts = cycles.len() as u64;
+            Step::Alu { thunks, insts, cycles } => {
                 c.stats.warp_issues += insts;
                 c.stats.thread_insts += insts * lanes_n as u64;
-                for cy in cycles.iter() {
-                    c.stats.warp_issue_cycles += *cy;
-                }
+                c.stats.warp_issue_cycles += cycles;
                 for t in thunks.iter() {
                     t(&mut c.regs, &mut c.preds, &mut c.carry, geom, lanes_n);
                 }
@@ -514,8 +578,8 @@ fn run_steps<M: MemAccess>(
                 c.stats.thread_insts += lanes_n as u64;
                 crate::decoded::exec_dop::<true, M>(c, dop, geom, full, lanes_n)?;
             }
-            Step::Fused { run, cycles, fallback } => {
-                if !exec_fused(run, cycles, c, lanes_n)? {
+            Step::Fused { run, fallback } => {
+                if !exec_fused(run, c, lanes_n)? {
                     run_steps(fallback, c, geom, lanes_n, full)?;
                 }
             }
@@ -618,12 +682,17 @@ fn commit(regs: &mut [u32], r: usize, v: &[u32; 32], n: usize) {
 }
 
 thread_local! {
-    /// Byte planes and staged rows of [`exec_fused`]: one buffer per
-    /// simulator thread, grown to the largest run it has met and reused
-    /// by every later launch.
+    /// Gathered planes and evaluated rows of [`exec_fused`]: one buffer
+    /// per simulator thread, grown to the largest run it has met and
+    /// reused by every later launch.
     static FUSED_SCRATCH: std::cell::RefCell<Vec<[u32; 32]>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
+
+/// What the poison differential mode leaves in every row a fused step
+/// pruned as dead (tests and debug builds).
+#[cfg(any(test, debug_assertions))]
+const POISON: u32 = 0xDEAD_BEEF;
 
 /// Executes a fused codec run over a fully-converged warp. `Ok(false)`
 /// means a precondition failed and nothing was touched — the caller runs
@@ -633,25 +702,25 @@ thread_local! {
 /// Preconditions: the entry address row is lane-affine with the static
 /// stride, and the warp's whole span `[base, base + (n−1)·stride + span)`
 /// lies inside the buffer (checked once in u64, which also rules out u32
-/// wraparound of any address the run forms).
+/// wraparound of any address the run forms, and covers every word plane:
+/// the scan places them at `off + 4 ≤ span`).
 ///
-/// Everything the interpreter would do is then replayed in bulk:
-/// * stats — integer counts batched, the f64 cycles element by element in
-///   program order (nothing else in the run adds to that sum);
+/// Everything the interpreter would do that can still be observed is then
+/// replayed in bulk:
+/// * stats — instruction counts and the (exact, integral) cycle sum;
 /// * coalescing — the same `(buf, sector)` set, lowest sector first: one
 ///   call over `span`-byte lane windows when the run's offsets tile
 ///   `0..span`, else one call per memory op in program order;
-/// * memory — one `load_bytes_affine`/`store_bytes_affine` per byte plane
-///   (the static scan rejected store runs whose lanes or offsets overlap,
-///   so plane order cannot matter);
-/// * registers — every row the run writes gets its final value, dead
-///   temporaries included: a later instruction may read any of them and
-///   the tier has no liveness information. Values are functions of the
-///   run-entry state only, so rows some other row still reads are staged
-///   and committed last. Lanes ≥ `n` are never written.
+/// * memory — one bulk gather or scatter per word or byte plane (the
+///   static scan rejected store runs whose lanes or offsets overlap, so
+///   plane order cannot matter);
+/// * registers — the rows live at the run's end get their final value;
+///   the dead temporaries keep whatever they held (poison, in tests and
+///   debug builds). Values are functions of the run-entry state only, so
+///   all are evaluated before any is committed. Lanes ≥ `n` are never
+///   written.
 fn exec_fused<M: MemAccess>(
     f: &FusedRun,
-    cycles: &[f64],
     c: &mut DCtx<'_, M>,
     n: usize,
 ) -> Result<bool, SimError> {
@@ -667,12 +736,9 @@ fn exec_fused<M: MemAccess>(
         f.assumed.iter().all(|&(r, k)| c.regs[r as usize..r as usize + n].iter().all(|&v| v == k)),
         "codec-run fusion relied on a constant the analysis got wrong"
     );
-    let insts = cycles.len() as u64;
-    c.stats.warp_issues += insts;
-    c.stats.thread_insts += insts * n as u64;
-    for cy in cycles {
-        c.stats.warp_issue_cycles += *cy;
-    }
+    c.stats.warp_issues += f.insts;
+    c.stats.thread_insts += f.insts * n as u64;
+    c.stats.warp_issue_cycles += f.cycles;
     if f.tiled {
         note_transactions_affine(&mut c.stats, &mut c.seen, f.buf, base, f.stride, n, f.span);
     } else {
@@ -681,426 +747,49 @@ fn exec_fused<M: MemAccess>(
         }
     }
     FUSED_SCRATCH.with_borrow_mut(|scratch| -> Result<(), SimError> {
-        // Room for every plane and, at most, every row staged.
-        if scratch.len() < f.planes.len() + f.outs.len() {
-            scratch.resize(f.planes.len() + f.outs.len(), [0; 32]);
+        if scratch.len() < f.gathers.len() + f.outs.len() {
+            scratch.resize(f.gathers.len() + f.outs.len(), [0; 32]);
         }
-        let (planes, staged) = scratch.split_at_mut(f.planes.len());
-        for (plane, &off) in planes.iter_mut().zip(f.planes.iter()) {
-            c.mem.load_bytes_affine(f.buf, base + off, f.stride, &mut plane[..n])?;
-        }
-        for (st, &off) in f.stores.iter().zip(f.mem_offs.iter()) {
-            let v = f.eval(st, planes, &c.regs);
-            c.mem.store_bytes_affine(f.buf, base + off, f.stride, &v[..n])?;
-        }
-        let mut si = 0;
-        for o in f.outs.iter() {
-            let v = f.eval(&o.sym, planes, &c.regs);
-            if o.staged {
-                staged[si] = v;
-                si += 1;
+        let (planes, vals) = scratch.split_at_mut(f.gathers.len());
+        for (plane, g) in planes.iter_mut().zip(f.gathers.iter()) {
+            if g.word {
+                c.mem.load_words_affine(f.buf, base + g.off, f.stride, &mut plane[..n])?;
             } else {
-                commit(&mut c.regs, o.row as usize, &v, n);
+                c.mem.load_bytes_affine(f.buf, base + g.off, f.stride, &mut plane[..n])?;
             }
         }
-        for (o, v) in f.outs.iter().filter(|o| o.staged).zip(staged.iter()) {
-            commit(&mut c.regs, o.row as usize, v, n);
+        for (at, sym) in f.scatters.iter() {
+            let v = f.eval(sym, planes, &c.regs);
+            if at.word {
+                c.mem.store_words_affine(f.buf, base + at.off, f.stride, &v[..n])?;
+            } else {
+                c.mem.store_bytes_affine(f.buf, base + at.off, f.stride, &v[..n])?;
+            }
+        }
+        for (v, (_, sym)) in vals.iter_mut().zip(f.outs.iter()) {
+            *v = f.eval(sym, planes, &c.regs);
+        }
+        for (v, (row, _)) in vals.iter().zip(f.outs.iter()) {
+            commit(&mut c.regs, *row as usize, v, n);
         }
         Ok(())
     })?;
+    #[cfg(any(test, debug_assertions))]
+    for &r in f.pruned.iter() {
+        c.regs[r as usize..r as usize + n].fill(POISON);
+    }
     for r in &mut c.regs[a..a + n] {
         *r = r.wrapping_add(f.delta);
     }
     Ok(true)
 }
 
-// ---------------------------------------------------------------------------
-// Affine-address analysis.
-// ---------------------------------------------------------------------------
-
-/// Abstract lane shape of one register row: what value lane `l` of the
-/// row holds, as a function of the lane index.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AbsVal {
-    /// Never assigned on any path seen so far; reads observe the zeroed
-    /// register file, i.e. the constant 0.
-    Bottom,
-    /// Lane `l` holds `base + l·stride` for some warp-uniform `base`
-    /// (`stride == 0` means warp-uniform). `konst` is additionally the
-    /// compile-time value when the row is a known immediate, so
-    /// multiplies and shifts can scale strides.
-    Affine { stride: u32, konst: Option<u32> },
-    /// Anything: data-dependent, memory-loaded, or merged incompatibly.
-    Top,
-}
-
-impl AbsVal {
-    /// Reading a `Bottom` row observes the zero-initialized register
-    /// file.
-    fn read(self) -> AbsVal {
-        match self {
-            AbsVal::Bottom => AbsVal::Affine { stride: 0, konst: Some(0) },
-            v => v,
-        }
-    }
-
-    fn join(self, other: AbsVal) -> AbsVal {
-        match (self, other) {
-            // Lanes that skipped the assignment still hold the zeroed
-            // file's 0: the stride stays a (run-time verified) hint, but
-            // `konst` is relied on unverified by the codec-run fusion.
-            (AbsVal::Bottom, v) | (v, AbsVal::Bottom) => match v {
-                AbsVal::Affine { stride, konst } => {
-                    AbsVal::Affine { stride, konst: konst.filter(|&k| k == 0) }
-                }
-                v => v,
-            },
-            (AbsVal::Affine { stride: s1, konst: k1 }, AbsVal::Affine { stride: s2, konst: k2 })
-                if s1 == s2 =>
-            {
-                AbsVal::Affine { stride: s1, konst: if k1 == k2 { k1 } else { None } }
-            }
-            _ => AbsVal::Top,
-        }
-    }
-
-    fn uniform() -> AbsVal {
-        AbsVal::Affine { stride: 0, konst: None }
-    }
-
-    fn is_uniform(self) -> bool {
-        matches!(self, AbsVal::Affine { stride: 0, .. })
-    }
-}
-
-/// `a + b` lane-wise (wrapping, like the simulated ALU).
-fn abs_add(a: AbsVal, b: AbsVal) -> AbsVal {
-    match (a.read(), b.read()) {
-        (AbsVal::Affine { stride: s1, konst: k1 }, AbsVal::Affine { stride: s2, konst: k2 }) => {
-            AbsVal::Affine {
-                stride: s1.wrapping_add(s2),
-                konst: k1.zip(k2).map(|(x, y)| x.wrapping_add(y)),
-            }
-        }
-        _ => AbsVal::Top,
-    }
-}
-
-/// `a - b` lane-wise.
-fn abs_sub(a: AbsVal, b: AbsVal) -> AbsVal {
-    match (a.read(), b.read()) {
-        (AbsVal::Affine { stride: s1, konst: k1 }, AbsVal::Affine { stride: s2, konst: k2 }) => {
-            AbsVal::Affine {
-                stride: s1.wrapping_sub(s2),
-                konst: k1.zip(k2).map(|(x, y)| x.wrapping_sub(y)),
-            }
-        }
-        _ => AbsVal::Top,
-    }
-}
-
-/// `a * b` lane-wise: a known-constant factor scales the other side's
-/// stride (the codec kernels' `addr = i·limb_bytes` shape); the product
-/// of two warp-uniform rows stays warp-uniform.
-fn abs_mul(a: AbsVal, b: AbsVal) -> AbsVal {
-    match (a.read(), b.read()) {
-        (AbsVal::Affine { stride: sa, konst: ka }, AbsVal::Affine { stride: sb, konst: kb }) => {
-            if let Some(k) = kb {
-                AbsVal::Affine { stride: sa.wrapping_mul(k), konst: ka.map(|x| x.wrapping_mul(k)) }
-            } else if let Some(k) = ka {
-                AbsVal::Affine { stride: sb.wrapping_mul(k), konst: None }
-            } else if sa == 0 && sb == 0 {
-                AbsVal::uniform()
-            } else {
-                AbsVal::Top
-            }
-        }
-        _ => AbsVal::Top,
-    }
-}
-
-/// `a << b` lane-wise for a known shift amount; uniform-by-uniform stays
-/// uniform.
-fn abs_shl(a: AbsVal, b: AbsVal) -> AbsVal {
-    match (a.read(), b.read()) {
-        (AbsVal::Affine { stride: sa, konst: ka }, AbsVal::Affine { stride: 0, konst: Some(k) }) => {
-            AbsVal::Affine { stride: sa << (k & 31), konst: ka.map(|x| x << (k & 31)) }
-        }
-        (va, vb) if va.is_uniform() && vb.is_uniform() => AbsVal::uniform(),
-        _ => AbsVal::Top,
-    }
-}
-
-/// Any other pure lane-wise ALU op: uniform inputs give a uniform
-/// result, everything else is unknown.
-fn abs_opaque2(a: AbsVal, b: AbsVal) -> AbsVal {
-    if a.read().is_uniform() && b.read().is_uniform() {
-        AbsVal::uniform()
-    } else {
-        AbsVal::Top
-    }
-}
-
-/// State of the analysis: one [`AbsVal`] per register row.
-struct AbsState {
-    rows: Vec<AbsVal>,
-}
-
-impl AbsState {
-    fn get(&self, off: u32) -> AbsVal {
-        self.rows[off as usize / 32].read()
-    }
-
-    fn set(&mut self, off: u32, v: AbsVal, changed: &mut bool) {
-        let slot = &mut self.rows[off as usize / 32];
-        if *slot != v {
-            *slot = v;
-            *changed = true;
-        }
-    }
-
-    /// Joins `other` into `self` row-wise; true if anything widened.
-    fn join_from(&mut self, other: &AbsState) -> bool {
-        let mut changed = false;
-        for (s, o) in self.rows.iter_mut().zip(other.rows.iter()) {
-            let j = s.join(*o);
-            if *s != j {
-                *s = j;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn clone_state(&self) -> AbsState {
-        AbsState { rows: self.rows.clone() }
-    }
-}
-
-/// Transfer function for one instruction.
-fn abs_transfer(dop: &DOp, st: &mut AbsState, changed: &mut bool) {
-    use crate::ptx::Special;
-    match *dop {
-        DOp::MovImm { d, imm } => {
-            st.set(d, AbsVal::Affine { stride: 0, konst: Some(imm) }, changed)
-        }
-        DOp::Mov { d, a } => st.set(d, st.get(a), changed),
-        DOp::MovSpecial { d, s } => {
-            let v = match s {
-                // tid.x is the canonical lane-affine row: lane l holds
-                // `tid_base + l`.
-                Special::TidX => AbsVal::Affine { stride: 1, konst: None },
-                // Block/grid geometry is warp-uniform.
-                Special::CtaIdX | Special::NTidX | Special::NCtaIdX => AbsVal::uniform(),
-            };
-            st.set(d, v, changed);
-        }
-        // Parameters are launch constants, identical across lanes.
-        DOp::LdParam { d, .. } => st.set(d, AbsVal::uniform(), changed),
-        DOp::Add { d, a, b } => st.set(d, abs_add(st.get(a), st.get(b)), changed),
-        DOp::Sub { d, a, b } => st.set(d, abs_sub(st.get(a), st.get(b)), changed),
-        DOp::MulLo { d, a, b } => st.set(d, abs_mul(st.get(a), st.get(b)), changed),
-        DOp::Shl { d, a, b } => st.set(d, abs_shl(st.get(a), st.get(b)), changed),
-        DOp::MulHi { d, a, b }
-        | DOp::Div { d, a, b }
-        | DOp::Rem { d, a, b }
-        | DOp::Shr { d, a, b }
-        | DOp::And { d, a, b }
-        | DOp::Or { d, a, b }
-        | DOp::Xor { d, a, b } => st.set(d, abs_opaque2(st.get(a), st.get(b)), changed),
-        DOp::Bfind { d, a } => {
-            let v = if st.get(a).is_uniform() { AbsVal::uniform() } else { AbsVal::Top };
-            st.set(d, v, changed);
-        }
-        DOp::Div64 { dlo, dhi, .. } | DOp::Rem64 { dlo, dhi, .. } => {
-            st.set(dlo, AbsVal::Top, changed);
-            st.set(dhi, AbsVal::Top, changed);
-        }
-        // Carry results depend on per-lane flags; selects and shuffles on
-        // per-lane predicates/indices.
-        DOp::AddCC { d, .. }
-        | DOp::AddC { d, .. }
-        | DOp::SubCC { d, .. }
-        | DOp::SubC { d, .. }
-        | DOp::MadLoCC { d, .. }
-        | DOp::MadHiC { d, .. }
-        | DOp::Selp { d, .. }
-        | DOp::ShflIdx { d, .. }
-        | DOp::LdGlobal { d, .. }
-        | DOp::LdGlobalU8 { d, .. }
-        | DOp::LdShared { d, .. } => st.set(d, AbsVal::Top, changed),
-        // A ballot broadcasts one value to every lane: warp-uniform.
-        DOp::Ballot { d, .. } => st.set(d, AbsVal::uniform(), changed),
-        DOp::DivBig { d, dn, .. } => {
-            for k in 0..dn as u32 {
-                st.set(d + k * 32, AbsVal::Top, changed);
-            }
-        }
-        // No register destinations.
-        DOp::SetP { .. }
-        | DOp::SetPImm { .. }
-        | DOp::PAnd { .. }
-        | DOp::PNot { .. }
-        | DOp::StGlobal { .. }
-        | DOp::StGlobalU8 { .. }
-        | DOp::StShared { .. }
-        | DOp::BarSync => {}
-    }
-}
-
-/// What the analysis records per pc for [`lower_steps`].
-struct Facts {
-    /// Address-row shape of each global-memory pc (joined over visits).
-    forms: Vec<Option<AddrForm>>,
-    /// Compile-time values of the two source rows of each `mov`/`add`/
-    /// `shl`/`shr`/`and`/`or`/`st.global.u8` pc, where every visit of the
-    /// pc saw the same constant. Unlike `forms` these are **not**
-    /// re-verified at run time, so they rest on the analysis being sound
-    /// for `konst`: joins keep a constant only when both sides agree
-    /// (an unassigned row agreeing only with 0), and loops iterate to a
-    /// true fixpoint of the head state.
-    consts: Vec<Option<[Option<u32>; 2]>>,
-}
-
-/// The two source rows whose constants [`Facts::consts`] records.
-fn const_operands(dop: &DOp) -> Option<(u32, u32)> {
-    match *dop {
-        DOp::Mov { a, .. } => Some((a, a)),
-        DOp::StGlobalU8 { src, .. } => Some((src, src)),
-        DOp::Add { a, b, .. }
-        | DOp::Shl { a, b, .. }
-        | DOp::Shr { a, b, .. }
-        | DOp::And { a, b, .. }
-        | DOp::Or { a, b, .. } => Some((a, b)),
-        _ => None,
-    }
-}
-
-/// Flow-sensitive forward analysis over the structured flat program:
-/// branch arms analyze from a snapshot and join at the reconvergence
-/// point; loops iterate condition+body to a fixpoint of the loop-head
-/// state (the lattice has height 4 per row, so this converges in a few
-/// rounds — a safety cap widens leftovers to `Top`) and leave with the
-/// state after the condition block.
-///
-/// Each visit of a memory instruction joins the address row's current
-/// shape into `forms[pc]`, so a pc reached with incompatible shapes
-/// degrades to `Unknown`. That result is a *hint*: [`exec_mem`]
-/// re-verifies every stride against the live registers, so imprecision
-/// there costs only the bulk fast path, never correctness.
-fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize, end: usize) {
-    let mut pc = start;
-    while pc < end {
-        match &ops[pc] {
-            Op::I { dop, .. } => {
-                if let Some(mr) = dop.mem_ref() {
-                    let form = match st.get(mr.addr) {
-                        AbsVal::Affine { stride, .. } => AddrForm::LaneAffine { stride },
-                        _ => AddrForm::Unknown,
-                    };
-                    facts.forms[pc] = Some(match facts.forms[pc] {
-                        None => form,
-                        Some(prev) if prev == form => form,
-                        Some(_) => AddrForm::Unknown,
-                    });
-                }
-                if let Some((a, b)) = const_operands(dop) {
-                    let konst = |r| match st.get(r) {
-                        AbsVal::Affine { konst, .. } => konst,
-                        _ => None,
-                    };
-                    let now = [konst(a), konst(b)];
-                    facts.consts[pc] = Some(match facts.consts[pc] {
-                        None => now,
-                        Some(prev) => [0, 1].map(|i| prev[i].filter(|k| Some(*k) == now[i])),
-                    });
-                }
-                let mut changed = false;
-                abs_transfer(dop, st, &mut changed);
-                pc += 1;
-            }
-            Op::If { else_pc, .. } => {
-                let else_pc = *else_pc as usize;
-                let Op::Else { end_pc } = ops[else_pc] else {
-                    unreachable!("If.else_pc targets Else")
-                };
-                let endif_pc = end_pc as usize;
-                let mut then_st = st.clone_state();
-                abs_exec_range(ops, facts, &mut then_st, pc + 1, else_pc);
-                abs_exec_range(ops, facts, st, else_pc + 1, endif_pc);
-                st.join_from(&then_st);
-                pc = endif_pc + 1;
-            }
-            Op::WhileBegin => {
-                // Find this loop's test and end by depth-tracking nested
-                // loops.
-                let mut depth = 0usize;
-                let mut test_pc = None;
-                let mut end_pc = pc;
-                for (j, op) in ops.iter().enumerate().take(end).skip(pc + 1) {
-                    match op {
-                        Op::WhileBegin => depth += 1,
-                        Op::WhileTest { .. } if depth == 0 && test_pc.is_none() => {
-                            test_pc = Some(j)
-                        }
-                        Op::WhileEnd { .. } => {
-                            if depth == 0 {
-                                end_pc = j;
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        _ => {}
-                    }
-                }
-                let test_pc = test_pc.expect("loop has a WhileTest");
-                // `st` is the loop-head state: the entry state joined with
-                // every body-end state. Each round runs the condition
-                // block (executed on every trip, the exiting one
-                // included) and the body from it; lanes leave the loop
-                // after a condition block, so that state continues.
-                for round in 0.. {
-                    if round == 8 {
-                        // Shouldn't happen (finite lattice), but cap
-                        // defensively: widen everything assigned so far.
-                        for r in st.rows.iter_mut() {
-                            if *r != AbsVal::Bottom {
-                                *r = AbsVal::Top;
-                            }
-                        }
-                    }
-                    let mut cond_st = st.clone_state();
-                    abs_exec_range(ops, facts, &mut cond_st, pc + 1, test_pc);
-                    let mut body_st = cond_st.clone_state();
-                    abs_exec_range(ops, facts, &mut body_st, test_pc + 1, end_pc);
-                    if !st.join_from(&body_st) {
-                        *st = cond_st;
-                        break;
-                    }
-                }
-                pc = end_pc + 1;
-            }
-            // Handled by the enclosing If/While dispatch.
-            Op::Else { .. } | Op::EndIf | Op::WhileTest { .. } | Op::WhileEnd { .. } => pc += 1,
-        }
-    }
-}
-
-/// Runs the analysis over a kernel's flat decoded program.
-fn analyze(ops: &[Op], num_regs: usize) -> Facts {
-    let mut st = AbsState { rows: vec![AbsVal::Bottom; num_regs] };
-    let mut facts = Facts { forms: vec![None; ops.len()], consts: vec![None; ops.len()] };
-    abs_exec_range(ops, &mut facts, &mut st, 0, ops.len());
-    facts
-}
-
 /// What the annotated disassembly shows of a kernel's lowering, computed
 /// without building (or touching) its compiled artifact: per pc, whether
 /// the analysis proves a global-memory instruction's address row
 /// lane-affine and with which stride (non-memory pcs are
-/// [`AddrForm::Unknown`]), and the pc ranges [`compile`] fuses into codec
-/// runs.
-pub(crate) fn listing_facts(kernel: &Kernel) -> (Vec<AddrForm>, Vec<std::ops::Range<usize>>) {
+/// [`AddrForm::Unknown`]), and the codec runs [`compile`] fuses.
+pub(crate) fn listing_facts(kernel: &Kernel) -> (Vec<AddrForm>, Vec<FusedRunInfo>) {
     let ops = kernel.decoded_program().ops();
     let facts = analyze(ops, kernel.num_regs as usize);
     let mut scan = CodecScan::new(kernel.num_regs as usize);
@@ -1112,11 +801,8 @@ pub(crate) fn listing_facts(kernel: &Kernel) -> (Vec<AddrForm>, Vec<std::ops::Ra
             Op::I { run_end, .. } => scan_codec_run(ops, &facts, pc..*run_end as usize, &mut scan),
             _ => None,
         };
-        let next = fused.map_or(pc + 1, |(_, end)| end);
-        if next > pc + 1 {
-            runs.push(pc..next);
-        }
-        pc = next;
+        pc = fused.as_ref().map_or(pc + 1, |f| f.info.pcs.end);
+        runs.extend(fused.map(|f| f.info));
     }
     (facts.forms.into_iter().map(|f| f.unwrap_or(AddrForm::Unknown)).collect(), runs)
 }
@@ -1604,31 +1290,82 @@ fn lower_thunk(dop: &DOp) -> Option<AluThunk> {
 // Codec-run fusion.
 // ---------------------------------------------------------------------------
 
-/// Most OR-terms one symbolic row value may hold (a `Lw` word assembles
-/// from four bytes; a sign/magnitude tail adds one or two).
+/// Most OR-terms one symbolic row value may hold while a run is scanned
+/// (a `Lw` word assembles from four bytes; a sign/magnitude tail adds one
+/// or two).
 const MAX_TERMS: usize = 8;
 /// Largest address advance (and so byte span) of one fused run.
 const MAX_SPAN: u32 = 1 << 16;
 
-/// What a [`Term`] reads: a byte plane the run loads, or a register row
-/// as it stood when the run was entered.
-#[derive(Clone, Copy)]
+/// What a [`Term`] reads.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Leaf {
-    /// Index into [`FusedRun::planes`].
-    Byte(u16),
-    /// SoA row offset.
+    /// A gathered plane. While a run is scanned: the byte at the `n`-th
+    /// distinct offset it loads; in a built run: `n` indexes
+    /// [`FusedRun::gathers`], bytes regrouped into words.
+    Plane(u16),
+    /// A register row (SoA offset) as it stood when the run was entered.
     Row(u32),
 }
 
 /// One OR-term of a symbolic value: `((leaf >> shr) & mask) << shl`.
-/// Invariant: `mask != 0` and `mask << shl` loses no bits, so shifting
-/// and masking a term again stays a term.
+/// Invariant: `mask != 0`, and neither `mask << shr` (the leaf bits the
+/// term selects) nor `mask << shl` loses a bit, so shifting and masking a
+/// term again stays a term.
 #[derive(Clone, Copy)]
 struct Term {
     leaf: Leaf,
     shr: u8,
     shl: u8,
     mask: u32,
+}
+
+impl Term {
+    fn shl(self, k: u32) -> Option<Term> {
+        let shl = self.shl as u32 + k;
+        (shl < 32).then(|| Term { shl: shl as u8, mask: self.mask & (u32::MAX >> shl), ..self })
+    }
+
+    fn shr(self, k: u32) -> Option<Term> {
+        if k <= self.shl as u32 {
+            return Some(Term { shl: self.shl - k as u8, ..self });
+        }
+        // Shifted past the term's own left shift: the rest moves into
+        // the leaf's right shift.
+        let j = k - self.shl as u32;
+        let shr = self.shr as u32 + j;
+        (shr < 32).then(|| Term { shr: shr as u8, shl: 0, mask: self.mask >> j, ..self })
+    }
+
+    fn and(self, k: u32) -> Term {
+        Term { mask: self.mask & (k >> self.shl), ..self }
+    }
+
+    /// The leaf bits the term selects …
+    fn bits(self) -> u32 {
+        self.mask << self.shr
+    }
+
+    /// … and how far left it moves them (negative: right).
+    fn net(self) -> i32 {
+        self.shl as i32 - self.shr as i32
+    }
+
+    /// The term selecting `bits` of `leaf` and moving them by `net`.
+    fn select(leaf: Leaf, bits: u32, net: i32) -> Term {
+        let (shr, shl) = if net < 0 { (-net as u8, 0) } else { (0, net as u8) };
+        Term { leaf, shr, shl, mask: bits >> shr }
+    }
+}
+
+/// Appends `t` to the value whose terms start at `t0`, folded into an
+/// earlier term that moves bits of the same leaf by the same distance —
+/// which is how four byte terms of one word plane become one.
+fn push_term(terms: &mut Vec<Term>, t0: usize, t: Term) {
+    match terms[t0..].iter_mut().find(|u| u.leaf == t.leaf && u.net() == t.net()) {
+        Some(u) => *u = Term::select(t.leaf, u.bits() | t.bits(), t.net()),
+        None => terms.push(t),
+    }
 }
 
 /// A row's value as a function of the run-entry state:
@@ -1655,13 +1392,12 @@ impl Sym {
     }
 }
 
-/// A register row a fused run writes, with its final value.
-struct FusedOut {
-    row: u32,
-    /// A later-evaluated row reads this row's entry value, so the write
-    /// is held back until every value is computed.
-    staged: bool,
-    sym: Sym,
+/// One bulk memory access of a fused run, `off` bytes past the entry
+/// address in every lane: a little-endian word, or a single byte.
+#[derive(Clone, Copy)]
+struct Plane {
+    off: u32,
+    word: bool,
 }
 
 /// One fused compact-codec byte run — see [`scan_codec_run`] for what
@@ -1682,17 +1418,25 @@ struct FusedRun {
     tiled: bool,
     /// What the run adds to the address row in total.
     delta: u32,
-    /// Distinct offsets a load run fetches (empty for a store run).
-    planes: Box<[u32]>,
-    /// The byte each store op writes, parallel to `mem_offs` (empty for
-    /// a load run).
-    stores: Box<[Sym]>,
-    outs: Box<[FusedOut]>,
+    /// Instructions covered, and their summed issue cost.
+    insts: u64,
+    cycles: f64,
+    /// What a load run fetches (empty for a store run): every byte it
+    /// loads lies in one of these, all within `0..span`.
+    gathers: Box<[Plane]>,
+    /// What a store run writes (empty for a load run), disjoint.
+    scatters: Box<[(Plane, Sym)]>,
+    /// `(row, final value)` of the rows live at the run's end.
+    outs: Box<[(u32, Sym)]>,
     terms: Box<[Term]>,
     /// `(row, k)`: rows the scan took as the constant `k` on the word of
     /// the static analysis alone. Collected in debug builds only, where
     /// [`exec_fused`] asserts them.
     assumed: Box<[(u32, u32)]>,
+    /// Rows the run's instructions write that are dead at its end.
+    #[cfg(any(test, debug_assertions))]
+    pruned: Box<[u32]>,
+    info: FusedRunInfo,
 }
 
 impl FusedRun {
@@ -1703,7 +1447,7 @@ impl FusedRun {
         let mut acc = [sym.konst; 32];
         for t in &self.terms[sym.range()] {
             let src = match t.leaf {
-                Leaf::Byte(p) => &planes[p as usize],
+                Leaf::Plane(p) => &planes[p as usize],
                 Leaf::Row(r) => row(regs, r as usize),
             };
             let (shr, shl, mask) = (t.shr as u32, t.shl as u32, t.mask);
@@ -1789,32 +1533,6 @@ impl CodecScan {
         Sym { konst, t0: t0 as u32, len: (self.terms.len() - t0) as u32 }
     }
 
-    fn shl(&mut self, v: Sym, k: u32) -> Sym {
-        let k = k & 31;
-        self.map(v, v.konst << k, |t| {
-            let shl = t.shl as u32 + k;
-            (shl < 32).then(|| Term { shl: shl as u8, mask: t.mask & (u32::MAX >> shl), ..t })
-        })
-    }
-
-    fn shr(&mut self, v: Sym, k: u32) -> Sym {
-        let k = k & 31;
-        self.map(v, v.konst >> k, |t| {
-            if k <= t.shl as u32 {
-                return Some(Term { shl: t.shl - k as u8, ..t });
-            }
-            // Shifted past the term's own left shift: the rest moves
-            // into the leaf's right shift.
-            let j = k - t.shl as u32;
-            let shr = t.shr as u32 + j;
-            (shr < 32).then(|| Term { shr: shr as u8, shl: 0, mask: t.mask >> j, ..t })
-        })
-    }
-
-    fn and(&mut self, v: Sym, k: u32) -> Sym {
-        self.map(v, v.konst & k, |t| Some(Term { mask: t.mask & (k >> t.shl), ..t }))
-    }
-
     fn or(&mut self, a: Sym, b: Sym) -> Option<Sym> {
         let konst = a.konst | b.konst;
         if a.len == 0 || b.len == 0 {
@@ -1849,15 +1567,23 @@ impl CodecScan {
 /// store run an offset already written or ≥ the lane stride (lanes would
 /// overlap, making store order observable). The accepted prefix fuses if
 /// it holds at least two memory ops. Which instruction computes what is
-/// immaterial — only the rows' final values and the stored bytes are
-/// kept — so the result does not depend on the order `up-jit` happens to
-/// emit independent instructions in.
+/// immaterial — only the final values of the rows live at the run's end
+/// and the stored bytes are kept — so the result does not depend on the
+/// order `up-jit` happens to emit independent instructions in.
+///
+/// The kept values are then regrouped from bytes into words. A load run
+/// of span ≥ 4 fetches four-byte windows instead of bytes — each window
+/// starts at the first byte it must serve, pulled back to `span − 4` when
+/// it would otherwise leave the bounds-checked span — and every byte term
+/// becomes a term over its window, where [`push_term`] folds the four
+/// bytes of a little-endian word into one. A store run turns four stores
+/// at consecutive offsets into one word scatter of their OR-ed low bytes.
 fn scan_codec_run(
     ops: &[Op],
     facts: &Facts,
     pcs: std::ops::Range<usize>,
     sc: &mut CodecScan,
-) -> Option<(FusedRun, usize)> {
+) -> Option<FusedRun> {
     let Op::I { dop: head, .. } = &ops[pcs.start] else { return None };
     let head = head.mem_ref()?;
     let is_store = match head.kind {
@@ -1869,10 +1595,11 @@ fn scan_codec_run(
     sc.reset();
     let mut delta = 0u32;
     let mut mem_offs: Vec<u32> = Vec::new();
-    let mut planes: Vec<u32> = Vec::new();
+    // Distinct offsets a load run fetches; the byte each store op writes.
+    let mut loaded: Vec<u32> = Vec::new();
     let mut stores: Vec<Sym> = Vec::new();
     let mut end = pcs.start;
-    for pc in pcs {
+    for pc in pcs.clone() {
         let Op::I { dop, .. } = &ops[pc] else { unreachable!("superblock runs are all I") };
         let [ka, kb] = facts.consts[pc].unwrap_or([None, None]);
         // Only the run's own memory ops and bumps may touch the address row.
@@ -1902,26 +1629,26 @@ fn scan_codec_run(
                 if !is_store && buf == head.buf && is_addr(addr) && !is_addr(d) =>
             {
                 // Offsets only grow, so a repeat is a repeat of the last.
-                if planes.last() != Some(&delta) {
-                    planes.push(delta);
+                if loaded.last() != Some(&delta) {
+                    loaded.push(delta);
                 }
                 mem_offs.push(delta);
-                Some((d, sc.leaf(Leaf::Byte(planes.len() as u16 - 1), 0xff)))
+                Some((d, sc.leaf(Leaf::Plane(loaded.len() as u16 - 1), 0xff)))
             }
             DOp::MovImm { d, imm } => Some((d, Sym::konst(imm))),
             DOp::Mov { d, a } if !is_addr(a) => Some((d, sc.val(a, ka))),
             DOp::Shl { d, a, b } | DOp::Shr { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, k) = (sc.val(a, ka), sc.val(b, kb));
-                let left = matches!(dop, DOp::Shl { .. });
-                (k.len == 0).then(|| (d, if left { sc.shl(va, k.konst) } else { sc.shr(va, k.konst) }))
+                let by = k.konst & 31;
+                (k.len == 0).then(|| match dop {
+                    DOp::Shl { .. } => (d, sc.map(va, va.konst << by, |t| t.shl(by))),
+                    _ => (d, sc.map(va, va.konst >> by, |t| t.shr(by))),
+                })
             }
             DOp::And { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
-                match (va.len, vb.len) {
-                    (_, 0) => Some((d, sc.and(va, vb.konst))),
-                    (0, _) => Some((d, sc.and(vb, va.konst))),
-                    _ => None,
-                }
+                let (v, k) = if vb.len == 0 { (va, vb.konst) } else { (vb, va.konst) };
+                (va.len == 0 || vb.len == 0).then(|| (d, sc.map(v, v.konst & k, |t| Some(t.and(k)))))
             }
             DOp::Or { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
@@ -1939,32 +1666,82 @@ fn scan_codec_run(
         return None;
     }
     let span = mem_offs[mem_offs.len() - 1] + 1;
-    let tiled = if is_store { mem_offs.len() } else { planes.len() } as u32 == span;
-    let mut terms: Vec<Term> = Vec::new();
-    let mut flatten = |v: &Sym| {
-        let t0 = terms.len() as u32;
-        terms.extend_from_slice(&sc.terms[v.range()]);
-        Sym { t0, ..*v }
+    let tiled = if is_store { mem_offs.len() } else { loaded.len() } as u32 == span;
+    // Each loaded byte → (the gather serving it, its bit position there).
+    let mut gathers: Vec<Plane> = Vec::new();
+    let served: Vec<(u16, u8)> = loaded
+        .iter()
+        .map(|&off| {
+            if span < 4 {
+                gathers.push(Plane { off, word: false });
+            } else if gathers.last().is_none_or(|g| off >= g.off + 4) {
+                let window = off.min(span - 4);
+                #[cfg(test)]
+                let window = if seeded_bug::is(seeded_bug::Bug::WordWindowIgnoresSpan) { off } else { window };
+                gathers.push(Plane { off: window, word: true });
+            }
+            let g = gathers.len() - 1;
+            (g as u16, (off - gathers[g].off) as u8 * 8)
+        })
+        .collect();
+    let place = |t: Term| match t.leaf {
+        Leaf::Plane(byte) => {
+            let (g, bit) = served[byte as usize];
+            Term { leaf: Leaf::Plane(g), shr: t.shr + bit, ..t }
+        }
+        Leaf::Row(_) => t,
     };
-    let stores = stores.iter().map(&mut flatten).collect();
-    // Rows are evaluated in first-write order; walking them last to
-    // first, a row some later one reads must be staged.
-    let mut read_later = vec![false; sc.vals.len()];
-    let mut outs = Vec::with_capacity(sc.vals.len());
-    for (i, (row, v)) in sc.vals.iter().enumerate().rev() {
-        outs.push(FusedOut { row: *row, staged: read_later[i], sym: flatten(v) });
-        for t in &sc.terms[v.range()] {
-            if let Leaf::Row(r) = t.leaf {
-                if let Some(later) = read_later.get_mut(sc.slot[r as usize / 32] as usize) {
-                    *later = true;
+    let mut terms: Vec<Term> = Vec::new();
+    // Four stores at consecutive offsets make one word: a byte store
+    // keeps its value's low byte, and byte `j` of the word sits 8·j up.
+    let mut scatters: Vec<(Plane, Sym)> = Vec::new();
+    let mut i = 0;
+    while i < stores.len() {
+        let off = mem_offs[i];
+        let word = (1..4).all(|j| mem_offs.get(i + j) == Some(&(off + j as u32)));
+        let t0 = terms.len();
+        let mut konst = 0;
+        for (j, v) in stores[i..i + if word { 4 } else { 1 }].iter().enumerate() {
+            konst |= (v.konst & 0xff) << (8 * j);
+            for t in &sc.terms[v.range()] {
+                if let Some(t) = t.and(0xff).shl(8 * j as u32).filter(|t| t.mask != 0) {
+                    push_term(&mut terms, t0, place(t));
                 }
             }
+            i += 1;
         }
+        let len = (terms.len() - t0) as u32;
+        scatters.push((Plane { off, word }, Sym { konst, t0: t0 as u32, len }));
     }
-    outs.reverse();
+    let live = facts.live_at(ops, end);
+    let (mut outs, mut pruned) = (Vec::new(), Vec::new());
+    for (row, v) in sc.vals.iter() {
+        if !live.has(*row) {
+            pruned.push(*row);
+            continue;
+        }
+        let t0 = terms.len();
+        for t in &sc.terms[v.range()] {
+            push_term(&mut terms, t0, place(*t));
+        }
+        outs.push((*row, Sym { konst: v.konst, t0: t0 as u32, len: (terms.len() - t0) as u32 }));
+    }
     sc.assumed.sort_unstable();
     sc.assumed.dedup();
-    let run = FusedRun {
+    let planes = |word: bool| {
+        let moved = gathers.iter().chain(scatters.iter().map(|(p, _)| p));
+        moved.filter(|p| p.word == word).count()
+    };
+    let info = FusedRunInfo {
+        pcs: pcs.start..end,
+        is_store,
+        rows_written: sc.vals.len(),
+        rows_live: outs.len(),
+        rows_const: outs.iter().filter(|(_, v)| v.len == 0).count(),
+        word_planes: planes(true),
+        byte_planes: planes(false),
+    };
+    Some(FusedRun {
         buf: head.buf,
         addr: head.addr,
         stride,
@@ -1972,17 +1749,28 @@ fn scan_codec_run(
         span,
         tiled,
         delta,
-        planes: planes.into_boxed_slice(),
-        stores,
+        insts: (end - pcs.start) as u64,
+        cycles: ops[pcs.start..end]
+            .iter()
+            .map(|op| match op {
+                Op::I { cycles, .. } => *cycles,
+                _ => unreachable!("superblock runs are all I"),
+            })
+            .sum(),
+        gathers: gathers.into_boxed_slice(),
+        scatters: scatters.into_boxed_slice(),
         outs: outs.into_boxed_slice(),
         terms: terms.into_boxed_slice(),
         assumed: sc.assumed.as_slice().into(),
-    };
-    Some((run, end))
+        #[cfg(any(test, debug_assertions))]
+        pruned: pruned.into_boxed_slice(),
+        info,
+    })
 }
 
 /// Compiles a kernel's decoded program into closure chains, one
-/// [`SuperBlock`] per maximal straight-line run.
+/// [`SuperBlock`] per maximal straight-line run. The analyses of
+/// [`crate::analysis`] run once here, i.e. once per promoted kernel.
 pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
     let prog: &Arc<DecodedProgram> = kernel.decoded_program();
     let ops = prog.ops();
@@ -1998,9 +1786,9 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
         mem_insts: 0,
         affine_mem_insts: 0,
         lowered_superblocks: 0,
-        fused_codec_runs: 0,
-        fused_codec_insts: 0,
         fused_codec_mem_insts: 0,
+        fused_runs: Vec::new(),
+        entry_live: facts.entry_live_rows(ops, kernel.num_regs as usize).into_boxed_slice(),
     };
     let mut i = 0usize;
     while i < ops.len() {
@@ -2045,6 +1833,29 @@ fn fuse_mul_pair(first: &DOp, next: Option<&Op>) -> Option<AluThunk> {
     }
 }
 
+/// The pending register-only segment of [`lower_steps`]: its thunks, and
+/// the count and summed issue cost of the instructions they cover.
+#[derive(Default)]
+struct Segment {
+    thunks: Vec<AluThunk>,
+    insts: u64,
+    cycles: f64,
+}
+
+impl Segment {
+    fn count(&mut self, insts: u64, cycles: f64) {
+        self.insts += insts;
+        self.cycles += cycles;
+    }
+
+    fn flush(&mut self, steps: &mut Vec<Step>) {
+        if self.insts > 0 {
+            let Segment { thunks, insts, cycles } = std::mem::take(self);
+            steps.push(Step::Alu { thunks: thunks.into_boxed_slice(), insts, cycles });
+        }
+    }
+}
+
 /// Lowers the straight-line instructions `ops[range]` to steps. With a
 /// `scan`, byte memory ops first try to head a fused codec run; without
 /// one (a fused run's fallback) every instruction lowers on its own.
@@ -2057,8 +1868,7 @@ fn lower_steps(
 ) -> Box<[Step]> {
     let run = &ops[range.clone()];
     let mut steps: Vec<Step> = Vec::new();
-    let mut thunks: Vec<AluThunk> = Vec::new();
-    let mut cycles: Vec<f64> = Vec::new();
+    let mut seg = Segment::default();
     let mut chain: Vec<CarryOp> = Vec::new();
 
     fn flush_chain(
@@ -2081,102 +1891,76 @@ fn lower_steps(
         let Op::I { dop, cycles: cy, .. } = &run[i] else {
             unreachable!("superblock runs are all I")
         };
+        // Batched cycle sums equal the interpreter's one-by-one additions
+        // only while every cost is a non-negative integer.
+        debug_assert!(*cy >= 0.0 && cy.fract() == 0.0, "non-integral issue cost {cy}");
         if let Some(cop) = carry_op(dop) {
             chain.push(cop);
-            cycles.push(*cy);
+            seg.count(1, *cy);
             tally.alu_insts += 1;
             i += 1;
             continue;
         }
         if let Some(thunk) = fuse_mul_pair(dop, run.get(i + 1)) {
             let Some(Op::I { cycles: cy2, .. }) = run.get(i + 1) else { unreachable!() };
-            flush_chain(&mut chain, &mut thunks, tally);
-            thunks.push(thunk);
-            cycles.push(*cy);
-            cycles.push(*cy2);
+            flush_chain(&mut chain, &mut seg.thunks, tally);
+            seg.thunks.push(thunk);
+            seg.count(2, cy + cy2);
             tally.alu_insts += 2;
             i += 2;
             continue;
         }
         if let Some(thunk) = lower_thunk(dop) {
-            flush_chain(&mut chain, &mut thunks, tally);
-            thunks.push(thunk);
-            cycles.push(*cy);
+            flush_chain(&mut chain, &mut seg.thunks, tally);
+            seg.thunks.push(thunk);
+            seg.count(1, *cy);
             tally.alu_insts += 1;
             i += 1;
             continue;
         }
-        if let Some(mr) = dop.mem_ref() {
-            // First-class lowered memory thunk: flush the pending
-            // register-only segment so the stats replay stays in program
-            // order.
-            flush_chain(&mut chain, &mut thunks, tally);
-            if !cycles.is_empty() {
-                steps.push(Step::Alu {
-                    thunks: std::mem::take(&mut thunks).into_boxed_slice(),
-                    cycles: std::mem::take(&mut cycles).into_boxed_slice(),
-                });
-            }
-            let pc = range.start + i;
-            let fused = scan
-                .as_deref_mut()
-                .and_then(|sc| scan_codec_run(ops, facts, pc..range.end, sc));
-            if let Some((fused, end)) = fused {
-                tally.fused_codec_runs += 1;
-                tally.fused_codec_insts += end - pc;
-                tally.fused_codec_mem_insts += fused.mem_offs.len();
-                steps.push(Step::Fused {
-                    run: fused,
-                    cycles: ops[pc..end]
-                        .iter()
-                        .map(|op| match op {
-                            Op::I { cycles, .. } => *cycles,
-                            _ => unreachable!("superblock runs are all I"),
-                        })
-                        .collect(),
-                    fallback: lower_steps(ops, facts, pc..end, None, tally),
-                });
-                i = end - range.start;
-                continue;
-            }
-            let affine = match facts.forms[pc] {
-                Some(AddrForm::LaneAffine { stride }) => Some(stride),
-                _ => None,
-            };
-            steps.push(Step::Mem(MemStep {
-                kind: mr.kind,
-                buf: mr.buf,
-                addr: mr.addr,
-                data: mr.data,
-                affine,
-                cycles: *cy,
-            }));
-            tally.mem_insts += 1;
-            if affine.is_some() {
-                tally.affine_mem_insts += 1;
-            }
+        // A step that touches stats itself ends the pending segment.
+        flush_chain(&mut chain, &mut seg.thunks, tally);
+        seg.flush(&mut steps);
+        let Some(mr) = dop.mem_ref() else {
+            steps.push(Step::Interp { dop: dop.clone(), cycles: *cy });
+            tally.interp_insts += 1;
             i += 1;
             continue;
-        }
-        // Interpreter step: flush the pending register-only segment first.
-        flush_chain(&mut chain, &mut thunks, tally);
-        if !cycles.is_empty() {
-            steps.push(Step::Alu {
-                thunks: std::mem::take(&mut thunks).into_boxed_slice(),
-                cycles: std::mem::take(&mut cycles).into_boxed_slice(),
+        };
+        let pc = range.start + i;
+        let fused =
+            scan.as_deref_mut().and_then(|sc| scan_codec_run(ops, facts, pc..range.end, sc));
+        if let Some(fused) = fused {
+            let end = fused.info.pcs.end;
+            tally.fused_codec_mem_insts += fused.mem_offs.len();
+            tally.fused_runs.push(fused.info.clone());
+            steps.push(Step::Fused {
+                run: fused,
+                fallback: lower_steps(ops, facts, pc..end, None, tally),
             });
+            i = end - range.start;
+            continue;
         }
-        steps.push(Step::Interp { dop: dop.clone(), cycles: *cy });
-        tally.interp_insts += 1;
+        let affine = match facts.forms[pc] {
+            Some(AddrForm::LaneAffine { stride }) => Some(stride),
+            _ => None,
+        };
+        steps.push(Step::Mem(MemStep {
+            kind: mr.kind,
+            buf: mr.buf,
+            addr: mr.addr,
+            data: mr.data,
+            affine,
+            cycles: *cy,
+        }));
+        tally.mem_insts += 1;
+        if affine.is_some() {
+            tally.affine_mem_insts += 1;
+        }
         i += 1;
     }
-    flush_chain(&mut chain, &mut thunks, tally);
-    if !cycles.is_empty() {
-        steps.push(Step::Alu {
-            thunks: thunks.into_boxed_slice(),
-            cycles: cycles.into_boxed_slice(),
-        });
-    }
+    flush_chain(&mut chain, &mut seg.thunks, tally);
+    seg.flush(&mut steps);
     steps.into_boxed_slice()
 }
 
@@ -2342,6 +2126,9 @@ mod tests {
             fallback_insts: 4,
             fused_codec_runs: 2,
             fused_codec_insts: 40,
+            fused_live_rows: 6,
+            fused_pruned_rows: 20,
+            fused_word_planes: 3,
         };
         t += TierCounters { compiled: 1, lowered_mem_thunks: 3, ..Default::default() };
         assert_eq!(t.total(), 7);
@@ -2352,5 +2139,6 @@ mod tests {
         assert_eq!(t.lowered_mem_thunks, 10);
         assert_eq!(t.fallback_insts, 4);
         assert_eq!((t.fused_codec_runs, t.fused_codec_insts), (2, 40));
+        assert_eq!((t.fused_live_rows, t.fused_pruned_rows, t.fused_word_planes), (6, 20, 3));
     }
 }

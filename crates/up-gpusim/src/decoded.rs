@@ -459,7 +459,9 @@ enum Frame {
 
 /// Warp state in structure-of-arrays layout: contiguous lane rows per
 /// register (`regs[r*32 + l]`), predicate registers as 32-bit lane masks,
-/// and the carry flags as one lane mask.
+/// and the carry flags as one lane mask. Built once per launch per
+/// simulator thread ([`DCtx::new`]) and reset per block and per warp by
+/// [`run_block_decoded`].
 pub(crate) struct DCtx<'a, M: MemAccess> {
     pub(crate) regs: Vec<u32>,
     pub(crate) preds: Vec<u32>,
@@ -477,6 +479,26 @@ pub(crate) struct DCtx<'a, M: MemAccess> {
     /// `DivBig` operand, result and working buffers, reused lane after
     /// lane.
     pub(crate) div: DivBufs,
+    /// The divergence stack (empty between warps).
+    frames: Vec<Frame>,
+}
+
+impl<'a, M: MemAccess> DCtx<'a, M> {
+    pub(crate) fn new(kernel: &'a Kernel, mem: &'a mut M, params: &'a [u32]) -> Self {
+        DCtx {
+            regs: vec![0u32; kernel.num_regs as usize * LANES],
+            preds: vec![0u32; kernel.num_preds as usize],
+            carry: 0,
+            smem: vec![0u8; kernel.smem_bytes as usize],
+            mem,
+            params,
+            stats: ExecStats::default(),
+            seen: SectorSeen::new(),
+            kernel_name: &kernel.name,
+            div: DivBufs::default(),
+            frames: Vec::with_capacity(8),
+        }
+    }
 }
 
 /// See [`DCtx::div`].
@@ -511,35 +533,32 @@ fn lanes_apply<const FULL: bool>(mask: u32, lanes_n: usize, mut f: impl FnMut(us
 /// sector set cleared per warp, stats accumulated per instruction in
 /// program order. With `compiled` set (the tier-3 path), full-mask
 /// superblocks execute the closure-compiled steps instead of the
-/// per-instruction fast path — bit-identical either way.
-#[allow(clippy::too_many_arguments)]
+/// per-instruction fast path — bit-identical either way — and the
+/// per-warp register reset zeroes only the rows some thread may read
+/// before writing (the program's entry-live rows); the decoded tier has
+/// no liveness facts and zeroes the whole file.
 pub(crate) fn run_block_decoded<M: MemAccess>(
     prog: &DecodedProgram,
     compiled: Option<&crate::compiled::CompiledProgram>,
-    kernel: &Kernel,
+    c: &mut DCtx<'_, M>,
     cfg: LaunchConfig,
     block: u32,
-    mem: &mut M,
-    params: &[u32],
     warp: usize,
 ) -> Result<ExecStats, SimError> {
-    let mut c = DCtx {
-        regs: vec![0u32; kernel.num_regs as usize * LANES],
-        preds: vec![0u32; kernel.num_preds as usize],
-        carry: 0,
-        smem: vec![0u8; kernel.smem_bytes as usize],
-        mem,
-        params,
-        stats: ExecStats { sample_scale: 1.0, ..Default::default() },
-        seen: SectorSeen::new(),
-        kernel_name: &kernel.name,
-        div: DivBufs::default(),
-    };
+    c.stats = ExecStats { sample_scale: 1.0, ..Default::default() };
+    c.smem.fill(0);
     let threads = cfg.block_threads as usize;
-    let mut frames: Vec<Frame> = Vec::with_capacity(8);
+    let mut frames = std::mem::take(&mut c.frames);
     for warp_start in (0..threads).step_by(warp) {
         let lanes_n = warp.min(threads - warp_start);
-        c.regs.fill(0);
+        match compiled {
+            Some(cp) => {
+                for &r in cp.entry_live_rows() {
+                    c.regs[r as usize..r as usize + LANES].fill(0);
+                }
+            }
+            None => c.regs.fill(0),
+        }
         c.preds.fill(0);
         c.carry = 0;
         c.seen.clear();
@@ -550,9 +569,10 @@ pub(crate) fn run_block_decoded<M: MemAccess>(
             ntid: cfg.block_threads,
             nctaid: cfg.grid_blocks,
         };
-        run_warp(prog, compiled, &mut c, &mut frames, &geom, lanes_n)?;
+        run_warp(prog, compiled, c, &mut frames, &geom, lanes_n)?;
         c.stats.warps += 1;
     }
+    c.frames = frames;
     c.stats.blocks += 1;
     Ok(c.stats)
 }
@@ -688,7 +708,7 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
     mask: u32,
     n: usize,
 ) -> Result<(), SimError> {
-    let DCtx { regs, preds, carry, smem, mem, params, stats, seen, kernel_name, div } = c;
+    let DCtx { regs, preds, carry, smem, mem, params, stats, seen, kernel_name, div, .. } = c;
     let regs = &mut regs[..];
     match dop {
         DOp::MovImm { d, imm } => {
@@ -1976,6 +1996,198 @@ mod tests {
         let base = random_mem(&mut Rng(0xc0_75), &[3 * N_THREADS, 4 * N_THREADS]);
         for kernel in [by_lane, by_trip] {
             assert_tiers_agree(&kernel, (&base, 2), GRID, 0, &kernel.name);
+        }
+    }
+
+    /// A codec-shaped load run: `lb` byte loads from buffer 0 through
+    /// `addr` (bumped by one between bytes), assembled little-endian into
+    /// `⌈lb/4⌉` consecutive zeroed word registers. Returns the words and
+    /// the shift temporary, which ends up holding the last shifted byte.
+    fn load_run(kb: &mut KernelBuilder, addr: Reg, lb: u32, one: Reg) -> (Vec<Reg>, Reg) {
+        let words = kb.regs((lb as usize).div_ceil(4));
+        for &w in &words {
+            kb.push(I::MovImm { d: w, imm: 0 });
+        }
+        let (byte, shifted) = (kb.reg(), kb.reg());
+        for bi in 0..lb {
+            kb.push(I::LdGlobalU8 { d: byte, buf: 0, addr });
+            if bi + 1 < lb {
+                kb.push(I::Add { d: addr, a: addr, b: one });
+            }
+            let sh = kb.imm(bi % 4 * 8);
+            kb.push(I::Shl { d: shifted, a: byte, b: sh });
+            let w = words[bi as usize / 4];
+            kb.push(I::Or { d: w, a: w, b: shifted });
+        }
+        (words, shifted)
+    }
+
+    /// `buf1[gid·4] = src`.
+    fn store_word(kb: &mut KernelBuilder, gid: Reg, src: Reg) {
+        let (four, addr4) = (kb.imm(4), kb.reg());
+        kb.push(I::MulLo { d: addr4, a: gid, b: four });
+        kb.push(I::StGlobal { buf: 1, addr: addr4, src });
+    }
+
+    /// Reads the fused run's shift temporary at the top of the *next*
+    /// loop trip: live only around the `WhileEnd → cond_pc` edge.
+    fn next_trip_kernel() -> Kernel {
+        gid_kernel("live_next_trip", |kb, gid, one| {
+            let (three, trips, addr, acc) = (kb.imm(3), kb.reg(), kb.reg(), kb.reg());
+            let p = kb.pred();
+            let cond = kb.block(|b| b.push(I::SetPImm { p, op: CmpOp::Lt, a: trips, imm: 3 }));
+            let shifted = kb.reg();
+            let body = kb.block(|b| {
+                b.push(I::Xor { d: acc, a: acc, b: shifted });
+                b.push(I::MulLo { d: addr, a: gid, b: three });
+                let (words, tmp) = load_run(b, addr, 3, one);
+                b.push(I::Mov { d: shifted, a: tmp });
+                b.push(I::Add { d: acc, a: acc, b: words[0] });
+                store_word(b, gid, acc);
+                b.push(I::Add { d: trips, a: trips, b: one });
+            });
+            kb.while_(p, cond, body, 8);
+        })
+    }
+
+    /// An exactly-sized buffer under a 7-byte run: the second word window
+    /// must be pulled back to offset 3, or the last lane reads past it.
+    fn tight_span_kernel() -> Kernel {
+        gid_kernel("tight_span", |kb, gid, one| {
+            let (seven, addr) = (kb.imm(7), kb.reg());
+            kb.push(I::MulLo { d: addr, a: gid, b: seven });
+            let (words, _) = load_run(kb, addr, 7, one);
+            kb.push(I::Xor { d: words[0], a: words[0], b: words[1] });
+            store_word(kb, gid, words[0]);
+        })
+    }
+
+    /// The poison differential mode's directed cases. In test builds every
+    /// fused step overwrites the rows it pruned as dead with `0xDEADBEEF`
+    /// (the three fuzz classes above run that way too), so a row the
+    /// liveness pass wrongly prunes reaches an output. Each kernel reads a
+    /// row a fused run wrote somewhere a sloppy analysis would miss: on the
+    /// next loop trip, in an `else` arm only, as the second row of a
+    /// `DivBig` operand, through a shuffle — where the lanes a branch left
+    /// out must still read the zeroed file, not the previous warp's row —
+    /// and all of it under a 5-lane tail warp as well.
+    #[test]
+    fn poisoned_dead_rows_are_never_observed() {
+        let else_arm = gid_kernel("live_in_else_arm", |kb, gid, one| {
+            let (three, addr, odd, acc) = (kb.imm(3), kb.reg(), kb.reg(), kb.reg());
+            kb.push(I::MulLo { d: addr, a: gid, b: three });
+            let (words, shifted) = load_run(kb, addr, 3, one);
+            kb.push(I::And { d: odd, a: gid, b: one });
+            let p = kb.pred();
+            kb.push(I::SetPImm { p, op: CmpOp::Eq, a: odd, imm: 1 });
+            let then_ = kb.block(|b| b.push(I::Mov { d: acc, a: words[0] }));
+            let else_ = kb.block(|b| b.push(I::Add { d: acc, a: words[0], b: shifted }));
+            kb.if_(p, then_, else_);
+            store_word(kb, gid, acc);
+        });
+        let div_big = gid_kernel("live_div_big_rows", |kb, gid, one| {
+            let (eight, addr, b) = (kb.imm(8), kb.reg(), kb.reg());
+            kb.push(I::MulLo { d: addr, a: gid, b: eight });
+            let (words, _) = load_run(kb, addr, 8, one);
+            kb.push(I::Or { d: b, a: gid, b: one });
+            let q = kb.regs(2);
+            kb.push(I::DivBig { d: q[0], dn: 2, a: words[0], an: 2, b, bn: 1 });
+            kb.push(I::Xor { d: q[0], a: q[0], b: q[1] });
+            store_word(kb, gid, q[0]);
+        });
+        let shuffle = gid_kernel("live_shuffle_source", |kb, gid, one| {
+            let (three, addr, lane, x, got) = (kb.imm(3), kb.reg(), kb.reg(), kb.reg(), kb.reg());
+            kb.push(I::MulLo { d: addr, a: gid, b: three });
+            let (words, _) = load_run(kb, addr, 3, one);
+            kb.push(I::Add { d: lane, a: gid, b: one });
+            kb.push(I::ShflIdx { d: got, a: words[0], lane });
+            let p = kb.pred();
+            kb.push(I::SetPImm { p, op: CmpOp::Lt, a: words[0], imm: 1 << 23 });
+            // `x` is written and shuffled inside the arm only: the lanes
+            // outside it never write theirs, yet are read.
+            let then_ = kb.block(|b| {
+                b.push(I::Mov { d: x, a: words[0] });
+                b.push(I::ShflIdx { d: x, a: x, lane });
+                b.push(I::Add { d: got, a: got, b: x });
+            });
+            kb.if_(p, then_, vec![]);
+            store_word(kb, gid, got);
+        });
+        let base = random_mem(&mut Rng(0xdead_beef), &[8 * N_THREADS, 4 * N_THREADS]);
+        for kernel in [next_trip_kernel(), tight_span_kernel(), else_arm, div_big, shuffle] {
+            assert_eq!(kernel.compiled_program().fused_codec_run_count(), 1, "{}", kernel.name);
+            for cfg in [GRID, LaunchConfig { grid_blocks: 3, block_threads: 37 }] {
+                assert_tiers_agree(&kernel, (&base, 2), cfg, 0, &kernel.name);
+            }
+        }
+        // The pulled-back window, against a buffer with no byte to spare.
+        let tight = random_mem(&mut Rng(0x7197), &[7 * N_THREADS, 4 * N_THREADS]);
+        assert_tiers_agree(&tight_span_kernel(), (&tight, 2), GRID, 0, "tight span, tight buffer");
+        let shape = tight_span_kernel().compiled_program().fused_runs()[0].clone();
+        assert_eq!((shape.word_planes, shape.byte_planes), (2, 0), "{shape:?}");
+        // Two words survive; the byte, the shift temporary and the seven
+        // shift-amount immediates do not.
+        assert_eq!((shape.rows_written, shape.rows_live), (11, 2), "{shape:?}");
+    }
+
+    /// The suite catches the two seeded bugs [`crate::analysis::seeded_bug`]
+    /// can plant in a promotion: a liveness pass without the loop back edge
+    /// (the pruned row's poison reaches the output), and a word window that
+    /// ignores `off + 4 > span` (the last lane reads past the buffer).
+    #[test]
+    fn seeded_liveness_and_word_window_bugs_are_caught() {
+        use crate::analysis::seeded_bug::{with, Bug};
+        let base = random_mem(&mut Rng(0x5eed_ed), &[7 * N_THREADS, 4 * N_THREADS]);
+        let caught = [
+            (Bug::LivenessDropsBackEdge, next_trip_kernel as fn() -> Kernel),
+            (Bug::WordWindowIgnoresSpan, tight_span_kernel),
+        ]
+        .map(|(bug, kernel)| {
+            // Promotion (analysis and lowering) runs on this thread.
+            let kernel = with(bug, || {
+                let kernel = kernel();
+                kernel.compiled_program();
+                kernel
+            });
+            let check = || assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "seeded");
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
+        });
+        assert_eq!(caught, [true, true], "a seeded bug went unnoticed");
+        for kernel in [next_trip_kernel(), tight_span_kernel()] {
+            assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "unseeded");
+        }
+    }
+
+    /// `DivBig`'s data-dependent probe cost is an integer whatever the
+    /// operands' lengths — with the static costs (`ptx` tests) that makes
+    /// every addend of `warp_issue_cycles` integral, which the compiled
+    /// tier's batched sums rely on.
+    #[test]
+    fn div_big_probe_cost_is_integral() {
+        let mut rng = Rng(0xd1_b16);
+        for _ in 0..24 {
+            let (an, bn) = (1 + rng.below(4) as u8, 1 + rng.below(3) as u8);
+            let rem = rng.chance(2);
+            let kernel = gid_kernel("div_big_cost", |kb, gid, one| {
+                let (a, b, d) = (kb.regs(an as usize), kb.regs(bn as usize), kb.regs(4));
+                let (four, addr4) = (kb.imm(4), kb.reg());
+                kb.push(I::MulLo { d: addr4, a: gid, b: four });
+                for (k, &r) in a.iter().chain(&b).enumerate() {
+                    kb.push(I::LdGlobal { d: r, buf: (k % 2) as u8, addr: addr4 });
+                    let sh = kb.imm(rng.below(32));
+                    kb.push(I::Shr { d: r, a: r, b: sh });
+                }
+                kb.push(I::Or { d: b[0], a: b[0], b: one });
+                kb.push(match rem {
+                    false => I::DivBig { d: d[0], dn: 4, a: a[0], an, b: b[0], bn },
+                    true => I::RemBig { d: d[0], dn: bn, a: a[0], an, b: b[0], bn },
+                });
+            });
+            let base = fuzz_mem(&mut rng);
+            let (res, _) = run_mode(&kernel, &base, ExecBackend::Tree, SimParallelism::Serial);
+            let cycles = res.expect("non-zero divisors").warp_issue_cycles;
+            assert!(cycles > 0.0 && cycles.fract() == 0.0, "{cycles} for {an}/{bn} words");
+            assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "div_big cost");
         }
     }
 

@@ -20,7 +20,9 @@ pub fn disassemble(kernel: &Kernel) -> String {
 /// row is proven lane-affine, `; addr unknown` otherwise (the metadata
 /// that picks the warp-wide bulk fast path) — and every compact-codec
 /// byte run that promotion fuses into one step is bracketed
-/// `; ┌ fused codec run (N insts)` … `; └`.
+/// `; ┌ fused codec run (34 insts, 5/17 rows live, 2 word + 1 byte planes)`
+/// … `; └`: how many of the rows the run writes the fused step keeps, and
+/// the bulk gathers (or, for a store run, scatters) it performs.
 pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
     let (forms, runs) = crate::compiled::listing_facts(kernel);
     // The decoded program flattens the tree in statement order (If arms
@@ -33,10 +35,18 @@ pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
         if dop.mem_ref().is_some() {
             let _ = write!(note, "  ; addr {}", forms[pc]);
         }
-        if let Some(run) = runs.iter().find(|r| r.contains(&pc)) {
-            if pc == run.start {
-                let _ = write!(note, "  ; ┌ fused codec run ({} insts)", run.len());
-            } else if pc + 1 == run.end {
+        if let Some(run) = runs.iter().find(|r| r.pcs.contains(&pc)) {
+            if pc == run.pcs.start {
+                let _ = write!(
+                    note,
+                    "  ; ┌ fused codec run ({} insts, {}/{} rows live, {} word + {} byte planes)",
+                    run.pcs.len(),
+                    run.rows_live,
+                    run.rows_written,
+                    run.word_planes,
+                    run.byte_planes
+                );
+            } else if pc + 1 == run.pcs.end {
                 note.push_str("  ; └");
             } else {
                 note.push_str("  ; │");
@@ -364,7 +374,10 @@ mod tests {
         let lines: Vec<String> =
             disassemble_with_addr_forms(&k).lines().map(|l| l.trim().to_string()).collect();
         let at = |needle: &str| lines.iter().position(|l| l.contains(needle)).expect(needle);
-        let (head, tail) = (at("┌ fused codec run (4 insts)"), at("└"));
+        // The `xor` after the run reads both rows it wrote, `v` and `w`; a
+        // two-byte span is too short for a word plane.
+        let (head, tail) =
+            (at("┌ fused codec run (4 insts, 2/2 rows live, 0 word + 2 byte planes)"), at("└"));
         assert!(lines[head].starts_with("ld.global.u8") && lines[head].contains("; addr base+gid*2"));
         assert_eq!(tail, head + 3, "{lines:?}");
         assert!(lines[tail].starts_with("ld.global.u8"));
@@ -376,49 +389,7 @@ mod tests {
     #[test]
     fn every_instruction_renders() {
         // Exercise each variant once so the renderer can't panic on any.
-        let insts = vec![
-            I::MovImm { d: 0, imm: 7 },
-            I::Mov { d: 0, a: 1 },
-            I::MovSpecial { d: 0, s: Special::TidX },
-            I::Add { d: 0, a: 1, b: 2 },
-            I::AddCC { d: 0, a: 1, b: 2 },
-            I::AddC { d: 0, a: 1, b: 2 },
-            I::Sub { d: 0, a: 1, b: 2 },
-            I::SubCC { d: 0, a: 1, b: 2 },
-            I::SubC { d: 0, a: 1, b: 2 },
-            I::MulLo { d: 0, a: 1, b: 2 },
-            I::MulHi { d: 0, a: 1, b: 2 },
-            I::MadLoCC { d: 0, a: 1, b: 2, c: 3 },
-            I::MadHiC { d: 0, a: 1, b: 2, c: 3 },
-            I::Div { d: 0, a: 1, b: 2 },
-            I::Rem { d: 0, a: 1, b: 2 },
-            I::Div64 { dlo: 0, dhi: 1, alo: 2, ahi: 3, blo: 4, bhi: 5 },
-            I::Rem64 { dlo: 0, dhi: 1, alo: 2, ahi: 3, blo: 4, bhi: 5 },
-            I::DivBig { d: 0, dn: 2, a: 2, an: 2, b: 4, bn: 2 },
-            I::RemBig { d: 0, dn: 2, a: 2, an: 2, b: 4, bn: 2 },
-            I::Bfind { d: 0, a: 1 },
-            I::Shl { d: 0, a: 1, b: 2 },
-            I::Shr { d: 0, a: 1, b: 2 },
-            I::And { d: 0, a: 1, b: 2 },
-            I::Or { d: 0, a: 1, b: 2 },
-            I::Xor { d: 0, a: 1, b: 2 },
-            I::SetP { p: 0, op: CmpOp::Ge, a: 1, b: 2 },
-            I::SetPImm { p: 0, op: CmpOp::Eq, a: 1, imm: 3 },
-            I::PAnd { p: 0, a: 0, b: 0 },
-            I::PNot { p: 0, a: 0 },
-            I::Selp { d: 0, a: 1, b: 2, p: 0 },
-            I::LdGlobal { d: 0, buf: 1, addr: 2 },
-            I::LdGlobalU8 { d: 0, buf: 1, addr: 2 },
-            I::StGlobal { buf: 1, addr: 2, src: 0 },
-            I::StGlobalU8 { buf: 1, addr: 2, src: 0 },
-            I::LdShared { d: 0, addr: 1 },
-            I::StShared { addr: 1, src: 0 },
-            I::LdParam { d: 0, idx: 0 },
-            I::BarSync,
-            I::ShflIdx { d: 0, a: 1, lane: 2 },
-            I::Ballot { d: 0, p: 0 },
-        ];
-        for i in insts {
+        for i in crate::ptx::tests::every_inst() {
             let text = render_inst(&i);
             assert!(text.ends_with(';') || text.contains("//"), "{text}");
             assert!(!mnemonic(&i).is_empty());

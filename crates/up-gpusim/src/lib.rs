@@ -11,6 +11,7 @@
 //! accounting for concurrent services ([`stream`]), and a plan-level
 //! launch-DAG executor + modeled overlap timeline ([`pipeline`]).
 
+mod analysis;
 pub mod cgbn;
 pub mod compiled;
 pub mod decoded;
@@ -27,8 +28,8 @@ pub mod reduce;
 pub mod stream;
 
 pub use compiled::{
-    compile_counters, last_launch_tiers, tier_counters, CompiledProgram, ExecTier, TierCounters,
-    TIER_THRESHOLD,
+    compile_counters, last_launch_tiers, tier_counters, CompiledProgram, ExecTier, FusedRunInfo,
+    TierCounters, TIER_THRESHOLD,
 };
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
 pub use device::{CpuDevice, Device, DeviceConfig, Fleet, GpuDevice};

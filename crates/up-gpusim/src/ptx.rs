@@ -418,8 +418,65 @@ impl KernelBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One instruction of every [`Inst`] variant.
+    pub(crate) fn every_inst() -> Vec<Inst> {
+        vec![
+            Inst::MovImm { d: 0, imm: 7 },
+            Inst::Mov { d: 0, a: 1 },
+            Inst::MovSpecial { d: 0, s: Special::TidX },
+            Inst::Add { d: 0, a: 1, b: 2 },
+            Inst::AddCC { d: 0, a: 1, b: 2 },
+            Inst::AddC { d: 0, a: 1, b: 2 },
+            Inst::Sub { d: 0, a: 1, b: 2 },
+            Inst::SubCC { d: 0, a: 1, b: 2 },
+            Inst::SubC { d: 0, a: 1, b: 2 },
+            Inst::MulLo { d: 0, a: 1, b: 2 },
+            Inst::MulHi { d: 0, a: 1, b: 2 },
+            Inst::MadLoCC { d: 0, a: 1, b: 2, c: 3 },
+            Inst::MadHiC { d: 0, a: 1, b: 2, c: 3 },
+            Inst::Div { d: 0, a: 1, b: 2 },
+            Inst::Rem { d: 0, a: 1, b: 2 },
+            Inst::Div64 { dlo: 0, dhi: 1, alo: 2, ahi: 3, blo: 4, bhi: 5 },
+            Inst::Rem64 { dlo: 0, dhi: 1, alo: 2, ahi: 3, blo: 4, bhi: 5 },
+            Inst::DivBig { d: 0, dn: 2, a: 2, an: 2, b: 4, bn: 2 },
+            Inst::RemBig { d: 0, dn: 2, a: 2, an: 2, b: 4, bn: 2 },
+            Inst::Bfind { d: 0, a: 1 },
+            Inst::Shl { d: 0, a: 1, b: 2 },
+            Inst::Shr { d: 0, a: 1, b: 2 },
+            Inst::And { d: 0, a: 1, b: 2 },
+            Inst::Or { d: 0, a: 1, b: 2 },
+            Inst::Xor { d: 0, a: 1, b: 2 },
+            Inst::SetP { p: 0, op: CmpOp::Ge, a: 1, b: 2 },
+            Inst::SetPImm { p: 0, op: CmpOp::Eq, a: 1, imm: 3 },
+            Inst::PAnd { p: 0, a: 0, b: 0 },
+            Inst::PNot { p: 0, a: 0 },
+            Inst::Selp { d: 0, a: 1, b: 2, p: 0 },
+            Inst::LdGlobal { d: 0, buf: 1, addr: 2 },
+            Inst::LdGlobalU8 { d: 0, buf: 1, addr: 2 },
+            Inst::StGlobal { buf: 1, addr: 2, src: 0 },
+            Inst::StGlobalU8 { buf: 1, addr: 2, src: 0 },
+            Inst::LdShared { d: 0, addr: 1 },
+            Inst::StShared { addr: 1, src: 0 },
+            Inst::LdParam { d: 0, idx: 0 },
+            Inst::BarSync,
+            Inst::ShflIdx { d: 0, a: 1, lane: 2 },
+            Inst::Ballot { d: 0, p: 0 },
+        ]
+    }
+
+    /// The exactness precondition of the compiled tier's batched cycle
+    /// sums: every static issue cost is a non-negative integer, so f64
+    /// additions of them never round and may be regrouped freely.
+    #[test]
+    fn issue_costs_are_non_negative_integers() {
+        for i in every_inst() {
+            let cy = issue_cycles(&i);
+            assert!(cy >= 0.0 && cy.fract() == 0.0, "{i:?} costs {cy}");
+        }
+    }
 
     #[test]
     fn cmp_ops_unsigned_semantics() {

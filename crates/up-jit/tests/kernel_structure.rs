@@ -209,3 +209,71 @@ fn promotion_fuses_every_column_load_and_the_result_store() {
         assert_eq!(shape(&swapped), (runs, fused_bytes), "fusion depends on instruction order");
     }
 }
+
+/// What the fused steps of `wire_scan`'s kernel do at run time: a load
+/// run computes the column's `Lw` words and its sign and nothing else it
+/// wrote — the byte and shift temporaries are dead at the run's end — and
+/// gathers words, not bytes; the store run scatters words. (Constant rows
+/// a run absorbed from the `mov` immediates that follow it are plain
+/// fills, counted apart.)
+#[test]
+fn fused_runs_keep_live_rows_only_and_move_words() {
+    let c = |i: usize| Expr::col(i, ty(74, 2), "c");
+    let k = kernel_of(&c(0).add(c(1)).add(c(2)), JitOptions::default());
+    let (len, lb) = (ty(74, 2).lw(), ty(74, 2).lb());
+    let cp = k.kernel.compiled_program();
+    let (loads, stores): (Vec<_>, Vec<_>) = cp.fused_runs().iter().partition(|r| !r.is_store);
+    assert_eq!((loads.len(), stores.len()), (3, 1), "{:?}", cp.fused_runs());
+    for r in &loads {
+        assert!(r.rows_written > lb / 2, "a load run writes a temporary for most bytes: {r:?}");
+        assert!(r.rows_live - r.rows_const <= len + 2, "{r:?}");
+        assert!(r.word_planes >= len - 1 && r.word_planes + r.byte_planes <= len, "{r:?}");
+    }
+    let st = stores[0];
+    assert!(st.word_planes >= k.out_ty.lw() - 1, "{st:?}");
+    assert!(st.word_planes + st.byte_planes <= k.out_ty.lw() + 3, "{st:?}");
+    let listing = disasm::disassemble_with_addr_forms(&k.kernel);
+    assert!(listing.contains(&format!("rows live, {} word + ", loads[0].word_planes)), "{listing}");
+}
+
+/// The compiled simulator tier adds a straight-line segment's issue cost
+/// in one step where the interpreters add it instruction by instruction.
+/// That is bit-identical because f64 addition of small non-negative
+/// integers is exact: summing the per-instruction costs of the longest
+/// benchmark kernel (`wire_bignum`'s LEN-32 product) in any order gives
+/// the same bits as program order.
+#[test]
+fn issue_cost_sums_do_not_depend_on_the_order_of_addition() {
+    let c = |i: usize| Expr::col(i, ty(150, 2), "c");
+    let k = kernel_of(&c(0).mul(c(1)), JitOptions::default()).kernel;
+    fn costs(stmts: &[Stmt], out: &mut Vec<f64>) {
+        for s in stmts {
+            match s {
+                Stmt::I(i) => out.push(up_gpusim::ptx::issue_cycles(i)),
+                Stmt::If { then_, else_, .. } => {
+                    out.push(1.0); // the branch issue
+                    costs(then_, out);
+                    costs(else_, out);
+                }
+                Stmt::While { cond, body, .. } => {
+                    costs(cond, out);
+                    costs(body, out);
+                }
+            }
+        }
+    }
+    let mut cy = Vec::new();
+    costs(&k.body, &mut cy);
+    assert!(cy.len() > 2000, "{} instructions", cy.len());
+    let in_order: f64 = cy.iter().sum();
+    let mut seed = 0x5eed_u64;
+    for _ in 0..16 {
+        for i in (1..cy.len()).rev() {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            cy.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+        let pairwise: f64 = cy.chunks(7).map(|c| c.iter().sum::<f64>()).sum();
+        assert_eq!(cy.iter().sum::<f64>().to_bits(), in_order.to_bits());
+        assert_eq!(pairwise.to_bits(), in_order.to_bits(), "regrouped");
+    }
+}

@@ -430,13 +430,16 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             o,
-            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts · {} fused codec runs over {} insts",
+            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts · {} fused codec runs over {} insts ({} rows live / {} pruned, {} word planes)",
             t.lowered_superblocks,
             t.fallback_superblocks,
             t.lowered_mem_thunks,
             t.fallback_insts,
             t.fused_codec_runs,
-            t.fused_codec_insts
+            t.fused_codec_insts,
+            t.fused_live_rows,
+            t.fused_pruned_rows,
+            t.fused_word_planes
         );
         let _ = writeln!(
             o,
