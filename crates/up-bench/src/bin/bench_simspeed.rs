@@ -18,6 +18,10 @@
 //!   scales, forcing the §III-D alignment codec — kernels dominated by
 //!   byte-granular `ld.global.u8`/`st.global.u8` runs, the target of the
 //!   compiled tier's lane-affine mem-thunk fast path.
+//! - **fig14c shape**: `a % N` at LEN 16 and 32 (`divbig_len16/32_rem`,
+//!   a half-width literal modulus, so every lane runs a multi-word
+//!   `DivBig`) and `a × b` at LEN 32 (`fig13_len32_mul`, the longest
+//!   carry chains) — RSA's two costly operations.
 //!
 //! Every run is checked against the tree-walker serial reference:
 //! byte-identical output buffers, `ExecStats` equal field-for-field, and
@@ -31,8 +35,8 @@
 //! the speedup targets apply to multi-core machines.
 //! `--assert-tiering` exits non-zero unless the compiled tier beats the
 //! decoded interpreter on the hot serial cells — by any margin on the
-//! carry-chain (fig13 mul) workloads, by ≥ 2× on the byte-codec
-//! (`codec_align_*`) ones, where codec-run fusion and affine coalescing
+//! carry-chain (fig13 mul) and `DivBig` (`divbig_*`) workloads, by ≥ 2×
+//! on the byte-codec (`codec_align_*`) ones, where codec-run fusion and affine coalescing
 //! remove most of the work — the CI guard for tier-promotion and
 //! mem-lowering regressions.
 //!
@@ -73,23 +77,27 @@ fn workloads() -> Vec<Workload> {
         col_tys: vec![t2, t2, t2],
     });
 
-    // fig13 shapes: single-operator kernels at LEN 8 and LEN 16.
-    for &len in &[8usize, 16] {
+    // fig13 shapes: single-operator kernels at LEN 8 and LEN 16 (LEN 32:
+    // the multiply only).
+    for &len in &[8usize, 16, 32] {
         let p = precision_for_len(len);
         let t_add = DecimalType::new_unchecked(p - 1, 2);
         let t_mul = DecimalType::new_unchecked((p / 2).max(5), 2);
-        out.push(Workload {
-            name: match len {
-                8 => "fig13_len8_add",
-                _ => "fig13_len16_add",
-            },
-            expr: col(0, t_add, "a").add(col(1, t_add, "b")),
-            col_tys: vec![t_add, t_add],
-        });
+        if len < 32 {
+            out.push(Workload {
+                name: match len {
+                    8 => "fig13_len8_add",
+                    _ => "fig13_len16_add",
+                },
+                expr: col(0, t_add, "a").add(col(1, t_add, "b")),
+                col_tys: vec![t_add, t_add],
+            });
+        }
         out.push(Workload {
             name: match len {
                 8 => "fig13_len8_mul",
-                _ => "fig13_len16_mul",
+                16 => "fig13_len16_mul",
+                _ => "fig13_len32_mul",
             },
             expr: col(0, t_mul, "a").mul(col(1, t_mul, "b")),
             col_tys: vec![t_mul, t_mul],
@@ -111,6 +119,23 @@ fn workloads() -> Vec<Workload> {
             },
             expr: col(0, t_a, "a").add(col(1, t_b, "b")),
             col_tys: vec![t_a, t_b],
+        });
+    }
+
+    // fig14c shape: `a % N` with an odd modulus of half `a`'s digits, so
+    // divisor and quotient both span LEN/2 limbs.
+    for &len in &[16usize, 32] {
+        let p = precision_for_len(len);
+        let t = DecimalType::new_unchecked(p - 1, 0);
+        let digits = "9876543210".chars().cycle().take(p as usize / 2 - 1);
+        let modulus: String = digits.chain(['7']).collect();
+        out.push(Workload {
+            name: match len {
+                16 => "divbig_len16_rem",
+                _ => "divbig_len32_rem",
+            },
+            expr: col(0, t, "a").rem(Expr::lit(&modulus).expect("integer literal")),
+            col_tys: vec![t],
         });
     }
     out
@@ -170,7 +195,7 @@ fn main() {
 
     let mut json_entries: Vec<String> = Vec::new();
     // (workload, decoded serial tps, compiled serial tps) for the hot
-    // carry-chain cells the CI guard checks.
+    // carry-chain, `DivBig` and codec cells the CI guard checks.
     let mut tier_cells: Vec<(String, f64, f64)> = Vec::new();
     for w in workloads() {
         let jit = JitEngine::with_defaults();
@@ -289,7 +314,7 @@ fn main() {
                 });
             }
         }
-        if w.name.contains("mul") || w.name.starts_with("codec_") {
+        if w.name.contains("mul") || w.name.starts_with("codec_") || w.name.starts_with("divbig_") {
             let tps_of = |b: &str| {
                 serial_tps_by_backend
                     .iter()
@@ -339,8 +364,8 @@ fn main() {
 
     // The tier-promotion payoff summary (and CI guard): the closure tier
     // must not lose to the interpreter it was promoted from on the hot
-    // carry-chain kernels, and must at least double it on the byte-codec
-    // kernels, whose byte runs it fuses.
+    // carry-chain and `DivBig` kernels, and must at least double it on the
+    // byte-codec kernels, whose byte runs it fuses.
     let mut tier_ok = true;
     for (name, decoded, compiled) in &tier_cells {
         let ratio = compiled / decoded;
@@ -352,7 +377,10 @@ fn main() {
         tier_ok &= ratio >= floor;
     }
     if assert_tiering {
-        assert!(tier_ok, "compiled tier under its floor on a hot carry-chain or codec cell");
+        assert!(
+            tier_ok,
+            "compiled tier under its floor on a hot carry-chain, DivBig or codec cell"
+        );
         println!("tiering assertion passed");
     }
 }

@@ -31,7 +31,7 @@ type Rows = (u32, u8);
 const NO: Rows = (0, 0);
 
 /// The register rows `dop` writes and the rows it reads. Predicates and
-/// the carry flags are not rows.
+/// the carry row live outside the register file and are never pruned.
 fn defs_uses(dop: &DOp) -> ([Rows; 2], [Rows; 4]) {
     match *dop {
         DOp::MovImm { d, .. }

@@ -14,9 +14,12 @@
 //!   instead of one arm buried inside a giant match.
 //! * Maximal runs of carry-chain ops (`add.cc`/`addc`/`sub.cc`/`subc`/
 //!   `mad.lo.cc`/`madc.hi` — the spine of every multi-limb add and
-//!   school-book multiply) fuse into a *single* register-tiled closure
-//!   that keeps the 32 carry flags in one local `u32` across the whole
-//!   chain and writes the architectural carry register once at the end.
+//!   school-book multiply) fuse into a *single* register-tiled closure.
+//!   The carry flags are one more 0/1 lane row of the warp state
+//!   (`DCtx::carry`): the chain loads it into a local tile once, runs
+//!   every op as a straight 32-lane add/compare loop the autovectorizer
+//!   SIMDs (no per-lane bit extraction or mask folding), and stores the
+//!   tile once at the end.
 //! * Per-instruction stats collapse to one batched update per straight-
 //!   line segment, the f64 `warp_issue_cycles` included: every issue cost
 //!   is a non-negative integer and the running sum stays far below 2⁵³,
@@ -79,9 +82,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A compiled straight-line segment body: mutates registers, predicates,
-/// and the carry mask of a fully-converged warp. Never touches memory or
+/// and the carry row of a fully-converged warp. Never touches memory or
 /// stats, never fails.
-type AluThunk = Box<dyn Fn(&mut [u32], &mut [u32], &mut u32, &Geometry, usize) + Send + Sync>;
+type AluThunk =
+    Box<dyn Fn(&mut [u32], &mut [u32], &mut [u32; 32], &Geometry, usize) + Send + Sync>;
 
 /// One step of a compiled superblock.
 enum Step {
@@ -878,7 +882,8 @@ fn carry_op(dop: &DOp) -> Option<CarryOp> {
 // op is total (checked divides, masked shifts), those lanes' rows are
 // dead storage no interpreter path ever reads (`lanes_apply`, gathers,
 // and merges all stop at `lanes_n`), and anything architectural —
-// predicates, the carry mask — is merged under `full_mask(n)`.
+// predicates — is merged under `full_mask(n)`. The carry row is a
+// register row in this sense: its lanes ≥ `n` are dead storage too.
 // Read-all-then-write-all per op is bit-identical to the interpreter's
 // lane-by-lane order even when `d` aliases a source row: each lane only
 // ever reads its own lane index from each row.
@@ -905,82 +910,74 @@ fn flag_bits(flags: &[u32; 32]) -> u32 {
     bits
 }
 
-/// One fused closure for a run of carry-chain ops: the 32 carry flags
-/// live in a local `u32` across the whole chain (the architectural carry
-/// register is read once and written once), and each op runs a
-/// register-tiled, constant-trip-count lane loop the autovectorizer can
-/// SIMD across the warp. Bit-identical to executing the ops one at a time
-/// through `exec_dop`: every lane < `n` computes the same flag sequence,
-/// and lanes ≥ `n` keep their stale carry bits exactly like the
-/// interpreter (their tile results exist but are masked off).
+/// One fused closure for a run of carry-chain ops: the carry row is
+/// loaded into a local tile once and stored once, and each op runs a
+/// register-tiled, constant-trip-count lane loop over it that the
+/// autovectorizer can SIMD across the warp. Bit-identical to executing
+/// the ops one at a time through `exec_dop`: every lane < `n` computes the
+/// same flag sequence, and lanes ≥ `n` of the row are dead storage.
 fn fuse_chain(chain: Vec<CarryOp>) -> AluThunk {
     let chain = chain.into_boxed_slice();
-    Box::new(move |regs, _preds, carry, _geom, n| {
-        let m = full_mask(n);
-        let mut cb = *carry;
+    Box::new(move |regs, _preds, carry, _geom, _n| {
+        let mut cy = *carry;
         for op in chain.iter() {
-            let (d, a, b, cc) = (op.d, op.a, op.b, op.c);
             let mut td = [0u32; 32];
-            let mut fl = [0u32; 32];
             {
-                let ta = row(regs, a);
-                let tb = row(regs, b);
+                let (ta, tb) = (row(regs, op.a), row(regs, op.b));
                 match op.kind {
                     CarryKind::AddCC => {
                         for l in 0..32 {
                             let (s, co) = ta[l].overflowing_add(tb[l]);
                             td[l] = s;
-                            fl[l] = co as u32;
+                            cy[l] = co as u32;
                         }
                     }
                     CarryKind::AddC => {
                         for l in 0..32 {
                             let (s1, c1) = ta[l].overflowing_add(tb[l]);
-                            let (s2, c2) = s1.overflowing_add(cb >> l & 1);
+                            let (s2, c2) = s1.overflowing_add(cy[l]);
                             td[l] = s2;
-                            fl[l] = (c1 | c2) as u32;
+                            cy[l] = (c1 | c2) as u32;
                         }
                     }
                     CarryKind::SubCC => {
                         for l in 0..32 {
                             let (s, co) = ta[l].overflowing_sub(tb[l]);
                             td[l] = s;
-                            fl[l] = co as u32;
+                            cy[l] = co as u32;
                         }
                     }
                     CarryKind::SubC => {
                         for l in 0..32 {
                             let (s1, c1) = ta[l].overflowing_sub(tb[l]);
-                            let (s2, c2) = s1.overflowing_sub(cb >> l & 1);
+                            let (s2, c2) = s1.overflowing_sub(cy[l]);
                             td[l] = s2;
-                            fl[l] = (c1 | c2) as u32;
+                            cy[l] = (c1 | c2) as u32;
                         }
                     }
                     CarryKind::MadLoCC => {
-                        let tc = row(regs, cc);
+                        let tc = row(regs, op.c);
                         for l in 0..32 {
-                            let prod_lo = (ta[l] as u64 * tb[l] as u64) as u32;
-                            let sum = prod_lo as u64 + tc[l] as u64;
-                            td[l] = sum as u32;
-                            fl[l] = (sum >> 32) as u32;
+                            let (s, co) = ta[l].wrapping_mul(tb[l]).overflowing_add(tc[l]);
+                            td[l] = s;
+                            cy[l] = co as u32;
                         }
                     }
                     CarryKind::MadHiC => {
-                        let tc = row(regs, cc);
+                        let tc = row(regs, op.c);
                         for l in 0..32 {
                             let hi = ((ta[l] as u64 * tb[l] as u64) >> 32) as u32;
                             let (s1, c1) = hi.overflowing_add(tc[l]);
-                            let (s2, c2) = s1.overflowing_add(cb >> l & 1);
+                            let (s2, c2) = s1.overflowing_add(cy[l]);
                             td[l] = s2;
-                            fl[l] = (c1 | c2) as u32;
+                            cy[l] = (c1 | c2) as u32;
                         }
                     }
                 }
             }
-            *row_mut(regs, d) = td;
-            cb = (cb & !m) | (flag_bits(&fl) & m);
+            *row_mut(regs, op.d) = td;
         }
-        *carry = cb;
+        *carry = cy;
     })
 }
 

@@ -459,13 +459,13 @@ enum Frame {
 
 /// Warp state in structure-of-arrays layout: contiguous lane rows per
 /// register (`regs[r*32 + l]`), predicate registers as 32-bit lane masks,
-/// and the carry flags as one lane mask. Built once per launch per
+/// and the carry flags as one more 0/1 lane row. Built once per launch per
 /// simulator thread ([`DCtx::new`]) and reset per block and per warp by
 /// [`run_block_decoded`].
 pub(crate) struct DCtx<'a, M: MemAccess> {
     pub(crate) regs: Vec<u32>,
     pub(crate) preds: Vec<u32>,
-    pub(crate) carry: u32,
+    pub(crate) carry: [u32; LANES],
     pub(crate) smem: Vec<u8>,
     pub(crate) mem: &'a mut M,
     pub(crate) params: &'a [u32],
@@ -488,7 +488,7 @@ impl<'a, M: MemAccess> DCtx<'a, M> {
         DCtx {
             regs: vec![0u32; kernel.num_regs as usize * LANES],
             preds: vec![0u32; kernel.num_preds as usize],
-            carry: 0,
+            carry: [0; LANES],
             smem: vec![0u8; kernel.smem_bytes as usize],
             mem,
             params,
@@ -507,7 +507,7 @@ pub(crate) struct DivBufs {
     a: Vec<u32>,
     b: Vec<u32>,
     out: Vec<u32>,
-    work: Vec<u32>,
+    work: Vec<u64>,
 }
 
 /// Runs the active lanes in ascending order: a plain prefix loop when the
@@ -560,7 +560,7 @@ pub(crate) fn run_block_decoded<M: MemAccess>(
             None => c.regs.fill(0),
         }
         c.preds.fill(0);
-        c.carry = 0;
+        c.carry = [0; LANES];
         c.seen.clear();
         frames.clear();
         let geom = Geometry {
@@ -747,35 +747,20 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
         }
         DOp::AddCC { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let mut cbits = *carry;
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s, co) = regs[a + l].overflowing_add(regs[b + l]);
                 regs[d + l] = s;
-                let bit = 1u32 << l;
-                if co {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                carry[l] = co as u32;
             });
-            *carry = cbits;
         }
         DOp::AddC { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let old = *carry;
-            let mut cbits = old;
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s1, c1) = regs[a + l].overflowing_add(regs[b + l]);
-                let (s2, c2) = s1.overflowing_add(old >> l & 1);
+                let (s2, c2) = s1.overflowing_add(carry[l]);
                 regs[d + l] = s2;
-                let bit = 1u32 << l;
-                if c1 | c2 {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                carry[l] = (c1 | c2) as u32;
             });
-            *carry = cbits;
         }
         DOp::Sub { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
@@ -783,35 +768,20 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
         }
         DOp::SubCC { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let mut cbits = *carry;
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s, co) = regs[a + l].overflowing_sub(regs[b + l]);
                 regs[d + l] = s;
-                let bit = 1u32 << l;
-                if co {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                carry[l] = co as u32;
             });
-            *carry = cbits;
         }
         DOp::SubC { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let old = *carry;
-            let mut cbits = old;
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s1, c1) = regs[a + l].overflowing_sub(regs[b + l]);
-                let (s2, c2) = s1.overflowing_sub(old >> l & 1);
+                let (s2, c2) = s1.overflowing_sub(carry[l]);
                 regs[d + l] = s2;
-                let bit = 1u32 << l;
-                if c1 | c2 {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                carry[l] = (c1 | c2) as u32;
             });
-            *carry = cbits;
         }
         DOp::MulLo { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
@@ -825,37 +795,21 @@ pub(crate) fn exec_dop<const FULL: bool, M: MemAccess>(
         }
         DOp::MadLoCC { d, a, b, c: cc } => {
             let (d, a, b, cc) = (*d as usize, *a as usize, *b as usize, *cc as usize);
-            let mut cbits = *carry;
             lanes_apply::<FULL>(mask, n, |l| {
-                let prod_lo = (regs[a + l] as u64 * regs[b + l] as u64) as u32;
-                let sum = prod_lo as u64 + regs[cc + l] as u64;
-                regs[d + l] = sum as u32;
-                let bit = 1u32 << l;
-                if sum > u32::MAX as u64 {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                let (s, co) = regs[a + l].wrapping_mul(regs[b + l]).overflowing_add(regs[cc + l]);
+                regs[d + l] = s;
+                carry[l] = co as u32;
             });
-            *carry = cbits;
         }
         DOp::MadHiC { d, a, b, c: cc } => {
             let (d, a, b, cc) = (*d as usize, *a as usize, *b as usize, *cc as usize);
-            let old = *carry;
-            let mut cbits = old;
             lanes_apply::<FULL>(mask, n, |l| {
                 let hi = ((regs[a + l] as u64 * regs[b + l] as u64) >> 32) as u32;
                 let (s1, c1) = hi.overflowing_add(regs[cc + l]);
-                let (s2, c2) = s1.overflowing_add(old >> l & 1);
+                let (s2, c2) = s1.overflowing_add(carry[l]);
                 regs[d + l] = s2;
-                let bit = 1u32 << l;
-                if c1 | c2 {
-                    cbits |= bit;
-                } else {
-                    cbits &= !bit;
-                }
+                carry[l] = (c1 | c2) as u32;
             });
-            *carry = cbits;
         }
         DOp::Div { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
@@ -2155,6 +2109,106 @@ mod tests {
         assert_eq!(caught, [true, true], "a seeded bug went unnoticed");
         for kernel in [next_trip_kernel(), tight_span_kernel()] {
             assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "unseeded");
+        }
+    }
+
+    /// A one-trip kernel over `x`, `y` (buffers 0 and 2 at `gid·4`): the
+    /// row `body` returns, with the final carry flag folded into its top
+    /// bit, is stored to buffer 1 — so every lane's carry row is observed.
+    fn carry_kernel(
+        name: &str,
+        body: impl FnOnce(&mut KernelBuilder, Reg, Reg, Reg, Reg) -> Reg,
+    ) -> Kernel {
+        gid_kernel(name, |kb, gid, one| {
+            let (four, addr4, x, y) = (kb.imm(4), kb.reg(), kb.reg(), kb.reg());
+            kb.push(I::MulLo { d: addr4, a: gid, b: four });
+            kb.push(I::LdGlobal { d: x, buf: 0, addr: addr4 });
+            kb.push(I::LdGlobal { d: y, buf: 2, addr: addr4 });
+            let out = body(kb, gid, one, x, y);
+            let (zero, flag, top) = (kb.imm(0), kb.reg(), kb.imm(31));
+            kb.push(I::AddC { d: flag, a: zero, b: zero });
+            kb.push(I::Shl { d: flag, a: flag, b: top });
+            kb.push(I::Xor { d: out, a: out, b: flag });
+            store_word(kb, gid, out);
+        })
+    }
+
+    /// The carry row across every seam between the tiers: a chain whose
+    /// first op is `addc`, consuming a carry some lanes set inside a
+    /// divergent `if` (the masked interpreter) and the rest before it; two
+    /// chains split by a `DivBig` interpreter step (a three-word divisor,
+    /// so the 64-bit division runs); `sub.cc`/`mad.lo.cc`/`madc.hi`/`subc`
+    /// mixed in one chain; and a carry live across a divergent `while`
+    /// back edge. Full warps and a 5-lane tail warp, all three tiers,
+    /// poison mode included.
+    #[test]
+    fn carry_row_crosses_tier_boundaries() {
+        let after_if = carry_kernel("addc_after_divergent_if", |kb, _, _, x, y| {
+            let (s, t) = (kb.reg(), kb.reg());
+            kb.push(I::Mov { d: t, a: x });
+            kb.push(I::AddCC { d: s, a: y, b: x });
+            let p = kb.pred();
+            kb.push(I::SetP { p, op: CmpOp::Lt, a: x, b: y });
+            let then_ = kb.block(|b| {
+                b.push(I::AddCC { d: t, a: x, b: x });
+                b.push(I::AddC { d: s, a: s, b: y });
+                b.push(I::AddCC { d: t, a: t, b: y });
+            });
+            kb.if_(p, then_, vec![]);
+            kb.push(I::AddC { d: s, a: s, b: x });
+            kb.push(I::AddC { d: t, a: t, b: y });
+            kb.push(I::Xor { d: s, a: s, b: t });
+            s
+        });
+        let split = carry_kernel("chain_split_by_div_big", |kb, gid, one, x, y| {
+            let (a, b, q) = (kb.regs(4), kb.regs(3), kb.regs(2));
+            kb.push(I::Or { d: b[2], a: gid, b: one });
+            kb.push(I::Mov { d: b[0], a: y });
+            kb.push(I::Mov { d: b[1], a: x });
+            kb.push(I::Mov { d: a[0], a: x });
+            kb.push(I::Mov { d: a[1], a: y });
+            kb.push(I::AddCC { d: a[2], a: x, b: y });
+            kb.push(I::AddC { d: a[3], a: y, b: x });
+            kb.push(I::DivBig { d: q[0], dn: 2, a: a[0], an: 4, b: b[0], bn: 3 });
+            kb.push(I::AddC { d: q[0], a: q[0], b: x });
+            kb.push(I::MadHiC { d: q[1], a: q[1], b: y, c: x });
+            kb.push(I::Xor { d: q[0], a: q[0], b: q[1] });
+            q[0]
+        });
+        let mixed = carry_kernel("mixed_chain", |kb, _, _, x, y| {
+            let (d0, d1, d2) = (kb.reg(), kb.reg(), kb.reg());
+            kb.push(I::SubCC { d: d0, a: x, b: y });
+            kb.push(I::MadLoCC { d: d1, a: x, b: y, c: d0 });
+            kb.push(I::SubC { d: d2, a: y, b: d1 });
+            kb.push(I::MadHiC { d: d0, a: d1, b: x, c: d2 });
+            kb.push(I::AddC { d: d1, a: d1, b: d0 });
+            kb.push(I::SubC { d: d2, a: d2, b: x });
+            kb.push(I::Xor { d: d0, a: d0, b: d1 });
+            kb.push(I::Xor { d: d0, a: d0, b: d2 });
+            d0
+        });
+        let back_edge = carry_kernel("carry_live_across_back_edge", |kb, gid, one, x, y| {
+            let (acc, trips, lim, three) = (kb.reg(), kb.reg(), kb.reg(), kb.imm(3));
+            kb.push(I::AddCC { d: acc, a: x, b: y });
+            kb.push(I::And { d: lim, a: gid, b: three });
+            kb.push(I::Add { d: lim, a: lim, b: one });
+            kb.push(I::Add { d: lim, a: lim, b: one });
+            let p = kb.pred();
+            let cond = kb.block(|b| b.push(I::SetP { p, op: CmpOp::Lt, a: trips, b: lim }));
+            let body = kb.block(|b| {
+                b.push(I::Add { d: trips, a: trips, b: one });
+                b.push(I::AddC { d: acc, a: acc, b: x });
+                b.push(I::AddCC { d: acc, a: acc, b: y });
+            });
+            kb.while_(p, cond, body, 8);
+            acc
+        });
+        let base = random_mem(&mut Rng(0xca_4421), &[4 * N_THREADS; 3]);
+        for kernel in [after_if, split, mixed, back_edge] {
+            assert!(kernel.compiled_program().fused_chain_count() >= 1, "{}", kernel.name);
+            for cfg in [GRID, LaunchConfig { grid_blocks: 3, block_threads: 37 }] {
+                assert_tiers_agree(&kernel, (&base, 3), cfg, 0, &kernel.name);
+            }
         }
     }
 
