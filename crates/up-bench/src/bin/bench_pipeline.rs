@@ -25,8 +25,7 @@
 use std::time::Instant;
 use up_bench::HarnessOpts;
 use up_engine::{ColumnType, Database, Profile, QueryResult, Schema, Value};
-use up_gpusim::par::auto_threads;
-use up_gpusim::{DeviceConfig, PipelineMode, SimParallelism};
+use up_gpusim::{DeviceConfig, PipelineMode};
 use up_jit::cache::JitEngine;
 use up_num::DecimalType;
 use up_workloads::datagen;
@@ -42,9 +41,6 @@ fn fresh_db(n: usize, mode: PipelineMode) -> Database {
     jit.set_nvcc_latency_emulation(true);
     let mut db = Database::with_config(Profile::UltraPrecise, DeviceConfig::a6000(), jit);
     db.pipeline = mode;
-    // Keep the comparison purely about pipelining: block execution
-    // stays serial inside every DAG node.
-    db.sim_par = SimParallelism::Serial;
     db.create_table(
         "w",
         Schema::new(vec![("a", ColumnType::Decimal(ty)), ("b", ColumnType::Decimal(ty))]),
@@ -87,10 +83,10 @@ fn main() {
         .unwrap_or_else(|| "results/BENCH_pipeline.json".to_string());
     let n = opts.sim_tuples;
     let reps = if opts.quick { 1 } else { 3 };
+    let host = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!(
         "bench_pipeline: {n} tuples, 8 expression slots, {reps} rep(s), \
-         host threads {}, NVCC latency emulation on\n",
-        auto_threads()
+         host threads {host}, NVCC latency emulation on\n"
     );
 
     // Best-of-reps wall clock; a fresh database (fresh kernel cache)
@@ -164,13 +160,12 @@ fn main() {
     );
 
     let json = format!(
-        "{{\"bench\":\"pipeline\",\"host_threads\":{},\"quick\":{},\"tuples\":{n},\
+        "{{\"bench\":\"pipeline\",\"host_threads\":{host},\"quick\":{},\"tuples\":{n},\
          \"expr_slots\":8,\"reps\":{reps},\"nvcc_latency_emulation\":true,\
          \"modes\":[{}],\
          \"timeline_on8\":{{\"nodes\":{},\"streams\":{},\"compile_lanes\":{},\
          \"serial_s\":{:.6},\"makespan_s\":{:.6},\"overlap_s\":{:.6},\
          \"utilization\":{:.8},\"utilization_serial\":{:.8}}}}}\n",
-        auto_threads(),
         opts.quick,
         mode_json.join(","),
         p.nodes,

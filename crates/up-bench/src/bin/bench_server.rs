@@ -28,8 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use up_bench::HarnessOpts;
 use up_engine::{ColumnType, Database, Profile, QueryResult, Schema, Value};
-use up_gpusim::par::auto_threads;
-use up_gpusim::{DeviceConfig, PipelineMode, SimParallelism};
+use up_gpusim::{DeviceConfig, PipelineMode};
 use up_jit::cache::JitEngine;
 use up_num::DecimalType;
 use up_server::{ServerConfig, UpServer};
@@ -70,8 +69,6 @@ fn fresh_server(n: usize, workers: usize, mode: &str) -> UpServer {
     let mut jit = JitEngine::with_defaults();
     jit.set_nvcc_latency_emulation(true);
     let mut db = Database::with_config(Profile::UltraPrecise, DeviceConfig::a6000(), jit);
-    // Keep the comparison about launch scheduling, not block execution.
-    db.sim_par = SimParallelism::Serial;
     db.create_table(
         "w",
         Schema::new(
@@ -98,7 +95,6 @@ fn fresh_server(n: usize, workers: usize, mode: &str) -> UpServer {
             arena: mode == "arena",
             compile_lanes: 32,
             pipeline: if mode == "off" { PipelineMode::Off } else { PipelineMode::On(4) },
-            sim_par: SimParallelism::Serial,
             ..ServerConfig::default()
         },
         db,
@@ -203,10 +199,10 @@ fn main() {
     let n = opts.sim_tuples;
     let reps = if opts.quick { 1 } else { 2 };
     let session_counts: &[usize] = if opts.quick { &[1, 8] } else { &[1, 4, 8, 16] };
+    let host = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!(
         "bench_server: {n} tuples, 4 workers, 2 queries x 2 slots per session, \
-         {reps} rep(s), host threads {}, NVCC latency emulation on\n",
-        auto_threads()
+         {reps} rep(s), host threads {host}, NVCC latency emulation on\n"
     );
     println!(
         "{:<10} {:>9} {:>10} {:>9} {:>9} {:>9} {:>9}",
@@ -256,11 +252,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"server\",\"host_threads\":{},\"quick\":{},\"tuples\":{n},\
+        "{{\"bench\":\"server\",\"host_threads\":{host},\"quick\":{},\"tuples\":{n},\
          \"workers\":4,\"compile_lanes\":32,\"queries_per_session\":2,\
          \"slots_per_query\":2,\"reps\":{reps},\"nvcc_latency_emulation\":true,\
          \"runs\":[{}]}}\n",
-        auto_threads(),
         opts.quick,
         rows_json.join(",")
     );

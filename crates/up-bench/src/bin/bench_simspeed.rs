@@ -1,7 +1,8 @@
 //! `bench_simspeed` — host-side simulator throughput across execution
 //! tiers (tree walker, pre-decoded flat programs, closure-compiled
-//! superblocks, and `auto` count-based tier promotion) and host
-//! parallelism (serial vs. threaded block execution).
+//! superblocks, and `auto` count-based tier promotion). Every launch
+//! runs on one host thread, so each (workload, backend) pair is one
+//! cell.
 //!
 //! Unlike the figure harnesses (which report *modeled* GPU time), this
 //! bin measures how fast the functional SIMT executor itself runs on the
@@ -12,8 +13,7 @@
 //!   kernels where launch overhead and the warp-uniform fast path
 //!   dominate.
 //! - **fig13 shape** (TPI=32-class instance sizes): `a + b` and `a × b`
-//!   at LEN ≥ 8 (precisions 76 and 153) — long multi-limb inner loops
-//!   where block-parallel execution pays off.
+//!   at LEN ≥ 8 (precisions 76 and 153) — long multi-limb inner loops.
 //! - **fig10 shape** (`codec_align_len8/16`): adds with mismatched
 //!   scales, forcing the §III-D alignment codec — kernels dominated by
 //!   byte-granular `ld.global.u8`/`st.global.u8` runs, the target of the
@@ -23,35 +23,30 @@
 //!   `DivBig`) and `a × b` at LEN 32 (`fig13_len32_mul`, the longest
 //!   carry chains) — RSA's two costly operations.
 //!
-//! Every run is checked against the tree-walker serial reference:
+//! Every run is checked against the tree-walker reference:
 //! byte-identical output buffers, `ExecStats` equal field-for-field, and
 //! the priced kernel time bit-equal (`f64::to_bits`). A violation aborts
 //! the bench — speed without determinism is a bug, not a result.
 //!
 //! Usage: `bench_simspeed [--quick] [--tuples N] [--out PATH]
 //! [--assert-tiering]`. Results land in `results/BENCH_simspeed.json`.
-//! On single-core hosts the thread sweep still runs (explicit
-//! `threads(N)` is a demand, not a hint), but no speedup is expected;
-//! the speedup targets apply to multi-core machines.
 //! `--assert-tiering` exits non-zero unless the compiled tier beats the
-//! decoded interpreter on the hot serial cells — by any margin on the
+//! decoded interpreter on the hot cells — by any margin on the
 //! carry-chain (fig13 mul) and `DivBig` (`divbig_*`) workloads, by ≥ 2×
 //! on the byte-codec (`codec_align_*`) ones, where codec-run fusion and affine coalescing
 //! remove most of the work — the CI guard for tier-promotion and
 //! mem-lowering regressions.
 //!
-//! The `auto` rows exercise count-based promotion live: each workload
-//! reuses one kernel, so the first `TIER_THRESHOLD` (2) auto launches
-//! run decoded and the rest run compiled — the determinism check
-//! covering the promotion boundary is exactly the point.
+//! The `auto` cells exercise count-based promotion live: each workload
+//! reuses one kernel and runs `auto` `TIER_THRESHOLD + 1` (3) times, so
+//! the first launches run decoded and the last runs compiled. Every rep
+//! is checked, so the determinism check covers the promotion boundary.
 
 use std::time::Instant;
 use up_bench::{precision_for_len, HarnessOpts};
 use up_gpusim::cost::kernel_time;
-use up_gpusim::par::auto_threads;
 use up_gpusim::{
     launch_opts, DeviceConfig, ExecBackend, ExecStats, GlobalMem, LaunchConfig, LaunchOpts,
-    SimParallelism,
 };
 use up_jit::cache::{Compiled, JitEngine};
 use up_jit::Expr;
@@ -141,33 +136,22 @@ fn workloads() -> Vec<Workload> {
     out
 }
 
-struct ModeResult {
-    backend: &'static str,
-    mode: String,
-    wall_s: f64,
-    tuples_per_s: f64,
-    speedup: f64,
-    identical: bool,
-}
-
 fn assert_identical(
     name: &str,
-    mode: &str,
-    serial: (&ExecStats, &[Vec<u8>], f64),
+    backend: ExecBackend,
+    tree: (&ExecStats, &[Vec<u8>], f64),
     run: (&ExecStats, &[Vec<u8>], f64),
-) -> bool {
-    let (s_stats, s_bufs, s_time) = serial;
+) {
+    let (t_stats, t_bufs, t_time) = tree;
     let (stats, bufs, time) = run;
-    let ok = s_stats == stats && s_bufs == bufs && s_time.to_bits() == time.to_bits();
     assert!(
-        ok,
-        "{name}/{mode}: parallel run diverged from serial \
+        t_stats == stats && t_bufs == bufs && t_time.to_bits() == time.to_bits(),
+        "{name}/{backend}: run diverged from the reference \
          (stats match: {}, bytes match: {}, modeled time bits match: {})",
-        s_stats == stats,
-        s_bufs == bufs,
-        s_time.to_bits() == time.to_bits()
+        t_stats == stats,
+        t_bufs == bufs,
+        t_time.to_bits() == time.to_bits()
     );
-    ok
 }
 
 fn main() {
@@ -182,20 +166,12 @@ fn main() {
     let n = opts.sim_tuples;
     let reps = if opts.quick { 1 } else { 3 };
     let device = DeviceConfig::a6000();
-    let host = auto_threads();
-    let mut thread_counts: Vec<usize> = [2usize, 4, 8]
-        .into_iter()
-        .filter(|&t| t <= host.max(8))
-        .collect();
-    thread_counts.dedup();
 
-    println!(
-        "bench_simspeed: {n} tuples/run, {reps} rep(s), host threads {host}\n"
-    );
+    println!("bench_simspeed: {n} tuples/run, {reps} rep(s)\n");
 
     let mut json_entries: Vec<String> = Vec::new();
-    // (workload, decoded serial tps, compiled serial tps) for the hot
-    // carry-chain, `DivBig` and codec cells the CI guard checks.
+    // (workload, decoded tps, compiled tps) for the hot carry-chain,
+    // `DivBig` and codec cells the CI guard checks.
     let mut tier_cells: Vec<(String, f64, f64)> = Vec::new();
     for w in workloads() {
         let jit = JitEngine::with_defaults();
@@ -216,26 +192,28 @@ fn main() {
         let cfg = LaunchConfig::for_tuples(n as u64, 256, &device);
 
         // Timed run: best-of-reps wall clock, plus the artifacts needed
-        // for the determinism check.
-        let run = |backend: ExecBackend,
-                   par: SimParallelism|
-         -> (ExecStats, Vec<Vec<u8>>, f64, f64) {
+        // for the determinism check (every rep must match the first).
+        let run = |backend: ExecBackend| -> (ExecStats, Vec<Vec<u8>>, f64, f64) {
+            let reps = match backend {
+                ExecBackend::Auto => reps.max(up_gpusim::TIER_THRESHOLD as usize + 1),
+                _ => reps,
+            };
             let mut best = f64::INFINITY;
-            let mut kept = None;
+            let mut kept: Option<(ExecStats, Vec<Vec<u8>>, f64)> = None;
             for _ in 0..reps {
                 let mut mem = base.clone();
                 let t0 = Instant::now();
-                let stats = launch_opts(&k.kernel, cfg, &device, &mut mem, &[n as u32], LaunchOpts {
-                    par,
-                    backend,
-                    auto_serial_below: None,
-                })
-                .expect("launch");
+                let opts = LaunchOpts { backend };
+                let stats = launch_opts(&k.kernel, cfg, &device, &mut mem, &[n as u32], opts)
+                    .expect("launch");
                 let wall = t0.elapsed().as_secs_f64();
+                let bufs = vec![mem.buffer(out_buf).to_vec()];
+                let time = kernel_time(&k.kernel, &stats, &device).total_s;
+                if let Some((s0, b0, t0)) = &kept {
+                    assert_identical(w.name, backend, (s0, b0, *t0), (&stats, &bufs, time));
+                }
                 if wall < best {
                     best = wall;
-                    let bufs = vec![mem.buffer(out_buf).to_vec()];
-                    let time = kernel_time(&k.kernel, &stats, &device).total_s;
                     kept = Some((stats, bufs, time));
                 }
             }
@@ -243,113 +221,61 @@ fn main() {
             (stats, bufs, time, best)
         };
 
-        // Reference: the tree walker, serial — everything else must match
-        // it to the bit.
-        let (s_stats, s_bufs, s_time, s_wall) = run(ExecBackend::Tree, SimParallelism::Serial);
-        let serial_tps = n as f64 / s_wall;
-        println!(
-            "{:<18} tree/serial         {:>9.3} ms  {:>12.0} tuples/s",
-            w.name,
-            s_wall * 1e3,
-            serial_tps
-        );
-        let mut modes = vec![ModeResult {
-            backend: "tree",
-            mode: "serial".into(),
-            wall_s: s_wall,
-            tuples_per_s: serial_tps,
-            speedup: 1.0,
-            identical: true,
-        }];
-
-        let mut serial_tps_by_backend: Vec<(&'static str, f64)> = Vec::new();
-        for backend in [
-            ExecBackend::Tree,
-            ExecBackend::Decoded,
-            ExecBackend::Compiled,
-            ExecBackend::Auto,
-        ] {
-            let sweep: Vec<SimParallelism> = std::iter::once(SimParallelism::Serial)
-                .chain(std::iter::once(SimParallelism::Threads(1)))
-                .chain(thread_counts.iter().map(|&t| SimParallelism::Threads(t as u32)))
-                .chain(std::iter::once(SimParallelism::Auto))
-                .collect();
-            for par in sweep {
-                if backend == ExecBackend::Tree && par == SimParallelism::Serial {
-                    continue; // the reference above
-                }
-                let backend_name = match backend {
-                    ExecBackend::Tree => "tree",
-                    ExecBackend::Decoded => "decoded",
-                    ExecBackend::Compiled => "compiled",
-                    ExecBackend::Auto => "auto",
-                };
-                let label = format!("{backend_name}/{par}");
-                let (stats, bufs, time, wall) = run(backend, par);
-                let identical = assert_identical(
-                    w.name,
-                    &label,
-                    (&s_stats, &s_bufs, s_time),
-                    (&stats, &bufs, time),
-                );
-                let tps = n as f64 / wall;
-                println!(
-                    "{:<18} {:<19} {:>9.3} ms  {:>12.0} tuples/s  {:>5.2}x",
-                    "",
-                    label,
-                    wall * 1e3,
-                    tps,
-                    s_wall / wall
-                );
-                if par == SimParallelism::Serial {
-                    serial_tps_by_backend.push((backend_name, tps));
-                }
-                modes.push(ModeResult {
-                    backend: backend_name,
-                    mode: par.to_string(),
-                    wall_s: wall,
-                    tuples_per_s: tps,
-                    speedup: s_wall / wall,
-                    identical,
-                });
-            }
+        // Reference: the tree walker — everything else must match it to
+        // the bit.
+        let (t_stats, t_bufs, t_time, t_wall) = run(ExecBackend::Tree);
+        let mut cells = vec![(ExecBackend::Tree, t_wall)];
+        for backend in [ExecBackend::Decoded, ExecBackend::Compiled, ExecBackend::Auto] {
+            let (stats, bufs, time, wall) = run(backend);
+            assert_identical(w.name, backend, (&t_stats, &t_bufs, t_time), (&stats, &bufs, time));
+            cells.push((backend, wall));
+        }
+        for (i, &(backend, wall)) in cells.iter().enumerate() {
+            println!(
+                "{:<18} {:<9} {:>9.3} ms  {:>12.0} tuples/s  {:>5.2}x",
+                if i == 0 { w.name } else { "" },
+                backend.to_string(),
+                wall * 1e3,
+                n as f64 / wall,
+                t_wall / wall
+            );
         }
         if w.name.contains("mul") || w.name.starts_with("codec_") || w.name.starts_with("divbig_") {
-            let tps_of = |b: &str| {
-                serial_tps_by_backend
-                    .iter()
-                    .find(|(name, _)| *name == b)
-                    .map(|&(_, t)| t)
-                    .expect("serial cell present")
+            let tps_of = |b: ExecBackend| {
+                let &(_, wall) = cells.iter().find(|(c, _)| *c == b).expect("cell present");
+                n as f64 / wall
             };
-            tier_cells.push((w.name.to_string(), tps_of("decoded"), tps_of("compiled")));
+            tier_cells.push((
+                w.name.to_string(),
+                tps_of(ExecBackend::Decoded),
+                tps_of(ExecBackend::Compiled),
+            ));
         }
         println!();
 
-        let mode_json: Vec<String> = modes
+        let cell_json: Vec<String> = cells
             .iter()
-            .map(|m| {
+            .map(|&(backend, wall)| {
                 format!(
-                    "{{\"backend\":\"{}\",\"mode\":\"{}\",\"wall_s\":{:.6},\
-                     \"tuples_per_s\":{:.1},\"speedup_vs_serial\":{:.3},\
-                     \"identical_to_serial\":{}}}",
-                    m.backend, m.mode, m.wall_s, m.tuples_per_s, m.speedup, m.identical
+                    "{{\"backend\":\"{backend}\",\"wall_s\":{wall:.6},\
+                     \"tuples_per_s\":{:.1},\"speedup_vs_tree\":{:.3},\
+                     \"identical_to_tree\":true}}",
+                    n as f64 / wall,
+                    t_wall / wall
                 )
             })
             .collect();
         json_entries.push(format!(
-            "{{\"workload\":\"{}\",\"tuples\":{},\"modes\":[{}]}}",
+            "{{\"workload\":\"{}\",\"tuples\":{},\"cells\":[{}]}}",
             w.name,
             n,
-            mode_json.join(",")
+            cell_json.join(",")
         ));
     }
 
     let json = format!(
-        "{{\"bench\":\"simspeed\",\"schema\":\"backend-x-parallelism-v4\",\
-         \"host_threads\":{},\"quick\":{},\
+        "{{\"bench\":\"simspeed\",\"schema\":\"backend-v5\",\"quick\":{},\
          \"tuples_per_run\":{},\"reps\":{},\"tier_threshold\":{},\"workloads\":[{}]}}\n",
-        host,
         opts.quick,
         n,
         reps,
@@ -371,7 +297,7 @@ fn main() {
         let ratio = compiled / decoded;
         let floor = if name.starts_with("codec_align") { 2.0 } else { 1.0 };
         println!(
-            "tiering {name}: compiled/serial {ratio:.2}x decoded/serial (floor {floor:.1}x){}",
+            "tiering {name}: compiled {ratio:.2}x decoded (floor {floor:.1}x){}",
             if ratio < floor { "  << REGRESSION" } else { "" }
         );
         tier_ok &= ratio >= floor;

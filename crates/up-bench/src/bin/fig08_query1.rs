@@ -11,59 +11,11 @@
 
 use up_bench::{precision_for_len, print_header, print_row, runner, HarnessOpts, LEN_SERIES};
 use up_engine::Profile;
-use up_gpusim::SimParallelism;
 use up_num::DecimalType;
-
-/// Runs Query 1 on UltraPrecise under every simulator-parallelism
-/// setting and asserts results and modeled time are identical — the
-/// harness-level leg of the parallel-vs-serial determinism suite.
-fn determinism_check(sim_tuples: usize) {
-    let ty = DecimalType::new_unchecked(precision_for_len(8) - 2, 2);
-    let cols = [("c1", ty), ("c2", ty), ("c3", ty)];
-    let run = |par: SimParallelism| {
-        let mut db =
-            runner::decimal_db(Profile::UltraPrecise, "r1", &cols, sim_tuples, 1, 808);
-        db.sim_par = par;
-        db.query("SELECT c1 + c2 + c3 FROM r1").expect("query 1")
-    };
-    let serial = run(SimParallelism::Serial);
-    for par in [
-        SimParallelism::Threads(1),
-        SimParallelism::Threads(8),
-        SimParallelism::Auto,
-    ] {
-        let r = run(par);
-        assert_eq!(
-            serial.rows.len(),
-            r.rows.len(),
-            "determinism check ({par}): row count"
-        );
-        for (a, b) in serial.rows.iter().zip(&r.rows) {
-            assert_eq!(a[0].render(), b[0].render(), "determinism check ({par}): values");
-        }
-        for (name, x, y) in [
-            ("kernel_s", serial.modeled.kernel_s, r.modeled.kernel_s),
-            ("pcie_s", serial.modeled.pcie_s, r.modeled.pcie_s),
-            ("compile_s", serial.modeled.compile_s, r.modeled.compile_s),
-            ("cpu_s", serial.modeled.cpu_s, r.modeled.cpu_s),
-        ] {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "determinism check ({par}): modeled {name} must be bit-equal"
-            );
-        }
-    }
-    println!(
-        "determinism check: serial vs threads(1)/threads(8)/auto — identical results \
-         and bit-equal modeled time over {sim_tuples} tuples\n"
-    );
-}
 
 /// Runs a multi-expression Query-1 variant with the launch DAG off and
 /// on and asserts byte-identical results and bit-equal modeled time —
-/// the pipelining leg of the determinism suite (mirrors the simulator-
-/// parallelism leg above).
+/// the harness-level leg of the determinism suite.
 fn pipeline_check(sim_tuples: usize) {
     use up_gpusim::PipelineMode;
     let ty = DecimalType::new_unchecked(precision_for_len(8) - 2, 2);
@@ -111,7 +63,6 @@ fn main() {
         "Figure 8: SELECT c1+c2+c3 FROM R1 — {} simulated tuples scaled to {}\n",
         opts.sim_tuples, opts.report_tuples
     );
-    determinism_check(opts.sim_tuples.clamp(512, 4_096));
     pipeline_check(opts.sim_tuples.clamp(512, 4_096));
 
     let systems = [

@@ -202,9 +202,7 @@ pub mod runner {
 /// report kernel execution time, not end-to-end queries).
 pub mod kernels {
     use up_gpusim::cost::{kernel_time, KernelTime};
-    use up_gpusim::{
-        launch_with, DeviceConfig, ExecStats, GlobalMem, LaunchConfig, SimParallelism,
-    };
+    use up_gpusim::{launch, DeviceConfig, ExecStats, GlobalMem, LaunchConfig};
     use up_jit::cache::{Compiled, JitEngine, JitOptions};
     use up_jit::Expr;
     use up_num::{encode_compact, UpDecimal};
@@ -235,19 +233,6 @@ pub mod kernels {
         opts: JitOptions,
         n_report: u64,
     ) -> Option<KernelRun> {
-        run_expr_with(expr, cols, opts, n_report, SimParallelism::Auto)
-    }
-
-    /// [`run_expr`] under an explicit simulator-parallelism setting.
-    /// Statistics (and therefore priced times) are identical across
-    /// settings; only host wall clock changes.
-    pub fn run_expr_with(
-        expr: &Expr,
-        cols: &[Vec<UpDecimal>],
-        opts: JitOptions,
-        n_report: u64,
-        par: SimParallelism,
-    ) -> Option<KernelRun> {
         let n = cols.first().map(|c| c.len()).unwrap_or(0).max(1);
         let jit = JitEngine::new(opts);
         let (compiled, _) = jit.compile(expr);
@@ -266,8 +251,8 @@ pub mod kernels {
         }
         mem.alloc(n * k.out_ty.lb());
         let cfg = LaunchConfig::for_tuples(n as u64, 256, &device);
-        let mut stats = launch_with(&k.kernel, cfg, &device, &mut mem, &[n as u32], par)
-            .expect("kernel launch");
+        let mut stats =
+            launch(&k.kernel, cfg, &device, &mut mem, &[n as u32]).expect("kernel launch");
         let factor = n_report as f64 / n as f64;
         stats = scale_stats(stats, factor);
         let time = kernel_time(&k.kernel, &stats, &device);

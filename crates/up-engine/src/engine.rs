@@ -28,10 +28,6 @@ pub struct Database {
     /// TPI for multi-threaded expression evaluation (1 = single-thread
     /// kernels; §IV-C1 sweeps 1/4/8/16/32).
     pub expr_tpi: u32,
-    /// Host-side simulator parallelism for kernel launches. Results and
-    /// modeled times are bit-identical across settings; only host wall
-    /// time changes.
-    pub sim_par: up_gpusim::SimParallelism,
     /// Plan-level launch pipelining (see `up_gpusim::pipeline`): overlaps
     /// JIT compilation, transfers, and execution across a query's
     /// independent expression slots. Rows and modeled times stay
@@ -59,7 +55,6 @@ impl Database {
             jit: JitEngine::with_defaults(),
             agg_tpi: 8,
             expr_tpi: 1,
-            sim_par: up_gpusim::SimParallelism::default(),
             pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
             fleet: None,
@@ -79,7 +74,6 @@ impl Database {
             jit,
             agg_tpi: 8,
             expr_tpi: 1,
-            sim_par: up_gpusim::SimParallelism::default(),
             pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
             fleet: None,
@@ -195,7 +189,6 @@ impl Database {
             jit: &self.jit,
             agg_tpi: self.agg_tpi,
             expr_tpi: self.expr_tpi,
-            sim_par: self.sim_par,
             pipeline: self.pipeline,
             exec_backend: self.exec_backend,
             arena,
@@ -634,46 +627,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_parallelism_keeps_results_and_modeled_time_bit_identical() {
-        use up_gpusim::SimParallelism;
-        // Enough rows that `Auto` would actually go parallel on a
-        // multi-core host (past the small-launch threshold); explicit
-        // `Threads(n)` exercises the journaled parallel path everywhere.
-        let wide = dt(40, 4);
-        let run = |par: SimParallelism| {
-            let mut db = Database::new(Profile::UltraPrecise);
-            db.sim_par = par;
-            db.create_table("w", Schema::new(vec![("x", ColumnType::Decimal(wide))]));
-            let rows = (1..=4096i64).map(|i| {
-                vec![Value::Decimal(
-                    UpDecimal::from_scaled_i64(i * 123_456_789, wide).unwrap(),
-                )]
-            });
-            db.insert_many("w", rows).unwrap();
-            db.query("SELECT x * x + x FROM w").unwrap()
-        };
-        let serial = run(SimParallelism::Serial);
-        for par in [
-            SimParallelism::Threads(1),
-            SimParallelism::Threads(8),
-            SimParallelism::Auto,
-        ] {
-            let r = run(par);
-            assert_eq!(serial.rows.len(), r.rows.len(), "{par}");
-            for (a, b) in serial.rows.iter().zip(&r.rows) {
-                assert_eq!(a[0].render(), b[0].render(), "{par}");
-            }
-            assert_eq!(
-                serial.modeled.kernel_s.to_bits(),
-                r.modeled.kernel_s.to_bits(),
-                "{par}: modeled kernel time must be bit-equal to serial"
-            );
-            assert_eq!(serial.modeled.pcie_s.to_bits(), r.modeled.pcie_s.to_bits(), "{par}");
-            assert_eq!(r.kernels, serial.kernels, "{par}");
-        }
-    }
-
-    #[test]
     fn fleet_keeps_results_and_modeled_time_bit_identical() {
         use up_gpusim::Fleet;
         // Sharded aggregation across N simulated devices must be
@@ -747,12 +700,11 @@ mod tests {
         use up_gpusim::ExecBackend;
         // The decoded interpreter must be invisible at the query level:
         // same rows, same modeled times, same kernel attribution as the
-        // reference tree walker, under serial and threaded hosts alike.
+        // reference tree walker.
         let wide = dt(40, 4);
-        let run = |backend: ExecBackend, par: up_gpusim::SimParallelism| {
+        let run = |backend: ExecBackend| {
             let mut db = Database::new(Profile::UltraPrecise);
             db.exec_backend = backend;
-            db.sim_par = par;
             db.create_table("w", Schema::new(vec![("x", ColumnType::Decimal(wide))]));
             let rows = (1..=4096i64).map(|i| {
                 vec![Value::Decimal(
@@ -762,44 +714,38 @@ mod tests {
             db.insert_many("w", rows).unwrap();
             db.query("SELECT x * x + x FROM w").unwrap()
         };
-        let oracle = run(ExecBackend::Tree, up_gpusim::SimParallelism::Serial);
+        let oracle = run(ExecBackend::Tree);
         assert_eq!(oracle.tiers.tree, 1, "tree launch attributed");
-        for (backend, par) in [
-            (ExecBackend::Decoded, up_gpusim::SimParallelism::Serial),
-            (ExecBackend::Decoded, up_gpusim::SimParallelism::Threads(8)),
-            (ExecBackend::Compiled, up_gpusim::SimParallelism::Serial),
-            (ExecBackend::Compiled, up_gpusim::SimParallelism::Threads(8)),
-            (ExecBackend::Auto, up_gpusim::SimParallelism::Auto),
-        ] {
-            let r = run(backend, par);
-            assert_eq!(oracle.rows.len(), r.rows.len(), "{backend}/{par}");
+        for backend in [ExecBackend::Decoded, ExecBackend::Compiled, ExecBackend::Auto] {
+            let r = run(backend);
+            assert_eq!(oracle.rows.len(), r.rows.len(), "{backend}");
             for (a, b) in oracle.rows.iter().zip(&r.rows) {
-                assert_eq!(a[0].render(), b[0].render(), "{backend}/{par}");
+                assert_eq!(a[0].render(), b[0].render(), "{backend}");
             }
             assert_eq!(
                 oracle.modeled.kernel_s.to_bits(),
                 r.modeled.kernel_s.to_bits(),
-                "{backend}/{par}: modeled kernel time must be bit-equal to tree/serial"
+                "{backend}: modeled kernel time must be bit-equal to tree"
             );
-            assert_eq!(r.kernels, oracle.kernels, "{backend}/{par}");
+            assert_eq!(r.kernels, oracle.kernels, "{backend}");
             // Tier attribution matches the backend that actually ran.
             match backend {
-                ExecBackend::Decoded => assert_eq!(r.tiers.decoded, 1, "{backend}/{par}"),
+                ExecBackend::Decoded => assert_eq!(r.tiers.decoded, 1, "{backend}"),
                 ExecBackend::Compiled => {
-                    assert_eq!(r.tiers.compiled, 1, "{backend}/{par}");
+                    assert_eq!(r.tiers.compiled, 1, "{backend}");
                     // Three loads of x and the result's store: the
                     // launch's lowering shape reaches the query result.
-                    assert_eq!(r.tiers.fused_codec_runs, 4, "{backend}/{par}");
-                    assert!(r.tiers.fused_codec_insts > 4 * wide.lb() as u64, "{backend}/{par}");
+                    assert_eq!(r.tiers.fused_codec_runs, 4, "{backend}");
+                    assert!(r.tiers.fused_codec_insts > 4 * wide.lb() as u64, "{backend}");
                     // … and so does what liveness pruned: each load keeps
                     // about Lw words and a sign of the ~Lb rows it writes,
                     // and moves words, not bytes.
                     let t = r.tiers;
-                    assert!(t.fused_live_rows >= 3 * wide.lw() as u64, "{backend}/{par}: {t:?}");
-                    assert!(t.fused_pruned_rows > t.fused_live_rows, "{backend}/{par}: {t:?}");
-                    assert!(t.fused_word_planes >= 4 * (wide.lw() as u64 - 1), "{backend}/{par}: {t:?}");
+                    assert!(t.fused_live_rows >= 3 * wide.lw() as u64, "{backend}: {t:?}");
+                    assert!(t.fused_pruned_rows > t.fused_live_rows, "{backend}: {t:?}");
+                    assert!(t.fused_word_planes >= 4 * (wide.lw() as u64 - 1), "{backend}: {t:?}");
                 }
-                _ => assert_eq!(r.tiers.total(), 1, "{backend}/{par}"),
+                _ => assert_eq!(r.tiers.total(), 1, "{backend}"),
             }
         }
     }

@@ -254,9 +254,6 @@ pub struct ExecCtx<'a> {
     /// TPI for multi-threaded *expression* evaluation (§III-E1); 1 =
     /// the single-thread-per-tuple kernels of Listing 1.
     pub expr_tpi: u32,
-    /// Host-side simulator parallelism (blocks across host cores).
-    /// Bit-identical results and stats regardless of setting.
-    pub sim_par: up_gpusim::SimParallelism,
     /// Plan-level launch pipelining (DAG-parallel expression slots).
     /// Bit-identical results and modeled times regardless of setting;
     /// only host wall-clock and the side-band [`PipelineReport`] change.
@@ -1431,11 +1428,7 @@ fn eval_decimal_gpu_jit<'a>(
                 ctx.device,
                 &mut mem,
                 &[n as u32],
-                up_gpusim::LaunchOpts {
-                    par: ctx.sim_par,
-                    backend: ctx.exec_backend,
-                    auto_serial_below: None,
-                },
+                up_gpusim::LaunchOpts { backend: ctx.exec_backend },
             )
                 .map_err(|e| match e {
                     up_gpusim::SimError::DivisionByZero { .. } => {

@@ -26,14 +26,13 @@
 //!   so the additions are exact, hence associative, and a segment adds
 //!   its pre-summed cost in one step with the interpreter's bits.
 //! * Global-memory ops (`ld`/`st`, word and byte) lower to first-class
-//!   `Step::Mem` thunks monomorphized over [`MemAccess`] — one
-//!   instantiation per backend (`GlobalMem` under serial execution,
-//!   `JournaledMem` under threads). A flow-sensitive affine-address
+//!   `Step::Mem` descriptors run by `exec_mem` straight against
+//!   [`crate::GlobalMem`]. A flow-sensitive affine-address
 //!   analysis recognizes the `base + gid·stride` shape every byte codec
 //!   kernel emits; when the hint re-verifies against the live registers,
 //!   the thunk does one warp-wide bounds check plus one `SectorSeen`
 //!   coalescing pass and moves all 32 lanes with bulk strided copies
-//!   (`load_*_affine`/`store_*_affine`) instead of per-lane per-byte
+//!   (`GlobalMem::{load,store}_*_affine`) instead of per-lane per-byte
 //!   calls, and the coalescing pass counts sectors from `(base, stride,
 //!   n, width)` ([`note_transactions_affine`]) instead of from 32
 //!   addresses. Stats and coalescing state are replayed in program
@@ -74,9 +73,7 @@
 use crate::analysis::seeded_bug;
 use crate::analysis::{analyze, Facts};
 use crate::decoded::{DCtx, DOp, DecodedProgram, MemOpKind, Op};
-use crate::exec::{
-    full_mask, note_transactions, note_transactions_affine, Geometry, MemAccess, SimError,
-};
+use crate::exec::{full_mask, note_transactions, note_transactions_affine, Geometry, SimError};
 use crate::ptx::{AddrForm, Kernel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -94,7 +91,7 @@ enum Step {
     /// fused carry chain is one thunk covering several instructions).
     Alu { thunks: Box<[AluThunk]>, insts: u64, cycles: f64 },
     /// A first-class lowered global-memory instruction, executed by
-    /// [`exec_mem`] monomorphized over the launch's `MemAccess` backend.
+    /// [`exec_mem`].
     Mem(MemStep),
     /// A single instruction that touches shared memory/params or
     /// contributes data-dependent cycles — executed by the decoded tier's
@@ -108,9 +105,8 @@ enum Step {
 
 /// One lowered global-memory instruction: operand rows pre-resolved to
 /// SoA offsets, plus the static affine-address hint. A plain descriptor
-/// rather than a closure because the compiled program is shared across
-/// both `MemAccess` monomorphizations — the dispatch happens in
-/// [`exec_mem`], which *is* monomorphized per backend.
+/// rather than a closure: [`exec_mem`] dispatches on it and calls the
+/// `GlobalMem` bulk paths inline.
 struct MemStep {
     kind: MemOpKind,
     buf: u8,
@@ -543,9 +539,9 @@ pub fn last_launch_tiers() -> TierCounters {
 /// integer cost) and totals stay far below 2⁵³ — no addition ever rounds,
 /// so a segment's pre-summed cost lands on the interpreter's bits
 /// ([`lower_steps`] asserts the integrality it rests on).
-pub(crate) fn run_superblock<M: MemAccess>(
+pub(crate) fn run_superblock(
     sb: &SuperBlock,
-    c: &mut DCtx<'_, M>,
+    c: &mut DCtx<'_>,
     geom: &Geometry,
     lanes_n: usize,
     full: u32,
@@ -553,9 +549,9 @@ pub(crate) fn run_superblock<M: MemAccess>(
     run_steps(&sb.steps, c, geom, lanes_n, full)
 }
 
-fn run_steps<M: MemAccess>(
+fn run_steps(
     steps: &[Step],
-    c: &mut DCtx<'_, M>,
+    c: &mut DCtx<'_>,
     geom: &Geometry,
     lanes_n: usize,
     full: u32,
@@ -580,7 +576,7 @@ fn run_steps<M: MemAccess>(
                 c.stats.warp_issues += 1;
                 c.stats.warp_issue_cycles += *cycles;
                 c.stats.thread_insts += lanes_n as u64;
-                crate::decoded::exec_dop::<true, M>(c, dop, geom, full, lanes_n)?;
+                crate::decoded::exec_dop::<true>(c, dop, geom, full, lanes_n)?;
             }
             Step::Fused { run, fallback } => {
                 if !exec_fused(run, c, lanes_n)? {
@@ -592,8 +588,7 @@ fn run_steps<M: MemAccess>(
     Ok(())
 }
 
-/// Executes one lowered memory thunk over a fully-converged warp,
-/// monomorphized over the launch's `MemAccess` backend.
+/// Executes one lowered memory thunk over a fully-converged warp.
 ///
 /// The coalescing pass runs first, over exactly the addresses the
 /// interpreter would pass — as `(base, stride, n, width)` when the static
@@ -604,13 +599,13 @@ fn run_steps<M: MemAccess>(
 /// state across consecutive lowered thunks just like consecutive
 /// interpreter steps. If the hint holds *and* the whole warp's span
 /// bounds-checks once in u64 (which rules out u32 wraparound anywhere in
-/// the span), the bulk `load_*_affine`/`store_*_affine` entry points move
+/// the span), the `GlobalMem` bulk `*_affine` paths move
 /// all lanes at once; otherwise the interpreter's exact per-lane loop
 /// runs — ascending lanes, error surfaced at the first failing lane, with
 /// the same partial effects before it.
-fn exec_mem<M: MemAccess>(
+fn exec_mem(
     m: &MemStep,
-    c: &mut DCtx<'_, M>,
+    c: &mut DCtx<'_>,
     lanes_n: usize,
 ) -> Result<(), SimError> {
     let a = m.addr as usize;
@@ -626,20 +621,14 @@ fn exec_mem<M: MemAccess>(
     if let Some(stride) = stride {
         let end = base as u64 + stride as u64 * (n as u64 - 1) + width as u64;
         if end <= c.mem.buf_len(m.buf) as u64 {
-            return match m.kind {
-                MemOpKind::LdWord => {
-                    c.mem.load_words_affine(m.buf, base, stride, &mut c.regs[d..d + n])
-                }
-                MemOpKind::LdByte => {
-                    c.mem.load_bytes_affine(m.buf, base, stride, &mut c.regs[d..d + n])
-                }
-                MemOpKind::StWord => {
-                    c.mem.store_words_affine(m.buf, base, stride, &c.regs[d..d + n])
-                }
-                MemOpKind::StByte => {
-                    c.mem.store_bytes_affine(m.buf, base, stride, &c.regs[d..d + n])
-                }
-            };
+            let (mem, rows) = (&mut *c.mem, &mut c.regs[d..d + n]);
+            match m.kind {
+                MemOpKind::LdWord => mem.load_words_affine(m.buf, base, stride, rows),
+                MemOpKind::LdByte => mem.load_bytes_affine(m.buf, base, stride, rows),
+                MemOpKind::StWord => mem.store_words_affine(m.buf, base, stride, rows),
+                MemOpKind::StByte => mem.store_bytes_affine(m.buf, base, stride, rows),
+            }
+            return Ok(());
         }
     }
     match m.kind {
@@ -687,8 +676,8 @@ fn commit(regs: &mut [u32], r: usize, v: &[u32; 32], n: usize) {
 
 thread_local! {
     /// Gathered planes and evaluated rows of [`exec_fused`]: one buffer
-    /// per simulator thread, grown to the largest run it has met and
-    /// reused by every later launch.
+    /// per host thread, grown to the largest run it has met and reused
+    /// by every later launch.
     static FUSED_SCRATCH: std::cell::RefCell<Vec<[u32; 32]>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -723,9 +712,9 @@ const POISON: u32 = 0xDEAD_BEEF;
 ///   debug builds). Values are functions of the run-entry state only, so
 ///   all are evaluated before any is committed. Lanes ≥ `n` are never
 ///   written.
-fn exec_fused<M: MemAccess>(
+fn exec_fused(
     f: &FusedRun,
-    c: &mut DCtx<'_, M>,
+    c: &mut DCtx<'_>,
     n: usize,
 ) -> Result<bool, SimError> {
     let a = f.addr as usize;
@@ -750,24 +739,24 @@ fn exec_fused<M: MemAccess>(
             note_transactions_affine(&mut c.stats, &mut c.seen, f.buf, base + off, f.stride, n, 1);
         }
     }
-    FUSED_SCRATCH.with_borrow_mut(|scratch| -> Result<(), SimError> {
+    FUSED_SCRATCH.with_borrow_mut(|scratch| {
         if scratch.len() < f.gathers.len() + f.outs.len() {
             scratch.resize(f.gathers.len() + f.outs.len(), [0; 32]);
         }
         let (planes, vals) = scratch.split_at_mut(f.gathers.len());
         for (plane, g) in planes.iter_mut().zip(f.gathers.iter()) {
             if g.word {
-                c.mem.load_words_affine(f.buf, base + g.off, f.stride, &mut plane[..n])?;
+                c.mem.load_words_affine(f.buf, base + g.off, f.stride, &mut plane[..n]);
             } else {
-                c.mem.load_bytes_affine(f.buf, base + g.off, f.stride, &mut plane[..n])?;
+                c.mem.load_bytes_affine(f.buf, base + g.off, f.stride, &mut plane[..n]);
             }
         }
         for (at, sym) in f.scatters.iter() {
             let v = f.eval(sym, planes, &c.regs);
             if at.word {
-                c.mem.store_words_affine(f.buf, base + at.off, f.stride, &v[..n])?;
+                c.mem.store_words_affine(f.buf, base + at.off, f.stride, &v[..n]);
             } else {
-                c.mem.store_bytes_affine(f.buf, base + at.off, f.stride, &v[..n])?;
+                c.mem.store_bytes_affine(f.buf, base + at.off, f.stride, &v[..n]);
             }
         }
         for (v, (_, sym)) in vals.iter_mut().zip(f.outs.iter()) {
@@ -776,8 +765,7 @@ fn exec_fused<M: MemAccess>(
         for (v, (row, _)) in vals.iter().zip(f.outs.iter()) {
             commit(&mut c.regs, *row as usize, v, n);
         }
-        Ok(())
-    })?;
+    });
     #[cfg(any(test, debug_assertions))]
     for &r in f.pruned.iter() {
         c.regs[r as usize..r as usize + n].fill(POISON);

@@ -1,8 +1,8 @@
 //! Warn-once environment-knob parsing, shared by every crate in the
 //! workspace.
 //!
-//! One contract for `UP_SIM_THREADS`, `UP_SIM_EXEC`, `UP_PIPELINE`,
-//! `UP_ARENA`, `UP_DEVICES`, and the `UP_NET_*` family: the variable is read once per process (call
+//! One contract for `UP_SIM_EXEC`, `UP_PIPELINE`, `UP_ARENA`,
+//! `UP_DEVICES`, and the `UP_NET_*` family: the variable is read once per process (call
 //! sites cache in a `OnceLock`), a valid value overrides the default,
 //! and a *set but unparsable* value warns once on stderr and behaves
 //! like unset — never a panic, never silently meaning something else.
@@ -43,20 +43,17 @@ mod tests {
 
     #[test]
     fn unset_is_none_without_warning() {
-        assert_eq!(parse_value("UP_SIM_THREADS", "a thread count", None, |v| v
+        assert_eq!(parse_value("UP_DEVICES", "a device count", None, |v| v
             .parse::<usize>()
             .ok()), None);
     }
 
     #[test]
-    fn up_sim_threads_knob() {
+    fn values_are_trimmed_and_invalid_ones_ignored() {
         let parse = |v: &str| v.parse::<usize>().ok();
-        assert_eq!(parse_value("UP_SIM_THREADS", "a thread count", Some("6"), parse), Some(6));
-        assert_eq!(parse_value("UP_SIM_THREADS", "a thread count", Some(" 8 "), parse), Some(8));
-        assert_eq!(
-            parse_value("UP_SIM_THREADS", "a thread count", Some("fourteen"), parse),
-            None
-        );
+        assert_eq!(parse_value("UP_DEVICES", "a device count", Some("6"), parse), Some(6));
+        assert_eq!(parse_value("UP_DEVICES", "a device count", Some(" 8 "), parse), Some(8));
+        assert_eq!(parse_value("UP_DEVICES", "a device count", Some("fourteen"), parse), None);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod cost;
 pub mod device;
 pub mod env;
 pub mod exec;
-pub mod par;
 pub mod pipeline;
 pub mod profiler;
 pub mod ptx;
@@ -34,10 +33,9 @@ pub use compiled::{
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
 pub use device::{CpuDevice, Device, DeviceConfig, Fleet, GpuDevice};
 pub use exec::{
-    launch, launch_opts, launch_sampled, launch_sampled_opts, launch_sampled_with, launch_with,
-    planned_workers, ExecStats, GlobalMem, LaunchConfig, LaunchOpts, SimError,
+    launch, launch_opts, launch_sampled, launch_sampled_opts, ExecStats, GlobalMem, LaunchConfig,
+    LaunchOpts, SimError,
 };
-pub use par::SimParallelism;
 pub use pipeline::{
     plan_timeline, run_dag, DagNodeCost, DeficitRoundRobin, DeviceTimelineStats, PipelineMode,
     PipelineReport, SharedTimeline, SharedTimelineStats,

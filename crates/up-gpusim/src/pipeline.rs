@@ -8,13 +8,10 @@
 //! (wall-clock) nor in the modeled timeline. This module supplies both
 //! halves of the pipelined alternative:
 //!
-//! * [`run_dag`] — executes DAG nodes on a small host worker pool, drawing
-//!   extra workers from the same process-wide token budget the parallel
-//!   block executor uses ([`crate::par`]), so a pipelined plan and a
-//!   parallel launch never multiply thread counts. Results are returned
-//!   per node index, which lets the caller merge them in the exact order
-//!   the serial executor would have produced — bit-exact outputs and
-//!   modeled times by construction.
+//! * [`run_dag`] — executes DAG nodes on a small host worker pool.
+//!   Results are returned per node index, which lets the caller merge
+//!   them in the exact order the serial executor would have produced —
+//!   bit-exact outputs and modeled times by construction.
 //! * [`plan_timeline`] — replays the DAG's node costs over three modeled
 //!   engines (NVCC compile lanes, one H2D copy engine, N compute streams,
 //!   all [`crate::stream::StreamScheduler`]s) in deterministic node-index
@@ -22,7 +19,7 @@
 //!   stream-pipelined deployment would see ([`PipelineReport`]).
 //!
 //! Pipelining never changes *what* is computed: every node runs the same
-//! journaled launch machinery, and the merge order is fixed. Only host
+//! launch machinery, and the merge order is fixed. Only host
 //! wall-clock and the separately-reported pipeline timeline change.
 
 use crate::stream::StreamScheduler;
@@ -32,10 +29,8 @@ use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Whether (and how wide) plan-level pipelining runs.
 ///
-/// Like [`crate::par::SimParallelism::Threads`], `On(depth)` is a
-/// *demand*: the DAG executor always runs `depth` host workers (it still
-/// draws tokens from the shared budget so concurrent `Auto` launches back
-/// off). `Off` is the serial reference mode.
+/// `On(depth)` runs the DAG on `depth` host workers; `Off` is the serial
+/// reference mode.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Serial reference mode: nodes run one at a time in index order.
@@ -154,10 +149,6 @@ where
     }
     let results: Vec<Mutex<Option<Result<T, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    // Demand semantics: always spawn `workers − 1` extras, holding
-    // whatever budget tokens are available so concurrent Auto launches
-    // back off (see crate::par).
-    let _tokens = crate::par::acquire_extra(workers - 1);
     let worker = || loop {
         let idx = {
             let mut g = state.queue.lock().expect("dag queue poisoned");

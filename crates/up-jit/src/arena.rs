@@ -198,10 +198,6 @@ impl CompileArena {
     /// here, on the shared cache), then publish the entry and refill the
     /// lane.
     fn run_compile(self: Arc<Self>, sig: String, expr: Expr) {
-        // Mirror compile_async's budget behavior: take a token so Auto
-        // launches back off, but run regardless — the lane mostly sleeps
-        // on emulated NVCC latency, not the CPU.
-        let _token = up_gpusim::par::acquire_extra(1);
         let result = self.jit.compile(&expr);
         let mut st = self.state.lock().expect("compile arena poisoned");
         st.lanes_busy -= 1;

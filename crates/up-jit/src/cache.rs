@@ -371,19 +371,14 @@ impl JitEngine {
     }
 
     /// Starts compiling `expr` on a helper thread and returns a handle to
-    /// collect the result. The helper draws one token from the shared
-    /// worker budget (`up_gpusim::par`) so concurrent `Auto` launches
-    /// back off while it runs; like an explicit `Threads(n)` demand it
-    /// spawns even when the budget is empty — a compile thread mostly
-    /// waits on the (emulated) NVCC latency, not the CPU. Cache lookups,
-    /// insertion, and counters behave exactly as a synchronous
+    /// collect the result — a compile thread mostly waits on the
+    /// (emulated) NVCC latency, not the CPU. Cache lookups, insertion,
+    /// and counters behave exactly as a synchronous
     /// [`JitEngine::compile`] on this engine.
     pub fn compile_async(&self, expr: &Expr) -> CompileHandle {
-        let token = up_gpusim::par::acquire_extra(1);
         let engine = self.fork();
         let expr = expr.clone();
-        let join = std::thread::spawn(move || engine.compile(&expr));
-        CompileHandle { join, _token: token }
+        CompileHandle { join: std::thread::spawn(move || engine.compile(&expr)) }
     }
 
     /// Cache counters (hits, misses, evictions, occupancy).
@@ -399,7 +394,6 @@ impl JitEngine {
 /// cache.
 pub struct CompileHandle {
     join: std::thread::JoinHandle<(Compiled, CompileInfo)>,
-    _token: up_gpusim::par::WorkerTokens,
 }
 
 impl CompileHandle {

@@ -35,10 +35,9 @@
 //! server's read lock plus one table's write lock — inserts into
 //! disjoint tables proceed in parallel with each other and with queries
 //! over other tables. Only DDL (create/replace table) takes the global
-//! write lock. Simulated kernels inside queries additionally fan out
-//! over host cores ([`up_gpusim::SimParallelism`]); worker threads and
-//! simulator threads share one process-wide budget, so the two layers of
-//! parallelism compose instead of oversubscribing.
+//! write lock. Query concurrency comes from the worker pool: each kernel
+//! launch runs its simulated blocks in order on the worker thread that
+//! issued it, so N workers use at most N host cores for simulation.
 //!
 //! ```
 //! use up_engine::{ColumnType, Profile, Schema, Value};

@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use up_engine::{ArenaCtx, Database, Profile, QueryError, QueryResult, Schema, Value};
 use up_gpusim::stream::StreamScheduler;
-use up_gpusim::{DeviceConfig, PipelineMode, SimParallelism};
+use up_gpusim::{DeviceConfig, PipelineMode};
 use up_jit::cache::{JitEngine, JitOptions, SharedKernelCache, DEFAULT_CACHE_CAPACITY};
 use up_num::NumError;
 
@@ -64,11 +64,6 @@ pub struct ServerConfig {
     pub jit_cache_capacity: usize,
     /// Default client-side wait deadline for [`QueryTicket::wait`].
     pub default_timeout: Duration,
-    /// Host-side simulator parallelism for kernels launched by queries.
-    /// `Auto` draws from the process-wide worker budget shared with every
-    /// other launch, so query workers and simulator threads compose
-    /// without oversubscribing the host.
-    pub sim_par: SimParallelism,
     /// Intra-query launch pipelining for the plans workers execute
     /// (results and modeled times are bit-identical across modes).
     /// Defaults from `UP_PIPELINE`, otherwise off.
@@ -108,7 +103,6 @@ impl Default for ServerConfig {
             gpu_streams: 4,
             jit_cache_capacity: DEFAULT_CACHE_CAPACITY,
             default_timeout: Duration::from_secs(30),
-            sim_par: SimParallelism::Auto,
             pipeline: PipelineMode::from_env().unwrap_or_default(),
             arena: arena_from_env().unwrap_or(false),
             compile_lanes: 8,
@@ -137,7 +131,7 @@ fn parse_devices_value(v: &str) -> Option<usize> {
 }
 
 /// Reads `UP_ARENA` once per process; invalid values warn once and are
-/// ignored (same contract as `UP_PIPELINE` / `UP_SIM_THREADS`).
+/// ignored (same contract as `UP_PIPELINE` / `UP_SIM_EXEC`).
 fn arena_from_env() -> Option<bool> {
     static CACHE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
     *CACHE.get_or_init(|| parse_arena_value(std::env::var("UP_ARENA").ok().as_deref()))
@@ -439,7 +433,6 @@ impl UpServer {
 
     fn start(config: ServerConfig, mut db: Database, cache: Arc<SharedKernelCache>) -> UpServer {
         let devices = config.devices.max(1);
-        db.sim_par = config.sim_par;
         db.pipeline = config.pipeline;
         db.exec_backend = config.exec_backend;
         // Fleet mode: shard eligible scans/aggregations across N

@@ -15,20 +15,18 @@ fn main() {
     // A server with a 4-thread worker pool over 4 simulated CUDA streams,
     // with the cross-query pipeline arena on: compiles start at admission
     // on a shared lane pool, signatures dedup across sessions, and
-    // admission dequeues by weighted deficit-round-robin. Kernel launches
-    // inside queries additionally parallelize across host cores
-    // (SimParallelism::Auto); simulator threads and query workers draw
-    // from one shared budget, so the layers compose.
+    // admission dequeues by weighted deficit-round-robin. Each kernel
+    // launch runs on the worker thread that issued it, so query
+    // concurrency is the worker pool's.
     let server = Arc::new(UpServer::new(ServerConfig {
         arena: true,
         pipeline: PipelineMode::On(4),
         ..ServerConfig::default()
     }));
     println!(
-        "simulator threads: {} effective on this host (SimParallelism::Auto, \
-         shared with {} query workers)",
-        up_gpusim::par::auto_threads(),
+        "query workers: {} on a {}-core host (one simulator thread per launch)",
         ServerConfig::default().workers,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     println!(
         "exec backend: {} (UP_SIM_EXEC; decoded programs cached per kernel)",
