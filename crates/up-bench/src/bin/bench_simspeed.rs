@@ -34,8 +34,10 @@
 //! decoded interpreter on the hot cells — by any margin on the
 //! carry-chain (fig13 mul) and `DivBig` (`divbig_*`) workloads, by ≥ 2×
 //! on the byte-codec (`codec_align_*`) ones, where codec-run fusion and affine coalescing
-//! remove most of the work — the CI guard for tier-promotion and
-//! mem-lowering regressions.
+//! remove most of the work, and, on a host whose ALU thunks run at
+//! AVX-512 width, by ≥ [`AVX512_LEN32_MUL_FLOOR`] on `fig13_len32_mul`, so a
+//! refactor that loses the wide thunks fails — the CI guard for
+//! tier-promotion, mem-lowering and thunk-width regressions.
 //!
 //! The `auto` cells exercise count-based promotion live: each workload
 //! reuses one kernel and runs `auto` `TIER_THRESHOLD + 1` (3) times, so
@@ -46,12 +48,19 @@ use std::time::Instant;
 use up_bench::{precision_for_len, HarnessOpts};
 use up_gpusim::cost::kernel_time;
 use up_gpusim::{
-    launch_opts, DeviceConfig, ExecBackend, ExecStats, GlobalMem, LaunchConfig, LaunchOpts,
+    launch_opts, thunk_isa, DeviceConfig, ExecBackend, ExecStats, GlobalMem, LaunchConfig,
+    LaunchOpts, ThunkIsa,
 };
 use up_jit::cache::{Compiled, JitEngine};
 use up_jit::Expr;
 use up_num::{encode_compact, DecimalType};
 use up_workloads::datagen;
+
+/// Compiled/decoded floor on `fig13_len32_mul` when the ALU thunks are the
+/// AVX-512 set: the longest carry chains, where the thunks are most of
+/// the compiled tier's time. Chosen from quick runs of both builds on an
+/// AVX-512 host (see `results/README.md`).
+const AVX512_LEN32_MUL_FLOOR: f64 = 6.5;
 
 struct Workload {
     name: &'static str,
@@ -167,7 +176,8 @@ fn main() {
     let reps = if opts.quick { 1 } else { 3 };
     let device = DeviceConfig::a6000();
 
-    println!("bench_simspeed: {n} tuples/run, {reps} rep(s)\n");
+    let isa = thunk_isa();
+    println!("bench_simspeed: {n} tuples/run, {reps} rep(s), {isa} ALU thunks\n");
 
     let mut json_entries: Vec<String> = Vec::new();
     // (workload, decoded tps, compiled tps) for the hot carry-chain,
@@ -274,7 +284,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"simspeed\",\"schema\":\"backend-v5\",\"quick\":{},\
+        "{{\"bench\":\"simspeed\",\"schema\":\"backend-v6\",\"quick\":{},\"thunk_isa\":\"{isa}\",\
          \"tuples_per_run\":{},\"reps\":{},\"tier_threshold\":{},\"workloads\":[{}]}}\n",
         opts.quick,
         n,
@@ -290,12 +300,17 @@ fn main() {
 
     // The tier-promotion payoff summary (and CI guard): the closure tier
     // must not lose to the interpreter it was promoted from on the hot
-    // carry-chain and `DivBig` kernels, and must at least double it on the
-    // byte-codec kernels, whose byte runs it fuses.
+    // carry-chain and `DivBig` kernels, must at least double it on the
+    // byte-codec kernels, whose byte runs it fuses, and must keep the
+    // AVX-512 thunks' lead on the LEN-32 product where the host has them.
     let mut tier_ok = true;
     for (name, decoded, compiled) in &tier_cells {
         let ratio = compiled / decoded;
-        let floor = if name.starts_with("codec_align") { 2.0 } else { 1.0 };
+        let floor = match name.as_str() {
+            n if n.starts_with("codec_align") => 2.0,
+            "fig13_len32_mul" if isa == ThunkIsa::Avx512 => AVX512_LEN32_MUL_FLOOR,
+            _ => 1.0,
+        };
         println!(
             "tiering {name}: compiled {ratio:.2}x decoded (floor {floor:.1}x){}",
             if ratio < floor { "  << REGRESSION" } else { "" }
@@ -305,7 +320,7 @@ fn main() {
     if assert_tiering {
         assert!(
             tier_ok,
-            "compiled tier under its floor on a hot carry-chain, DivBig or codec cell"
+            "compiled tier under its floor on a hot carry-chain, DivBig or codec cell ({isa} thunks)"
         );
         println!("tiering assertion passed");
     }

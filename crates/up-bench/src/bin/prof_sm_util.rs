@@ -48,6 +48,7 @@ fn main() {
                 fallback_interp_insts: 0,
                 fused_codec_runs: 0,
                 fused_codec_insts: 0,
+                thunk_isa: None,
             };
             print_row(
                 &[

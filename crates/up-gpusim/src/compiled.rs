@@ -20,6 +20,17 @@
 //!   every op as a straight 32-lane add/compare loop the autovectorizer
 //!   SIMDs (no per-lane bit extraction or mask folding), and stores the
 //!   tile once at the end.
+//! * Those lane loops run at the widest vector width the CPU offers, with
+//!   nothing to configure. Every function that writes a thunk closure is
+//!   generated twice from one macro body: once for the build target
+//!   (SSE2 on x86-64), once under `#[target_feature(enable =
+//!   "avx512f,avx512bw,avx512dq,avx512vl")]`, and a closure takes on the
+//!   target features of the function it is written in. [`compile`] uses
+//!   the AVX-512 set when [`thunk_isa`] finds all four features on the
+//!   CPU and records the choice ([`CompiledProgram::isa`]). Every lowered
+//!   op is a total integer op on fixed lanes, so the width decides only
+//!   how many lanes one host instruction covers — never a register, a
+//!   predicate, a stat or a bit of `warp_issue_cycles`.
 //! * Per-instruction stats collapse to one batched update per straight-
 //!   line segment, the f64 `warp_issue_cycles` included: every issue cost
 //!   is a non-negative integer and the running sum stays far below 2⁵³,
@@ -147,6 +158,61 @@ pub struct CompiledProgram {
     /// [`Facts::entry_live_rows`]); every other row is written before it
     /// is read.
     entry_live: Box<[u32]>,
+    isa: ThunkIsa,
+}
+
+/// Which build of the ALU thunk constructors a compiled program's
+/// closures come from. Both compute the same bits; they differ in the
+/// host vector width of their lane loops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ThunkIsa {
+    /// Built for the compilation target (SSE2 on x86-64).
+    Portable,
+    /// Built with `avx512f`, `avx512bw`, `avx512dq` and `avx512vl`.
+    Avx512,
+}
+
+impl ThunkIsa {
+    /// The set's name in reports: `portable` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ThunkIsa::Portable => "portable",
+            ThunkIsa::Avx512 => "avx512",
+        }
+    }
+}
+
+impl std::fmt::Display for ThunkIsa {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// The thunk set promotion compiles in this process: [`ThunkIsa::Avx512`]
+/// when the CPU reports all four features that set is built with,
+/// [`ThunkIsa::Portable`] otherwise and on every other architecture.
+pub fn thunk_isa() -> ThunkIsa {
+    #[cfg(test)]
+    if let Some(isa) = tests::forced_isa::get() {
+        return isa;
+    }
+    if avx512_detected() {
+        ThunkIsa::Avx512
+    } else {
+        ThunkIsa::Portable
+    }
+}
+
+fn avx512_detected() -> bool {
+    // `std` caches the CPUID probe, so each check is one atomic load.
+    #[cfg(target_arch = "x86_64")]
+    let detected = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl");
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    detected
 }
 
 /// What promotion made of one compact-codec byte run: the static shape of
@@ -253,13 +319,18 @@ impl CompiledProgram {
     pub fn fused_codec_mem_inst_count(&self) -> usize {
         self.fused_codec_mem_insts
     }
+
+    /// The thunk set this program's ALU closures were built from.
+    pub fn isa(&self) -> ThunkIsa {
+        self.isa
+    }
 }
 
 impl std::fmt::Debug for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "CompiledProgram({} superblocks ({} lowered), {} alu + {} mem ({} affine) + {} interp insts, {} fused chains, {} codec runs over {} insts)",
+            "CompiledProgram({} superblocks ({} lowered), {} alu + {} mem ({} affine) + {} interp insts, {} fused chains, {} codec runs over {} insts, {} thunks)",
             self.superblocks,
             self.lowered_superblocks,
             self.alu_insts,
@@ -268,7 +339,8 @@ impl std::fmt::Debug for CompiledProgram {
             self.interp_insts,
             self.fused_chains,
             self.fused_codec_run_count(),
-            self.fused_codec_inst_count()
+            self.fused_codec_inst_count(),
+            self.isa
         )
     }
 }
@@ -898,202 +970,6 @@ fn flag_bits(flags: &[u32; 32]) -> u32 {
     bits
 }
 
-/// One fused closure for a run of carry-chain ops: the carry row is
-/// loaded into a local tile once and stored once, and each op runs a
-/// register-tiled, constant-trip-count lane loop over it that the
-/// autovectorizer can SIMD across the warp. Bit-identical to executing
-/// the ops one at a time through `exec_dop`: every lane < `n` computes the
-/// same flag sequence, and lanes ≥ `n` of the row are dead storage.
-fn fuse_chain(chain: Vec<CarryOp>) -> AluThunk {
-    let chain = chain.into_boxed_slice();
-    Box::new(move |regs, _preds, carry, _geom, _n| {
-        let mut cy = *carry;
-        for op in chain.iter() {
-            let mut td = [0u32; 32];
-            {
-                let (ta, tb) = (row(regs, op.a), row(regs, op.b));
-                match op.kind {
-                    CarryKind::AddCC => {
-                        for l in 0..32 {
-                            let (s, co) = ta[l].overflowing_add(tb[l]);
-                            td[l] = s;
-                            cy[l] = co as u32;
-                        }
-                    }
-                    CarryKind::AddC => {
-                        for l in 0..32 {
-                            let (s1, c1) = ta[l].overflowing_add(tb[l]);
-                            let (s2, c2) = s1.overflowing_add(cy[l]);
-                            td[l] = s2;
-                            cy[l] = (c1 | c2) as u32;
-                        }
-                    }
-                    CarryKind::SubCC => {
-                        for l in 0..32 {
-                            let (s, co) = ta[l].overflowing_sub(tb[l]);
-                            td[l] = s;
-                            cy[l] = co as u32;
-                        }
-                    }
-                    CarryKind::SubC => {
-                        for l in 0..32 {
-                            let (s1, c1) = ta[l].overflowing_sub(tb[l]);
-                            let (s2, c2) = s1.overflowing_sub(cy[l]);
-                            td[l] = s2;
-                            cy[l] = (c1 | c2) as u32;
-                        }
-                    }
-                    CarryKind::MadLoCC => {
-                        let tc = row(regs, op.c);
-                        for l in 0..32 {
-                            let (s, co) = ta[l].wrapping_mul(tb[l]).overflowing_add(tc[l]);
-                            td[l] = s;
-                            cy[l] = co as u32;
-                        }
-                    }
-                    CarryKind::MadHiC => {
-                        let tc = row(regs, op.c);
-                        for l in 0..32 {
-                            let hi = ((ta[l] as u64 * tb[l] as u64) >> 32) as u32;
-                            let (s1, c1) = hi.overflowing_add(tc[l]);
-                            let (s2, c2) = s1.overflowing_add(cy[l]);
-                            td[l] = s2;
-                            cy[l] = (c1 | c2) as u32;
-                        }
-                    }
-                }
-            }
-            *row_mut(regs, op.d) = td;
-        }
-        *carry = cy;
-    })
-}
-
-/// Builds a register-tiled thunk for a two-source ALU op, monomorphized
-/// per operation (`f` inlines into the bounds-check-free lane loop).
-#[inline]
-fn bin_thunk(
-    d: usize,
-    a: usize,
-    b: usize,
-    f: impl Fn(u32, u32) -> u32 + Send + Sync + 'static,
-) -> AluThunk {
-    Box::new(move |regs, _, _, _, _| {
-        let mut td = [0u32; 32];
-        {
-            let (ta, tb) = (row(regs, a), row(regs, b));
-            for l in 0..32 {
-                td[l] = f(ta[l], tb[l]);
-            }
-        }
-        *row_mut(regs, d) = td;
-    })
-}
-
-/// Register-tiled thunk for a one-source ALU op.
-#[inline]
-fn un_thunk(d: usize, a: usize, f: impl Fn(u32) -> u32 + Send + Sync + 'static) -> AluThunk {
-    Box::new(move |regs, _, _, _, _| {
-        let mut td = [0u32; 32];
-        {
-            let ta = row(regs, a);
-            for l in 0..32 {
-                td[l] = f(ta[l]);
-            }
-        }
-        *row_mut(regs, d) = td;
-    })
-}
-
-/// Register-tiled thunk for a 64-bit op over register pairs.
-#[inline]
-fn wide_thunk(
-    dlo: usize,
-    dhi: usize,
-    alo: usize,
-    ahi: usize,
-    blo: usize,
-    bhi: usize,
-    f: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
-) -> AluThunk {
-    Box::new(move |regs, _, _, _, _| {
-        let mut tdlo = [0u32; 32];
-        let mut tdhi = [0u32; 32];
-        {
-            let (talo, tahi) = (row(regs, alo), row(regs, ahi));
-            let (tblo, tbhi) = (row(regs, blo), row(regs, bhi));
-            for l in 0..32 {
-                let q = f(
-                    talo[l] as u64 | (tahi[l] as u64) << 32,
-                    tblo[l] as u64 | (tbhi[l] as u64) << 32,
-                );
-                tdlo[l] = q as u32;
-                tdhi[l] = (q >> 32) as u32;
-            }
-        }
-        *row_mut(regs, dlo) = tdlo;
-        *row_mut(regs, dhi) = tdhi;
-    })
-}
-
-/// Fused widening multiply: an adjacent `mul.lo`/`mul.hi` over one
-/// operand pair — the backbone of limb-product inner loops — computes the
-/// 64-bit product once and writes both halves. `lo_first` preserves
-/// program order for the (degenerate) case where both halves target the
-/// same row.
-#[inline]
-fn mul_pair_thunk(dlo: usize, dhi: usize, a: usize, b: usize, lo_first: bool) -> AluThunk {
-    Box::new(move |regs, _, _, _, _| {
-        let mut tlo = [0u32; 32];
-        let mut thi = [0u32; 32];
-        {
-            let (ta, tb) = (row(regs, a), row(regs, b));
-            for l in 0..32 {
-                let q = ta[l] as u64 * tb[l] as u64;
-                tlo[l] = q as u32;
-                thi[l] = (q >> 32) as u32;
-            }
-        }
-        if lo_first {
-            *row_mut(regs, dlo) = tlo;
-            *row_mut(regs, dhi) = thi;
-        } else {
-            *row_mut(regs, dhi) = thi;
-            *row_mut(regs, dlo) = tlo;
-        }
-    })
-}
-
-/// Register-tiled predicate-setting thunk, monomorphized per [`CmpOp`]
-/// (the comparison inlines instead of matching per lane).
-#[inline]
-fn cmp_thunk(
-    p: usize,
-    a: usize,
-    b: BSource,
-    f: impl Fn(u32, u32) -> bool + Send + Sync + 'static,
-) -> AluThunk {
-    Box::new(move |regs, preds, _, _, n| {
-        let mut fl = [0u32; 32];
-        let ta = row(regs, a);
-        match b {
-            BSource::Reg(b) => {
-                let tb = row(regs, b);
-                for l in 0..32 {
-                    fl[l] = f(ta[l], tb[l]) as u32;
-                }
-            }
-            BSource::Imm(imm) => {
-                for l in 0..32 {
-                    fl[l] = f(ta[l], imm) as u32;
-                }
-            }
-        }
-        let mask = full_mask(n);
-        preds[p] = (preds[p] & !mask) | (flag_bits(&fl) & mask);
-    })
-}
-
 /// A comparison's second operand: register row or immediate.
 #[derive(Clone, Copy)]
 enum BSource {
@@ -1101,174 +977,441 @@ enum BSource {
     Imm(u32),
 }
 
-/// Dispatches a [`CmpOp`] to a monomorphized [`cmp_thunk`].
-fn lower_cmp(p: usize, a: usize, b: BSource, op: crate::ptx::CmpOp) -> AluThunk {
-    use crate::ptx::CmpOp;
-    match op {
-        CmpOp::Eq => cmp_thunk(p, a, b, |x, y| x == y),
-        CmpOp::Ne => cmp_thunk(p, a, b, |x, y| x != y),
-        CmpOp::Lt => cmp_thunk(p, a, b, |x, y| x < y),
-        CmpOp::Le => cmp_thunk(p, a, b, |x, y| x <= y),
-        CmpOp::Gt => cmp_thunk(p, a, b, |x, y| x > y),
-        CmpOp::Ge => cmp_thunk(p, a, b, |x, y| x >= y),
-    }
-}
-
-/// Lowers one register-only op to its monomorphized closure. `None` for
-/// ops that must stay interpreter steps (memory, params, `DivBig` — and
-/// the carry ops, which are handled by [`fuse_chain`]).
-fn lower_thunk(dop: &DOp) -> Option<AluThunk> {
-    use crate::ptx::Special;
-    Some(match *dop {
-        DOp::MovImm { d, imm } => {
-            let d = d as usize;
-            Box::new(move |regs, _, _, _, _| row_mut(regs, d).fill(imm))
-        }
-        DOp::Mov { d, a } => {
-            let (d, a) = (d as usize, a as usize);
-            Box::new(move |regs: &mut [u32], _, _, _, _| regs.copy_within(a..a + 32, d))
-        }
-        DOp::MovSpecial { d, s } => {
-            let d = d as usize;
-            match s {
-                Special::TidX => Box::new(move |regs, _, _, geom: &Geometry, _| {
-                    let base = geom.tid_base;
-                    for (l, r) in row_mut(regs, d).iter_mut().enumerate() {
-                        *r = base + l as u32;
+/// Defines every function that writes a closure which becomes an
+/// [`AluThunk`], with `$attr` on each. A closure takes on the target
+/// features of the function it is written in — lexically: one written in
+/// a helper without the attribute gets none, even when an attributed
+/// function calls it — so the whole set is generated together.
+macro_rules! thunk_constructors {
+    ($(#[$attr:meta])*) => {
+        /// One fused closure for a run of carry-chain ops: the carry row is
+        /// loaded into a local tile once and stored once, and each op runs a
+        /// register-tiled, constant-trip-count lane loop over it that the
+        /// autovectorizer can SIMD across the warp. Bit-identical to executing
+        /// the ops one at a time through `exec_dop`: every lane < `n` computes the
+        /// same flag sequence, and lanes ≥ `n` of the row are dead storage.
+        $(#[$attr])*
+        pub(super) fn fuse_chain(chain: Vec<CarryOp>) -> AluThunk {
+            let chain = chain.into_boxed_slice();
+            Box::new(move |regs, _preds, carry, _geom, _n| {
+                let mut cy = *carry;
+                for op in chain.iter() {
+                    let mut td = [0u32; 32];
+                    {
+                        let (ta, tb) = (row(regs, op.a), row(regs, op.b));
+                        match op.kind {
+                            CarryKind::AddCC => {
+                                for l in 0..32 {
+                                    let (s, co) = ta[l].overflowing_add(tb[l]);
+                                    td[l] = s;
+                                    cy[l] = co as u32;
+                                }
+                            }
+                            CarryKind::AddC => {
+                                for l in 0..32 {
+                                    let (s1, c1) = ta[l].overflowing_add(tb[l]);
+                                    let (s2, c2) = s1.overflowing_add(cy[l]);
+                                    td[l] = s2;
+                                    cy[l] = (c1 | c2) as u32;
+                                }
+                            }
+                            CarryKind::SubCC => {
+                                for l in 0..32 {
+                                    let (s, co) = ta[l].overflowing_sub(tb[l]);
+                                    td[l] = s;
+                                    cy[l] = co as u32;
+                                }
+                            }
+                            CarryKind::SubC => {
+                                for l in 0..32 {
+                                    let (s1, c1) = ta[l].overflowing_sub(tb[l]);
+                                    let (s2, c2) = s1.overflowing_sub(cy[l]);
+                                    td[l] = s2;
+                                    cy[l] = (c1 | c2) as u32;
+                                }
+                            }
+                            CarryKind::MadLoCC => {
+                                let tc = row(regs, op.c);
+                                for l in 0..32 {
+                                    let (s, co) = ta[l].wrapping_mul(tb[l]).overflowing_add(tc[l]);
+                                    td[l] = s;
+                                    cy[l] = co as u32;
+                                }
+                            }
+                            CarryKind::MadHiC => {
+                                let tc = row(regs, op.c);
+                                for l in 0..32 {
+                                    let hi = ((ta[l] as u64 * tb[l] as u64) >> 32) as u32;
+                                    let (s1, c1) = hi.overflowing_add(tc[l]);
+                                    let (s2, c2) = s1.overflowing_add(cy[l]);
+                                    td[l] = s2;
+                                    cy[l] = (c1 | c2) as u32;
+                                }
+                            }
+                        }
                     }
-                }),
-                Special::CtaIdX => Box::new(move |regs, _, _, geom: &Geometry, _| {
-                    row_mut(regs, d).fill(geom.ctaid)
-                }),
-                Special::NTidX => Box::new(move |regs, _, _, geom: &Geometry, _| {
-                    row_mut(regs, d).fill(geom.ntid)
-                }),
-                Special::NCtaIdX => Box::new(move |regs, _, _, geom: &Geometry, _| {
-                    row_mut(regs, d).fill(geom.nctaid)
-                }),
-            }
-        }
-        DOp::Add { d, a, b } => {
-            bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_add(y))
-        }
-        DOp::Sub { d, a, b } => {
-            bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_sub(y))
-        }
-        DOp::MulLo { d, a, b } => {
-            bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_mul(y))
-        }
-        DOp::MulHi { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
-            ((x as u64 * y as u64) >> 32) as u32
-        }),
-        DOp::Div { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
-            x.checked_div(y).unwrap_or(u32::MAX)
-        }),
-        DOp::Rem { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
-            if y == 0 { x } else { x % y }
-        }),
-        DOp::Div64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
-            dlo as usize,
-            dhi as usize,
-            alo as usize,
-            ahi as usize,
-            blo as usize,
-            bhi as usize,
-            |x, y| x.checked_div(y).unwrap_or(u64::MAX),
-        ),
-        DOp::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
-            dlo as usize,
-            dhi as usize,
-            alo as usize,
-            ahi as usize,
-            blo as usize,
-            bhi as usize,
-            |x, y| if y == 0 { x } else { x % y },
-        ),
-        DOp::Bfind { d, a } => un_thunk(d as usize, a as usize, |v| {
-            if v == 0 { u32::MAX } else { 31 - v.leading_zeros() }
-        }),
-        DOp::Shl { d, a, b } => {
-            bin_thunk(d as usize, a as usize, b as usize, |x, y| x << (y & 31))
-        }
-        DOp::Shr { d, a, b } => {
-            bin_thunk(d as usize, a as usize, b as usize, |x, y| x >> (y & 31))
-        }
-        DOp::And { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x & y),
-        DOp::Or { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x | y),
-        DOp::Xor { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x ^ y),
-        DOp::SetP { p, op, a, b } => {
-            lower_cmp(p as usize, a as usize, BSource::Reg(b as usize), op)
-        }
-        DOp::SetPImm { p, op, a, imm } => {
-            lower_cmp(p as usize, a as usize, BSource::Imm(imm), op)
-        }
-        DOp::PAnd { p, a, b } => {
-            let (p, a, b) = (p as usize, a as usize, b as usize);
-            Box::new(move |_, preds: &mut [u32], _, _, n| {
-                let mask = full_mask(n);
-                let computed = preds[a] & preds[b];
-                preds[p] = (preds[p] & !mask) | (computed & mask);
+                    *row_mut(regs, op.d) = td;
+                }
+                *carry = cy;
             })
         }
-        DOp::PNot { p, a } => {
-            let (p, a) = (p as usize, a as usize);
-            Box::new(move |_, preds: &mut [u32], _, _, n| {
-                let mask = full_mask(n);
-                let computed = !preds[a];
-                preds[p] = (preds[p] & !mask) | (computed & mask);
-            })
-        }
-        DOp::Selp { d, a, b, p } => {
-            let (d, a, b, p) = (d as usize, a as usize, b as usize, p as usize);
-            Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, _| {
-                let pbits = preds[p];
+
+        /// Builds a register-tiled thunk for a two-source ALU op, monomorphized
+        /// per operation (`f` inlines into the bounds-check-free lane loop).
+        #[inline]
+        $(#[$attr])*
+        fn bin_thunk(
+            d: usize,
+            a: usize,
+            b: usize,
+            f: impl Fn(u32, u32) -> u32 + Send + Sync + 'static,
+        ) -> AluThunk {
+            Box::new(move |regs, _, _, _, _| {
                 let mut td = [0u32; 32];
                 {
                     let (ta, tb) = (row(regs, a), row(regs, b));
                     for l in 0..32 {
-                        td[l] = if pbits >> l & 1 == 1 { ta[l] } else { tb[l] };
+                        td[l] = f(ta[l], tb[l]);
                     }
                 }
                 *row_mut(regs, d) = td;
             })
         }
-        // Cost-only under sequential warps — same no-op as the interpreter.
-        DOp::BarSync => Box::new(move |_, _, _, _, _| {}),
-        DOp::ShflIdx { d, a, lane } => {
-            let (d, a, lane) = (d as usize, a as usize, lane as usize);
-            Box::new(move |regs, _, _, _, n| {
-                // Gather before scattering so reads see pre-shuffle values.
-                let mut vals = [0u32; 32];
-                for l in 0..n {
-                    let src_lane = regs[lane + l] as usize % n;
-                    vals[l] = regs[a + src_lane];
+
+        /// Register-tiled thunk for a one-source ALU op.
+        #[inline]
+        $(#[$attr])*
+        fn un_thunk(d: usize, a: usize, f: impl Fn(u32) -> u32 + Send + Sync + 'static) -> AluThunk {
+            Box::new(move |regs, _, _, _, _| {
+                let mut td = [0u32; 32];
+                {
+                    let ta = row(regs, a);
+                    for l in 0..32 {
+                        td[l] = f(ta[l]);
+                    }
                 }
-                regs[d..d + n].copy_from_slice(&vals[..n]);
+                *row_mut(regs, d) = td;
             })
         }
-        DOp::Ballot { d, p } => {
-            let (d, p) = (d as usize, p as usize);
-            Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, n| {
-                let ballot = preds[p] & full_mask(n);
-                regs[d..d + n].fill(ballot);
+
+        /// Register-tiled thunk for a 64-bit op over register pairs.
+        #[inline]
+        $(#[$attr])*
+        fn wide_thunk(
+            dlo: usize,
+            dhi: usize,
+            alo: usize,
+            ahi: usize,
+            blo: usize,
+            bhi: usize,
+            f: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
+        ) -> AluThunk {
+            Box::new(move |regs, _, _, _, _| {
+                let mut tdlo = [0u32; 32];
+                let mut tdhi = [0u32; 32];
+                {
+                    let (talo, tahi) = (row(regs, alo), row(regs, ahi));
+                    let (tblo, tbhi) = (row(regs, blo), row(regs, bhi));
+                    for l in 0..32 {
+                        let q = f(
+                            talo[l] as u64 | (tahi[l] as u64) << 32,
+                            tblo[l] as u64 | (tbhi[l] as u64) << 32,
+                        );
+                        tdlo[l] = q as u32;
+                        tdhi[l] = (q >> 32) as u32;
+                    }
+                }
+                *row_mut(regs, dlo) = tdlo;
+                *row_mut(regs, dhi) = tdhi;
             })
         }
-        // Memory, params, and data-dependent-cost ops stay interpreted.
-        DOp::AddCC { .. }
-        | DOp::AddC { .. }
-        | DOp::SubCC { .. }
-        | DOp::SubC { .. }
-        | DOp::MadLoCC { .. }
-        | DOp::MadHiC { .. }
-        | DOp::LdGlobal { .. }
-        | DOp::LdGlobalU8 { .. }
-        | DOp::StGlobal { .. }
-        | DOp::StGlobalU8 { .. }
-        | DOp::LdShared { .. }
-        | DOp::StShared { .. }
-        | DOp::LdParam { .. }
-        | DOp::DivBig { .. } => return None,
-    })
+
+        /// Fused widening multiply: an adjacent `mul.lo`/`mul.hi` over one
+        /// operand pair — the backbone of limb-product inner loops — computes the
+        /// 64-bit product once and writes both halves. `lo_first` preserves
+        /// program order for the (degenerate) case where both halves target the
+        /// same row.
+        #[inline]
+        $(#[$attr])*
+        fn mul_pair_thunk(dlo: usize, dhi: usize, a: usize, b: usize, lo_first: bool) -> AluThunk {
+            Box::new(move |regs, _, _, _, _| {
+                let mut tlo = [0u32; 32];
+                let mut thi = [0u32; 32];
+                {
+                    let (ta, tb) = (row(regs, a), row(regs, b));
+                    for l in 0..32 {
+                        let q = ta[l] as u64 * tb[l] as u64;
+                        tlo[l] = q as u32;
+                        thi[l] = (q >> 32) as u32;
+                    }
+                }
+                if lo_first {
+                    *row_mut(regs, dlo) = tlo;
+                    *row_mut(regs, dhi) = thi;
+                } else {
+                    *row_mut(regs, dhi) = thi;
+                    *row_mut(regs, dlo) = tlo;
+                }
+            })
+        }
+
+        /// Register-tiled predicate-setting thunk, monomorphized per [`CmpOp`]
+        /// (the comparison inlines instead of matching per lane).
+        #[inline]
+        $(#[$attr])*
+        fn cmp_thunk(
+            p: usize,
+            a: usize,
+            b: BSource,
+            f: impl Fn(u32, u32) -> bool + Send + Sync + 'static,
+        ) -> AluThunk {
+            Box::new(move |regs, preds, _, _, n| {
+                let mut fl = [0u32; 32];
+                let ta = row(regs, a);
+                match b {
+                    BSource::Reg(b) => {
+                        let tb = row(regs, b);
+                        for l in 0..32 {
+                            fl[l] = f(ta[l], tb[l]) as u32;
+                        }
+                    }
+                    BSource::Imm(imm) => {
+                        for l in 0..32 {
+                            fl[l] = f(ta[l], imm) as u32;
+                        }
+                    }
+                }
+                let mask = full_mask(n);
+                preds[p] = (preds[p] & !mask) | (flag_bits(&fl) & mask);
+            })
+        }
+
+        /// Dispatches a [`CmpOp`] to a monomorphized [`cmp_thunk`].
+        $(#[$attr])*
+        fn lower_cmp(p: usize, a: usize, b: BSource, op: crate::ptx::CmpOp) -> AluThunk {
+            use crate::ptx::CmpOp;
+            match op {
+                CmpOp::Eq => cmp_thunk(p, a, b, |x, y| x == y),
+                CmpOp::Ne => cmp_thunk(p, a, b, |x, y| x != y),
+                CmpOp::Lt => cmp_thunk(p, a, b, |x, y| x < y),
+                CmpOp::Le => cmp_thunk(p, a, b, |x, y| x <= y),
+                CmpOp::Gt => cmp_thunk(p, a, b, |x, y| x > y),
+                CmpOp::Ge => cmp_thunk(p, a, b, |x, y| x >= y),
+            }
+        }
+
+        /// Lowers one register-only op to its monomorphized closure. `None` for
+        /// ops that must stay interpreter steps (memory, params, `DivBig` — and
+        /// the carry ops, which are handled by [`fuse_chain`]).
+        $(#[$attr])*
+        pub(super) fn lower_thunk(dop: &DOp) -> Option<AluThunk> {
+            use crate::ptx::Special;
+            Some(match *dop {
+                DOp::MovImm { d, imm } => {
+                    let d = d as usize;
+                    Box::new(move |regs, _, _, _, _| row_mut(regs, d).fill(imm))
+                }
+                DOp::Mov { d, a } => {
+                    let (d, a) = (d as usize, a as usize);
+                    Box::new(move |regs: &mut [u32], _, _, _, _| regs.copy_within(a..a + 32, d))
+                }
+                DOp::MovSpecial { d, s } => {
+                    let d = d as usize;
+                    match s {
+                        Special::TidX => Box::new(move |regs, _, _, geom: &Geometry, _| {
+                            let base = geom.tid_base;
+                            for (l, r) in row_mut(regs, d).iter_mut().enumerate() {
+                                *r = base + l as u32;
+                            }
+                        }),
+                        Special::CtaIdX => Box::new(move |regs, _, _, geom: &Geometry, _| {
+                            row_mut(regs, d).fill(geom.ctaid)
+                        }),
+                        Special::NTidX => Box::new(move |regs, _, _, geom: &Geometry, _| {
+                            row_mut(regs, d).fill(geom.ntid)
+                        }),
+                        Special::NCtaIdX => Box::new(move |regs, _, _, geom: &Geometry, _| {
+                            row_mut(regs, d).fill(geom.nctaid)
+                        }),
+                    }
+                }
+                DOp::Add { d, a, b } => {
+                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_add(y))
+                }
+                DOp::Sub { d, a, b } => {
+                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_sub(y))
+                }
+                DOp::MulLo { d, a, b } => {
+                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_mul(y))
+                }
+                DOp::MulHi { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                    ((x as u64 * y as u64) >> 32) as u32
+                }),
+                DOp::Div { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                    x.checked_div(y).unwrap_or(u32::MAX)
+                }),
+                DOp::Rem { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                    if y == 0 { x } else { x % y }
+                }),
+                DOp::Div64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
+                    dlo as usize,
+                    dhi as usize,
+                    alo as usize,
+                    ahi as usize,
+                    blo as usize,
+                    bhi as usize,
+                    |x, y| x.checked_div(y).unwrap_or(u64::MAX),
+                ),
+                DOp::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
+                    dlo as usize,
+                    dhi as usize,
+                    alo as usize,
+                    ahi as usize,
+                    blo as usize,
+                    bhi as usize,
+                    |x, y| if y == 0 { x } else { x % y },
+                ),
+                DOp::Bfind { d, a } => un_thunk(d as usize, a as usize, |v| {
+                    if v == 0 { u32::MAX } else { 31 - v.leading_zeros() }
+                }),
+                DOp::Shl { d, a, b } => {
+                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x << (y & 31))
+                }
+                DOp::Shr { d, a, b } => {
+                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x >> (y & 31))
+                }
+                DOp::And { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x & y),
+                DOp::Or { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x | y),
+                DOp::Xor { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x ^ y),
+                DOp::SetP { p, op, a, b } => {
+                    lower_cmp(p as usize, a as usize, BSource::Reg(b as usize), op)
+                }
+                DOp::SetPImm { p, op, a, imm } => {
+                    lower_cmp(p as usize, a as usize, BSource::Imm(imm), op)
+                }
+                DOp::PAnd { p, a, b } => {
+                    let (p, a, b) = (p as usize, a as usize, b as usize);
+                    Box::new(move |_, preds: &mut [u32], _, _, n| {
+                        let mask = full_mask(n);
+                        let computed = preds[a] & preds[b];
+                        preds[p] = (preds[p] & !mask) | (computed & mask);
+                    })
+                }
+                DOp::PNot { p, a } => {
+                    let (p, a) = (p as usize, a as usize);
+                    Box::new(move |_, preds: &mut [u32], _, _, n| {
+                        let mask = full_mask(n);
+                        let computed = !preds[a];
+                        preds[p] = (preds[p] & !mask) | (computed & mask);
+                    })
+                }
+                DOp::Selp { d, a, b, p } => {
+                    let (d, a, b, p) = (d as usize, a as usize, b as usize, p as usize);
+                    Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, _| {
+                        let pbits = preds[p];
+                        let mut td = [0u32; 32];
+                        {
+                            let (ta, tb) = (row(regs, a), row(regs, b));
+                            for l in 0..32 {
+                                td[l] = if pbits >> l & 1 == 1 { ta[l] } else { tb[l] };
+                            }
+                        }
+                        *row_mut(regs, d) = td;
+                    })
+                }
+                // Cost-only under sequential warps — same no-op as the interpreter.
+                DOp::BarSync => Box::new(move |_, _, _, _, _| {}),
+                DOp::ShflIdx { d, a, lane } => {
+                    let (d, a, lane) = (d as usize, a as usize, lane as usize);
+                    Box::new(move |regs, _, _, _, n| {
+                        // Gather before scattering so reads see pre-shuffle values.
+                        let mut vals = [0u32; 32];
+                        for l in 0..n {
+                            let src_lane = regs[lane + l] as usize % n;
+                            vals[l] = regs[a + src_lane];
+                        }
+                        regs[d..d + n].copy_from_slice(&vals[..n]);
+                    })
+                }
+                DOp::Ballot { d, p } => {
+                    let (d, p) = (d as usize, p as usize);
+                    Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, n| {
+                        let ballot = preds[p] & full_mask(n);
+                        regs[d..d + n].fill(ballot);
+                    })
+                }
+                // Memory, params, and data-dependent-cost ops stay interpreted.
+                DOp::AddCC { .. }
+                | DOp::AddC { .. }
+                | DOp::SubCC { .. }
+                | DOp::SubC { .. }
+                | DOp::MadLoCC { .. }
+                | DOp::MadHiC { .. }
+                | DOp::LdGlobal { .. }
+                | DOp::LdGlobalU8 { .. }
+                | DOp::StGlobal { .. }
+                | DOp::StGlobalU8 { .. }
+                | DOp::LdShared { .. }
+                | DOp::StShared { .. }
+                | DOp::LdParam { .. }
+                | DOp::DivBig { .. } => return None,
+            })
+        }
+
+        /// Peephole over adjacent ops: `mul.lo` directly next to `mul.hi` on the
+        /// same operand pair (either order; the product is commutative) shares a
+        /// single widening multiply. The first destination must leave the second
+        /// op's sources intact, or the fused read-once would diverge from the
+        /// interpreter.
+        $(#[$attr])*
+        pub(super) fn fuse_mul_pair(first: &DOp, next: Option<&Op>) -> Option<AluThunk> {
+            let Some(Op::I { dop: second, .. }) = next else { return None };
+            let same_pair =
+                |a1: u32, b1: u32, a2: u32, b2: u32| (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2);
+            match (first, second) {
+                (&DOp::MulLo { d: d1, a, b }, &DOp::MulHi { d: d2, a: a2, b: b2 })
+                    if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
+                {
+                    Some(mul_pair_thunk(d1 as usize, d2 as usize, a as usize, b as usize, true))
+                }
+                (&DOp::MulHi { d: d1, a, b }, &DOp::MulLo { d: d2, a: a2, b: b2 })
+                    if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
+                {
+                    Some(mul_pair_thunk(d2 as usize, d1 as usize, a as usize, b as usize, false))
+                }
+                _ => None,
+            }
+        }
+    };
+}
+
+/// The thunk constructors built for the compilation target.
+mod portable {
+    use super::*;
+    thunk_constructors!();
+}
+
+/// The same constructors with AVX-512 enabled: callable only where the
+/// CPU reports all four features (see [`with_isa`]).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    thunk_constructors!(#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]);
+}
+
+/// Calls the thunk constructor `$f` of the set `$isa` names.
+macro_rules! with_isa {
+    ($isa:expr, $f:ident($($arg:expr),*)) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            ThunkIsa::Avx512 if avx512_detected() => {
+                // SAFETY: the CPU reports every feature the `avx512` set is
+                // built with, which is all a `#[target_feature]` call needs.
+                unsafe { avx512::$f($($arg),*) }
+            }
+            _ => portable::$f($($arg),*),
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1762,6 +1905,7 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
     let facts = analyze(ops, kernel.num_regs as usize);
     let mut scan = CodecScan::new(kernel.num_regs as usize);
     let mut out = CompiledProgram {
+        isa: thunk_isa(),
         blocks: (0..ops.len()).map(|_| None).collect(),
         superblocks: 0,
         fused_chains: 0,
@@ -1792,30 +1936,6 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
         i = end;
     }
     out
-}
-
-/// Peephole over adjacent ops: `mul.lo` directly next to `mul.hi` on the
-/// same operand pair (either order; the product is commutative) shares a
-/// single widening multiply. The first destination must leave the second
-/// op's sources intact, or the fused read-once would diverge from the
-/// interpreter.
-fn fuse_mul_pair(first: &DOp, next: Option<&Op>) -> Option<AluThunk> {
-    let Some(Op::I { dop: second, .. }) = next else { return None };
-    let same_pair =
-        |a1: u32, b1: u32, a2: u32, b2: u32| (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2);
-    match (first, second) {
-        (&DOp::MulLo { d: d1, a, b }, &DOp::MulHi { d: d2, a: a2, b: b2 })
-            if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
-        {
-            Some(mul_pair_thunk(d1 as usize, d2 as usize, a as usize, b as usize, true))
-        }
-        (&DOp::MulHi { d: d1, a, b }, &DOp::MulLo { d: d2, a: a2, b: b2 })
-            if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
-        {
-            Some(mul_pair_thunk(d2 as usize, d1 as usize, a as usize, b as usize, false))
-        }
-        _ => None,
-    }
 }
 
 /// The pending register-only segment of [`lower_steps`]: its thunks, and
@@ -1868,7 +1988,7 @@ fn lower_steps(
             tally.fused_chains += 1;
             tally.fused_insts += chain.len();
         }
-        thunks.push(fuse_chain(std::mem::take(chain)));
+        thunks.push(with_isa!(tally.isa, fuse_chain(std::mem::take(chain))));
     }
 
     let mut i = 0;
@@ -1886,7 +2006,7 @@ fn lower_steps(
             i += 1;
             continue;
         }
-        if let Some(thunk) = fuse_mul_pair(dop, run.get(i + 1)) {
+        if let Some(thunk) = with_isa!(tally.isa, fuse_mul_pair(dop, run.get(i + 1))) {
             let Some(Op::I { cycles: cy2, .. }) = run.get(i + 1) else { unreachable!() };
             flush_chain(&mut chain, &mut seg.thunks, tally);
             seg.thunks.push(thunk);
@@ -1895,7 +2015,7 @@ fn lower_steps(
             i += 2;
             continue;
         }
-        if let Some(thunk) = lower_thunk(dop) {
+        if let Some(thunk) = with_isa!(tally.isa, lower_thunk(dop)) {
             flush_chain(&mut chain, &mut seg.thunks, tally);
             seg.thunks.push(thunk);
             seg.count(1, *cy);
@@ -1950,9 +2070,62 @@ fn lower_steps(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ptx::{CmpOp, Inst as I, KernelBuilder, Special};
+
+    /// Tests force a thunk set for the calling thread's promotions, in the
+    /// style of [`crate::analysis::seeded_bug`].
+    pub(crate) mod forced_isa {
+        use crate::compiled::{avx512_detected, ThunkIsa};
+        use crate::decoded::ExecBackend;
+        use std::cell::Cell;
+
+        thread_local! {
+            static FORCED: Cell<Option<ThunkIsa>> = const { Cell::new(None) };
+        }
+
+        pub(crate) fn get() -> Option<ThunkIsa> {
+            FORCED.get()
+        }
+
+        /// Runs `f` with this thread's promotions compiling `isa`'s thunks.
+        pub(crate) fn with<R>(isa: ThunkIsa, f: impl FnOnce() -> R) -> R {
+            assert!(isa == ThunkIsa::Portable || avx512_detected(), "{isa} is not available here");
+            // Restored on unwind too: suites catch the panics of planted bugs.
+            struct Restore(Option<ThunkIsa>);
+            impl Drop for Restore {
+                fn drop(&mut self) {
+                    FORCED.set(self.0);
+                }
+            }
+            let _outer = Restore(FORCED.replace(Some(isa)));
+            f()
+        }
+
+        /// Every set this host runs, portable first. A host without AVX-512
+        /// says so on stderr (past the test harness's capture), so a suite
+        /// never passes on the portable set alone without a trace.
+        pub(crate) fn available() -> Vec<ThunkIsa> {
+            if avx512_detected() {
+                return vec![ThunkIsa::Portable, ThunkIsa::Avx512];
+            }
+            static NOTE: std::sync::Once = std::sync::Once::new();
+            NOTE.call_once(|| {
+                use std::io::Write;
+                let note = "skipped the avx512 thunk set: the CPU does not report AVX-512";
+                let _ = writeln!(std::io::stderr(), "{note}");
+            });
+            vec![ThunkIsa::Portable]
+        }
+
+        /// The tiers a differential suite checks against the tree walker:
+        /// decoded, then compiled at every available set.
+        pub(crate) fn tiers() -> Vec<(ExecBackend, ThunkIsa)> {
+            let compiled = available().into_iter().map(|isa| (ExecBackend::Compiled, isa));
+            std::iter::once((ExecBackend::Decoded, ThunkIsa::Portable)).chain(compiled).collect()
+        }
+    }
 
     fn carry_kernel() -> Kernel {
         let mut kb = KernelBuilder::new();
@@ -2073,6 +2246,119 @@ mod tests {
             vec![AddrForm::LaneAffine { stride: 1 }, AddrForm::Unknown],
             "the tid-addressed load is affine; the loaded-address access is not"
         );
+    }
+
+    /// What a conformance case builds its thunk from.
+    enum ThunkSrc {
+        Op(DOp),
+        Chain(Vec<CarryOp>),
+        Pair(DOp, DOp),
+    }
+
+    fn build(isa: ThunkIsa, src: &ThunkSrc) -> AluThunk {
+        match src {
+            ThunkSrc::Op(dop) => with_isa!(isa, lower_thunk(dop)).expect("a lowered op"),
+            ThunkSrc::Chain(chain) => with_isa!(isa, fuse_chain(chain.clone())),
+            ThunkSrc::Pair(first, second) => {
+                let next = Op::I { dop: second.clone(), cycles: 1.0, run_end: 0 };
+                with_isa!(isa, fuse_mul_pair(first, Some(&next))).expect("a fused pair")
+            }
+        }
+    }
+
+    /// Every thunk set this host runs builds thunks that leave registers,
+    /// predicates and the carry row bit-identical to the portable set's:
+    /// every `DOp` kind `lower_thunk` lowers (each special and comparison),
+    /// carry chains of 1–6 ops starting with each `CarryKind`, their even
+    /// ops in place (`d == a`), and `mul.lo`/`mul.hi` pairs in both orders.
+    /// Rows are random lanes salted with 0, 1, `u32::MAX` and
+    /// `0x8000_0000`; the carry row is random 0/1, the predicates random;
+    /// warps are full and 5 lanes wide.
+    #[test]
+    fn every_thunk_set_matches_the_portable_one() {
+        use CarryKind::*;
+        let mut seed = 0x7b1c_e5e7_5eed_0001u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as u32
+        };
+        const ROWS: u32 = 8;
+        let edges = [0, 1, u32::MAX, 0x8000_0000];
+        let regs: Vec<u32> = (0..ROWS * 32)
+            .map(|_| match next() % 3 {
+                0 => edges[next() as usize % 4],
+                _ => next(),
+            })
+            .collect();
+        let preds: Vec<u32> = (0..4).map(|_| next()).collect();
+        let carry: [u32; 32] = std::array::from_fn(|_| next() & 1);
+        let geom = Geometry { tid_base: 96, ctaid: 3, ntid: 128, nctaid: 7 };
+        let mut row = || 32 * (next() % ROWS);
+        let (d, a, b, c) = (row(), row(), row(), row());
+        let mut srcs = vec![
+            DOp::MovImm { d, imm: 0x8000_0001 },
+            DOp::Mov { d, a },
+            DOp::Add { d, a, b },
+            DOp::Sub { d: a, a, b },
+            DOp::MulLo { d, a, b },
+            DOp::MulHi { d, a, b: a },
+            DOp::Div { d, a, b },
+            DOp::Rem { d, a, b },
+            DOp::Div64 { dlo: d, dhi: c, alo: a, ahi: b, blo: c, bhi: a },
+            DOp::Rem64 { dlo: d, dhi: c, alo: a, ahi: b, blo: b, bhi: c },
+            DOp::Bfind { d, a },
+            DOp::Shl { d, a, b },
+            DOp::Shr { d, a, b },
+            DOp::And { d, a, b },
+            DOp::Or { d, a, b },
+            DOp::Xor { d: b, a, b },
+            DOp::PAnd { p: 0, a: 1, b: 2 },
+            DOp::PNot { p: 3, a: 1 },
+            DOp::Selp { d, a, b, p: 2 },
+            DOp::BarSync,
+            DOp::ShflIdx { d, a, lane: b },
+            DOp::Ballot { d, p: 1 },
+        ];
+        for s in [Special::TidX, Special::CtaIdX, Special::NTidX, Special::NCtaIdX] {
+            srcs.push(DOp::MovSpecial { d, s });
+        }
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+            srcs.push(DOp::SetP { p: 1, op, a, b });
+            srcs.push(DOp::SetPImm { p: 2, op, a, imm: 0x8000_0000 });
+        }
+        let mut cases: Vec<ThunkSrc> = srcs.into_iter().map(ThunkSrc::Op).collect();
+        let kinds = [AddCC, AddC, SubCC, SubC, MadLoCC, MadHiC];
+        for (k, &first) in kinds.iter().enumerate() {
+            for len in 1..=6 {
+                let chain = (0..len).map(|i| {
+                    let [d, a, b, c] = [row(), row(), row(), row()].map(|r| r as usize);
+                    let kind = if i == 0 { first } else { kinds[(k + i + len) % 6] };
+                    CarryOp { kind, d: if i % 2 == 0 { a } else { d }, a, b, c }
+                });
+                cases.push(ThunkSrc::Chain(chain.collect()));
+            }
+        }
+        // The first destination is never a source of the second op, or the
+        // pair would not fuse.
+        let (x, y) = (32 * 6, 32 * 7);
+        for (d1, d2) in [(32, 32), (32, 64), (64, y)] {
+            cases.push(ThunkSrc::Pair(DOp::MulLo { d: d1, a: x, b: y }, DOp::MulHi { d: d2, a: y, b: x }));
+            cases.push(ThunkSrc::Pair(DOp::MulHi { d: d1, a: x, b: y }, DOp::MulLo { d: d2, a: x, b: y }));
+        }
+        let run = |t: &AluThunk, n: usize| {
+            let (mut r, mut p, mut cy) = (regs.clone(), preds.clone(), carry);
+            t(&mut r, &mut p, &mut cy, &geom, n);
+            (r, p, cy)
+        };
+        for (i, src) in cases.iter().enumerate() {
+            let portable = build(ThunkIsa::Portable, src);
+            for isa in forced_isa::available() {
+                let thunk = build(isa, src);
+                for n in [32, 5] {
+                    assert!(run(&thunk, n) == run(&portable, n), "case {i} under {isa}, {n} lanes");
+                }
+            }
+        }
     }
 
     #[test]

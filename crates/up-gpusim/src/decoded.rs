@@ -1097,6 +1097,7 @@ fn gather(regs: &[u32], row: usize, mask: u32, _lanes_n: usize) -> ([u32; 32], u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::tests::forced_isa;
     use crate::device::DeviceConfig;
     use crate::exec::{launch_opts, LaunchOpts};
     use crate::ptx::{Inst as I, KernelBuilder, PReg, Reg};
@@ -1345,15 +1346,15 @@ mod tests {
             if oracle_res.is_err() {
                 errors_seen += 1;
             }
-            for backend in [ExecBackend::Decoded, ExecBackend::Compiled] {
-                let (res, mem) = run_mode(&kernel, &base, backend);
-                assert_eq!(res, oracle_res, "kernel {idx}: result diverged under {backend}");
+            for (backend, isa) in forced_isa::tiers() {
+                let (res, mem) = forced_isa::with(isa, || run_mode(&kernel, &base, backend));
+                assert_eq!(res, oracle_res, "kernel {idx}: result diverged under {backend}/{isa}");
                 if oracle_res.is_ok() {
                     for b in 0..3 {
                         assert_eq!(
                             mem.buffer(b),
                             oracle_mem.buffer(b),
-                            "kernel {idx}: buffer {b} diverged under {backend}"
+                            "kernel {idx}: buffer {b} diverged under {backend}/{isa}"
                         );
                     }
                 }
@@ -1471,18 +1472,18 @@ mod tests {
             let base = fuzz_mem(&mut rng);
             for cfg in [GRID, LaunchConfig { grid_blocks: 4, block_threads: 48 }] {
                 let (oracle_res, oracle_mem) = run_cfg(&kernel, &base, ExecBackend::Tree, cfg);
-                for backend in [ExecBackend::Decoded, ExecBackend::Compiled] {
-                    let (res, mem) = run_cfg(&kernel, &base, backend, cfg);
+                for (backend, isa) in forced_isa::tiers() {
+                    let (res, mem) = forced_isa::with(isa, || run_cfg(&kernel, &base, backend, cfg));
                     assert_eq!(
                         res, oracle_res,
-                        "kernel {idx}: stats diverged under {backend} ({} threads/block)",
+                        "kernel {idx}: stats diverged under {backend}/{isa} ({} threads/block)",
                         cfg.block_threads
                     );
                     for b in 0..3 {
                         assert_eq!(
                             mem.buffer(b),
                             oracle_mem.buffer(b),
-                            "kernel {idx}: buffer {b} diverged under {backend} ({} threads/block)",
+                            "kernel {idx}: buffer {b} diverged under {backend}/{isa} ({} threads/block)",
                             cfg.block_threads
                         );
                     }
@@ -1692,7 +1693,10 @@ mod tests {
     ) -> (Result<ExecStats, SimError>, GlobalMem) {
         let mut mem = base.clone();
         let opts = LaunchOpts { backend };
-        let res = launch_opts(kernel, cfg, &DeviceConfig::tiny(), &mut mem, &[tuples], opts);
+        // Not yet promoted, so a compiled launch builds with the thunk set
+        // forced for this thread.
+        let kernel = Kernel { tier: Default::default(), ..kernel.clone() };
+        let res = launch_opts(&kernel, cfg, &DeviceConfig::tiny(), &mut mem, &[tuples], opts);
         (res, mem)
     }
 
@@ -1706,9 +1710,9 @@ mod tests {
         what: &str,
     ) {
         let (oracle_res, oracle_mem) = run_tuples(kernel, base, ExecBackend::Tree, cfg, tuples);
-        for backend in [ExecBackend::Decoded, ExecBackend::Compiled] {
-            let (res, mem) = run_tuples(kernel, base, backend, cfg, tuples);
-            let at = format!("{what}: {backend}, {} threads/block", cfg.block_threads);
+        for (backend, isa) in forced_isa::tiers() {
+            let (res, mem) = forced_isa::with(isa, || run_tuples(kernel, base, backend, cfg, tuples));
+            let at = format!("{what}: {backend}/{isa}, {} threads/block", cfg.block_threads);
             assert_eq!(
                 res.as_ref().map(|s| s.warp_issue_cycles.to_bits()),
                 oracle_res.as_ref().map(|s| s.warp_issue_cycles.to_bits()),
@@ -2064,13 +2068,11 @@ mod tests {
         ]
         .map(|(bug, kernel)| {
             // Promotion (analysis and lowering) runs on this thread.
-            let kernel = with(bug, || {
+            with(bug, || {
                 let kernel = kernel();
-                kernel.compiled_program();
-                kernel
-            });
-            let check = || assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "seeded");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
+                let check = || assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "seeded");
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
+            })
         });
         assert_eq!(caught, [true, true], "a seeded bug went unnoticed");
         for kernel in [next_trip_kernel(), tight_span_kernel()] {

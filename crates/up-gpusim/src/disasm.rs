@@ -22,7 +22,8 @@ pub fn disassemble(kernel: &Kernel) -> String {
 /// byte run that promotion fuses into one step is bracketed
 /// `; ┌ fused codec run (34 insts, 5/17 rows live, 2 word + 1 byte planes)`
 /// … `; └`: how many of the rows the run writes the fused step keeps, and
-/// the bulk gathers (or, for a store run, scatters) it performs.
+/// the bulk gathers (or, for a store run, scatters) it performs. The
+/// header names the ALU thunk set promotion compiles on this host.
 pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
     let (forms, runs) = crate::compiled::listing_facts(kernel);
     // The decoded program flattens the tree in statement order (If arms
@@ -55,7 +56,8 @@ pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
         notes.push(note);
     }
     let mut notes = notes.into_iter();
-    render_kernel(kernel, &mut |_| notes.next().filter(|n| !n.is_empty()))
+    let listing = render_kernel(kernel, &mut |_| notes.next().filter(|n| !n.is_empty()));
+    format!("// alu thunks: {}\n{listing}", crate::thunk_isa())
 }
 
 fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) -> String {
@@ -350,6 +352,7 @@ mod tests {
         kb.push(I::LdGlobalU8 { d: v, buf: 1, addr: scr });
         let k = kb.finish("annotated", 8);
         let text = disassemble_with_addr_forms(&k);
+        assert!(text.starts_with(&format!("// alu thunks: {}", crate::thunk_isa())), "{text}");
         assert!(text.contains("; addr base+gid*3"), "{text}");
         assert!(text.contains("; addr base+gid*1"), "{text}");
         assert!(text.contains("; addr unknown"), "{text}");

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 //! # up-gpusim — the simulated GPU substrate
 //!
 //! A SIMT GPU simulator standing in for the NVIDIA A6000 + CUDA stack the
@@ -27,8 +28,8 @@ pub mod reduce;
 pub mod stream;
 
 pub use compiled::{
-    compile_counters, last_launch_tiers, tier_counters, CompiledProgram, ExecTier, FusedRunInfo,
-    TierCounters, TIER_THRESHOLD,
+    compile_counters, last_launch_tiers, thunk_isa, tier_counters, CompiledProgram, ExecTier,
+    FusedRunInfo, ThunkIsa, TierCounters, TIER_THRESHOLD,
 };
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
 pub use device::{CpuDevice, Device, DeviceConfig, Fleet, GpuDevice};

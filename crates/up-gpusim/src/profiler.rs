@@ -9,6 +9,7 @@
 //! table.
 
 use crate::cost::KernelTime;
+use crate::compiled::ThunkIsa;
 use crate::exec::ExecStats;
 use crate::ptx::Kernel;
 
@@ -45,6 +46,9 @@ pub struct KernelProfile {
     pub fused_codec_runs: usize,
     /// Instructions those fused runs cover.
     pub fused_codec_insts: usize,
+    /// The thunk set the compiled program's ALU closures were built from
+    /// (`None` when the kernel has not been closure-compiled).
+    pub thunk_isa: Option<ThunkIsa>,
 }
 
 impl KernelProfile {
@@ -52,9 +56,9 @@ impl KernelProfile {
     /// The lowered/fallback shape is read from the kernel's compiled
     /// artifact when one exists; profiling never forces a compile.
     pub fn collect(kernel: &Kernel, stats: &ExecStats, time: &KernelTime) -> KernelProfile {
+        let cp = kernel.compiled_tier_built().then(|| kernel.compiled_program());
         let [lowered_sb, fallback_sb, mem_thunks, interp, codec_runs, codec_insts] =
-            if kernel.compiled_tier_built() {
-                let cp = kernel.compiled_program();
+            if let Some(cp) = cp {
                 [
                     cp.lowered_superblock_count(),
                     cp.fallback_superblock_count(),
@@ -81,6 +85,7 @@ impl KernelProfile {
             fallback_interp_insts: interp,
             fused_codec_runs: codec_runs,
             fused_codec_insts: codec_insts,
+            thunk_isa: cp.map(|cp| cp.isa()),
         }
     }
 
@@ -97,13 +102,14 @@ impl KernelProfile {
         );
         if self.lowered_superblocks + self.fallback_superblocks > 0 {
             line.push_str(&format!(
-                ", {}/{} superblocks lowered ({} mem thunks, {} fallback insts, {} codec runs over {} insts)",
+                ", {}/{} superblocks lowered ({} mem thunks, {} fallback insts, {} codec runs over {} insts), {} ALU thunks",
                 self.lowered_superblocks,
                 self.lowered_superblocks + self.fallback_superblocks,
                 self.lowered_mem_thunks,
                 self.fallback_interp_insts,
                 self.fused_codec_runs,
                 self.fused_codec_insts,
+                self.thunk_isa.map_or("no", ThunkIsa::name),
             ));
         }
         line
@@ -139,6 +145,7 @@ mod tests {
         // Never compiled → no lowering shape (and no forced compile).
         assert_eq!(p.lowered_superblocks, 0);
         assert_eq!(p.fallback_superblocks, 0);
+        assert_eq!(p.thunk_isa, None);
         assert!(!p.summary().contains("superblocks lowered"));
     }
 
@@ -162,8 +169,10 @@ mod tests {
         assert_eq!(p.lowered_mem_thunks, 2);
         assert_eq!(p.fallback_interp_insts, 0);
         assert_eq!((p.fused_codec_runs, p.fused_codec_insts), (0, 0), "one load, one store");
-        assert!(p.summary().contains(
-            "1/1 superblocks lowered (2 mem thunks, 0 fallback insts, 0 codec runs over 0 insts)"
-        ));
+        assert_eq!(p.thunk_isa, Some(crate::thunk_isa()));
+        assert!(p.summary().contains(&format!(
+            "1/1 superblocks lowered (2 mem thunks, 0 fallback insts, 0 codec runs over 0 insts), {} ALU thunks",
+            crate::thunk_isa()
+        )));
     }
 }

@@ -430,7 +430,7 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             o,
-            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts · {} fused codec runs over {} insts ({} rows live / {} pruned, {} word planes)",
+            "mem lowering: {} lowered / {} fallback superblocks · {} mem thunks · {} fallback insts · {} fused codec runs over {} insts ({} rows live / {} pruned, {} word planes) · {} ALU thunks",
             t.lowered_superblocks,
             t.fallback_superblocks,
             t.lowered_mem_thunks,
@@ -439,7 +439,8 @@ impl MetricsSnapshot {
             t.fused_codec_insts,
             t.fused_live_rows,
             t.fused_pruned_rows,
-            t.fused_word_planes
+            t.fused_word_planes,
+            up_gpusim::thunk_isa()
         );
         let _ = writeln!(
             o,
@@ -629,5 +630,7 @@ mod tests {
         assert!(text.contains("depth 1 / 8"), "{text}");
         assert!(text.contains("jit cache:"), "{text}");
         assert!(text.contains("gpu streams:"), "{text}");
+        let isa = up_gpusim::thunk_isa();
+        assert!(text.contains(&format!("word planes) · {isa} ALU thunks")), "{text}");
     }
 }
