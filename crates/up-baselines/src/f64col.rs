@@ -83,7 +83,7 @@ mod tests {
         // each +1 is absorbed by the 1e16 accumulator (ULP spacing 2.0);
         // pairwise, the ones combine first and survive.
         let mut values = vec![1e16];
-        values.extend(std::iter::repeat(1.0).take(10_000));
+        values.extend(std::iter::repeat_n(1.0, 10_000));
         let seq = sum_f64(&values, SumOrder::Sequential);
         let pair = sum_f64(&values, SumOrder::Pairwise);
         assert_ne!(seq, pair, "orders should disagree on mixed magnitudes");

@@ -36,8 +36,11 @@
 //! on the byte-codec (`codec_align_*`) ones, where codec-run fusion and affine coalescing
 //! remove most of the work, and, on a host whose ALU thunks run at
 //! AVX-512 width, by ≥ [`AVX512_LEN32_MUL_FLOOR`] on `fig13_len32_mul`, so a
-//! refactor that loses the wide thunks fails — the CI guard for
-//! tier-promotion, mem-lowering and thunk-width regressions.
+//! refactor that loses the wide thunks fails; on that host the compiled
+//! `divbig_*` cells must also beat the tree walker by ≥
+//! [`AVX512_DIVBIG_FLOOR`], so one that loses the warp-wide division
+//! fails too — the CI guard for tier-promotion, mem-lowering, thunk-width
+//! and `DivBig` regressions.
 //!
 //! The `auto` cells exercise count-based promotion live: each workload
 //! reuses one kernel and runs `auto` `TIER_THRESHOLD + 1` (3) times, so
@@ -61,6 +64,12 @@ use up_workloads::datagen;
 /// the compiled tier's time. Chosen from quick runs of both builds on an
 /// AVX-512 host (see `results/README.md`).
 const AVX512_LEN32_MUL_FLOOR: f64 = 6.5;
+
+/// Compiled/tree floor on the `divbig_*` cells when `DivBig` divides the
+/// warp with one lane-parallel Algorithm D (the AVX-512 set); the tree
+/// walker keeps dividing lane by lane. Chosen from quick runs of both
+/// builds on an AVX-512 host (see `results/README.md`).
+const AVX512_DIVBIG_FLOOR: f64 = 13.0;
 
 struct Workload {
     name: &'static str,
@@ -180,9 +189,9 @@ fn main() {
     println!("bench_simspeed: {n} tuples/run, {reps} rep(s), {isa} ALU thunks\n");
 
     let mut json_entries: Vec<String> = Vec::new();
-    // (workload, decoded tps, compiled tps) for the hot carry-chain,
+    // (workload, tree, decoded and compiled tps) for the hot carry-chain,
     // `DivBig` and codec cells the CI guard checks.
-    let mut tier_cells: Vec<(String, f64, f64)> = Vec::new();
+    let mut tier_cells: Vec<(String, f64, f64, f64)> = Vec::new();
     for w in workloads() {
         let jit = JitEngine::with_defaults();
         let (compiled, _) = jit.compile(&w.expr);
@@ -257,6 +266,7 @@ fn main() {
             };
             tier_cells.push((
                 w.name.to_string(),
+                tps_of(ExecBackend::Tree),
                 tps_of(ExecBackend::Decoded),
                 tps_of(ExecBackend::Compiled),
             ));
@@ -302,25 +312,31 @@ fn main() {
     // must not lose to the interpreter it was promoted from on the hot
     // carry-chain and `DivBig` kernels, must at least double it on the
     // byte-codec kernels, whose byte runs it fuses, and must keep the
-    // AVX-512 thunks' lead on the LEN-32 product where the host has them.
+    // AVX-512 thunks' lead on the LEN-32 product and the warp-wide
+    // division's lead over the tree walker where the host has AVX-512.
     let mut tier_ok = true;
-    for (name, decoded, compiled) in &tier_cells {
-        let ratio = compiled / decoded;
+    for (name, tree, decoded, compiled) in &tier_cells {
         let floor = match name.as_str() {
             n if n.starts_with("codec_align") => 2.0,
             "fig13_len32_mul" if isa == ThunkIsa::Avx512 => AVX512_LEN32_MUL_FLOOR,
             _ => 1.0,
         };
-        println!(
-            "tiering {name}: compiled {ratio:.2}x decoded (floor {floor:.1}x){}",
-            if ratio < floor { "  << REGRESSION" } else { "" }
-        );
-        tier_ok &= ratio >= floor;
+        let mut gates = vec![("decoded", compiled / decoded, floor)];
+        if name.starts_with("divbig_") && isa == ThunkIsa::Avx512 {
+            gates.push(("tree", compiled / tree, AVX512_DIVBIG_FLOOR));
+        }
+        for (base, ratio, floor) in gates {
+            println!(
+                "tiering {name}: compiled {ratio:.2}x {base} (floor {floor:.1}x){}",
+                if ratio < floor { "  << REGRESSION" } else { "" }
+            );
+            tier_ok &= ratio >= floor;
+        }
     }
     if assert_tiering {
         assert!(
             tier_ok,
-            "compiled tier under its floor on a hot carry-chain, DivBig or codec cell ({isa} thunks)"
+            "compiled tier under a floor on a hot carry-chain, DivBig or codec cell ({isa} thunks)"
         );
         println!("tiering assertion passed");
     }

@@ -63,7 +63,10 @@
 //!   instructions lowered the ordinary way.
 //! * Shared-memory ops, `ld.param`, and `DivBig` (data-dependent cycles)
 //!   stay interpreter steps (`Step::Interp`) executed by the *same*
-//!   `exec_dop` the decoded tier uses, frame-for-frame.
+//!   `exec_dop` the decoded tier uses, frame-for-frame. The step is not
+//!   where `DivBig`'s time goes: its arm divides the whole warp with one
+//!   lane-parallel Algorithm D at AVX-512 width (module `divbig`),
+//!   chosen by [`thunk_isa`] like the ALU thunks, so both tiers share it.
 //!
 //! Divergent regions and control flow never reach this module: the
 //! decoded interpreter's `run_warp` only enters a compiled superblock
@@ -203,7 +206,7 @@ pub fn thunk_isa() -> ThunkIsa {
     }
 }
 
-fn avx512_detected() -> bool {
+pub(crate) fn avx512_detected() -> bool {
     // `std` caches the CPUID probe, so each check is one atomic load.
     #[cfg(target_arch = "x86_64")]
     let detected = is_x86_feature_detected!("avx512f")
@@ -480,6 +483,10 @@ pub struct TierCounters {
     /// Four-byte gathers/scatters the fused steps perform in place of
     /// byte planes, summed per launch.
     pub fused_word_planes: u64,
+    /// `DivBig` lanes the decoded and compiled tiers divided warp-wide …
+    pub divbig_warp_lanes: u64,
+    /// … and one at a time (a shorter or one-limb divisor, portable set).
+    pub divbig_loop_lanes: u64,
 }
 
 impl TierCounters {
@@ -504,6 +511,8 @@ impl std::ops::AddAssign for TierCounters {
         self.fused_live_rows += rhs.fused_live_rows;
         self.fused_pruned_rows += rhs.fused_pruned_rows;
         self.fused_word_planes += rhs.fused_word_planes;
+        self.divbig_warp_lanes += rhs.divbig_warp_lanes;
+        self.divbig_loop_lanes += rhs.divbig_loop_lanes;
     }
 }
 
@@ -520,6 +529,8 @@ static FUSED_CODEC_INSTS: AtomicU64 = AtomicU64::new(0);
 static FUSED_LIVE_ROWS: AtomicU64 = AtomicU64::new(0);
 static FUSED_PRUNED_ROWS: AtomicU64 = AtomicU64::new(0);
 static FUSED_WORD_PLANES: AtomicU64 = AtomicU64::new(0);
+static DIVBIG_WARP_LANES: AtomicU64 = AtomicU64::new(0);
+static DIVBIG_LOOP_LANES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide per-tier launch counts and promotion events (e.g. for the
 /// server metrics report).
@@ -538,6 +549,8 @@ pub fn tier_counters() -> TierCounters {
         fused_live_rows: FUSED_LIVE_ROWS.load(Ordering::Relaxed),
         fused_pruned_rows: FUSED_PRUNED_ROWS.load(Ordering::Relaxed),
         fused_word_planes: FUSED_WORD_PLANES.load(Ordering::Relaxed),
+        divbig_warp_lanes: DIVBIG_WARP_LANES.load(Ordering::Relaxed),
+        divbig_loop_lanes: DIVBIG_LOOP_LANES.load(Ordering::Relaxed),
     }
 }
 
@@ -587,6 +600,15 @@ pub(crate) fn note_launch(tier: ExecTier, promoted: bool, program: Option<&Compi
     FUSED_PRUNED_ROWS.fetch_add(t.fused_pruned_rows, Ordering::Relaxed);
     FUSED_WORD_PLANES.fetch_add(t.fused_word_planes, Ordering::Relaxed);
     LAST_LAUNCH.with(|c| c.set(Some(t)));
+}
+
+/// Adds a completed launch's `DivBig` lanes (`[warp path, per-lane loop]`)
+/// to the process-wide counters and to this thread's most recent launch.
+pub(crate) fn note_div_lanes([warp, lane_loop]: [u64; 2]) {
+    DIVBIG_WARP_LANES.fetch_add(warp, Ordering::Relaxed);
+    DIVBIG_LOOP_LANES.fetch_add(lane_loop, Ordering::Relaxed);
+    let t = |t| TierCounters { divbig_warp_lanes: warp, divbig_loop_lanes: lane_loop, ..t };
+    LAST_LAUNCH.with(|c| c.set(c.get().map(t)));
 }
 
 /// The most recent launch on *this* thread as a one-launch
@@ -2120,10 +2142,11 @@ pub(crate) mod tests {
         }
 
         /// The tiers a differential suite checks against the tree walker:
-        /// decoded, then compiled at every available set.
+        /// decoded and compiled at every available set (the decoded tier's
+        /// `DivBig` depends on the set too).
         pub(crate) fn tiers() -> Vec<(ExecBackend, ThunkIsa)> {
-            let compiled = available().into_iter().map(|isa| (ExecBackend::Compiled, isa));
-            std::iter::once((ExecBackend::Decoded, ThunkIsa::Portable)).chain(compiled).collect()
+            let backends = [ExecBackend::Decoded, ExecBackend::Compiled];
+            available().into_iter().flat_map(|isa| backends.map(|b| (b, isa))).collect()
         }
     }
 
@@ -2400,8 +2423,15 @@ pub(crate) mod tests {
             fused_live_rows: 6,
             fused_pruned_rows: 20,
             fused_word_planes: 3,
+            divbig_warp_lanes: 64,
+            divbig_loop_lanes: 5,
         };
-        t += TierCounters { compiled: 1, lowered_mem_thunks: 3, ..Default::default() };
+        t += TierCounters {
+            compiled: 1,
+            lowered_mem_thunks: 3,
+            divbig_loop_lanes: 1,
+            ..Default::default()
+        };
         assert_eq!(t.total(), 7);
         assert_eq!(t.compiled, 4);
         assert_eq!(t.promotions, 1);
@@ -2411,5 +2441,6 @@ pub(crate) mod tests {
         assert_eq!(t.fallback_insts, 4);
         assert_eq!((t.fused_codec_runs, t.fused_codec_insts), (2, 40));
         assert_eq!((t.fused_live_rows, t.fused_pruned_rows, t.fused_word_planes), (6, 20, 3));
+        assert_eq!((t.divbig_warp_lanes, t.divbig_loop_lanes), (64, 6));
     }
 }

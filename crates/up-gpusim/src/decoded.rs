@@ -11,6 +11,11 @@
 //! file. Inside full-mask superblocks no divergence stack or mask test
 //! runs at all.
 //!
+//! `DivBig` is the one data-dependent arithmetic op: its arm hands the
+//! warp's register rows to module `divbig`, which divides every lane
+//! whose divisor has the warp's widest limb count with one lane-parallel
+//! Algorithm D (on the AVX-512 set) and the rest one lane at a time.
+//!
 //! The decoded program is built once per kernel and cached on the kernel
 //! itself (see [`DecodedCache`]); since `up-jit` keeps compiled kernels in
 //! its shared cache behind an `Arc`, JIT cache hits amortize decode the
@@ -29,6 +34,7 @@ use crate::exec::{
     full_mask, note_transactions, shared_store, shared_word, ExecStats, Geometry, GlobalMem,
     LaunchConfig, SectorSeen, SimError,
 };
+use crate::divbig::{div_big, DivBufs, DivShape};
 use crate::env::knob as env_parse;
 use crate::ptx::{issue_cycles, CmpOp, Inst, Kernel, Special, Stmt};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +108,7 @@ impl std::fmt::Display for ExecBackend {
 /// Lane stride of the structure-of-arrays register file: register `r` of
 /// lane `l` lives at `r * LANES + l`. Fixed at the warp width so decode
 /// is independent of launch geometry (partial warps just use a prefix).
-const LANES: usize = 32;
+pub(crate) const LANES: usize = 32;
 
 /// A decoded instruction: the [`Inst`] operands resolved to
 /// structure-of-arrays offsets (`reg * 32`) so the interpreter indexes the
@@ -474,8 +480,7 @@ pub(crate) struct DCtx<'a> {
     /// mem thunks alike — so sector dedup spans the whole warp.
     pub(crate) seen: SectorSeen,
     pub(crate) kernel_name: &'a str,
-    /// `DivBig` operand, result and working buffers, reused lane after
-    /// lane.
+    /// `DivBig` working storage and lane counts, kept for the launch.
     pub(crate) div: DivBufs,
     /// The divergence stack (empty between warps).
     frames: Vec<Frame>,
@@ -497,15 +502,6 @@ impl<'a> DCtx<'a> {
             frames: Vec::with_capacity(8),
         }
     }
-}
-
-/// See [`DCtx::div`].
-#[derive(Default)]
-pub(crate) struct DivBufs {
-    a: Vec<u32>,
-    b: Vec<u32>,
-    out: Vec<u32>,
-    work: Vec<u64>,
 }
 
 /// Runs the active lanes in ascending order: a plain prefix loop when the
@@ -852,42 +848,11 @@ pub(crate) fn exec_dop<const FULL: bool>(
             });
         }
         DOp::DivBig { d, dn, a, an, b, bn, rem } => {
-            // Ascending-lane order and the post-loop lockstep probe cost
-            // mirror the tree-walker, so both the error surface and the
-            // f64 cycle accumulation are identical.
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
             let (dn, an, bn) = (*dn as usize, *an as usize, *bn as usize);
-            let mut max_probe_cycles = 0.0f64;
-            let DivBufs { a: av, b: bv, out, work } = div;
-            av.resize(an, 0);
-            bv.resize(bn, 0);
-            out.resize(dn, 0);
-            let mut m = mask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                for (i, w) in av.iter_mut().enumerate() {
-                    *w = regs[a + i * LANES + l];
-                }
-                for (i, w) in bv.iter_mut().enumerate() {
-                    *w = regs[b + i * LANES + l];
-                }
-                if up_num::limbs::is_zero(bv) {
-                    return Err(SimError::DivisionByZero { kernel: kernel_name.to_string() });
-                }
-                let la = up_num::limbs::bit_len(av);
-                let lb = up_num::limbs::bit_len(bv);
-                let probes = la.saturating_sub(lb) as f64 + 2.0;
-                let mul_cost = 2.0 * (an as f64) * (bn as f64) + 4.0 * an as f64;
-                max_probe_cycles = max_probe_cycles.max(probes * mul_cost);
-                let (q, r): (&mut [u32], &mut [u32]) =
-                    if *rem { (&mut [], out) } else { (out, &mut []) };
-                up_num::div::div_rem_into(av, bv, q, r, work);
-                for (i, w) in out.iter().enumerate() {
-                    regs[d + i * LANES + l] = *w;
-                }
-            }
-            stats.warp_issue_cycles += max_probe_cycles;
+            let s = DivShape { d, dn, a, an, b, bn, rem: *rem };
+            let zero = || SimError::DivisionByZero { kernel: kernel_name.to_string() };
+            stats.warp_issue_cycles += div_big(regs, s, mask, div).ok_or_else(zero)?;
         }
         DOp::Shl { d, a, b } => {
             let (d, a, b) = (*d as usize, *a as usize, *b as usize);
@@ -1098,6 +1063,7 @@ fn gather(regs: &[u32], row: usize, mask: u32, _lanes_n: usize) -> ([u32; 32], u
 mod tests {
     use super::*;
     use crate::compiled::tests::forced_isa;
+    use crate::compiled::ThunkIsa;
     use crate::device::DeviceConfig;
     use crate::exec::{launch_opts, LaunchOpts};
     use crate::ptx::{Inst as I, KernelBuilder, PReg, Reg};
@@ -2061,7 +2027,7 @@ mod tests {
     #[test]
     fn seeded_liveness_and_word_window_bugs_are_caught() {
         use crate::analysis::seeded_bug::{with, Bug};
-        let base = random_mem(&mut Rng(0x5eed_ed), &[7 * N_THREADS, 4 * N_THREADS]);
+        let base = random_mem(&mut Rng(0x005e_eded), &[7 * N_THREADS, 4 * N_THREADS]);
         let caught = [
             (Bug::LivenessDropsBackEdge, next_trip_kernel as fn() -> Kernel),
             (Bug::WordWindowIgnoresSpan, tight_span_kernel),
@@ -2210,6 +2176,83 @@ mod tests {
             let cycles = res.expect("non-zero divisors").warp_issue_cycles;
             assert!(cycles > 0.0 && cycles.fract() == 0.0, "{cycles} for {an}/{bn} words");
             assert_tiers_agree(&kernel, (&base, 2), GRID, 0, "div_big cost");
+        }
+    }
+
+    /// A zero divisor on one thread — lane `k` of block 0's second warp —
+    /// under a full mask, a partial one (`gid` even) and a tail warp (40
+    /// threads per block, so lanes ≥ 8 do not exist): every tier at both
+    /// thunk sets returns the tree walker's `SimError` where that lane is
+    /// active, and its quotients or remainders where it is not. The other
+    /// divisors all have three limbs, so the warp-wide path runs beside it.
+    #[test]
+    fn div_big_zero_divisor_at_lane_k_errors_alike_on_every_tier() {
+        const AN: u8 = 6;
+        const BN: u8 = 3;
+        let (an, bn) = (AN as usize, BN as usize);
+        let tail = LaunchConfig { grid_blocks: 2, block_threads: 40 };
+        for (k, rem) in [(0u32, false), (5, true), (31, false)] {
+            for (partial, cfg) in [(false, GRID), (true, GRID), (false, tail)] {
+                let kernel = gid_kernel("div_big_zero_lane", |kb, gid, one| {
+                    let (a, b, d) = (kb.regs(an), kb.regs(bn), kb.regs(4));
+                    let (addr, four) = (kb.reg(), kb.imm(4));
+                    for (buf, rows) in [(0, &a), (1, &b)] {
+                        let stride = kb.imm(4 * rows.len() as u32);
+                        kb.push(I::MulLo { d: addr, a: gid, b: stride });
+                        for &r in rows.iter() {
+                            kb.push(I::LdGlobal { d: r, buf, addr });
+                            kb.push(I::Add { d: addr, a: addr, b: four });
+                        }
+                    }
+                    let (d, a, b) = (d[0], a[0], b[0]);
+                    let div = match rem {
+                        false => I::DivBig { d, dn: 4, a, an: AN, b, bn: BN },
+                        true => I::RemBig { d, dn: 4, a, an: AN, b, bn: BN },
+                    };
+                    if partial {
+                        let (p, odd) = (kb.pred(), kb.reg());
+                        kb.push(I::And { d: odd, a: gid, b: one });
+                        kb.push(I::SetPImm { p, op: CmpOp::Eq, a: odd, imm: 0 });
+                        let body = kb.block(|b| b.push(div));
+                        kb.if_(p, body, vec![]);
+                    } else {
+                        kb.push(div);
+                    }
+                    let stride = kb.imm(16);
+                    kb.push(I::MulLo { d: addr, a: gid, b: stride });
+                    for r in d..d + 4 {
+                        kb.push(I::StGlobal { buf: 2, addr, src: r });
+                        kb.push(I::Add { d: addr, a: addr, b: four });
+                    }
+                });
+                let mut base = random_mem(&mut Rng(0xd100 + k as u64), &[4 * an * N_THREADS]);
+                let divisors = random_mem(&mut Rng(0xd110 + k as u64), &[4 * bn * N_THREADS]);
+                let mut divisors = divisors.buffer(0).to_vec();
+                for top in divisors.chunks_mut(4 * bn) {
+                    top[4 * bn - 1] |= 0x10;
+                }
+                let zero = 32 + k;
+                let exists = zero < cfg.block_threads;
+                if exists {
+                    divisors[4 * bn * zero as usize..][..4 * bn].fill(0);
+                }
+                base.add_buffer(divisors);
+                base.alloc(16 * N_THREADS);
+                let (tree, _) = run_cfg(&kernel, &base, ExecBackend::Tree, cfg);
+                let active = exists && (!partial || zero % 2 == 0);
+                assert_eq!(tree.is_err(), active, "k={k} partial={partial} {cfg:?}: {tree:?}");
+                let what = format!("zero divisor at lane {k}");
+                assert_tiers_agree(&kernel, (&base, 3), cfg, 0, &what);
+                // A completed launch reports the lanes each path divided.
+                for isa in forced_isa::available().into_iter().filter(|_| !active) {
+                    let run = || run_cfg(&kernel, &base, ExecBackend::Decoded, cfg);
+                    assert!(forced_isa::with(isa, run).0.is_ok());
+                    let t = crate::compiled::last_launch_tiers();
+                    let warp_wide = isa == ThunkIsa::Avx512;
+                    assert_eq!(t.divbig_warp_lanes > 0, warp_wide, "{isa}: {t:?}");
+                    assert_eq!(t.divbig_loop_lanes > 0, !warp_wide, "{isa}: {t:?}");
+                }
+            }
         }
     }
 

@@ -17,6 +17,7 @@ pub mod cgbn;
 pub mod compiled;
 pub mod decoded;
 pub mod disasm;
+mod divbig;
 pub mod cost;
 pub mod device;
 pub mod env;

@@ -561,9 +561,11 @@ mod tests {
     use super::*;
     use crate::limbs::{from_u128, to_u128};
 
+    type Algo = fn(&[Limb], &[Limb]) -> (Vec<Limb>, Vec<Limb>);
+
     fn check_all(a: u128, b: u128) {
         let (la, lb) = (from_u128(a), from_u128(b));
-        let algos: [(&str, fn(&[Limb], &[Limb]) -> (Vec<Limb>, Vec<Limb>)); 5] = [
+        let algos: [(&str, Algo); 5] = [
             ("dispatch", div_rem),
             ("knuth", div_rem_knuth),
             ("binary_search", div_rem_binary_search),

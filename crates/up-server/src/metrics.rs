@@ -444,6 +444,11 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(
             o,
+            "div_big:     {} lanes divided warp-wide · {} lanes one at a time",
+            t.divbig_warp_lanes, t.divbig_loop_lanes
+        );
+        let _ = writeln!(
+            o,
             "pipelining:  {} queries, {} DAG nodes, overlap won {}, stream utilization {:.1}%",
             self.pipelined_queries,
             self.pipeline_nodes,
@@ -632,5 +637,10 @@ mod tests {
         assert!(text.contains("gpu streams:"), "{text}");
         let isa = up_gpusim::thunk_isa();
         assert!(text.contains(&format!("word planes) · {isa} ALU thunks")), "{text}");
+        snap.exec_tiers.divbig_warp_lanes = 96;
+        snap.exec_tiers.divbig_loop_lanes = 3;
+        let text = snap.report();
+        let div_line = "div_big:     96 lanes divided warp-wide · 3 lanes one at a time";
+        assert!(text.contains(div_line), "{text}");
     }
 }

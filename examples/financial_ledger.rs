@@ -117,7 +117,7 @@ fn main() {
         .unwrap();
     // (1 + r)^8 expanded as a product expression — every factor exact.
     let factor = "1.000137174";
-    let expr = vec![factor; 8].join(" * ");
+    let expr = [factor; 8].join(" * ");
     let q = format!("SELECT principal * {expr} FROM pos");
     let rc = compound.query(&q).unwrap();
     println!("  final position = {}", rc.rows[0][0].render());

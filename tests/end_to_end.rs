@@ -36,20 +36,21 @@ fn gpu_projection_matches_cpu_reference_on_random_data() {
                 ("c3", ColumnType::Decimal(tys[2])),
             ]),
         );
-        for i in 0..300 {
+        let rows = cols[0].iter().zip(&cols[1]).zip(&cols[2]);
+        for ((c1, c2), c3) in rows.clone() {
             db.insert(
                 "r1",
                 vec![
-                    Value::Decimal(cols[0][i].clone()),
-                    Value::Decimal(cols[1][i].clone()),
-                    Value::Decimal(cols[2][i].clone()),
+                    Value::Decimal(c1.clone()),
+                    Value::Decimal(c2.clone()),
+                    Value::Decimal(c3.clone()),
                 ],
             )
             .unwrap();
         }
         let r = db.query("SELECT c1 + c2 + c3 FROM r1").unwrap();
-        for i in 0..300 {
-            let want = cols[0][i].add(&cols[1][i]).add(&cols[2][i]);
+        for (i, ((c1, c2), c3)) in rows.enumerate() {
+            let want = c1.add(c2).add(c3);
             let Value::Decimal(got) = &r.rows[i][0] else { panic!() };
             assert_eq!(got.cmp_value(&want), std::cmp::Ordering::Equal, "p={p} row={i}");
         }
