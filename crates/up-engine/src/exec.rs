@@ -26,6 +26,7 @@ use crate::storage::{Catalog, ColumnData, Table, Value};
 use core::cmp::Ordering;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 use up_baselines::limited::{CapError, LimitedDecimal, LimitedEngine};
 use up_baselines::soft_decimal::SoftDecimal;
@@ -1769,10 +1770,11 @@ fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
 /// throughput-weighted range bounds (the scatter), each device folds its
 /// shard (local exec), and the partials merge in fixed device order (the
 /// exchange+merge); without one there is a single shard. Exact arithmetic
-/// makes the split invisible — decimal sums accumulate as fixed-width
-/// word arrays ([`SumAcc`]), i64 sums and comparisons are order-robust
-/// under contiguous regrouping — so rows are bit-identical at any fleet
-/// size. Float folds are not associative and stay serial.
+/// makes the split invisible — a shard's decimal cells fold in one
+/// carry-save pass over their bytes ([`SumAcc::add_cells`]), i64 sums
+/// and comparisons are order-robust under contiguous regrouping — so rows
+/// are bit-identical at any fleet size. Float folds are not associative
+/// and stay serial.
 fn aggregate_group(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
@@ -1808,7 +1810,10 @@ fn aggregate_group(
                 // `sum_result` keeps the scale, so the column's unscaled
                 // integers add as they are: no per-row alignment.
                 let out_ty = ty.sum_result(n as u64);
-                let total = sharded_sum(&bounds, out_ty, |acc, k| acc.add_compact(cell(k)));
+                let total = sharded_sum(&bounds, out_ty, |acc, w| match members {
+                    Members::All(_) => acc.add_cells(bytes, lb, w),
+                    Members::List(rows) => acc.add_cells(bytes, lb, rows[w].iter().copied()),
+                });
                 sum_value(f, total, out_ty, n as u64)
             } else {
                 let k = sharded_extremum(f, &bounds, |a, b| cmp_compact(cell(a), cell(b)));
@@ -1830,8 +1835,10 @@ fn aggregate_group(
                         // Walks the serial member order, never sharded.
                         checked_limited_sum(kind, &group, out_ty)?;
                     }
-                    let total = sharded_sum(&bounds, out_ty, |acc, k| {
-                        acc.add_decimal(group[k], out_ty.scale)
+                    let total = sharded_sum(&bounds, out_ty, |acc, w| {
+                        for v in &group[w] {
+                            acc.add_decimal(v, out_ty.scale);
+                        }
                     });
                     sum_value(f, total, out_ty, n as u64)
                 } else {
@@ -1885,16 +1892,17 @@ fn gather<'v, T>(
 }
 
 /// SUM over members `0..n` split at `bounds`: one partial accumulator per
-/// shard, merged in device order.
+/// shard, filled by `add` from the shard's member range, merged in device
+/// order.
 fn sharded_sum(
     bounds: &[usize],
     out_ty: DecimalType,
-    mut add: impl FnMut(&mut SumAcc, usize),
+    mut add: impl FnMut(&mut SumAcc, Range<usize>),
 ) -> BigInt {
     let mut acc = SumAcc::new(out_ty.lw());
     for w in bounds.windows(2) {
         let mut part = SumAcc::new(out_ty.lw());
-        (w[0]..w[1]).for_each(|k| add(&mut part, k));
+        add(&mut part, w[0]..w[1]);
         acc.merge(&part);
     }
     acc.finish()

@@ -15,6 +15,7 @@
 
 use crate::bigint::{BigInt, Sign};
 use crate::decimal::UpDecimal;
+use crate::div::div_2by1;
 use crate::limbs::{self, Limb};
 use core::cmp::Ordering;
 use core::fmt;
@@ -40,19 +41,21 @@ pub(crate) fn compact_sign_bit(bytes: &[u8]) -> bool {
     bytes.last().is_some_and(|b| b & 0x80 != 0)
 }
 
-/// `acc += Σ limb(k)·2^(32k)` for `k < n`, growing `acc` instead of
-/// dropping a carry.
+/// `acc += addend · 2^(32·at)`, growing `acc` instead of dropping a
+/// carry.
 #[inline]
-fn accumulate(acc: &mut Vec<Limb>, n: usize, limb: impl Fn(usize) -> Limb) {
+fn accumulate(acc: &mut Vec<Limb>, at: usize, addend: &[Limb]) {
+    let n = at + addend.len();
     if acc.len() <= n {
         acc.resize(n + 1, 0);
     }
     let mut carry = false;
-    for (k, slot) in acc.iter_mut().enumerate() {
+    for (k, slot) in acc.iter_mut().enumerate().skip(at) {
         if k >= n && !carry {
             return;
         }
-        *slot = limbs::add_carry(*slot, if k < n { limb(k) } else { 0 }, &mut carry);
+        let limb = addend.get(k - at).copied().unwrap_or(0);
+        *slot = limbs::add_carry(*slot, limb, &mut carry);
     }
     if carry {
         acc.push(1);
@@ -61,9 +64,9 @@ fn accumulate(acc: &mut Vec<Limb>, n: usize, limb: impl Fn(usize) -> Limb) {
 
 /// The SUM accumulator of a decimal column: one fixed-width magnitude for
 /// the positive addends and one for the negative ones, subtracted once in
-/// [`SumAcc::finish`]. Adding a value is a carry chain over its words — no
-/// sign comparison, no allocation — which is what makes the fold
-/// order-independent: shards can be summed apart and [`merge`]d.
+/// [`SumAcc::finish`]. A column is added by [`SumAcc::add_cells`] in one
+/// carry-save pass; integer addition is associative, so shards can be
+/// summed apart and [`merge`]d in any grouping with the same result.
 ///
 /// Sized for the §III-B3 result type (`Lw(out) + 1` words each, the extra
 /// word absorbing any carry of in-range addends); out-of-range input grows
@@ -85,16 +88,58 @@ impl SumAcc {
         }
     }
 
-    /// Adds one compact value (any `Lb`; the unscaled integer is added as
-    /// is, so the column's scale must be the result's scale).
-    #[inline]
-    pub fn add_compact(&mut self, bytes: &[u8]) {
-        let acc = if compact_sign_bit(bytes) {
-            &mut self.neg
-        } else {
-            &mut self.pos
-        };
-        accumulate(acc, bytes.len().div_ceil(4), |k| compact_limb(bytes, k));
+    /// Adds the compact cells `rows` of `column`, whose cells are `lb`
+    /// bytes each, back to back (any `Lb`; the unscaled integers are added
+    /// as they are, so the column's scale must be the result's scale).
+    ///
+    /// Carry-save: each cell is read as 64-bit words, its sign bit becomes
+    /// a 0/−1 mask, and `±word` adds into one `i128` lane per word position
+    /// — no carry chain, no sign branch and no allocation per row. The
+    /// lanes carry into the accumulator once, at the end. A lane's
+    /// magnitude stays below `rows · 2⁶⁴`, so the fold is exact for fewer
+    /// than 2⁶³ rows.
+    pub fn add_cells(&mut self, column: &[u8], lb: usize, rows: impl IntoIterator<Item = usize>) {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+        // Words `0..top` of a cell are whole. The top word is read as the
+        // eight bytes that end the cell, in place — the low `shift` bits
+        // belong to the word or cell before it — and shifted down.
+        let top = lb.div_ceil(8) - 1;
+        let shift = 8 * (8 * (top + 1) - lb) as u32;
+        with_scratch::<i128, 2, STACK_WORDS, _>(top + 1, |lanes| {
+            let (body, high) = lanes.split_at_mut(top);
+            let mut n = 0u64;
+            for r in rows {
+                let (start, end) = (r * lb, (r + 1) * lb);
+                let raw = match end.checked_sub(8) {
+                    Some(at) => word(&column[at..end]),
+                    // One of the first cells of a column of short cells: zeros
+                    // stand in for the bytes before the column.
+                    None => {
+                        let mut padded = [0; 8];
+                        padded[8 - end..].copy_from_slice(&column[..end]);
+                        u64::from_le_bytes(padded)
+                    }
+                };
+                let m = -((raw >> 63) as i64);
+                high[0] += ((((raw << 1 >> 1) >> shift) as i64 ^ m) - m) as i128;
+                let (m, cell) = (m as i128, &column[start..start + 8 * top]);
+                for (lane, w) in body.iter_mut().zip(cell.chunks_exact(8)) {
+                    *lane += (word(w) as i128 ^ m) - m;
+                }
+                n += 1;
+            }
+            debug_assert!(n < 1 << 63, "i128 lanes are exact below 2⁶³ rows");
+            for (j, &lane) in lanes.iter().enumerate().filter(|(_, &l)| l != 0) {
+                let mag = lane.unsigned_abs();
+                let words: [Limb; 4] = core::array::from_fn(|i| (mag >> (32 * i)) as Limb);
+                let acc = if lane < 0 {
+                    &mut self.neg
+                } else {
+                    &mut self.pos
+                };
+                accumulate(acc, 2 * j, &words[..limbs::sig_limbs(&words)]);
+            }
+        })
     }
 
     /// Adds a value's unscaled integer aligned up to `scale`. For a typed
@@ -116,18 +161,13 @@ impl SumAcc {
         } else {
             &mut self.pos
         };
-        let mag = v.mag();
-        accumulate(acc, mag.len(), |k| mag[k]);
+        accumulate(acc, 0, v.mag());
     }
 
     /// Adds another accumulator's partial sums (a shard's, in the fleet).
     pub fn merge(&mut self, other: &SumAcc) {
-        accumulate(&mut self.pos, limbs::sig_limbs(&other.pos), |k| {
-            other.pos[k]
-        });
-        accumulate(&mut self.neg, limbs::sig_limbs(&other.neg), |k| {
-            other.neg[k]
-        });
+        accumulate(&mut self.pos, 0, &other.pos[..limbs::sig_limbs(&other.pos)]);
+        accumulate(&mut self.neg, 0, &other.neg[..limbs::sig_limbs(&other.neg)]);
     }
 
     /// The signed total: positives minus negatives.
@@ -165,18 +205,25 @@ pub fn cmp_compact(a: &[u8], b: &[u8]) -> Ordering {
     }
 }
 
-/// Limbs kept on the stack while rendering: LEN 32 plus SUM growth.
-const STACK_LIMBS: usize = 40;
-/// Text bytes kept on the stack: what [`render_limbs`] needs for that many.
-const STACK_TEXT: usize = 10 * STACK_LIMBS + 12;
+/// Words kept on the stack while folding or rendering: LEN 32 plus SUM
+/// growth.
+const STACK_WORDS: usize = 20;
+/// Text bytes kept on the stack: what [`render_words`] needs for that many.
+const STACK_TEXT: usize = 20 * STACK_WORDS + 22;
 
-/// Runs `f` over `n` zeroed scratch limbs — on the stack up to
-/// [`STACK_LIMBS`], one heap buffer beyond.
-fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [Limb]) -> R) -> R {
-    if n <= STACK_LIMBS {
-        f(&mut [0; STACK_LIMBS][..n])
+/// Runs `f` over `n` zeroed scratch elements: a `SMALL` stack array when
+/// that holds them — a short value zeroes little, per call — then a `BIG`
+/// one, then one heap buffer.
+fn with_scratch<T: Copy + Default, const SMALL: usize, const BIG: usize, R>(
+    n: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if n <= SMALL {
+        f(&mut [T::default(); SMALL][..n])
+    } else if n <= BIG {
+        f(&mut [T::default(); BIG][..n])
     } else {
-        f(&mut vec![0; n])
+        f(&mut vec![T::default(); n])
     }
 }
 
@@ -200,60 +247,73 @@ fn nine_digits(chunk: u32, out: &mut [u8]) {
     }
 }
 
+/// 10¹⁹, the largest power of ten in a word. It is at least 2⁶³, so it is
+/// a normalized divisor for [`div_2by1`] as it stands.
+const CHUNK: u64 = 10_000_000_000_000_000_000;
+/// `div::reciprocal(CHUNK)`, evaluated at compile time.
+const CHUNK_INV: u64 = ((((!CHUNK as u128) << 64) | u64::MAX as u128) / CHUNK as u128) as u64;
+
 /// Renders `±work · 10^(−scale)`, destroying `work`, and hands the ASCII
-/// text to `sink`. Repeated division by 10⁹ (a constant divisor, so
-/// multiplies) peels nine digits at a time into the tail of one flat digit
-/// buffer; the sign, the zero padding out to the scale and the `.` are
-/// placed once, afterwards.
-fn render_limbs<R>(neg: bool, work: &mut [Limb], scale: u32, sink: impl FnOnce(&[u8]) -> R) -> R {
-    const CHUNK: u64 = 1_000_000_000;
+/// text to `sink`. While more than a word's worth is left, each pass
+/// divides by 10¹⁹ with one Möller–Granlund 2-by-1 step per word and peels
+/// nineteen digits (1 + 9 + 9); the last word goes nine digits at a time.
+/// Digits fill the tail of one flat buffer; the sign, the zero padding out
+/// to the scale and the `.` are placed once, afterwards.
+fn render_words<R>(neg: bool, work: &mut [u64], scale: u32, sink: impl FnOnce(&[u8]) -> R) -> R {
+    const NINE: u64 = 1_000_000_000;
     let scale = scale as usize;
-    let mut n = limbs::sig_limbs(work);
+    let mut n = work.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
     let neg = neg && n > 0;
-    // Nine digits per pass and ≤ 9.64 per limb, or zero padding out to the
-    // scale; plus the integer "0", '-', and the slot the '.' opens up.
-    let need = (10 * n + 9).max(scale) + 3;
-    let mut stack = [0u8; STACK_TEXT];
-    let mut heap = Vec::new();
-    let buf: &mut [u8] = if need <= STACK_TEXT {
-        &mut stack
-    } else {
-        heap.resize(need, 0);
-        &mut heap
-    };
-    // Digits fill `buf[pos..end]`; `buf[end]` stays free for the '.'.
-    let mut end = buf.len() - 1;
-    let mut pos = end;
-    while n > 0 {
-        let mut rem = 0u64;
-        for w in work[..n].iter_mut().rev() {
-            let cur = (rem << 32) | *w as u64;
-            rem = cur % CHUNK;
-            *w = (cur / CHUNK) as Limb;
+    // Nineteen digits per pass and ≤ 19.27 per word, or zero padding out to
+    // the scale; plus the integer "0", '-', and the slot the '.' opens up.
+    let need = (20 * n + 19).max(scale) + 3;
+    with_scratch::<u8, 64, STACK_TEXT, R>(need, |buf| {
+        // Digits fill `buf[pos..end]`; `buf[end]` stays free for the '.'.
+        let mut end = buf.len() - 1;
+        let mut pos = end;
+        while n > 1 || n == 1 && work[0] >= CHUNK {
+            let mut rem = 0;
+            for w in work[..n].iter_mut().rev() {
+                (*w, rem) = div_2by1(rem, *w, CHUNK, CHUNK_INV);
+            }
+            // A quotient by less than 2⁶⁴ is at most one word shorter.
+            n -= (work[n - 1] == 0) as usize;
+            let low = rem % (NINE * NINE);
+            buf[pos - 19] = b'0' + (rem / (NINE * NINE)) as u8;
+            nine_digits((low / NINE) as u32, &mut buf[pos - 18..pos - 9]);
+            nine_digits((low % NINE) as u32, &mut buf[pos - 9..pos]);
+            pos -= 19;
         }
-        n = limbs::sig_limbs(&work[..n]);
-        nine_digits(rem as u32, &mut buf[pos - 9..pos]);
-        pos -= 9;
-    }
-    // The most significant chunk's leading zeros go; the scale's stay.
-    while pos < end && buf[pos] == b'0' {
-        pos += 1;
-    }
-    if end - pos <= scale {
-        let first = end - scale - 1;
-        buf[first..pos].fill(b'0');
-        pos = first;
-    }
-    if scale > 0 {
-        buf.copy_within(end - scale..end, end - scale + 1);
-        buf[end - scale] = b'.';
-        end += 1;
-    }
-    if neg {
-        pos -= 1;
-        buf[pos] = b'-';
-    }
-    sink(&buf[pos..end])
+        let mut last = if n == 0 { 0 } else { work[0] };
+        while last > 0 {
+            nine_digits((last % NINE) as u32, &mut buf[pos - 9..pos]);
+            last /= NINE;
+            pos -= 9;
+        }
+        // The most significant chunk's leading zeros go (up to 18, so
+        // eight at a time first); the scale's stay.
+        while end - pos > 8 && buf[pos..pos + 8] == *b"00000000" {
+            pos += 8;
+        }
+        while pos < end && buf[pos] == b'0' {
+            pos += 1;
+        }
+        if end - pos <= scale {
+            let first = end - scale - 1;
+            buf[first..pos].fill(b'0');
+            pos = first;
+        }
+        if scale > 0 {
+            buf.copy_within(end - scale..end, end - scale + 1);
+            buf[end - scale] = b'.';
+            end += 1;
+        }
+        if neg {
+            pos -= 1;
+            buf[pos] = b'-';
+        }
+        sink(&buf[pos..end])
+    })
 }
 
 fn write_ascii(out: &mut impl fmt::Write, text: &[u8]) -> fmt::Result {
@@ -268,19 +328,28 @@ pub fn write_decimal(
     mag: &[Limb],
     scale: u32,
 ) -> fmt::Result {
-    with_scratch(mag.len(), |work| {
-        work.copy_from_slice(mag);
-        render_limbs(neg, work, scale, |text| write_ascii(out, text))
+    with_scratch::<u64, 2, STACK_WORDS, _>(mag.len().div_ceil(2), |work| {
+        for (w, pair) in work.iter_mut().zip(mag.chunks(2)) {
+            *w = pair.iter().rev().fold(0, |w, &l| w << 32 | l as u64);
+        }
+        render_words(neg, work, scale, |text| write_ascii(out, text))
     })
 }
 
 /// Renders a compact value of the given scale and hands the text to `sink`.
 fn render_compact<R>(bytes: &[u8], scale: u32, sink: impl FnOnce(&[u8]) -> R) -> R {
-    with_scratch(bytes.len().div_ceil(4), |work| {
-        for (k, w) in work.iter_mut().enumerate() {
-            *w = compact_limb(bytes, k);
+    with_scratch::<u64, 2, STACK_WORDS, _>(bytes.len().div_ceil(8), |work| {
+        for (w, chunk) in work.iter_mut().zip(bytes.chunks(8)) {
+            *w = match chunk.try_into() {
+                Ok(whole) => u64::from_le_bytes(whole),
+                Err(_) => chunk.iter().rev().fold(0, |w, &b| w << 8 | b as u64),
+            };
         }
-        render_limbs(compact_sign_bit(bytes), work, scale, sink)
+        // The sign bit is the top bit of the last byte.
+        if let Some(top) = work.last_mut() {
+            *top &= !(0x80 << (8 * ((bytes.len() - 1) % 8)));
+        }
+        render_words(compact_sign_bit(bytes), work, scale, sink)
     })
 }
 
@@ -329,10 +398,9 @@ mod tests {
         assert_eq!(text(&neg_zero, 2), "0.00");
         assert!(decode_compact(&neg_zero, t).is_zero());
         let mut acc = SumAcc::new(t.lw());
-        acc.add_compact(&neg_zero);
+        acc.add_cells(&neg_zero, 5, [0]);
         assert!(acc.finish().is_zero());
-        acc.add_compact(&minus_one);
-        acc.add_compact(&neg_zero);
+        acc.add_cells(&[minus_one, neg_zero.to_vec()].concat(), 5, [0, 1]);
         assert_eq!(acc.finish(), BigInt::from(-1i64));
     }
 
@@ -343,10 +411,8 @@ mod tests {
         let max = [0xff, 0xff, 0xff, 0x7f];
         let mut acc = SumAcc::new(1);
         let mut neg = SumAcc::new(1);
-        for _ in 0..1 << 20 {
-            acc.add_compact(&max);
-            neg.add_compact(&[0xff; 4]);
-        }
+        acc.add_cells(&max.repeat(1 << 20), 4, 0..1 << 20);
+        neg.add_cells(&[0xff; 4].repeat(1 << 20), 4, 0..1 << 20);
         let expect = BigInt::from((i32::MAX as i64) << 20);
         assert_eq!(acc.finish(), expect);
         assert_eq!(neg.finish(), expect.neg());
@@ -360,7 +426,7 @@ mod tests {
         let wide = BigInt::parse_dec("123456789012345678901234567890123456789").unwrap();
         acc.add_int(&wide);
         acc.add_int(&wide);
-        acc.add_compact(&[1, 0, 0, 0, 0, 0, 0, 0, 0x80]); // −1 in nine bytes
+        acc.add_cells(&[1, 0, 0, 0, 0, 0, 0, 0, 0x80], 9, [0]); // −1 in nine bytes
         assert_eq!(acc.finish(), wide.add(&wide).sub(&BigInt::one()));
         // A carry out of the top word grows the accumulator too.
         let mut acc = SumAcc::new(0);
@@ -378,7 +444,7 @@ mod tests {
     }
 
     /// Digit by digit through `BigInt::div_rem` by ten: shares nothing
-    /// with the writer's 10⁹ chunks, pair table or `.` placement.
+    /// with the writer's 10¹⁹ and 10⁹ chunks, pair table or `.` placement.
     fn reference(int: &BigInt, scale: u32) -> String {
         let ten = BigInt::from(10u64);
         let (mut v, mut text) = (int.abs(), Vec::new());
@@ -409,31 +475,73 @@ mod tests {
 
     #[test]
     fn radix_writer_equals_digit_by_digit_division() {
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
         let mut mags: Vec<Vec<Limb>> = vec![vec![], vec![0, 0, 0]];
-        // Chunk boundaries, up to 432 digits: 45 limbs, past STACK_LIMBS
-        // and (with the scales below) past STACK_TEXT, so the heap paths.
+        // Chunk boundaries of both passes, up to 437 digits: 46 limbs, past
+        // STACK_WORDS and (with the scales below) past STACK_TEXT, so the
+        // heap paths. 10^(19k) − 1 is chunks of all 9s; 10^(19k) + 1 and
+        // 10^(19k) + 10^(19⌊k/2⌋) have zero chunks in the middle.
+        let ten = BigInt::from(10u64);
         for k in 1..=48 {
-            let p = BigInt::from(10u64).pow(9 * k);
+            let p = ten.pow(9 * k);
             for v in [p.sub(&BigInt::one()), p.clone(), p.add(&BigInt::one())] {
+                mags.push(v.mag().to_vec());
+            }
+        }
+        for k in 1..=23 {
+            let p = ten.pow(19 * k);
+            let middle = p.add(&ten.pow(19 * (k / 2)));
+            for v in [
+                p.sub(&BigInt::one()),
+                p.clone(),
+                p.add(&BigInt::one()),
+                middle,
+            ] {
                 mags.push(v.mag().to_vec());
             }
         }
         mags.extend((1..=44).map(|n| vec![Limb::MAX; n]));
         mags.extend([1, 9, 10, 99, 100, 999_999_999, 1_000_000_000, Limb::MAX].map(|w| vec![w]));
-        for mag in &mags {
+        let mut rng = StdRng::seed_from_u64(0x5eed_d161);
+        let random = (1..=48).map(|n| (0..n).map(|_| rng.next_u32()).collect::<Vec<Limb>>());
+        let mags = mags
+            .into_iter()
+            .map(|m| (m, false))
+            .chain(random.map(|m| (m, true)));
+        for (mag, random) in mags {
+            let mag = &mag;
             let digits = BigInt::from_sign_mag(Sign::Plus, mag.clone()).dec_digits();
-            for scale in [0, 2, 38, digits.saturating_sub(1), digits, digits + 1] {
+            let mut scales = vec![0, 2, 38, digits.saturating_sub(1), digits, digits + 1];
+            if random {
+                // Straddle every 19-digit chunk boundary.
+                scales.extend(
+                    (19..=digits + 1)
+                        .step_by(19)
+                        .flat_map(|b| [b - 1, b, b + 1]),
+                );
+            }
+            for scale in scales {
                 for neg in [false, true] {
-                    let int = BigInt::from_sign_mag(if neg { Sign::Minus } else { Sign::Plus }, mag.clone());
+                    let int = BigInt::from_sign_mag(
+                        if neg { Sign::Minus } else { Sign::Plus },
+                        mag.clone(),
+                    );
                     let mut got = String::new();
                     write_decimal(&mut got, neg, mag, scale).unwrap();
-                    assert_eq!(got, reference(&int, scale), "{mag:?} scale {scale} neg {neg}");
+                    assert_eq!(
+                        got,
+                        reference(&int, scale),
+                        "{mag:?} scale {scale} neg {neg}"
+                    );
                 }
             }
         }
         assert_eq!(reference(&BigInt::zero(), 0), "0");
         assert_eq!(reference(&BigInt::zero(), 2), "0.00");
-        assert_eq!(reference(&BigInt::from(-5i64), 38), format!("-0.{}5", "0".repeat(37)));
+        assert_eq!(
+            reference(&BigInt::from(-5i64), 38),
+            format!("-0.{}5", "0".repeat(37))
+        );
     }
 
     #[test]

@@ -212,7 +212,7 @@ fn reciprocal(d: u64) -> u64 {
 /// Granlund, 2011), Algorithm 4 — one widening multiply, one low
 /// multiply and at most two corrections. Returns `(quotient, remainder)`.
 #[inline]
-fn div_2by1(u1: u64, u0: u64, d: u64, v: u64) -> (u64, u64) {
+pub(crate) fn div_2by1(u1: u64, u0: u64, d: u64, v: u64) -> (u64, u64) {
     let p = (v as u128 * u1 as u128).wrapping_add((u1 as u128) << 64 | u0 as u128);
     let mut q = ((p >> 64) as u64).wrapping_add(1);
     let mut r = u0.wrapping_sub(q.wrapping_mul(d));

@@ -270,12 +270,14 @@ proptest! {
         }).collect();
         let want = vals.iter().fold(BigInt::zero(), |a, v| a.add(v.unscaled()));
         let out_lw = ty.sum_result(vals.len() as u64).lw();
-        // One accumulator over compact bytes; two shard partials over
+        // One accumulator over the compact column; two shard partials over
         // borrowed limbs, merged.
+        let column: Vec<u8> =
+            vals.iter().flat_map(|v| compact::encode_compact(v, ty).unwrap()).collect();
         let mut whole = SumAcc::new(out_lw);
+        whole.add_cells(&column, ty.lb(), 0..vals.len());
         let (mut left, mut right) = (SumAcc::new(out_lw), SumAcc::new(out_lw));
         for (i, v) in vals.iter().enumerate() {
-            whole.add_compact(&compact::encode_compact(v, ty).unwrap());
             if i < split { left.add_decimal(v, 5) } else { right.add_decimal(v, 5) }
         }
         left.merge(&right);
