@@ -104,43 +104,6 @@ impl AltDecimal {
         }
         UpDecimal::from_parts_unchecked(unscaled, ty)
     }
-
-    /// Adds two same-sign values **without any scale alignment** — the
-    /// representation's selling point (Fig. 5): fraction words add as
-    /// base-10⁹ digits with decimal carries into the integer part, no
-    /// ×10ᵏ multiply even when the operands' scales differ.
-    pub fn add_abs_unaligned(&self, other: &AltDecimal) -> AltDecimal {
-        let dscale = self.dscale.max(other.dscale);
-        let frac_n = self.frac_words.len().max(other.frac_words.len());
-        let mut frac = vec![0u32; frac_n];
-        let mut carry: u32 = 0;
-        for i in (0..frac_n).rev() {
-            let a = self.frac_words.get(i).copied().unwrap_or(0);
-            let b = other.frac_words.get(i).copied().unwrap_or(0);
-            let s = a as u64 + b as u64 + carry as u64;
-            if s >= 1_000_000_000 {
-                frac[i] = (s - 1_000_000_000) as u32;
-                carry = 1;
-            } else {
-                frac[i] = s as u32;
-                carry = 0;
-            }
-        }
-        // Integer part: binary addition plus the decimal carry.
-        let mut int = up_num::limbs::add(&self.int_words, &other.int_words);
-        if carry != 0 {
-            int.resize(int.len() + 1, 0);
-            let c = up_num::limbs::add_assign(&mut int, &[1]);
-            debug_assert!(!c);
-            up_num::limbs::trim(&mut int);
-        }
-        AltDecimal {
-            sign: if self.sign == 0 && other.sign == 0 { 0 } else { 1 },
-            int_words: int,
-            frac_words: frac,
-            dscale,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,27 +141,6 @@ mod tests {
             let alt = AltDecimal::from_decimal(&v);
             assert_eq!(alt.to_decimal(t), v, "{s}");
         }
-    }
-
-    #[test]
-    fn fig5_addition_needs_no_alignment() {
-        // 1.23 (4,2) + 1.1 (4,1): Fig. 5 adds int parts (1+1=2) and frac
-        // parts (0.23+0.1 → 330,000,000) with no ×10 multiply.
-        let a = AltDecimal::from_decimal(&UpDecimal::parse("1.23", ty(4, 2)).unwrap());
-        let b = AltDecimal::from_decimal(&UpDecimal::parse("1.1", ty(4, 1)).unwrap());
-        let sum = a.add_abs_unaligned(&b);
-        assert_eq!(sum.int_words, vec![2]);
-        assert_eq!(sum.frac_words, vec![330_000_000]);
-        let got = sum.to_decimal(ty(6, 2));
-        assert_eq!(got.to_string(), "2.33");
-    }
-
-    #[test]
-    fn fraction_carry_ripples_into_integer() {
-        let a = AltDecimal::from_decimal(&UpDecimal::parse("0.6", ty(2, 1)).unwrap());
-        let b = AltDecimal::from_decimal(&UpDecimal::parse("0.7", ty(2, 1)).unwrap());
-        let sum = a.add_abs_unaligned(&b);
-        assert_eq!(sum.to_decimal(ty(3, 1)).to_string(), "1.3");
     }
 
     #[test]

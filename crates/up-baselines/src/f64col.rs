@@ -45,11 +45,6 @@ pub fn to_f64_column(values: &[UpDecimal]) -> Vec<f64> {
     values.iter().map(UpDecimal::to_f64).collect()
 }
 
-/// Absolute error of a DOUBLE result against the exact decimal value.
-pub fn absolute_error(double_result: f64, exact: &UpDecimal) -> f64 {
-    (double_result - exact.to_f64()).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

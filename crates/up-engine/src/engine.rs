@@ -85,12 +85,6 @@ impl Database {
         self.profile
     }
 
-    /// Switches profile (kernel cache survives — kernels are profile-
-    /// independent and only UltraPrecise uses them).
-    pub fn set_profile(&mut self, profile: Profile) {
-        self.profile = profile;
-    }
-
     /// Installs (or clears) the simulated device fleet. Queries shard
     /// scans across it and attach a `FleetReport`; rows and `ModeledTime`
     /// stay bit-identical to single-device execution.
@@ -330,32 +324,6 @@ impl Database {
             let _ = writeln!(out, "limit: {l}");
         }
         Ok(out)
-    }
-
-    /// Saves a table to a file in the compact binary format.
-    pub fn save_table(
-        &self,
-        name: &str,
-        path: &std::path::Path,
-    ) -> Result<(), crate::persist::PersistError> {
-        let t = self
-            .table(name)
-            .ok_or_else(|| crate::persist::PersistError::Corrupt(format!("no table {name}")))?;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        crate::persist::save(&t, &mut f)
-    }
-
-    /// Loads a table file into the catalog (replacing any same-named
-    /// table).
-    pub fn load_table(
-        &mut self,
-        path: &std::path::Path,
-    ) -> Result<String, crate::persist::PersistError> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        let t = crate::persist::load(&mut f)?;
-        let name = t.name.clone();
-        self.catalog.put(t);
-        Ok(name)
     }
 }
 
@@ -820,23 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_table_through_database() {
-        let db = small_db(Profile::UltraPrecise);
-        let dir = std::env::temp_dir().join("up_engine_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.uptb");
-        db.save_table("r", &path).unwrap();
-
-        let mut db2 = Database::new(Profile::UltraPrecise);
-        let name = db2.load_table(&path).unwrap();
-        assert_eq!(name, "r");
-        let r1 = db.query("SELECT SUM(c1 + c2) FROM r").unwrap();
-        let r2 = db2.query("SELECT SUM(c1 + c2) FROM r").unwrap();
-        assert_eq!(r1.rows[0][0].render(), r2.rows[0][0].render());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn having_filters_groups() {
         let db = small_db(Profile::UltraPrecise);
         let r = db
@@ -882,11 +833,7 @@ mod tests {
 
     #[test]
     fn explain_describes_routing_and_optimization() {
-        let db = {
-            let mut db = small_db(Profile::UltraPrecise);
-            db.set_profile(Profile::UltraPrecise);
-            db
-        };
+        let db = small_db(Profile::UltraPrecise);
         let text = db
             .explain("SELECT g, SUM(c1 + 1 + 2) AS s FROM r GROUP BY g HAVING s > 0 ORDER BY g LIMIT 5")
             .unwrap();
@@ -898,8 +845,7 @@ mod tests {
         assert!(text.contains("having:"));
         assert!(text.contains("limit: 5"));
         // A comparator profile reports its routing.
-        let mut pg = small_db(Profile::PostgresLike);
-        pg.set_profile(Profile::PostgresLike);
+        let pg = small_db(Profile::PostgresLike);
         let t2 = pg.explain("SELECT c1 + c2 FROM r").unwrap();
         assert!(t2.contains("comparator backend"), "{t2}");
     }

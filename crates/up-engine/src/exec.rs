@@ -33,7 +33,7 @@ use up_baselines::soft_decimal::SoftDecimal;
 use up_baselines::AltDecimal;
 use up_gpusim::cgbn::Tpi;
 use up_gpusim::cost::kernel_time;
-use up_gpusim::pipeline::{plan_timeline, run_dag, DagNodeCost, PipelineMode, PipelineReport};
+use up_gpusim::pipeline::{run_dag, DagNodeCost, PipelineMode, PipelineReport, SharedTimeline};
 use up_gpusim::{DeviceConfig, GlobalMem};
 use up_jit::cache::{CompileHandle, CompileInfo, Compiled, JitEngine};
 use up_jit::Expr;
@@ -1274,9 +1274,10 @@ fn eval_slots_pipelined<'a>(
         // query's modeled arrival, so the report includes cross-query
         // contention as queue delay.
         Some(a) => a.timeline.place_on(a.device, a.arrival_s, &tnodes),
+        // Otherwise the plan's nodes get a timeline of their own.
         None => {
             let lanes = ctx.pipeline.depth().min(4);
-            plan_timeline(&tnodes, lanes, lanes)
+            SharedTimeline::new(lanes, lanes).place(0.0, &tnodes)
         }
     };
     Ok((outs, report))

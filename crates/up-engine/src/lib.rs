@@ -11,7 +11,6 @@
 
 pub mod engine;
 pub mod exec;
-pub mod persist;
 pub mod plan;
 pub mod profiles;
 pub mod rows;

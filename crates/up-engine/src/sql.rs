@@ -231,6 +231,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Input length in bytes: the position reported at end of input.
+    end: usize,
 }
 
 impl Parser {
@@ -239,7 +241,7 @@ impl Parser {
     }
 
     fn at(&self) -> usize {
-        self.toks.get(self.pos).map(|(_, a)| *a).unwrap_or(usize::MAX)
+        self.toks.get(self.pos).map_or(self.end, |(_, a)| *a)
     }
 
     fn next(&mut self) -> Option<Tok> {
@@ -429,17 +431,17 @@ impl Parser {
         self.expect_kw("as")?;
         self.expect_kw("decimal")?;
         self.expect_sym('(')?;
+        let at = self.at();
         let p = match self.next() {
-            Some(Tok::Num(n)) => n
-                .parse()
-                .map_err(|_| ParseError { msg: "bad precision".into(), at: self.at() })?,
+            Some(Tok::Num(n)) => {
+                n.parse().map_err(|_| ParseError { msg: "bad precision".into(), at })?
+            }
             _ => return self.err("expected precision"),
         };
         self.expect_sym(',')?;
+        let at = self.at();
         let sc = match self.next() {
-            Some(Tok::Num(n)) => n
-                .parse()
-                .map_err(|_| ParseError { msg: "bad scale".into(), at: self.at() })?,
+            Some(Tok::Num(n)) => n.parse().map_err(|_| ParseError { msg: "bad scale".into(), at })?,
             _ => return self.err("expected scale"),
         };
         self.expect_sym(')')?;
@@ -567,10 +569,9 @@ impl Parser {
             }
         }
         let limit = if self.eat_kw("limit") {
+            let at = self.at();
             match self.next() {
-                Some(Tok::Num(n)) => {
-                    Some(n.parse().map_err(|_| ParseError { msg: "bad limit".into(), at: self.at() })?)
-                }
+                Some(Tok::Num(n)) => Some(n.parse().map_err(|_| ParseError { msg: "bad limit".into(), at })?),
                 _ => return self.err("expected number after LIMIT"),
             }
         } else {
@@ -601,7 +602,7 @@ impl Parser {
 /// Parses one `SELECT` statement.
 pub fn parse_select(sql: &str) -> Result<Select, ParseError> {
     let toks = lex(sql)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, end: sql.len() };
     p.select()
 }
 
@@ -690,6 +691,15 @@ mod tests {
         assert!(parse_select("SELECT a FROM t WHERE").is_err());
         assert!(parse_select("SELECT a FROM t extra junk").is_err());
         assert!(parse_select("SELECT 'unterminated FROM t").is_err());
+    }
+
+    #[test]
+    fn errors_at_end_of_input_report_the_input_length() {
+        let at = |sql: &str| parse_select(sql).unwrap_err().at;
+        assert_eq!(at("SELECT"), 6);
+        assert_eq!(at(""), 0);
+        // An out-of-range LIMIT is reported at the number, not after it.
+        assert_eq!(at("SELECT x FROM t LIMIT 99999999999999999999999"), 22);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::device::DeviceConfig;
 use crate::exec::ExecStats;
 use up_num::dtype::DecimalType;
-use up_num::{BigInt, Sign, UpDecimal};
+use up_num::UpDecimal;
 
 /// Threads cooperating on one arithmetic instance (§III-E1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -304,37 +304,6 @@ pub fn group_hw_regs(lw: usize, tpi: Tpi) -> u32 {
     (16 + 7 * lt).min(255)
 }
 
-/// A convenience wrapper evaluating a whole column pairwise (used by tests
-/// and the Fig. 13 harness): returns results plus aggregate cost.
-pub fn eval_column(
-    op: GroupOp,
-    a: &[UpDecimal],
-    b: &[UpDecimal],
-    tpi: Tpi,
-) -> Result<(Vec<UpDecimal>, GroupCost), GroupError> {
-    assert_eq!(a.len(), b.len());
-    let mut out = Vec::with_capacity(a.len());
-    let mut total = GroupCost::default();
-    for (x, y) in a.iter().zip(b) {
-        let (r, c) = group_eval(op, x, y, tpi)?;
-        out.push(r);
-        total.merge(c);
-    }
-    Ok((out, total))
-}
-
-/// Builds a signed decimal from raw parts — test helper for group inputs.
-pub fn decimal_from_words(words: &[u32], negative: bool, ty: DecimalType) -> UpDecimal {
-    let sign = if words.iter().all(|&w| w == 0) {
-        Sign::Zero
-    } else if negative {
-        Sign::Minus
-    } else {
-        Sign::Plus
-    };
-    UpDecimal::from_parts_unchecked(BigInt::from_sign_mag(sign, words.to_vec()), ty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,17 +404,5 @@ mod tests {
             (0.4..=2.5).contains(&(t4_len4 / t1_len4)),
             "comparable at LEN 4: {t4_len4} vs {t1_len4}"
         );
-    }
-
-    #[test]
-    fn eval_column_aggregates_cost() {
-        let t = ty(18, 2);
-        let a: Vec<_> = (1..=10)
-            .map(|i| UpDecimal::from_scaled_i64(i * 100, t).unwrap())
-            .collect();
-        let (out, cost) = eval_column(GroupOp::Add, &a, &a, Tpi(4)).unwrap();
-        assert_eq!(out.len(), 10);
-        assert_eq!(out[4], a[4].add(&a[4]));
-        assert_eq!(cost.bytes_read, 2 * 10 * t.lb() as u64);
     }
 }

@@ -262,11 +262,6 @@ impl CompiledProgram {
         self.fused_insts
     }
 
-    /// Instructions lowered to register-only closures (incl. fused).
-    pub fn alu_inst_count(&self) -> usize {
-        self.alu_insts
-    }
-
     /// Instructions kept as interpreter fallback steps (shared memory,
     /// params, `DivBig`).
     pub fn interp_inst_count(&self) -> usize {

@@ -82,11 +82,6 @@ pub fn kernel_time(kernel: &Kernel, stats: &ExecStats, device: &DeviceConfig) ->
     }
 }
 
-/// Prices a host↔device transfer of `bytes` over PCIe.
-pub fn pcie_transfer_time(bytes: u64, device: &DeviceConfig) -> f64 {
-    device.pcie_time(bytes)
-}
-
 /// Models the NVCC/JIT compilation latency of a generated kernel: a fixed
 /// front-end cost plus a per-instruction back-end cost. Calibrated against
 /// the paper's TPC-H Q1 observation that compile time grows from 320 ms

@@ -87,11 +87,6 @@ impl ExecBackend {
     pub fn env_default() -> ExecBackend {
         ExecBackend::from_env().unwrap_or_default()
     }
-
-    /// Whether launches under this knob run the decoded interpreter.
-    pub fn uses_decoded(self) -> bool {
-        !matches!(self, ExecBackend::Tree)
-    }
 }
 
 impl std::fmt::Display for ExecBackend {
@@ -2375,10 +2370,6 @@ mod tests {
         assert_eq!(ExecBackend::parse("compiled"), Some(ExecBackend::Compiled));
         assert_eq!(ExecBackend::parse("auto"), Some(ExecBackend::Auto));
         assert_eq!(ExecBackend::parse("fast"), None);
-        assert!(ExecBackend::Auto.uses_decoded());
-        assert!(ExecBackend::Decoded.uses_decoded());
-        assert!(ExecBackend::Compiled.uses_decoded());
-        assert!(!ExecBackend::Tree.uses_decoded());
         assert_eq!(ExecBackend::Decoded.to_string(), "decoded");
         assert_eq!(ExecBackend::Compiled.to_string(), "compiled");
     }

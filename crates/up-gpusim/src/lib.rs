@@ -39,8 +39,8 @@ pub use exec::{
     LaunchOpts, SimError,
 };
 pub use pipeline::{
-    plan_timeline, run_dag, DagNodeCost, DeficitRoundRobin, DeviceTimelineStats, PipelineMode,
-    PipelineReport, SharedTimeline, SharedTimelineStats,
+    run_dag, DagNodeCost, DeficitRoundRobin, DeviceTimelineStats, PipelineMode, PipelineReport,
+    SharedTimeline, SharedTimelineStats,
 };
 pub use ptx::{AddrForm, CmpOp, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt};
 

@@ -12,11 +12,13 @@
 //!   Results are returned per node index, which lets the caller merge
 //!   them in the exact order the serial executor would have produced —
 //!   bit-exact outputs and modeled times by construction.
-//! * [`plan_timeline`] — replays the DAG's node costs over three modeled
+//! * [`SharedTimeline`] — places the DAG's node costs on three modeled
 //!   engines (NVCC compile lanes, one H2D copy engine, N compute streams,
 //!   all [`crate::stream::StreamScheduler`]s) in deterministic node-index
 //!   order, yielding the makespan, overlap, and stream utilization a
-//!   stream-pipelined deployment would see ([`PipelineReport`]).
+//!   stream-pipelined deployment would see ([`PipelineReport`]). One
+//!   query's plan gets a fresh timeline; the server's arena shares one
+//!   across queries.
 //!
 //! Pipelining never changes *what* is computed: every node runs the same
 //! launch machinery, and the merge order is fixed. Only host
@@ -191,14 +193,15 @@ where
         .collect()
 }
 
-/// Modeled cost of one DAG node, fed to [`plan_timeline`].
+/// Modeled cost of one DAG node, placed by [`SharedTimeline::place_on`].
 #[derive(Clone, Debug, Default)]
 pub struct DagNodeCost {
     /// Earlier nodes whose completion gates this node's execution.
     pub deps: Vec<usize>,
     /// Modeled NVCC compile seconds (0 when cached / passthrough). The
     /// compile can start as soon as the plan arrives — it has no data
-    /// dependencies — so it is placed at time 0 on a compile lane.
+    /// dependencies — so it is placed at the plan's arrival on a compile
+    /// lane.
     pub compile_s: f64,
     /// Host→device transfer seconds, placed on the single copy engine
     /// once the node's dependencies have finished.
@@ -237,51 +240,6 @@ pub struct PipelineReport {
     /// Compute-stream utilization: `exec_s / (streams × makespan_s)`
     /// (0 when nothing ran).
     pub utilization: f64,
-}
-
-/// Replays a DAG's node costs over modeled compile lanes, one H2D copy
-/// engine, and `streams` compute streams, in node-index order (a
-/// topological order, so placement is deterministic). Returns the
-/// timeline summary.
-pub fn plan_timeline(nodes: &[DagNodeCost], streams: usize, compile_lanes: usize) -> PipelineReport {
-    let streams = streams.max(1);
-    let compile_lanes = compile_lanes.max(1);
-    let mut compile = StreamScheduler::new(compile_lanes);
-    let mut copy = StreamScheduler::new(1);
-    let mut compute = StreamScheduler::new(streams);
-    let mut finish = vec![0.0f64; nodes.len()];
-    let mut makespan = 0.0f64;
-    for (i, nd) in nodes.iter().enumerate() {
-        let ready = nd.deps.iter().map(|&d| finish[d]).fold(0.0, f64::max);
-        // Compilation has no data dependencies: it is issued at plan
-        // arrival (time 0) on the earliest-available compile lane.
-        let c_end = if nd.compile_s > 0.0 { compile.submit(0.0, nd.compile_s).end_s } else { 0.0 };
-        let h_end = if nd.h2d_s > 0.0 { copy.submit(ready, nd.h2d_s).end_s } else { ready };
-        let start = ready.max(c_end).max(h_end);
-        finish[i] = if nd.exec_s > 0.0 { compute.submit(start, nd.exec_s).end_s } else { start };
-        makespan = makespan.max(finish[i]);
-    }
-    let compile_total: f64 = nodes.iter().map(|n| n.compile_s).sum();
-    let h2d_total: f64 = nodes.iter().map(|n| n.h2d_s).sum();
-    let exec_total: f64 = nodes.iter().map(|n| n.exec_s).sum();
-    let serial_s = compile_total + h2d_total + exec_total;
-    let queue_s = compile.stats().queue_delay_total_s
-        + copy.stats().queue_delay_total_s
-        + compute.stats().queue_delay_total_s;
-    let cap = streams as f64 * makespan;
-    PipelineReport {
-        nodes: nodes.len() as u64,
-        streams,
-        compile_lanes,
-        serial_s,
-        makespan_s: makespan,
-        overlap_s: (serial_s - makespan).max(0.0),
-        compile_s: compile_total,
-        h2d_s: h2d_total,
-        exec_s: exec_total,
-        queue_s,
-        utilization: if cap > 0.0 { exec_total / cap } else { 0.0 },
-    }
 }
 
 /// Weighted deficit round-robin over session ids.
@@ -392,10 +350,10 @@ impl DeficitRoundRobin {
 /// pool, all against one global clock. Queries place their launch-DAG
 /// node costs at their modeled arrival second on their home device, so
 /// contention *between* queries shows up as queue delay on the shared
-/// engines — the cross-query analogue of [`plan_timeline`]. The
-/// single-device [`SharedTimeline::new`] constructor is the degenerate
-/// fleet of one. Like the per-plan report, this is a side-band model:
-/// engine results and `ModeledTime` totals never depend on it.
+/// engines. The single-device [`SharedTimeline::new`] constructor is
+/// the degenerate fleet of one; a fresh one placed at arrival 0 is one
+/// plan's own timeline. This is a side-band model: engine results and
+/// `ModeledTime` totals never depend on it.
 pub struct SharedTimeline {
     state: Mutex<SharedState>,
     streams: usize,
@@ -423,15 +381,13 @@ struct SharedState {
 }
 
 impl SharedState {
+    /// Queue delay across every engine, added left to right as
+    /// ((compile + copy) + compute) device by device: a fresh one-device
+    /// timeline's report then has the bits of a plan placed on its own.
     fn queue_total(&self) -> f64 {
-        self.compile.stats().queue_delay_total_s
-            + self
-                .devices
-                .iter()
-                .map(|d| {
-                    d.copy.stats().queue_delay_total_s + d.compute.stats().queue_delay_total_s
-                })
-                .sum::<f64>()
+        self.devices.iter().fold(self.compile.stats().queue_delay_total_s, |q, d| {
+            q + d.copy.stats().queue_delay_total_s + d.compute.stats().queue_delay_total_s
+        })
     }
 
     fn h2d_total(&self) -> f64 {
@@ -745,6 +701,11 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// One plan's own timeline: a fresh single-device pool, arrival 0.
+    fn place_fresh(nodes: &[DagNodeCost], streams: usize, lanes: usize) -> PipelineReport {
+        SharedTimeline::new(streams, lanes).place(0.0, nodes)
+    }
+
     #[test]
     fn timeline_overlaps_independent_nodes() {
         // Four independent nodes, each 0.3 s compile + 0.01 s copy +
@@ -753,7 +714,7 @@ mod tests {
         let nodes: Vec<DagNodeCost> = (0..4)
             .map(|_| DagNodeCost { deps: vec![], compile_s: 0.3, h2d_s: 0.01, exec_s: 0.1 })
             .collect();
-        let r = plan_timeline(&nodes, 4, 4);
+        let r = place_fresh(&nodes, 4, 4);
         assert_eq!(r.nodes, 4);
         assert!((r.serial_s - 1.64).abs() < 1e-12, "{r:?}");
         // All compiles end at 0.3; copies end by 0.04 ≤ 0.3; execs run
@@ -763,7 +724,7 @@ mod tests {
         assert!(r.utilization > 0.2, "{r:?}");
         // Serial placement (1 stream, 1 lane) cannot beat the sum of
         // compute+compile on their single engines.
-        let s = plan_timeline(&nodes, 1, 1);
+        let s = place_fresh(&nodes, 1, 1);
         assert!(s.makespan_s >= 1.2, "{s:?}");
         assert!(s.makespan_s <= s.serial_s + 1e-12, "{s:?}");
     }
@@ -774,7 +735,7 @@ mod tests {
             DagNodeCost { deps: vec![], compile_s: 0.0, h2d_s: 0.0, exec_s: 1.0 },
             DagNodeCost { deps: vec![0], compile_s: 0.0, h2d_s: 0.0, exec_s: 1.0 },
         ];
-        let r = plan_timeline(&nodes, 8, 8);
+        let r = place_fresh(&nodes, 8, 8);
         // The chain cannot overlap: makespan is the full 2 s.
         assert!((r.makespan_s - 2.0).abs() < 1e-12, "{r:?}");
         assert_eq!(r.overlap_s, 0.0);
@@ -885,11 +846,11 @@ mod tests {
 
     #[test]
     fn timeline_of_nothing_is_zero_not_nan() {
-        let r = plan_timeline(&[], 4, 2);
+        let r = place_fresh(&[], 4, 2);
         assert_eq!(r.makespan_s, 0.0);
         assert_eq!(r.utilization, 0.0);
         assert!(!r.utilization.is_nan());
-        let z = plan_timeline(
+        let z = place_fresh(
             &[DagNodeCost { deps: vec![], compile_s: 0.0, h2d_s: 0.0, exec_s: 0.0 }],
             4,
             2,
@@ -897,5 +858,102 @@ mod tests {
         assert_eq!(z.makespan_s, 0.0);
         assert_eq!(z.utilization, 0.0);
         assert!(!z.utilization.is_nan());
+    }
+
+    #[test]
+    fn fresh_placement_reproduces_recorded_report_bits() {
+        // Every field's bits as the per-plan placer produced them before
+        // plans and the server arena shared one placer. The fan-out's
+        // queue delay is the sum whose last bit depends on adding
+        // ((compile + copy) + compute).
+        fn n(deps: &[usize], compile_s: f64, h2d_s: f64, exec_s: f64) -> DagNodeCost {
+            DagNodeCost { deps: deps.to_vec(), compile_s, h2d_s, exec_s }
+        }
+        // Two slots in a chain, each followed by its reduction.
+        let chain = [
+            n(&[], 0.0123, 0.0017, 0.0431),
+            n(&[0], 0.0, 0.0, 0.0029),
+            n(&[0], 0.0211, 0.0013, 0.0377),
+            n(&[2], 0.0, 0.0, 0.0031),
+        ];
+        // One root slot and four dependants.
+        let fan_out = [
+            n(&[], 0.001, 0.00198, 0.0242),
+            n(&[0], 0.0281, 0.00175, 0.034),
+            n(&[0], 0.0223, 0.003, 0.0312),
+            n(&[0], 0.0351, 0.00058, 0.0161),
+            n(&[0], 0.0325, 0.0028, 0.0304),
+        ];
+        // Slot 2 repeats slot 0's signature: no compile of its own, and
+        // it depends on the slot that owns the compile.
+        let dup_sig = [
+            n(&[], 0.0307, 0.0019, 0.0413),
+            n(&[0], 0.0, 0.0, 0.0043),
+            n(&[0], 0.0, 0.0019, 0.0413),
+            n(&[2], 0.0, 0.0, 0.0043),
+            n(&[], 0.0263, 0.0023, 0.0389),
+            n(&[4], 0.0, 0.0, 0.0047),
+        ];
+        // serial, makespan, overlap, compile, h2d, exec, queue, utilization
+        let cases: [(&[DagNodeCost], usize, [u64; 8]); 3] = [
+            (
+                &chain,
+                1,
+                [
+                    0x3fbf8a0902de00d2,
+                    0x3fb95e9e1b089a03,
+                    0x3f98adab9f559b3c,
+                    0x3fa119ce075f6fd2,
+                    0x3f689374bc6a7efa,
+                    0x3fb63886594af4f1,
+                    0x3f8c779a6b50b0f1,
+                    0x3fec073bac4d7f5a,
+                ],
+            ),
+            (
+                &fan_out,
+                2,
+                [
+                    0x3fd0f5ec80c73abd,
+                    0x3fb7b00bcbe61d00,
+                    0x3fc613d31b9b66fa,
+                    0x3fbe76c8b4395810,
+                    0x3f84b48d3ae685db,
+                    0x3fc1652bd3c36114,
+                    0x3fb1c8216c61522b,
+                    0x3fe77fd90b97a426,
+                ],
+            ),
+            (
+                &dup_sig,
+                2,
+                [
+                    0x3fc954c985f06f6a,
+                    0x3fc4538ef34d6a17,
+                    0x3fa404ea4a8c154c,
+                    0x3fad2f1a9fbe76c9,
+                    0x3f78fc504816f006,
+                    0x3fc141205bc01a37,
+                    0x3fbce703afb7e911,
+                    0x3fdb29ea135857b2,
+                ],
+            ),
+        ];
+        for (nodes, lanes, bits) in cases {
+            let r = place_fresh(nodes, lanes, lanes);
+            assert_eq!((r.nodes, r.streams, r.compile_lanes), (nodes.len() as u64, lanes, lanes));
+            let got = [
+                r.serial_s,
+                r.makespan_s,
+                r.overlap_s,
+                r.compile_s,
+                r.h2d_s,
+                r.exec_s,
+                r.queue_s,
+                r.utilization,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "{r:?}");
+        }
     }
 }

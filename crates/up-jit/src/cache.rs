@@ -263,11 +263,6 @@ impl JitEngine {
         Arc::clone(&self.cache)
     }
 
-    /// The optimization switches in effect.
-    pub fn options(&self) -> JitOptions {
-        self.opts
-    }
-
     /// Runs the §III-D optimization pipeline on an expression.
     pub fn optimize(&self, expr: &Expr) -> Expr {
         let mut n = NExpr::from_expr(expr);
@@ -401,11 +396,6 @@ impl CompileHandle {
     /// synchronous [`JitEngine::compile`] would have.
     pub fn wait(self) -> (Compiled, CompileInfo) {
         self.join.join().expect("compile thread panicked")
-    }
-
-    /// Whether the compilation has already finished (non-blocking).
-    pub fn is_done(&self) -> bool {
-        self.join.is_finished()
     }
 }
 

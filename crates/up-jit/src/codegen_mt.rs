@@ -47,38 +47,6 @@ impl LoadPlan {
             needs_branch: tail_bytes != 0 || full_threads < tpi.0 as usize,
         }
     }
-
-    /// Renders the Listing 3-shaped CUDA source for documentation and
-    /// golden tests.
-    pub fn render_cuda(&self, tpi: Tpi) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("int g_tid = threadIdx.x & {}; // TPI-1\n", tpi.0 - 1));
-        s.push_str(&format!(
-            "int tid = (blockIdx.x * blockDim.x + threadIdx.x) / {};\n",
-            tpi.0
-        ));
-        s.push_str("if(tid >= tupleNum) return;\n\n");
-        s.push_str(&format!("uint32_t v[{}]; // lt = {}\n", self.lt, self.lt));
-        let chunk = self.lt * 4;
-        if self.needs_branch {
-            s.push_str(&format!("if(g_tid < {}) // Lb/(lt*4) = {}\n", self.full_threads, self.full_threads));
-            s.push_str(&format!(
-                "  memcopy(v, input[0][tid] + g_tid * {chunk}, {chunk});\n"
-            ));
-            if self.tail_bytes != 0 {
-                s.push_str(&format!("else if(g_tid == {})\n", self.full_threads));
-                s.push_str(&format!(
-                    "  memcopy(v, input[0][tid] + g_tid * {chunk}, {}); // Lb%(lt*4)\n",
-                    self.tail_bytes
-                ));
-            }
-        } else {
-            s.push_str(&format!(
-                "memcopy(v, input[0][tid] + g_tid * {chunk}, {chunk});\n"
-            ));
-        }
-        s
-    }
 }
 
 /// A compiled multi-threaded expression kernel.
@@ -251,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn listing3_render_matches_paper_example() {
+    fn listing3_load_plan_matches_paper_example() {
         // DECIMAL(64, 32), TPI 4 → Lb 27, lt 2, 3 full threads + 3-byte
         // tail.
         let plan = LoadPlan::new(ty(64, 32), Tpi(4));
@@ -260,11 +228,6 @@ mod tests {
         assert_eq!(plan.full_threads, 3);
         assert_eq!(plan.tail_bytes, 3);
         assert!(plan.needs_branch);
-        let code = plan.render_cuda(Tpi(4));
-        assert!(code.contains("threadIdx.x & 3"));
-        assert!(code.contains("uint32_t v[2]"));
-        assert!(code.contains("if(g_tid < 3)"));
-        assert!(code.contains("else if(g_tid == 3)"));
     }
 
     #[test]
@@ -276,7 +239,6 @@ mod tests {
         let plan = LoadPlan::new(t, Tpi(4));
         assert_eq!((plan.lt, plan.full_threads, plan.tail_bytes), (1, 4, 0));
         assert!(!plan.needs_branch);
-        assert!(!plan.render_cuda(Tpi(4)).contains("else if"));
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl WordRepr {
         );
         UpDecimal::from_parts_unchecked(int, ty)
     }
-
-    /// Bytes this representation occupies (the paper's "9 bytes in total"
-    /// for `DECIMAL(10, 2)`): `4·Lw + 1`.
-    pub fn size_bytes(&self) -> usize {
-        4 * self.words.len() + 1
-    }
 }
 
 /// Encodes a value into its compact `Lb`-byte form in `out` (which must be
@@ -139,11 +133,10 @@ mod tests {
         // Compact: 5 bytes, value 123, sign bit set in the last byte.
         let c = encode_compact(&v, t).unwrap();
         assert_eq!(c, vec![123, 0, 0, 0, 0x80]);
-        // Word-aligned: 2 words + sign byte = 9 bytes.
+        // Word-aligned: 2 words + a sign.
         let w = WordRepr::from_decimal(&v, t.lw());
         assert_eq!(w.words, vec![123, 0]);
         assert_eq!(w.sign, -1);
-        assert_eq!(w.size_bytes(), 9);
     }
 
     #[test]

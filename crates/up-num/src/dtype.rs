@@ -116,16 +116,6 @@ impl DecimalType {
         DecimalType { precision: floor_log10(n) + 1, scale: 0 }
     }
 
-    /// Result type of `AVG` (§III-B3): SUM's type divided by the count.
-    pub fn avg_result(&self, n: u64) -> DecimalType {
-        self.sum_result(n).div_result(&Self::avg_divisor(n))
-    }
-
-    /// Result type of `MIN`/`MAX` (§III-B3): unchanged.
-    pub fn min_max_result(&self) -> DecimalType {
-        *self
-    }
-
     /// Result type of unary negation: unchanged.
     pub fn neg_result(&self) -> DecimalType {
         *self
@@ -281,8 +271,6 @@ mod tests {
         // 10M tuples → ceil(log10 1e7) = 7 extra digits.
         assert_eq!(c.sum_result(10_000_000), DecimalType::new_unchecked(19, 2));
         assert_eq!(DecimalType::avg_divisor(10_000_000), DecimalType::new_unchecked(8, 0));
-        let avg = c.avg_result(10_000_000);
-        assert_eq!(avg.scale, 2 + DIV_EXTRA_SCALE);
     }
 
     #[test]

@@ -71,12 +71,6 @@ pub fn mul(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     }
 }
 
-/// Squares a magnitude (no specialization beyond `mul` — the paper does not
-/// special-case squares, and RSA with e = 3 squares once per tuple).
-pub fn square(a: &[Limb]) -> Vec<Limb> {
-    mul(a, a)
-}
-
 fn split(a: &[Limb], at: usize) -> (&[Limb], &[Limb]) {
     if at >= a.len() {
         (a, &[])

@@ -52,12 +52,6 @@ fn compute_pow10(n: u32) -> Vec<Limb> {
     result
 }
 
-/// Number of decimal digits of `10^n` (that is, `n + 1`) — convenience for
-/// precision bookkeeping.
-pub fn digits_of_pow10(n: u32) -> u32 {
-    n + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,126 +7,18 @@
 //! needs: the device has a fixed service rate, so an unbounded queue only
 //! converts overload into unbounded latency.
 //!
-//! Two dispatch disciplines share that contract: [`BoundedQueue`] is
-//! plain FIFO, and [`DrrQueue`] keeps one FIFO lane per session and
-//! dequeues by weighted deficit round-robin, so a chatty session cannot
-//! starve the others — the fairness half of the pipeline arena.
+//! [`DrrQueue`] keeps one FIFO lane per session and dequeues by weighted
+//! deficit round-robin, so a chatty session cannot starve the others.
+//! With one session it is a plain FIFO.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use up_gpusim::DeficitRoundRobin;
 
-/// Returned by [`BoundedQueue::push`] when the queue is at capacity or
+/// Returned by [`DrrQueue::push`] when the queue is at capacity or
 /// closed; hands the rejected item back to the caller.
 #[derive(Debug)]
 pub struct QueueFull<T>(pub T);
-
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    /// High-water mark of `items.len()`.
-    max_depth: usize,
-}
-
-/// A bounded multi-producer multi-consumer queue.
-///
-/// `push` is non-blocking (rejects at capacity); `pop_blocking` parks
-/// until an item or [`close`](BoundedQueue::close) arrives.
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// New queue holding at most `capacity` items (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
-                closed: false,
-                max_depth: 0,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current depth.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").items.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Deepest the queue has ever been.
-    pub fn max_depth(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").max_depth
-    }
-
-    /// Enqueues `item`, returning the depth after the push, or the item
-    /// back inside [`QueueFull`] when at capacity (or closed).
-    pub fn push(&self, item: T) -> Result<usize, QueueFull<T>> {
-        let mut g = self.inner.lock().expect("queue poisoned");
-        if g.closed || g.items.len() >= self.capacity {
-            return Err(QueueFull(item));
-        }
-        g.items.push_back(item);
-        let depth = g.items.len();
-        g.max_depth = g.max_depth.max(depth);
-        drop(g);
-        self.ready.notify_one();
-        Ok(depth)
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed *and* drained.
-    pub fn pop_blocking(&self) -> Option<T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.ready.wait(g).expect("queue poisoned");
-        }
-    }
-
-    /// Closes the queue: future pushes fail, blocked consumers drain the
-    /// remaining items and then observe `None`.
-    pub fn close(&self) {
-        self.inner.lock().expect("queue poisoned").closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Removes and returns every queued item matching `pred` (submission
-    /// order preserved) — the session-teardown path, so a closed
-    /// session's pending jobs can be errored instead of executed.
-    pub fn drain_matching(&self, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut g = self.inner.lock().expect("queue poisoned");
-        let mut kept = VecDeque::with_capacity(g.items.len());
-        let mut drained = Vec::new();
-        for item in g.items.drain(..) {
-            if pred(&item) {
-                drained.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        g.items = kept;
-        drained
-    }
-}
 
 struct DrrInner<T> {
     /// One FIFO lane per session; lanes persist (empty) across bursts so
@@ -138,15 +30,15 @@ struct DrrInner<T> {
     max_depth: usize,
 }
 
-/// A bounded MPMC queue that dequeues by per-session weighted deficit
-/// round-robin instead of global FIFO.
+/// A bounded multi-producer multi-consumer queue that dequeues by
+/// per-session weighted deficit round-robin.
 ///
-/// Same contract as [`BoundedQueue`] — non-blocking `push` with an
-/// explicit [`QueueFull`] rejection, blocking `pop_blocking`, drain-then-
-/// `None` on [`close`](DrrQueue::close) — but each session gets its own
-/// FIFO lane and consumers pick the next lane by deficit round-robin, so
-/// grant share tracks session weight while order *within* a session stays
-/// submission order.
+/// `push` is non-blocking and rejects at capacity with [`QueueFull`];
+/// `pop_blocking` parks until an item or [`close`](DrrQueue::close)
+/// arrives, and a closed queue drains before it returns `None`. Each
+/// session gets its own FIFO lane and consumers pick the next lane by
+/// deficit round-robin, so grant share tracks session weight while order
+/// *within* a session stays submission order.
 pub struct DrrQueue<T> {
     inner: Mutex<DrrInner<T>>,
     ready: Condvar,
@@ -270,40 +162,71 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Which session lane an item goes to: every test below runs once
+    /// with all items on one session (the queue is a plain FIFO) and
+    /// once spread over several.
+    type Lanes = fn(i32) -> u64;
+    const ONE: Lanes = |_| 7;
+    const SEVERAL: Lanes = |v| v.rem_euclid(3) as u64;
+
     #[test]
     fn push_reports_depth_and_rejects_at_capacity() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.push(1).unwrap(), 1);
-        assert_eq!(q.push(2).unwrap(), 2);
-        let QueueFull(rejected) = q.push(3).unwrap_err();
-        assert_eq!(rejected, 3);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.max_depth(), 2);
+        for lane in [ONE, SEVERAL] {
+            let q = DrrQueue::new(2);
+            assert_eq!(q.push(lane(1), 1).unwrap(), 1);
+            assert_eq!(q.push(lane(2), 2).unwrap(), 2);
+            let QueueFull(rejected) = q.push(lane(3), 3).unwrap_err();
+            assert_eq!(rejected, 3);
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.max_depth(), 2);
+        }
     }
 
     #[test]
     fn pop_returns_fifo_then_blocks_until_close() {
-        let q = Arc::new(BoundedQueue::new(4));
-        q.push(10).unwrap();
-        q.push(20).unwrap();
-        assert_eq!(q.pop_blocking(), Some(10));
-        assert_eq!(q.pop_blocking(), Some(20));
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_blocking());
-        // The consumer parks; closing wakes it with None.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert_eq!(h.join().unwrap(), None);
+        for lane in [ONE, SEVERAL] {
+            let q = Arc::new(DrrQueue::new(4));
+            q.push(lane(10), 10).unwrap();
+            q.push(lane(20), 20).unwrap();
+            assert_eq!(q.pop_blocking(), Some(10));
+            assert_eq!(q.pop_blocking(), Some(20));
+            let q2 = Arc::clone(&q);
+            let h = std::thread::spawn(move || q2.pop_blocking());
+            // The consumer parks; closing wakes it with None.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            q.close();
+            assert_eq!(h.join().unwrap(), None);
+        }
     }
 
     #[test]
     fn close_drains_remaining_items_before_none() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.close();
-        assert!(q.push(2).is_err(), "closed queue rejects");
-        assert_eq!(q.pop_blocking(), Some(1));
-        assert_eq!(q.pop_blocking(), None);
+        for lane in [ONE, SEVERAL] {
+            let q = DrrQueue::new(4);
+            q.push(lane(1), 1).unwrap();
+            q.close();
+            assert!(q.push(lane(2), 2).is_err(), "closed queue rejects");
+            assert_eq!(q.pop_blocking(), Some(1));
+            assert_eq!(q.pop_blocking(), None);
+        }
+    }
+
+    #[test]
+    fn removed_session_leaves_survivors_in_order() {
+        // The evens sit on a session of their own; the survivors sit on
+        // one other session, or on several.
+        let one: Lanes = |v| if v % 2 == 0 { 0 } else { 1 };
+        let several: Lanes = |v| if v % 2 == 0 { 0 } else { v as u64 };
+        for lane in [one, several] {
+            let q = DrrQueue::new(8);
+            for i in 0..6 {
+                q.push(lane(i), i).unwrap();
+            }
+            let evens = q.remove_session(0);
+            assert_eq!(evens, vec![0, 2, 4]);
+            assert_eq!(q.len(), 3);
+            assert_eq!(q.pop_blocking(), Some(1), "survivors keep FIFO order");
+        }
     }
 
     #[test]
@@ -350,16 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_and_remove_release_queued_work_and_lanes() {
-        let q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.push(i).unwrap();
-        }
-        let evens = q.drain_matching(|v| v % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_blocking(), Some(1), "survivors keep FIFO order");
-
+    fn remove_session_releases_queued_work_and_lanes() {
         let d: DrrQueue<(u64, i32)> = DrrQueue::new(16);
         d.push(1, (1, 0)).unwrap();
         d.push(1, (1, 1)).unwrap();
@@ -385,38 +299,40 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumers_lose_nothing() {
-        let q = Arc::new(BoundedQueue::new(1024));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(v) = q.pop_blocking() {
-                        got.push(v);
-                    }
-                    got
+        for lane in [ONE, SEVERAL] {
+            let q = Arc::new(DrrQueue::new(1024));
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        while let Some(v) = q.pop_blocking() {
+                            got.push(v);
+                        }
+                        got
+                    })
                 })
-            })
-            .collect();
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        q.push(p * 100 + i).unwrap();
-                    }
+                .collect();
+            let producers: Vec<_> = (0..4)
+                .map(|p| {
+                    let q = Arc::clone(&q);
+                    std::thread::spawn(move || {
+                        for i in 0..100 {
+                            q.push(lane(p), p * 100 + i).unwrap();
+                        }
+                    })
                 })
-            })
-            .collect();
-        for p in producers {
-            p.join().unwrap();
+                .collect();
+            for p in producers {
+                p.join().unwrap();
+            }
+            q.close();
+            let mut all: Vec<i32> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..400).collect::<Vec<i32>>());
         }
-        q.close();
-        let mut all: Vec<i32> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..400).collect::<Vec<i32>>());
     }
 }

@@ -8,8 +8,9 @@
 //! - **Sessions** ([`session`]): connect/disconnect with a per-session
 //!   execution profile and query counters.
 //! - **Admission control** ([`admission`]): a bounded queue feeding a
-//!   configurable worker pool; when it is full, submissions are rejected
-//!   with a suggested retry-after instead of piling up latency.
+//!   configurable worker pool, dequeued by per-session weighted deficit
+//!   round-robin; when it is full, submissions are rejected with a
+//!   suggested retry-after instead of piling up latency.
 //! - **Shared JIT kernel cache**: all sessions compile through one
 //!   lock-striped LRU ([`up_jit::cache::SharedKernelCache`]), so a
 //!   signature is compiled at most once no matter how many sessions race
@@ -24,10 +25,9 @@
 //! - **Pipeline arena** ([`arena`], opt-in via `ServerConfig::arena` or
 //!   `UP_ARENA=on`): queries register their kernel signatures at
 //!   admission so compiles start while jobs are still queued, duplicate
-//!   signatures across in-flight queries attach to one compile, dequeue
-//!   is per-session weighted deficit round-robin, and every launch DAG
-//!   shares one modeled pool of compile lanes / copy engine / compute
-//!   streams. Results, modeled times, and cache hit/miss counts stay
+//!   signatures across in-flight queries attach to one compile, and
+//!   every launch DAG shares one modeled pool of compile lanes / copy
+//!   engine / compute streams. Results, modeled times, and cache hit/miss counts stay
 //!   bit-identical to serial execution.
 //!
 //! Reads run concurrently (the engine's `query` takes `&self`). The

@@ -19,7 +19,8 @@
 //! - **Admission control**: a bounded queue in front of the pool. Full
 //!   queue → immediate [`ServerError::Rejected`] with a retry-after
 //!   estimate derived from observed service times, instead of unbounded
-//!   latency.
+//!   latency. Dequeue order is per-session weighted deficit round-robin
+//!   (FIFO within a session), so a chatty session cannot starve others.
 //! - **Cancellation**: every submission carries a cancel flag; a ticket
 //!   that times out flips it so a still-queued job is dropped cheaply.
 //! - **Modeled GPU contention**: each successful query's kernel seconds
@@ -31,12 +32,11 @@
 //!   with a server-wide [`LaunchArena`] *at admission*, so compiles start
 //!   while the job is still queued, duplicate signatures across
 //!   concurrent queries attach to the in-flight compile instead of
-//!   compiling twice, dequeue order is per-session weighted deficit
-//!   round-robin, and launch DAGs share one modeled pool of compile
+//!   compiling twice, and launch DAGs share one modeled pool of compile
 //!   lanes, copy engine, and compute streams. Results, `ModeledTime`,
 //!   and cache hit/miss counts stay bit-identical to serial execution.
 
-use crate::admission::{BoundedQueue, DrrQueue, QueueFull};
+use crate::admission::DrrQueue;
 use crate::arena::{ArenaStats, LaunchArena};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::session::{SessionId, SessionManager, SessionStats};
@@ -69,9 +69,9 @@ pub struct ServerConfig {
     /// Defaults from `UP_PIPELINE`, otherwise off.
     pub pipeline: PipelineMode,
     /// Cross-query pipeline arena: admission-time compile prefetch,
-    /// cross-query signature dedup, DRR-fair dequeue, and shared launch
-    /// pools. Results and cache stats stay bit-identical either way.
-    /// Defaults from `UP_ARENA` (`off | on`), otherwise off.
+    /// cross-query signature dedup, and shared launch pools. Results and
+    /// cache stats stay bit-identical either way. Defaults from
+    /// `UP_ARENA` (`off | on`), otherwise off.
     pub arena: bool,
     /// Concurrent NVCC compile lanes of the arena's prefetch pool
     /// (ignored when [`arena`](ServerConfig::arena) is off).
@@ -256,79 +256,13 @@ impl Drop for ReplySink {
     }
 }
 
-/// The admission queue behind one of two dispatch disciplines: global
-/// FIFO, or per-session weighted deficit round-robin (arena mode).
-enum Dispatch {
-    Fifo(BoundedQueue<Job>),
-    Drr(DrrQueue<Job>),
-}
-
-impl Dispatch {
-    fn push(&self, session: u64, job: Job) -> Result<usize, QueueFull<Job>> {
-        match self {
-            Dispatch::Fifo(q) => q.push(job),
-            Dispatch::Drr(q) => q.push(session, job),
-        }
-    }
-
-    fn pop_blocking(&self) -> Option<Job> {
-        match self {
-            Dispatch::Fifo(q) => q.pop_blocking(),
-            Dispatch::Drr(q) => q.pop_blocking(),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            Dispatch::Fifo(q) => q.close(),
-            Dispatch::Drr(q) => q.close(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Dispatch::Fifo(q) => q.len(),
-            Dispatch::Drr(q) => q.len(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            Dispatch::Fifo(q) => q.capacity(),
-            Dispatch::Drr(q) => q.capacity(),
-        }
-    }
-
-    fn max_depth(&self) -> usize {
-        match self {
-            Dispatch::Fifo(q) => q.max_depth(),
-            Dispatch::Drr(q) => q.max_depth(),
-        }
-    }
-
-    fn set_weight(&self, session: u64, weight: f64) {
-        if let Dispatch::Drr(q) = self {
-            q.set_weight(session, weight);
-        }
-    }
-
-    /// Pulls a closed session's still-queued jobs out of the queue (and,
-    /// under DRR, releases its lane and round-robin state).
-    fn remove_session(&self, session: u64) -> Vec<Job> {
-        match self {
-            Dispatch::Fifo(q) => q.drain_matching(|job| job.session.0 == session),
-            Dispatch::Drr(q) => q.remove_session(session),
-        }
-    }
-}
-
 struct ServerInner {
     db: RwLock<Database>,
     jit_cache: Arc<SharedKernelCache>,
     sessions: SessionManager,
     metrics: MetricsRegistry,
     streams: Mutex<StreamScheduler>,
-    queue: Dispatch,
+    queue: DrrQueue<Job>,
     /// The cross-query launch scheduler; `Some` iff `config.arena`.
     arena: Option<Arc<LaunchArena>>,
     /// Round-robin cursor for routing launches across the fleet.
@@ -452,18 +386,13 @@ impl UpServer {
                 config.gpu_streams,
             ))
         });
-        let queue = if config.arena {
-            Dispatch::Drr(DrrQueue::new(config.queue_capacity))
-        } else {
-            Dispatch::Fifo(BoundedQueue::new(config.queue_capacity))
-        };
         let inner = Arc::new(ServerInner {
             db: RwLock::new(db),
             jit_cache: cache,
             sessions: SessionManager::new(),
             metrics: MetricsRegistry::new(),
             streams: Mutex::new(StreamScheduler::new(config.gpu_streams)),
-            queue,
+            queue: DrrQueue::new(config.queue_capacity),
             arena,
             next_device: AtomicU64::new(0),
             routed: (0..devices).map(|_| AtomicU64::new(0)).collect(),
@@ -494,8 +423,8 @@ impl UpServer {
     }
 
     /// Closes a session and releases everything it holds: its entry in
-    /// the session map, its DRR lane (arena mode), and every job it
-    /// still has queued — each pending ticket observes a clean
+    /// the session map, its DRR lane, and every job it still has
+    /// queued — each pending ticket observes a clean
     /// [`ServerError::UnknownSession`] instead of executing or hanging.
     /// Returns the session's final stats, or `None` if unknown.
     pub fn close_session(&self, id: SessionId) -> Option<SessionStats> {
@@ -511,19 +440,6 @@ impl UpServer {
             job.reply.send(Err(ServerError::UnknownSession(id)));
         }
         Some(stats)
-    }
-
-    /// Reaps every session idle (no submit or completed query) for at
-    /// least `max_idle`, via [`close_session`](UpServer::close_session).
-    /// Returns the sessions evicted. A wire front end calls this
-    /// periodically so abandoned connections release session state and
-    /// DRR lanes.
-    pub fn reap_idle_sessions(&self, max_idle: Duration) -> Vec<SessionId> {
-        let idle = self.inner.sessions.idle_sessions(max_idle);
-        idle.iter().for_each(|&id| {
-            self.close_session(id);
-        });
-        idle
     }
 
     /// A session's usage counters so far.
@@ -683,9 +599,9 @@ impl UpServer {
         self.submit(session, sql)?.wait()
     }
 
-    /// Sets a session's fair-share weight for arena scheduling (dequeue
-    /// grants and compile-lane dispatch); false if the session is
-    /// unknown. A no-op scheduling-wise when the arena is off.
+    /// Sets a session's fair-share weight: its share of dequeue grants
+    /// and, with the arena on, of compile-lane dispatch. False if the
+    /// session is unknown.
     pub fn set_session_weight(&self, id: SessionId, weight: f64) -> bool {
         let known = self.inner.sessions.set_weight(id, weight);
         if known {
@@ -994,39 +910,47 @@ mod tests {
 
     #[test]
     fn closed_sessions_release_drr_lanes_under_the_arena() {
-        let server = seeded_server(ServerConfig {
-            workers: 0,
-            arena: true,
-            ..ServerConfig::default()
-        });
-        let s = server.connect(Profile::UltraPrecise);
-        let ticket = server.submit(s, "SELECT x * x FROM t").unwrap();
-        server.close_session(s);
-        let err = ticket.wait_timeout(Duration::from_millis(200)).unwrap_err();
-        assert!(matches!(err, ServerError::UnknownSession(_)), "{err}");
-        // The drained job released its prefetched compile entry (no seq
-        // left owning arena state) and the DRR lane is gone.
-        let st = server.arena_stats().unwrap();
-        assert_eq!(st.compile.queued, 0, "prefetch entries released");
-        match &server.inner.queue {
-            Dispatch::Drr(q) => assert_eq!(q.lanes(), 0, "lane forgotten"),
-            Dispatch::Fifo(_) => panic!("arena mode uses the DRR queue"),
+        for arena in [false, true] {
+            let server = seeded_server(ServerConfig {
+                workers: 0,
+                arena,
+                ..ServerConfig::default()
+            });
+            let s = server.connect(Profile::UltraPrecise);
+            let ticket = server.submit(s, "SELECT x * x FROM t").unwrap();
+            server.close_session(s);
+            let err = ticket.wait_timeout(Duration::from_millis(200)).unwrap_err();
+            assert!(matches!(err, ServerError::UnknownSession(_)), "{err}");
+            // The DRR lane is gone, and under the arena the drained job
+            // released its prefetched compile entry (no seq left owning
+            // arena state).
+            assert_eq!(server.inner.queue.lanes(), 0, "lane forgotten");
+            if arena {
+                let st = server.arena_stats().unwrap();
+                assert_eq!(st.compile.queued, 0, "prefetch entries released");
+            }
         }
     }
 
     #[test]
-    fn idle_sessions_are_reaped() {
-        let server = seeded_server(ServerConfig::default());
-        let a = server.connect(Profile::UltraPrecise);
-        let b = server.connect(Profile::UltraPrecise);
-        server.query(a, "SELECT x FROM t").unwrap();
-        assert!(server.reap_idle_sessions(Duration::from_secs(3600)).is_empty());
-        std::thread::sleep(Duration::from_millis(15));
-        server.query(a, "SELECT x FROM t").unwrap();
-        let reaped = server.reap_idle_sessions(Duration::from_millis(10));
-        assert_eq!(reaped, vec![b], "only the idle session is evicted");
-        assert!(server.session_stats(a).is_some());
-        assert!(server.session_stats(b).is_none());
+    fn session_weights_skew_dequeue_grants_at_the_default_config() {
+        // The default config (arena off) with no workers, so both
+        // sessions stay backlogged and the test takes the grants itself.
+        let config = ServerConfig { workers: 0, ..ServerConfig::default() };
+        assert!(!config.arena);
+        let server = seeded_server(config);
+        let heavy = server.connect(Profile::UltraPrecise);
+        let light = server.connect(Profile::UltraPrecise);
+        assert!(server.set_session_weight(heavy, 3.0));
+        assert!(server.set_session_weight(light, 1.0));
+        let _tickets: Vec<QueryTicket> = (0..6)
+            .flat_map(|_| [heavy, light])
+            .map(|s| server.submit(s, "SELECT x FROM t").unwrap())
+            .collect();
+        let heavy_grants = (0..8)
+            .filter(|_| server.inner.queue.pop_blocking().unwrap().session == heavy)
+            .count();
+        assert!(heavy_grants >= 5, "{heavy_grants} of the first 8 grants");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 use up_engine::Profile;
 
 /// Opaque handle to a connected session.
@@ -34,11 +33,9 @@ pub struct SessionStats {
 
 struct SessionState {
     profile: Profile,
-    /// Fair-share weight for arena scheduling (deficit round-robin).
+    /// Fair-share weight for deficit round-robin scheduling.
     weight: f64,
     stats: SessionStats,
-    /// Last submit/record against this session — the idle-eviction clock.
-    last_active: Instant,
 }
 
 /// Tracks connected sessions. All methods take `&self`; the map is
@@ -75,7 +72,6 @@ impl SessionManager {
                 profile,
                 weight: 1.0,
                 stats: SessionStats::default(),
-                last_active: Instant::now(),
             },
         );
         SessionId(id)
@@ -90,46 +86,14 @@ impl SessionManager {
             .map(|s| s.stats)
     }
 
-    /// The profile a session's queries run under. Looking a session up
-    /// on the submit path counts as activity for idle eviction.
+    /// The profile a session's queries run under.
     pub fn profile(&self, id: SessionId) -> Option<Profile> {
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .get_mut(&id.0)
-            .map(|s| {
-                s.last_active = Instant::now();
-                s.profile
-            })
+        self.sessions.lock().expect("session map poisoned").get(&id.0).map(|s| s.profile)
     }
 
     /// Whether a session is still connected (no activity recorded).
     pub fn contains(&self, id: SessionId) -> bool {
         self.sessions.lock().expect("session map poisoned").contains_key(&id.0)
-    }
-
-    /// Sessions whose last activity is older than `max_idle` — the reap
-    /// candidates for [`idle eviction`](crate::UpServer::reap_idle_sessions).
-    pub fn idle_sessions(&self, max_idle: Duration) -> Vec<SessionId> {
-        let now = Instant::now();
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .iter()
-            .filter(|(_, s)| now.duration_since(s.last_active) >= max_idle)
-            .map(|(&id, _)| SessionId(id))
-            .collect()
-    }
-
-    /// Changes a session's profile; false if the session is unknown.
-    pub fn set_profile(&self, id: SessionId, profile: Profile) -> bool {
-        match self.sessions.lock().expect("session map poisoned").get_mut(&id.0) {
-            Some(s) => {
-                s.profile = profile;
-                true
-            }
-            None => false,
-        }
     }
 
     /// A session's fair-share scheduling weight (default 1.0).
@@ -162,7 +126,6 @@ impl SessionManager {
             if !ok {
                 s.stats.errors += 1;
             }
-            s.last_active = Instant::now();
         }
     }
 
@@ -200,6 +163,7 @@ mod tests {
         assert_eq!(m.total(), 2);
         assert_eq!(m.profile(a), Some(Profile::UltraPrecise));
         assert_eq!(m.profile(b), Some(Profile::PostgresLike));
+        assert!(m.contains(a) && m.contains(b));
 
         m.record_query(a, true);
         m.record_query(a, false);
@@ -209,6 +173,7 @@ mod tests {
         assert_eq!(m.active(), 1);
         assert_eq!(m.total(), 2, "total is monotonic");
         assert!(m.profile(a).is_none());
+        assert!(!m.contains(a));
         assert!(m.disconnect(a).is_none(), "double disconnect is None");
     }
 
@@ -225,37 +190,6 @@ mod tests {
         assert_eq!(m.weight(s), Some(1.0), "non-positive falls back to 1");
         assert!(!m.set_weight(SessionId(999), 2.0));
         assert!(m.weight(SessionId(999)).is_none());
-    }
-
-    #[test]
-    fn idle_sessions_track_last_activity() {
-        let m = SessionManager::new();
-        let a = m.connect(Profile::UltraPrecise);
-        let b = m.connect(Profile::UltraPrecise);
-        // Everything is idle at threshold zero.
-        let mut idle = m.idle_sessions(Duration::ZERO);
-        idle.sort_by_key(|s| s.0);
-        assert_eq!(idle, vec![a, b]);
-        // Nothing is idle at a generous threshold.
-        assert!(m.idle_sessions(Duration::from_secs(3600)).is_empty());
-        std::thread::sleep(Duration::from_millis(15));
-        // Activity (a query, or a submit-path profile lookup) resets the
-        // clock for that session only.
-        m.record_query(a, true);
-        let idle = m.idle_sessions(Duration::from_millis(10));
-        assert_eq!(idle, vec![b]);
-        assert!(m.contains(a));
-        m.disconnect(b);
-        assert!(!m.contains(b));
-    }
-
-    #[test]
-    fn set_profile_switches_only_known_sessions() {
-        let m = SessionManager::new();
-        let s = m.connect(Profile::UltraPrecise);
-        assert!(m.set_profile(s, Profile::MonetLike));
-        assert_eq!(m.profile(s), Some(Profile::MonetLike));
-        assert!(!m.set_profile(SessionId(999), Profile::MonetLike));
     }
 
     #[test]
