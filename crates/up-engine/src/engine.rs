@@ -37,12 +37,6 @@ pub struct Database {
     /// vs. pre-decoded flat programs). Results, stats, and modeled times
     /// are bit-identical across backends. Defaults from `UP_SIM_EXEC`.
     pub exec_backend: up_gpusim::ExecBackend,
-    /// Simulated device fleet for data-parallel scans (see
-    /// `up_gpusim::Fleet`). `None` = classic single-device execution.
-    /// Rows, `ModeledTime`, kernel counts, and cache stats stay
-    /// bit-identical to single-device; the fleet only adds the
-    /// side-band `FleetReport` with sharded makespans and speedup.
-    fleet: Option<Arc<up_gpusim::Fleet>>,
 }
 
 impl Database {
@@ -57,7 +51,6 @@ impl Database {
             expr_tpi: 1,
             pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
-            fleet: None,
         }
     }
 
@@ -76,25 +69,12 @@ impl Database {
             expr_tpi: 1,
             pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
-            fleet: None,
         }
     }
 
     /// The active profile.
     pub fn profile(&self) -> Profile {
         self.profile
-    }
-
-    /// Installs (or clears) the simulated device fleet. Queries shard
-    /// scans across it and attach a `FleetReport`; rows and `ModeledTime`
-    /// stay bit-identical to single-device execution.
-    pub fn set_fleet(&mut self, fleet: Option<Arc<up_gpusim::Fleet>>) {
-        self.fleet = fleet;
-    }
-
-    /// The installed fleet, if any.
-    pub fn fleet(&self) -> Option<&Arc<up_gpusim::Fleet>> {
-        self.fleet.as_ref()
     }
 
     /// Creates (or replaces) a table. DDL: needs exclusive database
@@ -186,7 +166,6 @@ impl Database {
             pipeline: self.pipeline,
             exec_backend: self.exec_backend,
             arena,
-            fleet: self.fleet.as_deref(),
         };
         execute(&plan, &ctx)
     }
@@ -595,75 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_keeps_results_and_modeled_time_bit_identical() {
-        use up_gpusim::Fleet;
-        // Sharded aggregation across N simulated devices must be
-        // invisible in every canonical output: rows, the full modeled
-        // breakdown, kernel counts, and cache stats. Only the side-band
-        // FleetReport may differ — and its speedup must grow with the
-        // fleet on this aggregation shape.
-        let wide = dt(40, 4);
-        let sql = "SELECT g, SUM(x), AVG(x), MIN(x), MAX(x), COUNT(*) FROM w GROUP BY g ORDER BY g";
-        let run = |devices: usize| {
-            let mut db = Database::new(Profile::UltraPrecise);
-            if devices > 1 {
-                db.set_fleet(Some(Arc::new(Fleet::a6000s(devices))));
-            }
-            db.create_table(
-                "w",
-                Schema::new(vec![("x", ColumnType::Decimal(wide)), ("g", ColumnType::Str)]),
-            );
-            let rows = (1..=4096i64).map(|i| {
-                vec![
-                    Value::Decimal(UpDecimal::from_scaled_i64(i * 123_456_789, wide).unwrap()),
-                    Value::Str(if i % 3 == 0 { "a".into() } else { "b".into() }),
-                ]
-            });
-            db.insert_many("w", rows).unwrap();
-            let r = db.query(sql).unwrap();
-            (r, db.jit_stats())
-        };
-        let (single, single_stats) = run(1);
-        assert!(single.fleet.is_none(), "no fleet installed → no report");
-        for devices in [2usize, 4, 8] {
-            let (r, stats) = run(devices);
-            assert_eq!(single.rows.len(), r.rows.len(), "{devices} devices");
-            for (a, b) in single.rows.iter().zip(&r.rows) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.render(), y.render(), "{devices} devices");
-                }
-            }
-            for (name, a, b) in [
-                ("scan", single.modeled.scan_s, r.modeled.scan_s),
-                ("pcie", single.modeled.pcie_s, r.modeled.pcie_s),
-                ("compile", single.modeled.compile_s, r.modeled.compile_s),
-                ("kernel", single.modeled.kernel_s, r.modeled.kernel_s),
-                ("cpu", single.modeled.cpu_s, r.modeled.cpu_s),
-            ] {
-                assert_eq!(a.to_bits(), b.to_bits(), "{devices} devices: {name}_s");
-            }
-            assert_eq!(single.kernels, r.kernels, "{devices} devices");
-            assert_eq!(
-                (single_stats.hits, single_stats.misses),
-                (stats.hits, stats.misses),
-                "{devices} devices"
-            );
-            let f = r.fleet.expect("fleet installed → report attached");
-            assert_eq!(f.devices, devices);
-            assert_eq!(f.partition_rows.iter().sum::<u64>(), 4096);
-            assert!(
-                f.speedup > 1.2,
-                "{devices} devices: sharding must beat one device, got {:.2}×",
-                f.speedup
-            );
-            assert!(
-                f.makespan_s < f.single_device_s,
-                "{devices} devices: {f:?}"
-            );
-        }
-    }
-
-    #[test]
     fn exec_backend_keeps_results_and_modeled_time_bit_identical() {
         use up_gpusim::ExecBackend;
         // The decoded interpreter must be invisible at the query level:
@@ -848,6 +758,28 @@ mod tests {
         let pg = small_db(Profile::PostgresLike);
         let t2 = pg.explain("SELECT c1 + c2 FROM r").unwrap();
         assert!(t2.contains("comparator backend"), "{t2}");
+    }
+
+    #[test]
+    fn statements_at_the_depth_limit_run_on_a_default_stack() {
+        use crate::sql::MAX_EXPR_DEPTH as D;
+        let statements = [
+            format!("SELECT {}c1{} FROM r", "(".repeat(D), ")".repeat(D)),
+            format!("SELECT {}c1 FROM r", "-".repeat(D)),
+            format!("SELECT {}c1{} FROM r", "-(".repeat(D / 2), ")".repeat(D / 2)),
+            format!("SELECT SUM({}c1) FROM r", "-".repeat(D - 1)),
+            format!("SELECT c1 FROM r WHERE {}c1 > 0", "NOT ".repeat(D)),
+            format!("SELECT c1 FROM r WHERE {}", vec!["c1 > 0"; D + 1].join(" OR ")),
+        ];
+        // A spawned thread gets the default 2 MiB stack, like a worker.
+        std::thread::spawn(move || {
+            let db = small_db(Profile::UltraPrecise);
+            for sql in &statements {
+                db.query(sql).unwrap_or_else(|e| panic!("{e}: {}", &sql[..40]));
+            }
+        })
+        .join()
+        .expect("no stack overflow at the depth limit");
     }
 
     #[test]

@@ -26,7 +26,6 @@ use crate::storage::{Catalog, ColumnData, Table, Value};
 use core::cmp::Ordering;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use std::time::Instant;
 use up_baselines::limited::{CapError, LimitedDecimal, LimitedEngine};
 use up_baselines::soft_decimal::SoftDecimal;
@@ -201,42 +200,6 @@ pub struct QueryResult {
     /// had fewer than two independent slots). Kept separate from
     /// `modeled`, whose breakdown stays bit-identical across modes.
     pub pipeline: Option<PipelineReport>,
-    /// The modeled multi-device sharding report, when a fleet was
-    /// installed (`None` for classic single-device execution). Like
-    /// `pipeline`, a side-band model: `modeled` and rows never depend
-    /// on it.
-    pub fleet: Option<FleetReport>,
-}
-
-/// Side-band report of data-parallel execution over a simulated device
-/// fleet: scatter (range-sharded scan + transfer) → local exec →
-/// exchange (partial results staged over PCIe to the root device) →
-/// merge. Row-proportional legs (`scan_s`, `pcie_s`, `kernel_s`,
-/// `cpu_s`) shard at throughput-weighted bounds; host-global legs
-/// (`compile_s`, `queue_s`) do not. `speedup` is
-/// `single_device_s / makespan_s` — the headline scaling number.
-#[derive(Clone, Debug, Default)]
-pub struct FleetReport {
-    /// Devices in the fleet.
-    pub devices: usize,
-    /// Base-table rows assigned to each device (range shards at the
-    /// fleet's throughput-weighted bounds).
-    pub partition_rows: Vec<u64>,
-    /// Modeled busy seconds per device: its shard of the
-    /// row-proportional legs at its own throughput.
-    pub device_busy_s: Vec<f64>,
-    /// Bytes exchanged from non-root devices to the root for the merge.
-    pub exchange_bytes: u64,
-    /// Modeled exchange time (staged D2H + H2D legs per sender,
-    /// serialized on the root's copy engine).
-    pub exchange_s: f64,
-    /// The query's full modeled time on one device (= `modeled.total()`).
-    pub single_device_s: f64,
-    /// Modeled fleet completion: unsharded legs + slowest device shard +
-    /// exchange.
-    pub makespan_s: f64,
-    /// `single_device_s / makespan_s` (1.0 when they tie or both are 0).
-    pub speedup: f64,
 }
 
 /// Execution context.
@@ -272,14 +235,6 @@ pub struct ExecCtx<'a> {
     /// `None` for standalone queries. Results, `ModeledTime`, and cache
     /// stats are bit-identical either way.
     pub arena: Option<ArenaCtx<'a>>,
-    /// Simulated device fleet for data-parallel scans. `None` = classic
-    /// single-device execution. With a fleet, the scan/aggregate work is
-    /// sharded across devices at throughput-weighted range bounds and
-    /// partial accumulators merge in fixed device order — exact decimal
-    /// arithmetic keeps rows, `ModeledTime`, kernel counts, and cache
-    /// stats bit-identical to single-device; the speedup lives in the
-    /// side-band [`FleetReport`].
-    pub fleet: Option<&'a up_gpusim::Fleet>,
 }
 
 /// One query's binding to the server-wide pipeline arena (see
@@ -297,10 +252,6 @@ pub struct ArenaCtx<'a> {
     pub seq: u64,
     /// Modeled arrival second of this query on the server timeline.
     pub arrival_s: f64,
-    /// Home device of this query on the shared timeline (0 for a
-    /// single-device arena; the server's round-robin router assigns it
-    /// in fleet mode).
-    pub device: usize,
 }
 
 /// Runs a plan.
@@ -572,14 +523,6 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
     }
     let rows = Rows::new(cols, rows_n, order);
 
-    // Side-band fleet model: shard the row-proportional legs across the
-    // devices and price the partial-result exchange. Computed *from*
-    // `modeled` after the fact, so the canonical breakdown above stays
-    // bit-identical to single-device execution by construction.
-    let fleet_rep = ctx.fleet.map(|fleet| {
-        fleet_report(fleet, &modeled, tables[0].rows, rows.byte_estimate(), plan.has_aggregates)
-    });
-
     Ok(QueryResult {
         columns,
         rows,
@@ -588,76 +531,7 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         kernels,
         tiers,
         pipeline: pipeline_report,
-        fleet: fleet_rep,
     })
-}
-
-/// Builds the [`FleetReport`] for one executed query. Row-proportional
-/// legs (scan, PCIe, kernel, host per-tuple work) shard at the fleet's
-/// throughput-weighted range bounds — each device processes its rows at
-/// its own rate, so weighted shards finish together. Compile and queue
-/// time stay host-global. The exchange stages every non-root device's
-/// partial result to the root (aggregates ship one partial row set
-/// each; projections ship their shard of the output).
-fn fleet_report(
-    fleet: &up_gpusim::Fleet,
-    modeled: &ModeledTime,
-    base_rows: usize,
-    result_bytes: u64,
-    aggregated: bool,
-) -> FleetReport {
-    let devices = fleet.len();
-    let bounds = fleet.shard_bounds(base_rows);
-    let partition_rows: Vec<u64> =
-        bounds.windows(2).map(|w| (w[1] - w[0]) as u64).collect();
-    let sharded = modeled.scan_s + modeled.pcie_s + modeled.kernel_s + modeled.cpu_s;
-    let unsharded = modeled.compile_s + modeled.queue_s;
-    let w0 = fleet.device(0).throughput_weight();
-    let per_row_root = if base_rows > 0 { sharded / base_rows as f64 } else { 0.0 };
-    let device_busy_s: Vec<f64> = partition_rows
-        .iter()
-        .enumerate()
-        .map(|(d, &rows)| {
-            // Device d runs at `weight_d / weight_0` times the root's
-            // throughput on these memory-bound scan shapes.
-            rows as f64 * per_row_root * (w0 / fleet.device(d).throughput_weight())
-        })
-        .collect();
-    let mut exchange_bytes = 0u64;
-    let mut exchange_s = 0.0;
-    for (d, &shard_rows) in partition_rows.iter().enumerate().skip(1) {
-        let bytes = if aggregated {
-            // One partial accumulator row set per device.
-            result_bytes
-        } else {
-            // This device's shard of the gathered projection.
-            if base_rows > 0 {
-                result_bytes * shard_rows / base_rows as u64
-            } else {
-                0
-            }
-        };
-        exchange_bytes += bytes;
-        exchange_s += fleet.exchange_time(bytes, d, 0);
-    }
-    let slowest = device_busy_s.iter().cloned().fold(0.0, f64::max);
-    let single_device_s = modeled.total();
-    let makespan_s = unsharded + slowest + exchange_s;
-    let speedup = if makespan_s > 0.0 && single_device_s > 0.0 {
-        single_device_s / makespan_s
-    } else {
-        1.0
-    };
-    FleetReport {
-        devices,
-        partition_rows,
-        device_busy_s,
-        exchange_bytes,
-        exchange_s,
-        single_device_s,
-        makespan_s,
-        speedup,
-    }
 }
 
 /// The join/filter result: for every output tuple, the row it reads in
@@ -1273,7 +1147,7 @@ fn eval_slots_pipelined<'a>(
         // Arena: nodes land on the *server-wide* engine pools at this
         // query's modeled arrival, so the report includes cross-query
         // contention as queue delay.
-        Some(a) => a.timeline.place_on(a.device, a.arrival_s, &tnodes),
+        Some(a) => a.timeline.place(a.arrival_s, &tnodes),
         // Otherwise the plan's nodes get a timeline of their own.
         None => {
             let lanes = ctx.pipeline.depth().min(4);
@@ -1765,17 +1639,9 @@ fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
 // Aggregation
 // ---------------------------------------------------------------------
 
-/// Folds one group of an aggregate's input column.
-///
-/// With a fleet the group's members split into contiguous shards at the
-/// throughput-weighted range bounds (the scatter), each device folds its
-/// shard (local exec), and the partials merge in fixed device order (the
-/// exchange+merge); without one there is a single shard. Exact arithmetic
-/// makes the split invisible — a shard's decimal cells fold in one
-/// carry-save pass over their bytes ([`SumAcc::add_cells`]), i64 sums
-/// and comparisons are order-robust under contiguous regrouping — so rows
-/// are bit-identical at any fleet size. Float folds are not associative
-/// and stay serial.
+/// Folds one group of an aggregate's input column, in member order.
+/// A decimal group's cells fold in one carry-save pass over their bytes
+/// ([`SumAcc::add_cells`]).
 fn aggregate_group(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
@@ -1799,10 +1665,6 @@ fn aggregate_group(
         _ => {}
     }
     let sum = matches!(f, AggFunc::Sum | AggFunc::Avg);
-    let bounds = match ctx.fleet {
-        Some(fleet) if fleet.len() >= 2 && n >= fleet.len() => fleet.shard_bounds(n),
-        _ => vec![0, n],
-    };
     match col {
         Column::Decimal { ty, bytes } => {
             let lb = ty.lb();
@@ -1811,13 +1673,14 @@ fn aggregate_group(
                 // `sum_result` keeps the scale, so the column's unscaled
                 // integers add as they are: no per-row alignment.
                 let out_ty = ty.sum_result(n as u64);
-                let total = sharded_sum(&bounds, out_ty, |acc, w| match members {
-                    Members::All(_) => acc.add_cells(bytes, lb, w),
-                    Members::List(rows) => acc.add_cells(bytes, lb, rows[w].iter().copied()),
-                });
-                sum_value(f, total, out_ty, n as u64)
+                let mut acc = SumAcc::new(out_ty.lw());
+                match members {
+                    Members::All(_) => acc.add_cells(bytes, lb, 0..n),
+                    Members::List(rows) => acc.add_cells(bytes, lb, rows.iter().copied()),
+                }
+                sum_value(f, acc.finish(), out_ty, n as u64)
             } else {
-                let k = sharded_extremum(f, &bounds, |a, b| cmp_compact(cell(a), cell(b)));
+                let k = extremum(f, n, |a, b| cmp_compact(cell(a), cell(b)));
                 Ok(Value::Decimal(decode_compact(cell(k), *ty)))
             }
         }
@@ -1833,17 +1696,15 @@ fn aggregate_group(
                         // Value-based capability: the running accumulator
                         // must fit the engine's word width (the *type* may
                         // exceed the declared cap — real sums often fit).
-                        // Walks the serial member order, never sharded.
                         checked_limited_sum(kind, &group, out_ty)?;
                     }
-                    let total = sharded_sum(&bounds, out_ty, |acc, w| {
-                        for v in &group[w] {
-                            acc.add_decimal(v, out_ty.scale);
-                        }
-                    });
-                    sum_value(f, total, out_ty, n as u64)
+                    let mut acc = SumAcc::new(out_ty.lw());
+                    for v in &group {
+                        acc.add_decimal(v, out_ty.scale);
+                    }
+                    sum_value(f, acc.finish(), out_ty, n as u64)
                 } else {
-                    let k = sharded_extremum(f, &bounds, |a, b| group[a].cmp_value(group[b]));
+                    let k = extremum(f, n, |a, b| group[a].cmp_value(group[b]));
                     Ok(Value::Decimal(group[k].clone()))
                 }
             }
@@ -1852,12 +1713,11 @@ fn aggregate_group(
                     Value::Int64(i) => Some(*i),
                     _ => None,
                 })?;
-                let total =
-                    || bounds.windows(2).map(|w| nums[w[0]..w[1]].iter().sum::<i64>()).sum::<i64>();
+                let total = || nums.iter().sum::<i64>();
                 Ok(match f {
                     AggFunc::Sum => Value::Int64(total()),
                     AggFunc::Avg => Value::Float64(total() as f64 / n as f64),
-                    _ => Value::Int64(nums[sharded_extremum(f, &bounds, |a, b| nums[a].cmp(&nums[b]))]),
+                    _ => Value::Int64(nums[extremum(f, n, |a, b| nums[a].cmp(&nums[b]))]),
                 })
             }
             Value::Float64(_) => {
@@ -1892,36 +1752,15 @@ fn gather<'v, T>(
         .collect()
 }
 
-/// SUM over members `0..n` split at `bounds`: one partial accumulator per
-/// shard, filled by `add` from the shard's member range, merged in device
-/// order.
-fn sharded_sum(
-    bounds: &[usize],
-    out_ty: DecimalType,
-    mut add: impl FnMut(&mut SumAcc, Range<usize>),
-) -> BigInt {
-    let mut acc = SumAcc::new(out_ty.lw());
-    for w in bounds.windows(2) {
-        let mut part = SumAcc::new(out_ty.lw());
-        add(&mut part, w[0]..w[1]);
-        acc.merge(&part);
-    }
-    acc.finish()
-}
-
-/// The member holding MIN or MAX: per-shard extremum, then the same fold
-/// over the partials in device order. `min_by` keeps the first of equal
-/// elements and `max_by` the last; the two-level fold preserves both.
-fn sharded_extremum(f: AggFunc, bounds: &[usize], cmp: impl Fn(usize, usize) -> Ordering) -> usize {
-    let best = |ks: &mut dyn Iterator<Item = usize>| {
-        if f == AggFunc::Min {
-            ks.min_by(|&a, &b| cmp(a, b))
-        } else {
-            ks.max_by(|&a, &b| cmp(a, b))
-        }
+/// The member of `0..n` (n ≥ 1) holding MIN or MAX. `min_by` keeps the
+/// first of equal elements and `max_by` the last.
+fn extremum(f: AggFunc, n: usize, cmp: impl Fn(usize, usize) -> Ordering) -> usize {
+    let best = if f == AggFunc::Min {
+        (0..n).min_by(|&a, &b| cmp(a, b))
+    } else {
+        (0..n).max_by(|&a, &b| cmp(a, b))
     };
-    let partials: Vec<usize> = bounds.windows(2).filter_map(|w| best(&mut (w[0]..w[1]))).collect();
-    best(&mut partials.into_iter()).expect("non-empty group")
+    best.expect("non-empty group")
 }
 
 /// SUM's total as a value of the §III-B3 result type; AVG divides it by
@@ -1988,12 +1827,9 @@ mod tests {
         let err = gather(&vals, &Members::All(3), ints).unwrap_err();
         assert!(matches!(err, QueryError::Unsupported(m) if m.contains("mixed aggregate input")));
         assert_eq!(gather(&vals, &Members::List(vec![2, 0]), ints).unwrap(), vec![3, 3]);
-        // Equal everywhere: MIN keeps the first member, MAX the last, at
-        // any sharding (an empty shard is skipped).
-        for bounds in [vec![0, 6], vec![0, 2, 4, 6], vec![0, 0, 5, 6]] {
-            assert_eq!(sharded_extremum(AggFunc::Min, &bounds, |_, _| Ordering::Equal), 0);
-            assert_eq!(sharded_extremum(AggFunc::Max, &bounds, |_, _| Ordering::Equal), 5);
-        }
+        // Equal everywhere: MIN keeps the first member, MAX the last.
+        assert_eq!(extremum(AggFunc::Min, 6, |_, _| Ordering::Equal), 0);
+        assert_eq!(extremum(AggFunc::Max, 6, |_, _| Ordering::Equal), 5);
     }
 
     #[test]

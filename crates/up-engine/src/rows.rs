@@ -120,22 +120,6 @@ impl Rows {
         &self.cols
     }
 
-    /// Approximate wire size of the result — what a device ships to the
-    /// root during the fleet exchange: `Lb` per compact cell.
-    pub(crate) fn byte_estimate(&self) -> u64 {
-        let cell = |v: &Value| match v {
-            Value::Decimal(d) => d.dtype().lb() as u64,
-            Value::Int64(_) | Value::Float64(_) => 8,
-            Value::Str(s) => s.len() as u64 + 4,
-            Value::Null => 1,
-        };
-        let column = |c: &Column<'_>| match c {
-            Column::Decimal { ty, .. } => (ty.lb() * self.len()) as u64,
-            Column::Values(vals) => self.row_ids().map(|i| cell(&vals[i])).sum(),
-        };
-        self.cols.iter().map(column).sum()
-    }
-
     /// For each result row in order, its cell index in every column.
     pub fn row_ids(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).map(|k| self.order.as_ref().map_or(k, |o| o[k] as usize))
@@ -277,12 +261,5 @@ mod tests {
         assert_eq!(r.rows[0][0].render(), "14.00");
         assert_eq!(r.rows[2][1].render(), "2.2500");
         assert_eq!(CELLS_DECODED.with(|c| c.get()), 6, "3 rows × 2 columns, once");
-        // A fleet sizes its exchange from the columns: `Lb` per kept cell.
-        let lb = |c: &Column<'_>| match c {
-            Column::Decimal { ty, .. } => ty.lb() as u64,
-            Column::Values(_) => panic!("kernel output is compact"),
-        };
-        assert_eq!(r.rows.byte_estimate(), 3 * r.rows.columns().iter().map(lb).sum::<u64>());
-        assert_eq!(CELLS_DECODED.with(|c| c.get()), 6);
     }
 }

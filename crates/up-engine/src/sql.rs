@@ -228,11 +228,21 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
     Ok(out)
 }
 
+/// Deepest expression/predicate tree the parser builds. Every pass after
+/// it (plan, n-ary rewrite, constant folding, codegen) recurses over the
+/// tree, so this bound is what keeps a hostile statement from overflowing
+/// a worker's stack.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     /// Input length in bytes: the position reported at end of input.
     end: usize,
+    /// Tree depth at the current token: one level per enclosing `(`,
+    /// unary sign, NOT, CASE, CAST or aggregate call, plus one per
+    /// operator appended to an enclosing operator chain.
+    depth: usize,
 }
 
 impl Parser {
@@ -254,6 +264,31 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { msg: msg.into(), at: self.at() })
+    }
+
+    /// Enters one tree level for the token just consumed; past
+    /// [`MAX_EXPR_DEPTH`] that token is the error position.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            let at = self.toks[self.pos - 1].1;
+            return Err(ParseError {
+                msg: format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+                at,
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one tree level below the token just consumed.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let r = parse(self);
+        self.depth -= 1;
+        r
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -314,43 +349,53 @@ impl Parser {
 
     // ---- expressions ----
 
+    /// A left-deep `+`/`-` chain: each appended operator is one level
+    /// deeper, until the chain ends.
     fn expr(&mut self) -> Result<SqlExpr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.term()?;
         loop {
-            if self.eat_sym('+') {
-                lhs = SqlExpr::Bin(BinOp::Add, Box::new(lhs), Box::new(self.term()?));
+            let op = if self.eat_sym('+') {
+                BinOp::Add
             } else if self.eat_sym('-') {
-                lhs = SqlExpr::Bin(BinOp::Sub, Box::new(lhs), Box::new(self.term()?));
+                BinOp::Sub
             } else {
+                self.depth = base;
                 return Ok(lhs);
-            }
+            };
+            self.descend()?;
+            lhs = SqlExpr::Bin(op, Box::new(lhs), Box::new(self.term()?));
         }
     }
 
     fn term(&mut self) -> Result<SqlExpr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.factor()?;
         loop {
-            if self.eat_sym('*') {
-                lhs = SqlExpr::Bin(BinOp::Mul, Box::new(lhs), Box::new(self.factor()?));
+            let op = if self.eat_sym('*') {
+                BinOp::Mul
             } else if self.eat_sym('/') {
-                lhs = SqlExpr::Bin(BinOp::Div, Box::new(lhs), Box::new(self.factor()?));
+                BinOp::Div
             } else if self.eat_sym('%') {
-                lhs = SqlExpr::Bin(BinOp::Mod, Box::new(lhs), Box::new(self.factor()?));
+                BinOp::Mod
             } else {
+                self.depth = base;
                 return Ok(lhs);
-            }
+            };
+            self.descend()?;
+            lhs = SqlExpr::Bin(op, Box::new(lhs), Box::new(self.factor()?));
         }
     }
 
     fn factor(&mut self) -> Result<SqlExpr, ParseError> {
         if self.eat_sym('-') {
-            return Ok(SqlExpr::Neg(Box::new(self.factor()?)));
+            return Ok(SqlExpr::Neg(Box::new(self.nested(Self::factor)?)));
         }
         if self.eat_sym('+') {
-            return self.factor();
+            return self.nested(Self::factor);
         }
         if self.eat_sym('(') {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect_sym(')')?;
             return Ok(e);
         }
@@ -360,10 +405,10 @@ impl Parser {
             Some(Tok::Ident(name)) => {
                 let lname = name.to_lowercase();
                 if lname == "case" {
-                    return self.case_expr();
+                    return self.nested(Self::case_expr);
                 }
                 if lname == "cast" {
-                    return self.cast_expr();
+                    return self.nested(Self::cast_expr);
                 }
                 // Aggregate call?
                 let agg = match lname.as_str() {
@@ -385,7 +430,7 @@ impl Parser {
                         } else {
                             f
                         };
-                        let inner = self.expr()?;
+                        let inner = self.nested(Self::expr)?;
                         self.expect_sym(')')?;
                         return Ok(SqlExpr::Agg(f, Box::new(inner)));
                     }
@@ -452,27 +497,33 @@ impl Parser {
     // ---- predicates ----
 
     fn pred(&mut self) -> Result<Pred, ParseError> {
+        let base = self.depth;
         let mut lhs = self.pred_and()?;
         while self.eat_kw("or") {
+            self.descend()?;
             lhs = Pred::Or(Box::new(lhs), Box::new(self.pred_and()?));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn pred_and(&mut self) -> Result<Pred, ParseError> {
+        let base = self.depth;
         let mut lhs = self.pred_atom()?;
         while self.eat_kw("and") {
+            self.descend()?;
             lhs = Pred::And(Box::new(lhs), Box::new(self.pred_atom()?));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn pred_atom(&mut self) -> Result<Pred, ParseError> {
         if self.eat_kw("not") {
-            return Ok(Pred::Not(Box::new(self.pred_atom()?)));
+            return Ok(Pred::Not(Box::new(self.nested(Self::pred_atom)?)));
         }
         if self.eat_sym('(') {
-            let p = self.pred()?;
+            let p = self.nested(Self::pred)?;
             self.expect_sym(')')?;
             return Ok(p);
         }
@@ -602,7 +653,7 @@ impl Parser {
 /// Parses one `SELECT` statement.
 pub fn parse_select(sql: &str) -> Result<Select, ParseError> {
     let toks = lex(sql)?;
-    let mut p = Parser { toks, pos: 0, end: sql.len() };
+    let mut p = Parser { toks, pos: 0, end: sql.len(), depth: 0 };
     p.select()
 }
 
@@ -683,6 +734,40 @@ mod tests {
         )
         .unwrap();
         assert!(s.where_.is_some());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_at_the_offending_token() {
+        let d = MAX_EXPR_DEPTH;
+        // The 257th `(`, unary `-`, NOT or chained `+` is the error position.
+        let parens = format!("SELECT {}c1{} FROM t", "(".repeat(d + 1), ")".repeat(d + 1));
+        let minus = format!("SELECT {}c1 FROM t", "-".repeat(d + 1));
+        let nots = format!("SELECT c1 FROM t WHERE {}c1 > 0", "NOT ".repeat(d + 1));
+        let chain = format!("SELECT c1{} FROM t", " + c1".repeat(d + 1));
+        for (sql, at) in [
+            (&parens, 7 + d),
+            (&minus, 7 + d),
+            (&nots, 23 + 4 * d),
+            (&chain, chain.match_indices('+').nth(d).unwrap().0),
+        ] {
+            let e = parse_select(sql).unwrap_err();
+            assert_eq!(e.at, at, "{e}");
+            assert!(e.msg.contains("nested deeper than 256"), "{e}");
+        }
+        // One level less parses; depth is per path, so siblings reset it.
+        let ok = format!("SELECT {}c1{} FROM t", "(".repeat(d), ")".repeat(d));
+        assert!(parse_select(&ok).is_ok());
+        let chain = format!("SELECT c1{} FROM t", " + c1".repeat(d));
+        assert!(parse_select(&chain).is_ok());
+        let wide = (0..4).map(|_| format!("{}c1", "-".repeat(d))).collect::<Vec<_>>().join(", ");
+        assert!(parse_select(&format!("SELECT {wide} FROM t")).is_ok());
+    }
+
+    #[test]
+    fn a_hundred_thousand_parentheses_are_a_parse_error() {
+        let sql = format!("SELECT {}c1{} FROM t", "(".repeat(100_000), ")".repeat(100_000));
+        let e = parse_select(&sql).unwrap_err();
+        assert_eq!(e.at, 7 + MAX_EXPR_DEPTH);
     }
 
     #[test]

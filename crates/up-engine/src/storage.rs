@@ -188,78 +188,6 @@ impl Table {
     }
 }
 
-/// How a table's rows are split across a simulated device fleet.
-///
-/// Partitioning is deterministic — the same table and spec always yield
-/// the same assignment — so fleet runs stay bit-reproducible. `Range`
-/// is the scan/aggregation default (contiguous shards keep per-device
-/// work coalesced and merge order fixed); `Hash` is the co-location
-/// spec for key-partitioned exchanges.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PartitionSpec {
-    /// Contiguous row ranges, split at caller-provided cumulative
-    /// bounds (e.g. throughput-weighted fleet shard bounds).
-    Range,
-    /// FNV-1a hash of the key column's canonical bytes, modulo the
-    /// partition count.
-    Hash {
-        /// Schema index of the key column.
-        column: usize,
-    },
-}
-
-/// FNV-1a over a canonical byte rendering of one stored value — the
-/// stable row→partition hash behind [`PartitionSpec::Hash`].
-fn fnv1a_value(col: &ColumnData, row: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    match col {
-        ColumnData::Decimal { ty, bytes } => {
-            let lb = ty.lb();
-            eat(&bytes[row * lb..(row + 1) * lb]);
-        }
-        ColumnData::Int64(v) => eat(&v[row].to_le_bytes()),
-        ColumnData::Float64(v) => eat(&v[row].to_bits().to_le_bytes()),
-        ColumnData::Str(v) => eat(v[row].as_bytes()),
-    }
-    h
-}
-
-impl Table {
-    /// Splits this table's row indices into `bounds.len() - 1`
-    /// partitions. `bounds` must be cumulative and end at `self.rows`
-    /// (the shape `Fleet::shard_bounds` produces). `Range` slices rows
-    /// contiguously at the bounds; `Hash` buckets each row by its key
-    /// column, ignoring the bound positions but using their count.
-    pub fn partition(&self, spec: PartitionSpec, bounds: &[usize]) -> Vec<Vec<usize>> {
-        assert!(bounds.len() >= 2, "need at least one partition");
-        assert_eq!(*bounds.last().unwrap(), self.rows, "bounds must cover the table");
-        let parts = bounds.len() - 1;
-        match spec {
-            PartitionSpec::Range => bounds
-                .windows(2)
-                .map(|w| {
-                    assert!(w[0] <= w[1], "bounds must be non-decreasing");
-                    (w[0]..w[1]).collect()
-                })
-                .collect(),
-            PartitionSpec::Hash { column } => {
-                let col = &self.columns[column];
-                let mut out = vec![Vec::new(); parts];
-                for row in 0..self.rows {
-                    out[(fnv1a_value(col, row) % parts as u64) as usize].push(row);
-                }
-                out
-            }
-        }
-    }
-}
-
 /// A scalar value crossing the engine's boundaries.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -398,48 +326,6 @@ mod tests {
         cat.put(Table::new("LineItem", Schema::default()));
         assert!(cat.read("lineitem").is_some());
         assert!(cat.read("LINEITEM").is_some());
-    }
-
-    #[test]
-    fn range_partition_slices_rows_at_the_bounds() {
-        let mut t =
-            Table::new("r", Schema::new(vec![("n", ColumnType::Int64)]));
-        for i in 0..10 {
-            t.push_row(vec![Value::Int64(i)]).unwrap();
-        }
-        let parts = t.partition(PartitionSpec::Range, &[0, 3, 7, 10]);
-        assert_eq!(parts, vec![vec![0, 1, 2], vec![3, 4, 5, 6], vec![7, 8, 9]]);
-        // Degenerate single partition covers everything.
-        let whole = t.partition(PartitionSpec::Range, &[0, 10]);
-        assert_eq!(whole[0].len(), 10);
-    }
-
-    #[test]
-    fn hash_partition_is_deterministic_and_covers_every_row() {
-        let mut t = Table::new(
-            "r",
-            Schema::new(vec![("k", ColumnType::Str), ("n", ColumnType::Int64)]),
-        );
-        for i in 0..64 {
-            t.push_row(vec![Value::Str(format!("key-{i}")), Value::Int64(i)]).unwrap();
-        }
-        let spec = PartitionSpec::Hash { column: 0 };
-        let a = t.partition(spec, &[0, 16, 32, 48, 64]);
-        let b = t.partition(spec, &[0, 16, 32, 48, 64]);
-        assert_eq!(a, b, "hash partitioning must be deterministic");
-        let mut all: Vec<usize> = a.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..64).collect::<Vec<_>>(), "every row lands in exactly one part");
-        // 64 distinct keys over 4 buckets: no bucket may swallow everything.
-        assert!(a.iter().all(|p| p.len() < 64), "{:?}", a.iter().map(Vec::len).collect::<Vec<_>>());
-        // Equal keys co-locate: hashing the constant-free int column of
-        // identical values puts every row in one bucket.
-        let mut same = Table::new("s", Schema::new(vec![("n", ColumnType::Int64)]));
-        for _ in 0..8 {
-            same.push_row(vec![Value::Int64(42)]).unwrap();
-        }
-        let parts = same.partition(PartitionSpec::Hash { column: 0 }, &[0, 4, 8]);
-        assert!(parts.iter().filter(|p| !p.is_empty()).count() == 1);
     }
 
     #[test]

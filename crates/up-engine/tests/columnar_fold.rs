@@ -11,9 +11,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::Arc;
 use up_engine::{ColumnData, ColumnType, Database, Profile, QueryResult, Schema, Value};
-use up_gpusim::{Fleet, PipelineMode};
+use up_gpusim::PipelineMode;
 use up_num::{BigInt, DecimalType, Sign, UpDecimal};
 
 const SEED: u64 = 0x5eed_c01f;
@@ -260,7 +259,7 @@ fn empty_selection_is_null_and_one_row_is_itself() {
 }
 
 #[test]
-fn fleet_and_pipeline_change_neither_rows_nor_modeled_time() {
+fn pipeline_changes_neither_rows_nor_modeled_time() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 6);
     let t = ty(37, 5);
     let a: Vec<_> = (0..700)
@@ -269,31 +268,26 @@ fn fleet_and_pipeline_change_neither_rows_nor_modeled_time() {
     let b: Vec<_> = (0..700)
         .map(|_| random_decimal(&mut rng, t, None))
         .collect();
-    let run = |devices: usize, mode: PipelineMode| {
+    let run = |mode: PipelineMode| {
         let mut db = database(&a, &b);
         db.pipeline = mode;
-        if devices > 1 {
-            db.set_fleet(Some(Arc::new(Fleet::a6000s(devices))));
-        }
-        check_all(&db, &a, &b, &format!("{devices} devices, pipeline {mode}"))
+        check_all(&db, &a, &b, &format!("pipeline {mode}"))
     };
-    let base = run(1, PipelineMode::Off);
-    for devices in [1usize, 2, 4, 8] {
-        for mode in [PipelineMode::Off, PipelineMode::On(2), PipelineMode::On(8)] {
-            for (r, b) in run(devices, mode).iter().zip(&base) {
-                let label = format!("{devices} devices, pipeline {mode}");
-                assert_eq!(r.rows, b.rows, "{label}");
-                assert_eq!(r.kernels, b.kernels, "{label}");
-                for (name, x, y) in [
-                    ("scan_s", r.modeled.scan_s, b.modeled.scan_s),
-                    ("pcie_s", r.modeled.pcie_s, b.modeled.pcie_s),
-                    ("compile_s", r.modeled.compile_s, b.modeled.compile_s),
-                    ("kernel_s", r.modeled.kernel_s, b.modeled.kernel_s),
-                    ("cpu_s", r.modeled.cpu_s, b.modeled.cpu_s),
-                    ("queue_s", r.modeled.queue_s, b.modeled.queue_s),
-                ] {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{label}: {name}");
-                }
+    let base = run(PipelineMode::Off);
+    for mode in [PipelineMode::Off, PipelineMode::On(2), PipelineMode::On(8)] {
+        for (r, b) in run(mode).iter().zip(&base) {
+            let label = format!("pipeline {mode}");
+            assert_eq!(r.rows, b.rows, "{label}");
+            assert_eq!(r.kernels, b.kernels, "{label}");
+            for (name, x, y) in [
+                ("scan_s", r.modeled.scan_s, b.modeled.scan_s),
+                ("pcie_s", r.modeled.pcie_s, b.modeled.pcie_s),
+                ("compile_s", r.modeled.compile_s, b.modeled.compile_s),
+                ("kernel_s", r.modeled.kernel_s, b.modeled.kernel_s),
+                ("cpu_s", r.modeled.cpu_s, b.modeled.cpu_s),
+                ("queue_s", r.modeled.queue_s, b.modeled.queue_s),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label}: {name}");
             }
         }
     }

@@ -1,18 +1,9 @@
-//! Device model: the simulated GPU's resources and cost constants, the
-//! [`Device`] behavioral trait over them, and the multi-device [`Fleet`].
+//! Device model: the simulated GPU's resources and cost constants.
 //!
 //! The evaluation machine is an NVIDIA Quadro RTX A6000 (48 GB GDDR6, PCIe
 //! 4.0) driven by CUDA 11.6 (§IV). [`DeviceConfig::a6000`] reproduces that
 //! profile; all cost-model constants are collected here so the analytic
 //! estimator in [`crate::cost`] has a single calibration surface.
-//!
-//! [`Device`] abstracts *how* a backend is priced — named profiles are
-//! the A6000-class [`GpuDevice`], a `tiny()`-class small GPU, and the
-//! PCIe-free [`CpuDevice`] baseline — so data-parallel scans can shard
-//! over heterogeneous backends. A [`Fleet`] owns N devices, computes
-//! throughput-weighted shard boundaries, and prices the cross-device
-//! exchange (staged through host memory: one PCIe leg out of the sender,
-//! one into the receiver).
 
 /// Static resources and throughput constants of a simulated device.
 #[derive(Clone, Debug)]
@@ -111,203 +102,6 @@ impl DeviceConfig {
     pub fn pcie_time(&self, bytes: u64) -> f64 {
         bytes as f64 / (self.pcie_bandwidth_gbps * 1e9)
     }
-
-    /// A CPU-baseline "device": kernels run on host cores reading host
-    /// memory, so there is no PCIe hop and the memory system is a
-    /// typical server DDR channel set. The SM/occupancy fields describe
-    /// the host's core/SMT topology in GPU vocabulary so the same cost
-    /// model prices it (one "SM" per core, one warp-wide issue slot).
-    pub fn cpu_baseline() -> Self {
-        DeviceConfig {
-            name: "CPU baseline (host cores)",
-            sm_count: 32,
-            warp_size: 32,
-            schedulers_per_sm: 1,
-            max_threads_per_sm: 64,
-            max_threads_per_block: 64,
-            registers_per_sm: 65536,
-            max_registers_per_thread: 255,
-            shared_mem_per_block: 256 * 1024,
-            clock_ghz: 2.8,
-            mem_bandwidth_gbps: 80.0,
-            // No PCIe hop: data is already in host memory. The huge
-            // bandwidth makes any priced transfer vanish; [`CpuDevice`]
-            // zeroes it outright.
-            pcie_bandwidth_gbps: f64::INFINITY,
-            launch_overhead_us: 0.5,
-            mem_latency_cycles: 300.0,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The Device trait and its named profiles
-// ---------------------------------------------------------------------
-
-/// A priced execution backend: one member of a [`Fleet`].
-///
-/// Implementations wrap a [`DeviceConfig`] and define the behavioral
-/// bits that differ between backend classes — whether the device pays a
-/// host↔device transfer at all, and its steady-state scan/aggregation
-/// throughput weight (used to size its table shard). All pricing is
-/// side-band: functional results never depend on which device "ran" a
-/// shard.
-pub trait Device: Send + Sync {
-    /// The cost-model parameters of this device.
-    fn config(&self) -> &DeviceConfig;
-
-    /// Profile name, for reports.
-    fn name(&self) -> &'static str {
-        self.config().name
-    }
-
-    /// Whether this backend is a discrete GPU behind a PCIe link.
-    fn is_gpu(&self) -> bool {
-        true
-    }
-
-    /// Seconds to move `bytes` from host memory onto this device (0 for
-    /// host-resident backends).
-    fn h2d_time(&self, bytes: u64) -> f64 {
-        self.config().pcie_time(bytes)
-    }
-
-    /// Relative steady-state scan/aggregation throughput. The paper's
-    /// decimal workloads are memory-bound (§IV), so device-memory
-    /// bandwidth is the shard-sizing proxy.
-    fn throughput_weight(&self) -> f64 {
-        self.config().mem_bandwidth_gbps.max(1e-9)
-    }
-}
-
-/// A discrete GPU profile (A6000-class or `tiny()`-class).
-#[derive(Clone, Debug)]
-pub struct GpuDevice(pub DeviceConfig);
-
-impl Device for GpuDevice {
-    fn config(&self) -> &DeviceConfig {
-        &self.0
-    }
-}
-
-/// The CPU-baseline profile: host-resident, no PCIe hop.
-#[derive(Clone, Debug)]
-pub struct CpuDevice(pub DeviceConfig);
-
-impl CpuDevice {
-    /// The default CPU baseline ([`DeviceConfig::cpu_baseline`]).
-    pub fn baseline() -> CpuDevice {
-        CpuDevice(DeviceConfig::cpu_baseline())
-    }
-}
-
-impl Device for CpuDevice {
-    fn config(&self) -> &DeviceConfig {
-        &self.0
-    }
-
-    fn is_gpu(&self) -> bool {
-        false
-    }
-
-    fn h2d_time(&self, _bytes: u64) -> f64 {
-        0.0
-    }
-}
-
-/// An ordered set of N simulated devices sharing one host.
-///
-/// Device 0 is the *root*: non-sharded work runs there and partial
-/// results from the other devices are exchanged to it. Shard boundaries
-/// are throughput-weighted and deterministic, and the exchange is priced
-/// as a staged host-memory hop (sender D2H leg + receiver H2D leg), both
-/// at the devices' PCIe bandwidths.
-pub struct Fleet {
-    devices: Vec<Box<dyn Device>>,
-}
-
-impl Fleet {
-    /// A fleet over explicit devices (at least one; device 0 is root).
-    pub fn new(devices: Vec<Box<dyn Device>>) -> Fleet {
-        assert!(!devices.is_empty(), "a fleet needs at least one device");
-        Fleet { devices }
-    }
-
-    /// N identical GPUs of one profile.
-    pub fn homogeneous(n: usize, cfg: DeviceConfig) -> Fleet {
-        let n = n.max(1);
-        Fleet::new((0..n).map(|_| Box::new(GpuDevice(cfg.clone())) as Box<dyn Device>).collect())
-    }
-
-    /// N simulated A6000s — the `bench_fleet` configuration.
-    pub fn a6000s(n: usize) -> Fleet {
-        Fleet::homogeneous(n, DeviceConfig::a6000())
-    }
-
-    /// Device count.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// True for a single-device "fleet".
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The `i`-th device.
-    pub fn device(&self, i: usize) -> &dyn Device {
-        self.devices[i].as_ref()
-    }
-
-    /// Iterates the devices in fixed (merge) order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Device> {
-        self.devices.iter().map(|d| d.as_ref())
-    }
-
-    /// Normalized shard fractions per device (throughput-weighted;
-    /// uniform for a homogeneous fleet). Sums to 1.
-    pub fn shard_fractions(&self) -> Vec<f64> {
-        let total: f64 = self.devices.iter().map(|d| d.throughput_weight()).sum();
-        self.devices.iter().map(|d| d.throughput_weight() / total).collect()
-    }
-
-    /// Deterministic contiguous shard boundaries over `n` rows:
-    /// `bounds[d]..bounds[d+1]` is device `d`'s range. Boundaries are
-    /// cumulative-weight floors, so every row lands in exactly one shard
-    /// and the result depends only on `(n, weights)`.
-    pub fn shard_bounds(&self, n: usize) -> Vec<usize> {
-        let fractions = self.shard_fractions();
-        let mut bounds = Vec::with_capacity(self.len() + 1);
-        bounds.push(0usize);
-        let mut cum = 0.0f64;
-        for f in &fractions[..fractions.len() - 1] {
-            cum += f;
-            bounds.push(((n as f64 * cum).floor() as usize).min(n));
-        }
-        bounds.push(n);
-        // Floors are monotone because `cum` is, but make it explicit.
-        for w in bounds.windows(2) {
-            debug_assert!(w[0] <= w[1]);
-        }
-        bounds
-    }
-
-    /// Seconds to move `bytes` from device `from` to device `to`, staged
-    /// through host memory: a D2H leg on the sender's link plus an H2D
-    /// leg on the receiver's (either leg is free for a host-resident
-    /// device). 0 for a self-transfer.
-    pub fn exchange_time(&self, bytes: u64, from: usize, to: usize) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        self.devices[from].h2d_time(bytes) + self.devices[to].h2d_time(bytes)
-    }
-}
-
-impl core::fmt::Debug for Fleet {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_list().entries(self.devices.iter().map(|d| d.name())).finish()
-    }
 }
 
 #[cfg(test)]
@@ -352,63 +146,5 @@ mod tests {
         let t1 = d.pcie_time(1 << 30);
         assert!((t1 - (1u64 << 30) as f64 / 25e9).abs() < 1e-12);
         assert!((d.pcie_time(2 << 30) / t1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn device_profiles_differ_where_they_should() {
-        let gpu = GpuDevice(DeviceConfig::a6000());
-        let cpu = CpuDevice::baseline();
-        assert!(gpu.is_gpu() && !cpu.is_gpu());
-        assert!(gpu.h2d_time(1 << 30) > 0.0);
-        assert_eq!(cpu.h2d_time(1 << 30), 0.0, "host-resident data never crosses PCIe");
-        // A6000 out-scans both the tiny GPU and the CPU baseline.
-        let tiny = GpuDevice(DeviceConfig::tiny());
-        assert!(gpu.throughput_weight() > tiny.throughput_weight());
-        assert!(gpu.throughput_weight() > cpu.throughput_weight());
-    }
-
-    #[test]
-    fn homogeneous_fleet_shards_evenly() {
-        let fleet = Fleet::a6000s(4);
-        assert_eq!(fleet.len(), 4);
-        let b = fleet.shard_bounds(1000);
-        assert_eq!(b, vec![0, 250, 500, 750, 1000]);
-        // Non-divisible row counts still cover every row exactly once.
-        let b = fleet.shard_bounds(1003);
-        assert_eq!(*b.first().unwrap(), 0);
-        assert_eq!(*b.last().unwrap(), 1003);
-        assert!(b.windows(2).all(|w| w[0] <= w[1]));
-        let f = fleet.shard_fractions();
-        assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heterogeneous_fleet_weights_shards_by_throughput() {
-        let fleet = Fleet::new(vec![
-            Box::new(GpuDevice(DeviceConfig::a6000())), // 768 GB/s
-            Box::new(GpuDevice(DeviceConfig::tiny())),  // 10 GB/s
-            Box::new(CpuDevice::baseline()),            // 80 GB/s
-        ]);
-        let f = fleet.shard_fractions();
-        assert!(f[0] > 0.85, "the A6000 takes most rows: {f:?}");
-        assert!(f[1] < f[2], "tiny GPU gets less than the CPU: {f:?}");
-        let b = fleet.shard_bounds(10_000);
-        assert_eq!(b.len(), 4);
-        assert_eq!(*b.last().unwrap(), 10_000);
-    }
-
-    #[test]
-    fn exchange_is_priced_as_two_staged_pcie_legs() {
-        let fleet = Fleet::a6000s(2);
-        let bytes = 1u64 << 30;
-        let one_leg = DeviceConfig::a6000().pcie_time(bytes);
-        assert!((fleet.exchange_time(bytes, 1, 0) - 2.0 * one_leg).abs() < 1e-12);
-        assert_eq!(fleet.exchange_time(bytes, 0, 0), 0.0);
-        // A CPU endpoint contributes no PCIe leg on its side.
-        let mixed = Fleet::new(vec![
-            Box::new(GpuDevice(DeviceConfig::a6000())),
-            Box::new(CpuDevice::baseline()),
-        ]);
-        assert!((mixed.exchange_time(bytes, 1, 0) - one_leg).abs() < 1e-12);
     }
 }

@@ -1,12 +1,12 @@
 //! Warn-once environment-knob parsing, shared by every crate in the
 //! workspace.
 //!
-//! One contract for `UP_SIM_EXEC`, `UP_PIPELINE`, `UP_ARENA`,
-//! `UP_DEVICES`, and the `UP_NET_*` family: the variable is read once per process (call
+//! One contract for `UP_SIM_EXEC`, `UP_PIPELINE`, `UP_ARENA` and the
+//! `UP_NET_*` family: the variable is read once per process (call
 //! sites cache in a `OnceLock`), a valid value overrides the default,
 //! and a *set but unparsable* value warns once on stderr and behaves
 //! like unset — never a panic, never silently meaning something else.
-//! Values are trimmed before parsing, so `UP_DEVICES=" 4 "` works.
+//! Values are trimmed before parsing, so `UP_NET_IDLE_S=" 4 "` works.
 
 /// Reads and parses an environment-variable knob. Returns `None` when
 /// the variable is unset or invalid; invalid values additionally warn on
@@ -43,7 +43,7 @@ mod tests {
 
     #[test]
     fn unset_is_none_without_warning() {
-        assert_eq!(parse_value("UP_DEVICES", "a device count", None, |v| v
+        assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", None, |v| v
             .parse::<usize>()
             .ok()), None);
     }
@@ -51,9 +51,9 @@ mod tests {
     #[test]
     fn values_are_trimmed_and_invalid_ones_ignored() {
         let parse = |v: &str| v.parse::<usize>().ok();
-        assert_eq!(parse_value("UP_DEVICES", "a device count", Some("6"), parse), Some(6));
-        assert_eq!(parse_value("UP_DEVICES", "a device count", Some(" 8 "), parse), Some(8));
-        assert_eq!(parse_value("UP_DEVICES", "a device count", Some("fourteen"), parse), None);
+        assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some("6"), parse), Some(6));
+        assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some(" 8 "), parse), Some(8));
+        assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some("fourteen"), parse), None);
     }
 
     #[test]
@@ -92,18 +92,6 @@ mod tests {
                 Some("turbo"),
                 ExecBackend::parse
             ),
-            None
-        );
-    }
-
-    #[test]
-    fn up_devices_knob() {
-        // The parse rule `up-server` uses for `UP_DEVICES`.
-        let parse = |v: &str| v.parse::<usize>().ok().filter(|&n| (1..=64).contains(&n));
-        assert_eq!(parse_value("UP_DEVICES", "a device count in 1..=64", Some("4"), parse), Some(4));
-        assert_eq!(parse_value("UP_DEVICES", "a device count in 1..=64", Some("0"), parse), None);
-        assert_eq!(
-            parse_value("UP_DEVICES", "a device count in 1..=64", Some("lots"), parse),
             None
         );
     }

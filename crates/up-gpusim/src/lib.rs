@@ -33,13 +33,13 @@ pub use compiled::{
     FusedRunInfo, ThunkIsa, TierCounters, TIER_THRESHOLD,
 };
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
-pub use device::{CpuDevice, Device, DeviceConfig, Fleet, GpuDevice};
+pub use device::DeviceConfig;
 pub use exec::{
     launch, launch_opts, launch_sampled, launch_sampled_opts, ExecStats, GlobalMem, LaunchConfig,
     LaunchOpts, SimError,
 };
 pub use pipeline::{
-    run_dag, DagNodeCost, DeficitRoundRobin, DeviceTimelineStats, PipelineMode, PipelineReport,
+    run_dag, DagNodeCost, DeficitRoundRobin, PipelineMode, PipelineReport,
     SharedTimeline, SharedTimelineStats,
 };
 pub use ptx::{AddrForm, CmpOp, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt};

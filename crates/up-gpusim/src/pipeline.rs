@@ -193,7 +193,7 @@ where
         .collect()
 }
 
-/// Modeled cost of one DAG node, placed by [`SharedTimeline::place_on`].
+/// Modeled cost of one DAG node, placed by [`SharedTimeline::place`].
 #[derive(Clone, Debug, Default)]
 pub struct DagNodeCost {
     /// Earlier nodes whose completion gates this node's execution.
@@ -345,57 +345,39 @@ impl DeficitRoundRobin {
     }
 }
 
-/// A server-wide modeled pipeline timeline: one shared compile-lane
-/// pool plus, *per device*, an H2D copy engine and a compute-stream
-/// pool, all against one global clock. Queries place their launch-DAG
-/// node costs at their modeled arrival second on their home device, so
-/// contention *between* queries shows up as queue delay on the shared
-/// engines. The single-device [`SharedTimeline::new`] constructor is
-/// the degenerate fleet of one; a fresh one placed at arrival 0 is one
+/// A server-wide modeled pipeline timeline: an NVCC compile-lane pool,
+/// one H2D copy engine and a compute-stream pool, all against one global
+/// clock. Queries place their launch-DAG node costs at their modeled
+/// arrival second, so contention *between* queries shows up as queue
+/// delay on the shared engines; a fresh one placed at arrival 0 is one
 /// plan's own timeline. This is a side-band model: engine results and
 /// `ModeledTime` totals never depend on it.
 pub struct SharedTimeline {
     state: Mutex<SharedState>,
     streams: usize,
     compile_lanes: usize,
-    devices: usize,
-}
-
-/// Per-device engine pair plus its placement accumulators.
-struct DeviceLanes {
-    copy: StreamScheduler,
-    compute: StreamScheduler,
-    queries: u64,
-    nodes: u64,
-    h2d_s: f64,
-    exec_s: f64,
 }
 
 struct SharedState {
     compile: StreamScheduler,
-    devices: Vec<DeviceLanes>,
+    copy: StreamScheduler,
+    compute: StreamScheduler,
     queries: u64,
     nodes: u64,
     compile_s: f64,
+    h2d_s: f64,
+    exec_s: f64,
     makespan_s: f64,
 }
 
 impl SharedState {
     /// Queue delay across every engine, added left to right as
-    /// ((compile + copy) + compute) device by device: a fresh one-device
-    /// timeline's report then has the bits of a plan placed on its own.
+    /// ((compile + copy) + compute): a fresh timeline's report then has
+    /// the bits of a plan placed on its own.
     fn queue_total(&self) -> f64 {
-        self.devices.iter().fold(self.compile.stats().queue_delay_total_s, |q, d| {
-            q + d.copy.stats().queue_delay_total_s + d.compute.stats().queue_delay_total_s
-        })
-    }
-
-    fn h2d_total(&self) -> f64 {
-        self.devices.iter().map(|d| d.h2d_s).sum()
-    }
-
-    fn exec_total(&self) -> f64 {
-        self.devices.iter().map(|d| d.exec_s).sum()
+        self.compile.stats().queue_delay_total_s
+            + self.copy.stats().queue_delay_total_s
+            + self.compute.stats().queue_delay_total_s
     }
 }
 
@@ -406,17 +388,15 @@ pub struct SharedTimelineStats {
     pub queries: u64,
     /// Total DAG nodes placed.
     pub nodes: u64,
-    /// Simulated devices sharing the timeline.
-    pub devices: usize,
-    /// Compute streams *per device*.
+    /// Compute streams of the modeled pool.
     pub streams: usize,
     /// Concurrent NVCC compile lanes of the shared pool.
     pub compile_lanes: usize,
     /// Total compile seconds placed on the compile lanes.
     pub compile_s: f64,
-    /// Total H2D seconds placed across every device's copy engine.
+    /// Total H2D seconds placed on the copy engine.
     pub h2d_s: f64,
-    /// Total execution seconds placed across every device's streams.
+    /// Total execution seconds placed on the compute streams.
     pub exec_s: f64,
     /// Total queueing delay across all shared engines.
     pub queue_s: f64,
@@ -424,96 +404,43 @@ pub struct SharedTimelineStats {
     pub makespan_s: f64,
     /// `compile_s / (compile_lanes × makespan_s)` (0 when idle).
     pub compile_utilization: f64,
-    /// `h2d_s / (devices × makespan_s)` (one copy engine per device).
+    /// `h2d_s / makespan_s` (0 when idle).
     pub copy_utilization: f64,
-    /// `exec_s / (devices × streams × makespan_s)` (0 when idle).
-    pub stream_utilization: f64,
-}
-
-/// One device's slice of a [`SharedTimeline`]: what was routed to it
-/// and how busy its private copy engine and compute streams were over
-/// the *global* makespan (so an idle device reads as low utilization,
-/// not a short local clock).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeviceTimelineStats {
-    /// Device index within the fleet.
-    pub device: usize,
-    /// Queries whose DAG was placed on this device.
-    pub queries: u64,
-    /// DAG nodes placed on this device.
-    pub nodes: u64,
-    /// H2D seconds placed on this device's copy engine.
-    pub h2d_s: f64,
-    /// Execution seconds placed on this device's compute streams.
-    pub exec_s: f64,
-    /// Queueing delay accrued on this device's two engines.
-    pub queue_s: f64,
-    /// `h2d_s / makespan_s` against the global clock (0 when idle).
-    pub copy_utilization: f64,
-    /// `exec_s / (streams × makespan_s)` against the global clock.
+    /// `exec_s / (streams × makespan_s)` (0 when idle).
     pub stream_utilization: f64,
 }
 
 impl SharedTimeline {
-    /// A fresh single-device timeline with `streams` compute streams
-    /// and `compile_lanes` NVCC lanes (both clamped to ≥ 1).
+    /// A fresh timeline with `streams` compute streams and
+    /// `compile_lanes` NVCC lanes (both clamped to ≥ 1).
     pub fn new(streams: usize, compile_lanes: usize) -> SharedTimeline {
-        SharedTimeline::fleet(1, streams, compile_lanes)
-    }
-
-    /// A fresh timeline over `devices` simulated devices, each with its
-    /// own H2D copy engine and `streams` compute streams, sharing one
-    /// NVCC compile-lane pool and one global clock (all clamped ≥ 1).
-    pub fn fleet(devices: usize, streams: usize, compile_lanes: usize) -> SharedTimeline {
-        let devices = devices.max(1);
         let streams = streams.max(1);
         let compile_lanes = compile_lanes.max(1);
         SharedTimeline {
             state: Mutex::new(SharedState {
                 compile: StreamScheduler::new(compile_lanes),
-                devices: (0..devices)
-                    .map(|_| DeviceLanes {
-                        copy: StreamScheduler::new(1),
-                        compute: StreamScheduler::new(streams),
-                        queries: 0,
-                        nodes: 0,
-                        h2d_s: 0.0,
-                        exec_s: 0.0,
-                    })
-                    .collect(),
+                copy: StreamScheduler::new(1),
+                compute: StreamScheduler::new(streams),
                 queries: 0,
                 nodes: 0,
                 compile_s: 0.0,
+                h2d_s: 0.0,
+                exec_s: 0.0,
                 makespan_s: 0.0,
             }),
             streams,
             compile_lanes,
-            devices,
         }
     }
 
-    /// Number of simulated devices sharing this timeline.
-    pub fn devices(&self) -> usize {
-        self.devices
-    }
-
-    /// Places one query's DAG on device 0 — the single-device
-    /// compatibility form of [`SharedTimeline::place_on`].
+    /// Places one query's DAG node costs in node-index order, with
+    /// compiles issued at the query's modeled `arrival_s` on the compile
+    /// lanes (they have no data dependencies). Returns the query's own
+    /// report: `makespan_s` and `queue_s` are relative to its arrival, so
+    /// they include whatever delay *other* in-flight queries imposed on
+    /// the engines it touched.
     pub fn place(&self, arrival_s: f64, nodes: &[DagNodeCost]) -> PipelineReport {
-        self.place_on(0, arrival_s, nodes)
-    }
-
-    /// Places one query's DAG node costs on `device`'s engines in
-    /// node-index order, with compiles issued at the query's modeled
-    /// `arrival_s` on the *shared* compile lanes (they have no data
-    /// dependencies and NVCC runs on the host either way). Returns the
-    /// query's own report: `makespan_s` and `queue_s` are relative to
-    /// its arrival, so they include whatever delay *other* in-flight
-    /// queries imposed on the engines it touched. A `device` index past
-    /// the fleet wraps modulo the device count.
-    pub fn place_on(&self, device: usize, arrival_s: f64, nodes: &[DagNodeCost]) -> PipelineReport {
         let arrival_s = if arrival_s.is_finite() { arrival_s.max(0.0) } else { 0.0 };
-        let device = device % self.devices;
         let mut st = self.state.lock().expect("shared timeline poisoned");
         let q0 = st.queue_total();
         let mut finish = vec![arrival_s; nodes.len()];
@@ -525,15 +452,10 @@ impl SharedTimeline {
             } else {
                 arrival_s
             };
-            let lanes = &mut st.devices[device];
-            let h_end =
-                if nd.h2d_s > 0.0 { lanes.copy.submit(ready, nd.h2d_s).end_s } else { ready };
+            let h_end = if nd.h2d_s > 0.0 { st.copy.submit(ready, nd.h2d_s).end_s } else { ready };
             let start = ready.max(c_end).max(h_end);
-            finish[i] = if nd.exec_s > 0.0 {
-                lanes.compute.submit(start, nd.exec_s).end_s
-            } else {
-                start
-            };
+            finish[i] =
+                if nd.exec_s > 0.0 { st.compute.submit(start, nd.exec_s).end_s } else { start };
             makespan = makespan.max(finish[i]);
         }
         let compile_total: f64 = nodes.iter().map(|n| n.compile_s).sum();
@@ -544,11 +466,8 @@ impl SharedTimeline {
         st.queries += 1;
         st.nodes += nodes.len() as u64;
         st.compile_s += compile_total;
-        let lanes = &mut st.devices[device];
-        lanes.queries += 1;
-        lanes.nodes += nodes.len() as u64;
-        lanes.h2d_s += h2d_total;
-        lanes.exec_s += exec_total;
+        st.h2d_s += h2d_total;
+        st.exec_s += exec_total;
         st.makespan_s = st.makespan_s.max(makespan);
         let span = makespan - arrival_s;
         let cap = self.streams as f64 * span;
@@ -581,44 +500,17 @@ impl SharedTimeline {
         SharedTimelineStats {
             queries: st.queries,
             nodes: st.nodes,
-            devices: self.devices,
             streams: self.streams,
             compile_lanes: self.compile_lanes,
             compile_s: st.compile_s,
-            h2d_s: st.h2d_total(),
-            exec_s: st.exec_total(),
+            h2d_s: st.h2d_s,
+            exec_s: st.exec_s,
             queue_s: st.queue_total(),
             makespan_s: span,
             compile_utilization: frac(st.compile_s, self.compile_lanes),
-            copy_utilization: frac(st.h2d_total(), self.devices),
-            stream_utilization: frac(st.exec_total(), self.devices * self.streams),
+            copy_utilization: frac(st.h2d_s, 1),
+            stream_utilization: frac(st.exec_s, self.streams),
         }
-    }
-
-    /// Per-device breakdown of everything placed so far, in device
-    /// order; utilizations are against the global makespan.
-    pub fn device_stats(&self) -> Vec<DeviceTimelineStats> {
-        let st = self.state.lock().expect("shared timeline poisoned");
-        let span = st.makespan_s;
-        st.devices
-            .iter()
-            .enumerate()
-            .map(|(i, d)| DeviceTimelineStats {
-                device: i,
-                queries: d.queries,
-                nodes: d.nodes,
-                h2d_s: d.h2d_s,
-                exec_s: d.exec_s,
-                queue_s: d.copy.stats().queue_delay_total_s
-                    + d.compute.stats().queue_delay_total_s,
-                copy_utilization: if span > 0.0 { d.h2d_s / span } else { 0.0 },
-                stream_utilization: if span > 0.0 {
-                    d.exec_s / (self.streams as f64 * span)
-                } else {
-                    0.0
-                },
-            })
-            .collect()
     }
 }
 
@@ -801,47 +693,6 @@ mod tests {
         let idle = SharedTimeline::new(2, 2).stats();
         assert_eq!(idle.makespan_s, 0.0);
         assert!(!idle.stream_utilization.is_nan());
-    }
-
-    #[test]
-    fn fleet_timeline_isolates_devices_but_shares_compile_lanes() {
-        // Two queries, no compile: on one device they contend on its
-        // stream; spread over two devices they run fully in parallel.
-        let nodes = vec![DagNodeCost { deps: vec![], compile_s: 0.0, h2d_s: 0.01, exec_s: 0.1 }];
-        let one = SharedTimeline::fleet(1, 1, 1);
-        one.place_on(0, 0.0, &nodes);
-        let contended = one.place_on(0, 0.0, &nodes);
-        assert!(contended.queue_s > 0.05, "{contended:?}");
-
-        let two = SharedTimeline::fleet(2, 1, 1);
-        let a = two.place_on(0, 0.0, &nodes);
-        let b = two.place_on(1, 0.0, &nodes);
-        assert!(a.queue_s.abs() < 1e-12 && b.queue_s.abs() < 1e-12, "{a:?} {b:?}");
-        assert_eq!(two.devices(), 2);
-        let s = two.stats();
-        assert_eq!(s.devices, 2);
-        assert_eq!(s.queries, 2);
-        let per = two.device_stats();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].queries, 1);
-        assert_eq!(per[1].queries, 1);
-        assert!((per[0].exec_s - 0.1).abs() < 1e-12, "{:?}", per[0]);
-        assert!((per[1].h2d_s - 0.01).abs() < 1e-12, "{:?}", per[1]);
-        assert!(per[0].stream_utilization > 0.0 && per[0].stream_utilization <= 1.0);
-
-        // Compile lanes stay shared across devices: with one lane, a
-        // compile placed from device 1 queues behind device 0's.
-        let lanes = SharedTimeline::fleet(2, 4, 1);
-        let heavy = vec![DagNodeCost { deps: vec![], compile_s: 0.3, h2d_s: 0.0, exec_s: 0.01 }];
-        let c0 = lanes.place_on(0, 0.0, &heavy);
-        let c1 = lanes.place_on(1, 0.0, &heavy);
-        assert!(c0.queue_s.abs() < 1e-12, "{c0:?}");
-        assert!(c1.queue_s > 0.25, "{c1:?}");
-
-        // Out-of-range device wraps instead of panicking.
-        let w = two.place_on(5, 0.0, &nodes);
-        assert!(w.makespan_s > 0.0);
-        assert_eq!(two.device_stats()[1].queries, 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::nary::NExpr;
 use crate::schedule::schedule_alignment;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use up_gpusim::cost::modeled_compile_time_s;
 
@@ -169,7 +169,10 @@ impl SharedKernelCache {
         sig: &str,
         build: impl FnOnce(u64) -> CompiledExpr,
     ) -> (Arc<CompiledExpr>, bool) {
-        let mut shard = self.shard_of(sig).lock().expect("kernel cache poisoned");
+        // A `build` that panics poisons the shard, but it unwinds before
+        // the insert: the shard holds only whole entries (and a bumped
+        // tick), so the state behind a poisoned lock is still consistent.
+        let mut shard = self.shard_of(sig).lock().unwrap_or_else(PoisonError::into_inner);
         shard.tick += 1;
         let tick = shard.tick;
         if let Some(e) = shard.map.get_mut(sig) {
@@ -205,7 +208,7 @@ impl SharedKernelCache {
             entries: self
                 .shards
                 .iter()
-                .map(|s| s.lock().expect("kernel cache poisoned").map.len())
+                .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
                 .sum(),
             capacity: self.shard_capacity * self.shards.len(),
         }

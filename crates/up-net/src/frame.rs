@@ -47,6 +47,9 @@ pub enum ErrorCode {
     /// The engine executed the query and failed (`ServerError::Query`);
     /// the frame's message carries the engine error text.
     QueryFailed = 6,
+    /// Executing the query panicked (`ServerError::Internal`); the
+    /// worker survived and the frame's message carries the panic text.
+    Internal = 7,
 
     /// Malformed frame: truncated body, trailing bytes, bad UTF-8, an
     /// unknown kind, or a length that overruns the payload.
@@ -96,6 +99,7 @@ impl ErrorCode {
             4 => Canceled,
             5 => Shutdown,
             6 => QueryFailed,
+            7 => Internal,
             10 => BadFrame,
             11 => BadVersion,
             12 => FrameTooLarge,
@@ -123,6 +127,7 @@ impl ErrorCode {
             ServerError::Canceled => ErrorCode::Canceled,
             ServerError::Shutdown => ErrorCode::Shutdown,
             ServerError::Query(_) => ErrorCode::QueryFailed,
+            ServerError::Internal(_) => ErrorCode::Internal,
         }
     }
 }
@@ -734,6 +739,7 @@ mod tests {
             (ErrorCode::Canceled, 4),
             (ErrorCode::Shutdown, 5),
             (ErrorCode::QueryFailed, 6),
+            (ErrorCode::Internal, 7),
             (ErrorCode::BadFrame, 10),
             (ErrorCode::BadVersion, 11),
             (ErrorCode::FrameTooLarge, 12),
@@ -759,10 +765,11 @@ mod tests {
             ServerError::Canceled,
             ServerError::Shutdown,
             ServerError::Query(QueryError::Unsupported("x".into())),
+            ServerError::Internal("x".into()),
         ];
         let codes: Vec<u16> =
             errs.iter().map(|e| ErrorCode::from_server_error(e).as_u16()).collect();
-        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(codes, vec![1, 2, 3, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -128,6 +128,46 @@ fn incomparable_predicates_are_error_replies_not_dead_workers() {
     server.shutdown();
 }
 
+/// One worker serves two tenants: `hostile` gets `code` with a message
+/// naming `why` for `sql` on every try, and the other tenant's query is
+/// answered within a second after.
+fn hostile_statement_leaves_the_worker_serving(sql: &str, tries: usize, code: ErrorCode, why: &str) {
+    let up = seeded_up(ServerConfig { workers: 1, ..ServerConfig::default() }, 8);
+    let tenants = open_registry(&["hostile", "bystander"]);
+    let mut server = WireServer::start(Arc::clone(&up), tenants, net_config()).unwrap();
+    let mut hostile = Client::connect(server.addr(), "hostile", "token").unwrap();
+    for _ in 0..tries {
+        match hostile.query(sql).unwrap_err() {
+            WireError::Remote { code: c, message, .. } => {
+                assert_eq!(ErrorCode::from_u16(c), Some(code), "{message}");
+                assert!(message.contains(why), "{message}");
+            }
+            other => panic!("expected a remote error, got {other}"),
+        }
+    }
+    let mut bystander = Client::connect(server.addr(), "bystander", "token").unwrap();
+    let t0 = Instant::now();
+    let ok = bystander.query("SELECT SUM(x) FROM t").unwrap();
+    assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+    assert_eq!(ok.rows, vec![vec!["28.28".to_string()]]);
+    server.shutdown();
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    let sql = format!("SELECT {}x{} FROM t", "(".repeat(3000), ")".repeat(3000));
+    hostile_statement_leaves_the_worker_serving(&sql, 1, ErrorCode::QueryFailed, "nested deeper");
+}
+
+#[test]
+fn a_panicking_statement_is_an_internal_error_and_the_worker_lives() {
+    // 140 terms exhaust the kernel's predicate file: codegen panics under
+    // the JIT cache's shard lock. The second try compiles again instead
+    // of tripping over a poisoned shard.
+    let sql = format!("SELECT {} FROM t", vec!["x"; 140].join(" + "));
+    hostile_statement_leaves_the_worker_serving(&sql, 2, ErrorCode::Internal, "predicate file exhausted");
+}
+
 #[test]
 fn a_reply_over_max_frame_is_refused_and_the_connection_lives() {
     let up = seeded_up(ServerConfig::default(), 1000);

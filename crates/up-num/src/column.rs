@@ -65,14 +65,12 @@ fn accumulate(acc: &mut Vec<Limb>, at: usize, addend: &[Limb]) {
 /// The SUM accumulator of a decimal column: one fixed-width magnitude for
 /// the positive addends and one for the negative ones, subtracted once in
 /// [`SumAcc::finish`]. A column is added by [`SumAcc::add_cells`] in one
-/// carry-save pass; integer addition is associative, so shards can be
-/// summed apart and [`merge`]d in any grouping with the same result.
+/// carry-save pass; integer addition is associative, so cells may be
+/// added in any order and grouping with the same result.
 ///
 /// Sized for the §III-B3 result type (`Lw(out) + 1` words each, the extra
 /// word absorbing any carry of in-range addends); out-of-range input grows
 /// the accumulator rather than wrapping.
-///
-/// [`merge`]: SumAcc::merge
 #[derive(Clone, Debug)]
 pub struct SumAcc {
     pos: Vec<Limb>,
@@ -162,12 +160,6 @@ impl SumAcc {
             &mut self.pos
         };
         accumulate(acc, 0, v.mag());
-    }
-
-    /// Adds another accumulator's partial sums (a shard's, in the fleet).
-    pub fn merge(&mut self, other: &SumAcc) {
-        accumulate(&mut self.pos, 0, &other.pos[..limbs::sig_limbs(&other.pos)]);
-        accumulate(&mut self.neg, 0, &other.neg[..limbs::sig_limbs(&other.neg)]);
     }
 
     /// The signed total: positives minus negatives.
@@ -416,7 +408,8 @@ mod tests {
         let expect = BigInt::from((i32::MAX as i64) << 20);
         assert_eq!(acc.finish(), expect);
         assert_eq!(neg.finish(), expect.neg());
-        acc.merge(&neg);
+        // The negative column into the same accumulator cancels exactly.
+        acc.add_cells(&[0xff; 4].repeat(1 << 20), 4, 0..1 << 20);
         assert!(acc.finish().is_zero(), "exact cancellation");
     }
 

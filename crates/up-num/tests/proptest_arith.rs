@@ -270,19 +270,19 @@ proptest! {
         }).collect();
         let want = vals.iter().fold(BigInt::zero(), |a, v| a.add(v.unscaled()));
         let out_lw = ty.sum_result(vals.len() as u64).lw();
-        // One accumulator over the compact column; two shard partials over
-        // borrowed limbs, merged.
+        // One accumulator over the compact column; one over borrowed
+        // limbs, fed the two halves of a split in turn.
         let column: Vec<u8> =
             vals.iter().flat_map(|v| compact::encode_compact(v, ty).unwrap()).collect();
         let mut whole = SumAcc::new(out_lw);
         whole.add_cells(&column, ty.lb(), 0..vals.len());
-        let (mut left, mut right) = (SumAcc::new(out_lw), SumAcc::new(out_lw));
-        for (i, v) in vals.iter().enumerate() {
-            if i < split { left.add_decimal(v, 5) } else { right.add_decimal(v, 5) }
+        let mut halves = SumAcc::new(out_lw);
+        let (left, right) = vals.split_at(split.min(vals.len()));
+        for v in left.iter().chain(right) {
+            halves.add_decimal(v, 5);
         }
-        left.merge(&right);
         prop_assert_eq!(whole.finish(), want.clone());
-        prop_assert_eq!(left.finish(), want);
+        prop_assert_eq!(halves.finish(), want);
     }
 
     #[test]

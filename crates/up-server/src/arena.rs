@@ -65,23 +65,10 @@ impl LaunchArena {
     /// `compile_lanes` concurrent compiles and `gpu_streams` compute
     /// streams in the shared timeline.
     pub fn new(jit: JitEngine, compile_lanes: usize, gpu_streams: usize) -> LaunchArena {
-        Self::fleet(jit, 1, compile_lanes, gpu_streams)
-    }
-
-    /// [`new`](LaunchArena::new) over a simulated fleet: the timeline
-    /// keeps one shared pool of `compile_lanes` (NVCC runs on the host,
-    /// so compiles contend fleet-wide) but gives each of the `devices`
-    /// its own copy engine and `gpu_streams` compute streams.
-    pub fn fleet(
-        jit: JitEngine,
-        devices: usize,
-        compile_lanes: usize,
-        gpu_streams: usize,
-    ) -> LaunchArena {
         let compile_lanes = compile_lanes.max(1);
         LaunchArena {
             compile: Arc::new(CompileArena::new(jit, compile_lanes)),
-            timeline: SharedTimeline::fleet(devices, gpu_streams, compile_lanes),
+            timeline: SharedTimeline::new(gpu_streams, compile_lanes),
             seq: AtomicU64::new(0),
             session_wait: Mutex::new(HashMap::new()),
         }

@@ -10,7 +10,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use up_gpusim::stream::StreamStats;
-use up_gpusim::{DeviceTimelineStats, PipelineReport, SharedTimelineStats};
+use up_gpusim::{PipelineReport, SharedTimelineStats};
 use up_jit::cache::CacheStats;
 use up_jit::CompileArenaStats;
 
@@ -333,14 +333,6 @@ pub struct MetricsSnapshot {
     /// Largest single session's share of total admission-queue wait, in
     /// `[0, 1]`; near `1 / sessions` means the DRR scheduler is fair.
     pub arena_max_wait_share: f64,
-    /// Simulated GPU fleet size (`ServerConfig::devices`, ≥ 1).
-    pub fleet_devices: usize,
-    /// Queries routed to each device, round-robin by execution order
-    /// (`len == fleet_devices`).
-    pub fleet_routed: Vec<u64>,
-    /// Per-device launch-timeline stats from the arena's shared fleet
-    /// timeline (empty when the arena is off).
-    pub fleet_timeline: Vec<DeviceTimelineStats>,
 }
 
 fn fmt_s(s: f64) -> String {
@@ -455,28 +447,6 @@ impl MetricsSnapshot {
             fmt_s(self.pipeline_overlap_s),
             self.pipeline_utilization * 100.0
         );
-        if self.fleet_devices > 1 {
-            let _ = writeln!(
-                o,
-                "fleet:       {} simulated devices, launches routed round-robin",
-                self.fleet_devices
-            );
-            for (d, &routed) in self.fleet_routed.iter().enumerate() {
-                let t = self.fleet_timeline.get(d).copied().unwrap_or_default();
-                let _ = writeln!(
-                    o,
-                    "  device {d}:  {} routed · {} placed / {} nodes, h2d {}, exec {}, queued {}, copy {:.1}%, streams {:.1}%",
-                    routed,
-                    t.queries,
-                    t.nodes,
-                    fmt_s(t.h2d_s),
-                    fmt_s(t.exec_s),
-                    fmt_s(t.queue_s),
-                    t.copy_utilization * 100.0,
-                    t.stream_utilization * 100.0
-                );
-            }
-        }
         if self.arena_enabled {
             let a = &self.arena_compile;
             let _ = writeln!(

@@ -40,7 +40,7 @@ use crate::admission::DrrQueue;
 use crate::arena::{ArenaStats, LaunchArena};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::session::{SessionId, SessionManager, SessionStats};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,16 +83,6 @@ pub struct ServerConfig {
     /// (results bit-identical in every mode). Defaults from
     /// `UP_SIM_EXEC`, otherwise auto.
     pub exec_backend: up_gpusim::ExecBackend,
-    /// Simulated GPU fleet size. `1` (the default) is the classic
-    /// single-device server. With more devices the engine shards
-    /// eligible scans and aggregations across that many A6000-class
-    /// cards — results, `ModeledTime`, and cache stats stay bit-identical
-    /// to single-device execution; the modeled fleet speedup is reported
-    /// side-band per query via `QueryResult::fleet` — worker launches are
-    /// routed round-robin across per-device stream/copy pools (arena
-    /// mode), and the metrics report grows per-device lines. Defaults
-    /// from `UP_DEVICES` (`1..=64`), otherwise 1.
-    pub devices: usize,
 }
 
 impl Default for ServerConfig {
@@ -107,27 +97,8 @@ impl Default for ServerConfig {
             arena: arena_from_env().unwrap_or(false),
             compile_lanes: 8,
             exec_backend: up_gpusim::ExecBackend::env_default(),
-            devices: devices_from_env().unwrap_or(1),
         }
     }
-}
-
-/// Reads `UP_DEVICES` once per process; invalid values warn once and are
-/// ignored (same contract as `UP_ARENA` / `UP_PIPELINE`).
-fn devices_from_env() -> Option<usize> {
-    static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        up_gpusim::env::parse_value(
-            "UP_DEVICES",
-            "a device count in 1..=64",
-            std::env::var("UP_DEVICES").ok().as_deref(),
-            parse_devices_value,
-        )
-    })
-}
-
-fn parse_devices_value(v: &str) -> Option<usize> {
-    v.parse::<usize>().ok().filter(|&n| (1..=64).contains(&n))
 }
 
 /// Reads `UP_ARENA` once per process; invalid values warn once and are
@@ -174,6 +145,9 @@ pub enum ServerError {
     Shutdown,
     /// The engine executed the query and failed.
     Query(QueryError),
+    /// Executing the query panicked. The worker caught the panic and
+    /// keeps serving; the message is the panic's.
+    Internal(String),
 }
 
 impl core::fmt::Display for ServerError {
@@ -190,6 +164,7 @@ impl core::fmt::Display for ServerError {
             ServerError::Canceled => write!(f, "query canceled"),
             ServerError::Shutdown => write!(f, "server shut down"),
             ServerError::Query(e) => write!(f, "query failed: {e}"),
+            ServerError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }
@@ -265,10 +240,6 @@ struct ServerInner {
     queue: DrrQueue<Job>,
     /// The cross-query launch scheduler; `Some` iff `config.arena`.
     arena: Option<Arc<LaunchArena>>,
-    /// Round-robin cursor for routing launches across the fleet.
-    next_device: AtomicU64,
-    /// Queries executed per simulated device (`len == config.devices`).
-    routed: Vec<AtomicU64>,
     started: Instant,
     config: ServerConfig,
 }
@@ -366,25 +337,13 @@ impl UpServer {
     }
 
     fn start(config: ServerConfig, mut db: Database, cache: Arc<SharedKernelCache>) -> UpServer {
-        let devices = config.devices.max(1);
         db.pipeline = config.pipeline;
         db.exec_backend = config.exec_backend;
-        // Fleet mode: shard eligible scans/aggregations across N
-        // A6000-class devices. Results and ModeledTime stay bit-identical
-        // (the fleet is priced side-band per query in QueryResult::fleet).
-        if devices > 1 {
-            db.set_fleet(Some(Arc::new(up_gpusim::Fleet::a6000s(devices))));
-        }
         // The arena forks the engine's JIT (shared cache + NVCC-emulation
         // flag carry over) so prefetched compiles land in the same cache
         // the workers hit.
         let arena = config.arena.then(|| {
-            Arc::new(LaunchArena::fleet(
-                db.jit().fork(),
-                devices,
-                config.compile_lanes,
-                config.gpu_streams,
-            ))
+            Arc::new(LaunchArena::new(db.jit().fork(), config.compile_lanes, config.gpu_streams))
         });
         let inner = Arc::new(ServerInner {
             db: RwLock::new(db),
@@ -394,8 +353,6 @@ impl UpServer {
             streams: Mutex::new(StreamScheduler::new(config.gpu_streams)),
             queue: DrrQueue::new(config.queue_capacity),
             arena,
-            next_device: AtomicU64::new(0),
-            routed: (0..devices).map(|_| AtomicU64::new(0)).collect(),
             started: Instant::now(),
             config,
         });
@@ -634,26 +591,14 @@ impl UpServer {
         snap.exec_tiers = up_gpusim::tier_counters();
         snap.tier_compiles = up_gpusim::compile_counters();
         snap.streams = self.inner.streams.lock().expect("streams poisoned").stats();
-        snap.fleet_devices = self.inner.routed.len();
-        snap.fleet_routed =
-            self.inner.routed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
         if let Some(arena) = &self.inner.arena {
             let a = arena.stats();
             snap.arena_enabled = true;
             snap.arena_compile = a.compile;
             snap.arena_timeline = a.timeline;
             snap.arena_max_wait_share = a.max_wait_share;
-            snap.fleet_timeline = arena.timeline().device_stats();
         }
         snap
-    }
-
-    /// Per-device launch-timeline statistics across the fleet (queries
-    /// placed, modeled copy/exec seconds, utilization against the global
-    /// makespan). `None` when the arena is off — without the shared
-    /// timeline there is no per-device placement to report.
-    pub fn fleet_stats(&self) -> Option<Vec<up_gpusim::DeviceTimelineStats>> {
-        self.inner.arena.as_ref().map(|a| a.timeline().device_stats())
     }
 
     /// Stops accepting work, drains the queue, and joins the workers.
@@ -704,13 +649,10 @@ fn worker_loop(inner: Arc<ServerInner>) {
         // Kernel arrival on the simulated device = when the query entered
         // the server, on the server's wall-clock timeline.
         let arrival_s = job.enqueued.duration_since(inner.started).as_secs_f64();
-        // Round-robin across the fleet: the home device for this query's
-        // launch DAG (per-device copy engine + stream pool in arena mode)
-        // and the bucket its per-device routing counter lands in.
-        let device = (inner.next_device.fetch_add(1, Ordering::Relaxed)
-            % inner.routed.len() as u64) as usize;
-        inner.routed[device].fetch_add(1, Ordering::Relaxed);
-        let result = {
+        // The unwind boundary: a statement that panics the engine fails
+        // alone, and this worker keeps serving. Only a writer's panic
+        // poisons the database lock, and this holds the read side.
+        let run = || {
             let db = inner.db.read().expect("db poisoned");
             match &inner.arena {
                 Some(arena) => db.query_with_arena(
@@ -721,11 +663,14 @@ fn worker_loop(inner: Arc<ServerInner>) {
                         timeline: arena.timeline(),
                         seq: job.seq,
                         arrival_s,
-                        device,
                     },
                 ),
                 None => db.query_as(job.profile, &job.sql),
             }
+        };
+        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Ok(r) => r.map_err(ServerError::Query),
+            Err(payload) => Err(ServerError::Internal(panic_message(payload.as_ref()))),
         };
         if let Some(arena) = &inner.arena {
             arena.on_query_done(job.seq);
@@ -752,7 +697,16 @@ fn worker_loop(inner: Arc<ServerInner>) {
             .on_completed(job.enqueued.elapsed().as_secs_f64(), ok);
         // A gone receiver (client timed out and dropped the ticket) is
         // fine — the work is done and accounted either way.
-        job.reply.send(result.map_err(ServerError::Query));
+        job.reply.send(result);
+    }
+}
+
+/// The text of a caught panic (`panic!` payloads are `&str` or `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "panic".to_string(),
     }
 }
 
@@ -1036,57 +990,6 @@ mod tests {
         assert!(m.pipeline_utilization > 0.0 && m.pipeline_utilization <= 1.0);
         let text = m.report();
         assert!(text.contains("pipelining:  1 queries"), "{text}");
-    }
-
-    #[test]
-    fn fleet_mode_routes_launches_and_reports_per_device() {
-        let server = seeded_server(ServerConfig {
-            workers: 1,
-            devices: 4,
-            arena: true,
-            pipeline: PipelineMode::On(4),
-            ..ServerConfig::default()
-        });
-        let s = server.connect(Profile::UltraPrecise);
-        for _ in 0..8 {
-            let r = server.query(s, "SELECT SUM(x * x), SUM(x + x) FROM t").unwrap();
-            let f = r.fleet.expect("fleet report rides every result in fleet mode");
-            assert_eq!(f.devices, 4);
-            assert_eq!(f.partition_rows.iter().sum::<u64>(), 4, "shards cover the table");
-            assert!(f.makespan_s <= f.single_device_s, "{f:?}");
-        }
-        let m = server.metrics();
-        assert_eq!(m.fleet_devices, 4);
-        assert_eq!(m.fleet_routed, vec![2, 2, 2, 2], "strict round-robin routing");
-        assert_eq!(m.fleet_timeline.len(), 4);
-        let placed: u64 = m.fleet_timeline.iter().map(|d| d.queries).sum();
-        assert_eq!(placed, 8, "every launch DAG landed on some device's pools");
-        assert!(m.fleet_timeline.iter().all(|d| d.queries == 2), "{:?}", m.fleet_timeline);
-        let text = m.report();
-        assert!(text.contains("fleet:       4 simulated devices"), "{text}");
-        assert!(text.contains("device 3:"), "{text}");
-        assert_eq!(server.fleet_stats().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn single_device_config_keeps_the_fleet_block_out_of_the_report() {
-        let server = seeded_server(ServerConfig { workers: 1, ..ServerConfig::default() });
-        let s = server.connect(Profile::UltraPrecise);
-        let r = server.query(s, "SELECT SUM(x) FROM t").unwrap();
-        assert!(r.fleet.is_none(), "no fleet installed at devices = 1");
-        let m = server.metrics();
-        assert_eq!(m.fleet_devices, 1);
-        assert!(!m.report().contains("fleet:"), "{}", m.report());
-    }
-
-    #[test]
-    fn devices_env_parse_accepts_counts_and_ignores_nonsense() {
-        assert_eq!(parse_devices_value("4"), Some(4));
-        assert_eq!(parse_devices_value("1"), Some(1));
-        assert_eq!(parse_devices_value("64"), Some(64));
-        assert_eq!(parse_devices_value("0"), None, "a fleet needs at least one device");
-        assert_eq!(parse_devices_value("65"), None, "capped at 64");
-        assert_eq!(parse_devices_value("many"), None);
     }
 
     #[test]
