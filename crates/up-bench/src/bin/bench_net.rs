@@ -54,7 +54,6 @@ fn seeded_server(rows: usize) -> Arc<UpServer> {
     let up = Arc::new(UpServer::new(ServerConfig {
         workers: WORKERS,
         queue_capacity: 4096,
-        arena: true,
         default_timeout: Duration::from_secs(300),
         ..ServerConfig::default()
     }));

@@ -13,57 +13,12 @@ use up_bench::{precision_for_len, print_header, print_row, runner, HarnessOpts, 
 use up_engine::Profile;
 use up_num::DecimalType;
 
-/// Runs a multi-expression Query-1 variant with the launch DAG off and
-/// on and asserts byte-identical results and bit-equal modeled time —
-/// the harness-level leg of the determinism suite.
-fn pipeline_check(sim_tuples: usize) {
-    use up_gpusim::PipelineMode;
-    let ty = DecimalType::new_unchecked(precision_for_len(8) - 2, 2);
-    let cols = [("c1", ty), ("c2", ty), ("c3", ty)];
-    // Three independent expression slots, one repeated signature.
-    let sql = "SELECT c1 + c2 + c3, c1 * c2, c2 + c3 * c1, c1 + c2 + c3 FROM r1";
-    let run = |mode: PipelineMode| {
-        let mut db =
-            runner::decimal_db(Profile::UltraPrecise, "r1", &cols, sim_tuples, 1, 808);
-        db.pipeline = mode;
-        db.query(sql).expect("pipelined query 1")
-    };
-    let off = run(PipelineMode::Off);
-    for mode in [PipelineMode::On(2), PipelineMode::On(8)] {
-        let r = run(mode);
-        assert_eq!(off.rows.len(), r.rows.len(), "pipeline check ({mode}): row count");
-        for (a, b) in off.rows.iter().zip(&r.rows) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.render(), y.render(), "pipeline check ({mode}): values");
-            }
-        }
-        for (name, x, y) in [
-            ("kernel_s", off.modeled.kernel_s, r.modeled.kernel_s),
-            ("pcie_s", off.modeled.pcie_s, r.modeled.pcie_s),
-            ("compile_s", off.modeled.compile_s, r.modeled.compile_s),
-            ("cpu_s", off.modeled.cpu_s, r.modeled.cpu_s),
-        ] {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "pipeline check ({mode}): modeled {name} must be bit-equal"
-            );
-        }
-        assert!(r.pipeline.is_some(), "pipeline check ({mode}): report expected");
-    }
-    println!(
-        "pipeline check: off vs on(2)/on(8) — identical results and bit-equal \
-         modeled time over {sim_tuples} tuples\n"
-    );
-}
-
 fn main() {
     let opts = HarnessOpts::from_args(8_000);
     println!(
         "Figure 8: SELECT c1+c2+c3 FROM R1 — {} simulated tuples scaled to {}\n",
         opts.sim_tuples, opts.report_tuples
     );
-    pipeline_check(opts.sim_tuples.clamp(512, 4_096));
 
     let systems = [
         Profile::HeavyAiLike,

@@ -12,9 +12,8 @@ use crate::plan::plan;
 use crate::profiles::Profile;
 use crate::sql::parse_select;
 use crate::storage::{Catalog, Schema, Table, Value};
-use std::sync::Arc;
 use up_gpusim::DeviceConfig;
-use up_jit::cache::{CacheStats, JitEngine, SharedKernelCache};
+use up_jit::cache::{CacheStats, JitEngine};
 use up_num::NumError;
 
 /// A database instance bound to one execution profile.
@@ -28,11 +27,6 @@ pub struct Database {
     /// TPI for multi-threaded expression evaluation (1 = single-thread
     /// kernels; §IV-C1 sweeps 1/4/8/16/32).
     pub expr_tpi: u32,
-    /// Plan-level launch pipelining (see `up_gpusim::pipeline`): overlaps
-    /// JIT compilation, transfers, and execution across a query's
-    /// independent expression slots. Rows and modeled times stay
-    /// bit-identical across modes. Defaults from `UP_PIPELINE`.
-    pub pipeline: up_gpusim::PipelineMode,
     /// Functional-interpreter backend for kernel launches (tree walker
     /// vs. pre-decoded flat programs). Results, stats, and modeled times
     /// are bit-identical across backends. Defaults from `UP_SIM_EXEC`.
@@ -49,7 +43,6 @@ impl Database {
             jit: JitEngine::with_defaults(),
             agg_tpi: 8,
             expr_tpi: 1,
-            pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
         }
     }
@@ -67,7 +60,6 @@ impl Database {
             jit,
             agg_tpi: 8,
             expr_tpi: 1,
-            pipeline: up_gpusim::PipelineMode::from_env().unwrap_or_default(),
             exec_backend: up_gpusim::ExecBackend::env_default(),
         }
     }
@@ -130,30 +122,6 @@ impl Database {
     /// Executes one `SELECT` under an explicit profile (per-session
     /// profiles in the concurrent service override the default this way).
     pub fn query_as(&self, profile: Profile, sql: &str) -> Result<QueryResult, QueryError> {
-        self.run(profile, sql, None)
-    }
-
-    /// Executes one `SELECT` bound to the server-wide pipeline arena:
-    /// JIT compiles rendezvous with the admission-time prefetch and the
-    /// side-band timeline uses the shared engine pools. `up-server`'s
-    /// workers route queries here when `ServerConfig::arena` is on.
-    /// Results, `ModeledTime`, and cache stats are bit-identical to
-    /// [`Database::query_as`].
-    pub fn query_with_arena(
-        &self,
-        profile: Profile,
-        sql: &str,
-        arena: crate::exec::ArenaCtx<'_>,
-    ) -> Result<QueryResult, QueryError> {
-        self.run(profile, sql, Some(arena))
-    }
-
-    fn run(
-        &self,
-        profile: Profile,
-        sql: &str,
-        arena: Option<crate::exec::ArenaCtx<'_>>,
-    ) -> Result<QueryResult, QueryError> {
         let select = parse_select(sql).map_err(QueryError::Parse)?;
         let plan = plan(&select, &self.catalog).map_err(QueryError::Plan)?;
         let ctx = ExecCtx {
@@ -163,18 +131,17 @@ impl Database {
             jit: &self.jit,
             agg_tpi: self.agg_tpi,
             expr_tpi: self.expr_tpi,
-            pipeline: self.pipeline,
             exec_backend: self.exec_backend,
-            arena,
         };
         execute(&plan, &ctx)
     }
 
     /// The JIT kernel references `sql` would compile under `profile`, in
-    /// the exact order serial evaluation reaches them (`(signature,
+    /// the exact order execution reaches them (`(signature,
     /// expression)` pairs, duplicates included). Empty when the profile
-    /// doesn't route through single-thread JIT kernels. The server calls
-    /// this at admission to prefetch compiles into the arena.
+    /// doesn't route through single-thread JIT kernels. The benchmark's
+    /// per-layer trace (`bench/src/trace.rs`) times these compiles apart
+    /// from the query that runs them.
     pub fn plan_kernels(
         &self,
         profile: Profile,
@@ -185,22 +152,9 @@ impl Database {
         Ok(crate::exec::plan_kernel_refs(&plan, &self.jit, profile, self.expr_tpi))
     }
 
-    /// The database's JIT engine (shared cache, NVCC-emulation flag).
-    /// The server forks this to build the arena's compile lanes.
-    pub fn jit(&self) -> &JitEngine {
-        &self.jit
-    }
-
     /// JIT kernel-cache statistics (hits, misses, evictions, occupancy).
     pub fn jit_stats(&self) -> CacheStats {
         self.jit.cache_stats()
-    }
-
-    /// A handle to this database's kernel cache; share it with other
-    /// engines (via [`JitEngine::with_cache`]) so sessions reuse each
-    /// other's compiled kernels.
-    pub fn jit_cache_handle(&self) -> Arc<SharedKernelCache> {
-        self.jit.cache_handle()
     }
 
     /// Renders the bound plan of a query without executing it — which
@@ -625,55 +579,6 @@ mod tests {
                 }
                 _ => assert_eq!(r.tiers.total(), 1, "{backend}"),
             }
-        }
-    }
-
-    #[test]
-    fn pipeline_mode_keeps_results_and_modeled_time_bit_identical() {
-        use up_gpusim::PipelineMode;
-        // Four expression slots: two distinct kernels, one duplicate
-        // signature (forces a DAG dependency edge + guaranteed cache
-        // hit), one more distinct — plus COUNT(*), which is not a slot.
-        let wide = dt(40, 4);
-        let sql = "SELECT SUM(x * x + x), SUM(x + x), MIN(x * x + x), MAX(x - x * x), COUNT(*) FROM w";
-        let run = |mode: PipelineMode| {
-            let mut db = Database::new(Profile::UltraPrecise);
-            db.pipeline = mode;
-            db.create_table("w", Schema::new(vec![("x", ColumnType::Decimal(wide))]));
-            let rows = (1..=512i64).map(|i| {
-                vec![Value::Decimal(
-                    UpDecimal::from_scaled_i64(i * 123_456_789, wide).unwrap(),
-                )]
-            });
-            db.insert_many("w", rows).unwrap();
-            let r = db.query(sql).unwrap();
-            (r, db.jit_stats())
-        };
-        let (off, off_stats) = run(PipelineMode::Off);
-        assert!(off.pipeline.is_none());
-        for mode in [PipelineMode::On(2), PipelineMode::On(8)] {
-            let (r, stats) = run(mode);
-            assert_eq!(off.rows.len(), r.rows.len(), "{mode}");
-            for (a, b) in off.rows.iter().zip(&r.rows) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.render(), y.render(), "{mode}");
-                }
-            }
-            // The full modeled breakdown — including compile attribution —
-            // must be bit-equal, not just close.
-            assert_eq!(off.modeled.compile_s.to_bits(), r.modeled.compile_s.to_bits(), "{mode}");
-            assert_eq!(off.modeled.kernel_s.to_bits(), r.modeled.kernel_s.to_bits(), "{mode}");
-            assert_eq!(off.modeled.pcie_s.to_bits(), r.modeled.pcie_s.to_bits(), "{mode}");
-            assert_eq!(off.modeled.cpu_s.to_bits(), r.modeled.cpu_s.to_bits(), "{mode}");
-            assert_eq!(off.kernels, r.kernels, "{mode}");
-            // Same compile miss/hit pattern as serial (duplicate
-            // signature hits the cache in both modes).
-            assert_eq!((off_stats.hits, off_stats.misses), (stats.hits, stats.misses), "{mode}");
-            // The side-band report is present and self-consistent.
-            let p = r.pipeline.expect("pipelined run reports a timeline");
-            assert!(p.nodes >= 4, "{mode}: {p:?}");
-            assert!(p.makespan_s <= p.serial_s + 1e-12, "{mode}: {p:?}");
-            assert!(p.utilization >= 0.0 && p.utilization <= 1.0, "{mode}");
         }
     }
 

@@ -32,9 +32,8 @@ use up_baselines::soft_decimal::SoftDecimal;
 use up_baselines::AltDecimal;
 use up_gpusim::cgbn::Tpi;
 use up_gpusim::cost::kernel_time;
-use up_gpusim::pipeline::{run_dag, DagNodeCost, PipelineMode, PipelineReport, SharedTimeline};
 use up_gpusim::{DeviceConfig, GlobalMem};
-use up_jit::cache::{CompileHandle, CompileInfo, Compiled, JitEngine};
+use up_jit::cache::{Compiled, JitEngine};
 use up_jit::Expr;
 use up_num::{cmp_compact, decode_compact, BigInt, DecimalType, NumError, SumAcc, UpDecimal};
 
@@ -195,11 +194,6 @@ pub struct QueryResult {
     /// rows, `modeled`, and stats are bit-identical across tiers, so
     /// this never feeds back into results.
     pub tiers: up_gpusim::TierCounters,
-    /// The modeled pipeline timeline, when the plan ran through the
-    /// launch DAG (`None` under [`PipelineMode::Off`] or when the plan
-    /// had fewer than two independent slots). Kept separate from
-    /// `modeled`, whose breakdown stays bit-identical across modes.
-    pub pipeline: Option<PipelineReport>,
 }
 
 /// Execution context.
@@ -218,40 +212,12 @@ pub struct ExecCtx<'a> {
     /// TPI for multi-threaded *expression* evaluation (§III-E1); 1 =
     /// the single-thread-per-tuple kernels of Listing 1.
     pub expr_tpi: u32,
-    /// Plan-level launch pipelining (DAG-parallel expression slots).
-    /// Bit-identical results and modeled times regardless of setting;
-    /// only host wall-clock and the side-band [`PipelineReport`] change.
-    pub pipeline: PipelineMode,
     /// Functional-interpreter backend (tree walker, decoded flat
     /// programs, closure-compiled superblocks, or `Auto` count-based
     /// tier promotion). Bit-identical results, stats, and modeled times;
     /// only host wall-clock and the observational [`QueryResult::tiers`]
     /// change.
     pub exec_backend: up_gpusim::ExecBackend,
-    /// Server-wide pipeline-arena binding, when this query runs under
-    /// `up-server` with the arena on: compiles rendezvous with the
-    /// admission-time prefetch instead of compiling inline, and the
-    /// side-band timeline places nodes on the *shared* engine pools.
-    /// `None` for standalone queries. Results, `ModeledTime`, and cache
-    /// stats are bit-identical either way.
-    pub arena: Option<ArenaCtx<'a>>,
-}
-
-/// One query's binding to the server-wide pipeline arena (see
-/// [`up_jit::arena::CompileArena`] and
-/// [`up_gpusim::pipeline::SharedTimeline`]).
-#[derive(Clone, Copy)]
-pub struct ArenaCtx<'a> {
-    /// The shared compile arena: admission-time prefetched compiles the
-    /// executor rendezvouses with at eval time.
-    pub compile: &'a up_jit::arena::CompileArena,
-    /// The shared modeled timeline this query's DAG nodes are placed on.
-    pub timeline: &'a up_gpusim::pipeline::SharedTimeline,
-    /// Arena-assigned query sequence number (admission order — the
-    /// serial replay order the bit-exactness argument relies on).
-    pub seq: u64,
-    /// Modeled arrival second of this query on the server timeline.
-    pub arrival_s: f64,
 }
 
 /// Runs a plan.
@@ -379,35 +345,24 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
     // back-end cost of the additional kernels.
     let mut compile_parts: Vec<f64> = Vec::new();
 
-    // Plan-level launch pipelining: with two or more independent scalar
-    // slots, evaluate them through the launch DAG up front, then replay
-    // the serial plan-order merge over the per-slot outputs below so
-    // rows and the modeled breakdown stay bit-identical to Off.
-    let slots = plan.eval_slots();
-    let mut pipeline_report: Option<PipelineReport> = None;
-    let mut pipelined: Option<std::vec::IntoIter<SlotNodeOut<'_>>> =
-        if ctx.pipeline.enabled() && slots.len() >= 2 {
-            let (outs, report) = eval_slots_pipelined(ctx, &slots, &tables, &sel, n)?;
-            pipeline_report = Some(report);
-            Some(outs.into_iter())
-        } else {
-            None
-        };
-    // The next slot's column, in plan order: its DAG node's output, or
-    // evaluated here; either way folded into the query accumulators in
-    // the serial order (compile part, evaluation, kernel count, then the
-    // reduction price).
+    // The next slot's column, in plan order, folded into the query
+    // accumulators in a fixed order: compile part, evaluation, kernel
+    // count, then the reduction price (zero for plain projections).
     let mut next_column = |scalar: &Scalar, agg: Option<AggFunc>| {
-        let o = match pipelined.as_mut() {
-            Some(it) => it.next().expect("one DAG node per slot"),
-            None => eval_slot(ctx, scalar, agg, &tables, &sel, n, None)?,
+        let (col, mut m, k, t) = eval_scalar_column(ctx, scalar, &tables, &sel, n)?;
+        let price = match agg {
+            Some(f) => price_aggregation(ctx, f, scalar, &col, n),
+            None => ModeledTime::default(),
         };
-        compile_parts.extend(o.compile_part);
-        modeled.add(&o.m);
-        kernels += o.kernels;
-        tiers += o.tiers;
-        modeled.add(&o.price);
-        Ok::<_, QueryError>(o.col)
+        if m.compile_s > 0.0 {
+            compile_parts.push(m.compile_s);
+        }
+        m.compile_s = 0.0;
+        modeled.add(&m);
+        kernels += k;
+        tiers += t;
+        modeled.add(&price);
+        Ok::<_, QueryError>(col)
     };
     let columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
     // The result, column-wise: `rows_n` cells per column.
@@ -530,7 +485,6 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         modeled,
         kernels,
         tiers,
-        pipeline: pipeline_report,
     })
 }
 
@@ -784,7 +738,7 @@ fn eval_scalar_column<'a>(
                 eval_decimal_gpu_mt(ctx, expr, inputs, tables, sel, n)
             }
             Profile::UltraPrecise => {
-                eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n, None)
+                eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n)
             }
             Profile::RateupLike | Profile::HeavyAiLike | Profile::MonetLike => {
                 eval_decimal_limited(ctx, expr, inputs, tables, sel, n)
@@ -1017,11 +971,11 @@ fn eval_cpu(
 }
 
 // ---------------------------------------------------------------------
-// Plan-level launch pipelining
+// JIT kernel references
 // ---------------------------------------------------------------------
 
 /// Collects every JIT-compilable decimal expression reachable from a
-/// scalar, in the exact order serial evaluation compiles them (CASE
+/// scalar, in the exact order evaluation compiles them (CASE
 /// branches in order, then ELSE; CAST descends).
 fn collect_decimal_exprs<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
     match s {
@@ -1039,130 +993,11 @@ fn collect_decimal_exprs<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// One DAG node's evaluated output, with the modeled time split the way
-/// the serial merge needs it back.
-struct SlotNodeOut<'a> {
-    col: Column<'a>,
-    /// Evaluation time with `compile_s` already moved to `compile_part`.
-    m: ModeledTime,
-    /// This node's contribution to the query's single-TU compile fold.
-    compile_part: Option<f64>,
-    kernels: usize,
-    /// Tier attribution for this node's launches (captured thread-locally
-    /// on the worker that ran them).
-    tiers: up_gpusim::TierCounters,
-    /// The aggregate reduction priced over the full selection (zero for
-    /// plain projections).
-    price: ModeledTime,
-}
-
-/// Evaluates a plan's scalar slots through the launch DAG: independent
-/// slots run concurrently under [`run_dag`], first-occurrence kernels
-/// JIT on host threads started up front ([`JitEngine::compile_async`]),
-/// and duplicate-signature slots depend on the first occurrence so their
-/// compiles are guaranteed cache hits — preserving the serial miss/hit
-/// pattern and therefore the exact modeled compile attribution.
-///
-/// Returns the per-slot outputs in plan order (the caller replays the
-/// serial merge over them) plus the modeled overlap timeline.
-fn eval_slots_pipelined<'a>(
-    ctx: &ExecCtx<'_>,
-    slots: &[crate::plan::EvalSlot<'_>],
-    tables: &[&'a Table],
-    sel: &Sel,
-    n: usize,
-) -> Result<(Vec<SlotNodeOut<'a>>, PipelineReport), QueryError> {
-    let jit_route = ctx.profile == Profile::UltraPrecise && ctx.expr_tpi == 1;
-
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
-    let mut first_by_sig: HashMap<String, usize> = HashMap::new();
-    let mut handles: Vec<std::sync::Mutex<Option<CompileHandle>>> = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        let mut exprs = Vec::new();
-        collect_decimal_exprs(slot.scalar, &mut exprs);
-        let mut handle = None;
-        for (k, expr) in exprs.iter().enumerate() {
-            let Some(sig) = ctx.jit.signature(expr) else { continue };
-            match first_by_sig.entry(sig) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let owner = *e.get();
-                    if owner != i && !deps[i].contains(&owner) {
-                        deps[i].push(owner);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                    // A first-occurrence top-level kernel starts
-                    // compiling on a host thread now, overlapping with
-                    // every other ready node; its node joins the thread
-                    // when it runs. Nested expressions (CASE branches)
-                    // compile synchronously inside their node instead.
-                    // Under the server arena the compile was already
-                    // prefetched at admission — the node's rendezvous
-                    // collects it, so no per-query thread is spawned.
-                    if jit_route
-                        && ctx.arena.is_none()
-                        && k == 0
-                        && matches!(slot.scalar, Scalar::Decimal { .. })
-                    {
-                        handle = Some(ctx.jit.compile_async(expr));
-                    }
-                }
-            }
-        }
-        handles.push(std::sync::Mutex::new(handle));
-    }
-
-    let job = |i: usize| {
-        let pre = handles[i].lock().expect("handle lock").take().map(|h| h.wait());
-        eval_slot(ctx, slots[i].scalar, slots[i].agg, tables, sel, n, pre)
-    };
-
-    let results = run_dag(&deps, ctx.pipeline, job);
-    let mut outs = Vec::with_capacity(results.len());
-    for r in results {
-        // Index order = plan order, so the first error here is the same
-        // one serial evaluation would have surfaced.
-        outs.push(r?);
-    }
-
-    // Modeled overlap timeline: one node per slot (compile → H2D →
-    // kernel) plus a dependent reduction node per priced aggregate.
-    let mut tnodes: Vec<DagNodeCost> = Vec::new();
-    let mut eval_idx = vec![0usize; outs.len()];
-    for (i, out) in outs.iter().enumerate() {
-        eval_idx[i] = tnodes.len();
-        tnodes.push(DagNodeCost {
-            deps: deps[i].iter().map(|&d| eval_idx[d]).collect(),
-            compile_s: out.compile_part.unwrap_or(0.0),
-            h2d_s: out.m.pcie_s,
-            exec_s: out.m.kernel_s + out.m.cpu_s,
-        });
-        let red = out.price.kernel_s + out.price.cpu_s;
-        if red > 0.0 {
-            tnodes.push(DagNodeCost { deps: vec![eval_idx[i]], exec_s: red, ..Default::default() });
-        }
-    }
-    let report = match &ctx.arena {
-        // Arena: nodes land on the *server-wide* engine pools at this
-        // query's modeled arrival, so the report includes cross-query
-        // contention as queue delay.
-        Some(a) => a.timeline.place(a.arrival_s, &tnodes),
-        // Otherwise the plan's nodes get a timeline of their own.
-        None => {
-            let lanes = ctx.pipeline.depth().min(4);
-            SharedTimeline::new(lanes, lanes).place(0.0, &tnodes)
-        }
-    };
-    Ok((outs, report))
-}
-
 /// The JIT kernel references a plan will compile, in the exact order
-/// serial evaluation reaches them: `(signature, expression)` per
+/// `execute` reaches them: `(signature, expression)` per
 /// reachable decimal expression, duplicates included, passthroughs
 /// skipped. Empty when the profile doesn't JIT or multi-threaded
-/// expression kernels are in use. This is what the server registers
-/// with the compile arena at admission time.
+/// expression kernels are in use.
 pub(crate) fn plan_kernel_refs(
     plan: &QueryPlan,
     jit: &JitEngine,
@@ -1172,44 +1007,24 @@ pub(crate) fn plan_kernel_refs(
     if profile != Profile::UltraPrecise || expr_tpi != 1 {
         return Vec::new();
     }
-    let mut refs = Vec::new();
-    for slot in plan.eval_slots() {
-        let mut exprs = Vec::new();
-        collect_decimal_exprs(slot.scalar, &mut exprs);
-        for expr in exprs {
-            if let Some(sig) = jit.signature(expr) {
-                refs.push((sig, expr.clone()));
+    // The slots `execute` evaluates, in its order: each item's scalar or
+    // aggregate input, an `AggCombo`'s inputs in order.
+    let mut exprs = Vec::new();
+    for item in &plan.items {
+        match &item.kind {
+            OutputKind::Scalar(s) | OutputKind::Agg(_, s) => collect_decimal_exprs(s, &mut exprs),
+            OutputKind::AggCombo { aggs, .. } => {
+                for s in aggs.iter().filter_map(|(_, s)| s.as_ref()) {
+                    collect_decimal_exprs(s, &mut exprs);
+                }
             }
+            OutputKind::CountStar | OutputKind::Key(_) => {}
         }
     }
-    refs
-}
-
-/// Evaluates one scalar slot and prices its aggregate's reduction — one
-/// DAG node's work, or one step of serial evaluation. `pre` carries a
-/// pipelined `compile_async` result for a top-level decimal kernel.
-fn eval_slot<'a>(
-    ctx: &ExecCtx<'_>,
-    scalar: &Scalar,
-    agg: Option<AggFunc>,
-    tables: &[&'a Table],
-    sel: &Sel,
-    n: usize,
-    pre: Option<(Compiled, CompileInfo)>,
-) -> Result<SlotNodeOut<'a>, QueryError> {
-    let (col, mut m, kernels, tiers) = match (pre, scalar) {
-        (Some(p), Scalar::Decimal { expr, inputs }) => {
-            eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n, Some(p))?
-        }
-        _ => eval_scalar_column(ctx, scalar, tables, sel, n)?,
-    };
-    let price = match agg {
-        Some(f) => price_aggregation(ctx, f, scalar, &col, n),
-        None => ModeledTime::default(),
-    };
-    let compile_part = (m.compile_s > 0.0).then_some(m.compile_s);
-    m.compile_s = 0.0;
-    Ok(SlotNodeOut { col, m, compile_part, kernels, tiers, price })
+    exprs
+        .into_iter()
+        .filter_map(|expr| Some((jit.signature(expr)?, expr.clone())))
+        .collect()
 }
 
 /// A decimal input column over the selection, as compact bytes: the
@@ -1248,26 +1063,9 @@ fn eval_decimal_gpu_jit<'a>(
     tables: &[&'a Table],
     sel: &Sel,
     n: usize,
-    pre: Option<(Compiled, CompileInfo)>,
 ) -> Result<ScalarOut<'a>, QueryError> {
     let mut modeled = ModeledTime::default();
-    // `pre` carries the result of a pipelined `compile_async` started at
-    // DAG-build time; it is exactly what `compile` would return here.
-    // Under the server arena, admission already prefetched every
-    // first-occurrence compile: rendezvous returns either the owned
-    // result (the miss, with its modeled NVCC seconds) or falls through
-    // to a plain compile that is a guaranteed cache hit — the same
-    // miss/hit pattern serial execution produces.
-    let (compiled, info) = match pre {
-        Some(p) => p,
-        None => match &ctx.arena {
-            Some(a) => a
-                .compile
-                .rendezvous(a.seq, expr)
-                .unwrap_or_else(|| ctx.jit.compile(expr)),
-            None => ctx.jit.compile(expr),
-        },
-    };
+    let (compiled, info) = ctx.jit.compile(expr);
     modeled.compile_s += info.modeled_compile_s;
 
     match compiled {
@@ -1314,7 +1112,7 @@ fn eval_decimal_gpu_jit<'a>(
                 })?;
             // `launch_opts` is synchronous and the attribution is
             // thread-local, so this delta belongs to exactly the launch
-            // above even when DAG slots evaluate on worker threads.
+            // above.
             let tiers = up_gpusim::last_launch_tiers();
             let kt = kernel_time(&k.kernel, &stats, ctx.device);
             modeled.kernel_s += kt.total_s;

@@ -18,7 +18,7 @@ pub mod sql;
 pub mod storage;
 
 pub use engine::Database;
-pub use exec::{ArenaCtx, ModeledTime, QueryError, QueryResult};
+pub use exec::{ModeledTime, QueryError, QueryResult};
 pub use profiles::Profile;
 pub use rows::{Column, Rows};
 pub use storage::{Catalog, ColumnData, ColumnType, Schema, Table, Value};

@@ -210,52 +210,6 @@ pub struct QueryPlan {
     pub has_aggregates: bool,
 }
 
-/// One independently-evaluable scalar slot of a plan — the unit the
-/// launch-DAG pipeline schedules. Slots are emitted in the exact order
-/// the serial executor walks them (items in plan order; an `AggCombo`'s
-/// aggregate inputs in slot order), which is what lets pipelined results
-/// merge back bit-identically.
-#[derive(Clone, Copy, Debug)]
-pub struct EvalSlot<'a> {
-    /// Index of the owning output item.
-    pub item: usize,
-    /// Aggregate-input slot within the item (0 for plain items).
-    pub slot: usize,
-    /// The scalar to evaluate over the selection.
-    pub scalar: &'a Scalar,
-    /// The aggregate consuming this slot's column, if any (its reduction
-    /// is priced together with the evaluation on the same DAG node).
-    pub agg: Option<AggFunc>,
-}
-
-impl QueryPlan {
-    /// The plan's independent scalar-evaluation slots, in serial
-    /// evaluation order. Group keys and `COUNT(*)` need no evaluation
-    /// and are not slots.
-    pub fn eval_slots(&self) -> Vec<EvalSlot<'_>> {
-        let mut out = Vec::new();
-        for (i, item) in self.items.iter().enumerate() {
-            match &item.kind {
-                OutputKind::Scalar(s) => {
-                    out.push(EvalSlot { item: i, slot: 0, scalar: s, agg: None });
-                }
-                OutputKind::Agg(f, s) => {
-                    out.push(EvalSlot { item: i, slot: 0, scalar: s, agg: Some(*f) });
-                }
-                OutputKind::AggCombo { aggs, .. } => {
-                    for (k, (f, sc)) in aggs.iter().enumerate() {
-                        if let Some(s) = sc {
-                            out.push(EvalSlot { item: i, slot: k, scalar: s, agg: Some(*f) });
-                        }
-                    }
-                }
-                OutputKind::CountStar | OutputKind::Key(_) => {}
-            }
-        }
-        out
-    }
-}
-
 struct Binder<'a> {
     /// (alias, table name, table ref, table position).
     tables: Vec<(Option<String>, String, &'a Table)>,

@@ -12,7 +12,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use up_engine::{ColumnData, ColumnType, Database, Profile, QueryResult, Schema, Value};
-use up_gpusim::PipelineMode;
 use up_num::{BigInt, DecimalType, Sign, UpDecimal};
 
 const SEED: u64 = 0x5eed_c01f;
@@ -256,39 +255,4 @@ fn empty_selection_is_null_and_one_row_is_itself() {
         .query("SELECT g, SUM(a) FROM t WHERE g > 5 GROUP BY g")
         .unwrap();
     assert!(r.rows.is_empty());
-}
-
-#[test]
-fn pipeline_changes_neither_rows_nor_modeled_time() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 6);
-    let t = ty(37, 5);
-    let a: Vec<_> = (0..700)
-        .map(|_| random_decimal(&mut rng, t, None))
-        .collect();
-    let b: Vec<_> = (0..700)
-        .map(|_| random_decimal(&mut rng, t, None))
-        .collect();
-    let run = |mode: PipelineMode| {
-        let mut db = database(&a, &b);
-        db.pipeline = mode;
-        check_all(&db, &a, &b, &format!("pipeline {mode}"))
-    };
-    let base = run(PipelineMode::Off);
-    for mode in [PipelineMode::Off, PipelineMode::On(2), PipelineMode::On(8)] {
-        for (r, b) in run(mode).iter().zip(&base) {
-            let label = format!("pipeline {mode}");
-            assert_eq!(r.rows, b.rows, "{label}");
-            assert_eq!(r.kernels, b.kernels, "{label}");
-            for (name, x, y) in [
-                ("scan_s", r.modeled.scan_s, b.modeled.scan_s),
-                ("pcie_s", r.modeled.pcie_s, b.modeled.pcie_s),
-                ("compile_s", r.modeled.compile_s, b.modeled.compile_s),
-                ("kernel_s", r.modeled.kernel_s, b.modeled.kernel_s),
-                ("cpu_s", r.modeled.cpu_s, b.modeled.cpu_s),
-                ("queue_s", r.modeled.queue_s, b.modeled.queue_s),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: {name}");
-            }
-        }
-    }
 }

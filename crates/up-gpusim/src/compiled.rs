@@ -80,8 +80,8 @@
 //! it. Under [`crate::ExecBackend::Auto`] each kernel counts its launches
 //! ([`TierCache`]); once the count exceeds [`TIER_THRESHOLD`] the kernel
 //! is promoted and the compiled artifact is cached in an `OnceLock<Arc<_>>` on the kernel — shared by
-//! clones, the `up-jit` kernel cache, and the cross-query arena, so one
-//! compile serves every session that hits the same cached kernel.
+//! clones and the `up-jit` kernel cache, so one compile serves every
+//! session that hits the same cached kernel.
 
 #[cfg(test)]
 use crate::analysis::seeded_bug;
@@ -365,8 +365,8 @@ pub fn compile_counters() -> (u64, u64) {
 
 /// Per-kernel compiled-tier cache: the launch counter driving promotion
 /// and the `OnceLock`-cached compiled artifact. Clones share a built
-/// artifact (the `Arc` is cloned); the JIT cache and the cross-query
-/// arena hold kernels behind `Arc`, so one compile serves all sessions.
+/// artifact (the `Arc` is cloned); the JIT cache holds kernels behind
+/// `Arc`, so one compile serves all sessions.
 pub struct TierCache {
     program: OnceLock<Arc<CompiledProgram>>,
     launches: AtomicU64,

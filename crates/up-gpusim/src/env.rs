@@ -1,11 +1,11 @@
 //! Warn-once environment-knob parsing, shared by every crate in the
 //! workspace.
 //!
-//! One contract for `UP_SIM_EXEC`, `UP_PIPELINE`, `UP_ARENA` and the
-//! `UP_NET_*` family: the variable is read once per process (call
-//! sites cache in a `OnceLock`), a valid value overrides the default,
-//! and a *set but unparsable* value warns once on stderr and behaves
-//! like unset — never a panic, never silently meaning something else.
+//! One contract for `UP_SIM_EXEC` and the `UP_NET_*` family: the
+//! variable is read once per process (call sites cache in a
+//! `OnceLock`), a valid value overrides the default, and a *set but
+//! unparsable* value warns once on stderr and behaves like unset —
+//! never a panic, never silently meaning something else.
 //! Values are trimmed before parsing, so `UP_NET_IDLE_S=" 4 "` works.
 
 /// Reads and parses an environment-variable knob. Returns `None` when
@@ -54,23 +54,6 @@ mod tests {
         assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some("6"), parse), Some(6));
         assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some(" 8 "), parse), Some(8));
         assert_eq!(parse_value("UP_NET_IDLE_S", "idle seconds", Some("fourteen"), parse), None);
-    }
-
-    #[test]
-    fn up_pipeline_knob() {
-        use crate::pipeline::PipelineMode;
-        assert_eq!(
-            parse_value("UP_PIPELINE", "off | on | <depth>", Some("4"), PipelineMode::parse),
-            Some(PipelineMode::On(4))
-        );
-        assert_eq!(
-            parse_value("UP_PIPELINE", "off | on | <depth>", Some("off"), PipelineMode::parse),
-            Some(PipelineMode::Off)
-        );
-        assert_eq!(
-            parse_value("UP_PIPELINE", "off | on | <depth>", Some("bogus"), PipelineMode::parse),
-            None
-        );
     }
 
     #[test]

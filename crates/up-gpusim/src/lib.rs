@@ -8,9 +8,8 @@
 //! cost model turning those statistics into kernel times ([`cost`]),
 //! CGBN-style thread-group big-number arithmetic ([`cgbn`], §III-E1),
 //! multi-pass aggregation (§III-E2, [`reduce`]), an Nsight-like profiler
-//! view ([`profiler`]), a CUDA-stream scheduler with queueing-delay
-//! accounting for concurrent services ([`stream`]), and a plan-level
-//! launch-DAG executor + modeled overlap timeline ([`pipeline`]).
+//! view ([`profiler`]), and a CUDA-stream scheduler with queueing-delay
+//! accounting for concurrent services ([`stream`]).
 
 mod analysis;
 pub mod cgbn;
@@ -22,7 +21,6 @@ pub mod cost;
 pub mod device;
 pub mod env;
 pub mod exec;
-pub mod pipeline;
 pub mod profiler;
 pub mod ptx;
 pub mod reduce;
@@ -37,10 +35,6 @@ pub use device::DeviceConfig;
 pub use exec::{
     launch, launch_opts, launch_sampled, launch_sampled_opts, ExecStats, GlobalMem, LaunchConfig,
     LaunchOpts, SimError,
-};
-pub use pipeline::{
-    run_dag, DagNodeCost, DeficitRoundRobin, PipelineMode, PipelineReport,
-    SharedTimeline, SharedTimelineStats,
 };
 pub use ptx::{AddrForm, CmpOp, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt};
 

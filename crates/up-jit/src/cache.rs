@@ -223,12 +223,6 @@ impl SharedKernelCache {
 pub struct JitEngine {
     opts: JitOptions,
     cache: Arc<SharedKernelCache>,
-    /// When set, a cache-missing `compile` *sleeps* its modeled NVCC
-    /// latency so host wall-clock reflects the compile stalls a real RTC
-    /// deployment pays (functional results and modeled times are
-    /// unchanged). Off by default; the pipelining benchmark turns it on
-    /// to measure how much of that latency overlap can hide.
-    emulate_nvcc: bool,
 }
 
 impl JitEngine {
@@ -245,25 +239,7 @@ impl JitEngine {
 
     /// New engine over an existing (shared) kernel cache.
     pub fn with_cache(opts: JitOptions, cache: Arc<SharedKernelCache>) -> JitEngine {
-        JitEngine { opts, cache, emulate_nvcc: false }
-    }
-
-    /// Toggles NVCC-latency emulation: when on, every cache-missing
-    /// compile sleeps its modeled NVCC time (§IV-D1's 320–423 ms scale)
-    /// so benchmarks can measure compile/execute overlap in wall-clock.
-    pub fn set_nvcc_latency_emulation(&mut self, on: bool) {
-        self.emulate_nvcc = on;
-    }
-
-    /// Whether NVCC-latency emulation is on.
-    pub fn nvcc_latency_emulation(&self) -> bool {
-        self.emulate_nvcc
-    }
-
-    /// A handle to this engine's kernel cache (clone to share it with
-    /// other engines).
-    pub fn cache_handle(&self) -> Arc<SharedKernelCache> {
-        Arc::clone(&self.cache)
+        JitEngine { opts, cache }
     }
 
     /// Runs the §III-D optimization pipeline on an expression.
@@ -288,9 +264,9 @@ impl JitEngine {
 
     /// The cache signature [`JitEngine::compile`] would use for `expr`,
     /// or `None` when the optimized expression is a passthrough (bare
-    /// column / constant — never compiled, never cached). The plan-level
-    /// pipeline uses this to detect duplicate kernels across DAG nodes
-    /// *before* execution, so compile attribution stays deterministic.
+    /// column / constant — never compiled, never cached).
+    /// `up_engine::Database::plan_kernels` uses it to name a plan's
+    /// kernels without compiling them.
     pub fn signature(&self, expr: &Expr) -> Option<String> {
         let optimized = self.optimize(expr);
         match optimized {
@@ -336,17 +312,9 @@ impl JitEngine {
                     // crossing `up_gpusim::TIER_THRESHOLD`) builds the
                     // artifact into the same cached kernel's
                     // `OnceLock<Arc>`, so one promotion serves every
-                    // session that hits this cache entry — including
-                    // arena rendezvous winners and waiters.
+                    // session that hits this cache entry.
                     modeled_compile_time_s(compiled.kernel.static_inst_count())
                 };
-                if !cached && self.emulate_nvcc && modeled > 0.0 {
-                    // Outside the shard lock: concurrent compiles of
-                    // *other* signatures proceed while this one "runs
-                    // NVCC". Wall-clock only — modeled time is already
-                    // accounted above.
-                    std::thread::sleep(std::time::Duration::from_secs_f64(modeled));
-                }
                 let info = CompileInfo {
                     cached,
                     build_s: t0.elapsed().as_secs_f64(),
@@ -357,48 +325,9 @@ impl JitEngine {
         }
     }
 
-    /// A new engine sharing this one's options, kernel cache, and NVCC
-    /// emulation flag — what [`JitEngine::compile_async`] helpers and the
-    /// cross-query compile arena ([`crate::arena`]) run their compiles
-    /// on. Cache counters are shared, so a forked engine's compiles are
-    /// indistinguishable from this engine's.
-    pub fn fork(&self) -> JitEngine {
-        let mut e = JitEngine::with_cache(self.opts, Arc::clone(&self.cache));
-        e.emulate_nvcc = self.emulate_nvcc;
-        e
-    }
-
-    /// Starts compiling `expr` on a helper thread and returns a handle to
-    /// collect the result — a compile thread mostly waits on the
-    /// (emulated) NVCC latency, not the CPU. Cache lookups, insertion,
-    /// and counters behave exactly as a synchronous
-    /// [`JitEngine::compile`] on this engine.
-    pub fn compile_async(&self, expr: &Expr) -> CompileHandle {
-        let engine = self.fork();
-        let expr = expr.clone();
-        CompileHandle { join: std::thread::spawn(move || engine.compile(&expr)) }
-    }
-
     /// Cache counters (hits, misses, evictions, occupancy).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-}
-
-/// An in-flight [`JitEngine::compile_async`] compilation.
-///
-/// Dropping the handle without calling [`CompileHandle::wait`] detaches
-/// the helper thread; the compiled kernel still lands in the shared
-/// cache.
-pub struct CompileHandle {
-    join: std::thread::JoinHandle<(Compiled, CompileInfo)>,
-}
-
-impl CompileHandle {
-    /// Blocks until compilation finishes and returns exactly what the
-    /// synchronous [`JitEngine::compile`] would have.
-    pub fn wait(self) -> (Compiled, CompileInfo) {
-        self.join.join().expect("compile thread panicked")
     }
 }
 
@@ -452,10 +381,10 @@ mod tests {
     #[test]
     fn cache_hits_share_the_compiled_tier_artifact() {
         // Tier promotion builds the closure-compiled program into the
-        // cached kernel's `OnceLock<Arc>`; because cache hits (and arena
-        // rendezvous) hand out the same `Arc<CompiledExpr>`, one
-        // promotion must serve every session. Forcing the build through
-        // either handle must yield pointer-identical artifacts.
+        // cached kernel's `OnceLock<Arc>`; because cache hits hand out
+        // the same `Arc<CompiledExpr>`, one promotion must serve every
+        // session. Forcing the build through either handle must yield
+        // pointer-identical artifacts.
         let jit = JitEngine::with_defaults();
         let e = Expr::col(0, ty(6, 2), "a").add(Expr::col(1, ty(6, 2), "b"));
         let (c1, _) = jit.compile(&e);
@@ -588,43 +517,5 @@ mod tests {
             .add(Expr::lit("2").unwrap())
             .sub(Expr::lit("3").unwrap());
         assert_eq!(jit.signature(&p), None);
-    }
-
-    #[test]
-    fn async_compile_matches_synchronous_semantics() {
-        let jit = JitEngine::with_defaults();
-        let e = Expr::col(0, ty(9, 3), "a").add(Expr::col(1, ty(9, 3), "b"));
-        let (c_async, i_async) = jit.compile_async(&e).wait();
-        assert!(!i_async.cached);
-        assert!(i_async.modeled_compile_s > 0.25);
-        // The synchronous path now hits the same cached kernel.
-        let (c_sync, i_sync) = jit.compile(&e);
-        assert!(i_sync.cached);
-        assert_eq!(i_sync.modeled_compile_s, 0.0);
-        match (c_async, c_sync) {
-            (Compiled::Kernel(a), Compiled::Kernel(b)) => assert!(Arc::ptr_eq(&a, &b)),
-            _ => panic!("expected kernels"),
-        }
-        let s = jit.cache_stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
-    }
-
-    #[test]
-    fn nvcc_latency_emulation_sleeps_misses_only() {
-        let mut jit = JitEngine::with_defaults();
-        jit.set_nvcc_latency_emulation(true);
-        assert!(jit.nvcc_latency_emulation());
-        let e = Expr::col(0, ty(5, 1), "a").add(Expr::col(1, ty(5, 1), "b"));
-        let t0 = Instant::now();
-        let (_, i1) = jit.compile(&e);
-        let miss_wall = t0.elapsed().as_secs_f64();
-        assert!(!i1.cached);
-        // The miss slept ≈ its modeled NVCC time (300 ms front-end floor).
-        assert!(miss_wall >= i1.modeled_compile_s * 0.9, "{miss_wall} vs {i1:?}");
-        // Hits pay nothing.
-        let t1 = Instant::now();
-        let (_, i2) = jit.compile(&e);
-        assert!(i2.cached);
-        assert!(t1.elapsed().as_secs_f64() < 0.1);
     }
 }

@@ -7,11 +7,8 @@
 //! conversion ([`nary`]), alignment scheduling ([`schedule`]) and constant
 //! optimization ([`constfold`]) — the code generator emitting the PTX-like
 //! ISA ([`codegen`]), the multi-threaded (TPI) variant ([`codegen_mt`]),
-//! and the kernel cache with compile-time accounting ([`cache`]), plus
-//! the cross-query compile arena the server's pipeline arena builds on
-//! ([`arena`]).
+//! and the kernel cache with compile-time accounting ([`cache`]).
 
-pub mod arena;
 pub mod cache;
 pub mod codegen;
 pub mod codegen_mt;
@@ -20,7 +17,6 @@ pub mod expr;
 pub mod nary;
 pub mod schedule;
 
-pub use arena::{CompileArena, CompileArenaStats};
 pub use cache::{JitEngine, JitOptions};
 pub use codegen::{compile_expr, CompiledExpr};
 pub use expr::Expr;

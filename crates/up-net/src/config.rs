@@ -1,9 +1,9 @@
 //! Wire-server tuning knobs, with `UP_NET_*` environment defaults.
 //!
-//! Same contract as `UP_PIPELINE` / `UP_SIM_EXEC` / `UP_ARENA`: each
-//! variable is read once per process, a valid value overrides the
-//! default, and an invalid value warns once on stderr and behaves like
-//! unset — never a panic, never silently meaning something else.
+//! Same contract as `UP_SIM_EXEC` (`up_gpusim::env`): each variable is
+//! read once per process, a valid value overrides the default, and an
+//! invalid value warns once on stderr and behaves like unset — never a
+//! panic, never silently meaning something else.
 
 use crate::frame::DEFAULT_MAX_FRAME;
 use std::sync::OnceLock;

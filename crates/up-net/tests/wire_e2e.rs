@@ -427,14 +427,13 @@ fn connection_cap_refuses_and_idle_timeout_reaps() {
 
 #[test]
 fn weighted_tenants_get_a_skewed_completion_share_under_saturation() {
-    // One worker, DRR dequeue (arena on), both tenants keep 32 queries
-    // queued: the 2.0-weight tenant should complete ~2× the queries of
-    // the 1.0-weight tenant at any cut point.
+    // One worker, DRR dequeue, both tenants keep 32 queries queued: the
+    // 2.0-weight tenant should complete ~2× the queries of the
+    // 1.0-weight tenant at any cut point.
     let up = seeded_up(
         ServerConfig {
             workers: 1,
             queue_capacity: 256,
-            arena: true,
             default_timeout: Duration::from_secs(60),
             ..ServerConfig::default()
         },

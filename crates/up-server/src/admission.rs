@@ -13,7 +13,109 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-use up_gpusim::DeficitRoundRobin;
+
+/// Weighted deficit round-robin over session ids.
+///
+/// Each registered session accrues `weight` units of deficit per
+/// scheduling round and pays one unit per grant, so over time session
+/// *i* receives `wᵢ / Σw` of the grants — a wide analytic session
+/// cannot starve short interactive ones. A session with no queued work
+/// forfeits its accumulated deficit (classic DRR), which keeps the
+/// scheduler work-conserving: grants never idle waiting for an empty
+/// queue to "catch up".
+#[derive(Debug)]
+struct DeficitRoundRobin {
+    sessions: Vec<DrrSession>,
+    cursor: usize,
+    /// Whether the session at `cursor` still needs its per-round
+    /// deficit replenishment (set when the cursor arrives there).
+    fresh: bool,
+}
+
+impl Default for DeficitRoundRobin {
+    fn default() -> DeficitRoundRobin {
+        DeficitRoundRobin { sessions: Vec::new(), cursor: 0, fresh: true }
+    }
+}
+
+#[derive(Debug)]
+struct DrrSession {
+    id: u64,
+    weight: f64,
+    deficit: f64,
+}
+
+impl DeficitRoundRobin {
+    /// An empty scheduler.
+    pub fn new() -> DeficitRoundRobin {
+        DeficitRoundRobin::default()
+    }
+
+    /// Registers `id` (or updates its weight). Weights are clamped to
+    /// `[0.01, 100]`; non-finite weights fall back to 1.
+    pub fn set_weight(&mut self, id: u64, weight: f64) {
+        let weight = if weight.is_finite() { weight.clamp(0.01, 100.0) } else { 1.0 };
+        match self.sessions.iter_mut().find(|s| s.id == id) {
+            Some(s) => s.weight = weight,
+            None => self.sessions.push(DrrSession { id, weight, deficit: 0.0 }),
+        }
+    }
+
+    /// Registers `id` with the default weight (1) if unknown.
+    pub fn ensure(&mut self, id: u64) {
+        if !self.sessions.iter().any(|s| s.id == id) {
+            self.sessions.push(DrrSession { id, weight: 1.0, deficit: 0.0 });
+        }
+    }
+
+    /// Forgets `id` entirely.
+    pub fn remove(&mut self, id: u64) {
+        if let Some(pos) = self.sessions.iter().position(|s| s.id == id) {
+            self.sessions.remove(pos);
+            if self.cursor > pos {
+                self.cursor -= 1;
+            } else if self.cursor == pos {
+                self.fresh = true;
+            }
+        }
+    }
+
+    /// Picks the next session to serve among those for which `eligible`
+    /// returns true (i.e. sessions with queued work). The cursor visits
+    /// sessions round-robin; on arrival a session's deficit is topped up
+    /// by its weight, each grant costs one unit, and the cursor stays
+    /// put while the deficit lasts (so weight-3 sessions get ~3 grants
+    /// per round). Returns `None` when no registered session is
+    /// eligible.
+    pub fn next(&mut self, eligible: &dyn Fn(u64) -> bool) -> Option<u64> {
+        if !self.sessions.iter().any(|s| eligible(s.id)) {
+            return None;
+        }
+        loop {
+            if self.cursor >= self.sessions.len() {
+                self.cursor = 0;
+                self.fresh = true;
+            }
+            let s = &mut self.sessions[self.cursor];
+            if !eligible(s.id) {
+                s.deficit = 0.0;
+                self.cursor += 1;
+                self.fresh = true;
+                continue;
+            }
+            if self.fresh {
+                s.deficit += s.weight;
+                self.fresh = false;
+            }
+            if s.deficit >= 1.0 {
+                s.deficit -= 1.0;
+                return Some(s.id);
+            }
+            self.cursor += 1;
+            self.fresh = true;
+        }
+    }
+}
 
 /// Returned by [`DrrQueue::push`] when the queue is at capacity or
 /// closed; hands the rejected item back to the caller.
@@ -168,6 +270,36 @@ mod tests {
     type Lanes = fn(i32) -> u64;
     const ONE: Lanes = |_| 7;
     const SEVERAL: Lanes = |v| v.rem_euclid(3) as u64;
+
+    #[test]
+    fn drr_splits_grants_by_weight_without_starvation() {
+        let mut drr = DeficitRoundRobin::new();
+        drr.set_weight(1, 3.0);
+        drr.set_weight(2, 1.0);
+        let mut grants = [0u32; 3];
+        for _ in 0..400 {
+            let id = drr.next(&|_| true).expect("both eligible");
+            grants[id as usize] += 1;
+        }
+        // 3:1 weights → ~300/100 grants; allow slack for round phase.
+        assert!((295..=305).contains(&grants[1]), "{grants:?}");
+        assert!((95..=105).contains(&grants[2]), "{grants:?}");
+
+        // A session with no queued work is skipped and forfeits deficit.
+        let only_two = |id: u64| id == 2;
+        for _ in 0..10 {
+            assert_eq!(drr.next(&only_two), Some(2));
+        }
+        // Nothing eligible → None, not a spin.
+        assert_eq!(drr.next(&|_| false), None);
+        let mut empty = DeficitRoundRobin::new();
+        assert_eq!(empty.next(&|_| true), None);
+
+        // Removal keeps the cursor consistent.
+        drr.ensure(7);
+        drr.remove(1);
+        assert_eq!(drr.next(&|id| id == 7), Some(7));
+    }
 
     #[test]
     fn push_reports_depth_and_rejects_at_capacity() {

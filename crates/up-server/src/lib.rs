@@ -22,13 +22,6 @@
 //! - **Metrics** ([`metrics`]): latency histograms, queue depth, cache
 //!   hit rate, and modeled SM-seconds, snapshotable as a plain struct or
 //!   a printable text report.
-//! - **Pipeline arena** ([`arena`], opt-in via `ServerConfig::arena` or
-//!   `UP_ARENA=on`): queries register their kernel signatures at
-//!   admission so compiles start while jobs are still queued, duplicate
-//!   signatures across in-flight queries attach to one compile, and
-//!   every launch DAG shares one modeled pool of compile lanes / copy
-//!   engine / compute streams. Results, modeled times, and cache hit/miss counts stay
-//!   bit-identical to serial execution.
 //!
 //! Reads run concurrently (the engine's `query` takes `&self`). The
 //! engine's catalog is lock-striped per table, so row inserts take the
@@ -60,12 +53,10 @@
 //! ```
 
 pub mod admission;
-pub mod arena;
 pub mod metrics;
 pub mod server;
 pub mod session;
 
-pub use arena::{ArenaStats, LaunchArena};
 pub use metrics::{LatencyHistogram, LatencySummary, MetricsSnapshot};
 pub use server::{CancelHandle, Completion, QueryTicket, ServerConfig, ServerError, UpServer};
 pub use session::{SessionId, SessionManager, SessionStats};

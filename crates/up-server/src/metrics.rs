@@ -10,9 +10,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use up_gpusim::stream::StreamStats;
-use up_gpusim::{PipelineReport, SharedTimelineStats};
 use up_jit::cache::CacheStats;
-use up_jit::CompileArenaStats;
 
 /// Power-of-two microsecond buckets: bucket `i` holds latencies in
 /// `[2^(i−1), 2^i)` µs, so 40 buckets cover ~13 µs-to-years.
@@ -158,22 +156,12 @@ pub struct MetricsRegistry {
     /// End-to-end (enqueue → reply) latency of completed queries.
     latency: LatencyHistogram,
     /// Admission-queue wait (enqueue → dequeue) of every dequeued job —
-    /// the tail-latency signal the arena's fair scheduling targets.
+    /// the tail-latency signal DRR admission targets.
     queue_wait: LatencyHistogram,
     /// Modeled GPU kernel seconds (SM-seconds) executed.
     gpu_kernel_s: AtomicF64,
     /// Modeled stream queueing delay accumulated.
     gpu_queue_s: AtomicF64,
-    /// Queries that ran through the intra-query launch DAG.
-    pipelined_queries: AtomicU64,
-    /// DAG nodes scheduled across all pipelined queries.
-    pipeline_nodes: AtomicU64,
-    /// Modeled seconds saved by overlap (serial − makespan), summed.
-    pipeline_overlap_s: AtomicF64,
-    /// Modeled stream-busy seconds inside pipelined plans.
-    pipeline_busy_s: AtomicF64,
-    /// Modeled stream capacity (streams × makespan) of pipelined plans.
-    pipeline_cap_s: AtomicF64,
 }
 
 impl MetricsRegistry {
@@ -230,16 +218,6 @@ impl MetricsRegistry {
         self.gpu_queue_s.add(queue_s);
     }
 
-    /// Folds one query's pipeline timeline into the service-wide
-    /// counters (called only for queries that actually pipelined).
-    pub fn on_pipeline(&self, p: &PipelineReport) {
-        self.pipelined_queries.fetch_add(1, Ordering::Relaxed);
-        self.pipeline_nodes.fetch_add(p.nodes, Ordering::Relaxed);
-        self.pipeline_overlap_s.add(p.overlap_s);
-        self.pipeline_busy_s.add(p.exec_s);
-        self.pipeline_cap_s.add(p.streams as f64 * p.makespan_s);
-    }
-
     /// Mean end-to-end latency so far (0 before any completion) — the
     /// server's retry-after estimate is derived from this.
     pub fn mean_latency_s(&self) -> f64 {
@@ -260,12 +238,6 @@ impl MetricsRegistry {
         snap.queue_wait = self.queue_wait.summary();
         snap.gpu_kernel_s = self.gpu_kernel_s.get();
         snap.gpu_queue_s = self.gpu_queue_s.get();
-        snap.pipelined_queries = self.pipelined_queries.load(Ordering::Relaxed);
-        snap.pipeline_nodes = self.pipeline_nodes.load(Ordering::Relaxed);
-        snap.pipeline_overlap_s = self.pipeline_overlap_s.get();
-        let cap = self.pipeline_cap_s.get();
-        snap.pipeline_utilization =
-            if cap > 0.0 { (self.pipeline_busy_s.get() / cap).clamp(0.0, 1.0) } else { 0.0 };
     }
 }
 
@@ -313,26 +285,6 @@ pub struct MetricsSnapshot {
     pub gpu_kernel_s: f64,
     /// Modeled stream queueing delay accumulated.
     pub gpu_queue_s: f64,
-    /// Queries executed through the intra-query launch DAG.
-    pub pipelined_queries: u64,
-    /// DAG nodes scheduled across pipelined queries.
-    pub pipeline_nodes: u64,
-    /// Modeled seconds of compile/transfer/exec overlap won, summed.
-    pub pipeline_overlap_s: f64,
-    /// Aggregate modeled stream utilization of pipelined plans
-    /// (busy / capacity over their makespans, in `[0, 1]`).
-    pub pipeline_utilization: f64,
-    /// Whether the cross-query pipeline arena is on.
-    pub arena_enabled: bool,
-    /// Arena compile-prefetch pool counters (registrations, dedups,
-    /// lane occupancy). All zero when the arena is off.
-    pub arena_compile: CompileArenaStats,
-    /// Arena shared launch-timeline counters (copy-engine and stream
-    /// utilization across queries). All zero when the arena is off.
-    pub arena_timeline: SharedTimelineStats,
-    /// Largest single session's share of total admission-queue wait, in
-    /// `[0, 1]`; near `1 / sessions` means the DRR scheduler is fair.
-    pub arena_max_wait_share: f64,
 }
 
 fn fmt_s(s: f64) -> String {
@@ -439,39 +391,6 @@ impl MetricsSnapshot {
             "div_big:     {} lanes divided warp-wide · {} lanes one at a time",
             t.divbig_warp_lanes, t.divbig_loop_lanes
         );
-        let _ = writeln!(
-            o,
-            "pipelining:  {} queries, {} DAG nodes, overlap won {}, stream utilization {:.1}%",
-            self.pipelined_queries,
-            self.pipeline_nodes,
-            fmt_s(self.pipeline_overlap_s),
-            self.pipeline_utilization * 100.0
-        );
-        if self.arena_enabled {
-            let a = &self.arena_compile;
-            let _ = writeln!(
-                o,
-                "arena:       {} kernel refs, {} compiles started, {} cross-query dedups, {} prefetched taken, lanes {}/{} busy ({} queued)",
-                a.registered,
-                a.compiles_started,
-                a.cross_query_dedups,
-                a.prefetched_taken,
-                a.lanes_busy,
-                a.lanes,
-                a.queued
-            );
-            let t = &self.arena_timeline;
-            let _ = writeln!(
-                o,
-                "arena pools: {} queries / {} nodes placed, compile {:.1}%, copy {:.1}%, streams {:.1}% | max wait share {:.1}%",
-                t.queries,
-                t.nodes,
-                t.compile_utilization * 100.0,
-                t.copy_utilization * 100.0,
-                t.stream_utilization * 100.0,
-                self.arena_max_wait_share * 100.0
-            );
-        }
         o
     }
 }
@@ -530,41 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_counters_feed_snapshot_and_report() {
-        let m = MetricsRegistry::new();
-        // Two pipelined queries: 3 + 2 nodes, each with known busy and
-        // makespan so the aggregate utilization is checkable by hand.
-        m.on_pipeline(&PipelineReport {
-            nodes: 3,
-            streams: 2,
-            serial_s: 1.0,
-            makespan_s: 0.6,
-            overlap_s: 0.4,
-            exec_s: 0.6,
-            ..Default::default()
-        });
-        m.on_pipeline(&PipelineReport {
-            nodes: 2,
-            streams: 2,
-            serial_s: 0.5,
-            makespan_s: 0.4,
-            overlap_s: 0.1,
-            exec_s: 0.4,
-            ..Default::default()
-        });
-        let mut snap = MetricsSnapshot::default();
-        m.fill(&mut snap);
-        assert_eq!(snap.pipelined_queries, 2);
-        assert_eq!(snap.pipeline_nodes, 5);
-        assert!((snap.pipeline_overlap_s - 0.5).abs() < 1e-12);
-        // busy 1.0 over capacity 2·0.6 + 2·0.4 = 2.0 → 50%.
-        assert!((snap.pipeline_utilization - 0.5).abs() < 1e-12, "{}", snap.pipeline_utilization);
-        let text = snap.report();
-        assert!(text.contains("pipelining:  2 queries, 5 DAG nodes"), "{text}");
-    }
-
-    #[test]
-    fn queue_wait_and_arena_lines_render() {
+    fn queue_wait_line_renders() {
         let m = MetricsRegistry::new();
         m.on_queue_wait(0.002);
         m.on_queue_wait(0.004);
@@ -572,15 +457,8 @@ mod tests {
         m.fill(&mut snap);
         assert_eq!(snap.queue_wait.count, 2);
         assert!(snap.queue_wait.p95_s >= snap.queue_wait.p50_s);
-        // The arena block renders only when the arena is on.
-        assert!(!snap.report().contains("arena:"));
-        snap.arena_enabled = true;
-        snap.arena_compile.cross_query_dedups = 3;
-        snap.arena_max_wait_share = 0.25;
         let text = snap.report();
         assert!(text.contains("queue wait:"), "{text}");
-        assert!(text.contains("3 cross-query dedups"), "{text}");
-        assert!(text.contains("max wait share 25.0%"), "{text}");
     }
 
     #[test]

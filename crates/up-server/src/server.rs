@@ -27,26 +27,17 @@
 //!   are placed on N simulated CUDA streams; the resulting queueing
 //!   delay lands in `ModeledTime::queue_s`, so reported times reflect
 //!   device contention, not just isolated execution.
-//! - **Pipeline arena** (opt-in via [`ServerConfig::arena`] or
-//!   `UP_ARENA=on`): submissions register their plan's kernel signatures
-//!   with a server-wide [`LaunchArena`] *at admission*, so compiles start
-//!   while the job is still queued, duplicate signatures across
-//!   concurrent queries attach to the in-flight compile instead of
-//!   compiling twice, and launch DAGs share one modeled pool of compile
-//!   lanes, copy engine, and compute streams. Results, `ModeledTime`,
-//!   and cache hit/miss counts stay bit-identical to serial execution.
 
 use crate::admission::DrrQueue;
-use crate::arena::{ArenaStats, LaunchArena};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::session::{SessionId, SessionManager, SessionStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use up_engine::{ArenaCtx, Database, Profile, QueryError, QueryResult, Schema, Value};
+use up_engine::{Database, Profile, QueryError, QueryResult, Schema, Value};
 use up_gpusim::stream::StreamScheduler;
-use up_gpusim::{DeviceConfig, PipelineMode};
+use up_gpusim::DeviceConfig;
 use up_jit::cache::{JitEngine, JitOptions, SharedKernelCache, DEFAULT_CACHE_CAPACITY};
 use up_num::NumError;
 
@@ -64,18 +55,6 @@ pub struct ServerConfig {
     pub jit_cache_capacity: usize,
     /// Default client-side wait deadline for [`QueryTicket::wait`].
     pub default_timeout: Duration,
-    /// Intra-query launch pipelining for the plans workers execute
-    /// (results and modeled times are bit-identical across modes).
-    /// Defaults from `UP_PIPELINE`, otherwise off.
-    pub pipeline: PipelineMode,
-    /// Cross-query pipeline arena: admission-time compile prefetch,
-    /// cross-query signature dedup, and shared launch pools. Results and
-    /// cache stats stay bit-identical either way. Defaults from
-    /// `UP_ARENA` (`off | on`), otherwise off.
-    pub arena: bool,
-    /// Concurrent NVCC compile lanes of the arena's prefetch pool
-    /// (ignored when [`arena`](ServerConfig::arena) is off).
-    pub compile_lanes: usize,
     /// Functional-interpreter backend for kernels launched by queries:
     /// tree walker, pre-decoded flat programs, closure-compiled
     /// superblocks, or `auto` = count-based promotion from decoded to
@@ -93,31 +72,9 @@ impl Default for ServerConfig {
             gpu_streams: 4,
             jit_cache_capacity: DEFAULT_CACHE_CAPACITY,
             default_timeout: Duration::from_secs(30),
-            pipeline: PipelineMode::from_env().unwrap_or_default(),
-            arena: arena_from_env().unwrap_or(false),
-            compile_lanes: 8,
             exec_backend: up_gpusim::ExecBackend::env_default(),
         }
     }
-}
-
-/// Reads `UP_ARENA` once per process; invalid values warn once and are
-/// ignored (same contract as `UP_PIPELINE` / `UP_SIM_EXEC`).
-fn arena_from_env() -> Option<bool> {
-    static CACHE: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| parse_arena_value(std::env::var("UP_ARENA").ok().as_deref()))
-}
-
-/// `UP_ARENA` parse rule over the shared warn-once core in
-/// [`up_gpusim::env`].
-fn parse_arena_value(raw: Option<&str>) -> Option<bool> {
-    up_gpusim::env::parse_value("UP_ARENA", "off | on", raw, |v| {
-        match v.to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Some(true),
-            "off" | "0" | "false" => Some(false),
-            _ => None,
-        }
-    })
 }
 
 /// Everything that can go wrong between `submit` and a result.
@@ -175,9 +132,6 @@ struct Job {
     session: SessionId,
     profile: Profile,
     sql: String,
-    /// Admission sequence in the arena (0 when the arena is off); owns
-    /// this query's prefetched compile entries until `on_query_done`.
-    seq: u64,
     cancel: Arc<AtomicBool>,
     enqueued: Instant,
     reply: ReplySink,
@@ -238,8 +192,6 @@ struct ServerInner {
     metrics: MetricsRegistry,
     streams: Mutex<StreamScheduler>,
     queue: DrrQueue<Job>,
-    /// The cross-query launch scheduler; `Some` iff `config.arena`.
-    arena: Option<Arc<LaunchArena>>,
     started: Instant,
     config: ServerConfig,
 }
@@ -250,7 +202,6 @@ pub struct QueryTicket {
     rx: mpsc::Receiver<Result<QueryResult, ServerError>>,
     cancel: Arc<AtomicBool>,
     timeout: Duration,
-    seq: u64,
     inner: Arc<ServerInner>,
 }
 
@@ -291,12 +242,6 @@ impl QueryTicket {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// The query's arena admission sequence — the order it registered
-    /// its kernels, which is also serial-replay order for determinism
-    /// checks. Always 0 when the arena is off.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
 }
 
 /// Cancels a query submitted with [`UpServer::submit_with`] (a handle
@@ -325,26 +270,8 @@ impl UpServer {
     pub fn new(config: ServerConfig) -> UpServer {
         let cache = Arc::new(SharedKernelCache::new(config.jit_cache_capacity));
         let jit = JitEngine::with_cache(JitOptions::default(), Arc::clone(&cache));
-        let db = Database::with_config(Profile::UltraPrecise, DeviceConfig::a6000(), jit);
-        Self::start(config, db, cache)
-    }
-
-    /// Starts a server over an existing database (its kernel cache
-    /// becomes the server-wide shared cache).
-    pub fn with_database(config: ServerConfig, db: Database) -> UpServer {
-        let cache = db.jit_cache_handle();
-        Self::start(config, db, cache)
-    }
-
-    fn start(config: ServerConfig, mut db: Database, cache: Arc<SharedKernelCache>) -> UpServer {
-        db.pipeline = config.pipeline;
+        let mut db = Database::with_config(Profile::UltraPrecise, DeviceConfig::a6000(), jit);
         db.exec_backend = config.exec_backend;
-        // The arena forks the engine's JIT (shared cache + NVCC-emulation
-        // flag carry over) so prefetched compiles land in the same cache
-        // the workers hit.
-        let arena = config.arena.then(|| {
-            Arc::new(LaunchArena::new(db.jit().fork(), config.compile_lanes, config.gpu_streams))
-        });
         let inner = Arc::new(ServerInner {
             db: RwLock::new(db),
             jit_cache: cache,
@@ -352,7 +279,6 @@ impl UpServer {
             metrics: MetricsRegistry::new(),
             streams: Mutex::new(StreamScheduler::new(config.gpu_streams)),
             queue: DrrQueue::new(config.queue_capacity),
-            arena,
             started: Instant::now(),
             config,
         });
@@ -388,12 +314,9 @@ impl UpServer {
         let stats = self.inner.sessions.disconnect(id)?;
         for mut job in self.inner.queue.remove_session(id.0) {
             // The job left the queue without a worker: keep the depth
-            // gauge honest and release its prefetched compile entries.
+            // gauge honest.
             self.inner.metrics.on_dequeued();
             self.inner.metrics.on_canceled();
-            if let Some(arena) = &self.inner.arena {
-                arena.on_query_done(job.seq);
-            }
             job.reply.send(Err(ServerError::UnknownSession(id)));
         }
         Some(stats)
@@ -435,12 +358,11 @@ impl UpServer {
     /// full and [`ServerError::UnknownSession`] for stale handles.
     pub fn submit(&self, session: SessionId, sql: &str) -> Result<QueryTicket, ServerError> {
         let (tx, rx) = mpsc::channel();
-        let (cancel, seq) = self.submit_sink(session, sql, ReplySink::Channel(tx))?;
+        let cancel = self.submit_sink(session, sql, ReplySink::Channel(tx))?;
         Ok(QueryTicket {
             rx,
             cancel,
             timeout: self.inner.config.default_timeout,
-            seq,
             inner: Arc::clone(&self.inner),
         })
     }
@@ -458,8 +380,7 @@ impl UpServer {
         sql: &str,
         on_done: Completion,
     ) -> Result<CancelHandle, ServerError> {
-        let (cancel, _seq) =
-            self.submit_sink(session, sql, ReplySink::Callback(Some(on_done)))?;
+        let cancel = self.submit_sink(session, sql, ReplySink::Callback(Some(on_done)))?;
         Ok(CancelHandle(cancel))
     }
 
@@ -483,7 +404,7 @@ impl UpServer {
         session: SessionId,
         sql: &str,
         mut reply: ReplySink,
-    ) -> Result<(Arc<AtomicBool>, u64), ServerError> {
+    ) -> Result<Arc<AtomicBool>, ServerError> {
         let profile = match self.inner.sessions.profile(session) {
             Some(p) => p,
             None => {
@@ -493,33 +414,11 @@ impl UpServer {
                 return Err(ServerError::UnknownSession(session));
             }
         };
-        // Arena admission: register the plan's kernel signatures *now*,
-        // so first-occurrence compiles start while the job is queued and
-        // duplicates attach to them. Plan errors are deliberately ignored
-        // here — the worker will surface them as the query's real error.
-        let seq = match &self.inner.arena {
-            Some(arena) => {
-                let seq = arena.next_seq();
-                let weight = self.inner.sessions.weight(session).unwrap_or(1.0);
-                let kernels = self
-                    .inner
-                    .db
-                    .read()
-                    .expect("db poisoned")
-                    .plan_kernels(profile, sql);
-                if let Ok(kernels) = kernels {
-                    arena.register(session.0, weight, seq, &kernels);
-                }
-                seq
-            }
-            None => 0,
-        };
         let cancel = Arc::new(AtomicBool::new(false));
         let job = Job {
             session,
             profile,
             sql: sql.to_string(),
-            seq,
             cancel: Arc::clone(&cancel),
             enqueued: Instant::now(),
             reply,
@@ -527,18 +426,13 @@ impl UpServer {
         match self.inner.queue.push(session.0, job) {
             Ok(_depth) => {
                 self.inner.metrics.on_submitted();
-                Ok((cancel, seq))
+                Ok(cancel)
             }
             Err(mut full) => {
                 // The submitter gets the rejection as this call's error;
                 // a callback sink must not fire a second time on drop.
                 full.0.reply.defuse();
                 drop(full);
-                // Rejected after registering → release the prefetched
-                // compile entries this seq owns.
-                if let Some(arena) = &self.inner.arena {
-                    arena.on_query_done(seq);
-                }
                 self.inner.metrics.on_rejected();
                 let queue_depth = self.inner.queue.len();
                 // Estimated time for the backlog to drain one slot.
@@ -556,21 +450,14 @@ impl UpServer {
         self.submit(session, sql)?.wait()
     }
 
-    /// Sets a session's fair-share weight: its share of dequeue grants
-    /// and, with the arena on, of compile-lane dispatch. False if the
-    /// session is unknown.
+    /// Sets a session's fair-share weight: its share of dequeue grants.
+    /// False if the session is unknown.
     pub fn set_session_weight(&self, id: SessionId, weight: f64) -> bool {
         let known = self.inner.sessions.set_weight(id, weight);
         if known {
             self.inner.queue.set_weight(id.0, weight);
         }
         known
-    }
-
-    /// Arena statistics (compile dedups, pool utilization, per-session
-    /// wait shares); `None` when the arena is off.
-    pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.inner.arena.as_ref().map(|a| a.stats())
     }
 
     /// A point-in-time snapshot of every service metric.
@@ -591,13 +478,6 @@ impl UpServer {
         snap.exec_tiers = up_gpusim::tier_counters();
         snap.tier_compiles = up_gpusim::compile_counters();
         snap.streams = self.inner.streams.lock().expect("streams poisoned").stats();
-        if let Some(arena) = &self.inner.arena {
-            let a = arena.stats();
-            snap.arena_enabled = true;
-            snap.arena_compile = a.compile;
-            snap.arena_timeline = a.timeline;
-            snap.arena_max_wait_share = a.max_wait_share;
-        }
         snap
     }
 
@@ -620,17 +500,9 @@ impl Drop for UpServer {
 fn worker_loop(inner: Arc<ServerInner>) {
     while let Some(mut job) = inner.queue.pop_blocking() {
         inner.metrics.on_dequeued();
-        let wait_s = job.enqueued.elapsed().as_secs_f64();
-        inner.metrics.on_queue_wait(wait_s);
-        if let Some(arena) = &inner.arena {
-            arena.record_wait(job.session.0, wait_s);
-        }
+        inner.metrics.on_queue_wait(job.enqueued.elapsed().as_secs_f64());
         if job.cancel.load(Ordering::Relaxed) {
             inner.metrics.on_canceled();
-            // A canceled job still owns its prefetched compile entries.
-            if let Some(arena) = &inner.arena {
-                arena.on_query_done(job.seq);
-            }
             job.reply.send(Err(ServerError::Canceled));
             continue;
         }
@@ -640,9 +512,6 @@ fn worker_loop(inner: Arc<ServerInner>) {
         // work nobody is accounted for.
         if !inner.sessions.contains(job.session) {
             inner.metrics.on_canceled();
-            if let Some(arena) = &inner.arena {
-                arena.on_query_done(job.seq);
-            }
             job.reply.send(Err(ServerError::UnknownSession(job.session)));
             continue;
         }
@@ -652,29 +521,11 @@ fn worker_loop(inner: Arc<ServerInner>) {
         // The unwind boundary: a statement that panics the engine fails
         // alone, and this worker keeps serving. Only a writer's panic
         // poisons the database lock, and this holds the read side.
-        let run = || {
-            let db = inner.db.read().expect("db poisoned");
-            match &inner.arena {
-                Some(arena) => db.query_with_arena(
-                    job.profile,
-                    &job.sql,
-                    ArenaCtx {
-                        compile: arena.compile(),
-                        timeline: arena.timeline(),
-                        seq: job.seq,
-                        arrival_s,
-                    },
-                ),
-                None => db.query_as(job.profile, &job.sql),
-            }
-        };
+        let run = || inner.db.read().expect("db poisoned").query_as(job.profile, &job.sql);
         let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
             Ok(r) => r.map_err(ServerError::Query),
             Err(payload) => Err(ServerError::Internal(panic_message(payload.as_ref()))),
         };
-        if let Some(arena) = &inner.arena {
-            arena.on_query_done(job.seq);
-        }
         let result = result.map(|mut r| {
             if r.modeled.kernel_s > 0.0 {
                 let slot = inner
@@ -685,9 +536,6 @@ fn worker_loop(inner: Arc<ServerInner>) {
                 r.modeled.queue_s += slot.queue_delay_s;
             }
             inner.metrics.on_gpu_time(r.modeled.kernel_s, r.modeled.queue_s);
-            if let Some(p) = &r.pipeline {
-                inner.metrics.on_pipeline(p);
-            }
             r
         });
         let ok = result.is_ok();
@@ -863,36 +711,21 @@ mod tests {
     }
 
     #[test]
-    fn closed_sessions_release_drr_lanes_under_the_arena() {
-        for arena in [false, true] {
-            let server = seeded_server(ServerConfig {
-                workers: 0,
-                arena,
-                ..ServerConfig::default()
-            });
-            let s = server.connect(Profile::UltraPrecise);
-            let ticket = server.submit(s, "SELECT x * x FROM t").unwrap();
-            server.close_session(s);
-            let err = ticket.wait_timeout(Duration::from_millis(200)).unwrap_err();
-            assert!(matches!(err, ServerError::UnknownSession(_)), "{err}");
-            // The DRR lane is gone, and under the arena the drained job
-            // released its prefetched compile entry (no seq left owning
-            // arena state).
-            assert_eq!(server.inner.queue.lanes(), 0, "lane forgotten");
-            if arena {
-                let st = server.arena_stats().unwrap();
-                assert_eq!(st.compile.queued, 0, "prefetch entries released");
-            }
-        }
+    fn closed_sessions_release_their_drr_lanes() {
+        let server = seeded_server(ServerConfig { workers: 0, ..ServerConfig::default() });
+        let s = server.connect(Profile::UltraPrecise);
+        let ticket = server.submit(s, "SELECT x * x FROM t").unwrap();
+        server.close_session(s);
+        let err = ticket.wait_timeout(Duration::from_millis(200)).unwrap_err();
+        assert!(matches!(err, ServerError::UnknownSession(_)), "{err}");
+        assert_eq!(server.inner.queue.lanes(), 0, "lane forgotten");
     }
 
     #[test]
     fn session_weights_skew_dequeue_grants_at_the_default_config() {
-        // The default config (arena off) with no workers, so both
-        // sessions stay backlogged and the test takes the grants itself.
-        let config = ServerConfig { workers: 0, ..ServerConfig::default() };
-        assert!(!config.arena);
-        let server = seeded_server(config);
+        // The default config with no workers, so both sessions stay
+        // backlogged and the test takes the grants itself.
+        let server = seeded_server(ServerConfig { workers: 0, ..ServerConfig::default() });
         let heavy = server.connect(Profile::UltraPrecise);
         let light = server.connect(Profile::UltraPrecise);
         assert!(server.set_session_weight(heavy, 3.0));
@@ -965,92 +798,6 @@ mod tests {
         server.insert_many("t", [vec![dec("7.77", ty(6, 2))]]).unwrap();
         let after = server.query(s, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(after.rows[0][0].render(), "5");
-    }
-
-    #[test]
-    fn pipelined_queries_feed_the_snapshot() {
-        let server = seeded_server(ServerConfig {
-            workers: 2,
-            pipeline: PipelineMode::On(4),
-            ..ServerConfig::default()
-        });
-        let s = server.connect(Profile::UltraPrecise);
-        // Two independent expression slots → the worker runs the launch
-        // DAG and its report lands in the service counters.
-        let r = server
-            .query(s, "SELECT SUM(x * x), SUM(x + x) FROM t")
-            .unwrap();
-        assert!(r.pipeline.is_some(), "multi-slot plan should pipeline");
-        // A single-slot plan stays serial and records nothing.
-        let r2 = server.query(s, "SELECT SUM(x) FROM t").unwrap();
-        assert!(r2.pipeline.is_none());
-        let m = server.metrics();
-        assert_eq!(m.pipelined_queries, 1);
-        assert!(m.pipeline_nodes >= 2, "{}", m.pipeline_nodes);
-        assert!(m.pipeline_utilization > 0.0 && m.pipeline_utilization <= 1.0);
-        let text = m.report();
-        assert!(text.contains("pipelining:  1 queries"), "{text}");
-    }
-
-    #[test]
-    fn arena_env_parse_accepts_on_off_and_ignores_nonsense() {
-        assert_eq!(parse_arena_value(None), None);
-        assert_eq!(parse_arena_value(Some("on")), Some(true));
-        assert_eq!(parse_arena_value(Some("1")), Some(true));
-        assert_eq!(parse_arena_value(Some(" TRUE ")), Some(true));
-        assert_eq!(parse_arena_value(Some("off")), Some(false));
-        assert_eq!(parse_arena_value(Some("0")), Some(false));
-        // Invalid values warn to stderr and are ignored (config default
-        // stays off) instead of silently meaning something.
-        assert_eq!(parse_arena_value(Some("banana")), None);
-    }
-
-    #[test]
-    fn arena_mode_keeps_cache_accounting_identical_to_serial() {
-        let server = seeded_server(ServerConfig {
-            workers: 2,
-            arena: true,
-            ..ServerConfig::default()
-        });
-        let s = server.connect(Profile::UltraPrecise);
-        for _ in 0..4 {
-            let r = server.query(s, "SELECT x * x FROM t").unwrap();
-            assert_eq!(r.rows.len(), 4);
-        }
-        let m = server.metrics();
-        assert!(m.arena_enabled);
-        // Exactly what serial execution records: one miss, three hits —
-        // the prefetched result substitutes for the owner's cache access.
-        assert_eq!(m.cache.misses, 1, "one signature, compiled once");
-        assert_eq!(m.cache.hits, 3);
-        let st = server.arena_stats().unwrap();
-        assert_eq!(st.compile.registered, 4);
-        assert!(st.compile.compiles_started >= 1);
-        assert_eq!(st.compile.queued, 0, "prefetch queue drained");
-        assert!(m.queue_wait.count >= 4, "every dequeue records its wait");
-        assert!(m.report().contains("arena:"), "{}", m.report());
-    }
-
-    #[test]
-    fn arena_routes_pipelined_plans_through_shared_pools() {
-        let server = seeded_server(ServerConfig {
-            workers: 2,
-            arena: true,
-            pipeline: PipelineMode::On(4),
-            ..ServerConfig::default()
-        });
-        let s = server.connect(Profile::UltraPrecise);
-        let r = server
-            .query(s, "SELECT SUM(x * x), SUM(x + x) FROM t")
-            .unwrap();
-        assert!(r.pipeline.is_some(), "multi-slot plan should pipeline");
-        let st = server.arena_stats().unwrap();
-        assert_eq!(st.timeline.queries, 1, "DAG placed on the shared pools");
-        assert!(st.timeline.nodes >= 2, "{}", st.timeline.nodes);
-        assert_eq!(st.session_waits.len(), 1, "one session accounted");
-        // Per-session weights reach both the dequeue DRR and the map.
-        assert!(server.set_session_weight(s, 2.0));
-        assert!(!server.set_session_weight(SessionId(999), 2.0));
     }
 
     #[test]

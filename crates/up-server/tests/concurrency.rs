@@ -8,8 +8,9 @@
 //! 2. The shared JIT cache compiles each distinct kernel signature at
 //!    most once, no matter how the threads race.
 
+use std::collections::HashSet;
 use std::sync::Arc;
-use up_engine::{ColumnType, Database, Profile, Schema, Value};
+use up_engine::{ColumnType, Database, Profile, QueryResult, Schema, Value};
 use up_num::{DecimalType, UpDecimal};
 use up_server::{ServerConfig, ServerError, UpServer};
 
@@ -117,6 +118,126 @@ fn parallel_results_are_bit_identical_to_serial() {
     assert_eq!(m.queue_depth, 0, "queue drained");
     assert_eq!(m.sessions_active, 0, "all sessions disconnected");
     assert_eq!(m.sessions_total, n_threads as u64);
+
+    // Second input: the fig. 8/9-style ledger mix, shuffled per session.
+    ledger_mix_matches_serial_replay();
+}
+
+fn ledger_schema() -> Schema {
+    Schema::new(vec![
+        ("x", ColumnType::Decimal(ty(30, 6))),
+        ("y", ColumnType::Decimal(ty(30, 6))),
+        ("z", ColumnType::Decimal(ty(20, 4))),
+        ("g", ColumnType::Int64),
+    ])
+}
+
+fn ledger_rows(n: usize) -> Vec<Vec<Value>> {
+    let (tx, tyy, tz) = (ty(30, 6), ty(30, 6), ty(20, 4));
+    (0..n as i64)
+        .map(|i| {
+            let x = UpDecimal::from_scaled_i64((i * 7919 - 500_000) % 99_999_999, tx).unwrap();
+            let y = UpDecimal::from_scaled_i64((i * 104_729 + 77) % 9_999_999, tyy).unwrap();
+            let z = UpDecimal::from_scaled_i64((i * 31 + 5) % 999_999, tz).unwrap();
+            // `g` cycles, so a group's members are never contiguous.
+            vec![Value::Decimal(x), Value::Decimal(y), Value::Decimal(z), Value::Int64(i % 3)]
+        })
+        .collect()
+}
+
+/// Expression evaluation and aggregation over decimals (the paper's
+/// fig. 8/9 workload shape), including every shape of the columnar fold:
+/// kernel output, bare stored column, filtered (gathered) column, and
+/// GROUP BY over scattered members. Sessions share signatures, so
+/// concurrent statements race for the same cache entries.
+const LEDGER_QUERIES: [&str; 9] = [
+    "SELECT x * y FROM ledger",
+    "SELECT x + y FROM ledger",
+    "SELECT (x * y) + z FROM ledger",
+    "SELECT SUM(x * x), SUM(y + y) FROM ledger",
+    "SELECT x - z FROM ledger",
+    "SELECT COUNT(*) FROM ledger",
+    "SELECT SUM(x), AVG(z), MIN(y), MAX(x) FROM ledger",
+    "SELECT SUM(x), MIN(x * y), MAX(z), AVG(y) FROM ledger WHERE z > 50",
+    "SELECT g, SUM(x), AVG(x * y), MIN(z), MAX(y), COUNT(*) FROM ledger GROUP BY g ORDER BY g",
+];
+
+/// Deterministic shuffle (LCG) so each session submits the mix in a
+/// different — but reproducible — order.
+fn shuffled(session: u64) -> Vec<&'static str> {
+    let mut order: Vec<&'static str> = LEDGER_QUERIES.to_vec();
+    let mut state = session.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let j = (state >> 33) as usize % (i + 1);
+        order.swap(i, j);
+    }
+    order
+}
+
+/// Eight sessions (the last on a comparator profile, which compiles no
+/// kernels) submit the shuffled ledger mix up front to a default-config
+/// server; every statement must match a serial replay on a private
+/// engine, and the shared cache must compile each signature exactly once.
+fn ledger_mix_matches_serial_replay() {
+    let n_sessions = 8u64;
+    let profile =
+        |i: u64| if i == n_sessions - 1 { Profile::PostgresLike } else { Profile::UltraPrecise };
+    let server = UpServer::new(ServerConfig {
+        workers: 4,
+        queue_capacity: 256,
+        ..ServerConfig::default()
+    });
+    server.create_table("ledger", ledger_schema());
+    server.insert_many("ledger", ledger_rows(200)).unwrap();
+    let sessions: Vec<_> = (0..n_sessions).map(|i| server.connect(profile(i))).collect();
+    // Skewed weights: fairness must never change results, only order.
+    server.set_session_weight(sessions[0], 4.0);
+    let mut plan: Vec<(u64, &'static str)> = Vec::new();
+    let mut tickets = Vec::new();
+    for (i, &session) in sessions.iter().enumerate() {
+        for sql in shuffled(i as u64 + 1) {
+            tickets.push(server.submit(session, sql).expect("admitted"));
+            plan.push((i as u64, sql));
+        }
+    }
+    let parallel: Vec<QueryResult> =
+        tickets.into_iter().map(|t| t.wait().expect("query ok")).collect();
+    let m = server.metrics();
+    assert_eq!(m.failed, 0);
+    assert_eq!(m.completed, plan.len() as u64);
+
+    let mut reference = Database::new(Profile::UltraPrecise);
+    reference.create_table("ledger", ledger_schema());
+    reference.insert_many("ledger", ledger_rows(200)).unwrap();
+    let mut signatures = HashSet::new();
+    for (k, &(i, sql)) in plan.iter().enumerate() {
+        let label = format!("statement {k} session {i} {sql:?}");
+        let serial = reference.query_as(profile(i), sql).expect("query ok");
+        let got = &parallel[k];
+        assert_eq!(got.rows, serial.rows, "{label}: rows");
+        assert_eq!(got.kernels, serial.kernels, "{label}: kernels");
+        // `compile_s` is left out: concurrent statements that share a
+        // signature race for its one cache miss, so which of them pays
+        // the modeled NVCC seconds depends on timing (only the number of
+        // misses is fixed, checked below). `queue_s` prices wall-clock
+        // arrival on the server's streams.
+        for (name, a, b) in [
+            ("scan_s", got.modeled.scan_s, serial.modeled.scan_s),
+            ("pcie_s", got.modeled.pcie_s, serial.modeled.pcie_s),
+            ("kernel_s", got.modeled.kernel_s, serial.modeled.kernel_s),
+            ("cpu_s", got.modeled.cpu_s, serial.modeled.cpu_s),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}: {name} ({a} vs {b})");
+        }
+        let kernels = reference.plan_kernels(profile(i), sql).expect("plans");
+        signatures.extend(kernels.into_iter().map(|(sig, _)| sig));
+    }
+    let distinct = signatures.len() as u64;
+    assert!(distinct >= 5, "the mix compiles several kernels: {signatures:?}");
+    assert_eq!(reference.jit_stats().misses, distinct, "serial replay");
+    assert_eq!(m.cache.misses, distinct, "one compile per signature: {:?}", m.cache);
+    assert_eq!(m.cache.evictions, 0, "capacity must cover the mix");
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! The query service under concurrent load: several client threads share
-//! one server (one database, one JIT cache, N simulated GPU streams,
-//! and the cross-query pipeline arena), then the metrics report and
-//! arena statistics are printed.
+//! one server (one database, one JIT cache, N simulated GPU streams),
+//! then the metrics report is printed.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_service
@@ -12,17 +11,11 @@ use std::time::Instant;
 use ultraprecise::prelude::*;
 
 fn main() {
-    // A server with a 4-thread worker pool over 4 simulated CUDA streams,
-    // with the cross-query pipeline arena on: compiles start at admission
-    // on a shared lane pool, signatures dedup across sessions, and
-    // admission dequeues by weighted deficit-round-robin. Each kernel
-    // launch runs on the worker thread that issued it, so query
-    // concurrency is the worker pool's.
-    let server = Arc::new(UpServer::new(ServerConfig {
-        arena: true,
-        pipeline: PipelineMode::On(4),
-        ..ServerConfig::default()
-    }));
+    // A server at its defaults: a 4-thread worker pool over 4 simulated
+    // CUDA streams, admission dequeued by weighted deficit round-robin.
+    // Each kernel launch runs on the worker thread that issued it, so
+    // query concurrency is the worker pool's.
+    let server = Arc::new(UpServer::new(ServerConfig::default()));
     println!(
         "query workers: {} on a {}-core host (one simulator thread per launch)",
         ServerConfig::default().workers,
@@ -93,44 +86,10 @@ fn main() {
         c.join().unwrap();
     }
 
-    // The service dashboard: queue, latency, shared-cache efficiency,
-    // and modeled GPU stream occupancy — now including queue-wait
-    // percentiles and the arena lines.
+    // The service dashboard: queue, queue wait, latency, shared-cache
+    // efficiency, and modeled GPU stream occupancy.
     println!();
     print!("{}", server.metrics().report());
-
-    // The arena's own ledger: how much of the compile storm deduped
-    // across queries, how busy the shared pools ran, and whether any
-    // session hogged the admission queue.
-    let stats = server.arena_stats().expect("arena is enabled above");
-    println!();
-    println!(
-        "arena: {} kernel refs from {} queries, {} compiles started, \
-         {} cross-query dedups, {} prefetched results taken",
-        stats.compile.registered,
-        stats.timeline.queries,
-        stats.compile.compiles_started,
-        stats.compile.cross_query_dedups,
-        stats.compile.prefetched_taken,
-    );
-    println!(
-        "shared pools: compile {:.1}% | copy engine {:.1}% | streams {:.1}% \
-         (modeled, over a {:.3} s makespan)",
-        stats.timeline.compile_utilization * 100.0,
-        stats.timeline.copy_utilization * 100.0,
-        stats.timeline.stream_utilization * 100.0,
-        stats.timeline.makespan_s,
-    );
-    for (session, wait_s) in &stats.session_waits {
-        let total: f64 = stats.session_waits.iter().map(|(_, w)| w).sum();
-        let share = if total > 0.0 { wait_s / total * 100.0 } else { 0.0 };
-        println!("session {session}: queue wait {:.3} ms ({share:.1}% of total)", wait_s * 1e3);
-    }
-    println!(
-        "max per-session wait share: {:.1}% across {} session(s)",
-        stats.max_wait_share * 100.0,
-        stats.session_waits.len(),
-    );
 
     // Decoded-program reuse: every distinct kernel is flattened once at
     // JIT-compile time; launches (and JIT cache hits) share the Arc.

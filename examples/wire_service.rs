@@ -16,7 +16,7 @@ use up_net::ErrorCode;
 
 fn main() {
     // The backing service: the usual in-process UpServer.
-    let up = Arc::new(UpServer::new(ServerConfig { arena: true, ..ServerConfig::default() }));
+    let up = Arc::new(UpServer::new(ServerConfig::default()));
     let t = DecimalType::new(12, 2).unwrap();
     up.create_table("ledger", Schema::new(vec![("amount", ColumnType::Decimal(t))]));
     up.insert_many(

@@ -49,7 +49,6 @@ pub use up_workloads;
 /// Convenient re-exports for applications.
 pub mod prelude {
     pub use up_engine::{ColumnType, Database, Profile, QueryError, QueryResult, Schema, Value};
-    pub use up_gpusim::PipelineMode;
     pub use up_net::{Client, NetConfig, TenantQuota, TenantRegistry, WireServer};
     pub use up_num::{DecimalType, UpDecimal};
     pub use up_server::{ServerConfig, SessionId, UpServer};
