@@ -59,7 +59,6 @@ pub fn scale_modeled(m: &ModeledTime, factor: f64) -> ModeledTime {
         compile_s: m.compile_s,
         kernel_s: m.kernel_s * factor,
         cpu_s: m.cpu_s * factor,
-        queue_s: m.queue_s * factor,
     }
 }
 
@@ -292,7 +291,6 @@ mod tests {
             compile_s: 3.0,
             kernel_s: 4.0,
             cpu_s: 5.0,
-            queue_s: 0.0,
         };
         let s = scale_modeled(&m, 10.0);
         assert_eq!(s.compile_s, 3.0);

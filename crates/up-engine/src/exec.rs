@@ -152,16 +152,12 @@ pub struct ModeledTime {
     pub kernel_s: f64,
     /// CPU executor + arithmetic.
     pub cpu_s: f64,
-    /// Queueing delay waiting for a free GPU stream (0 for standalone
-    /// execution; the concurrent service's stream scheduler fills it in
-    /// so contended throughput numbers are priced, not just functional).
-    pub queue_s: f64,
 }
 
 impl ModeledTime {
     /// Total modeled execution time.
     pub fn total(&self) -> f64 {
-        self.scan_s + self.pcie_s + self.compile_s + self.kernel_s + self.cpu_s + self.queue_s
+        self.scan_s + self.pcie_s + self.compile_s + self.kernel_s + self.cpu_s
     }
 
     fn add(&mut self, o: &ModeledTime) {
@@ -170,7 +166,6 @@ impl ModeledTime {
         self.compile_s += o.compile_s;
         self.kernel_s += o.kernel_s;
         self.cpu_s += o.cpu_s;
-        self.queue_s += o.queue_s;
     }
 }
 
@@ -1693,7 +1688,6 @@ mod tests {
             compile_s: 3.0,
             kernel_s: 4.0,
             cpu_s: 5.0,
-            queue_s: 0.0,
         };
         assert_eq!(a.total(), 15.0);
         let b = ModeledTime { scan_s: 0.5, ..Default::default() };

@@ -7,9 +7,8 @@
 //! executor with coalescing-aware memory statistics ([`exec`]), an analytic
 //! cost model turning those statistics into kernel times ([`cost`]),
 //! CGBN-style thread-group big-number arithmetic ([`cgbn`], §III-E1),
-//! multi-pass aggregation (§III-E2, [`reduce`]), an Nsight-like profiler
-//! view ([`profiler`]), and a CUDA-stream scheduler with queueing-delay
-//! accounting for concurrent services ([`stream`]).
+//! multi-pass aggregation (§III-E2, [`reduce`]), and an Nsight-like
+//! profiler view ([`profiler`]).
 
 mod analysis;
 pub mod cgbn;
@@ -24,7 +23,6 @@ pub mod exec;
 pub mod profiler;
 pub mod ptx;
 pub mod reduce;
-pub mod stream;
 
 pub use compiled::{
     compile_counters, last_launch_tiers, thunk_isa, tier_counters, CompiledProgram, ExecTier,

@@ -11,125 +11,92 @@
 //! deficit round-robin, so a chatty session cannot starve the others.
 //! With one session it is a plain FIFO.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Weighted deficit round-robin over session ids.
-///
-/// Each registered session accrues `weight` units of deficit per
-/// scheduling round and pays one unit per grant, so over time session
-/// *i* receives `wᵢ / Σw` of the grants — a wide analytic session
-/// cannot starve short interactive ones. A session with no queued work
-/// forfeits its accumulated deficit (classic DRR), which keeps the
-/// scheduler work-conserving: grants never idle waiting for an empty
-/// queue to "catch up".
-#[derive(Debug)]
-struct DeficitRoundRobin {
-    sessions: Vec<DrrSession>,
-    cursor: usize,
-    /// Whether the session at `cursor` still needs its per-round
-    /// deficit replenishment (set when the cursor arrives there).
-    fresh: bool,
-}
-
-impl Default for DeficitRoundRobin {
-    fn default() -> DeficitRoundRobin {
-        DeficitRoundRobin { sessions: Vec::new(), cursor: 0, fresh: true }
-    }
-}
-
-#[derive(Debug)]
-struct DrrSession {
-    id: u64,
-    weight: f64,
-    deficit: f64,
-}
-
-impl DeficitRoundRobin {
-    /// An empty scheduler.
-    pub fn new() -> DeficitRoundRobin {
-        DeficitRoundRobin::default()
-    }
-
-    /// Registers `id` (or updates its weight). Weights are clamped to
-    /// `[0.01, 100]`; non-finite weights fall back to 1.
-    pub fn set_weight(&mut self, id: u64, weight: f64) {
-        let weight = if weight.is_finite() { weight.clamp(0.01, 100.0) } else { 1.0 };
-        match self.sessions.iter_mut().find(|s| s.id == id) {
-            Some(s) => s.weight = weight,
-            None => self.sessions.push(DrrSession { id, weight, deficit: 0.0 }),
-        }
-    }
-
-    /// Registers `id` with the default weight (1) if unknown.
-    pub fn ensure(&mut self, id: u64) {
-        if !self.sessions.iter().any(|s| s.id == id) {
-            self.sessions.push(DrrSession { id, weight: 1.0, deficit: 0.0 });
-        }
-    }
-
-    /// Forgets `id` entirely.
-    pub fn remove(&mut self, id: u64) {
-        if let Some(pos) = self.sessions.iter().position(|s| s.id == id) {
-            self.sessions.remove(pos);
-            if self.cursor > pos {
-                self.cursor -= 1;
-            } else if self.cursor == pos {
-                self.fresh = true;
-            }
-        }
-    }
-
-    /// Picks the next session to serve among those for which `eligible`
-    /// returns true (i.e. sessions with queued work). The cursor visits
-    /// sessions round-robin; on arrival a session's deficit is topped up
-    /// by its weight, each grant costs one unit, and the cursor stays
-    /// put while the deficit lasts (so weight-3 sessions get ~3 grants
-    /// per round). Returns `None` when no registered session is
-    /// eligible.
-    pub fn next(&mut self, eligible: &dyn Fn(u64) -> bool) -> Option<u64> {
-        if !self.sessions.iter().any(|s| eligible(s.id)) {
-            return None;
-        }
-        loop {
-            if self.cursor >= self.sessions.len() {
-                self.cursor = 0;
-                self.fresh = true;
-            }
-            let s = &mut self.sessions[self.cursor];
-            if !eligible(s.id) {
-                s.deficit = 0.0;
-                self.cursor += 1;
-                self.fresh = true;
-                continue;
-            }
-            if self.fresh {
-                s.deficit += s.weight;
-                self.fresh = false;
-            }
-            if s.deficit >= 1.0 {
-                s.deficit -= 1.0;
-                return Some(s.id);
-            }
-            self.cursor += 1;
-            self.fresh = true;
-        }
-    }
-}
 
 /// Returned by [`DrrQueue::push`] when the queue is at capacity or
 /// closed; hands the rejected item back to the caller.
 #[derive(Debug)]
 pub struct QueueFull<T>(pub T);
 
+/// One session's lane: its FIFO of queued items and its deficit
+/// round-robin state.
+struct Lane<T> {
+    id: u64,
+    weight: f64,
+    deficit: f64,
+    items: VecDeque<T>,
+}
+
+/// Weighted deficit round-robin over session lanes.
+///
+/// Each lane accrues `weight` units of deficit per scheduling round and
+/// pays one unit per grant, so over time session *i* receives
+/// `wᵢ / Σw` of the grants — a wide analytic session cannot starve short
+/// interactive ones. A lane with no queued work forfeits its accumulated
+/// deficit (classic DRR), which keeps the scheduler work-conserving:
+/// grants never idle waiting for an empty lane to "catch up".
 struct DrrInner<T> {
-    /// One FIFO lane per session; lanes persist (empty) across bursts so
-    /// the round-robin cursor math stays cheap and stable.
-    lanes: HashMap<u64, VecDeque<T>>,
-    drr: DeficitRoundRobin,
+    /// Lanes in registration order; they persist (empty) across bursts
+    /// so the round-robin cursor math stays cheap and stable.
+    lanes: Vec<Lane<T>>,
+    cursor: usize,
+    /// Whether the lane at `cursor` still needs its per-round deficit
+    /// replenishment (set when the cursor arrives there).
+    fresh: bool,
     len: usize,
     closed: bool,
     max_depth: usize,
+}
+
+impl<T> DrrInner<T> {
+    /// `id`'s lane, registered with the default weight (1) if unknown.
+    fn lane(&mut self, id: u64) -> &mut Lane<T> {
+        let pos = match self.lanes.iter().position(|l| l.id == id) {
+            Some(pos) => pos,
+            None => {
+                let items = VecDeque::new();
+                self.lanes.push(Lane { id, weight: 1.0, deficit: 0.0, items });
+                self.lanes.len() - 1
+            }
+        };
+        &mut self.lanes[pos]
+    }
+
+    /// Takes the next item. The cursor visits lanes round-robin; on
+    /// arrival a lane's deficit is topped up by its weight, each grant
+    /// costs one unit, and the cursor stays put while the deficit lasts
+    /// (so weight-3 lanes get ~3 grants per round). Empty lanes are
+    /// skipped. Returns `None` when every lane is empty.
+    fn grant(&mut self) -> Option<T> {
+        if self.len == 0 {
+            return None;
+        }
+        loop {
+            if self.cursor >= self.lanes.len() {
+                self.cursor = 0;
+                self.fresh = true;
+            }
+            let lane = &mut self.lanes[self.cursor];
+            if lane.items.is_empty() {
+                lane.deficit = 0.0;
+                self.cursor += 1;
+                self.fresh = true;
+                continue;
+            }
+            if self.fresh {
+                lane.deficit += lane.weight;
+                self.fresh = false;
+            }
+            if lane.deficit >= 1.0 {
+                lane.deficit -= 1.0;
+                self.len -= 1;
+                return lane.items.pop_front();
+            }
+            self.cursor += 1;
+            self.fresh = true;
+        }
+    }
 }
 
 /// A bounded multi-producer multi-consumer queue that dequeues by
@@ -152,8 +119,9 @@ impl<T> DrrQueue<T> {
     pub fn new(capacity: usize) -> DrrQueue<T> {
         DrrQueue {
             inner: Mutex::new(DrrInner {
-                lanes: HashMap::new(),
-                drr: DeficitRoundRobin::new(),
+                lanes: Vec::new(),
+                cursor: 0,
+                fresh: true,
                 len: 0,
                 closed: false,
                 max_depth: 0,
@@ -183,9 +151,12 @@ impl<T> DrrQueue<T> {
         self.inner.lock().expect("queue poisoned").max_depth
     }
 
-    /// Sets a session's scheduling weight (share of dequeue grants).
+    /// Sets a session's scheduling weight (share of dequeue grants),
+    /// registering its lane if unknown. Weights are clamped to
+    /// `[0.01, 100]`; non-finite weights fall back to 1.
     pub fn set_weight(&self, session: u64, weight: f64) {
-        self.inner.lock().expect("queue poisoned").drr.set_weight(session, weight);
+        let weight = if weight.is_finite() { weight.clamp(0.01, 100.0) } else { 1.0 };
+        self.inner.lock().expect("queue poisoned").lane(session).weight = weight;
     }
 
     /// Enqueues `item` on `session`'s lane, returning the total depth
@@ -196,8 +167,7 @@ impl<T> DrrQueue<T> {
         if g.closed || g.len >= self.capacity {
             return Err(QueueFull(item));
         }
-        g.lanes.entry(session).or_default().push_back(item);
-        g.drr.ensure(session);
+        g.lane(session).items.push_back(item);
         g.len += 1;
         let depth = g.len;
         g.max_depth = g.max_depth.max(depth);
@@ -212,16 +182,7 @@ impl<T> DrrQueue<T> {
     pub fn pop_blocking(&self) -> Option<T> {
         let mut g = self.inner.lock().expect("queue poisoned");
         loop {
-            if g.len > 0 {
-                let DrrInner { lanes, drr, .. } = &mut *g;
-                let id = drr
-                    .next(&|id| lanes.get(&id).is_some_and(|q| !q.is_empty()))
-                    .expect("non-empty queue has an eligible lane");
-                let item = lanes
-                    .get_mut(&id)
-                    .and_then(VecDeque::pop_front)
-                    .expect("eligible lane is non-empty");
-                g.len -= 1;
+            if let Some(item) = g.grant() {
                 return Some(item);
             }
             if g.closed {
@@ -243,17 +204,21 @@ impl<T> DrrQueue<T> {
     /// disconnected sessions stop costing the DRR cursor anything.
     pub fn remove_session(&self, session: u64) -> Vec<T> {
         let mut g = self.inner.lock().expect("queue poisoned");
-        let drained: Vec<T> = g
-            .lanes
-            .remove(&session)
-            .map(|lane| lane.into_iter().collect())
-            .unwrap_or_default();
-        g.drr.remove(session);
-        g.len -= drained.len();
-        drained
+        let Some(pos) = g.lanes.iter().position(|l| l.id == session) else {
+            return Vec::new();
+        };
+        let lane = g.lanes.remove(pos);
+        if g.cursor > pos {
+            g.cursor -= 1;
+        } else if g.cursor == pos {
+            g.fresh = true;
+        }
+        g.len -= lane.items.len();
+        lane.items.into()
     }
 
-    /// Lanes currently tracked (connected sessions that ever queued).
+    /// Lanes currently tracked (connected sessions that queued work or
+    /// were given a weight).
     pub fn lanes(&self) -> usize {
         self.inner.lock().expect("queue poisoned").lanes.len()
     }
@@ -262,6 +227,7 @@ impl<T> DrrQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// Which session lane an item goes to: every test below runs once
@@ -273,12 +239,18 @@ mod tests {
 
     #[test]
     fn drr_splits_grants_by_weight_without_starvation() {
-        let mut drr = DeficitRoundRobin::new();
-        drr.set_weight(1, 3.0);
-        drr.set_weight(2, 1.0);
+        // Each item is its session's id. 3:1 weights grant in rounds of
+        // three from session 1 and one from session 2, so 300 + 100 items
+        // keep both lanes backlogged for the first 400 grants.
+        let q: DrrQueue<u64> = DrrQueue::new(1024);
+        q.set_weight(1, 3.0);
+        q.set_weight(2, 1.0);
+        for id in std::iter::repeat_n(1, 300).chain(std::iter::repeat_n(2, 110)) {
+            q.push(id, id).unwrap();
+        }
         let mut grants = [0u32; 3];
         for _ in 0..400 {
-            let id = drr.next(&|_| true).expect("both eligible");
+            let id = q.pop_blocking().expect("both backlogged");
             grants[id as usize] += 1;
         }
         // 3:1 weights → ~300/100 grants; allow slack for round phase.
@@ -286,19 +258,18 @@ mod tests {
         assert!((95..=105).contains(&grants[2]), "{grants:?}");
 
         // A session with no queued work is skipped and forfeits deficit.
-        let only_two = |id: u64| id == 2;
         for _ in 0..10 {
-            assert_eq!(drr.next(&only_two), Some(2));
+            assert_eq!(q.pop_blocking(), Some(2));
         }
-        // Nothing eligible → None, not a spin.
-        assert_eq!(drr.next(&|_| false), None);
-        let mut empty = DeficitRoundRobin::new();
-        assert_eq!(empty.next(&|_| true), None);
+        // Nothing queued → None, not a spin.
+        assert_eq!(q.inner.lock().unwrap().grant(), None);
+        let empty: DrrQueue<u64> = DrrQueue::new(1);
+        assert_eq!(empty.inner.lock().unwrap().grant(), None);
 
         // Removal keeps the cursor consistent.
-        drr.ensure(7);
-        drr.remove(1);
-        assert_eq!(drr.next(&|id| id == 7), Some(7));
+        q.push(7, 7).unwrap();
+        assert!(q.remove_session(1).is_empty());
+        assert_eq!(q.pop_blocking(), Some(7));
     }
 
     #[test]

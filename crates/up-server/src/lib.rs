@@ -6,7 +6,7 @@
 //! that deployment shape on top of [`up_engine`]:
 //!
 //! - **Sessions** ([`session`]): connect/disconnect with a per-session
-//!   execution profile and query counters.
+//!   execution profile.
 //! - **Admission control** ([`admission`]): a bounded queue feeding a
 //!   configurable worker pool, dequeued by per-session weighted deficit
 //!   round-robin; when it is full, submissions are rejected with a
@@ -15,13 +15,12 @@
 //!   lock-striped LRU ([`up_jit::cache::SharedKernelCache`]), so a
 //!   signature is compiled at most once no matter how many sessions race
 //!   on it.
-//! - **GPU stream scheduling** ([`up_gpusim::stream`]): kernels from
-//!   concurrent queries are placed on N simulated CUDA streams and the
-//!   modeled queueing delay is folded into each query's
-//!   [`up_engine::ModeledTime`].
 //! - **Metrics** ([`metrics`]): latency histograms, queue depth, cache
 //!   hit rate, and modeled SM-seconds, snapshotable as a plain struct or
 //!   a printable text report.
+//!
+//! A query's [`up_engine::ModeledTime`] is exactly what the engine
+//! models for it alone; the server adds no modeled time of its own.
 //!
 //! Reads run concurrently (the engine's `query` takes `&self`). The
 //! engine's catalog is lock-striped per table, so row inserts take the
@@ -59,4 +58,4 @@ pub mod session;
 
 pub use metrics::{LatencyHistogram, LatencySummary, MetricsSnapshot};
 pub use server::{CancelHandle, Completion, QueryTicket, ServerConfig, ServerError, UpServer};
-pub use session::{SessionId, SessionManager, SessionStats};
+pub use session::{SessionId, SessionManager};

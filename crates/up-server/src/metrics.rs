@@ -1,6 +1,6 @@
-//! Service metrics: counters, gauges, and a latency histogram, all
-//! lock-free (`&self` everywhere) so the hot path never serializes on a
-//! metrics mutex.
+//! Service metrics: counters, a modeled-seconds sum and latency
+//! histograms, all lock-free (`&self` everywhere) so the hot path never
+//! serializes on a metrics mutex.
 //!
 //! [`MetricsRegistry`] is what the server updates; [`MetricsSnapshot`] is
 //! the plain-struct view handed to callers, with a [`report`] method that
@@ -8,8 +8,7 @@
 //!
 //! [`report`]: MetricsSnapshot::report
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use up_gpusim::stream::StreamStats;
+use std::sync::atomic::{AtomicU64, Ordering};
 use up_jit::cache::CacheStats;
 
 /// Power-of-two microsecond buckets: bucket `i` holds latencies in
@@ -151,8 +150,6 @@ pub struct MetricsRegistry {
     timed_out: AtomicU64,
     /// Jobs observed canceled before execution.
     canceled: AtomicU64,
-    /// Jobs currently queued (gauge).
-    queue_depth: AtomicUsize,
     /// End-to-end (enqueue → reply) latency of completed queries.
     latency: LatencyHistogram,
     /// Admission-queue wait (enqueue → dequeue) of every dequeued job —
@@ -160,8 +157,6 @@ pub struct MetricsRegistry {
     queue_wait: LatencyHistogram,
     /// Modeled GPU kernel seconds (SM-seconds) executed.
     gpu_kernel_s: AtomicF64,
-    /// Modeled stream queueing delay accumulated.
-    gpu_queue_s: AtomicF64,
 }
 
 impl MetricsRegistry {
@@ -173,12 +168,6 @@ impl MetricsRegistry {
     /// A submission was accepted.
     pub fn on_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job left the queue (about to execute or canceled).
-    pub fn on_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A submission was bounced by admission control.
@@ -212,10 +201,9 @@ impl MetricsRegistry {
         self.canceled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds modeled GPU seconds (kernel busy + stream queueing delay).
-    pub fn on_gpu_time(&self, kernel_s: f64, queue_s: f64) {
+    /// Adds a query's modeled GPU kernel seconds.
+    pub fn on_gpu_time(&self, kernel_s: f64) {
         self.gpu_kernel_s.add(kernel_s);
-        self.gpu_queue_s.add(queue_s);
     }
 
     /// Mean end-to-end latency so far (0 before any completion) — the
@@ -225,7 +213,7 @@ impl MetricsRegistry {
     }
 
     /// Snapshot of the counters this registry owns; the server folds in
-    /// cache/stream/session state to build the full [`MetricsSnapshot`].
+    /// queue/cache/session state to build the full [`MetricsSnapshot`].
     pub fn fill(&self, snap: &mut MetricsSnapshot) {
         snap.submitted = self.submitted.load(Ordering::Relaxed);
         snap.completed = self.completed.load(Ordering::Relaxed);
@@ -233,11 +221,9 @@ impl MetricsRegistry {
         snap.rejected = self.rejected.load(Ordering::Relaxed);
         snap.timed_out = self.timed_out.load(Ordering::Relaxed);
         snap.canceled = self.canceled.load(Ordering::Relaxed);
-        snap.queue_depth = self.queue_depth.load(Ordering::Relaxed);
         snap.latency = self.latency.summary();
         snap.queue_wait = self.queue_wait.summary();
         snap.gpu_kernel_s = self.gpu_kernel_s.get();
-        snap.gpu_queue_s = self.gpu_queue_s.get();
     }
 }
 
@@ -272,8 +258,6 @@ pub struct MetricsSnapshot {
     pub queue_wait: LatencySummary,
     /// Shared JIT kernel-cache counters.
     pub cache: CacheStats,
-    /// Simulated GPU stream scheduler statistics.
-    pub streams: StreamStats,
     /// Process-wide simulator launch counts per execution tier (tree /
     /// decoded / closure-compiled) plus decoded→compiled promotion
     /// events — the server-level view of `UP_SIM_EXEC=auto` tiering.
@@ -283,8 +267,6 @@ pub struct MetricsSnapshot {
     pub tier_compiles: (u64, u64),
     /// Modeled SM-seconds of kernel execution.
     pub gpu_kernel_s: f64,
-    /// Modeled stream queueing delay accumulated.
-    pub gpu_queue_s: f64,
 }
 
 fn fmt_s(s: f64) -> String {
@@ -351,16 +333,7 @@ impl MetricsSnapshot {
             c.hit_rate() * 100.0,
             c.evictions
         );
-        let s = &self.streams;
-        let _ = writeln!(
-            o,
-            "gpu streams: {} streams, {} launches, {:.3}% utilization, busy {}, queued {}",
-            s.streams,
-            s.launches,
-            s.utilization * 100.0,
-            fmt_s(self.gpu_kernel_s),
-            fmt_s(self.gpu_queue_s)
-        );
+        let _ = writeln!(o, "gpu kernels: {} modeled", fmt_s(self.gpu_kernel_s));
         let t = &self.exec_tiers;
         let _ = writeln!(
             o,
@@ -434,7 +407,7 @@ mod tests {
                 let m = std::sync::Arc::clone(&m);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.on_gpu_time(0.001, 0.0005);
+                        m.on_gpu_time(0.001);
                     }
                 })
             })
@@ -445,7 +418,6 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         m.fill(&mut snap);
         assert!((snap.gpu_kernel_s - 8.0).abs() < 1e-9, "{}", snap.gpu_kernel_s);
-        assert!((snap.gpu_queue_s - 4.0).abs() < 1e-9, "{}", snap.gpu_queue_s);
     }
 
     #[test]
@@ -466,23 +438,19 @@ mod tests {
         let m = MetricsRegistry::new();
         m.on_submitted();
         m.on_submitted();
-        m.on_dequeued();
         m.on_completed(0.002, true);
         m.on_rejected();
         m.on_timed_out();
         let mut snap = MetricsSnapshot::default();
         m.fill(&mut snap);
-        snap.queue_capacity = 8;
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.timed_out, 1);
-        assert_eq!(snap.queue_depth, 1);
         let text = snap.report();
         assert!(text.contains("2 submitted"), "{text}");
-        assert!(text.contains("depth 1 / 8"), "{text}");
         assert!(text.contains("jit cache:"), "{text}");
-        assert!(text.contains("gpu streams:"), "{text}");
+        assert!(text.contains("gpu kernels:"), "{text}");
         let isa = up_gpusim::thunk_isa();
         assert!(text.contains(&format!("word planes) · {isa} ALU thunks")), "{text}");
         snap.exec_tiers.divbig_warp_lanes = 96;

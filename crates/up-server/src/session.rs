@@ -1,11 +1,12 @@
-//! Session lifecycle: connect/disconnect, per-session execution profile,
-//! and per-session counters.
+//! Session lifecycle: connect/disconnect and the per-session execution
+//! profile.
 //!
 //! A session is the unit of client identity — the thing a per-tenant
-//! quota or an audit log would hang off. Today it carries the execution
+//! quota or an audit log would hang off. It carries the execution
 //! profile used for the session's queries (so one client can run
 //! `PostgresLike` while another runs `UltraPrecise` against the same
-//! data) and simple usage counters.
+//! data). Its scheduling weight lives in the admission queue, and query
+//! counts live in the server metrics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,28 +23,12 @@ impl core::fmt::Display for SessionId {
     }
 }
 
-/// Per-session usage counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SessionStats {
-    /// Queries submitted by this session.
-    pub queries: u64,
-    /// Of those, how many errored.
-    pub errors: u64,
-}
-
-struct SessionState {
-    profile: Profile,
-    /// Fair-share weight for deficit round-robin scheduling.
-    weight: f64,
-    stats: SessionStats,
-}
-
 /// Tracks connected sessions. All methods take `&self`; the map is
 /// mutex-guarded (session churn is rare next to query traffic).
 pub struct SessionManager {
     next_id: AtomicU64,
     total: AtomicU64,
-    sessions: Mutex<HashMap<u64, SessionState>>,
+    sessions: Mutex<HashMap<u64, Profile>>,
 }
 
 impl Default for SessionManager {
@@ -66,76 +51,23 @@ impl SessionManager {
     pub fn connect(&self, profile: Profile) -> SessionId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().expect("session map poisoned").insert(
-            id,
-            SessionState {
-                profile,
-                weight: 1.0,
-                stats: SessionStats::default(),
-            },
-        );
+        self.sessions.lock().expect("session map poisoned").insert(id, profile);
         SessionId(id)
     }
 
-    /// Closes a session; returns its final stats, or `None` if unknown.
-    pub fn disconnect(&self, id: SessionId) -> Option<SessionStats> {
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .remove(&id.0)
-            .map(|s| s.stats)
+    /// Closes a session; false if it was unknown.
+    pub fn disconnect(&self, id: SessionId) -> bool {
+        self.sessions.lock().expect("session map poisoned").remove(&id.0).is_some()
     }
 
     /// The profile a session's queries run under.
     pub fn profile(&self, id: SessionId) -> Option<Profile> {
-        self.sessions.lock().expect("session map poisoned").get(&id.0).map(|s| s.profile)
+        self.sessions.lock().expect("session map poisoned").get(&id.0).copied()
     }
 
-    /// Whether a session is still connected (no activity recorded).
+    /// Whether a session is still connected.
     pub fn contains(&self, id: SessionId) -> bool {
         self.sessions.lock().expect("session map poisoned").contains_key(&id.0)
-    }
-
-    /// A session's fair-share scheduling weight (default 1.0).
-    pub fn weight(&self, id: SessionId) -> Option<f64> {
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .get(&id.0)
-            .map(|s| s.weight)
-    }
-
-    /// Changes a session's fair-share weight; false if the session is
-    /// unknown. Non-finite or non-positive weights fall back to 1.0.
-    pub fn set_weight(&self, id: SessionId, weight: f64) -> bool {
-        match self.sessions.lock().expect("session map poisoned").get_mut(&id.0) {
-            Some(s) => {
-                s.weight = if weight.is_finite() && weight > 0.0 { weight } else { 1.0 };
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Records one query (and whether it errored) against a session.
-    /// Disconnected sessions are ignored — their in-flight queries still
-    /// finish, there is just nowhere to account them.
-    pub fn record_query(&self, id: SessionId, ok: bool) {
-        if let Some(s) = self.sessions.lock().expect("session map poisoned").get_mut(&id.0) {
-            s.stats.queries += 1;
-            if !ok {
-                s.stats.errors += 1;
-            }
-        }
-    }
-
-    /// A session's current stats.
-    pub fn stats(&self, id: SessionId) -> Option<SessionStats> {
-        self.sessions
-            .lock()
-            .expect("session map poisoned")
-            .get(&id.0)
-            .map(|s| s.stats)
     }
 
     /// Sessions currently connected.
@@ -165,31 +97,12 @@ mod tests {
         assert_eq!(m.profile(b), Some(Profile::PostgresLike));
         assert!(m.contains(a) && m.contains(b));
 
-        m.record_query(a, true);
-        m.record_query(a, false);
-        let stats = m.disconnect(a).unwrap();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.errors, 1);
+        assert!(m.disconnect(a));
         assert_eq!(m.active(), 1);
         assert_eq!(m.total(), 2, "total is monotonic");
         assert!(m.profile(a).is_none());
         assert!(!m.contains(a));
-        assert!(m.disconnect(a).is_none(), "double disconnect is None");
-    }
-
-    #[test]
-    fn weights_default_to_one_and_clamp_nonsense() {
-        let m = SessionManager::new();
-        let s = m.connect(Profile::UltraPrecise);
-        assert_eq!(m.weight(s), Some(1.0));
-        assert!(m.set_weight(s, 3.0));
-        assert_eq!(m.weight(s), Some(3.0));
-        assert!(m.set_weight(s, f64::NAN));
-        assert_eq!(m.weight(s), Some(1.0), "non-finite falls back to 1");
-        assert!(m.set_weight(s, -2.0));
-        assert_eq!(m.weight(s), Some(1.0), "non-positive falls back to 1");
-        assert!(!m.set_weight(SessionId(999), 2.0));
-        assert!(m.weight(SessionId(999)).is_none());
+        assert!(!m.disconnect(a), "double disconnect is false");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The query service under concurrent load: several client threads share
-//! one server (one database, one JIT cache, N simulated GPU streams),
-//! then the metrics report is printed.
+//! one server (one database, one JIT cache), then the metrics report is
+//! printed.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_service
@@ -11,8 +11,8 @@ use std::time::Instant;
 use ultraprecise::prelude::*;
 
 fn main() {
-    // A server at its defaults: a 4-thread worker pool over 4 simulated
-    // CUDA streams, admission dequeued by weighted deficit round-robin.
+    // A server at its defaults: a 4-thread worker pool, admission dequeued
+    // by weighted deficit round-robin.
     // Each kernel launch runs on the worker thread that issued it, so
     // query concurrency is the worker pool's.
     let server = Arc::new(UpServer::new(ServerConfig::default()));
@@ -23,7 +23,7 @@ fn main() {
     );
     println!(
         "exec backend: {} (UP_SIM_EXEC; decoded programs cached per kernel)",
-        ServerConfig::default().exec_backend,
+        up_gpusim::ExecBackend::env_default(),
     );
 
     // Load a table of wide decimals (write path: serialized, drains
@@ -66,19 +66,19 @@ fn main() {
                             if c == 0 && i < queries.len() {
                                 println!(
                                     "client {c}: {} -> {} row(s), host {:.3} ms, \
-                                     modeled {:.3} ms (of which stream queueing {:.3} ms)",
+                                     modeled {:.3} ms (of which kernel {:.3} ms)",
                                     sql,
                                     r.rows.len(),
                                     t0.elapsed().as_secs_f64() * 1e3,
                                     r.modeled.total() * 1e3,
-                                    r.modeled.queue_s * 1e3,
+                                    r.modeled.kernel_s * 1e3,
                                 );
                             }
                         }
                         Err(e) => println!("client {c}: {sql} -> {e}"),
                     }
                 }
-                server.disconnect(session);
+                server.close_session(session);
             })
         })
         .collect();
@@ -87,7 +87,7 @@ fn main() {
     }
 
     // The service dashboard: queue, queue wait, latency, shared-cache
-    // efficiency, and modeled GPU stream occupancy.
+    // efficiency, and modeled GPU kernel seconds.
     println!();
     print!("{}", server.metrics().report());
 

@@ -16,8 +16,7 @@
 //! * [`up_engine`] — the column-store SQL engine with per-system
 //!   execution profiles;
 //! * [`up_server`] — the concurrent query service (sessions, admission
-//!   control, shared JIT cache, simulated GPU stream scheduling,
-//!   metrics);
+//!   control, shared JIT cache, metrics);
 //! * [`up_net`] — the framed TCP wire protocol in front of the service,
 //!   with per-tenant quotas and a blocking client;
 //! * [`up_workloads`] — TPC-H, RSA-in-SQL, Taylor trigonometry, and
