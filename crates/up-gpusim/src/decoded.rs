@@ -36,7 +36,7 @@ use crate::exec::{
 };
 use crate::divbig::{div_big, DivBufs, DivShape};
 use crate::env::knob as env_parse;
-use crate::ptx::{issue_cycles, CmpOp, Inst, Kernel, Special, Stmt};
+use crate::ptx::{issue_cycles, CmpOp, Inst, Kernel, Special, Stmt, TreeShape};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -248,7 +248,9 @@ pub(crate) enum Op {
 /// every launch and every clone of the kernel.
 #[derive(Debug)]
 pub struct DecodedProgram {
-    ops: Vec<Op>,
+    /// Allocated once at its exact length (counted from the tree before
+    /// flattening): a cached kernel keeps this for its whole life.
+    ops: Box<[Op]>,
     /// Static instruction count (loop bodies once) — memoized here so
     /// `Kernel::static_inst_count` and the compile-time model stop
     /// re-walking the tree.
@@ -280,6 +282,13 @@ impl DecodedProgram {
     pub(crate) fn ops(&self) -> &[Op] {
         &self.ops
     }
+
+    /// Heap bytes of the program, with the two counts of its `Arc`.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<DecodedProgram>()
+            + std::mem::size_of_val(&*self.ops)
+    }
 }
 
 static DECODE_BUILDS: AtomicU64 = AtomicU64::new(0);
@@ -299,6 +308,11 @@ pub fn decode_counters() -> (u64, u64) {
 pub struct DecodedCache(OnceLock<Arc<DecodedProgram>>);
 
 impl DecodedCache {
+    /// The program, if it has been built.
+    pub(crate) fn built(&self) -> Option<&Arc<DecodedProgram>> {
+        self.0.get()
+    }
+
     pub(crate) fn get_or_decode(&self, kernel: &Kernel) -> &Arc<DecodedProgram> {
         if let Some(p) = self.0.get() {
             DECODE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -322,9 +336,10 @@ impl std::fmt::Debug for DecodedCache {
 
 /// Flattens a kernel's statement tree into a [`DecodedProgram`].
 fn decode(kernel: &Kernel) -> DecodedProgram {
-    let mut ops = Vec::new();
-    let mut static_insts = 0usize;
-    flatten(&kernel.body, &mut ops, &mut static_insts);
+    let shape = TreeShape::of(&kernel.body);
+    let mut ops = Vec::with_capacity(shape.flat_ops());
+    flatten(&kernel.body, &mut ops);
+    debug_assert_eq!(ops.len(), shape.flat_ops(), "the op count is exact");
     // Superblock analysis: run_end[i] = end (exclusive) of the maximal
     // consecutive run of `I` ops containing i.
     let mut superblocks = 0usize;
@@ -340,24 +355,22 @@ fn decode(kernel: &Kernel) -> DecodedProgram {
             end = 0;
         }
     }
-    DecodedProgram { ops, static_insts, superblocks }
+    DecodedProgram { ops: ops.into_boxed_slice(), static_insts: shape.stmts, superblocks }
 }
 
-fn flatten(stmts: &[Stmt], ops: &mut Vec<Op>, static_insts: &mut usize) {
+fn flatten(stmts: &[Stmt], ops: &mut Vec<Op>) {
     for stmt in stmts {
         match stmt {
             Stmt::I(inst) => {
-                *static_insts += 1;
                 ops.push(Op::I { dop: decode_inst(inst), cycles: issue_cycles(inst), run_end: 0 });
             }
-            Stmt::If { p, then_, else_ } => {
-                *static_insts += 1;
+            Stmt::If(s) => {
                 let if_at = ops.len();
-                ops.push(Op::If { p: *p, else_pc: 0 });
-                flatten(then_, ops, static_insts);
+                ops.push(Op::If { p: s.p, else_pc: 0 });
+                flatten(&s.then_, ops);
                 let else_at = ops.len();
                 ops.push(Op::Else { end_pc: 0 });
-                flatten(else_, ops, static_insts);
+                flatten(&s.else_, ops);
                 let end_at = ops.len();
                 ops.push(Op::EndIf);
                 let Op::If { else_pc, .. } = &mut ops[if_at] else { unreachable!() };
@@ -365,16 +378,15 @@ fn flatten(stmts: &[Stmt], ops: &mut Vec<Op>, static_insts: &mut usize) {
                 let Op::Else { end_pc } = &mut ops[else_at] else { unreachable!() };
                 *end_pc = end_at as u32;
             }
-            Stmt::While { p, cond, body, max_iter } => {
-                *static_insts += 1;
+            Stmt::While(s) => {
                 ops.push(Op::WhileBegin);
                 let cond_pc = ops.len() as u32;
-                flatten(cond, ops, static_insts);
+                flatten(&s.cond, ops);
                 let test_at = ops.len();
-                ops.push(Op::WhileTest { p: *p, end_pc: 0 });
-                flatten(body, ops, static_insts);
+                ops.push(Op::WhileTest { p: s.p, end_pc: 0 });
+                flatten(&s.body, ops);
                 let end_at = ops.len();
-                ops.push(Op::WhileEnd { cond_pc, max_iter: *max_iter });
+                ops.push(Op::WhileEnd { cond_pc, max_iter: s.max_iter });
                 let Op::WhileTest { end_pc, .. } = &mut ops[test_at] else { unreachable!() };
                 *end_pc = end_at as u32 + 1;
             }

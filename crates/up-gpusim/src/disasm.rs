@@ -64,8 +64,13 @@ fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "// kernel {}  (regs/thread est. {}, {} virtual regs, {} preds, {} B smem)",
-        kernel.name, kernel.hw_regs_per_thread, kernel.num_regs, kernel.num_preds, kernel.smem_bytes
+        "// kernel {}  (regs/thread est. {}, {} virtual regs, {} preds, {} B smem, {} B resident)",
+        kernel.name,
+        kernel.hw_regs_per_thread,
+        kernel.num_regs,
+        kernel.num_preds,
+        kernel.smem_bytes,
+        kernel.heap_bytes()
     );
     let _ = writeln!(out, ".visible .entry {}()", kernel.name);
     let _ = writeln!(out, "{{");
@@ -96,31 +101,31 @@ fn render_stmts(
                 }
                 out.push('\n');
             }
-            Stmt::If { p, then_, else_ } => {
+            Stmt::If(s) => {
                 indent(depth, out);
-                let _ = writeln!(out, "@%p{p} {{");
-                render_stmts(then_, depth + 1, out, ann);
-                if else_.is_empty() {
+                let _ = writeln!(out, "@%p{} {{", s.p);
+                render_stmts(&s.then_, depth + 1, out, ann);
+                if s.else_.is_empty() {
                     indent(depth, out);
                     out.push_str("}\n");
                 } else {
                     indent(depth, out);
                     out.push_str("} @!%p ");
                     let _ = writeln!(out, "{{");
-                    render_stmts(else_, depth + 1, out, ann);
+                    render_stmts(&s.else_, depth + 1, out, ann);
                     indent(depth, out);
                     out.push_str("}\n");
                 }
             }
-            Stmt::While { p, cond, body, max_iter } => {
+            Stmt::While(s) => {
                 indent(depth, out);
-                let _ = writeln!(out, "while %p{p} (max_iter {max_iter}) {{");
+                let _ = writeln!(out, "while %p{} (max_iter {}) {{", s.p, s.max_iter);
                 indent(depth + 1, out);
                 out.push_str("// condition:\n");
-                render_stmts(cond, depth + 1, out, ann);
+                render_stmts(&s.cond, depth + 1, out, ann);
                 indent(depth + 1, out);
                 out.push_str("// body:\n");
-                render_stmts(body, depth + 1, out, ann);
+                render_stmts(&s.body, depth + 1, out, ann);
                 indent(depth, out);
                 out.push_str("}\n");
             }
@@ -236,15 +241,15 @@ pub fn histogram(kernel: &Kernel) -> std::collections::BTreeMap<&'static str, us
                 Stmt::I(i) => {
                     *h.entry(mnemonic(i)).or_insert(0) += 1;
                 }
-                Stmt::If { then_, else_, .. } => {
+                Stmt::If(s) => {
                     *h.entry("branch").or_insert(0) += 1;
-                    walk(then_, h);
-                    walk(else_, h);
+                    walk(&s.then_, h);
+                    walk(&s.else_, h);
                 }
-                Stmt::While { cond, body, .. } => {
+                Stmt::While(s) => {
                     *h.entry("loop").or_insert(0) += 1;
-                    walk(cond, h);
-                    walk(body, h);
+                    walk(&s.cond, h);
+                    walk(&s.body, h);
                 }
             }
         }

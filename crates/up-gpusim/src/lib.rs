@@ -34,7 +34,9 @@ pub use exec::{
     launch, launch_opts, launch_sampled, launch_sampled_opts, ExecStats, GlobalMem, LaunchConfig,
     LaunchOpts, SimError,
 };
-pub use ptx::{AddrForm, CmpOp, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt};
+pub use ptx::{
+    AddrForm, CmpOp, IfStmt, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt, WhileStmt,
+};
 
 /// log₂(10) — bit-per-decimal-digit conversion used by cost formulas.
 pub const LOG2_10_APPROX: f64 = core::f64::consts::LOG2_10;

@@ -169,33 +169,102 @@ pub enum Inst {
 
 /// Structured statements. The executor models divergence by running both
 /// branches with complementary active masks whenever a warp disagrees.
+///
+/// 16 bytes a node: the control statements live behind a `Box` (the
+/// pointer fits in the bytes an [`Inst`] uses, and `Inst`'s tag has room
+/// for two more variants), and every statement list is an exact-size
+/// `Box<[Stmt]>`. Every cached kernel keeps its tree — it is what the
+/// reference walker executes — so the node size multiplies into every
+/// resident kernel.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
     /// A single instruction.
     I(Inst),
     /// `if (p) { then } else { else }` on the per-thread predicate.
-    If {
-        /// Predicate register controlling the branch.
-        p: PReg,
-        /// Taken when `p` is true.
-        then_: Vec<Stmt>,
-        /// Taken when `p` is false (often empty).
-        else_: Vec<Stmt>,
-    },
-    /// `do { cond } while-test p { body }` — executes `cond`, tests `p`
-    /// per thread, and runs `body` for threads whose predicate held;
-    /// repeats until the whole (active part of the) warp drops out.
-    While {
-        /// Predicate computed by `cond` each iteration.
-        p: PReg,
-        /// Statements recomputing the predicate.
-        cond: Vec<Stmt>,
-        /// Loop body for threads whose predicate holds.
-        body: Vec<Stmt>,
-        /// Safety bound on iterations (panic beyond — JIT bugs, not data,
-        /// are the only way to exceed it).
-        max_iter: u32,
-    },
+    If(Box<IfStmt>),
+    /// `do { cond } while-test p { body }` — see [`WhileStmt`].
+    While(Box<WhileStmt>),
+}
+
+/// The operands of [`Stmt::If`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct IfStmt {
+    /// Predicate register controlling the branch.
+    pub p: PReg,
+    /// Taken when `p` is true.
+    pub then_: Box<[Stmt]>,
+    /// Taken when `p` is false (often empty).
+    pub else_: Box<[Stmt]>,
+}
+
+/// The operands of [`Stmt::While`]: executes `cond`, tests `p` per
+/// thread, and runs `body` for threads whose predicate held; repeats
+/// until the whole (active part of the) warp drops out.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WhileStmt {
+    /// Predicate computed by `cond` each iteration.
+    pub p: PReg,
+    /// Statements recomputing the predicate.
+    pub cond: Box<[Stmt]>,
+    /// Loop body for threads whose predicate holds.
+    pub body: Box<[Stmt]>,
+    /// Safety bound on iterations: a launch whose loop runs more fails
+    /// with [`crate::SimError::MaxIterExceeded`] (JIT bugs, not data, are
+    /// the only way to exceed it).
+    pub max_iter: u32,
+}
+
+/// Node counts of a statement tree, at every nesting level.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TreeShape {
+    /// Statements of every kind (each `If`/`While` is one).
+    pub(crate) stmts: usize,
+    /// `If` statements.
+    pub(crate) ifs: usize,
+    /// `While` statements.
+    pub(crate) whiles: usize,
+}
+
+impl TreeShape {
+    pub(crate) fn of(stmts: &[Stmt]) -> TreeShape {
+        let mut shape = TreeShape::default();
+        shape.add(stmts);
+        shape
+    }
+
+    fn add(&mut self, stmts: &[Stmt]) {
+        self.stmts += stmts.len();
+        for s in stmts {
+            match s {
+                Stmt::I(_) => {}
+                Stmt::If(s) => {
+                    self.ifs += 1;
+                    self.add(&s.then_);
+                    self.add(&s.else_);
+                }
+                Stmt::While(s) => {
+                    self.whiles += 1;
+                    self.add(&s.cond);
+                    self.add(&s.body);
+                }
+            }
+        }
+    }
+
+    /// Ops of the decoded program: one per instruction, and three
+    /// control markers per `If` (`If`, `Else`, `EndIf`) or `While`
+    /// (`WhileBegin`, `WhileTest`, `WhileEnd`).
+    pub(crate) fn flat_ops(&self) -> usize {
+        self.stmts + 2 * (self.ifs + self.whiles)
+    }
+
+    /// Heap bytes the tree's statement lists and control boxes hold.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.stmts * size_of::<Stmt>()
+            + self.ifs * size_of::<IfStmt>()
+            + self.whiles * size_of::<WhileStmt>()
+    }
 }
 
 /// A compiled kernel: the statement list plus resource metadata.
@@ -204,7 +273,7 @@ pub struct Kernel {
     /// Name for reports (e.g. `calc_expr_1` as in Listing 1).
     pub name: String,
     /// Kernel body.
-    pub body: Vec<Stmt>,
+    pub body: Box<[Stmt]>,
     /// Virtual 32-bit registers per thread.
     pub num_regs: u16,
     /// Predicate registers per thread.
@@ -215,6 +284,9 @@ pub struct Kernel {
     /// — drives the occupancy model. Codegen sets this from the operand
     /// widths (see `up-jit::codegen::estimate_hw_regs`).
     pub hw_regs_per_thread: u32,
+    /// Heap bytes of `body`'s tree, counted once by
+    /// [`KernelBuilder::finish`].
+    pub(crate) tree_bytes: usize,
     /// Lazily-built decoded program for the flat interpreter (clones share
     /// the built program; see [`crate::decoded::DecodedProgram`]).
     pub(crate) decoded: crate::decoded::DecodedCache,
@@ -253,6 +325,14 @@ impl Kernel {
     /// compiled-tier artifact exists).
     pub fn compiled_tier_built(&self) -> bool {
         self.tier.built()
+    }
+
+    /// Heap bytes this kernel holds: its name, its statement tree and,
+    /// once built, its decoded program. The closure-compiled tier (built
+    /// only for promoted kernels) is not counted. O(1): the tree's size
+    /// is recorded when the kernel is finished.
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity() + self.tree_bytes + self.decoded.built().map_or(0, |p| p.heap_bytes())
     }
 }
 
@@ -365,12 +445,14 @@ impl KernelBuilder {
 
     /// Appends an `If` statement built from sub-builders.
     pub fn if_(&mut self, p: PReg, then_: Vec<Stmt>, else_: Vec<Stmt>) {
-        self.stmts.push(Stmt::If { p, then_, else_ });
+        let (then_, else_) = (then_.into_boxed_slice(), else_.into_boxed_slice());
+        self.stmts.push(Stmt::If(Box::new(IfStmt { p, then_, else_ })));
     }
 
     /// Appends a `While` statement.
     pub fn while_(&mut self, p: PReg, cond: Vec<Stmt>, body: Vec<Stmt>, max_iter: u32) {
-        self.stmts.push(Stmt::While { p, cond, body, max_iter });
+        let (cond, body) = (cond.into_boxed_slice(), body.into_boxed_slice());
+        self.stmts.push(Stmt::While(Box::new(WhileStmt { p, cond, body, max_iter })));
     }
 
     /// Statements appended so far (used with [`KernelBuilder::drain_stmts`]
@@ -404,9 +486,11 @@ impl KernelBuilder {
 
     /// Finishes the kernel.
     pub fn finish(self, name: impl Into<String>, hw_regs_per_thread: u32) -> Kernel {
+        let body = self.stmts.into_boxed_slice();
         Kernel {
             name: name.into(),
-            body: self.stmts,
+            tree_bytes: TreeShape::of(&body).heap_bytes(),
+            body,
             num_regs: self.next_reg.max(1),
             num_preds: self.next_pred.max(1),
             smem_bytes: self.smem_bytes,
@@ -502,6 +586,40 @@ pub(crate) mod tests {
         let k = b.finish("k", 32);
         assert_eq!(k.num_regs, 3);
         assert_eq!(k.static_inst_count(), 3); // add + if + mov
+    }
+
+    /// Every cached kernel keeps its tree, so a fat new variant would
+    /// inflate every resident kernel: `Stmt` stays one `Inst` wide.
+    #[test]
+    fn statement_nodes_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Inst>(), 16);
+        assert_eq!(std::mem::size_of::<Stmt>(), 16);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_tree_then_the_decoded_program() {
+        let mut b = KernelBuilder::new();
+        let (r, p) = (b.reg(), b.pred());
+        b.push(Inst::MovImm { d: r, imm: 1 });
+        let then_ = b.block(|ib| ib.push(Inst::Add { d: r, a: r, b: r }));
+        b.if_(p, then_, vec![]);
+        let cond = b.block(|ib| ib.push(Inst::SetPImm { p, op: CmpOp::Lt, a: r, imm: 9 }));
+        let body = b.block(|ib| {
+            ib.push(Inst::Add { d: r, a: r, b: r });
+            ib.push(Inst::Mov { d: r, a: r });
+        });
+        b.while_(p, cond, body, 4);
+        let k = b.finish("k", 32);
+        let shape = TreeShape::of(&k.body);
+        assert_eq!(shape, TreeShape { stmts: 7, ifs: 1, whiles: 1 });
+        let tree = 7 * 16 + std::mem::size_of::<IfStmt>() + std::mem::size_of::<WhileStmt>();
+        assert_eq!(k.heap_bytes(), k.name.capacity() + tree);
+        let prog = k.decoded_program();
+        assert_eq!(prog.op_count(), shape.flat_ops());
+        assert_eq!(prog.static_inst_count(), shape.stmts);
+        assert_eq!(k.heap_bytes(), k.name.capacity() + tree + prog.heap_bytes());
+        let ops = prog.op_count() * std::mem::size_of::<crate::decoded::Op>();
+        assert!(prog.heap_bytes() > ops, "{} B for {ops} B of ops", prog.heap_bytes());
     }
 
     #[test]

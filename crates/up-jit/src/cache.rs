@@ -18,7 +18,7 @@ use crate::nary::NExpr;
 use crate::schedule::schedule_alignment;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use up_gpusim::cost::modeled_compile_time_s;
 
@@ -82,6 +82,9 @@ pub struct CacheStats {
     pub entries: usize,
     /// Total capacity across all shards.
     pub capacity: usize,
+    /// Heap bytes the resident kernels hold (the sum of
+    /// [`up_gpusim::Kernel::heap_bytes`]).
+    pub resident_bytes: usize,
 }
 
 impl CacheStats {
@@ -96,9 +99,13 @@ impl CacheStats {
     }
 }
 
-/// Default capacity of a per-engine cache (kernels, not bytes — compiled
-/// IR is small; the bound exists to keep long-lived services from
-/// accumulating every signature ever seen).
+/// Default capacity of a per-engine cache, in kernels. A kernel keeps its
+/// statement tree and its decoded program: a `wire_cold`-shaped kernel
+/// (a signed sum of products, ~700 decoded ops) holds ~39 KB, 56 B per
+/// op (a 16-B tree node and a 40-B decoded op), where 56-B tree nodes
+/// with `Vec` slack and a decoded program grown by doubling held ~135 KB
+/// (~190 B per op). A full cache of such kernels is ~10 MB. The bound
+/// keeps long-lived services from accumulating every signature ever seen.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Default lock-stripe count for shared caches.
@@ -109,18 +116,62 @@ struct Entry {
     last_use: u64,
 }
 
+/// The rendezvous of one signature being built outside its shard's lock:
+/// callers that find it wait until the build ends, then look again.
+#[derive(Default)]
+struct InFlight {
+    done: Mutex<bool>,
+    ended: Condvar,
+}
+
+impl InFlight {
+    fn wait(&self) {
+        let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*done {
+            done = self.ended.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 #[derive(Default)]
 struct Shard {
     map: HashMap<String, Entry>,
+    /// Signatures being built now. Not entries: never counted, never
+    /// evicted.
+    building: HashMap<String, Arc<InFlight>>,
     tick: u64,
+}
+
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    // No user code runs under a shard lock, so a poisoned one (an
+    // allocation failure, say) still holds whole entries.
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Ends a build, published or unwound by a panicking `build`: removes
+/// its in-flight marker and wakes the waiters so they look the signature
+/// up again (and find the kernel, or build it themselves).
+struct BuildGuard<'a> {
+    shard: &'a Mutex<Shard>,
+    sig: &'a str,
+    flight: Arc<InFlight>,
+}
+
+impl Drop for BuildGuard<'_> {
+    fn drop(&mut self) {
+        lock(self.shard).building.remove(self.sig);
+        *self.flight.done.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.flight.ended.notify_all();
+    }
 }
 
 /// A thread-safe kernel cache: lock-striped over signature hash, each
 /// shard an LRU bounded at `capacity / shards` entries. Cloning the `Arc`
 /// and handing it to several [`JitEngine`]s makes concurrent sessions
 /// reuse each other's compiled kernels — compilation happens at most once
-/// per distinct signature (the compiling thread holds its shard's lock,
-/// so a racing lookup waits and then hits).
+/// per distinct signature. A miss builds outside its shard's lock, so a
+/// slow compile stalls no lookup of another signature; a racing lookup of
+/// the *same* signature waits for the build and then hits.
 pub struct SharedKernelCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
@@ -161,56 +212,83 @@ impl SharedKernelCache {
 
     /// Looks up `sig`, compiling and inserting on a miss. `build` receives
     /// a process-unique kernel id. Returns the kernel and whether it was
-    /// served from cache. The shard lock is held across `build`, which
-    /// guarantees at most one compilation per distinct signature even
-    /// under races.
+    /// served from cache.
+    ///
+    /// `build` runs without the shard lock, behind an in-flight marker: a
+    /// racing caller for the same signature waits and returns the built
+    /// kernel as a hit, so each signature still builds once. If `build`
+    /// panics, the panic reaches this caller, the marker goes, and the
+    /// next caller builds.
     pub fn get_or_compile(
         &self,
         sig: &str,
         build: impl FnOnce(u64) -> CompiledExpr,
     ) -> (Arc<CompiledExpr>, bool) {
-        // A `build` that panics poisons the shard, but it unwinds before
-        // the insert: the shard holds only whole entries (and a bumped
-        // tick), so the state behind a poisoned lock is still consistent.
-        let mut shard = self.shard_of(sig).lock().unwrap_or_else(PoisonError::into_inner);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(e) = shard.map.get_mut(sig) {
-            e.last_use = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(&e.kernel), true);
-        }
+        let shard = self.shard_of(sig);
+        let flight = loop {
+            let mut s = lock(shard);
+            s.tick += 1;
+            let tick = s.tick;
+            if let Some(e) = s.map.get_mut(sig) {
+                e.last_use = tick;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return (Arc::clone(&e.kernel), true);
+            }
+            match s.building.get(sig).map(Arc::clone) {
+                Some(flight) => {
+                    drop(s);
+                    flight.wait();
+                }
+                None => {
+                    let flight = Arc::new(InFlight::default());
+                    s.building.insert(sig.to_string(), Arc::clone(&flight));
+                    break flight;
+                }
+            }
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let guard = BuildGuard { shard, sig, flight };
         let kernel = Arc::new(build(id));
-        shard.map.insert(sig.to_string(), Entry { kernel: Arc::clone(&kernel), last_use: tick });
-        if shard.map.len() > self.shard_capacity {
+        let mut s = lock(shard);
+        s.tick += 1;
+        let tick = s.tick;
+        s.map.insert(sig.to_string(), Entry { kernel: Arc::clone(&kernel), last_use: tick });
+        if s.map.len() > self.shard_capacity {
             // Evict the least-recently-used entry of this shard.
-            if let Some(lru) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| k.clone())
+            if let Some(lru) = s.map.iter().min_by_key(|(_, e)| e.last_use).map(|(k, _)| k.clone())
             {
-                shard.map.remove(&lru);
+                s.map.remove(&lru);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        drop(s);
+        drop(guard);
         (kernel, false)
+    }
+
+    /// Holders of `sig`'s in-flight marker (the shard map, the builder
+    /// and each waiter), 0 when it is not being built.
+    #[cfg(test)]
+    fn in_flight_holders(&self, sig: &str) -> usize {
+        lock(self.shard_of(sig)).building.get(sig).map_or(0, Arc::strong_count)
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> CacheStats {
+        let (mut entries, mut resident_bytes) = (0, 0);
+        for shard in &self.shards {
+            let s = lock(shard);
+            entries += s.map.len();
+            resident_bytes += s.map.values().map(|e| e.kernel.kernel.heap_bytes()).sum::<usize>();
+        }
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-                .sum(),
+            entries,
             capacity: self.shard_capacity * self.shards.len(),
+            resident_bytes,
         }
     }
 }
@@ -497,6 +575,120 @@ mod tests {
         assert_eq!(s.misses, 1, "{s:?}"); // compiled exactly once
         assert_eq!(s.hits, 7, "{s:?}");
         assert!((s.hit_rate() - 7.0 / 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn resident_bytes_sum_the_resident_kernels_only() {
+        let cache = Arc::new(SharedKernelCache::with_shards(4, 1));
+        let jit = JitEngine::with_cache(JitOptions::default(), Arc::clone(&cache));
+        let kernels: Vec<Arc<CompiledExpr>> = (1..=6)
+            .map(|p| {
+                let e = Expr::col(0, ty(4 + p, 2), "a").mul(Expr::col(1, ty(6, 2), "b"));
+                let (Compiled::Kernel(k), _) = jit.compile(&e) else { panic!("expected a kernel") };
+                k
+            })
+            .collect();
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (4, 2), "{s:?}");
+        // The two oldest were evicted: only the last four count.
+        let resident: usize = kernels[2..].iter().map(|k| k.kernel.heap_bytes()).sum();
+        assert_eq!(s.resident_bytes, resident);
+        assert!(kernels[..2].iter().all(|k| k.kernel.heap_bytes() > 0));
+    }
+
+    fn kernel(name: &str) -> CompiledExpr {
+        let e = Expr::col(0, ty(6, 2), "a").add(Expr::col(1, ty(6, 2), "b"));
+        compile_expr_with(&e, name, CodegenOptions::default())
+    }
+
+    /// Starts building `sig` on a new thread whose `build` parks until
+    /// the returned sender fires and then calls `finish`; returns once
+    /// the build has started.
+    fn park_build(
+        cache: &Arc<SharedKernelCache>,
+        sig: &'static str,
+        finish: fn(&str) -> CompiledExpr,
+    ) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<(Arc<CompiledExpr>, bool)>) {
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let c = Arc::clone(cache);
+        let builder = std::thread::spawn(move || {
+            c.get_or_compile(sig, |_| {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                finish(sig)
+            })
+        });
+        started_rx.recv().unwrap();
+        (release_tx, builder)
+    }
+
+    /// Calls `get_or_compile(sig)` on a new thread and returns once that
+    /// call waits on the build in flight.
+    fn wait_on_build(
+        cache: &Arc<SharedKernelCache>,
+        sig: &'static str,
+        build: fn(u64) -> CompiledExpr,
+    ) -> std::thread::JoinHandle<(Arc<CompiledExpr>, bool)> {
+        let c = Arc::clone(cache);
+        let waiter = std::thread::spawn(move || c.get_or_compile(sig, build));
+        // The shard map, the builder and the waiter hold the marker.
+        let t0 = std::time::Instant::now();
+        while cache.in_flight_holders(sig) < 3 {
+            assert!(t0.elapsed().as_secs() < 5, "the second caller never found {sig} in flight");
+            std::thread::yield_now();
+        }
+        waiter
+    }
+
+    #[test]
+    fn a_slow_build_does_not_block_other_signatures_of_its_shard() {
+        let cache = Arc::new(SharedKernelCache::with_shards(8, 1));
+        let (release, builder) = park_build(&cache, "A", kernel);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&cache);
+        let other = std::thread::spawn(move || {
+            let (_, cached) = c.get_or_compile("B", |_| kernel("B"));
+            done_tx.send(cached).unwrap();
+        });
+        let got = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+        release.send(()).unwrap();
+        assert!(!builder.join().unwrap().1);
+        other.join().unwrap();
+        assert_eq!(got, Ok(false), "B waited for A's build");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (2, 0, 2), "{s:?}");
+    }
+
+    #[test]
+    fn a_racing_caller_waits_for_the_build_and_hits() {
+        let cache = Arc::new(SharedKernelCache::with_shards(8, 1));
+        let (release, builder) = park_build(&cache, "A", kernel);
+        let waiter = wait_on_build(&cache, "A", |_| panic!("A is built once"));
+        release.send(()).unwrap();
+        let (built, cached) = builder.join().unwrap();
+        assert!(!cached);
+        let (got, cached) = waiter.join().unwrap();
+        assert!(cached);
+        assert!(Arc::ptr_eq(&built, &got));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 1, 1), "{s:?}");
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_signature_buildable() {
+        let cache = Arc::new(SharedKernelCache::with_shards(8, 1));
+        let (release, builder) = park_build(&cache, "A", |_| panic!("codegen bug"));
+        let waiter = wait_on_build(&cache, "A", |_| kernel("A"));
+        release.send(()).unwrap();
+        assert!(builder.join().is_err(), "the panic reaches the builder's caller");
+        // The waiter woke, found no kernel and no marker, and built A.
+        let (k, cached) = waiter.join().unwrap();
+        assert!(!cached);
+        assert_eq!(k.kernel.name, "A");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (2, 0, 1), "{s:?}");
+        assert_eq!(cache.in_flight_holders("A"), 0);
     }
 
     #[test]

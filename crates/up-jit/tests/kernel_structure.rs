@@ -120,8 +120,8 @@ fn byte_mem_insts(stmts: &[Stmt]) -> usize {
         .map(|s| match s {
             Stmt::I(Inst::LdGlobalU8 { .. } | Inst::StGlobalU8 { .. }) => 1,
             Stmt::I(_) => 0,
-            Stmt::If { then_, else_, .. } => byte_mem_insts(then_) + byte_mem_insts(else_),
-            Stmt::While { cond, body, .. } => byte_mem_insts(cond) + byte_mem_insts(body),
+            Stmt::If(s) => byte_mem_insts(&s.then_) + byte_mem_insts(&s.else_),
+            Stmt::While(s) => byte_mem_insts(&s.cond) + byte_mem_insts(&s.body),
         })
         .sum()
 }
@@ -188,10 +188,11 @@ fn promotion_fuses_every_column_load_and_the_result_store() {
         for s in &k.body {
             match s.clone() {
                 Stmt::I(i) => kb.push(i),
-                Stmt::If { p, then_, else_ } => kb.if_(p, then_, else_),
-                Stmt::While { p, cond, mut body, max_iter } => {
+                Stmt::If(s) => kb.if_(s.p, s.then_.into_vec(), s.else_.into_vec()),
+                Stmt::While(s) => {
+                    let mut body = s.body.into_vec();
                     swaps += swap_bumps(&mut body);
-                    kb.while_(p, cond, body, max_iter);
+                    kb.while_(s.p, s.cond.into_vec(), body, s.max_iter);
                 }
             }
         }
@@ -250,14 +251,14 @@ fn issue_cost_sums_do_not_depend_on_the_order_of_addition() {
         for s in stmts {
             match s {
                 Stmt::I(i) => out.push(up_gpusim::ptx::issue_cycles(i)),
-                Stmt::If { then_, else_, .. } => {
+                Stmt::If(s) => {
                     out.push(1.0); // the branch issue
-                    costs(then_, out);
-                    costs(else_, out);
+                    costs(&s.then_, out);
+                    costs(&s.else_, out);
                 }
-                Stmt::While { cond, body, .. } => {
-                    costs(cond, out);
-                    costs(body, out);
+                Stmt::While(s) => {
+                    costs(&s.cond, out);
+                    costs(&s.body, out);
                 }
             }
         }
@@ -275,5 +276,32 @@ fn issue_cost_sums_do_not_depend_on_the_order_of_addition() {
         let pairwise: f64 = cy.chunks(7).map(|c| c.iter().sum::<f64>()).sum();
         assert_eq!(cy.iter().sum::<f64>().to_bits(), in_order.to_bits());
         assert_eq!(pairwise.to_bits(), in_order.to_bits(), "regrouped");
+    }
+}
+
+/// What a cached kernel holds: a `wire_cold`-shaped kernel (a signed sum
+/// of products over the workload's four column types plus a decimal
+/// literal) keeps its statement tree and its decoded program in at most
+/// 64 B per decoded op. (With 56-B tree nodes, `Vec` slack in every
+/// statement list and a decoded program grown by doubling it was near
+/// 180 B per op.)
+#[test]
+fn a_cold_kernel_holds_at_most_64_bytes_per_decoded_op() {
+    let c = |i: usize| {
+        let (p, s) = [(16, 2), (30, 4), (60, 6), (12, 0)][i];
+        Expr::col(i, ty(p, s), "c")
+    };
+    let lit = |s: &str| Expr::lit(s).unwrap();
+    let shapes = [
+        c(0).mul(c(1)).sub(c(2).mul(lit("3.75"))).add(c(3)).add(lit("41.207")),
+        c(2).mul(c(3)).mul(lit("7.1")).add(c(0).mul(c(1))).sub(c(2)).sub(c(1)).add(lit("5.3")),
+        c(1).mul(c(0)).add(c(3).mul(c(2))).sub(c(0).mul(lit("62"))).add(lit("9.44")),
+    ];
+    for e in shapes {
+        let k = kernel_of(&e, JitOptions::default()).kernel;
+        let ops = k.decoded_program().op_count();
+        let bytes = k.heap_bytes();
+        assert!(ops > 300, "{ops} ops: not a wire_cold-sized kernel");
+        assert!(bytes <= 64 * ops, "{bytes} B for {ops} decoded ops ({} B/op)", bytes / ops);
     }
 }

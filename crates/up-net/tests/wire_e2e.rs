@@ -161,9 +161,9 @@ fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
 
 #[test]
 fn a_panicking_statement_is_an_internal_error_and_the_worker_lives() {
-    // 140 terms exhaust the kernel's predicate file: codegen panics under
-    // the JIT cache's shard lock. The second try compiles again instead
-    // of tripping over a poisoned shard.
+    // 140 terms exhaust the kernel's predicate file: codegen panics inside
+    // the JIT cache's build. The second try compiles again instead of
+    // waiting on the failed build's in-flight marker.
     let sql = format!("SELECT {} FROM t", vec!["x"; 140].join(" + "));
     hostile_statement_leaves_the_worker_serving(&sql, 2, ErrorCode::Internal, "predicate file exhausted");
 }

@@ -325,13 +325,14 @@ impl MetricsSnapshot {
         let c = &self.cache;
         let _ = writeln!(
             o,
-            "jit cache:   {}/{} kernels, {} hits / {} misses ({:.1}% hit rate), {} evictions",
+            "jit cache:   {}/{} kernels, {} hits / {} misses ({:.1}% hit rate), {} evictions, {:.1} MB resident",
             c.entries,
             c.capacity,
             c.hits,
             c.misses,
             c.hit_rate() * 100.0,
-            c.evictions
+            c.evictions,
+            c.resident_bytes as f64 / 1e6
         );
         let _ = writeln!(o, "gpu kernels: {} modeled", fmt_s(self.gpu_kernel_s));
         let t = &self.exec_tiers;
@@ -447,8 +448,10 @@ mod tests {
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.timed_out, 1);
+        snap.cache.resident_bytes = 7_940_000;
         let text = snap.report();
         assert!(text.contains("2 submitted"), "{text}");
+        assert!(text.contains("evictions, 7.9 MB resident"), "{text}");
         assert!(text.contains("jit cache:"), "{text}");
         assert!(text.contains("gpu kernels:"), "{text}");
         let isa = up_gpusim::thunk_isa();

@@ -25,9 +25,14 @@ fn main() {
     println!("expression : DECIMAL(4,2) + DECIMAL(4,1)");
     println!("result type: {}  (the Listing 1 expansion to precision 6)", k.out_ty);
     println!(
-        "kernel     : {} static instructions, modeled NVCC latency {:.0} ms\n",
+        "kernel     : {} static instructions, modeled NVCC latency {:.0} ms",
         k.kernel.static_inst_count(),
         info.modeled_compile_s * 1e3
+    );
+    println!(
+        "resident   : {} B (statement tree + decoded program of {} ops)\n",
+        k.kernel.heap_bytes(),
+        k.kernel.decoded_program().op_count()
     );
 
     let text = disasm::disassemble(&k.kernel);
