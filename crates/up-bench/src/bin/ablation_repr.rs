@@ -37,7 +37,6 @@ fn stats_for(n: u64, bytes_per_tuple: u64, add_cycles: f64, align_cycles: f64, d
         divergent_branches: 0,
         warps,
         blocks: warps.div_ceil(8),
-        sample_scale: 1.0,
     }
 }
 

@@ -274,7 +274,6 @@ pub mod kernels {
             divergent_branches: (s.divergent_branches as f64 * f) as u64,
             warps: (s.warps as f64 * f) as u64,
             blocks: (s.blocks as f64 * f) as u64,
-            sample_scale: f,
         }
     }
 }

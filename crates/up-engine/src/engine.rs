@@ -22,14 +22,13 @@ pub struct Database {
     device: DeviceConfig,
     profile: Profile,
     jit: JitEngine,
-    /// TPI used by the multi-threaded aggregation (§IV-C2 uses 8).
-    pub agg_tpi: u32,
     /// TPI for multi-threaded expression evaluation (1 = single-thread
     /// kernels; §IV-C1 sweeps 1/4/8/16/32).
     pub expr_tpi: u32,
     /// Functional-interpreter backend for kernel launches (tree walker
     /// vs. pre-decoded flat programs). Results, stats, and modeled times
-    /// are bit-identical across backends. Defaults from `UP_SIM_EXEC`.
+    /// are bit-identical across backends. Defaults to
+    /// [`Auto`](up_gpusim::ExecBackend::Auto) tier promotion.
     pub exec_backend: up_gpusim::ExecBackend,
 }
 
@@ -41,9 +40,8 @@ impl Database {
             device: DeviceConfig::a6000(),
             profile,
             jit: JitEngine::with_defaults(),
-            agg_tpi: 8,
             expr_tpi: 1,
-            exec_backend: up_gpusim::ExecBackend::env_default(),
+            exec_backend: up_gpusim::ExecBackend::default(),
         }
     }
 
@@ -58,9 +56,8 @@ impl Database {
             device,
             profile,
             jit,
-            agg_tpi: 8,
             expr_tpi: 1,
-            exec_backend: up_gpusim::ExecBackend::env_default(),
+            exec_backend: up_gpusim::ExecBackend::default(),
         }
     }
 
@@ -129,7 +126,6 @@ impl Database {
             profile,
             device: &self.device,
             jit: &self.jit,
-            agg_tpi: self.agg_tpi,
             expr_tpi: self.expr_tpi,
             exec_backend: self.exec_backend,
         };

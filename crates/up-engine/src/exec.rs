@@ -81,6 +81,9 @@ impl From<NumError> for QueryError {
     }
 }
 
+/// TPI of the multi-threaded aggregation (§IV-C2 uses 8).
+const AGG_TPI: Tpi = Tpi(8);
+
 /// Prices one aggregate item's reduction over the full selection.
 fn price_aggregation(
     ctx: &ExecCtx<'_>,
@@ -115,7 +118,7 @@ fn price_aggregation(
             let (_, _, t) = up_gpusim::reduce::priced(
                 n as u64,
                 out_ty.lw(),
-                Tpi(ctx.agg_tpi),
+                AGG_TPI,
                 ctx.device,
             );
             m.kernel_s += t;
@@ -202,8 +205,6 @@ pub struct ExecCtx<'a> {
     /// JIT engine (kernel cache persists across queries and may be shared
     /// with other engines; all compilation goes through `&self`).
     pub jit: &'a JitEngine,
-    /// TPI for multi-threaded aggregation (paper uses 8 in §IV-C2).
-    pub agg_tpi: u32,
     /// TPI for multi-threaded *expression* evaluation (§III-E1); 1 =
     /// the single-thread-per-tuple kernels of Listing 1.
     pub expr_tpi: u32,

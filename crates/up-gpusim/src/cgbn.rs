@@ -292,7 +292,6 @@ pub fn op_stats(cost: &GroupCost, n: u64, tpi: Tpi, device: &DeviceConfig) -> Ex
         divergent_branches: 0,
         warps,
         blocks: warps.div_ceil(8),
-        sample_scale: 1.0,
     }
 }
 

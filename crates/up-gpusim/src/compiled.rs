@@ -25,7 +25,7 @@
 //!   generated twice from one macro body: once for the build target
 //!   (SSE2 on x86-64), once under `#[target_feature(enable =
 //!   "avx512f,avx512bw,avx512dq,avx512vl")]`, and a closure takes on the
-//!   target features of the function it is written in. [`compile`] uses
+//!   target features of the function it is written in. `compile` uses
 //!   the AVX-512 set when [`thunk_isa`] finds all four features on the
 //!   CPU and records the choice ([`CompiledProgram::isa`]). Every lowered
 //!   op is a total integer op on fixed lanes, so the width decides only
@@ -45,7 +45,7 @@
 //!   coalescing pass and moves all 32 lanes with bulk strided copies
 //!   (`GlobalMem::{load,store}_*_affine`) instead of per-lane per-byte
 //!   calls, and the coalescing pass counts sectors from `(base, stride,
-//!   n, width)` ([`note_transactions_affine`]) instead of from 32
+//!   n, width)` (`note_transactions_affine`) instead of from 32
 //!   addresses. Stats and coalescing state are replayed in program
 //!   order, so the fast path is bit-identical to the interpreter;
 //!   non-affine or out-of-bounds warps fall back to the interpreter's
@@ -53,9 +53,9 @@
 //! * Compact-codec byte runs — the `ld.global.u8`/`add addr,1`/`shl`/`or`
 //!   expansion of one DECIMAL column and its mirror-image store — fuse
 //!   into one `Step::Fused` each: a symbolic evaluation of the run (see
-//!   [`scan_codec_run`]) reduces every written row to
+//!   `scan_codec_run`) reduces every written row to
 //!   `konst | OR of ((leaf >> shr) & mask) << shl` over loaded bytes and
-//!   run-entry rows, keeps the rows [`crate::analysis`] finds live at the
+//!   run-entry rows, keeps the rows the `analysis` module finds live at the
 //!   run's end, and regroups the bytes into little-endian words, so at
 //!   run time the step verifies the address row once, coalesces once,
 //!   gathers or scatters ~`Lw` word planes and writes each live row once.
@@ -301,8 +301,8 @@ impl CompiledProgram {
     }
 
     /// Instructions covered by fused codec runs (also counted in
-    /// [`Self::alu_inst_count`]/[`Self::mem_inst_count`] through each
-    /// run's unfused fallback).
+    /// [`Self::mem_inst_count`] and the other per-kind counts through
+    /// each run's unfused fallback).
     pub fn fused_codec_inst_count(&self) -> usize {
         self.fused_runs.iter().map(|r| r.pcs.len()).sum()
     }

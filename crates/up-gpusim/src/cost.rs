@@ -107,7 +107,6 @@ mod tests {
             dram_bytes,
             mem_transactions: transactions,
             warps,
-            sample_scale: 1.0,
             ..Default::default()
         }
     }

@@ -35,7 +35,6 @@ use crate::exec::{
     LaunchConfig, SectorSeen, SimError,
 };
 use crate::divbig::{div_big, DivBufs, DivShape};
-use crate::env::knob as env_parse;
 use crate::ptx::{issue_cycles, CmpOp, Inst, Kernel, Special, Stmt, TreeShape};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -58,35 +57,6 @@ pub enum ExecBackend {
     /// pay closure-compile cost).
     #[default]
     Auto,
-}
-
-impl ExecBackend {
-    /// Parses `tree`, `decoded`, `compiled`, or `auto` (CLI flags and
-    /// `UP_SIM_EXEC`).
-    pub fn parse(s: &str) -> Option<ExecBackend> {
-        match s {
-            "tree" => Some(ExecBackend::Tree),
-            "decoded" => Some(ExecBackend::Decoded),
-            "compiled" => Some(ExecBackend::Compiled),
-            "auto" => Some(ExecBackend::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `UP_SIM_EXEC` environment knob, read and parsed once per
-    /// process (a set-but-invalid value warns once on stderr, see
-    /// [`crate::env`]). `None` when unset or invalid.
-    pub fn from_env() -> Option<ExecBackend> {
-        static CACHE: OnceLock<Option<ExecBackend>> = OnceLock::new();
-        *CACHE.get_or_init(|| {
-            env_parse("UP_SIM_EXEC", "tree | decoded | compiled | auto", ExecBackend::parse)
-        })
-    }
-
-    /// `UP_SIM_EXEC` if set, else [`ExecBackend::Auto`].
-    pub fn env_default() -> ExecBackend {
-        ExecBackend::from_env().unwrap_or_default()
-    }
 }
 
 impl std::fmt::Display for ExecBackend {
@@ -546,7 +516,7 @@ pub(crate) fn run_block_decoded(
     block: u32,
     warp: usize,
 ) -> Result<ExecStats, SimError> {
-    c.stats = ExecStats { sample_scale: 1.0, ..Default::default() };
+    c.stats = ExecStats::default();
     c.smem.fill(0);
     let threads = cfg.block_threads as usize;
     let mut frames = std::mem::take(&mut c.frames);
@@ -2376,12 +2346,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_knob_parses() {
-        assert_eq!(ExecBackend::parse("tree"), Some(ExecBackend::Tree));
-        assert_eq!(ExecBackend::parse("decoded"), Some(ExecBackend::Decoded));
-        assert_eq!(ExecBackend::parse("compiled"), Some(ExecBackend::Compiled));
-        assert_eq!(ExecBackend::parse("auto"), Some(ExecBackend::Auto));
-        assert_eq!(ExecBackend::parse("fast"), None);
+    fn backend_display_names() {
         assert_eq!(ExecBackend::Decoded.to_string(), "decoded");
         assert_eq!(ExecBackend::Compiled.to_string(), "compiled");
     }

@@ -180,7 +180,7 @@ impl LaunchConfig {
     }
 }
 
-/// Statistics of one (possibly sampled) launch.
+/// Statistics of one launch.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExecStats {
     /// Dynamic instructions summed over threads.
@@ -199,8 +199,6 @@ pub struct ExecStats {
     pub warps: u64,
     /// Blocks executed.
     pub blocks: u64,
-    /// Scale factor applied when the launch was sampled (1.0 = full run).
-    pub sample_scale: f64,
 }
 
 impl ExecStats {
@@ -216,18 +214,6 @@ impl ExecStats {
         self.divergent_branches += s.divergent_branches;
         self.warps += s.warps;
         self.blocks += s.blocks;
-    }
-
-    fn scale(&mut self, f: f64) {
-        self.thread_insts = (self.thread_insts as f64 * f) as u64;
-        self.warp_issue_cycles *= f;
-        self.warp_issues = (self.warp_issues as f64 * f) as u64;
-        self.mem_transactions = (self.mem_transactions as f64 * f) as u64;
-        self.dram_bytes = (self.dram_bytes as f64 * f) as u64;
-        self.divergent_branches = (self.divergent_branches as f64 * f) as u64;
-        self.warps = (self.warps as f64 * f) as u64;
-        self.blocks = (self.blocks as f64 * f) as u64;
-        self.sample_scale = f;
     }
 }
 
@@ -342,18 +328,12 @@ impl WarpCtx<'_> {
     }
 }
 
-/// Per-launch execution options. `Default` reads the `UP_SIM_EXEC` knob
-/// for the backend.
-#[derive(Clone, Copy, Debug)]
+/// Per-launch execution options. The default backend is
+/// [`ExecBackend::Auto`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LaunchOpts {
     /// Which functional interpreter runs the kernel.
     pub backend: ExecBackend,
-}
-
-impl Default for LaunchOpts {
-    fn default() -> Self {
-        LaunchOpts { backend: ExecBackend::env_default() }
-    }
 }
 
 /// Launches a kernel over the full grid, returning execution statistics.
@@ -376,51 +356,6 @@ pub fn launch_opts(
     device: &DeviceConfig,
     mem: &mut GlobalMem,
     params: &[u32],
-    opts: LaunchOpts,
-) -> Result<ExecStats, SimError> {
-    launch_inner(kernel, cfg, device, mem, params, cfg.grid_blocks, opts)
-}
-
-/// Launches only the first `max_blocks` blocks and linearly extrapolates
-/// the statistics to the whole grid. Output buffers are written only for
-/// the executed blocks — use for throughput studies on data-uniform
-/// kernels, never for correctness checks.
-pub fn launch_sampled(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    device: &DeviceConfig,
-    mem: &mut GlobalMem,
-    params: &[u32],
-    max_blocks: u32,
-) -> Result<ExecStats, SimError> {
-    launch_sampled_opts(kernel, cfg, device, mem, params, max_blocks, LaunchOpts::default())
-}
-
-/// [`launch_sampled`] with full per-launch options.
-pub fn launch_sampled_opts(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    device: &DeviceConfig,
-    mem: &mut GlobalMem,
-    params: &[u32],
-    max_blocks: u32,
-    opts: LaunchOpts,
-) -> Result<ExecStats, SimError> {
-    let run = cfg.grid_blocks.min(max_blocks.max(1));
-    let mut stats = launch_inner(kernel, cfg, device, mem, params, run, opts)?;
-    if run < cfg.grid_blocks {
-        stats.scale(cfg.grid_blocks as f64 / run as f64);
-    }
-    Ok(stats)
-}
-
-fn launch_inner(
-    kernel: &Kernel,
-    cfg: LaunchConfig,
-    device: &DeviceConfig,
-    mem: &mut GlobalMem,
-    params: &[u32],
-    run_blocks: u32,
     opts: LaunchOpts,
 ) -> Result<ExecStats, SimError> {
     if kernel.smem_bytes > device.shared_mem_per_block {
@@ -469,8 +404,8 @@ fn launch_inner(
     // `mem`. The warp context is allocated once per launch, not once per
     // block (the tree walker keeps its own per-block lane file).
     let mut ctx = decoded::DCtx::new(kernel, mem, params);
-    let mut total = ExecStats { sample_scale: 1.0, ..Default::default() };
-    for block in 0..run_blocks {
+    let mut total = ExecStats::default();
+    for block in 0..cfg.grid_blocks {
         let stats = match tier {
             TierExec::Compiled(p, cp) => {
                 decoded::run_block_decoded(p, Some(cp), &mut ctx, cfg, block, warp)
@@ -521,7 +456,7 @@ fn run_block(
         mem,
         smem: vec![0u8; kernel.smem_bytes as usize],
         params,
-        stats: ExecStats { sample_scale: 1.0, ..Default::default() },
+        stats: ExecStats::default(),
         kernel_name: &kernel.name,
         seen_sectors: SectorSeen::new(),
     };
@@ -1306,29 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_launch_extrapolates() {
-        let device = DeviceConfig::tiny();
-        let n = 4096u32;
-        let mut mem = GlobalMem::new();
-        mem.add_buffer(words_to_bytes(&vec![1u32; n as usize]));
-        mem.add_buffer(words_to_bytes(&vec![2u32; n as usize]));
-        mem.alloc(4 * n as usize);
-        let kernel = vec_add_kernel();
-        let cfg = LaunchConfig { grid_blocks: 32, block_threads: 128 };
-
-        let mut mem2 = GlobalMem::new();
-        mem2.add_buffer(words_to_bytes(&vec![1u32; n as usize]));
-        mem2.add_buffer(words_to_bytes(&vec![2u32; n as usize]));
-        mem2.alloc(4 * n as usize);
-
-        let full = launch(&kernel, cfg, &device, &mut mem, &[n]).unwrap();
-        let sampled = launch_sampled(&kernel, cfg, &device, &mut mem2, &[n], 8).unwrap();
-        let ratio = sampled.thread_insts as f64 / full.thread_insts as f64;
-        assert!((0.9..=1.1).contains(&ratio), "ratio {ratio}");
-        assert!((sampled.sample_scale - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn divergence_is_counted() {
         // if (tid & 1) x = 1 else x = 2 — every warp diverges.
         let mut kb = KernelBuilder::new();
@@ -1405,16 +1317,6 @@ mod tests {
         launch(&kernel, cfg, &device, &mut mem, &[]).unwrap();
         let out = mem.buffer(0);
         assert_eq!(&out[..8], &[0, 0, 0, 0, 1, 0, 0, 0]);
-    }
-
-    /// Builds memory for `vec_add_kernel` with `n` tuples; returns
-    /// (mem, output buffer index).
-    fn vec_add_mem(n: u32) -> (GlobalMem, u8) {
-        let mut mem = GlobalMem::new();
-        mem.add_buffer(words_to_bytes(&(0..n).map(|i| i.wrapping_mul(3)).collect::<Vec<_>>()));
-        mem.add_buffer(words_to_bytes(&(0..n).map(|i| i.wrapping_mul(7) + 1).collect::<Vec<_>>()));
-        let out = mem.alloc(4 * n as usize);
-        (mem, out)
     }
 
     /// Runs `kernel` on the tree walker, then on the decoded and compiled
@@ -1543,41 +1445,6 @@ mod tests {
         let (res, mem) = assert_tiers_match_tree(&kernel, cfg, &base, &[]);
         res.unwrap();
         assert_eq!(mem.buffer(0), &words_to_bytes(&(0..64).collect::<Vec<u32>>())[..]);
-    }
-
-    #[test]
-    fn sampled_launch_extrapolates_memory_stats_on_capped_grid() {
-        // 64 Ki tuples on the tiny device wants 512 blocks but the grid
-        // cap holds it at 256 — the grid-stride loop covers the rest.
-        // Sampling 32 of the capped blocks must extrapolate the memory
-        // and issue statistics within 1% of the full capped run.
-        let device = DeviceConfig::tiny();
-        let n = 64 * 1024u32;
-        let kernel = vec_add_kernel();
-        let cfg = LaunchConfig::for_tuples(n as u64, 128, &device);
-        assert_eq!(cfg.grid_blocks, 256, "grid cap changed — update the test");
-
-        let (mut full_mem, _) = vec_add_mem(n);
-        let full = launch(&kernel, cfg, &device, &mut full_mem, &[n]).unwrap();
-        let (mut samp_mem, _) = vec_add_mem(n);
-        let sampled = launch_sampled(&kernel, cfg, &device, &mut samp_mem, &[n], 32).unwrap();
-
-        assert!((sampled.sample_scale - 8.0).abs() < 1e-9);
-        let rel = |a: f64, b: f64| (a - b).abs() / b.max(1.0);
-        assert!(
-            rel(sampled.dram_bytes as f64, full.dram_bytes as f64) < 0.01,
-            "bytes moved: sampled {} vs full {}",
-            sampled.dram_bytes,
-            full.dram_bytes
-        );
-        assert!(
-            rel(sampled.warp_issue_cycles, full.warp_issue_cycles) < 0.01,
-            "issue cycles: sampled {} vs full {}",
-            sampled.warp_issue_cycles,
-            full.warp_issue_cycles
-        );
-        assert!(rel(sampled.mem_transactions as f64, full.mem_transactions as f64) < 0.01);
-        assert!(rel(sampled.thread_insts as f64, full.thread_insts as f64) < 0.01);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub mod disasm;
 mod divbig;
 pub mod cost;
 pub mod device;
-pub mod env;
 pub mod exec;
 pub mod profiler;
 pub mod ptx;
@@ -31,8 +30,7 @@ pub use compiled::{
 pub use decoded::{decode_counters, DecodedProgram, ExecBackend};
 pub use device::DeviceConfig;
 pub use exec::{
-    launch, launch_opts, launch_sampled, launch_sampled_opts, ExecStats, GlobalMem, LaunchConfig,
-    LaunchOpts, SimError,
+    launch, launch_opts, ExecStats, GlobalMem, LaunchConfig, LaunchOpts, SimError,
 };
 pub use ptx::{
     AddrForm, CmpOp, IfStmt, Inst, Kernel, KernelBuilder, PReg, Reg, Special, Stmt, WhileStmt,

@@ -133,7 +133,6 @@ mod tests {
             dram_bytes: 500_000_000,
             mem_transactions: 15_000_000,
             warps: 312_500,
-            sample_scale: 1.0,
             ..Default::default()
         };
         let t = kernel_time(&k, &stats, &d);
@@ -161,7 +160,7 @@ mod tests {
         kb.push(I::StGlobalU8 { buf: 1, addr: t, src: v });
         let k = kb.finish("codec_row", 8);
         let _ = k.compiled_program(); // force the build, as a hot launch would
-        let stats = ExecStats { warps: 1, sample_scale: 1.0, ..Default::default() };
+        let stats = ExecStats { warps: 1, ..Default::default() };
         let t = kernel_time(&k, &stats, &d);
         let p = KernelProfile::collect(&k, &stats, &t);
         assert_eq!(p.lowered_superblocks, 1);

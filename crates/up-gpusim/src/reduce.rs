@@ -195,7 +195,6 @@ fn pass_stats(pass: &PassPlan, lw: usize, tpi: Tpi, device: &DeviceConfig) -> Ex
         divergent_branches: 0,
         warps,
         blocks: pass.blocks,
-        sample_scale: 1.0,
     }
 }
 

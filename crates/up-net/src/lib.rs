@@ -19,9 +19,8 @@
 //!   concurrency caps, result-byte budgets, and DRR admission weights;
 //! - [`client`] — a blocking [`Client`] shared by the tests, the
 //!   `bench_net` load harness, and `examples/wire_service.rs`;
-//! - [`config`] — [`NetConfig`] with `UP_NET_ADDR` /
-//!   `UP_NET_MAX_CONNS` / `UP_NET_IDLE_S` / `UP_NET_EVENT_THREADS`
-//!   environment defaults.
+//! - [`config`] — [`NetConfig`]; its listen address defaults from
+//!   `UP_NET_ADDR`.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -6,11 +6,12 @@
 //! [`NetConfig::event_threads`](crate::NetConfig::event_threads)
 //! **event loops**. Each loop owns a slab of nonblocking connections
 //! and multiplexes them with a level-triggered `Poller` (`epoll` or
-//! `poll(2)`, raw syscalls via [`crate::sys`] — no async runtime, no new
-//! dependencies). Query execution stays on the `UpServer` worker pool: a
-//! submit hands the worker a completion callback that renders the reply
-//! frame off the event thread, posts it to the owning loop's inbox, and
-//! kicks its `Waker`, so results re-enter the loop as ordinary wakeups.
+//! `poll(2)`, raw syscalls in the private `sys` module — no async
+//! runtime, no new dependencies). Query execution stays on the
+//! `UpServer` worker pool: a submit hands the worker a completion
+//! callback that renders the reply frame off the event thread, posts it
+//! to the owning loop's inbox, and kicks its `Waker`, so results
+//! re-enter the loop as ordinary wakeups.
 //!
 //! Per connection, two small state machines:
 //!
@@ -22,7 +23,7 @@
 //!   was left.
 //!   `last_activity` advances only when a *complete* frame parses,
 //!   so trickled partial frames still hit the idle timeout.
-//! - **write**: a bounded [`OutBuf`] flushed until `WouldBlock`; write
+//! - **write**: a bounded `OutBuf` flushed until `WouldBlock`; write
 //!   interest is registered only while un-flushed bytes remain. Overflow
 //!   is the slow-consumer teardown ([`ErrorCode::SlowConsumer`]).
 //!

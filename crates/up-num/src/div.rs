@@ -45,7 +45,7 @@ pub fn div_rem(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
 /// working storage in `scratch` — a caller that keeps the three buffers
 /// (the simulator's `DivBig`, once per lane) divides without allocating.
 /// Same fast paths, same results; divisors of two or more limbs run
-/// Algorithm D on 64-bit words ([`knuth64_into`]).
+/// Algorithm D on 64-bit words (`knuth64_into`).
 ///
 /// # Panics
 /// Panics if `b` is zero.

@@ -9,7 +9,7 @@
 //! [`DecimalType`] metadata with the paper's §III-B3 intermediate-precision
 //! rules, the fixed-point value type [`UpDecimal`], the compact ↔
 //! word-aligned representation pair of Fig. 4, and allocation-free fold /
-//! compare / render primitives over compact columns ([`column`]).
+//! compare / render primitives over compact columns ([`column`](mod@column)).
 //!
 //! ```
 //! use up_num::{DecimalType, UpDecimal};

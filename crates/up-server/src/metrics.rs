@@ -260,7 +260,7 @@ pub struct MetricsSnapshot {
     pub cache: CacheStats,
     /// Process-wide simulator launch counts per execution tier (tree /
     /// decoded / closure-compiled) plus decoded→compiled promotion
-    /// events — the server-level view of `UP_SIM_EXEC=auto` tiering.
+    /// events — the server-level view of `Auto` tiering.
     pub exec_tiers: up_gpusim::TierCounters,
     /// Closure-tier compile builds and cache hits (a hit is a launch
     /// reusing an artifact another launch or session already built).

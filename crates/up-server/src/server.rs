@@ -247,9 +247,8 @@ pub struct UpServer {
 
 impl UpServer {
     /// Starts a server over a fresh empty database (UltraPrecise default
-    /// profile, A6000-like device, `Database::exec_backend` from
-    /// `UP_SIM_EXEC`) whose JIT engine uses a shared cache of the
-    /// configured capacity.
+    /// profile, A6000-like device, `Auto` tier promotion) whose JIT
+    /// engine uses a shared cache of the configured capacity.
     pub fn new(config: ServerConfig) -> UpServer {
         let cache = Arc::new(SharedKernelCache::new(config.jit_cache_capacity));
         let jit = JitEngine::with_cache(JitOptions::default(), Arc::clone(&cache));
@@ -549,6 +548,28 @@ mod tests {
         assert_eq!(m.completed, 1);
         assert_eq!(m.failed, 0);
         assert_eq!(m.latency.count, 1);
+    }
+
+    #[test]
+    fn server_database_tiers_by_default() {
+        // A fresh server runs `Auto`: a kernel interprets for its first
+        // `TIER_THRESHOLD` launches, then promotes once and runs compiled.
+        // Nothing reaches the tree walker.
+        use up_gpusim::TIER_THRESHOLD;
+        let server = seeded_server(ServerConfig::default());
+        let s = server.connect(Profile::UltraPrecise);
+        for i in 1..=TIER_THRESHOLD + 2 {
+            let r = server.query(s, "SELECT x + x FROM t").unwrap();
+            let t = r.tiers;
+            assert_eq!(r.kernels, 1, "execution {i}");
+            assert_eq!(t.tree, 0, "execution {i}: {t:?}");
+            if i <= TIER_THRESHOLD {
+                assert_eq!((t.decoded, t.compiled, t.promotions), (1, 0, 0), "execution {i}");
+            } else {
+                let promotions = u64::from(i == TIER_THRESHOLD + 1);
+                assert_eq!((t.decoded, t.compiled, t.promotions), (0, 1, promotions), "execution {i}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Frame-of-reference (FOR) compression for compact decimal columns —
 //! the §IV-D1 case study.
 //!
-//! The paper evaluates FOR [28] on TPC-H Q1's decimal columns: values are
+//! The paper evaluates FOR \[28\] on TPC-H Q1's decimal columns: values are
 //! blocked, each block stores a reference (its minimum) and fixed-width
 //! deltas, and the kernel decompresses before calculating. Narrower
 //! distributions compress harder; the measured end-to-end speedups (with

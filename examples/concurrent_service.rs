@@ -22,8 +22,8 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     println!(
-        "exec backend: {} (UP_SIM_EXEC; decoded programs cached per kernel)",
-        up_gpusim::ExecBackend::env_default(),
+        "exec backend: {} (decoded programs cached per kernel)",
+        up_gpusim::ExecBackend::default(),
     );
 
     // Load a table of wide decimals (write path: serialized, drains

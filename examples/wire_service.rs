@@ -7,8 +7,7 @@
 //! cargo run --release --example wire_service
 //! ```
 //!
-//! The listen address, connection cap, and idle timeout come from
-//! `UP_NET_ADDR`, `UP_NET_MAX_CONNS`, and `UP_NET_IDLE_S` when set.
+//! The listen address comes from `UP_NET_ADDR` when set.
 
 use std::sync::Arc;
 use ultraprecise::prelude::*;
@@ -40,7 +39,7 @@ fn main() {
         TenantQuota { qps: 0.5, burst: 2.0, weight: 1.0, ..TenantQuota::default() },
     );
 
-    // The wire front end (UP_NET_* env knobs override the defaults).
+    // The wire front end (`UP_NET_ADDR` overrides the listen address).
     let mut server = WireServer::start(Arc::clone(&up), tenants, NetConfig::default())
         .expect("bind wire server");
     println!("wire server listening on {}\n", server.addr());
