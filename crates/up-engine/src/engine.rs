@@ -22,9 +22,6 @@ pub struct Database {
     device: DeviceConfig,
     profile: Profile,
     jit: JitEngine,
-    /// TPI for multi-threaded expression evaluation (1 = single-thread
-    /// kernels; §IV-C1 sweeps 1/4/8/16/32).
-    pub expr_tpi: u32,
     /// Functional-interpreter backend for kernel launches (tree walker
     /// vs. pre-decoded flat programs). Results, stats, and modeled times
     /// are bit-identical across backends. Defaults to
@@ -40,23 +37,18 @@ impl Database {
             device: DeviceConfig::a6000(),
             profile,
             jit: JitEngine::with_defaults(),
-            expr_tpi: 1,
             exec_backend: up_gpusim::ExecBackend::default(),
         }
     }
 
-    /// New database with explicit device and JIT options (ablations).
-    pub fn with_config(
-        profile: Profile,
-        device: DeviceConfig,
-        jit: JitEngine,
-    ) -> Database {
+    /// New database on the A6000-like device with an explicit JIT engine
+    /// (the server shares one kernel cache across its sessions this way).
+    pub fn with_config(profile: Profile, jit: JitEngine) -> Database {
         Database {
             catalog: Catalog::new(),
-            device,
+            device: DeviceConfig::a6000(),
             profile,
             jit,
-            expr_tpi: 1,
             exec_backend: up_gpusim::ExecBackend::default(),
         }
     }
@@ -126,7 +118,6 @@ impl Database {
             profile,
             device: &self.device,
             jit: &self.jit,
-            expr_tpi: self.expr_tpi,
             exec_backend: self.exec_backend,
         };
         execute(&plan, &ctx)
@@ -135,9 +126,9 @@ impl Database {
     /// The JIT kernel references `sql` would compile under `profile`, in
     /// the exact order execution reaches them (`(signature,
     /// expression)` pairs, duplicates included). Empty when the profile
-    /// doesn't route through single-thread JIT kernels. The benchmark's
-    /// per-layer trace (`bench/src/trace.rs`) times these compiles apart
-    /// from the query that runs them.
+    /// doesn't route through JIT kernels. The benchmark's per-layer trace
+    /// (`bench/src/trace.rs`) times these compiles apart from the query
+    /// that runs them.
     pub fn plan_kernels(
         &self,
         profile: Profile,
@@ -145,7 +136,7 @@ impl Database {
     ) -> Result<Vec<(String, up_jit::Expr)>, QueryError> {
         let select = parse_select(sql).map_err(QueryError::Parse)?;
         let plan = plan(&select, &self.catalog).map_err(QueryError::Plan)?;
-        Ok(crate::exec::plan_kernel_refs(&plan, &self.jit, profile, self.expr_tpi))
+        Ok(crate::exec::plan_kernel_refs(&plan, &self.jit, profile))
     }
 
     /// JIT kernel-cache statistics (hits, misses, evictions, occupancy).
@@ -488,39 +479,6 @@ mod tests {
         let r = db.query("SELECT SUM(c1) / 7.0 FROM r").unwrap();
         let Value::Decimal(d) = &r.rows[0][0] else { panic!() };
         assert!((d.to_f64() - 106.23 / 7.0).abs() < 1e-4, "{d}");
-    }
-
-    #[test]
-    fn mt_expression_path_matches_single_thread() {
-        // §III-E1: results are independent of TPI; only the work
-        // partitioning (and therefore the modeled time) changes.
-        let wide = dt(70, 10);
-        let make = |tpi: u32| {
-            let mut db = Database::new(Profile::UltraPrecise);
-            db.expr_tpi = tpi;
-            db.create_table("w", Schema::new(vec![("x", ColumnType::Decimal(wide))]));
-            for i in 1..=20i64 {
-                db.insert(
-                    "w",
-                    vec![Value::Decimal(
-                        UpDecimal::from_scaled_i64(i * 987_654_321, wide).unwrap(),
-                    )],
-                )
-                .unwrap();
-            }
-            db
-        };
-        let single = make(1);
-        let r1 = single.query("SELECT x * x + x FROM w").unwrap();
-        for tpi in [4u32, 8, 32] {
-            let mt = make(tpi);
-            let r = mt.query("SELECT x * x + x FROM w").unwrap();
-            for (a, b) in r1.rows.iter().zip(&r.rows) {
-                let (Value::Decimal(x), Value::Decimal(y)) = (&a[0], &b[0]) else { panic!() };
-                assert_eq!(x.cmp_value(y), std::cmp::Ordering::Equal, "tpi={tpi}");
-            }
-            assert!(r.modeled.kernel_s > 0.0);
-        }
     }
 
     #[test]

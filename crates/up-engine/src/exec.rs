@@ -205,9 +205,6 @@ pub struct ExecCtx<'a> {
     /// JIT engine (kernel cache persists across queries and may be shared
     /// with other engines; all compilation goes through `&self`).
     pub jit: &'a JitEngine,
-    /// TPI for multi-threaded *expression* evaluation (§III-E1); 1 =
-    /// the single-thread-per-tuple kernels of Listing 1.
-    pub expr_tpi: u32,
     /// Functional-interpreter backend (tree walker, decoded flat
     /// programs, closure-compiled superblocks, or `Auto` count-based
     /// tier promotion). Bit-identical results, stats, and modeled times;
@@ -730,9 +727,6 @@ fn eval_scalar_column<'a>(
             Ok((Column::Values(vals), m, 0, Default::default()))
         }
         Scalar::Decimal { expr, inputs } => match ctx.profile {
-            Profile::UltraPrecise if ctx.expr_tpi > 1 => {
-                eval_decimal_gpu_mt(ctx, expr, inputs, tables, sel, n)
-            }
             Profile::UltraPrecise => {
                 eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n)
             }
@@ -992,15 +986,13 @@ fn collect_decimal_exprs<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
 /// The JIT kernel references a plan will compile, in the exact order
 /// `execute` reaches them: `(signature, expression)` per
 /// reachable decimal expression, duplicates included, passthroughs
-/// skipped. Empty when the profile doesn't JIT or multi-threaded
-/// expression kernels are in use.
+/// skipped. Empty when the profile doesn't JIT.
 pub(crate) fn plan_kernel_refs(
     plan: &QueryPlan,
     jit: &JitEngine,
     profile: Profile,
-    expr_tpi: u32,
 ) -> Vec<(String, Expr)> {
-    if profile != Profile::UltraPrecise || expr_tpi != 1 {
+    if profile != Profile::UltraPrecise {
         return Vec::new();
     }
     // The slots `execute` evaluates, in its order: each item's scalar or
@@ -1121,63 +1113,6 @@ fn eval_decimal_gpu_jit<'a>(
             Ok((col, modeled, 1, tiers))
         }
     }
-}
-
-/// Multi-threaded (TPI thread-group) expression evaluation — §III-E1:
-/// operands load cooperatively (Listing 3) and every arithmetic instance
-/// is computed by a group of `expr_tpi` threads through the extended-CGBN
-/// routines. Functionally bit-exact with the single-thread kernels; the
-/// cost model reflects the group work partitioning.
-fn eval_decimal_gpu_mt<'a>(
-    ctx: &ExecCtx<'_>,
-    expr: &Expr,
-    inputs: &[WideCol],
-    tables: &[&'a Table],
-    sel: &Sel,
-    n: usize,
-) -> Result<ScalarOut<'a>, QueryError> {
-    let tpi = Tpi::new(ctx.expr_tpi).map_err(QueryError::Unsupported)?;
-    let optimized = ctx.jit.optimize(expr);
-    let kernel = up_jit::codegen_mt::compile_expr_mt(&optimized, tpi);
-
-    let cols: Vec<_> =
-        inputs.iter().map(|w| decimal_input(tables, sel, *w)).collect::<Result<_, _>>()?;
-    let rows: Vec<Vec<UpDecimal>> = (0..n)
-        .map(|i| {
-            cols.iter().map(|(ty, b)| decode_compact(compact_cell(b, *ty, i), *ty)).collect()
-        })
-        .collect();
-    let (vals, total_cost) = kernel
-        .eval_rows(&rows)
-        .map_err(|e| match e {
-            up_jit::codegen_mt::MtError::Group(g) => QueryError::Unsupported(g.to_string()),
-            up_jit::codegen_mt::MtError::Num(e) => QueryError::Num(e),
-        })?;
-
-    let mut modeled = ModeledTime::default();
-    if n > 0 {
-        // Per-instance average cost drives the analytic launch model.
-        let nf = n as f64;
-        let per = up_gpusim::cgbn::GroupCost {
-            insts_per_thread: total_cost.insts_per_thread / nf,
-            shuffles: total_cost.shuffles / nf,
-            ballots: total_cost.ballots / nf,
-            bytes_read: total_cost.bytes_read / n as u64,
-            bytes_written: total_cost.bytes_written / n as u64,
-        };
-        let stats = up_gpusim::cgbn::op_stats(&per, n as u64, tpi, ctx.device);
-        let k = up_gpusim::KernelBuilder::new().finish("mt_expr", kernel.hw_regs);
-        modeled.kernel_s += kernel_time(&k, &stats, ctx.device).total_s;
-        modeled.pcie_s +=
-            ctx.device.pcie_time(total_cost.bytes_read + total_cost.bytes_written);
-        // TPI kernels compile through the same JIT TU.
-        modeled.compile_s += up_gpusim::cost::modeled_compile_time_s(
-            64 * kernel.out_ty.lw() * optimized.op_count().max(1),
-        );
-    }
-    // TPI kernels run through the analytic CGBN model, not the
-    // instruction simulator — no tier to attribute.
-    Ok((Column::Values(vals.into_iter().map(Value::Decimal).collect()), modeled, 1, Default::default()))
 }
 
 /// Bytes per value in a GPU baseline's representation.

@@ -28,28 +28,10 @@ pub struct Tpi(pub u32);
 pub const TPI_VALUES: [u32; 5] = [1, 4, 8, 16, 32];
 
 impl Tpi {
-    /// Validates a TPI setting (must divide the warp).
-    pub fn new(tpi: u32) -> Result<Tpi, String> {
-        if TPI_VALUES.contains(&tpi) {
-            Ok(Tpi(tpi))
-        } else {
-            Err(format!("TPI must be one of {TPI_VALUES:?}, got {tpi}"))
-        }
-    }
-
     /// Words each thread reads in the cooperative load (Listing 3):
     /// `lt = ceil(Lb / (4·TPI))`.
     pub fn words_per_thread(&self, lb: usize) -> usize {
         lb.div_ceil(4 * self.0 as usize)
-    }
-
-    /// Threads that perform a full `lt`-word read; the trailing thread
-    /// reads the remainder (Listing 3's branch).
-    pub fn full_load_threads(&self, lb: usize) -> (usize, usize) {
-        let lt_bytes = 4 * self.words_per_thread(lb);
-        let full = lb / lt_bytes;
-        let tail = lb % lt_bytes;
-        (full, tail)
     }
 }
 
@@ -313,13 +295,11 @@ mod tests {
 
     #[test]
     fn listing3_load_partitioning() {
-        // DECIMAL(64, 32): Lb = 27 bytes; TPI = 4 → lt = 2 words; threads
-        // 0..2 load 8 bytes each, thread 3 loads 3 bytes.
+        // DECIMAL(64, 32): Lb = 27 bytes; TPI = 4 → lt = 2 words per
+        // thread.
         let t = ty(64, 32);
         assert_eq!(t.lb(), 27);
-        let tpi = Tpi::new(4).unwrap();
-        assert_eq!(tpi.words_per_thread(27), 2);
-        assert_eq!(tpi.full_load_threads(27), (3, 3));
+        assert_eq!(Tpi(4).words_per_thread(27), 2);
     }
 
     #[test]

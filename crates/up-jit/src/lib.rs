@@ -6,12 +6,11 @@
 //! the typed expression tree over columns, constants and the five decimal operators ([`expr`]), the §III-D rewrites — binary↔n-ary
 //! conversion ([`nary`]), alignment scheduling ([`schedule`]) and constant
 //! optimization ([`constfold`]) — the code generator emitting the PTX-like
-//! ISA ([`codegen`]), the multi-threaded (TPI) variant ([`codegen_mt`]),
-//! and the kernel cache with compile-time accounting ([`cache`]).
+//! ISA ([`codegen`]), and the kernel cache with compile-time accounting
+//! ([`cache`]).
 
 pub mod cache;
 pub mod codegen;
-pub mod codegen_mt;
 pub mod constfold;
 pub mod expr;
 pub mod nary;

@@ -1,27 +1,21 @@
 //! Multi-word division.
 //!
-//! The paper describes four ways to divide (§II-B, §III-C2):
+//! [`div_rem`] and its allocation-free form [`div_rem_into`] (behind the
+//! simulator's `DivBig`) take the paper's fast paths first (§II-B,
+//! §III-C2): if both operands fit in a 64-bit word, a single `div`
+//! instruction; if the divisor is one 32-bit word, divide the dividend
+//! word-by-word from the most significant end. Everything else runs
+//! Knuth's Algorithm D on 64-bit words with a Möller–Granlund reciprocal
+//! quotient digit and all working storage in a caller-kept buffer. The
+//! 32-bit-limb Algorithm D ([`div_rem_knuth`]) is the reference: the tests
+//! below and the property tests at the crate root check the hot path
+//! against it bit for bit.
 //!
-//! 1. fast paths — if both operands fit in a 64-bit word, a single `div`
-//!    instruction; if the divisor is one 32-bit word, divide the dividend
-//!    word-by-word from the most significant end ([`div_rem`] dispatches
-//!    both);
-//! 2. the GPU single-thread algorithm — bracket the quotient range with
-//!    `bfind` (most-significant-bit positions) and **binary-search** the
-//!    quotient ([`div_rem_binary_search`]);
-//! 3. **Newton–Raphson** reciprocal iteration, used by the CGBN-based
-//!    multi-threaded kernels ([`div_rem_newton`]);
-//! 4. the **Goldschmidt** convergence division ([`div_rem_goldschmidt`]).
-//!
-//! Everything else runs Knuth's Algorithm D. The hot path
-//! ([`div_rem_into`], behind the simulator's `DivBig`) runs it on 64-bit
-//! words with a Möller–Granlund reciprocal quotient digit and all working
-//! storage in a caller-kept buffer; the 32-bit-limb version
-//! ([`div_rem_knuth`]) is the reference. All agree bit-for-bit; the tests
-//! below and the property tests at the crate root cross-check them.
+//! The simulator prices `DivBig` as the paper's single-thread GPU
+//! division (§III-C2, a `bfind`-bracketed binary search of the quotient);
+//! that is a cost model, not a second algorithm here.
 
 use crate::limbs::{self, Limb};
-use crate::mul;
 use core::cmp::Ordering;
 
 /// Quotient and remainder of `a / b` (magnitudes). Dispatches the paper's
@@ -337,8 +331,8 @@ fn knuth_into(a: &[Limb], b: &[Limb], q: &mut [Limb], r: &mut [Limb]) {
 }
 
 /// Knuth Algorithm D as fresh vectors, taken for every operand size (no
-/// 64-bit fast path), so the cross-checks against the other algorithms
-/// exercise it on small values too.
+/// 64-bit fast path), so the cross-checks against [`div_rem`] exercise it
+/// on small values too.
 pub fn div_rem_knuth(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
     let n = limbs::sig_limbs(b);
     assert!(n > 0, "division by zero");
@@ -360,218 +354,17 @@ pub fn div_rem_knuth(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
     (q, r)
 }
 
-/// The paper's single-thread GPU division (§III-C2): bracket the quotient
-/// with the most-significant-bit positions of dividend and divisor
-/// (`bfind`), then binary-search the quotient, testing each probe with a
-/// full multiply-and-compare.
-pub fn div_rem_binary_search(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
-    let nb = limbs::sig_limbs(b);
-    assert!(nb > 0, "division by zero");
-    let na = limbs::sig_limbs(a);
-    if na == 0 || limbs::cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a[..na].to_vec());
-    }
-    let la = limbs::bit_len(a);
-    let lb = limbs::bit_len(b);
-    // If a is 1xxxxx₂ and b is 1xxx₂ the quotient lies in
-    // [2^(la-lb-1), 2^(la-lb+1)) — the paper's quotient range.
-    let mut lo: Vec<Limb> = if la > lb {
-        limbs::shl_bits(&[1], la - lb - 1)
-    } else {
-        vec![1]
-    };
-    let mut hi: Vec<Limb> = limbs::shl_bits(&[1], la - lb + 1); // exclusive
-    // Invariant: lo*b <= a < hi*b. Find the largest q with q*b <= a.
-    while {
-        let mut gap = hi.clone();
-        let borrow = limbs::sub_assign(&mut gap, &lo);
-        debug_assert!(!borrow);
-        limbs::trim(&mut gap);
-        limbs::cmp(&gap, &[1]) == Ordering::Greater
-    } {
-        // mid = (lo + hi) / 2
-        let mut mid = limbs::add(&lo, &hi);
-        mid = limbs::shr_bits(&mid, 1);
-        let prod = mul::mul(&mid, b);
-        if limbs::cmp(&prod, a) == Ordering::Greater {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    let prod = mul::mul(&lo, b);
-    let mut r = a[..na].to_vec();
-    let borrow = limbs::sub_assign(&mut r, &prod);
-    debug_assert!(!borrow);
-    limbs::trim(&mut r);
-    limbs::trim(&mut lo);
-    (lo, r)
-}
-
-/// Newton–Raphson division (§II-B): approximate `1/b` in fixed point by
-/// iterating `xᵢ₊₁ = xᵢ(2 − b·xᵢ)`, then multiply by the dividend and
-/// correct. This is the algorithm the multi-threaded (CGBN-style) kernels
-/// use (§III-E1).
-pub fn div_rem_newton(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
-    let nb = limbs::sig_limbs(b);
-    assert!(nb > 0, "division by zero");
-    let na = limbs::sig_limbs(a);
-    if na == 0 || limbs::cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a[..na].to_vec());
-    }
-    if nb == 1 {
-        // Reciprocal iteration is pointless for single-word divisors.
-        return div_rem(a, b);
-    }
-    let la = limbs::bit_len(a);
-    let lb = limbs::bit_len(b);
-    // x approximates floor(2^k / b) with k = la + 1 fraction bits.
-    let k = la + 1;
-
-    // Initial estimate from the divisor's top 32 bits:
-    //   b ≈ b_top · 2^(lb−32)  ⇒  2^k/b ≈ (2^63 / b_top) · 2^(k−lb−31).
-    let b_top = {
-        let top = limbs::shr_bits(&b[..nb], lb - 32);
-        top[0] as u64
-    };
-    let est = (1u64 << 63) / b_top; // 31..32 significant bits
-    let mut x: Vec<Limb> = if k >= lb + 31 {
-        limbs::shl_bits(&limbs::from_u64(est), k - lb - 31)
-    } else {
-        limbs::shr_bits(&limbs::from_u64(est), lb + 31 - k)
-    };
-    if limbs::is_zero(&x) {
-        x = vec![1];
-    }
-
-    // Quadratic convergence: ~30 correct bits double per step.
-    let two_pow_k1 = limbs::shl_bits(&[1], k + 1);
-    let mut iters = 0;
-    let max_iters = 2 * (64 - k.leading_zeros() as usize) + 4;
-    loop {
-        // e = 2^(k+1) − b·x ;  x' = (x · e) >> k
-        let bx = mul::mul(b, &x);
-        if limbs::cmp(&bx, &two_pow_k1) != Ordering::Less {
-            // Overshoot: shrink x and retry.
-            x = limbs::shr_bits(&x, 1);
-            if limbs::is_zero(&x) {
-                x = vec![1];
-            }
-            iters += 1;
-            if iters > max_iters {
-                break;
-            }
-            continue;
-        }
-        let mut e = two_pow_k1.clone();
-        let borrow = limbs::sub_assign(&mut e, &bx);
-        debug_assert!(!borrow);
-        limbs::trim(&mut e);
-        let nx = limbs::shr_bits(&mul::mul(&x, &e), k);
-        iters += 1;
-        if limbs::cmp(&nx, &x) == Ordering::Equal || iters > max_iters {
-            x = nx;
-            break;
-        }
-        x = nx;
-    }
-
-    // q ≈ (a · x) >> k, then correct the few-ULP error exactly.
-    let mut q = limbs::shr_bits(&mul::mul(a, &x), k);
-    correct_quotient(&mut q, a, b);
-    let prod = mul::mul(&q, b);
-    let mut r = a[..na].to_vec();
-    let borrow = limbs::sub_assign(&mut r, &prod);
-    debug_assert!(!borrow);
-    limbs::trim(&mut r);
-    limbs::trim(&mut q);
-    (q, r)
-}
-
-/// Goldschmidt division (§II-B): scale numerator and denominator by a
-/// convergence factor `F = 2 − D` until the denominator approaches 1; the
-/// numerator then approaches the quotient.
-pub fn div_rem_goldschmidt(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
-    let nb = limbs::sig_limbs(b);
-    assert!(nb > 0, "division by zero");
-    let na = limbs::sig_limbs(a);
-    if na == 0 || limbs::cmp(a, b) == Ordering::Less {
-        return (Vec::new(), a[..na].to_vec());
-    }
-    let la = limbs::bit_len(a);
-    let lb = limbs::bit_len(b);
-    // Fixed point with f fraction bits; generous guard bits keep the
-    // truncation error below the final correction's reach.
-    let f = la + 64;
-    let one = limbs::shl_bits(&[1], f);
-    let two = limbs::shl_bits(&[1], f + 1);
-
-    // Normalize: D₀ = b / 2^lb ∈ [0.5, 1), N₀ = a / 2^lb.
-    let mut d = limbs::shl_bits(&b[..nb], f - lb);
-    let mut n = limbs::shl_bits(&a[..na], f - lb);
-
-    for _ in 0..128 {
-        // F = 2 − D
-        let mut fch = two.clone();
-        let borrow = limbs::sub_assign(&mut fch, &d);
-        debug_assert!(!borrow);
-        limbs::trim(&mut fch);
-        if limbs::cmp(&fch, &one) == Ordering::Equal {
-            break; // D has converged to 1.0 at this precision
-        }
-        n = limbs::shr_bits(&mul::mul(&n, &fch), f);
-        d = limbs::shr_bits(&mul::mul(&d, &fch), f);
-    }
-    let mut q = limbs::shr_bits(&n, f);
-    correct_quotient(&mut q, a, b);
-    let prod = mul::mul(&q, b);
-    let mut r = a[..na].to_vec();
-    let borrow = limbs::sub_assign(&mut r, &prod);
-    debug_assert!(!borrow);
-    limbs::trim(&mut r);
-    limbs::trim(&mut q);
-    (q, r)
-}
-
-/// Nudges an approximate quotient to the exact floor quotient.
-fn correct_quotient(q: &mut Vec<Limb>, a: &[Limb], b: &[Limb]) {
-    // Lower q while q*b > a.
-    loop {
-        let prod = mul::mul(q, b);
-        if limbs::cmp(&prod, a) != Ordering::Greater {
-            break;
-        }
-        let borrow = limbs::sub_assign(q, &[1]);
-        debug_assert!(!borrow);
-        limbs::trim(q);
-    }
-    // Raise q while (q+1)*b <= a.
-    loop {
-        let q1 = limbs::add(q, &[1]);
-        let prod = mul::mul(&q1, b);
-        if limbs::cmp(&prod, a) == Ordering::Greater {
-            break;
-        }
-        *q = q1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::limbs::{from_u128, to_u128};
+    use crate::mul;
 
     type Algo = fn(&[Limb], &[Limb]) -> (Vec<Limb>, Vec<Limb>);
 
     fn check_all(a: u128, b: u128) {
         let (la, lb) = (from_u128(a), from_u128(b));
-        let algos: [(&str, Algo); 5] = [
-            ("dispatch", div_rem),
-            ("knuth", div_rem_knuth),
-            ("binary_search", div_rem_binary_search),
-            ("newton", div_rem_newton),
-            ("goldschmidt", div_rem_goldschmidt),
-        ];
+        let algos: [(&str, Algo); 2] = [("dispatch", div_rem), ("knuth", div_rem_knuth)];
         for (name, f) in algos {
             let (q, r) = f(&la, &lb);
             assert_eq!(to_u128(&q).unwrap(), a / b, "{name}: q of {a}/{b}");
@@ -623,7 +416,7 @@ mod tests {
         };
         let a: Vec<u32> = (0..20).map(|_| next() | 1).collect();
         let b: Vec<u32> = (0..7).map(|_| next() | 1).collect();
-        for f in [div_rem_knuth, div_rem_binary_search, div_rem_newton, div_rem_goldschmidt] {
+        for f in [div_rem, div_rem_knuth] {
             let (q, r) = f(&a, &b);
             let mut recon = mul::mul(&q, &b);
             recon.resize(recon.len().max(a.len()) + 1, 0);

@@ -60,11 +60,9 @@ proptest! {
     fn division_algorithms_agree(a in limb_vec(12), b in limb_vec(6)) {
         prop_assume!(!limbs::is_zero(&b));
         let (q0, r0) = div::div_rem_knuth(&a, &b);
-        for f in [div::div_rem, div::div_rem_binary_search, div::div_rem_newton, div::div_rem_goldschmidt] {
-            let (q, r) = f(&a, &b);
-            prop_assert_eq!(&q, &q0);
-            prop_assert_eq!(&r, &r0);
-        }
+        let (q, r) = div::div_rem(&a, &b);
+        prop_assert_eq!(&q, &q0);
+        prop_assert_eq!(&r, &r0);
         // Reconstruction: a == q*b + r and r < b.
         let mut recon = mul::mul(&q0, &b);
         recon.resize(recon.len().max(a.len()) + 1, 0);

@@ -32,7 +32,6 @@ use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use up_engine::{Database, Profile, QueryError, QueryResult, Schema, Value};
-use up_gpusim::DeviceConfig;
 use up_jit::cache::{JitEngine, JitOptions, SharedKernelCache, DEFAULT_CACHE_CAPACITY};
 use up_num::NumError;
 
@@ -252,7 +251,7 @@ impl UpServer {
     pub fn new(config: ServerConfig) -> UpServer {
         let cache = Arc::new(SharedKernelCache::new(config.jit_cache_capacity));
         let jit = JitEngine::with_cache(JitOptions::default(), Arc::clone(&cache));
-        let db = Database::with_config(Profile::UltraPrecise, DeviceConfig::a6000(), jit);
+        let db = Database::with_config(Profile::UltraPrecise, jit);
         let inner = Arc::new(ServerInner {
             db: RwLock::new(db),
             jit_cache: cache,
@@ -821,6 +820,7 @@ mod tests {
         let m = server.metrics();
         assert_eq!(m.cache.misses, 1, "one signature, compiled once");
         assert_eq!(m.cache.hits, 3);
+        assert_eq!(m.cache.capacity, DEFAULT_CACHE_CAPACITY);
         assert!(m.gpu_kernel_s > 0.0);
         let text = m.report();
         assert!(text.contains("4 submitted"), "{text}");
