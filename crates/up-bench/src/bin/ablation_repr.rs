@@ -19,7 +19,7 @@
 use up_baselines::AltDecimal;
 use up_bench::{fmt_time, precision_for_len, print_header, print_row, HarnessOpts, LEN_SERIES};
 use up_gpusim::cost::kernel_time;
-use up_gpusim::{DeviceConfig, ExecStats, KernelBuilder};
+use up_gpusim::{DeviceConfig, ExecStats};
 use up_num::DecimalType;
 
 /// Modeled launch statistics for an `a + b` pass over `n` tuples where
@@ -84,9 +84,8 @@ fn main() {
         let alt_extra = 4.0 * (out.scale as f64 / 9.0).ceil();
 
         let time = |bytes: u64, align_cycles: f64| {
-            let k = KernelBuilder::new().finish("repr", 16 + (2.2 * lw) as u32);
             let s = stats_for(n, bytes, add_cycles, align_cycles, &device);
-            kernel_time(&k, &s, &device).total_s
+            kernel_time(16 + (2.2 * lw) as u32, &s, &device).total_s
         };
         let t_compact = time(compact_b, align);
         let t_word = time(word_b, align);

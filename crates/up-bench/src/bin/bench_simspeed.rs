@@ -227,7 +227,7 @@ fn main() {
                     .expect("launch");
                 let wall = t0.elapsed().as_secs_f64();
                 let bufs = vec![mem.buffer(out_buf).to_vec()];
-                let time = kernel_time(&k.kernel, &stats, &device).total_s;
+                let time = kernel_time(k.kernel.hw_regs_per_thread, &stats, &device).total_s;
                 if let Some((s0, b0, t0)) = &kept {
                     assert_identical(w.name, backend, (s0, b0, *t0), (&stats, &bufs, time));
                 }

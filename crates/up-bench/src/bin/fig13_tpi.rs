@@ -13,7 +13,7 @@
 use up_bench::{fmt_time, precision_for_len, print_header, print_row, HarnessOpts, LEN_SERIES};
 use up_gpusim::cgbn::{self, GroupOp, Tpi, TPI_VALUES};
 use up_gpusim::cost::kernel_time;
-use up_gpusim::{DeviceConfig, KernelBuilder};
+use up_gpusim::DeviceConfig;
 use up_num::{DecimalType, UpDecimal};
 use up_workloads::datagen;
 
@@ -53,9 +53,7 @@ fn main() {
                     // search, not CGBN.
                     let cost = cgbn::single_thread_div_cost(ty, ty);
                     let stats = cgbn::op_stats(&cost, opts.report_tuples, tpi, &device);
-                    let k = KernelBuilder::new()
-                        .finish("div_bs", cgbn::group_hw_regs(len, tpi));
-                    fmt_time(kernel_time(&k, &stats, &device).total_s)
+                    fmt_time(kernel_time(cgbn::group_hw_regs(len, tpi), &stats, &device).total_s)
                 } else {
                     match run_op(op, &a[0], &b[0], tpi, opts.report_tuples, &device, len) {
                         Some(t) => fmt_time(t),
@@ -86,6 +84,5 @@ fn run_op(
 ) -> Option<f64> {
     let (_, cost) = cgbn::group_eval(op, a, b, tpi).ok()?;
     let stats = cgbn::op_stats(&cost, n, tpi, device);
-    let k = KernelBuilder::new().finish("grp", cgbn::group_hw_regs(len, tpi));
-    Some(kernel_time(&k, &stats, device).total_s)
+    Some(kernel_time(cgbn::group_hw_regs(len, tpi), &stats, device).total_s)
 }

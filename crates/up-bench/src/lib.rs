@@ -254,7 +254,7 @@ pub mod kernels {
             launch(&k.kernel, cfg, &device, &mut mem, &[n as u32]).expect("kernel launch");
         let factor = n_report as f64 / n as f64;
         stats = scale_stats(stats, factor);
-        let time = kernel_time(&k.kernel, &stats, &device);
+        let time = kernel_time(k.kernel.hw_regs_per_thread, &stats, &device);
         Some(KernelRun {
             time,
             stats,

@@ -22,10 +22,12 @@ pub struct Database {
     device: DeviceConfig,
     profile: Profile,
     jit: JitEngine,
-    /// Functional-interpreter backend for kernel launches (tree walker
-    /// vs. pre-decoded flat programs). Results, stats, and modeled times
-    /// are bit-identical across backends. Defaults to
-    /// [`Auto`](up_gpusim::ExecBackend::Auto) tier promotion.
+    /// Functional-interpreter backend for kernel launches (the tree
+    /// walker over a tree each launch rebuilds from the kernel's flat
+    /// program, or the flat program itself: decoded, closure-compiled or
+    /// tiered). Results, stats, and modeled times are bit-identical
+    /// across backends. Defaults to [`Auto`](up_gpusim::ExecBackend::Auto)
+    /// tier promotion.
     pub exec_backend: up_gpusim::ExecBackend,
 }
 

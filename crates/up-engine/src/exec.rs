@@ -205,8 +205,9 @@ pub struct ExecCtx<'a> {
     /// JIT engine (kernel cache persists across queries and may be shared
     /// with other engines; all compilation goes through `&self`).
     pub jit: &'a JitEngine,
-    /// Functional-interpreter backend (tree walker, decoded flat
-    /// programs, closure-compiled superblocks, or `Auto` count-based
+    /// Functional-interpreter backend (the tree walker over a tree
+    /// rebuilt from the kernel's flat program per launch, the decoded
+    /// flat program, closure-compiled superblocks, or `Auto` count-based
     /// tier promotion). Bit-identical results, stats, and modeled times;
     /// only host wall-clock and the observational [`QueryResult::tiers`]
     /// change.
@@ -1102,7 +1103,7 @@ fn eval_decimal_gpu_jit<'a>(
             // thread-local, so this delta belongs to exactly the launch
             // above.
             let tiers = up_gpusim::last_launch_tiers();
-            let kt = kernel_time(&k.kernel, &stats, ctx.device);
+            let kt = kernel_time(k.kernel.hw_regs_per_thread, &stats, ctx.device);
             modeled.kernel_s += kt.total_s;
             modeled.pcie_s += ctx.device.pcie_time(pcie_bytes);
 

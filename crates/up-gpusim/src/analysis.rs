@@ -18,68 +18,73 @@
 //!   per-warp reset never zeroes it. The one cross-lane read,
 //!   `shfl.idx`'s source row, may observe a lane parked at any other pc:
 //!   those rows are pinned live everywhere.
-//! * One [`defs_uses`] table over [`DOp`] serves both directions.
+//! * One [`defs_uses`] table over [`Inst`] serves both directions.
+//!
+//! Both work in register numbers; the lowering in `crate::compiled`
+//! turns them into SoA row offsets when it builds its steps.
 //!
 //! [`DecodedProgram`]: crate::decoded::DecodedProgram
 
-use crate::decoded::{DOp, Op};
-use crate::ptx::{AddrForm, Special};
+use crate::decoded::{loop_markers, Op};
+use crate::ptx::{AddrForm, Inst, Reg, Special};
 
-/// `n` consecutive register rows starting at SoA offset `row` (rows are
-/// 32 offsets apart); `n == 0` is an unused slot.
-type Rows = (u32, u8);
+/// `n` consecutive registers starting at `reg`; `n == 0` is an unused
+/// slot.
+type Rows = (Reg, u8);
 const NO: Rows = (0, 0);
 
-/// The register rows `dop` writes and the rows it reads. Predicates and
+/// The registers `inst` writes and the registers it reads. Predicates and
 /// the carry row live outside the register file and are never pruned.
-fn defs_uses(dop: &DOp) -> ([Rows; 2], [Rows; 4]) {
-    match *dop {
-        DOp::MovImm { d, .. }
-        | DOp::MovSpecial { d, .. }
-        | DOp::LdParam { d, .. }
-        | DOp::Ballot { d, .. } => ([(d, 1), NO], [NO; 4]),
-        DOp::Mov { d, a } | DOp::Bfind { d, a } => ([(d, 1), NO], [(a, 1), NO, NO, NO]),
-        DOp::Add { d, a, b }
-        | DOp::AddCC { d, a, b }
-        | DOp::AddC { d, a, b }
-        | DOp::Sub { d, a, b }
-        | DOp::SubCC { d, a, b }
-        | DOp::SubC { d, a, b }
-        | DOp::MulLo { d, a, b }
-        | DOp::MulHi { d, a, b }
-        | DOp::Div { d, a, b }
-        | DOp::Rem { d, a, b }
-        | DOp::Shl { d, a, b }
-        | DOp::Shr { d, a, b }
-        | DOp::And { d, a, b }
-        | DOp::Or { d, a, b }
-        | DOp::Xor { d, a, b }
-        | DOp::Selp { d, a, b, .. }
-        | DOp::ShflIdx { d, a, lane: b } => ([(d, 1), NO], [(a, 1), (b, 1), NO, NO]),
-        DOp::MadLoCC { d, a, b, c } | DOp::MadHiC { d, a, b, c } => {
+fn defs_uses(inst: &Inst) -> ([Rows; 2], [Rows; 4]) {
+    match *inst {
+        Inst::MovImm { d, .. }
+        | Inst::MovSpecial { d, .. }
+        | Inst::LdParam { d, .. }
+        | Inst::Ballot { d, .. } => ([(d, 1), NO], [NO; 4]),
+        Inst::Mov { d, a } | Inst::Bfind { d, a } => ([(d, 1), NO], [(a, 1), NO, NO, NO]),
+        Inst::Add { d, a, b }
+        | Inst::AddCC { d, a, b }
+        | Inst::AddC { d, a, b }
+        | Inst::Sub { d, a, b }
+        | Inst::SubCC { d, a, b }
+        | Inst::SubC { d, a, b }
+        | Inst::MulLo { d, a, b }
+        | Inst::MulHi { d, a, b }
+        | Inst::Div { d, a, b }
+        | Inst::Rem { d, a, b }
+        | Inst::Shl { d, a, b }
+        | Inst::Shr { d, a, b }
+        | Inst::And { d, a, b }
+        | Inst::Or { d, a, b }
+        | Inst::Xor { d, a, b }
+        | Inst::Selp { d, a, b, .. }
+        | Inst::ShflIdx { d, a, lane: b } => ([(d, 1), NO], [(a, 1), (b, 1), NO, NO]),
+        Inst::MadLoCC { d, a, b, c } | Inst::MadHiC { d, a, b, c } => {
             ([(d, 1), NO], [(a, 1), (b, 1), (c, 1), NO])
         }
-        DOp::Div64 { dlo, dhi, alo, ahi, blo, bhi } | DOp::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => {
+        Inst::Div64 { dlo, dhi, alo, ahi, blo, bhi } | Inst::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => {
             ([(dlo, 1), (dhi, 1)], [(alo, 1), (ahi, 1), (blo, 1), (bhi, 1)])
         }
-        DOp::DivBig { d, dn, a, an, b, bn, .. } => ([(d, dn), NO], [(a, an), (b, bn), NO, NO]),
-        DOp::SetP { a, b, .. } => ([NO; 2], [(a, 1), (b, 1), NO, NO]),
-        DOp::SetPImm { a, .. } => ([NO; 2], [(a, 1), NO, NO, NO]),
-        DOp::LdGlobal { d, addr, .. } | DOp::LdGlobalU8 { d, addr, .. } | DOp::LdShared { d, addr } => {
+        Inst::DivBig { d, dn, a, an, b, bn } | Inst::RemBig { d, dn, a, an, b, bn } => {
+            ([(d, dn), NO], [(a, an), (b, bn), NO, NO])
+        }
+        Inst::SetP { a, b, .. } => ([NO; 2], [(a, 1), (b, 1), NO, NO]),
+        Inst::SetPImm { a, .. } => ([NO; 2], [(a, 1), NO, NO, NO]),
+        Inst::LdGlobal { d, addr, .. } | Inst::LdGlobalU8 { d, addr, .. } | Inst::LdShared { d, addr } => {
             ([(d, 1), NO], [(addr, 1), NO, NO, NO])
         }
-        DOp::StGlobal { addr, src, .. }
-        | DOp::StGlobalU8 { addr, src, .. }
-        | DOp::StShared { addr, src } => ([NO; 2], [(addr, 1), (src, 1), NO, NO]),
-        DOp::PAnd { .. } | DOp::PNot { .. } | DOp::BarSync => ([NO; 2], [NO; 4]),
+        Inst::StGlobal { addr, src, .. }
+        | Inst::StGlobalU8 { addr, src, .. }
+        | Inst::StShared { addr, src } => ([NO; 2], [(addr, 1), (src, 1), NO, NO]),
+        Inst::PAnd { .. } | Inst::PNot { .. } | Inst::BarSync => ([NO; 2], [NO; 4]),
     }
 }
 
-/// Calls `f` with the row index (SoA offset / 32) of every row in `rows`.
+/// Calls `f` with every register in `rows`.
 #[inline(always)]
 fn each_row(rows: &[Rows], mut f: impl FnMut(usize)) {
-    for &(row, n) in rows {
-        for r in row as usize / 32..row as usize / 32 + n as usize {
+    for &(reg, n) in rows {
+        for r in reg as usize..reg as usize + n as usize {
             f(r);
         }
     }
@@ -194,8 +199,8 @@ struct AbsState {
 }
 
 impl AbsState {
-    fn get(&self, off: u32) -> AbsVal {
-        self.rows[off as usize / 32].read()
+    fn get(&self, r: Reg) -> AbsVal {
+        self.rows[r as usize].read()
     }
 
     /// Joins `other` into `self` row-wise; true if anything widened.
@@ -211,51 +216,51 @@ impl AbsState {
 }
 
 /// Transfer function for one instruction.
-fn abs_transfer(dop: &DOp, st: &mut AbsState) {
+fn abs_transfer(inst: &Inst, st: &mut AbsState) {
     let opaque = |uniform: bool| if uniform { AbsVal::uniform() } else { AbsVal::Top };
-    let (d, v) = match *dop {
-        DOp::MovImm { d, imm } => (d, AbsVal::Affine { stride: 0, konst: Some(imm) }),
-        DOp::Mov { d, a } => (d, st.get(a)),
+    let (d, v) = match *inst {
+        Inst::MovImm { d, imm } => (d, AbsVal::Affine { stride: 0, konst: Some(imm) }),
+        Inst::Mov { d, a } => (d, st.get(a)),
         // tid.x is the canonical lane-affine row: lane l holds
         // `tid_base + l`. Block/grid geometry is warp-uniform.
-        DOp::MovSpecial { d, s: Special::TidX } => (d, AbsVal::Affine { stride: 1, konst: None }),
+        Inst::MovSpecial { d, s: Special::TidX } => (d, AbsVal::Affine { stride: 1, konst: None }),
         // Parameters are launch constants, identical across lanes; a
         // ballot broadcasts one value to every lane.
-        DOp::MovSpecial { d, .. } | DOp::LdParam { d, .. } | DOp::Ballot { d, .. } => {
+        Inst::MovSpecial { d, .. } | Inst::LdParam { d, .. } | Inst::Ballot { d, .. } => {
             (d, AbsVal::uniform())
         }
-        DOp::Add { d, a, b } => (d, abs_linear(st.get(a), st.get(b), u32::wrapping_add)),
-        DOp::Sub { d, a, b } => (d, abs_linear(st.get(a), st.get(b), u32::wrapping_sub)),
-        DOp::MulLo { d, a, b } => (d, abs_mul(st.get(a), st.get(b))),
-        DOp::Shl { d, a, b } => (d, abs_shl(st.get(a), st.get(b))),
+        Inst::Add { d, a, b } => (d, abs_linear(st.get(a), st.get(b), u32::wrapping_add)),
+        Inst::Sub { d, a, b } => (d, abs_linear(st.get(a), st.get(b), u32::wrapping_sub)),
+        Inst::MulLo { d, a, b } => (d, abs_mul(st.get(a), st.get(b))),
+        Inst::Shl { d, a, b } => (d, abs_shl(st.get(a), st.get(b))),
         // Any other pure lane-wise ALU op: uniform inputs give a uniform
         // result, everything else is unknown.
-        DOp::MulHi { d, a, b }
-        | DOp::Div { d, a, b }
-        | DOp::Rem { d, a, b }
-        | DOp::Shr { d, a, b }
-        | DOp::And { d, a, b }
-        | DOp::Or { d, a, b }
-        | DOp::Xor { d, a, b } => (d, opaque(st.get(a).is_uniform() && st.get(b).is_uniform())),
-        DOp::Bfind { d, a } => (d, opaque(st.get(a).is_uniform())),
+        Inst::MulHi { d, a, b }
+        | Inst::Div { d, a, b }
+        | Inst::Rem { d, a, b }
+        | Inst::Shr { d, a, b }
+        | Inst::And { d, a, b }
+        | Inst::Or { d, a, b }
+        | Inst::Xor { d, a, b } => (d, opaque(st.get(a).is_uniform() && st.get(b).is_uniform())),
+        Inst::Bfind { d, a } => (d, opaque(st.get(a).is_uniform())),
         // Everything else — carry results (per-lane flags), selects and
         // shuffles (per-lane predicates/indices), loads, wide and big
         // divides — is unknown in every row it writes.
-        _ => return each_row(&defs_uses(dop).0, |r| st.rows[r] = AbsVal::Top),
+        _ => return each_row(&defs_uses(inst).0, |r| st.rows[r] = AbsVal::Top),
     };
-    st.rows[d as usize / 32] = v;
+    st.rows[d as usize] = v;
 }
 
-/// The two source rows whose constants [`Facts::consts`] records.
-fn const_operands(dop: &DOp) -> Option<(u32, u32)> {
-    match *dop {
-        DOp::Mov { a, .. } => Some((a, a)),
-        DOp::StGlobalU8 { src, .. } => Some((src, src)),
-        DOp::Add { a, b, .. }
-        | DOp::Shl { a, b, .. }
-        | DOp::Shr { a, b, .. }
-        | DOp::And { a, b, .. }
-        | DOp::Or { a, b, .. } => Some((a, b)),
+/// The two source registers whose constants [`Facts::consts`] records.
+fn const_operands(inst: &Inst) -> Option<(Reg, Reg)> {
+    match *inst {
+        Inst::Mov { a, .. } => Some((a, a)),
+        Inst::StGlobalU8 { src, .. } => Some((src, src)),
+        Inst::Add { a, b, .. }
+        | Inst::Shl { a, b, .. }
+        | Inst::Shr { a, b, .. }
+        | Inst::And { a, b, .. }
+        | Inst::Or { a, b, .. } => Some((a, b)),
         _ => None,
     }
 }
@@ -266,7 +271,7 @@ pub(crate) struct Facts {
     /// A *hint*: the executor re-verifies every stride against the live
     /// registers, so imprecision costs only the bulk fast path.
     pub(crate) forms: Vec<Option<AddrForm>>,
-    /// Compile-time values of the two source rows of each `mov`/`add`/
+    /// Compile-time values of the two source registers of each `mov`/`add`/
     /// `shl`/`shr`/`and`/`or`/`st.global.u8` pc, where every visit of the
     /// pc saw the same constant. Unlike `forms` these are **not**
     /// re-verified at run time, so they rest on the analysis being sound
@@ -278,28 +283,28 @@ pub(crate) struct Facts {
 }
 
 impl Facts {
-    /// The rows some thread may read at or after `pc` before writing
+    /// The registers some thread may read at or after `pc` before writing
     /// them (`pc == ops.len()` is the program's end).
     pub(crate) fn live_at(&self, ops: &[Op], pc: usize) -> RowSet {
         self.live.at(ops, pc)
     }
 
-    /// SoA offsets of the rows live on entry to the program — the rows a
-    /// thread may read before writing, i.e. the only ones whose
-    /// zero-initialisation is observable — plus the pinned rows.
-    pub(crate) fn entry_live_rows(&self, ops: &[Op], num_regs: usize) -> Vec<u32> {
+    /// The registers live on entry to the program — the ones a thread may
+    /// read before writing, i.e. the only ones whose zero-initialisation
+    /// is observable — plus the pinned ones.
+    pub(crate) fn entry_live_regs(&self, ops: &[Op], num_regs: usize) -> Vec<Reg> {
         let live = self.live_at(ops, 0);
-        (0..num_regs as u32).map(|r| r * 32).filter(|&row| live.has(row)).collect()
+        (0..num_regs as Reg).filter(|&r| live.has(r)).collect()
     }
 }
 
-/// A set of register rows.
+/// A set of registers.
 pub(crate) struct RowSet(Vec<u64>);
 
 impl RowSet {
-    /// Whether the row at SoA offset `row` is in the set.
-    pub(crate) fn has(&self, row: u32) -> bool {
-        let r = row as usize / 32;
+    /// Whether register `r` is in the set.
+    pub(crate) fn has(&self, r: Reg) -> bool {
+        let r = r as usize;
         self.0[r / 64] >> (r % 64) & 1 == 1
     }
 }
@@ -316,8 +321,8 @@ fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize
     let mut pc = start;
     while pc < end {
         match &ops[pc] {
-            Op::I { dop, .. } => {
-                if let Some(mr) = dop.mem_ref() {
+            Op::I { inst, .. } => {
+                if let Some(mr) = inst.mem_ref() {
                     let form = match st.get(mr.addr) {
                         AbsVal::Affine { stride, .. } => AddrForm::LaneAffine { stride },
                         _ => AddrForm::Unknown,
@@ -327,7 +332,7 @@ fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize
                         _ => form,
                     });
                 }
-                if let Some((a, b)) = const_operands(dop) {
+                if let Some((a, b)) = const_operands(inst) {
                     let konst = |r| match st.get(r) {
                         AbsVal::Affine { konst, .. } => konst,
                         _ => None,
@@ -338,7 +343,7 @@ fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize
                         Some(prev) => [0, 1].map(|i| prev[i].filter(|k| Some(*k) == now[i])),
                     });
                 }
-                abs_transfer(dop, st);
+                abs_transfer(inst, st);
                 pc += 1;
             }
             Op::If { else_pc, .. } => {
@@ -354,23 +359,7 @@ fn abs_exec_range(ops: &[Op], facts: &mut Facts, st: &mut AbsState, start: usize
                 pc = endif_pc + 1;
             }
             Op::WhileBegin => {
-                // This loop's test is the first one at depth 0; its
-                // `end_pc` is one past the matching `WhileEnd`.
-                let mut depth = 0usize;
-                let (test_pc, end_pc) = (pc + 1..end)
-                    .find_map(|j| match &ops[j] {
-                        Op::WhileBegin => {
-                            depth += 1;
-                            None
-                        }
-                        Op::WhileEnd { .. } => {
-                            depth -= 1;
-                            None
-                        }
-                        Op::WhileTest { end_pc, .. } if depth == 0 => Some((j, *end_pc as usize - 1)),
-                        _ => None,
-                    })
-                    .expect("loop has a WhileTest");
+                let (test_pc, end_pc) = loop_markers(ops, pc);
                 // `st` is the loop-head state: the entry state joined with
                 // every body-end state. Each round runs the condition
                 // block (executed on every trip, the exiting one
@@ -412,8 +401,8 @@ const CHUNK: usize = 32;
 /// `set = uses ∪ (set − defs)`: one instruction's liveness transfer
 /// (pinned rows are never removed). Returns the instruction's defs.
 #[inline(always)]
-fn step_back(dop: &DOp, set: &mut [u64], pinned: &[u64]) -> [Rows; 2] {
-    let (defs, uses) = defs_uses(dop);
+fn step_back(inst: &Inst, set: &mut [u64], pinned: &[u64]) -> [Rows; 2] {
+    let (defs, uses) = defs_uses(inst);
     each_row(&defs, |r| set[r / 64] &= !(1u64 << (r % 64)) | pinned[r / 64]);
     each_row(&uses, |r| set[r / 64] |= 1u64 << (r % 64));
     defs
@@ -438,8 +427,8 @@ impl Liveness {
         let i = self.nodes.partition_point(|&start| (start as usize) < pc);
         let mut set = self.live[i * self.pinned.len()..][..self.pinned.len()].to_vec();
         for op in ops[pc..self.nodes[i] as usize].iter().rev() {
-            let Op::I { dop, .. } = op else { unreachable!("control ops are nodes") };
-            step_back(dop, &mut set, &self.pinned);
+            let Op::I { inst, .. } = op else { unreachable!("control ops are nodes") };
+            step_back(inst, &mut set, &self.pinned);
         }
         RowSet(set)
     }
@@ -526,16 +515,16 @@ fn liveness(ops: &[Op], num_regs: usize) -> Liveness {
     nodes.push(ops.len() as u32);
     let mut pinned = vec![0u64; w];
     for op in ops {
-        if let Op::I { dop: DOp::ShflIdx { a, .. }, .. } = op {
-            pinned[*a as usize / 32 / 64] |= 1u64 << (*a as usize / 32 % 64);
+        if let Op::I { inst: Inst::ShflIdx { a, .. }, .. } = op {
+            pinned[*a as usize / 64] |= 1u64 << (*a as usize % 64);
         }
     }
     let mut sums = vec![0u64; nodes.len() * 2 * w];
     for (node, sum) in nodes.windows(2).zip(sums.chunks_exact_mut(2 * w)) {
         let (gen, kill) = sum.split_at_mut(w);
         for op in ops[node[0] as usize..node[1] as usize].iter().rev() {
-            let Op::I { dop, .. } = op else { break };
-            let defs = step_back(dop, gen, &pinned);
+            let Op::I { inst, .. } = op else { break };
+            let defs = step_back(inst, gen, &pinned);
             each_row(&defs, |r| kill[r / 64] |= 1u64 << (r % 64) & !pinned[r / 64]);
         }
     }
@@ -608,8 +597,8 @@ mod tests {
         (0..ops.len()).filter(|&pc| pred(&ops[pc])).nth(k).expect("op present")
     }
 
-    fn live_in(f: &Facts, k: &Kernel, pc: usize, row: u32) -> bool {
-        f.live_at(k.decoded_program().ops(), pc).has(row)
+    fn live_in(f: &Facts, k: &Kernel, pc: usize, r: Reg) -> bool {
+        f.live_at(k.decoded_program().ops(), pc).has(r)
     }
 
     fn rows_of(rows: &[Rows]) -> Vec<usize> {
@@ -620,11 +609,15 @@ mod tests {
 
     #[test]
     fn defs_and_uses_cover_multi_row_operands() {
-        let (defs, uses) =
-            defs_uses(&DOp::DivBig { d: 64, dn: 2, a: 128, an: 3, b: 320, bn: 1, rem: false });
-        assert_eq!(rows_of(&defs), [2, 3]);
-        assert_eq!(rows_of(&uses), [4, 5, 6, 10]);
-        let (defs, uses) = defs_uses(&DOp::StGlobalU8 { buf: 0, addr: 32, src: 96 });
+        for div in [
+            Inst::DivBig { d: 2, dn: 2, a: 4, an: 3, b: 10, bn: 1 },
+            Inst::RemBig { d: 2, dn: 2, a: 4, an: 3, b: 10, bn: 1 },
+        ] {
+            let (defs, uses) = defs_uses(&div);
+            assert_eq!(rows_of(&defs), [2, 3]);
+            assert_eq!(rows_of(&uses), [4, 5, 6, 10]);
+        }
+        let (defs, uses) = defs_uses(&Inst::StGlobalU8 { buf: 0, addr: 1, src: 3 });
         assert_eq!(rows_of(&defs), [0usize; 0]);
         assert_eq!(rows_of(&uses), [1, 3]);
     }
@@ -656,23 +649,22 @@ mod tests {
         kb.push(I::StGlobal { buf: 0, addr: lane, src: out });
         let k = kb.finish("live", 8);
         let f = facts_of(&k);
-        let row = |r: u16| r as u32 * 32;
-        let imm = |k: &Kernel, n| pc_of(k, n, |op| matches!(op, Op::I { dop: DOp::MovImm { .. }, .. }));
-        assert!(!live_in(&f, &k, imm(&k, 1), row(x)), "x is rewritten before any read");
-        assert!(live_in(&f, &k, imm(&k, 2) + 1, row(x)));
+        let imm = |k: &Kernel, n| pc_of(k, n, |op| matches!(op, Op::I { inst: I::MovImm { .. }, .. }));
+        assert!(!live_in(&f, &k, imm(&k, 1), x), "x is rewritten before any read");
+        assert!(live_in(&f, &k, imm(&k, 2) + 1, x));
         let if_pc = pc_of(&k, 0, |op| matches!(op, Op::If { .. }));
-        assert!(live_in(&f, &k, if_pc, row(e)), "the else arm reads e");
-        assert!(!live_in(&f, &k, if_pc + 1, row(e)), "the then arm does not");
+        assert!(live_in(&f, &k, if_pc, e), "the else arm reads e");
+        assert!(!live_in(&f, &k, if_pc + 1, e), "the then arm does not");
         let acc_write = imm(&k, 4);
-        assert!(live_in(&f, &k, acc_write + 1, row(acc)), "the next trip reads acc");
-        assert!(!live_in(&f, &k, acc_write, row(acc)), "but not between the read and the write");
-        assert!(live_in(&f, &k, 0, row(acc)), "the first trip reads the zeroed file");
-        assert!(live_in(&f, &k, 0, row(trips)) && !live_in(&f, &k, 0, row(out)) && !live_in(&f, &k, 0, row(x)));
+        assert!(live_in(&f, &k, acc_write + 1, acc), "the next trip reads acc");
+        assert!(!live_in(&f, &k, acc_write, acc), "but not between the read and the write");
+        assert!(live_in(&f, &k, 0, acc), "the first trip reads the zeroed file");
+        assert!(live_in(&f, &k, 0, trips) && !live_in(&f, &k, 0, out) && !live_in(&f, &k, 0, x));
         let ops = k.decoded_program().ops();
-        assert!((0..=ops.len()).all(|pc| live_in(&f, &k, pc, row(src))), "shuffle sources are pinned");
-        assert!(!live_in(&f, &k, ops.len(), row(out)), "nothing else outlives the program");
-        assert_eq!(f.entry_live_rows(ops, k.num_regs as usize), [row(acc), row(src), row(lane), row(trips)]);
+        assert!((0..=ops.len()).all(|pc| live_in(&f, &k, pc, src)), "shuffle sources are pinned");
+        assert!(!live_in(&f, &k, ops.len(), out), "nothing else outlives the program");
+        assert_eq!(f.entry_live_regs(ops, k.num_regs as usize), [acc, src, lane, trips]);
         let broken = seeded_bug::with(seeded_bug::Bug::LivenessDropsBackEdge, || facts_of(&k));
-        assert!(!live_in(&broken, &k, acc_write + 1, row(acc)), "the seeded bug loses the back edge");
+        assert!(!live_in(&broken, &k, acc_write + 1, acc), "the seeded bug loses the back edge");
     }
 }

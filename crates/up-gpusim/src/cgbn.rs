@@ -368,8 +368,7 @@ mod tests {
             let a = UpDecimal::parse("1.0000000001", ty(12, 10)).unwrap().cast(t).unwrap();
             let (_, cost) = group_eval(GroupOp::Add, &a, &a, Tpi(tpi)).unwrap();
             let stats = op_stats(&cost, n, Tpi(tpi), &device);
-            let k = crate::ptx::KernelBuilder::new().finish("t", group_hw_regs(lw, Tpi(tpi)));
-            crate::cost::kernel_time(&k, &stats, &device).total_s
+            crate::cost::kernel_time(group_hw_regs(lw, Tpi(tpi)), &stats, &device).total_s
         };
         let t1_len32 = time(32, 1);
         let t8_len32 = time(32, 8);

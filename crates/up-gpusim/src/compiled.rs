@@ -3,7 +3,7 @@
 //!
 //! The tier-2 interpreter in [`crate::decoded`] already runs full-mask
 //! superblocks with no divergence bookkeeping, but it still pays one trip
-//! through a ~40-arm `DOp` match per instruction and updates the stats
+//! through a ~40-arm `Inst` match per instruction and updates the stats
 //! fields per instruction. This module *compiles* each superblock once
 //! into a chain of small monomorphized Rust closures over the same
 //! structure-of-arrays register file:
@@ -63,7 +63,7 @@
 //!   instructions lowered the ordinary way.
 //! * Shared-memory ops, `ld.param`, and `DivBig` (data-dependent cycles)
 //!   stay interpreter steps (`Step::Interp`) executed by the *same*
-//!   `exec_dop` the decoded tier uses, frame-for-frame. The step is not
+//!   `exec_inst` the decoded tier uses, frame-for-frame. The step is not
 //!   where `DivBig`'s time goes: its arm divides the whole warp with one
 //!   lane-parallel Algorithm D at AVX-512 width (module `divbig`),
 //!   chosen by [`thunk_isa`] like the ALU thunks, so both tiers share it.
@@ -86,9 +86,9 @@
 #[cfg(test)]
 use crate::analysis::seeded_bug;
 use crate::analysis::{analyze, Facts};
-use crate::decoded::{DCtx, DOp, DecodedProgram, MemOpKind, Op};
+use crate::decoded::{row_off, DCtx, DecodedProgram, MemOpKind, Op};
 use crate::exec::{full_mask, note_transactions, note_transactions_affine, Geometry, SimError};
-use crate::ptx::{AddrForm, Kernel};
+use crate::ptx::{AddrForm, Inst, Kernel, Reg};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -109,8 +109,8 @@ enum Step {
     Mem(MemStep),
     /// A single instruction that touches shared memory/params or
     /// contributes data-dependent cycles — executed by the decoded tier's
-    /// `exec_dop` with exactly the interpreter's per-instruction stats.
-    Interp { dop: DOp, cycles: f64 },
+    /// `exec_inst` with exactly the interpreter's per-instruction stats.
+    Interp { inst: Inst, cycles: f64 },
     /// A fused compact-codec byte run (see [`scan_codec_run`]);
     /// `fallback` is the same instructions lowered the ordinary way, run
     /// when [`exec_fused`] reports a failed precondition.
@@ -661,11 +661,11 @@ fn run_steps(
                 c.stats.thread_insts += lanes_n as u64;
                 exec_mem(m, c, lanes_n)?;
             }
-            Step::Interp { dop, cycles } => {
+            Step::Interp { inst, cycles } => {
                 c.stats.warp_issues += 1;
                 c.stats.warp_issue_cycles += *cycles;
                 c.stats.thread_insts += lanes_n as u64;
-                crate::decoded::exec_dop::<true>(c, dop, geom, full, lanes_n)?;
+                crate::decoded::exec_inst::<true>(c, inst, geom, full, lanes_n)?;
             }
             Step::Fused { run, fallback } => {
                 if !exec_fused(run, c, lanes_n)? {
@@ -892,7 +892,8 @@ pub(crate) fn listing_facts(kernel: &Kernel) -> (Vec<AddrForm>, Vec<FusedRunInfo
 // Lowering.
 // ---------------------------------------------------------------------------
 
-/// Fused carry-chain micro-ops: operand offsets pre-resolved to SoA rows.
+/// Fused carry-chain micro-ops: operand registers resolved to SoA row
+/// offsets.
 #[derive(Clone, Copy)]
 enum CarryKind {
     AddCC,
@@ -912,34 +913,15 @@ struct CarryOp {
     c: usize,
 }
 
-fn carry_op(dop: &DOp) -> Option<CarryOp> {
-    Some(match *dop {
-        DOp::AddCC { d, a, b } => {
-            CarryOp { kind: CarryKind::AddCC, d: d as usize, a: a as usize, b: b as usize, c: 0 }
-        }
-        DOp::AddC { d, a, b } => {
-            CarryOp { kind: CarryKind::AddC, d: d as usize, a: a as usize, b: b as usize, c: 0 }
-        }
-        DOp::SubCC { d, a, b } => {
-            CarryOp { kind: CarryKind::SubCC, d: d as usize, a: a as usize, b: b as usize, c: 0 }
-        }
-        DOp::SubC { d, a, b } => {
-            CarryOp { kind: CarryKind::SubC, d: d as usize, a: a as usize, b: b as usize, c: 0 }
-        }
-        DOp::MadLoCC { d, a, b, c } => CarryOp {
-            kind: CarryKind::MadLoCC,
-            d: d as usize,
-            a: a as usize,
-            b: b as usize,
-            c: c as usize,
-        },
-        DOp::MadHiC { d, a, b, c } => CarryOp {
-            kind: CarryKind::MadHiC,
-            d: d as usize,
-            a: a as usize,
-            b: b as usize,
-            c: c as usize,
-        },
+fn carry_op(inst: &Inst) -> Option<CarryOp> {
+    let op = |kind, d, a, b, c| CarryOp { kind, d: row_off(d), a: row_off(a), b: row_off(b), c: row_off(c) };
+    Some(match *inst {
+        Inst::AddCC { d, a, b } => op(CarryKind::AddCC, d, a, b, 0),
+        Inst::AddC { d, a, b } => op(CarryKind::AddC, d, a, b, 0),
+        Inst::SubCC { d, a, b } => op(CarryKind::SubCC, d, a, b, 0),
+        Inst::SubC { d, a, b } => op(CarryKind::SubC, d, a, b, 0),
+        Inst::MadLoCC { d, a, b, c } => op(CarryKind::MadLoCC, d, a, b, c),
+        Inst::MadHiC { d, a, b, c } => op(CarryKind::MadHiC, d, a, b, c),
         _ => return None,
     })
 }
@@ -1005,7 +987,7 @@ macro_rules! thunk_constructors {
         /// loaded into a local tile once and stored once, and each op runs a
         /// register-tiled, constant-trip-count lane loop over it that the
         /// autovectorizer can SIMD across the warp. Bit-identical to executing
-        /// the ops one at a time through `exec_dop`: every lane < `n` computes the
+        /// the ops one at a time through `exec_inst`: every lane < `n` computes the
         /// same flag sequence, and lanes ≥ `n` of the row are dead storage.
         $(#[$attr])*
         pub(super) fn fuse_chain(chain: Vec<CarryOp>) -> AluThunk {
@@ -1221,19 +1203,19 @@ macro_rules! thunk_constructors {
         /// ops that must stay interpreter steps (memory, params, `DivBig` — and
         /// the carry ops, which are handled by [`fuse_chain`]).
         $(#[$attr])*
-        pub(super) fn lower_thunk(dop: &DOp) -> Option<AluThunk> {
+        pub(super) fn lower_thunk(inst: &Inst) -> Option<AluThunk> {
             use crate::ptx::Special;
-            Some(match *dop {
-                DOp::MovImm { d, imm } => {
-                    let d = d as usize;
+            Some(match *inst {
+                Inst::MovImm { d, imm } => {
+                    let d = row_off(d);
                     Box::new(move |regs, _, _, _, _| row_mut(regs, d).fill(imm))
                 }
-                DOp::Mov { d, a } => {
-                    let (d, a) = (d as usize, a as usize);
+                Inst::Mov { d, a } => {
+                    let (d, a) = (row_off(d), row_off(a));
                     Box::new(move |regs: &mut [u32], _, _, _, _| regs.copy_within(a..a + 32, d))
                 }
-                DOp::MovSpecial { d, s } => {
-                    let d = d as usize;
+                Inst::MovSpecial { d, s } => {
+                    let d = row_off(d);
                     match s {
                         Special::TidX => Box::new(move |regs, _, _, geom: &Geometry, _| {
                             let base = geom.tid_base;
@@ -1252,61 +1234,61 @@ macro_rules! thunk_constructors {
                         }),
                     }
                 }
-                DOp::Add { d, a, b } => {
-                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_add(y))
+                Inst::Add { d, a, b } => {
+                    bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x.wrapping_add(y))
                 }
-                DOp::Sub { d, a, b } => {
-                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_sub(y))
+                Inst::Sub { d, a, b } => {
+                    bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x.wrapping_sub(y))
                 }
-                DOp::MulLo { d, a, b } => {
-                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x.wrapping_mul(y))
+                Inst::MulLo { d, a, b } => {
+                    bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x.wrapping_mul(y))
                 }
-                DOp::MulHi { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                Inst::MulHi { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| {
                     ((x as u64 * y as u64) >> 32) as u32
                 }),
-                DOp::Div { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                Inst::Div { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| {
                     x.checked_div(y).unwrap_or(u32::MAX)
                 }),
-                DOp::Rem { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| {
+                Inst::Rem { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| {
                     if y == 0 { x } else { x % y }
                 }),
-                DOp::Div64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
-                    dlo as usize,
-                    dhi as usize,
-                    alo as usize,
-                    ahi as usize,
-                    blo as usize,
-                    bhi as usize,
+                Inst::Div64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
+                    row_off(dlo),
+                    row_off(dhi),
+                    row_off(alo),
+                    row_off(ahi),
+                    row_off(blo),
+                    row_off(bhi),
                     |x, y| x.checked_div(y).unwrap_or(u64::MAX),
                 ),
-                DOp::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
-                    dlo as usize,
-                    dhi as usize,
-                    alo as usize,
-                    ahi as usize,
-                    blo as usize,
-                    bhi as usize,
+                Inst::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => wide_thunk(
+                    row_off(dlo),
+                    row_off(dhi),
+                    row_off(alo),
+                    row_off(ahi),
+                    row_off(blo),
+                    row_off(bhi),
                     |x, y| if y == 0 { x } else { x % y },
                 ),
-                DOp::Bfind { d, a } => un_thunk(d as usize, a as usize, |v| {
+                Inst::Bfind { d, a } => un_thunk(row_off(d), row_off(a), |v| {
                     if v == 0 { u32::MAX } else { 31 - v.leading_zeros() }
                 }),
-                DOp::Shl { d, a, b } => {
-                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x << (y & 31))
+                Inst::Shl { d, a, b } => {
+                    bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x << (y & 31))
                 }
-                DOp::Shr { d, a, b } => {
-                    bin_thunk(d as usize, a as usize, b as usize, |x, y| x >> (y & 31))
+                Inst::Shr { d, a, b } => {
+                    bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x >> (y & 31))
                 }
-                DOp::And { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x & y),
-                DOp::Or { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x | y),
-                DOp::Xor { d, a, b } => bin_thunk(d as usize, a as usize, b as usize, |x, y| x ^ y),
-                DOp::SetP { p, op, a, b } => {
-                    lower_cmp(p as usize, a as usize, BSource::Reg(b as usize), op)
+                Inst::And { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x & y),
+                Inst::Or { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x | y),
+                Inst::Xor { d, a, b } => bin_thunk(row_off(d), row_off(a), row_off(b), |x, y| x ^ y),
+                Inst::SetP { p, op, a, b } => {
+                    lower_cmp(p as usize, row_off(a), BSource::Reg(row_off(b)), op)
                 }
-                DOp::SetPImm { p, op, a, imm } => {
-                    lower_cmp(p as usize, a as usize, BSource::Imm(imm), op)
+                Inst::SetPImm { p, op, a, imm } => {
+                    lower_cmp(p as usize, row_off(a), BSource::Imm(imm), op)
                 }
-                DOp::PAnd { p, a, b } => {
+                Inst::PAnd { p, a, b } => {
                     let (p, a, b) = (p as usize, a as usize, b as usize);
                     Box::new(move |_, preds: &mut [u32], _, _, n| {
                         let mask = full_mask(n);
@@ -1314,7 +1296,7 @@ macro_rules! thunk_constructors {
                         preds[p] = (preds[p] & !mask) | (computed & mask);
                     })
                 }
-                DOp::PNot { p, a } => {
+                Inst::PNot { p, a } => {
                     let (p, a) = (p as usize, a as usize);
                     Box::new(move |_, preds: &mut [u32], _, _, n| {
                         let mask = full_mask(n);
@@ -1322,8 +1304,8 @@ macro_rules! thunk_constructors {
                         preds[p] = (preds[p] & !mask) | (computed & mask);
                     })
                 }
-                DOp::Selp { d, a, b, p } => {
-                    let (d, a, b, p) = (d as usize, a as usize, b as usize, p as usize);
+                Inst::Selp { d, a, b, p } => {
+                    let (d, a, b, p) = (row_off(d), row_off(a), row_off(b), p as usize);
                     Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, _| {
                         let pbits = preds[p];
                         let mut td = [0u32; 32];
@@ -1337,9 +1319,9 @@ macro_rules! thunk_constructors {
                     })
                 }
                 // Cost-only under sequential warps — same no-op as the interpreter.
-                DOp::BarSync => Box::new(move |_, _, _, _, _| {}),
-                DOp::ShflIdx { d, a, lane } => {
-                    let (d, a, lane) = (d as usize, a as usize, lane as usize);
+                Inst::BarSync => Box::new(move |_, _, _, _, _| {}),
+                Inst::ShflIdx { d, a, lane } => {
+                    let (d, a, lane) = (row_off(d), row_off(a), row_off(lane));
                     Box::new(move |regs, _, _, _, n| {
                         // Gather before scattering so reads see pre-shuffle values.
                         let mut vals = [0u32; 32];
@@ -1350,28 +1332,29 @@ macro_rules! thunk_constructors {
                         regs[d..d + n].copy_from_slice(&vals[..n]);
                     })
                 }
-                DOp::Ballot { d, p } => {
-                    let (d, p) = (d as usize, p as usize);
+                Inst::Ballot { d, p } => {
+                    let (d, p) = (row_off(d), p as usize);
                     Box::new(move |regs: &mut [u32], preds: &mut [u32], _, _, n| {
                         let ballot = preds[p] & full_mask(n);
                         regs[d..d + n].fill(ballot);
                     })
                 }
                 // Memory, params, and data-dependent-cost ops stay interpreted.
-                DOp::AddCC { .. }
-                | DOp::AddC { .. }
-                | DOp::SubCC { .. }
-                | DOp::SubC { .. }
-                | DOp::MadLoCC { .. }
-                | DOp::MadHiC { .. }
-                | DOp::LdGlobal { .. }
-                | DOp::LdGlobalU8 { .. }
-                | DOp::StGlobal { .. }
-                | DOp::StGlobalU8 { .. }
-                | DOp::LdShared { .. }
-                | DOp::StShared { .. }
-                | DOp::LdParam { .. }
-                | DOp::DivBig { .. } => return None,
+                Inst::AddCC { .. }
+                | Inst::AddC { .. }
+                | Inst::SubCC { .. }
+                | Inst::SubC { .. }
+                | Inst::MadLoCC { .. }
+                | Inst::MadHiC { .. }
+                | Inst::LdGlobal { .. }
+                | Inst::LdGlobalU8 { .. }
+                | Inst::StGlobal { .. }
+                | Inst::StGlobalU8 { .. }
+                | Inst::LdShared { .. }
+                | Inst::StShared { .. }
+                | Inst::LdParam { .. }
+                | Inst::DivBig { .. }
+                | Inst::RemBig { .. } => return None,
             })
         }
 
@@ -1381,20 +1364,20 @@ macro_rules! thunk_constructors {
         /// op's sources intact, or the fused read-once would diverge from the
         /// interpreter.
         $(#[$attr])*
-        pub(super) fn fuse_mul_pair(first: &DOp, next: Option<&Op>) -> Option<AluThunk> {
-            let Some(Op::I { dop: second, .. }) = next else { return None };
+        pub(super) fn fuse_mul_pair(first: &Inst, next: Option<&Op>) -> Option<AluThunk> {
+            let Some(Op::I { inst: second, .. }) = next else { return None };
             let same_pair =
-                |a1: u32, b1: u32, a2: u32, b2: u32| (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2);
+                |a1: Reg, b1: Reg, a2: Reg, b2: Reg| (a1 == a2 && b1 == b2) || (a1 == b2 && b1 == a2);
             match (first, second) {
-                (&DOp::MulLo { d: d1, a, b }, &DOp::MulHi { d: d2, a: a2, b: b2 })
+                (&Inst::MulLo { d: d1, a, b }, &Inst::MulHi { d: d2, a: a2, b: b2 })
                     if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
                 {
-                    Some(mul_pair_thunk(d1 as usize, d2 as usize, a as usize, b as usize, true))
+                    Some(mul_pair_thunk(row_off(d1), row_off(d2), row_off(a), row_off(b), true))
                 }
-                (&DOp::MulHi { d: d1, a, b }, &DOp::MulLo { d: d2, a: a2, b: b2 })
+                (&Inst::MulHi { d: d1, a, b }, &Inst::MulLo { d: d2, a: a2, b: b2 })
                     if same_pair(a, b, a2, b2) && d1 != a2 && d1 != b2 =>
                 {
-                    Some(mul_pair_thunk(d2 as usize, d1 as usize, a as usize, b as usize, false))
+                    Some(mul_pair_thunk(row_off(d2), row_off(d1), row_off(a), row_off(b), false))
                 }
                 _ => None,
             }
@@ -1605,17 +1588,17 @@ impl FusedRun {
 }
 
 /// Scratch of [`scan_codec_run`], allocated once per [`compile`]: the
-/// rows the current run has written and their symbolic values.
+/// registers the current run has written and their symbolic values.
 struct CodecScan {
-    /// `slot[row / 32]`: index into `vals`, or `u32::MAX` for a row the
+    /// `slot[reg]`: index into `vals`, or `u32::MAX` for a register the
     /// run has not written.
     slot: Vec<u32>,
-    /// `(row, value)` in first-write order.
-    vals: Vec<(u32, Sym)>,
+    /// `(reg, value)` in first-write order.
+    vals: Vec<(Reg, Sym)>,
     /// Term arena of the current run's values (append-only; superseded
     /// values leave garbage that [`scan_codec_run`] does not copy out).
     terms: Vec<Term>,
-    assumed: Vec<(u32, u32)>,
+    assumed: Vec<(Reg, u32)>,
 }
 
 impl CodecScan {
@@ -1630,31 +1613,31 @@ impl CodecScan {
 
     fn reset(&mut self) {
         for (r, _) in self.vals.drain(..) {
-            self.slot[r as usize / 32] = u32::MAX;
+            self.slot[r as usize] = u32::MAX;
         }
         self.terms.clear();
         self.assumed.clear();
     }
 
-    /// The value of operand row `r`: what the run last wrote there, else
-    /// its analysed constant `k`, else its run-entry contents.
-    fn val(&mut self, r: u32, k: Option<u32>) -> Sym {
-        match (self.slot[r as usize / 32], k) {
+    /// The value of operand register `r`: what the run last wrote there,
+    /// else its analysed constant `k`, else its run-entry contents.
+    fn val(&mut self, r: Reg, k: Option<u32>) -> Sym {
+        match (self.slot[r as usize], k) {
             (u32::MAX, Some(k)) => {
                 if cfg!(debug_assertions) {
                     self.assumed.push((r, k));
                 }
                 Sym::konst(k)
             }
-            (u32::MAX, None) => self.leaf(Leaf::Row(r), u32::MAX),
+            (u32::MAX, None) => self.leaf(Leaf::Row(row_off(r) as u32), u32::MAX),
             (i, _) => self.vals[i as usize].1,
         }
     }
 
-    fn set(&mut self, r: u32, v: Sym) {
-        match self.slot[r as usize / 32] {
+    fn set(&mut self, r: Reg, v: Sym) {
+        match self.slot[r as usize] {
             u32::MAX => {
-                self.slot[r as usize / 32] = self.vals.len() as u32;
+                self.slot[r as usize] = self.vals.len() as u32;
                 self.vals.push((r, v));
             }
             i => self.vals[i as usize].1 = v,
@@ -1729,7 +1712,7 @@ fn scan_codec_run(
     pcs: std::ops::Range<usize>,
     sc: &mut CodecScan,
 ) -> Option<FusedRun> {
-    let Op::I { dop: head, .. } = &ops[pcs.start] else { return None };
+    let Op::I { inst: head, .. } = &ops[pcs.start] else { return None };
     let head = head.mem_ref()?;
     let is_store = match head.kind {
         MemOpKind::LdByte => false,
@@ -1745,12 +1728,12 @@ fn scan_codec_run(
     let mut stores: Vec<Sym> = Vec::new();
     let mut end = pcs.start;
     for pc in pcs.clone() {
-        let Op::I { dop, .. } = &ops[pc] else { unreachable!("superblock runs are all I") };
+        let Op::I { inst, .. } = &ops[pc] else { unreachable!("superblock runs are all I") };
         let [ka, kb] = facts.consts[pc].unwrap_or([None, None]);
         // Only the run's own memory ops and bumps may touch the address row.
-        let is_addr = |r: u32| r == head.addr;
-        let written = match *dop {
-            DOp::Add { d, a, b } if is_addr(d) && a == d && b != d => {
+        let is_addr = |r: Reg| r == head.addr;
+        let written = match *inst {
+            Inst::Add { d, a, b } if is_addr(d) && a == d && b != d => {
                 let k = sc.val(b, kb);
                 match delta.checked_add(k.konst).filter(|&m| k.len == 0 && m < MAX_SPAN) {
                     Some(moved) => delta = moved,
@@ -1759,7 +1742,7 @@ fn scan_codec_run(
                 end = pc + 1;
                 continue;
             }
-            DOp::StGlobalU8 { buf, addr, src }
+            Inst::StGlobalU8 { buf, addr, src }
                 if is_store && buf == head.buf && is_addr(addr) && !is_addr(src) =>
             {
                 if delta >= stride || mem_offs.last() == Some(&delta) {
@@ -1770,7 +1753,7 @@ fn scan_codec_run(
                 end = pc + 1;
                 continue;
             }
-            DOp::LdGlobalU8 { d, buf, addr }
+            Inst::LdGlobalU8 { d, buf, addr }
                 if !is_store && buf == head.buf && is_addr(addr) && !is_addr(d) =>
             {
                 // Offsets only grow, so a repeat is a repeat of the last.
@@ -1780,22 +1763,22 @@ fn scan_codec_run(
                 mem_offs.push(delta);
                 Some((d, sc.leaf(Leaf::Plane(loaded.len() as u16 - 1), 0xff)))
             }
-            DOp::MovImm { d, imm } => Some((d, Sym::konst(imm))),
-            DOp::Mov { d, a } if !is_addr(a) => Some((d, sc.val(a, ka))),
-            DOp::Shl { d, a, b } | DOp::Shr { d, a, b } if !is_addr(a) && !is_addr(b) => {
+            Inst::MovImm { d, imm } => Some((d, Sym::konst(imm))),
+            Inst::Mov { d, a } if !is_addr(a) => Some((d, sc.val(a, ka))),
+            Inst::Shl { d, a, b } | Inst::Shr { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, k) = (sc.val(a, ka), sc.val(b, kb));
                 let by = k.konst & 31;
-                (k.len == 0).then(|| match dop {
-                    DOp::Shl { .. } => (d, sc.map(va, va.konst << by, |t| t.shl(by))),
+                (k.len == 0).then(|| match inst {
+                    Inst::Shl { .. } => (d, sc.map(va, va.konst << by, |t| t.shl(by))),
                     _ => (d, sc.map(va, va.konst >> by, |t| t.shr(by))),
                 })
             }
-            DOp::And { d, a, b } if !is_addr(a) && !is_addr(b) => {
+            Inst::And { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
                 let (v, k) = if vb.len == 0 { (va, vb.konst) } else { (vb, va.konst) };
                 (va.len == 0 || vb.len == 0).then(|| (d, sc.map(v, v.konst & k, |t| Some(t.and(k)))))
             }
-            DOp::Or { d, a, b } if !is_addr(a) && !is_addr(b) => {
+            Inst::Or { d, a, b } if !is_addr(a) && !is_addr(b) => {
                 let (va, vb) = (sc.val(a, ka), sc.val(b, kb));
                 sc.or(va, vb).map(|v| (d, v))
             }
@@ -1860,16 +1843,17 @@ fn scan_codec_run(
     }
     let live = facts.live_at(ops, end);
     let (mut outs, mut pruned) = (Vec::new(), Vec::new());
-    for (row, v) in sc.vals.iter() {
-        if !live.has(*row) {
-            pruned.push(*row);
+    for &(reg, v) in sc.vals.iter() {
+        let row = row_off(reg) as u32;
+        if !live.has(reg) {
+            pruned.push(row);
             continue;
         }
         let t0 = terms.len();
         for t in &sc.terms[v.range()] {
             push_term(&mut terms, t0, place(*t));
         }
-        outs.push((*row, Sym { konst: v.konst, t0: t0 as u32, len: (terms.len() - t0) as u32 }));
+        outs.push((row, Sym { konst: v.konst, t0: t0 as u32, len: (terms.len() - t0) as u32 }));
     }
     sc.assumed.sort_unstable();
     sc.assumed.dedup();
@@ -1888,7 +1872,7 @@ fn scan_codec_run(
     };
     Some(FusedRun {
         buf: head.buf,
-        addr: head.addr,
+        addr: row_off(head.addr) as u32,
         stride,
         mem_offs: mem_offs.into_boxed_slice(),
         span,
@@ -1906,7 +1890,7 @@ fn scan_codec_run(
         scatters: scatters.into_boxed_slice(),
         outs: outs.into_boxed_slice(),
         terms: terms.into_boxed_slice(),
-        assumed: sc.assumed.as_slice().into(),
+        assumed: sc.assumed.iter().map(|&(r, k)| (row_off(r) as u32, k)).collect(),
         #[cfg(any(test, debug_assertions))]
         pruned: pruned.into_boxed_slice(),
         info,
@@ -1934,7 +1918,11 @@ pub(crate) fn compile(kernel: &Kernel) -> CompiledProgram {
         lowered_superblocks: 0,
         fused_codec_mem_insts: 0,
         fused_runs: Vec::new(),
-        entry_live: facts.entry_live_rows(ops, kernel.num_regs as usize).into_boxed_slice(),
+        entry_live: facts
+            .entry_live_regs(ops, kernel.num_regs as usize)
+            .into_iter()
+            .map(|r| row_off(r) as u32)
+            .collect(),
     };
     let mut i = 0usize;
     while i < ops.len() {
@@ -2010,20 +1998,20 @@ fn lower_steps(
 
     let mut i = 0;
     while i < run.len() {
-        let Op::I { dop, cycles: cy, .. } = &run[i] else {
+        let Op::I { inst, cycles: cy, .. } = &run[i] else {
             unreachable!("superblock runs are all I")
         };
         // Batched cycle sums equal the interpreter's one-by-one additions
         // only while every cost is a non-negative integer.
         debug_assert!(*cy >= 0.0 && cy.fract() == 0.0, "non-integral issue cost {cy}");
-        if let Some(cop) = carry_op(dop) {
+        if let Some(cop) = carry_op(inst) {
             chain.push(cop);
             seg.count(1, *cy);
             tally.alu_insts += 1;
             i += 1;
             continue;
         }
-        if let Some(thunk) = with_isa!(tally.isa, fuse_mul_pair(dop, run.get(i + 1))) {
+        if let Some(thunk) = with_isa!(tally.isa, fuse_mul_pair(inst, run.get(i + 1))) {
             let Some(Op::I { cycles: cy2, .. }) = run.get(i + 1) else { unreachable!() };
             flush_chain(&mut chain, &mut seg.thunks, tally);
             seg.thunks.push(thunk);
@@ -2032,7 +2020,7 @@ fn lower_steps(
             i += 2;
             continue;
         }
-        if let Some(thunk) = with_isa!(tally.isa, lower_thunk(dop)) {
+        if let Some(thunk) = with_isa!(tally.isa, lower_thunk(inst)) {
             flush_chain(&mut chain, &mut seg.thunks, tally);
             seg.thunks.push(thunk);
             seg.count(1, *cy);
@@ -2043,8 +2031,8 @@ fn lower_steps(
         // A step that touches stats itself ends the pending segment.
         flush_chain(&mut chain, &mut seg.thunks, tally);
         seg.flush(&mut steps);
-        let Some(mr) = dop.mem_ref() else {
-            steps.push(Step::Interp { dop: dop.clone(), cycles: *cy });
+        let Some(mr) = inst.mem_ref() else {
+            steps.push(Step::Interp { inst: inst.clone(), cycles: *cy });
             tally.interp_insts += 1;
             i += 1;
             continue;
@@ -2070,8 +2058,8 @@ fn lower_steps(
         steps.push(Step::Mem(MemStep {
             kind: mr.kind,
             buf: mr.buf,
-            addr: mr.addr,
-            data: mr.data,
+            addr: row_off(mr.addr) as u32,
+            data: row_off(mr.data) as u32,
             affine,
             cycles: *cy,
         }));
@@ -2223,7 +2211,7 @@ pub(crate) mod tests {
         let mem_forms: Vec<AddrForm> = ops
             .iter()
             .zip(forms.iter())
-            .filter(|(op, _)| matches!(op, Op::I { dop, .. } if dop.mem_ref().is_some()))
+            .filter(|(op, _)| matches!(op, Op::I { inst, .. } if inst.mem_ref().is_some()))
             .map(|(_, f)| *f)
             .collect();
         assert_eq!(
@@ -2256,7 +2244,7 @@ pub(crate) mod tests {
         let mem_forms: Vec<AddrForm> = ops
             .iter()
             .zip(forms.iter())
-            .filter(|(op, _)| matches!(op, Op::I { dop, .. } if dop.mem_ref().is_some()))
+            .filter(|(op, _)| matches!(op, Op::I { inst, .. } if inst.mem_ref().is_some()))
             .map(|(_, f)| *f)
             .collect();
         assert_eq!(
@@ -2268,17 +2256,17 @@ pub(crate) mod tests {
 
     /// What a conformance case builds its thunk from.
     enum ThunkSrc {
-        Op(DOp),
+        Op(Inst),
         Chain(Vec<CarryOp>),
-        Pair(DOp, DOp),
+        Pair(Inst, Inst),
     }
 
     fn build(isa: ThunkIsa, src: &ThunkSrc) -> AluThunk {
         match src {
-            ThunkSrc::Op(dop) => with_isa!(isa, lower_thunk(dop)).expect("a lowered op"),
+            ThunkSrc::Op(inst) => with_isa!(isa, lower_thunk(inst)).expect("a lowered op"),
             ThunkSrc::Chain(chain) => with_isa!(isa, fuse_chain(chain.clone())),
             ThunkSrc::Pair(first, second) => {
-                let next = Op::I { dop: second.clone(), cycles: 1.0, run_end: 0 };
+                let next = Op::I { inst: second.clone(), cycles: 1.0, run_end: 0 };
                 with_isa!(isa, fuse_mul_pair(first, Some(&next))).expect("a fused pair")
             }
         }
@@ -2286,7 +2274,7 @@ pub(crate) mod tests {
 
     /// Every thunk set this host runs builds thunks that leave registers,
     /// predicates and the carry row bit-identical to the portable set's:
-    /// every `DOp` kind `lower_thunk` lowers (each special and comparison),
+    /// every `Inst` kind `lower_thunk` lowers (each special and comparison),
     /// carry chains of 1–6 ops starting with each `CarryKind`, their even
     /// ops in place (`d == a`), and `mul.lo`/`mul.hi` pairs in both orders.
     /// Rows are random lanes salted with 0, 1, `u32::MAX` and
@@ -2311,45 +2299,45 @@ pub(crate) mod tests {
         let preds: Vec<u32> = (0..4).map(|_| next()).collect();
         let carry: [u32; 32] = std::array::from_fn(|_| next() & 1);
         let geom = Geometry { tid_base: 96, ctaid: 3, ntid: 128, nctaid: 7 };
-        let mut row = || 32 * (next() % ROWS);
+        let mut row = || (next() % ROWS) as Reg;
         let (d, a, b, c) = (row(), row(), row(), row());
         let mut srcs = vec![
-            DOp::MovImm { d, imm: 0x8000_0001 },
-            DOp::Mov { d, a },
-            DOp::Add { d, a, b },
-            DOp::Sub { d: a, a, b },
-            DOp::MulLo { d, a, b },
-            DOp::MulHi { d, a, b: a },
-            DOp::Div { d, a, b },
-            DOp::Rem { d, a, b },
-            DOp::Div64 { dlo: d, dhi: c, alo: a, ahi: b, blo: c, bhi: a },
-            DOp::Rem64 { dlo: d, dhi: c, alo: a, ahi: b, blo: b, bhi: c },
-            DOp::Bfind { d, a },
-            DOp::Shl { d, a, b },
-            DOp::Shr { d, a, b },
-            DOp::And { d, a, b },
-            DOp::Or { d, a, b },
-            DOp::Xor { d: b, a, b },
-            DOp::PAnd { p: 0, a: 1, b: 2 },
-            DOp::PNot { p: 3, a: 1 },
-            DOp::Selp { d, a, b, p: 2 },
-            DOp::BarSync,
-            DOp::ShflIdx { d, a, lane: b },
-            DOp::Ballot { d, p: 1 },
+            Inst::MovImm { d, imm: 0x8000_0001 },
+            Inst::Mov { d, a },
+            Inst::Add { d, a, b },
+            Inst::Sub { d: a, a, b },
+            Inst::MulLo { d, a, b },
+            Inst::MulHi { d, a, b: a },
+            Inst::Div { d, a, b },
+            Inst::Rem { d, a, b },
+            Inst::Div64 { dlo: d, dhi: c, alo: a, ahi: b, blo: c, bhi: a },
+            Inst::Rem64 { dlo: d, dhi: c, alo: a, ahi: b, blo: b, bhi: c },
+            Inst::Bfind { d, a },
+            Inst::Shl { d, a, b },
+            Inst::Shr { d, a, b },
+            Inst::And { d, a, b },
+            Inst::Or { d, a, b },
+            Inst::Xor { d: b, a, b },
+            Inst::PAnd { p: 0, a: 1, b: 2 },
+            Inst::PNot { p: 3, a: 1 },
+            Inst::Selp { d, a, b, p: 2 },
+            Inst::BarSync,
+            Inst::ShflIdx { d, a, lane: b },
+            Inst::Ballot { d, p: 1 },
         ];
         for s in [Special::TidX, Special::CtaIdX, Special::NTidX, Special::NCtaIdX] {
-            srcs.push(DOp::MovSpecial { d, s });
+            srcs.push(Inst::MovSpecial { d, s });
         }
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            srcs.push(DOp::SetP { p: 1, op, a, b });
-            srcs.push(DOp::SetPImm { p: 2, op, a, imm: 0x8000_0000 });
+            srcs.push(Inst::SetP { p: 1, op, a, b });
+            srcs.push(Inst::SetPImm { p: 2, op, a, imm: 0x8000_0000 });
         }
         let mut cases: Vec<ThunkSrc> = srcs.into_iter().map(ThunkSrc::Op).collect();
         let kinds = [AddCC, AddC, SubCC, SubC, MadLoCC, MadHiC];
         for (k, &first) in kinds.iter().enumerate() {
             for len in 1..=6 {
                 let chain = (0..len).map(|i| {
-                    let [d, a, b, c] = [row(), row(), row(), row()].map(|r| r as usize);
+                    let [d, a, b, c] = [row(), row(), row(), row()].map(row_off);
                     let kind = if i == 0 { first } else { kinds[(k + i + len) % 6] };
                     CarryOp { kind, d: if i % 2 == 0 { a } else { d }, a, b, c }
                 });
@@ -2358,10 +2346,10 @@ pub(crate) mod tests {
         }
         // The first destination is never a source of the second op, or the
         // pair would not fuse.
-        let (x, y) = (32 * 6, 32 * 7);
-        for (d1, d2) in [(32, 32), (32, 64), (64, y)] {
-            cases.push(ThunkSrc::Pair(DOp::MulLo { d: d1, a: x, b: y }, DOp::MulHi { d: d2, a: y, b: x }));
-            cases.push(ThunkSrc::Pair(DOp::MulHi { d: d1, a: x, b: y }, DOp::MulLo { d: d2, a: x, b: y }));
+        let (x, y) = (6, 7);
+        for (d1, d2) in [(1, 1), (1, 2), (2, y)] {
+            cases.push(ThunkSrc::Pair(Inst::MulLo { d: d1, a: x, b: y }, Inst::MulHi { d: d2, a: y, b: x }));
+            cases.push(ThunkSrc::Pair(Inst::MulHi { d: d1, a: x, b: y }, Inst::MulLo { d: d2, a: x, b: y }));
         }
         let run = |t: &AluThunk, n: usize| {
             let (mut r, mut p, mut cy) = (regs.clone(), preds.clone(), carry);

@@ -18,7 +18,6 @@
 
 use crate::device::DeviceConfig;
 use crate::exec::ExecStats;
-use crate::ptx::Kernel;
 
 /// A priced kernel execution.
 #[derive(Clone, Copy, Debug)]
@@ -40,11 +39,12 @@ pub struct KernelTime {
     pub sm_utilization: f64,
 }
 
-/// Prices a launch on a device.
-pub fn kernel_time(kernel: &Kernel, stats: &ExecStats, device: &DeviceConfig) -> KernelTime {
+/// Prices a launch on a device, for a kernel using `hw_regs_per_thread`
+/// hardware registers per thread ([`crate::Kernel::hw_regs_per_thread`]).
+pub fn kernel_time(hw_regs_per_thread: u32, stats: &ExecStats, device: &DeviceConfig) -> KernelTime {
     let clock_hz = device.clock_ghz * 1e9;
     let issue_rate = device.sm_count as f64 * device.schedulers_per_sm as f64 * clock_hz;
-    let occupancy = device.occupancy(kernel.hw_regs_per_thread);
+    let occupancy = device.occupancy(hw_regs_per_thread);
 
     let compute_s = stats.warp_issue_cycles / issue_rate;
     let memory_s = stats.dram_bytes as f64 / (device.mem_bandwidth_gbps * 1e9);
@@ -95,11 +95,6 @@ pub fn modeled_compile_time_s(static_insts: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ptx::KernelBuilder;
-
-    fn dummy_kernel(hw_regs: u32) -> Kernel {
-        KernelBuilder::new().finish("k", hw_regs)
-    }
 
     fn stats(warp_issue_cycles: f64, dram_bytes: u64, transactions: u64, warps: u64) -> ExecStats {
         ExecStats {
@@ -115,10 +110,9 @@ mod tests {
     fn memory_bound_kernel_has_low_sm_utilization() {
         // Mirror §IV-A: simple additions — lots of bytes, few cycles.
         let d = DeviceConfig::a6000();
-        let k = dummy_kernel(34);
         // 10M tuples × 3 × 8 bytes ≈ 240 MB moved, ~40 issue cycles/warp.
         let s = stats(40.0 * 312_500.0, 240_000_000, 7_500_000, 312_500);
-        let t = kernel_time(&k, &s, &d);
+        let t = kernel_time(34, &s, &d);
         assert!(t.memory_s > t.compute_s, "{t:?}");
         assert!(t.sm_utilization < 0.15, "{t:?}");
     }
@@ -126,10 +120,9 @@ mod tests {
     #[test]
     fn compute_bound_kernel_has_high_utilization() {
         let d = DeviceConfig::a6000();
-        let k = dummy_kernel(40);
         // Division-heavy: enormous cycle counts, modest memory.
         let s = stats(5_000.0 * 312_500.0, 240_000_000, 7_500_000, 312_500);
-        let t = kernel_time(&k, &s, &d);
+        let t = kernel_time(40, &s, &d);
         assert!(t.compute_s > t.memory_s);
         assert!(t.sm_utilization > 0.9);
     }
@@ -138,15 +131,15 @@ mod tests {
     fn register_pressure_slows_compute_bound_kernels() {
         let d = DeviceConfig::a6000();
         let s = stats(5_000.0 * 312_500.0, 1_000_000, 31_250, 312_500);
-        let light = kernel_time(&dummy_kernel(40), &s, &d);
-        let heavy = kernel_time(&dummy_kernel(200), &s, &d);
+        let light = kernel_time(40, &s, &d);
+        let heavy = kernel_time(200, &s, &d);
         assert!(heavy.total_s > light.total_s, "{heavy:?} vs {light:?}");
     }
 
     #[test]
     fn launch_overhead_floors_tiny_kernels() {
         let d = DeviceConfig::a6000();
-        let t = kernel_time(&dummy_kernel(32), &stats(10.0, 64, 2, 1), &d);
+        let t = kernel_time(32, &stats(10.0, 64, 2, 1), &d);
         assert!(t.total_s >= d.launch_overhead_us * 1e-6);
     }
 

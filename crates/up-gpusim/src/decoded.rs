@@ -1,25 +1,28 @@
 //! Tier-2 executor: pre-decoded kernel programs and a warp-batched
 //! superblock interpreter.
 //!
-//! The reference tree-walker in [`crate::exec`] re-traverses the `Stmt`
+//! The reference tree-walker in [`crate::exec`] re-traverses a `Stmt`
 //! tree for every warp and re-matches the `Inst` enum once *per lane*
-//! (the match sits inside the per-lane closure). This module flattens a
-//! [`Kernel`] once into a flat array of decoded ops with explicit branch
-//! targets, memoized per-op issue cycles, and a static straight-line
-//! "superblock" analysis (`run_end`), then interprets that array with an
-//! instruction-outer/lane-inner loop over a structure-of-arrays register
-//! file. Inside full-mask superblocks no divergence stack or mask test
-//! runs at all.
+//! (the match sits inside the per-lane closure). [`crate::KernelBuilder::finish`]
+//! instead flattens the builder's tree once into a flat array of ops —
+//! each instruction an [`Inst`] with its memoized issue cycles and a
+//! static straight-line "superblock" bound (`run_end`), each `If`/`While`
+//! three control markers with explicit branch targets — and this module
+//! interprets that array with an instruction-outer/lane-inner loop over a
+//! structure-of-arrays register file. Inside full-mask superblocks no
+//! divergence stack or mask test runs at all.
 //!
 //! `DivBig` is the one data-dependent arithmetic op: its arm hands the
 //! warp's register rows to module `divbig`, which divides every lane
 //! whose divisor has the warp's widest limb count with one lane-parallel
 //! Algorithm D (on the AVX-512 set) and the rest one lane at a time.
 //!
-//! The decoded program is built once per kernel and cached on the kernel
-//! itself (see [`DecodedCache`]); since `up-jit` keeps compiled kernels in
-//! its shared cache behind an `Arc`, JIT cache hits amortize decode the
-//! same way they amortize compiles.
+//! The flat program is the only form a [`Kernel`] keeps: the tree is
+//! dropped once it is flattened, and the reference walker runs a tree
+//! rebuilt from the program's marker nesting
+//! ([`DecodedProgram::to_stmts`]). Since `up-jit` keeps compiled kernels
+//! in its shared cache behind an `Arc`, JIT cache hits reuse the program
+//! the same way they reuse the compile.
 //!
 //! **Bit-exactness contract**: for every kernel, the decoded interpreter
 //! produces byte-identical [`crate::GlobalMem`] contents, a
@@ -35,15 +38,15 @@ use crate::exec::{
     LaunchConfig, SectorSeen, SimError,
 };
 use crate::divbig::{div_big, DivBufs, DivShape};
-use crate::ptx::{issue_cycles, CmpOp, Inst, Kernel, Special, Stmt, TreeShape};
+use crate::ptx::{issue_cycles, IfStmt, Inst, Kernel, Reg, Special, Stmt, TreeShape, WhileStmt};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Which functional interpreter executes launches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecBackend {
     /// The reference `Stmt`-tree walker (slow, kept as the oracle the
-    /// decoded interpreter is differentially tested against).
+    /// decoded interpreter is differentially tested against). Each launch
+    /// rebuilds the tree from the kernel's flat program first.
     Tree,
     /// The pre-decoded flat-program interpreter (fast path).
     Decoded,
@@ -71,57 +74,18 @@ impl std::fmt::Display for ExecBackend {
 }
 
 /// Lane stride of the structure-of-arrays register file: register `r` of
-/// lane `l` lives at `r * LANES + l`. Fixed at the warp width so decode
-/// is independent of launch geometry (partial warps just use a prefix).
+/// lane `l` lives at `r * LANES + l`. Fixed at the warp width so the
+/// program is independent of launch geometry (partial warps just use a
+/// prefix).
 pub(crate) const LANES: usize = 32;
 
-/// A decoded instruction: the [`Inst`] operands resolved to
-/// structure-of-arrays offsets (`reg * 32`) so the interpreter indexes the
-/// flat register file directly, with no per-lane enum match.
-#[derive(Clone, Debug)]
-pub(crate) enum DOp {
-    MovImm { d: u32, imm: u32 },
-    Mov { d: u32, a: u32 },
-    MovSpecial { d: u32, s: Special },
-    Add { d: u32, a: u32, b: u32 },
-    AddCC { d: u32, a: u32, b: u32 },
-    AddC { d: u32, a: u32, b: u32 },
-    Sub { d: u32, a: u32, b: u32 },
-    SubCC { d: u32, a: u32, b: u32 },
-    SubC { d: u32, a: u32, b: u32 },
-    MulLo { d: u32, a: u32, b: u32 },
-    MulHi { d: u32, a: u32, b: u32 },
-    MadLoCC { d: u32, a: u32, b: u32, c: u32 },
-    MadHiC { d: u32, a: u32, b: u32, c: u32 },
-    Div { d: u32, a: u32, b: u32 },
-    Rem { d: u32, a: u32, b: u32 },
-    Div64 { dlo: u32, dhi: u32, alo: u32, ahi: u32, blo: u32, bhi: u32 },
-    Rem64 { dlo: u32, dhi: u32, alo: u32, ahi: u32, blo: u32, bhi: u32 },
-    Bfind { d: u32, a: u32 },
-    DivBig { d: u32, dn: u8, a: u32, an: u8, b: u32, bn: u8, rem: bool },
-    Shl { d: u32, a: u32, b: u32 },
-    Shr { d: u32, a: u32, b: u32 },
-    And { d: u32, a: u32, b: u32 },
-    Or { d: u32, a: u32, b: u32 },
-    Xor { d: u32, a: u32, b: u32 },
-    SetP { p: u8, op: CmpOp, a: u32, b: u32 },
-    SetPImm { p: u8, op: CmpOp, a: u32, imm: u32 },
-    PAnd { p: u8, a: u8, b: u8 },
-    PNot { p: u8, a: u8 },
-    Selp { d: u32, a: u32, b: u32, p: u8 },
-    LdGlobal { d: u32, buf: u8, addr: u32 },
-    LdGlobalU8 { d: u32, buf: u8, addr: u32 },
-    StGlobal { buf: u8, addr: u32, src: u32 },
-    StGlobalU8 { buf: u8, addr: u32, src: u32 },
-    LdShared { d: u32, addr: u32 },
-    StShared { addr: u32, src: u32 },
-    LdParam { d: u32, idx: u8 },
-    BarSync,
-    ShflIdx { d: u32, a: u32, lane: u32 },
-    Ballot { d: u32, p: u8 },
+/// The SoA offset of register `r`'s lane row.
+#[inline(always)]
+pub(crate) fn row_off(r: Reg) -> usize {
+    r as usize * LANES
 }
 
-/// Access class of a global-memory [`DOp`] (see [`DOp::mem_ref`]).
+/// Access class of a global-memory [`Inst`] (see [`Inst::mem_ref`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MemOpKind {
     /// `ld.global` — 4-byte load into a register row.
@@ -144,37 +108,37 @@ impl MemOpKind {
     }
 }
 
-/// Per-op address metadata of a global-memory access: which rows of the
-/// SoA register file hold the address and the data, and the access
-/// class. This is the decoded program's contribution to the compiled
-/// tier's mem-thunk lowering and affine-address analysis.
+/// The operands of a global-memory access: which registers hold the
+/// address and the data, and the access class. This is what the compiled
+/// tier's mem-thunk lowering and affine-address analysis read of an
+/// instruction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct MemRef {
     pub(crate) kind: MemOpKind,
     /// Device buffer index.
     pub(crate) buf: u8,
-    /// SoA row offset (pre-scaled ×32) of the address operand.
-    pub(crate) addr: u32,
-    /// SoA row offset of the destination (loads) or source (stores).
-    pub(crate) data: u32,
+    /// The address register.
+    pub(crate) addr: Reg,
+    /// The destination (loads) or source (stores) register.
+    pub(crate) data: Reg,
 }
 
-impl DOp {
-    /// The global-memory access this op performs, if any. Shared and
-    /// per-block memory (`LdShared`/`StShared`) and parameters stay
+impl Inst {
+    /// The global-memory access this instruction performs, if any. Shared
+    /// and per-block memory (`LdShared`/`StShared`) and parameters stay
     /// outside the coalescing/lowering machinery.
     pub(crate) fn mem_ref(&self) -> Option<MemRef> {
         Some(match *self {
-            DOp::LdGlobal { d, buf, addr } => {
+            Inst::LdGlobal { d, buf, addr } => {
                 MemRef { kind: MemOpKind::LdWord, buf, addr, data: d }
             }
-            DOp::LdGlobalU8 { d, buf, addr } => {
+            Inst::LdGlobalU8 { d, buf, addr } => {
                 MemRef { kind: MemOpKind::LdByte, buf, addr, data: d }
             }
-            DOp::StGlobal { buf, addr, src } => {
+            Inst::StGlobal { buf, addr, src } => {
                 MemRef { kind: MemOpKind::StWord, buf, addr, data: src }
             }
-            DOp::StGlobalU8 { buf, addr, src } => {
+            Inst::StGlobalU8 { buf, addr, src } => {
                 MemRef { kind: MemOpKind::StByte, buf, addr, data: src }
             }
             _ => return None,
@@ -188,10 +152,10 @@ impl DOp {
 /// early-outs behave (no stats, no effects).
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    /// A plain instruction: the decoded op, its memoized issue cycles,
-    /// and the end (exclusive) of the maximal straight-line run of `I`
-    /// ops it belongs to — the static superblock bound.
-    I { dop: DOp, cycles: f64, run_end: u32 },
+    /// A plain instruction, its memoized issue cycles, and the end
+    /// (exclusive) of the maximal straight-line run of `I` ops it belongs
+    /// to — the static superblock bound.
+    I { inst: Inst, cycles: f64, run_end: u32 },
     /// Branch head: computes taken/not-taken, pays the 1-cycle branch
     /// issue, pushes a frame, and either falls through into `then` or
     /// jumps to `else_pc` (the matching [`Op::Else`]).
@@ -212,24 +176,115 @@ pub(crate) enum Op {
     WhileEnd { cond_pc: u32, max_iter: u32 },
 }
 
-/// A kernel pre-decoded for the warp-batched interpreter: flat ops with
+/// The pcs of the `WhileTest` and the `WhileEnd` that belong to the
+/// `WhileBegin` at `begin`, found by marker nesting.
+pub(crate) fn loop_markers(ops: &[Op], begin: usize) -> (usize, usize) {
+    let (mut depth, mut test) = (0usize, begin);
+    for (pc, op) in ops.iter().enumerate().skip(begin + 1) {
+        match op {
+            Op::WhileBegin => depth += 1,
+            Op::WhileTest { .. } if depth == 0 => test = pc,
+            Op::WhileEnd { .. } if depth == 0 => return (test, pc),
+            Op::WhileEnd { .. } => depth -= 1,
+            _ => {}
+        }
+    }
+    unreachable!("a WhileBegin without its WhileEnd")
+}
+
+/// A kernel's flat program for the warp-batched interpreter: ops with
 /// branch targets, memoized issue cycles, and superblock run bounds.
-/// Built once per kernel (see [`Kernel::decoded_program`]) and shared by
-/// every launch and every clone of the kernel.
+/// Built once per kernel by [`KernelBuilder::finish`] (see
+/// [`Kernel::decoded_program`]) and shared by every launch and every
+/// clone of the kernel.
+///
+/// [`KernelBuilder::finish`]: crate::ptx::KernelBuilder::finish
 #[derive(Debug)]
 pub struct DecodedProgram {
     /// Allocated once at its exact length (counted from the tree before
     /// flattening): a cached kernel keeps this for its whole life.
     ops: Box<[Op]>,
-    /// Static instruction count (loop bodies once) — memoized here so
-    /// `Kernel::static_inst_count` and the compile-time model stop
-    /// re-walking the tree.
+    /// Static instruction count (loop bodies once) — memoized here for
+    /// `Kernel::static_inst_count` and the compile-time model.
     static_insts: usize,
     /// Number of maximal straight-line `I` runs (superblocks).
     superblocks: usize,
 }
 
 impl DecodedProgram {
+    /// Flattens a statement tree.
+    pub(crate) fn new(stmts: &[Stmt]) -> DecodedProgram {
+        DECODE_BUILDS.fetch_add(1, Ordering::Relaxed);
+        let shape = TreeShape::of(stmts);
+        let mut ops = Vec::with_capacity(shape.flat_ops());
+        flatten(stmts, &mut ops);
+        debug_assert_eq!(ops.len(), shape.flat_ops(), "the op count is exact");
+        // Superblock analysis: run_end[i] = end (exclusive) of the maximal
+        // consecutive run of `I` ops containing i.
+        let mut superblocks = 0usize;
+        let mut end = 0u32;
+        for i in (0..ops.len()).rev() {
+            if let Op::I { run_end, .. } = &mut ops[i] {
+                if end as usize <= i {
+                    end = i as u32 + 1;
+                    superblocks += 1;
+                }
+                *run_end = end;
+            } else {
+                end = 0;
+            }
+        }
+        DecodedProgram { ops: ops.into_boxed_slice(), static_insts: shape.stmts, superblocks }
+    }
+
+    /// The statement tree this program flattens, rebuilt from the nesting
+    /// of its control markers alone — never from the stored jump targets,
+    /// so the reference walker that runs it is independent of them.
+    pub fn to_stmts(&self) -> Vec<Stmt> {
+        let mut pc = 0;
+        let stmts = self.stmts_from(&mut pc);
+        assert_eq!(pc, self.ops.len(), "a control marker closes nothing");
+        stmts
+    }
+
+    /// The statements from `*pc` up to the marker that closes their block
+    /// (or the end), leaving `*pc` at that marker.
+    fn stmts_from(&self, pc: &mut usize) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        while let Some(op) = self.ops.get(*pc) {
+            if matches!(op, Op::Else { .. } | Op::EndIf | Op::WhileTest { .. } | Op::WhileEnd { .. }) {
+                break;
+            }
+            *pc += 1;
+            out.push(match op {
+                Op::I { inst, .. } => Stmt::I(inst.clone()),
+                Op::If { p, .. } => {
+                    let then_ = self.block_until(pc, |op| matches!(op, Op::Else { .. }));
+                    let else_ = self.block_until(pc, |op| matches!(op, Op::EndIf));
+                    Stmt::If(Box::new(IfStmt { p: *p, then_, else_ }))
+                }
+                Op::WhileBegin => {
+                    let cond = self.block_until(pc, |op| matches!(op, Op::WhileTest { .. }));
+                    let Op::WhileTest { p, .. } = self.ops[*pc - 1] else { unreachable!() };
+                    let body = self.block_until(pc, |op| matches!(op, Op::WhileEnd { .. }));
+                    let Op::WhileEnd { max_iter, .. } = self.ops[*pc - 1] else { unreachable!() };
+                    Stmt::While(Box::new(WhileStmt { p, cond, body, max_iter }))
+                }
+                _ => unreachable!("closing markers end the block"),
+            });
+        }
+        out
+    }
+
+    /// A block's statements, which must end at a marker `closes` accepts;
+    /// leaves `*pc` past that marker.
+    fn block_until(&self, pc: &mut usize, closes: fn(&Op) -> bool) -> Box<[Stmt]> {
+        let block = self.stmts_from(pc);
+        assert!(self.ops.get(*pc).is_some_and(closes), "mis-nested control marker at pc {pc}");
+        *pc += 1;
+        block.into_boxed_slice()
+    }
+
     /// Static instructions (same count as the tree walk: each `I`, `If`,
     /// and `While` is one).
     pub fn static_inst_count(&self) -> usize {
@@ -262,77 +317,22 @@ impl DecodedProgram {
 }
 
 static DECODE_BUILDS: AtomicU64 = AtomicU64::new(0);
-static DECODE_HITS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide decode counters: `(programs_built, cache_hits)`. A hit is
-/// any [`Kernel::decoded_program`] call answered by the kernel's cache —
-/// JIT-cached kernels hit once per launch after the first.
+/// Process-wide decode counters: `(programs_built, 0)`. Every
+/// [`KernelBuilder::finish`] builds one program, which its kernel keeps
+/// for life, so nothing is ever looked up again; the second element, once
+/// the count of repeat lookups, always reads 0.
+///
+/// [`KernelBuilder::finish`]: crate::ptx::KernelBuilder::finish
 pub fn decode_counters() -> (u64, u64) {
-    (DECODE_BUILDS.load(Ordering::Relaxed), DECODE_HITS.load(Ordering::Relaxed))
-}
-
-/// Per-kernel decode cache. Cloning a kernel after its program is built
-/// shares the `Arc`; the JIT cache holds kernels behind `Arc` anyway, so
-/// every cache hit reuses the same decoded program.
-#[derive(Clone, Default)]
-pub struct DecodedCache(OnceLock<Arc<DecodedProgram>>);
-
-impl DecodedCache {
-    /// The program, if it has been built.
-    pub(crate) fn built(&self) -> Option<&Arc<DecodedProgram>> {
-        self.0.get()
-    }
-
-    pub(crate) fn get_or_decode(&self, kernel: &Kernel) -> &Arc<DecodedProgram> {
-        if let Some(p) = self.0.get() {
-            DECODE_HITS.fetch_add(1, Ordering::Relaxed);
-            return p;
-        }
-        self.0.get_or_init(|| {
-            DECODE_BUILDS.fetch_add(1, Ordering::Relaxed);
-            Arc::new(decode(kernel))
-        })
-    }
-}
-
-impl std::fmt::Debug for DecodedCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            Some(p) => write!(f, "DecodedCache({} ops)", p.op_count()),
-            None => write!(f, "DecodedCache(empty)"),
-        }
-    }
-}
-
-/// Flattens a kernel's statement tree into a [`DecodedProgram`].
-fn decode(kernel: &Kernel) -> DecodedProgram {
-    let shape = TreeShape::of(&kernel.body);
-    let mut ops = Vec::with_capacity(shape.flat_ops());
-    flatten(&kernel.body, &mut ops);
-    debug_assert_eq!(ops.len(), shape.flat_ops(), "the op count is exact");
-    // Superblock analysis: run_end[i] = end (exclusive) of the maximal
-    // consecutive run of `I` ops containing i.
-    let mut superblocks = 0usize;
-    let mut end = 0u32;
-    for i in (0..ops.len()).rev() {
-        if let Op::I { run_end, .. } = &mut ops[i] {
-            if end as usize <= i {
-                end = i as u32 + 1;
-                superblocks += 1;
-            }
-            *run_end = end;
-        } else {
-            end = 0;
-        }
-    }
-    DecodedProgram { ops: ops.into_boxed_slice(), static_insts: shape.stmts, superblocks }
+    (DECODE_BUILDS.load(Ordering::Relaxed), 0)
 }
 
 fn flatten(stmts: &[Stmt], ops: &mut Vec<Op>) {
     for stmt in stmts {
         match stmt {
             Stmt::I(inst) => {
-                ops.push(Op::I { dop: decode_inst(inst), cycles: issue_cycles(inst), run_end: 0 });
+                ops.push(Op::I { inst: inst.clone(), cycles: issue_cycles(inst), run_end: 0 });
             }
             Stmt::If(s) => {
                 let if_at = ops.len();
@@ -361,73 +361,6 @@ fn flatten(stmts: &[Stmt], ops: &mut Vec<Op>) {
                 *end_pc = end_at as u32 + 1;
             }
         }
-    }
-}
-
-fn decode_inst(inst: &Inst) -> DOp {
-    // Pre-scale register operands by the SoA lane stride.
-    let r = |x: &u16| *x as u32 * LANES as u32;
-    match inst {
-        Inst::MovImm { d, imm } => DOp::MovImm { d: r(d), imm: *imm },
-        Inst::Mov { d, a } => DOp::Mov { d: r(d), a: r(a) },
-        Inst::MovSpecial { d, s } => DOp::MovSpecial { d: r(d), s: *s },
-        Inst::Add { d, a, b } => DOp::Add { d: r(d), a: r(a), b: r(b) },
-        Inst::AddCC { d, a, b } => DOp::AddCC { d: r(d), a: r(a), b: r(b) },
-        Inst::AddC { d, a, b } => DOp::AddC { d: r(d), a: r(a), b: r(b) },
-        Inst::Sub { d, a, b } => DOp::Sub { d: r(d), a: r(a), b: r(b) },
-        Inst::SubCC { d, a, b } => DOp::SubCC { d: r(d), a: r(a), b: r(b) },
-        Inst::SubC { d, a, b } => DOp::SubC { d: r(d), a: r(a), b: r(b) },
-        Inst::MulLo { d, a, b } => DOp::MulLo { d: r(d), a: r(a), b: r(b) },
-        Inst::MulHi { d, a, b } => DOp::MulHi { d: r(d), a: r(a), b: r(b) },
-        Inst::MadLoCC { d, a, b, c } => DOp::MadLoCC { d: r(d), a: r(a), b: r(b), c: r(c) },
-        Inst::MadHiC { d, a, b, c } => DOp::MadHiC { d: r(d), a: r(a), b: r(b), c: r(c) },
-        Inst::Div { d, a, b } => DOp::Div { d: r(d), a: r(a), b: r(b) },
-        Inst::Rem { d, a, b } => DOp::Rem { d: r(d), a: r(a), b: r(b) },
-        Inst::Div64 { dlo, dhi, alo, ahi, blo, bhi } => DOp::Div64 {
-            dlo: r(dlo),
-            dhi: r(dhi),
-            alo: r(alo),
-            ahi: r(ahi),
-            blo: r(blo),
-            bhi: r(bhi),
-        },
-        Inst::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => DOp::Rem64 {
-            dlo: r(dlo),
-            dhi: r(dhi),
-            alo: r(alo),
-            ahi: r(ahi),
-            blo: r(blo),
-            bhi: r(bhi),
-        },
-        Inst::Bfind { d, a } => DOp::Bfind { d: r(d), a: r(a) },
-        Inst::DivBig { d, dn, a, an, b, bn } => {
-            DOp::DivBig { d: r(d), dn: *dn, a: r(a), an: *an, b: r(b), bn: *bn, rem: false }
-        }
-        Inst::RemBig { d, dn, a, an, b, bn } => {
-            DOp::DivBig { d: r(d), dn: *dn, a: r(a), an: *an, b: r(b), bn: *bn, rem: true }
-        }
-        Inst::Shl { d, a, b } => DOp::Shl { d: r(d), a: r(a), b: r(b) },
-        Inst::Shr { d, a, b } => DOp::Shr { d: r(d), a: r(a), b: r(b) },
-        Inst::And { d, a, b } => DOp::And { d: r(d), a: r(a), b: r(b) },
-        Inst::Or { d, a, b } => DOp::Or { d: r(d), a: r(a), b: r(b) },
-        Inst::Xor { d, a, b } => DOp::Xor { d: r(d), a: r(a), b: r(b) },
-        Inst::SetP { p, op, a, b } => DOp::SetP { p: *p, op: *op, a: r(a), b: r(b) },
-        Inst::SetPImm { p, op, a, imm } => DOp::SetPImm { p: *p, op: *op, a: r(a), imm: *imm },
-        Inst::PAnd { p, a, b } => DOp::PAnd { p: *p, a: *a, b: *b },
-        Inst::PNot { p, a } => DOp::PNot { p: *p, a: *a },
-        Inst::Selp { d, a, b, p } => DOp::Selp { d: r(d), a: r(a), b: r(b), p: *p },
-        Inst::LdGlobal { d, buf, addr } => DOp::LdGlobal { d: r(d), buf: *buf, addr: r(addr) },
-        Inst::LdGlobalU8 { d, buf, addr } => DOp::LdGlobalU8 { d: r(d), buf: *buf, addr: r(addr) },
-        Inst::StGlobal { buf, addr, src } => DOp::StGlobal { buf: *buf, addr: r(addr), src: r(src) },
-        Inst::StGlobalU8 { buf, addr, src } => {
-            DOp::StGlobalU8 { buf: *buf, addr: r(addr), src: r(src) }
-        }
-        Inst::LdShared { d, addr } => DOp::LdShared { d: r(d), addr: r(addr) },
-        Inst::StShared { addr, src } => DOp::StShared { addr: r(addr), src: r(src) },
-        Inst::LdParam { d, idx } => DOp::LdParam { d: r(d), idx: *idx },
-        Inst::BarSync => DOp::BarSync,
-        Inst::ShflIdx { d, a, lane } => DOp::ShflIdx { d: r(d), a: r(a), lane: r(lane) },
-        Inst::Ballot { d, p } => DOp::Ballot { d: r(d), p: *p },
     }
 }
 
@@ -565,7 +498,7 @@ fn run_warp(
     let mut pc = 0usize;
     while pc < ops.len() {
         match &ops[pc] {
-            Op::I { dop, cycles, run_end } => {
+            Op::I { inst, cycles, run_end } => {
                 if mask == full {
                     // A full mask at an `I` op is always a run *start*
                     // (masks only change at control ops, and the fast
@@ -581,24 +514,24 @@ fn run_warp(
                     // Superblock fast path: the whole straight-line run
                     // executes converged, with no mask or control tests.
                     let end = *run_end as usize;
-                    let (mut dop, mut cycles) = (dop, cycles);
+                    let (mut inst, mut cycles) = (inst, cycles);
                     loop {
                         c.stats.warp_issues += 1;
                         c.stats.warp_issue_cycles += *cycles;
                         c.stats.thread_insts += lanes_n as u64;
-                        exec_dop::<true>(c, dop, geom, full, lanes_n)?;
+                        exec_inst::<true>(c, inst, geom, full, lanes_n)?;
                         pc += 1;
                         if pc >= end {
                             break;
                         }
-                        let Op::I { dop: d, cycles: cy, .. } = &ops[pc] else { unreachable!() };
-                        (dop, cycles) = (d, cy);
+                        let Op::I { inst: i, cycles: cy, .. } = &ops[pc] else { unreachable!() };
+                        (inst, cycles) = (i, cy);
                     }
                 } else {
                     c.stats.warp_issues += 1;
                     c.stats.warp_issue_cycles += *cycles;
                     c.stats.thread_insts += mask.count_ones() as u64;
-                    exec_dop::<false>(c, dop, geom, mask, lanes_n)?;
+                    exec_inst::<false>(c, inst, geom, mask, lanes_n)?;
                     pc += 1;
                 }
             }
@@ -668,31 +601,30 @@ fn run_warp(
     Ok(())
 }
 
-/// Executes one decoded op over the active lanes. Instruction-outer,
+/// Executes one instruction over the active lanes. Instruction-outer,
 /// lane-inner: the opcode dispatch happens once per warp, and each arm
 /// runs a tight lane loop over contiguous SoA rows.
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn exec_dop<const FULL: bool>(
+pub(crate) fn exec_inst<const FULL: bool>(
     c: &mut DCtx<'_>,
-    dop: &DOp,
+    inst: &Inst,
     geom: &Geometry,
     mask: u32,
     n: usize,
 ) -> Result<(), SimError> {
     let DCtx { regs, preds, carry, smem, mem, params, stats, seen, kernel_name, div, .. } = c;
     let regs = &mut regs[..];
-    match dop {
-        DOp::MovImm { d, imm } => {
-            let d = *d as usize;
-            let imm = *imm;
+    match *inst {
+        Inst::MovImm { d, imm } => {
+            let d = row_off(d);
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = imm);
         }
-        DOp::Mov { d, a } => {
-            let (d, a) = (*d as usize, *a as usize);
+        Inst::Mov { d, a } => {
+            let (d, a) = (row_off(d), row_off(a));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l]);
         }
-        DOp::MovSpecial { d, s } => {
-            let d = *d as usize;
+        Inst::MovSpecial { d, s } => {
+            let d = row_off(d);
             match s {
                 Special::TidX => {
                     let base = geom.tid_base;
@@ -712,20 +644,20 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 }
             }
         }
-        DOp::Add { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Add { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l].wrapping_add(regs[b + l]));
         }
-        DOp::AddCC { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::AddCC { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s, co) = regs[a + l].overflowing_add(regs[b + l]);
                 regs[d + l] = s;
                 carry[l] = co as u32;
             });
         }
-        DOp::AddC { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::AddC { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s1, c1) = regs[a + l].overflowing_add(regs[b + l]);
                 let (s2, c2) = s1.overflowing_add(carry[l]);
@@ -733,20 +665,20 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 carry[l] = (c1 | c2) as u32;
             });
         }
-        DOp::Sub { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Sub { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l].wrapping_sub(regs[b + l]));
         }
-        DOp::SubCC { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::SubCC { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s, co) = regs[a + l].overflowing_sub(regs[b + l]);
                 regs[d + l] = s;
                 carry[l] = co as u32;
             });
         }
-        DOp::SubC { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::SubC { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s1, c1) = regs[a + l].overflowing_sub(regs[b + l]);
                 let (s2, c2) = s1.overflowing_sub(carry[l]);
@@ -754,26 +686,26 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 carry[l] = (c1 | c2) as u32;
             });
         }
-        DOp::MulLo { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::MulLo { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l].wrapping_mul(regs[b + l]));
         }
-        DOp::MulHi { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::MulHi { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 regs[d + l] = ((regs[a + l] as u64 * regs[b + l] as u64) >> 32) as u32;
             });
         }
-        DOp::MadLoCC { d, a, b, c: cc } => {
-            let (d, a, b, cc) = (*d as usize, *a as usize, *b as usize, *cc as usize);
+        Inst::MadLoCC { d, a, b, c: cc } => {
+            let (d, a, b, cc) = (row_off(d), row_off(a), row_off(b), row_off(cc));
             lanes_apply::<FULL>(mask, n, |l| {
                 let (s, co) = regs[a + l].wrapping_mul(regs[b + l]).overflowing_add(regs[cc + l]);
                 regs[d + l] = s;
                 carry[l] = co as u32;
             });
         }
-        DOp::MadHiC { d, a, b, c: cc } => {
-            let (d, a, b, cc) = (*d as usize, *a as usize, *b as usize, *cc as usize);
+        Inst::MadHiC { d, a, b, c: cc } => {
+            let (d, a, b, cc) = (row_off(d), row_off(a), row_off(b), row_off(cc));
             lanes_apply::<FULL>(mask, n, |l| {
                 let hi = ((regs[a + l] as u64 * regs[b + l] as u64) >> 32) as u32;
                 let (s1, c1) = hi.overflowing_add(regs[cc + l]);
@@ -782,22 +714,22 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 carry[l] = (c1 | c2) as u32;
             });
         }
-        DOp::Div { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Div { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 regs[d + l] = regs[a + l].checked_div(regs[b + l]).unwrap_or(u32::MAX);
             });
         }
-        DOp::Rem { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Rem { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| {
                 let bv = regs[b + l];
                 regs[d + l] = if bv == 0 { regs[a + l] } else { regs[a + l] % bv };
             });
         }
-        DOp::Div64 { dlo, dhi, alo, ahi, blo, bhi } => {
-            let (dlo, dhi) = (*dlo as usize, *dhi as usize);
-            let (alo, ahi, blo, bhi) = (*alo as usize, *ahi as usize, *blo as usize, *bhi as usize);
+        Inst::Div64 { dlo, dhi, alo, ahi, blo, bhi } => {
+            let (dlo, dhi) = (row_off(dlo), row_off(dhi));
+            let (alo, ahi, blo, bhi) = (row_off(alo), row_off(ahi), row_off(blo), row_off(bhi));
             lanes_apply::<FULL>(mask, n, |l| {
                 let a64 = regs[alo + l] as u64 | (regs[ahi + l] as u64) << 32;
                 let b64 = regs[blo + l] as u64 | (regs[bhi + l] as u64) << 32;
@@ -806,9 +738,9 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 regs[dhi + l] = (q >> 32) as u32;
             });
         }
-        DOp::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => {
-            let (dlo, dhi) = (*dlo as usize, *dhi as usize);
-            let (alo, ahi, blo, bhi) = (*alo as usize, *ahi as usize, *blo as usize, *bhi as usize);
+        Inst::Rem64 { dlo, dhi, alo, ahi, blo, bhi } => {
+            let (dlo, dhi) = (row_off(dlo), row_off(dhi));
+            let (alo, ahi, blo, bhi) = (row_off(alo), row_off(ahi), row_off(blo), row_off(bhi));
             lanes_apply::<FULL>(mask, n, |l| {
                 let a64 = regs[alo + l] as u64 | (regs[ahi + l] as u64) << 32;
                 let b64 = regs[blo + l] as u64 | (regs[bhi + l] as u64) << 32;
@@ -817,162 +749,161 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 regs[dhi + l] = (q >> 32) as u32;
             });
         }
-        DOp::Bfind { d, a } => {
-            let (d, a) = (*d as usize, *a as usize);
+        Inst::Bfind { d, a } => {
+            let (d, a) = (row_off(d), row_off(a));
             lanes_apply::<FULL>(mask, n, |l| {
                 let v = regs[a + l];
                 regs[d + l] = if v == 0 { u32::MAX } else { 31 - v.leading_zeros() };
             });
         }
-        DOp::DivBig { d, dn, a, an, b, bn, rem } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let (dn, an, bn) = (*dn as usize, *an as usize, *bn as usize);
-            let s = DivShape { d, dn, a, an, b, bn, rem: *rem };
+        Inst::DivBig { d, dn, a, an, b, bn } | Inst::RemBig { d, dn, a, an, b, bn } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
+            let (dn, an, bn) = (dn as usize, an as usize, bn as usize);
+            let s = DivShape { d, dn, a, an, b, bn, rem: matches!(inst, Inst::RemBig { .. }) };
             let zero = || SimError::DivisionByZero { kernel: kernel_name.to_string() };
             stats.warp_issue_cycles += div_big(regs, s, mask, div).ok_or_else(zero)?;
         }
-        DOp::Shl { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Shl { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l] << (regs[b + l] & 31));
         }
-        DOp::Shr { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Shr { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l] >> (regs[b + l] & 31));
         }
-        DOp::And { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::And { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l] & regs[b + l]);
         }
-        DOp::Or { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Or { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l] | regs[b + l]);
         }
-        DOp::Xor { d, a, b } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
+        Inst::Xor { d, a, b } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = regs[a + l] ^ regs[b + l]);
         }
-        DOp::SetP { p, op, a, b } => {
-            let (a, b) = (*a as usize, *b as usize);
+        Inst::SetP { p, op, a, b } => {
+            let (a, b) = (row_off(a), row_off(b));
             let mut bits = 0u32;
             lanes_apply::<FULL>(mask, n, |l| {
                 if op.eval(regs[a + l], regs[b + l]) {
                     bits |= 1 << l;
                 }
             });
-            let p = *p as usize;
+            let p = p as usize;
             preds[p] = (preds[p] & !mask) | bits;
         }
-        DOp::SetPImm { p, op, a, imm } => {
-            let a = *a as usize;
-            let imm = *imm;
+        Inst::SetPImm { p, op, a, imm } => {
+            let a = row_off(a);
             let mut bits = 0u32;
             lanes_apply::<FULL>(mask, n, |l| {
                 if op.eval(regs[a + l], imm) {
                     bits |= 1 << l;
                 }
             });
-            let p = *p as usize;
+            let p = p as usize;
             preds[p] = (preds[p] & !mask) | bits;
         }
-        DOp::PAnd { p, a, b } => {
-            let computed = preds[*a as usize] & preds[*b as usize];
-            let p = *p as usize;
+        Inst::PAnd { p, a, b } => {
+            let computed = preds[a as usize] & preds[b as usize];
+            let p = p as usize;
             preds[p] = (preds[p] & !mask) | (computed & mask);
         }
-        DOp::PNot { p, a } => {
-            let computed = !preds[*a as usize];
-            let p = *p as usize;
+        Inst::PNot { p, a } => {
+            let computed = !preds[a as usize];
+            let p = p as usize;
             preds[p] = (preds[p] & !mask) | (computed & mask);
         }
-        DOp::Selp { d, a, b, p } => {
-            let (d, a, b) = (*d as usize, *a as usize, *b as usize);
-            let pbits = preds[*p as usize];
+        Inst::Selp { d, a, b, p } => {
+            let (d, a, b) = (row_off(d), row_off(a), row_off(b));
+            let pbits = preds[p as usize];
             lanes_apply::<FULL>(mask, n, |l| {
                 regs[d + l] = if pbits >> l & 1 == 1 { regs[a + l] } else { regs[b + l] };
             });
         }
-        DOp::LdGlobal { d, buf, addr } => {
-            let (d, a) = (*d as usize, *addr as usize);
+        Inst::LdGlobal { d, buf, addr } => {
+            let (d, a) = (row_off(d), row_off(addr));
             if FULL {
-                note_transactions(stats, seen, *buf, &regs[a..a + n], 4);
+                note_transactions(stats, seen, buf, &regs[a..a + n], 4);
                 for l in 0..n {
-                    regs[d + l] = mem.load_word(*buf, regs[a + l])?;
+                    regs[d + l] = mem.load_word(buf, regs[a + l])?;
                 }
             } else {
                 let (abuf, cnt) = gather(regs, a, mask, n);
-                note_transactions(stats, seen, *buf, &abuf[..cnt], 4);
+                note_transactions(stats, seen, buf, &abuf[..cnt], 4);
                 let mut i = 0;
                 let mut m = mask;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    regs[d + l] = mem.load_word(*buf, abuf[i])?;
+                    regs[d + l] = mem.load_word(buf, abuf[i])?;
                     i += 1;
                 }
             }
         }
-        DOp::LdGlobalU8 { d, buf, addr } => {
-            let (d, a) = (*d as usize, *addr as usize);
+        Inst::LdGlobalU8 { d, buf, addr } => {
+            let (d, a) = (row_off(d), row_off(addr));
             if FULL {
-                note_transactions(stats, seen, *buf, &regs[a..a + n], 1);
+                note_transactions(stats, seen, buf, &regs[a..a + n], 1);
                 for l in 0..n {
-                    regs[d + l] = mem.load_byte(*buf, regs[a + l])? as u32;
+                    regs[d + l] = mem.load_byte(buf, regs[a + l])? as u32;
                 }
             } else {
                 let (abuf, cnt) = gather(regs, a, mask, n);
-                note_transactions(stats, seen, *buf, &abuf[..cnt], 1);
+                note_transactions(stats, seen, buf, &abuf[..cnt], 1);
                 let mut i = 0;
                 let mut m = mask;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    regs[d + l] = mem.load_byte(*buf, abuf[i])? as u32;
+                    regs[d + l] = mem.load_byte(buf, abuf[i])? as u32;
                     i += 1;
                 }
             }
         }
-        DOp::StGlobal { buf, addr, src } => {
-            let (a, s) = (*addr as usize, *src as usize);
+        Inst::StGlobal { buf, addr, src } => {
+            let (a, s) = (row_off(addr), row_off(src));
             if FULL {
-                note_transactions(stats, seen, *buf, &regs[a..a + n], 4);
+                note_transactions(stats, seen, buf, &regs[a..a + n], 4);
                 for l in 0..n {
-                    mem.store_word(*buf, regs[a + l], regs[s + l])?;
+                    mem.store_word(buf, regs[a + l], regs[s + l])?;
                 }
             } else {
                 let (abuf, cnt) = gather(regs, a, mask, n);
-                note_transactions(stats, seen, *buf, &abuf[..cnt], 4);
+                note_transactions(stats, seen, buf, &abuf[..cnt], 4);
                 let mut i = 0;
                 let mut m = mask;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    mem.store_word(*buf, abuf[i], regs[s + l])?;
+                    mem.store_word(buf, abuf[i], regs[s + l])?;
                     i += 1;
                 }
             }
         }
-        DOp::StGlobalU8 { buf, addr, src } => {
-            let (a, s) = (*addr as usize, *src as usize);
+        Inst::StGlobalU8 { buf, addr, src } => {
+            let (a, s) = (row_off(addr), row_off(src));
             if FULL {
-                note_transactions(stats, seen, *buf, &regs[a..a + n], 1);
+                note_transactions(stats, seen, buf, &regs[a..a + n], 1);
                 for l in 0..n {
-                    mem.store_byte(*buf, regs[a + l], regs[s + l] as u8)?;
+                    mem.store_byte(buf, regs[a + l], regs[s + l] as u8)?;
                 }
             } else {
                 let (abuf, cnt) = gather(regs, a, mask, n);
-                note_transactions(stats, seen, *buf, &abuf[..cnt], 1);
+                note_transactions(stats, seen, buf, &abuf[..cnt], 1);
                 let mut i = 0;
                 let mut m = mask;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    mem.store_byte(*buf, abuf[i], regs[s + l] as u8)?;
+                    mem.store_byte(buf, abuf[i], regs[s + l] as u8)?;
                     i += 1;
                 }
             }
         }
-        DOp::LdShared { d, addr } => {
-            let (d, a) = (*d as usize, *addr as usize);
+        Inst::LdShared { d, addr } => {
+            let (d, a) = (row_off(d), row_off(addr));
             let mut m = mask;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
@@ -980,8 +911,8 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 regs[d + l] = shared_word(smem, regs[a + l])?;
             }
         }
-        DOp::StShared { addr, src } => {
-            let (a, s) = (*addr as usize, *src as usize);
+        Inst::StShared { addr, src } => {
+            let (a, s) = (row_off(addr), row_off(src));
             let mut m = mask;
             while m != 0 {
                 let l = m.trailing_zeros() as usize;
@@ -989,15 +920,15 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 shared_store(smem, regs[a + l], regs[s + l])?;
             }
         }
-        DOp::LdParam { d, idx } => {
-            let v = *params.get(*idx as usize).ok_or(SimError::BadParam(*idx))?;
-            let d = *d as usize;
+        Inst::LdParam { d, idx } => {
+            let v = *params.get(idx as usize).ok_or(SimError::BadParam(idx))?;
+            let d = row_off(d);
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = v);
         }
-        DOp::BarSync => {} // cost only; warps run sequentially
-        DOp::ShflIdx { d, a, lane } => {
+        Inst::BarSync => {} // cost only; warps run sequentially
+        Inst::ShflIdx { d, a, lane } => {
             // Gather before scattering so all reads see pre-shuffle values.
-            let (d, a, lane) = (*d as usize, *a as usize, *lane as usize);
+            let (d, a, lane) = (row_off(d), row_off(a), row_off(lane));
             let mut vals = [0u32; 32];
             let mut cnt = 0;
             lanes_apply::<FULL>(mask, n, |l| {
@@ -1011,9 +942,9 @@ pub(crate) fn exec_dop<const FULL: bool>(
                 i += 1;
             });
         }
-        DOp::Ballot { d, p } => {
-            let ballot = preds[*p as usize] & mask;
-            let d = *d as usize;
+        Inst::Ballot { d, p } => {
+            let ballot = preds[p as usize] & mask;
+            let d = row_off(d);
             lanes_apply::<FULL>(mask, n, |l| regs[d + l] = ballot);
         }
     }
@@ -1043,7 +974,8 @@ mod tests {
     use crate::compiled::ThunkIsa;
     use crate::device::DeviceConfig;
     use crate::exec::{launch_opts, LaunchOpts};
-    use crate::ptx::{Inst as I, KernelBuilder, PReg, Reg};
+    use crate::ptx::{CmpOp, Inst as I, KernelBuilder, PReg, Reg};
+    use std::sync::Arc;
 
     /// Deterministic 64-bit LCG so fuzz failures reproduce exactly.
     struct Rng(u64);
@@ -1072,6 +1004,11 @@ mod tests {
     /// When `with_errors` is set, one gadget may provoke `OutOfBounds`,
     /// `MaxIterExceeded`, or `DivisionByZero` on a data-dependent lane.
     fn random_kernel(rng: &mut Rng, idx: usize, with_errors: bool) -> Kernel {
+        random_builder(rng, with_errors).finish(format!("fuzz_{idx}"), 24)
+    }
+
+    /// The statements of a [`random_kernel`].
+    fn random_builder(rng: &mut Rng, with_errors: bool) -> KernelBuilder {
         let mut kb = KernelBuilder::new();
         let tid = kb.reg();
         let ctaid = kb.reg();
@@ -1252,7 +1189,7 @@ mod tests {
                 kb.push(I::StGlobal { buf: 2, addr: addr4, src: r });
             }
         }
-        kb.finish(format!("fuzz_{idx}"), 24)
+        kb
     }
 
     fn fuzz_mem(rng: &mut Rng) -> GlobalMem {
@@ -1315,6 +1252,11 @@ mod tests {
     /// scatter addresses, and divergent byte stores that keep the warp
     /// off the full-mask path entirely.
     fn byte_dense_kernel(rng: &mut Rng, idx: usize) -> Kernel {
+        byte_dense_builder(rng).finish(format!("byte_dense_{idx}"), 24)
+    }
+
+    /// The statements of a [`byte_dense_kernel`].
+    fn byte_dense_builder(rng: &mut Rng) -> KernelBuilder {
         let mut kb = KernelBuilder::new();
         let tid = kb.reg();
         let ctaid = kb.reg();
@@ -1388,7 +1330,7 @@ mod tests {
         let addr4 = kb.reg();
         kb.push(I::MulLo { d: addr4, a: gid, b: four });
         kb.push(I::StGlobal { buf: 2, addr: addr4, src: acc });
-        kb.finish(format!("byte_dense_{idx}"), 24)
+        kb
     }
 
     fn run_cfg(
@@ -2377,29 +2319,74 @@ mod tests {
         assert_eq!(kernel.static_inst_count(), 8);
     }
 
-    /// Clones made after the program is built share it; repeated access
-    /// is counted as cache hits.
+    /// `finish` builds the program, counted once by `decode_counters`
+    /// (whose second element always reads 0), and clones share it.
     #[test]
-    fn decoded_program_is_cached_and_shared_across_clones() {
+    fn finish_counts_one_build_and_clones_share_the_program() {
+        // Counters are process-global (other tests build programs
+        // concurrently), so assert only monotonic movement plus pointer
+        // identity.
+        let (builds0, _) = decode_counters();
         let mut kb = KernelBuilder::new();
         let r = kb.reg();
         kb.push(I::MovImm { d: r, imm: 42 });
         let kernel = kb.finish("cached", 4);
-
-        // Counters are process-global (other tests build programs
-        // concurrently), so assert only monotonic movement plus pointer
-        // identity — ptr_eq alone proves this kernel was not re-decoded.
-        let (builds0, _) = decode_counters();
-        let p1 = Arc::clone(kernel.decoded_program());
-        let (builds1, hits1) = decode_counters();
-        assert!(builds1 > builds0, "first access must build");
-        let p2 = Arc::clone(kernel.decoded_program());
-        let (_, hits2) = decode_counters();
-        assert!(hits2 > hits1, "second access must count as a hit");
-        assert!(Arc::ptr_eq(&p1, &p2));
-
+        let (builds1, lookups) = decode_counters();
+        assert!(builds1 > builds0, "finish must build");
+        assert_eq!(lookups, 0);
         let clone = kernel.clone();
-        let p3 = Arc::clone(clone.decoded_program());
-        assert!(Arc::ptr_eq(&p1, &p3), "clones share the built program");
+        assert!(Arc::ptr_eq(kernel.decoded_program(), clone.decoded_program()));
+    }
+
+    /// The tree the reference walker runs is rebuilt from the kernel's
+    /// flat program: for every fuzz generator's kernels, with and without
+    /// error gadgets, it is exactly the tree the builder held.
+    #[test]
+    fn programs_rebuild_the_builders_tree() {
+        let mut rng = Rng(0x7ee5_0000_5eed_0001);
+        for idx in 0..48 {
+            for with_errors in [false, true] {
+                let mut replay = Rng(rng.0);
+                let want = random_builder(&mut rng, with_errors).drain_stmts(0);
+                let kernel = random_kernel(&mut replay, idx, with_errors);
+                assert_eq!(kernel.decoded_program().to_stmts(), want, "random kernel {idx}");
+            }
+            let mut replay = Rng(rng.0);
+            let want = byte_dense_builder(&mut rng).drain_stmts(0);
+            let kernel = byte_dense_kernel(&mut replay, idx);
+            assert_eq!(kernel.decoded_program().to_stmts(), want, "byte-dense kernel {idx}");
+        }
+    }
+
+    /// `to_stmts` reads the markers' nesting, not their jump targets, so
+    /// the tree walker stays an independent oracle for the targets: an
+    /// `Else` whose `end_pc` points into its else arm — the jump taken
+    /// whenever every lane of a warp took the then arm — still rebuilds
+    /// the original tree, and the decoded tier, which follows the bad
+    /// target, disagrees with the tree walker.
+    #[test]
+    fn a_corrupted_jump_target_shows_as_a_tier_mismatch() {
+        let kernel = gid_kernel("uniform_if", |kb, gid, one| {
+            let (p, x) = (kb.pred(), kb.reg());
+            // Block 0's two warps take the then arm whole.
+            kb.push(I::SetPImm { p, op: CmpOp::Lt, a: gid, imm: 64 });
+            let then_ = kb.block(|b| b.push(I::Add { d: x, a: gid, b: one }));
+            let else_ = kb.block(|b| b.push(I::Xor { d: x, a: gid, b: one }));
+            kb.if_(p, then_, else_);
+            store_word(kb, gid, x);
+        });
+        let prog = kernel.decoded_program();
+        let else_pc = prog.ops().iter().position(|op| matches!(op, Op::Else { .. })).unwrap();
+        let mut ops = prog.ops().to_vec();
+        ops[else_pc] = Op::Else { end_pc: else_pc as u32 + 1 };
+        let bad = DecodedProgram { ops: ops.into(), ..**prog };
+        assert_eq!(bad.to_stmts(), prog.to_stmts(), "the markers still nest the same");
+        let corrupted = Kernel { program: Arc::new(bad), ..kernel.clone() };
+        let base = random_mem(&mut Rng(0x0bad_e15e), &[4, 4 * N_THREADS]);
+        let (tree, _) = run_mode(&kernel, &base, ExecBackend::Tree);
+        assert_eq!(run_mode(&kernel, &base, ExecBackend::Decoded).0, tree);
+        assert_eq!(run_mode(&corrupted, &base, ExecBackend::Tree).0, tree);
+        let (decoded, _) = run_mode(&corrupted, &base, ExecBackend::Decoded);
+        assert!(decoded.is_ok() && decoded != tree, "{decoded:?} vs {tree:?}");
     }
 }

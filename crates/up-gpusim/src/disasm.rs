@@ -6,7 +6,8 @@
 //! syntax so generated kernels can be inspected, diffed, and golden-
 //! tested the way a real code generator's output would be.
 
-use crate::ptx::{CmpOp, Inst, Kernel, Special, Stmt};
+use crate::decoded::{loop_markers, Op};
+use crate::ptx::{CmpOp, Inst, Kernel, Special};
 use core::fmt::Write as _;
 
 /// Renders a kernel as PTX-flavoured text.
@@ -26,14 +27,11 @@ pub fn disassemble(kernel: &Kernel) -> String {
 /// header names the ALU thunk set promotion compiles on this host.
 pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
     let (forms, runs) = crate::compiled::listing_facts(kernel);
-    // The decoded program flattens the tree in statement order (If arms
-    // then-before-else, While condition-before-body), so its `I` ops line
-    // up one to one with the instructions of the tree walk below.
-    let mut notes = Vec::new();
-    for (pc, op) in kernel.decoded_program().ops().iter().enumerate() {
-        let crate::decoded::Op::I { dop, .. } = op else { continue };
+    let ops = kernel.decoded_program().ops();
+    let listing = render_kernel(kernel, &mut |pc| {
+        let Op::I { inst, .. } = &ops[pc] else { return None };
         let mut note = String::new();
-        if dop.mem_ref().is_some() {
+        if inst.mem_ref().is_some() {
             let _ = write!(note, "  ; addr {}", forms[pc]);
         }
         if let Some(run) = runs.iter().find(|r| r.pcs.contains(&pc)) {
@@ -53,14 +51,14 @@ pub fn disassemble_with_addr_forms(kernel: &Kernel) -> String {
                 note.push_str("  ; │");
             }
         }
-        notes.push(note);
-    }
-    let mut notes = notes.into_iter();
-    let listing = render_kernel(kernel, &mut |_| notes.next().filter(|n| !n.is_empty()));
+        Some(note).filter(|n| !n.is_empty())
+    });
     format!("// alu thunks: {}\n{listing}", crate::thunk_isa())
 }
 
-fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) -> String {
+/// Renders the kernel's flat program, nesting by its control markers;
+/// `ann` may append a note to the instruction at each pc.
+fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(usize) -> Option<String>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -74,7 +72,52 @@ fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) 
     );
     let _ = writeln!(out, ".visible .entry {}()", kernel.name);
     let _ = writeln!(out, "{{");
-    render_stmts(&kernel.body, 1, &mut out, ann);
+    let ops = kernel.decoded_program().ops();
+    let mut depth = 1;
+    for (pc, op) in ops.iter().enumerate() {
+        match op {
+            Op::I { inst, .. } => {
+                indent(depth, &mut out);
+                out.push_str(&render_inst(inst));
+                if let Some(note) = ann(pc) {
+                    out.push_str(&note);
+                }
+                out.push('\n');
+            }
+            Op::If { p, .. } => {
+                indent(depth, &mut out);
+                let _ = writeln!(out, "@%p{p} {{");
+                depth += 1;
+            }
+            // An empty else arm renders as nothing.
+            Op::Else { .. } if matches!(ops[pc + 1], Op::EndIf) => {}
+            Op::Else { .. } => {
+                indent(depth - 1, &mut out);
+                out.push_str("} @!%p {\n");
+            }
+            Op::WhileBegin => {
+                let (test, end) = loop_markers(ops, pc);
+                let (Op::WhileTest { p, .. }, Op::WhileEnd { max_iter, .. }) = (&ops[test], &ops[end])
+                else {
+                    unreachable!("loop_markers finds a WhileTest and a WhileEnd")
+                };
+                indent(depth, &mut out);
+                let _ = writeln!(out, "while %p{p} (max_iter {max_iter}) {{");
+                depth += 1;
+                indent(depth, &mut out);
+                out.push_str("// condition:\n");
+            }
+            Op::WhileTest { .. } => {
+                indent(depth, &mut out);
+                out.push_str("// body:\n");
+            }
+            Op::EndIf | Op::WhileEnd { .. } => {
+                depth -= 1;
+                indent(depth, &mut out);
+                out.push_str("}\n");
+            }
+        }
+    }
     let _ = writeln!(out, "}}");
     out
 }
@@ -82,54 +125,6 @@ fn render_kernel(kernel: &Kernel, ann: &mut dyn FnMut(&Inst) -> Option<String>) 
 fn indent(depth: usize, out: &mut String) {
     for _ in 0..depth {
         out.push_str("    ");
-    }
-}
-
-fn render_stmts(
-    stmts: &[Stmt],
-    depth: usize,
-    out: &mut String,
-    ann: &mut dyn FnMut(&Inst) -> Option<String>,
-) {
-    for s in stmts {
-        match s {
-            Stmt::I(i) => {
-                indent(depth, out);
-                out.push_str(&render_inst(i));
-                if let Some(note) = ann(i) {
-                    out.push_str(&note);
-                }
-                out.push('\n');
-            }
-            Stmt::If(s) => {
-                indent(depth, out);
-                let _ = writeln!(out, "@%p{} {{", s.p);
-                render_stmts(&s.then_, depth + 1, out, ann);
-                if s.else_.is_empty() {
-                    indent(depth, out);
-                    out.push_str("}\n");
-                } else {
-                    indent(depth, out);
-                    out.push_str("} @!%p ");
-                    let _ = writeln!(out, "{{");
-                    render_stmts(&s.else_, depth + 1, out, ann);
-                    indent(depth, out);
-                    out.push_str("}\n");
-                }
-            }
-            Stmt::While(s) => {
-                indent(depth, out);
-                let _ = writeln!(out, "while %p{} (max_iter {}) {{", s.p, s.max_iter);
-                indent(depth + 1, out);
-                out.push_str("// condition:\n");
-                render_stmts(&s.cond, depth + 1, out, ann);
-                indent(depth + 1, out);
-                out.push_str("// body:\n");
-                render_stmts(&s.body, depth + 1, out, ann);
-                indent(depth, out);
-                out.push_str("}\n");
-            }
-        }
     }
 }
 
@@ -235,26 +230,15 @@ pub fn render_inst(i: &Inst) -> String {
 /// optimization removed what it promised to remove.
 pub fn histogram(kernel: &Kernel) -> std::collections::BTreeMap<&'static str, usize> {
     let mut h = std::collections::BTreeMap::new();
-    fn walk(stmts: &[Stmt], h: &mut std::collections::BTreeMap<&'static str, usize>) {
-        for s in stmts {
-            match s {
-                Stmt::I(i) => {
-                    *h.entry(mnemonic(i)).or_insert(0) += 1;
-                }
-                Stmt::If(s) => {
-                    *h.entry("branch").or_insert(0) += 1;
-                    walk(&s.then_, h);
-                    walk(&s.else_, h);
-                }
-                Stmt::While(s) => {
-                    *h.entry("loop").or_insert(0) += 1;
-                    walk(&s.cond, h);
-                    walk(&s.body, h);
-                }
-            }
-        }
+    for op in kernel.decoded_program().ops() {
+        let key = match op {
+            Op::I { inst, .. } => mnemonic(inst),
+            Op::If { .. } => "branch",
+            Op::WhileBegin => "loop",
+            _ => continue,
+        };
+        *h.entry(key).or_insert(0) += 1;
     }
-    walk(&kernel.body, &mut h);
     h
 }
 

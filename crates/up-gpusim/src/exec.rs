@@ -366,14 +366,18 @@ pub fn launch_opts(
     }
     let warp = device.warp_size as usize;
     let mut promoted = false;
-    // Pick the execution tier. Decoded programs build once per kernel
-    // (cached across launches); the compiled tier is forced by
-    // `ExecBackend::Compiled` and count-promoted under `Auto`.
+    // Pick the execution tier. The tree walker runs a tree rebuilt from
+    // the kernel's program, once per launch; the compiled tier is forced
+    // by `ExecBackend::Compiled` and count-promoted under `Auto`.
+    let prog = kernel.decoded_program().as_ref();
+    let tree;
     let tier = match opts.backend {
-        ExecBackend::Tree => TierExec::Tree,
-        ExecBackend::Decoded => TierExec::Decoded(kernel.decoded_program().as_ref()),
+        ExecBackend::Tree => {
+            tree = prog.to_stmts();
+            TierExec::Tree(&tree)
+        }
+        ExecBackend::Decoded => TierExec::Decoded(prog),
         ExecBackend::Compiled => {
-            let prog = kernel.decoded_program().as_ref();
             let (cp, built) = kernel.tier.get_or_compile(kernel);
             // A forced compile is not a promotion event — promotions
             // count `auto`-tier threshold crossings only.
@@ -381,7 +385,6 @@ pub fn launch_opts(
             TierExec::Compiled(prog, cp.as_ref())
         }
         ExecBackend::Auto => {
-            let prog = kernel.decoded_program().as_ref();
             let nth = kernel.tier.record_launch();
             if nth > compiled::TIER_THRESHOLD {
                 let (cp, built) = kernel.tier.get_or_compile(kernel);
@@ -411,7 +414,7 @@ pub fn launch_opts(
                 decoded::run_block_decoded(p, Some(cp), &mut ctx, cfg, block, warp)
             }
             TierExec::Decoded(p) => decoded::run_block_decoded(p, None, &mut ctx, cfg, block, warp),
-            TierExec::Tree => run_block(kernel, cfg, block, ctx.mem, params, warp),
+            TierExec::Tree(body) => run_block(kernel, body, cfg, block, ctx.mem, params, warp),
         }?;
         total.accumulate(&stats);
     }
@@ -422,8 +425,8 @@ pub fn launch_opts(
 /// The execution tier a launch resolved to, with its read-only artifacts.
 #[derive(Clone, Copy)]
 enum TierExec<'a> {
-    /// Reference tree walker.
-    Tree,
+    /// Reference tree walker, over the tree rebuilt for this launch.
+    Tree(&'a [Stmt]),
     /// Decoded flat-program interpreter.
     Decoded(&'a decoded::DecodedProgram),
     /// Closure-compiled superblocks over the decoded program (divergent
@@ -434,7 +437,7 @@ enum TierExec<'a> {
 impl TierExec<'_> {
     fn kind(self) -> ExecTier {
         match self {
-            TierExec::Tree => ExecTier::Tree,
+            TierExec::Tree(_) => ExecTier::Tree,
             TierExec::Decoded(_) => ExecTier::Decoded,
             TierExec::Compiled(..) => ExecTier::Compiled,
         }
@@ -442,9 +445,10 @@ impl TierExec<'_> {
 }
 
 /// Runs one block's warps sequentially against `mem` through the tree
-/// walker, returning the block's stats.
+/// walker over `body`, returning the block's stats.
 fn run_block(
     kernel: &Kernel,
+    body: &[Stmt],
     cfg: LaunchConfig,
     block: u32,
     mem: &mut GlobalMem,
@@ -471,7 +475,7 @@ fn run_block(
             nctaid: cfg.grid_blocks,
         };
         wctx.seen_sectors.clear();
-        exec_stmts(&kernel.body, &mut wctx, &geom, full_mask(lanes_n))?;
+        exec_stmts(body, &mut wctx, &geom, full_mask(lanes_n))?;
         wctx.stats.warps += 1;
     }
     wctx.stats.blocks += 1;

@@ -135,7 +135,7 @@ mod tests {
             warps: 312_500,
             ..Default::default()
         };
-        let t = kernel_time(&k, &stats, &d);
+        let t = kernel_time(k.hw_regs_per_thread, &stats, &d);
         let p = KernelProfile::collect(&k, &stats, &t);
         assert_eq!(p.name, "add_len8");
         assert!(p.summary().contains("occupancy"));
@@ -161,7 +161,7 @@ mod tests {
         let k = kb.finish("codec_row", 8);
         let _ = k.compiled_program(); // force the build, as a hot launch would
         let stats = ExecStats { warps: 1, ..Default::default() };
-        let t = kernel_time(&k, &stats, &d);
+        let t = kernel_time(k.hw_regs_per_thread, &stats, &d);
         let p = KernelProfile::collect(&k, &stats, &t);
         assert_eq!(p.lowered_superblocks, 1);
         assert_eq!(p.fallback_superblocks, 0);

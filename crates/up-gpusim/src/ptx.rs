@@ -12,6 +12,9 @@
 //! a compile-time constant, §III-B) are unrolled by the code generator,
 //! mirroring the `#pragma unroll` in the paper's Listing 2.
 
+use crate::decoded::DecodedProgram;
+use std::sync::Arc;
+
 /// A virtual 32-bit register index (per thread).
 pub type Reg = u16;
 
@@ -170,12 +173,11 @@ pub enum Inst {
 /// Structured statements. The executor models divergence by running both
 /// branches with complementary active masks whenever a warp disagrees.
 ///
-/// 16 bytes a node: the control statements live behind a `Box` (the
-/// pointer fits in the bytes an [`Inst`] uses, and `Inst`'s tag has room
-/// for two more variants), and every statement list is an exact-size
-/// `Box<[Stmt]>`. Every cached kernel keeps its tree — it is what the
-/// reference walker executes — so the node size multiplies into every
-/// resident kernel.
+/// The tree is the form code generation builds ([`KernelBuilder`]) and the
+/// reference walker executes; a finished [`Kernel`] keeps only the flat
+/// program [`KernelBuilder::finish`] flattens it into, and the walker runs
+/// a tree rebuilt from that program
+/// ([`crate::decoded::DecodedProgram::to_stmts`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
     /// A single instruction.
@@ -257,23 +259,13 @@ impl TreeShape {
     pub(crate) fn flat_ops(&self) -> usize {
         self.stmts + 2 * (self.ifs + self.whiles)
     }
-
-    /// Heap bytes the tree's statement lists and control boxes hold.
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.stmts * size_of::<Stmt>()
-            + self.ifs * size_of::<IfStmt>()
-            + self.whiles * size_of::<WhileStmt>()
-    }
 }
 
-/// A compiled kernel: the statement list plus resource metadata.
+/// A compiled kernel: its flat program plus resource metadata.
 #[derive(Clone, Debug)]
 pub struct Kernel {
     /// Name for reports (e.g. `calc_expr_1` as in Listing 1).
     pub name: String,
-    /// Kernel body.
-    pub body: Box<[Stmt]>,
     /// Virtual 32-bit registers per thread.
     pub num_regs: u16,
     /// Predicate registers per thread.
@@ -284,12 +276,9 @@ pub struct Kernel {
     /// — drives the occupancy model. Codegen sets this from the operand
     /// widths (see `up-jit::codegen::estimate_hw_regs`).
     pub hw_regs_per_thread: u32,
-    /// Heap bytes of `body`'s tree, counted once by
-    /// [`KernelBuilder::finish`].
-    pub(crate) tree_bytes: usize,
-    /// Lazily-built decoded program for the flat interpreter (clones share
-    /// the built program; see [`crate::decoded::DecodedProgram`]).
-    pub(crate) decoded: crate::decoded::DecodedCache,
+    /// The flat program [`KernelBuilder::finish`] built; clones share it
+    /// (see [`crate::decoded::DecodedProgram`]).
+    pub(crate) program: Arc<DecodedProgram>,
     /// Compiled-tier state: the per-kernel launch counter driving tier
     /// promotion and the lazily-built closure-compiled program (clones
     /// share a built artifact; see [`crate::compiled`]).
@@ -299,17 +288,15 @@ pub struct Kernel {
 impl Kernel {
     /// Counts static instructions (loop bodies counted once) — a proxy for
     /// generated-code size used by the compile-time model. Memoized on the
-    /// decoded program, so repeated launches and compile-time estimates
-    /// don't re-walk the statement tree.
+    /// decoded program.
     pub fn static_inst_count(&self) -> usize {
-        self.decoded_program().static_inst_count()
+        self.program.static_inst_count()
     }
 
-    /// The kernel's pre-decoded flat program, built on first use and cached
-    /// on the kernel. Clones made after the first build (e.g. kernels held
-    /// in the JIT cache behind `Arc`) share the same program.
-    pub fn decoded_program(&self) -> &std::sync::Arc<crate::decoded::DecodedProgram> {
-        self.decoded.get_or_decode(self)
+    /// The kernel's flat program, built by [`KernelBuilder::finish`].
+    /// Clones (e.g. kernels held in the JIT cache behind `Arc`) share it.
+    pub fn decoded_program(&self) -> &Arc<DecodedProgram> {
+        &self.program
     }
 
     /// The kernel's closure-compiled program (tier 3), built on first use
@@ -327,12 +314,11 @@ impl Kernel {
         self.tier.built()
     }
 
-    /// Heap bytes this kernel holds: its name, its statement tree and,
-    /// once built, its decoded program. The closure-compiled tier (built
-    /// only for promoted kernels) is not counted. O(1): the tree's size
-    /// is recorded when the kernel is finished.
+    /// Heap bytes this kernel holds: its name and its flat program. The
+    /// closure-compiled tier (built only for promoted kernels) is not
+    /// counted.
     pub fn heap_bytes(&self) -> usize {
-        self.name.capacity() + self.tree_bytes + self.decoded.built().map_or(0, |p| p.heap_bytes())
+        self.name.capacity() + self.program.heap_bytes()
     }
 }
 
@@ -484,18 +470,16 @@ impl KernelBuilder {
         inner.stmts
     }
 
-    /// Finishes the kernel.
+    /// Finishes the kernel: flattens the statements into the kernel's
+    /// program (counted by [`crate::decode_counters`]) and drops them.
     pub fn finish(self, name: impl Into<String>, hw_regs_per_thread: u32) -> Kernel {
-        let body = self.stmts.into_boxed_slice();
         Kernel {
             name: name.into(),
-            tree_bytes: TreeShape::of(&body).heap_bytes(),
-            body,
             num_regs: self.next_reg.max(1),
             num_preds: self.next_pred.max(1),
             smem_bytes: self.smem_bytes,
             hw_regs_per_thread,
-            decoded: Default::default(),
+            program: Arc::new(DecodedProgram::new(&self.stmts)),
             tier: Default::default(),
         }
     }
@@ -588,16 +572,18 @@ pub(crate) mod tests {
         assert_eq!(k.static_inst_count(), 3); // add + if + mov
     }
 
-    /// Every cached kernel keeps its tree, so a fat new variant would
-    /// inflate every resident kernel: `Stmt` stays one `Inst` wide.
+    /// Every cached kernel keeps one flat op per instruction, so a fat new
+    /// variant would inflate every resident kernel: `Inst` stays 16 bytes
+    /// and an op 32, and the builder's `Stmt` stays one `Inst` wide.
     #[test]
     fn statement_nodes_are_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Inst>(), 16);
         assert_eq!(std::mem::size_of::<Stmt>(), 16);
+        assert_eq!(std::mem::size_of::<crate::decoded::Op>(), 32);
     }
 
     #[test]
-    fn heap_bytes_count_the_tree_then_the_decoded_program() {
+    fn heap_bytes_count_the_name_and_the_flat_program() {
         let mut b = KernelBuilder::new();
         let (r, p) = (b.reg(), b.pred());
         b.push(Inst::MovImm { d: r, imm: 1 });
@@ -610,15 +596,14 @@ pub(crate) mod tests {
         });
         b.while_(p, cond, body, 4);
         let k = b.finish("k", 32);
-        let shape = TreeShape::of(&k.body);
-        assert_eq!(shape, TreeShape { stmts: 7, ifs: 1, whiles: 1 });
-        let tree = 7 * 16 + std::mem::size_of::<IfStmt>() + std::mem::size_of::<WhileStmt>();
-        assert_eq!(k.heap_bytes(), k.name.capacity() + tree);
         let prog = k.decoded_program();
+        let shape = TreeShape::of(&prog.to_stmts());
+        assert_eq!(shape, TreeShape { stmts: 7, ifs: 1, whiles: 1 });
         assert_eq!(prog.op_count(), shape.flat_ops());
         assert_eq!(prog.static_inst_count(), shape.stmts);
-        assert_eq!(k.heap_bytes(), k.name.capacity() + tree + prog.heap_bytes());
+        assert_eq!(k.heap_bytes(), k.name.capacity() + prog.heap_bytes());
         let ops = prog.op_count() * std::mem::size_of::<crate::decoded::Op>();
+        assert_eq!(ops, 11 * 32);
         assert!(prog.heap_bytes() > ops, "{} B for {ops} B of ops", prog.heap_bytes());
     }
 

@@ -18,7 +18,6 @@ use crate::cgbn::Tpi;
 use crate::cost::{kernel_time, KernelTime};
 use crate::device::DeviceConfig;
 use crate::exec::ExecStats;
-use crate::ptx::KernelBuilder;
 use up_num::dtype::DecimalType;
 use up_num::{SumAcc, UpDecimal};
 
@@ -112,12 +111,7 @@ pub fn priced(n: u64, lw: usize, tpi: Tpi, device: &DeviceConfig) -> (AggPlan, V
     let mut total_s = 0.0;
     for pass in &plan.passes {
         let stats = pass_stats(pass, lw, tpi, device);
-        let hw_regs = crate::cgbn::group_hw_regs(lw, tpi);
-        let mut kb = KernelBuilder::new();
-        let smem = (pass.ng * pass.nt * (4 * lw as u64 + 1)) as u32;
-        kb.smem(smem.min(device.shared_mem_per_block));
-        let k = kb.finish(format!("agg_pass_n{}", pass.n_in), hw_regs);
-        let t = kernel_time(&k, &stats, device);
+        let t = kernel_time(crate::cgbn::group_hw_regs(lw, tpi), &stats, device);
         total_s += t.total_s;
         times.push(t);
     }

@@ -100,12 +100,10 @@ impl CacheStats {
 }
 
 /// Default capacity of a per-engine cache, in kernels. A kernel keeps its
-/// statement tree and its decoded program: a `wire_cold`-shaped kernel
-/// (a signed sum of products, ~700 decoded ops) holds ~39 KB, 56 B per
-/// op (a 16-B tree node and a 40-B decoded op), where 56-B tree nodes
-/// with `Vec` slack and a decoded program grown by doubling held ~135 KB
-/// (~190 B per op). A full cache of such kernels is ~10 MB. The bound
-/// keeps long-lived services from accumulating every signature ever seen.
+/// flat program only: a `wire_cold`-shaped kernel (a signed sum of
+/// products, ~750 decoded ops) holds ~24 KB, 32 B per op, so a full cache
+/// of such kernels is ~6 MB. The bound keeps long-lived services from
+/// accumulating every signature ever seen.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Default lock-stripe count for shared caches.
@@ -380,10 +378,9 @@ impl JitEngine {
                 let modeled = if cached {
                     0.0
                 } else {
-                    // `static_inst_count` also builds the kernel's decoded
-                    // program (cached on the kernel), so decode happens
-                    // once here at compile time and every cache hit —
-                    // local or via the shared server cache — reuses it.
+                    // Codegen's `KernelBuilder::finish` built the kernel's
+                    // flat program, once, and every cache hit — local or
+                    // via the shared server cache — reuses it.
                     // The closure-compiled tier is deliberately *not*
                     // built here: cold kernels stay on the decoded
                     // interpreter, and tier promotion (launch-count
@@ -440,8 +437,8 @@ mod tests {
 
     #[test]
     fn cache_hits_share_the_decoded_program() {
-        // Compiling builds the decoded program (via the compile-time
-        // model's static_inst_count); hits must reuse it rather than
+        // Compiling builds the decoded program (in the codegen's
+        // `KernelBuilder::finish`); hits must reuse it rather than
         // re-decoding per launch.
         let jit = JitEngine::with_defaults();
         let e = Expr::col(0, ty(6, 2), "a").mul(Expr::col(1, ty(6, 2), "b"));

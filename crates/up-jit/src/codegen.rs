@@ -141,7 +141,6 @@ pub fn compile_expr(expr: &Expr, name: &str) -> CompiledExpr {
 /// Panics if the expression references more than 250 distinct columns
 /// (device buffer indices are bytes; the output buffer takes one slot).
 pub fn compile_expr_with(expr: &Expr, name: &str, copts: CodegenOptions) -> CompiledExpr {
-    let out_ty = expr.dtype();
     let n_inputs = expr
         .columns()
         .iter()
@@ -150,7 +149,16 @@ pub fn compile_expr_with(expr: &Expr, name: &str, copts: CodegenOptions) -> Comp
         .map(|m| m + 1)
         .unwrap_or(0);
     assert!(n_inputs <= 250, "too many input columns");
+    let (kb, hw_regs) = generate(expr, n_inputs, copts);
+    let kernel = kb.finish(name, hw_regs);
+    CompiledExpr { kernel, out_ty: expr.dtype(), n_inputs, launch: LaunchMemo::default() }
+}
 
+/// The statements of `expr`'s kernel — Listing 1's grid-stride loop
+/// around the expression, its output in buffer `n_inputs` — and the
+/// kernel's estimated hardware registers per thread.
+fn generate(expr: &Expr, n_inputs: usize, copts: CodegenOptions) -> (KernelBuilder, u32) {
+    let out_ty = expr.dtype();
     let mut g = Gen::new();
     g.result_lw = out_ty.lw();
     g.result_scale = out_ty.scale;
@@ -190,9 +198,7 @@ pub fn compile_expr_with(expr: &Expr, name: &str, copts: CodegenOptions) -> Comp
     g.kb.while_(p, cond, body, u32::MAX);
 
     let (has_mul, has_div) = op_classes(expr);
-    let hw_regs = estimate_hw_regs(out_ty.lw(), has_mul, has_div);
-    let kernel = g.kb.finish(name, hw_regs);
-    CompiledExpr { kernel, out_ty, n_inputs, launch: LaunchMemo::default() }
+    (g.kb, estimate_hw_regs(out_ty.lw(), has_mul, has_div))
 }
 
 fn op_classes(e: &Expr) -> (bool, bool) {
@@ -710,6 +716,40 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// A finished kernel keeps only its flat program; the tree the
+    /// reference walker runs is rebuilt from it, and for one statement
+    /// shape of each benchmark workload it is exactly the tree code
+    /// generation built.
+    #[test]
+    fn kernels_rebuild_the_generated_tree() {
+        let c = |i: usize, p: u32, s: u32| Expr::col(i, ty(p, s), "c");
+        let lit = |s: &str| Expr::lit(s).unwrap();
+        let cube_mod = |m: &str| {
+            let x = || c(0, 143, 0);
+            x().mul(x()).rem(lit(m)).mul(x()).rem(lit(m))
+        };
+        let shapes = [
+            // wire_point: LEN 2.
+            c(0, 16, 2).mul(c(1, 16, 2)).add(c(2, 16, 2)),
+            // wire_scan: LEN 8, with an alignment.
+            c(0, 74, 2).add(c(1, 74, 2)).add(c(3, 75, 6)),
+            // wire_bignum: RSA's cube mod, Q1's charge at LEN 32, a / b.
+            cube_mod("1000000007"),
+            c(0, 150, 2).mul(lit("1").sub(c(1, 150, 2))).mul(lit("1").add(c(2, 150, 2))),
+            c(0, 70, 2).div(c(1, 70, 2)),
+            // wire_cold: a signed sum of products with literals.
+            c(0, 16, 2).mul(c(1, 30, 4)).sub(c(2, 60, 6).mul(lit("3.75"))).add(c(3, 12, 0)),
+            // wire_ingest: a product of mixed scales.
+            c(0, 16, 2).mul(c(1, 8, 4)),
+        ];
+        for e in shapes {
+            let k = compile_expr(&e, "k");
+            let (mut kb, hw_regs) = generate(&e, k.n_inputs, CodegenOptions::default());
+            assert_eq!(hw_regs, k.kernel.hw_regs_per_thread);
+            assert_eq!(k.kernel.decoded_program().to_stmts(), kb.drain_stmts(0), "{e:?}");
+        }
     }
 
     #[test]

@@ -185,8 +185,9 @@ fn promotion_fuses_every_column_load_and_the_result_store() {
         }
         kb.smem(k.smem_bytes);
         let mut swaps = 0;
-        for s in &k.body {
-            match s.clone() {
+        let tree = k.decoded_program().to_stmts();
+        for s in tree.iter().cloned() {
+            match s {
                 Stmt::I(i) => kb.push(i),
                 Stmt::If(s) => kb.if_(s.p, s.then_.into_vec(), s.else_.into_vec()),
                 Stmt::While(s) => {
@@ -197,9 +198,9 @@ fn promotion_fuses_every_column_load_and_the_result_store() {
             }
         }
         let swapped = kb.finish("swapped", k.hw_regs_per_thread);
-        let bytes = byte_mem_insts(&k.body);
+        let bytes = byte_mem_insts(&tree);
         assert!(swaps * 2 > bytes, "only {swaps} bumps swapped for {bytes} byte accesses");
-        assert_eq!(byte_mem_insts(&swapped.body), bytes);
+        assert_eq!(byte_mem_insts(&swapped.decoded_program().to_stmts()), bytes);
         let shape = |k: &up_gpusim::Kernel| {
             let cp = k.compiled_program();
             (cp.fused_codec_run_count(), cp.fused_codec_mem_inst_count())
@@ -264,7 +265,7 @@ fn issue_cost_sums_do_not_depend_on_the_order_of_addition() {
         }
     }
     let mut cy = Vec::new();
-    costs(&k.body, &mut cy);
+    costs(&k.decoded_program().to_stmts(), &mut cy);
     assert!(cy.len() > 2000, "{} instructions", cy.len());
     let in_order: f64 = cy.iter().sum();
     let mut seed = 0x5eed_u64;
@@ -281,12 +282,13 @@ fn issue_cost_sums_do_not_depend_on_the_order_of_addition() {
 
 /// What a cached kernel holds: a `wire_cold`-shaped kernel (a signed sum
 /// of products over the workload's four column types plus a decimal
-/// literal) keeps its statement tree and its decoded program in at most
-/// 64 B per decoded op. (With 56-B tree nodes, `Vec` slack in every
-/// statement list and a decoded program grown by doubling it was near
-/// 180 B per op.)
+/// literal) keeps its name and its flat program of 32-B ops, about 32 B
+/// per op, in at most 40 B per op. (With a statement tree kept beside a
+/// program of 40-B ops it was 56 B per op; with 56-B tree nodes, `Vec`
+/// slack in every statement list and a program grown by doubling, near
+/// 180 B.)
 #[test]
-fn a_cold_kernel_holds_at_most_64_bytes_per_decoded_op() {
+fn a_cold_kernel_holds_at_most_40_bytes_per_decoded_op() {
     let c = |i: usize| {
         let (p, s) = [(16, 2), (30, 4), (60, 6), (12, 0)][i];
         Expr::col(i, ty(p, s), "c")
@@ -302,6 +304,6 @@ fn a_cold_kernel_holds_at_most_64_bytes_per_decoded_op() {
         let ops = k.decoded_program().op_count();
         let bytes = k.heap_bytes();
         assert!(ops > 300, "{ops} ops: not a wire_cold-sized kernel");
-        assert!(bytes <= 64 * ops, "{bytes} B for {ops} decoded ops ({} B/op)", bytes / ops);
+        assert!(bytes <= 40 * ops, "{bytes} B for {ops} decoded ops ({} B/op)", bytes / ops);
     }
 }

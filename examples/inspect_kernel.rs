@@ -30,7 +30,7 @@ fn main() {
         info.modeled_compile_s * 1e3
     );
     println!(
-        "resident   : {} B (statement tree + decoded program of {} ops)\n",
+        "resident   : {} B (name + flat program of {} ops)\n",
         k.kernel.heap_bytes(),
         k.kernel.decoded_program().op_count()
     );
